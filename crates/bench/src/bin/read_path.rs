@@ -1,9 +1,6 @@
 //! Regenerates the read-path report: point-read throughput and
-//! bytes-read-per-get for three readers over the same multi-table store —
+//! bytes-read-per-get over a multi-table store, in two phases —
 //!
-//! * **legacy** — the pre-overhaul read path, reproduced faithfully:
-//!   every probed table is loaded *in full* (`Sstable::load`) before its
-//!   bloom filter is even consulted;
 //! * **cold** — the lazy reader with empty caches: footer + tail per
 //!   table open, at most one data block per probe;
 //! * **warm** — the same keys again: served from the table and block
@@ -12,13 +9,14 @@
 //! Run with:
 //! `cargo run --release --bin read_path [--quick] [--check] [--csv] [--json PATH]`
 //!
-//! `--check` exits non-zero unless the cold path reads ≥ 10× fewer bytes
-//! per get than the legacy path (the PR's acceptance bar).
+//! `--check` exits non-zero unless a cold get reads at most a tenth of
+//! one average table blob — the floor any reader that loads whole tables
+//! pays for a single probe.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use lsm_engine::{Lsm, LsmOptions, MemoryStorage, Sstable, Storage};
+use lsm_engine::{Lsm, LsmOptions, MemoryStorage, Storage};
 
 struct Config {
     records: u64,
@@ -89,54 +87,6 @@ fn build_store(config: &Config) -> (Arc<MemoryStorage>, Lsm) {
     (storage, db)
 }
 
-/// The pre-overhaul read path, byte-for-byte: probe tables newest-first,
-/// fully loading each probed table blob, then asking its bloom + blocks.
-fn legacy_get(
-    storage: &MemoryStorage,
-    tables_newest_first: &[u64],
-    key: &[u8],
-    probes: &mut u64,
-) -> Option<Vec<u8>> {
-    for &table_id in tables_newest_first {
-        *probes += 1;
-        let table = Sstable::load(storage, table_id).expect("load");
-        if let Some(entry) = table.get(key).expect("get") {
-            if entry.is_tombstone() {
-                return None;
-            }
-            return Some(entry.value.to_vec());
-        }
-    }
-    None
-}
-
-fn run_legacy(config: &Config) -> (PhaseResult, u64, usize) {
-    let (storage, db) = build_store(config);
-    let table_ids: Vec<u64> = db.live_tables().iter().rev().map(|t| t.table_id).collect();
-    let total_table_bytes: u64 = db.live_tables().iter().map(|t| t.encoded_len).sum();
-    let n_tables = table_ids.len();
-    let keys = sample_keys(config.records, config.sample_gets);
-    let bytes_before = storage.bytes_read();
-    let mut probes = 0u64;
-    let started = Instant::now();
-    for &key in &keys {
-        let got = legacy_get(&storage, &table_ids, &key.to_be_bytes(), &mut probes);
-        assert!(got.is_some(), "key {key} missing");
-    }
-    let elapsed = started.elapsed();
-    let bytes = storage.bytes_read() - bytes_before;
-    (
-        PhaseResult {
-            name: "legacy",
-            bytes_per_get: bytes as f64 / keys.len() as f64,
-            ops_per_sec: keys.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-            tables_probed: probes,
-        },
-        total_table_bytes,
-        n_tables,
-    )
-}
-
 fn run_lazy(config: &Config) -> (PhaseResult, PhaseResult, Lsm) {
     let (storage, db) = build_store(config);
     let keys = sample_keys(config.records, config.sample_gets);
@@ -175,14 +125,6 @@ fn run_lazy(config: &Config) -> (PhaseResult, PhaseResult, Lsm) {
     (cold, warm, db)
 }
 
-fn reduction(legacy: f64, other: f64) -> f64 {
-    if other <= 0.0 {
-        f64::INFINITY
-    } else {
-        legacy / other
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -204,8 +146,10 @@ fn main() {
         config.records, config.memtable_capacity, config.block_size, config.sample_gets
     );
 
-    let (legacy, total_table_bytes, n_tables) = run_legacy(&config);
     let (cold, warm, db) = run_lazy(&config);
+    let tables = db.live_tables();
+    let n_tables = tables.len();
+    let total_table_bytes: u64 = tables.iter().map(|t| t.encoded_len).sum();
     let stats = db.stats();
     let block_lookups = stats.block_cache_hits + stats.block_cache_misses;
     let hit_rate = if block_lookups == 0 {
@@ -214,8 +158,6 @@ fn main() {
         stats.block_cache_hits as f64 / block_lookups as f64
     };
 
-    let cold_reduction = reduction(legacy.bytes_per_get, cold.bytes_per_get);
-    let warm_reduction = reduction(legacy.bytes_per_get, warm.bytes_per_get);
     // Stored (compressed) vs logical (decoded) data-block bytes across
     // both lazy phases: the realized per-block compression ratio.
     let compression_ratio = if stats.data_block_read_bytes == 0 {
@@ -226,7 +168,7 @@ fn main() {
 
     if csv {
         println!("phase,bytes_per_get,ops_per_sec,tables_probed");
-        for phase in [&legacy, &cold, &warm] {
+        for phase in [&cold, &warm] {
             println!(
                 "{},{:.1},{:.0},{}",
                 phase.name, phase.bytes_per_get, phase.ops_per_sec, phase.tables_probed
@@ -238,17 +180,13 @@ fn main() {
             n_tables, total_table_bytes
         );
         println!(
-            "{:>8}  {:>14}  {:>12}  {:>13}  {:>10}",
-            "phase", "bytes/get", "ops/s", "tables_probed", "vs legacy"
+            "{:>8}  {:>14}  {:>12}  {:>13}",
+            "phase", "bytes/get", "ops/s", "tables_probed"
         );
-        for (phase, red) in [
-            (&legacy, 1.0),
-            (&cold, cold_reduction),
-            (&warm, warm_reduction),
-        ] {
+        for phase in [&cold, &warm] {
             println!(
-                "{:>8}  {:>14.1}  {:>12.0}  {:>13}  {:>9.0}x",
-                phase.name, phase.bytes_per_get, phase.ops_per_sec, phase.tables_probed, red
+                "{:>8}  {:>14.1}  {:>12.0}  {:>13}",
+                phase.name, phase.bytes_per_get, phase.ops_per_sec, phase.tables_probed
             );
         }
         println!(
@@ -269,18 +207,12 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let warm_json = if warm_reduction.is_finite() {
-            format!("{warm_reduction:.1}")
-        } else {
-            "null".to_owned()
-        };
         let json = format!(
             "{{\n  \"records\": {},\n  \"tables\": {},\n  \"total_table_bytes\": {},\n  \
-             \"gets_per_phase\": {},\n  \"legacy_bytes_per_get\": {:.1},\n  \
+             \"gets_per_phase\": {},\n  \
              \"cold_bytes_per_get\": {:.1},\n  \"warm_bytes_per_get\": {:.1},\n  \
-             \"legacy_ops_per_sec\": {:.0},\n  \"cold_ops_per_sec\": {:.0},\n  \
-             \"warm_ops_per_sec\": {:.0},\n  \"reduction_cold_x\": {:.1},\n  \
-             \"reduction_warm_x\": {},\n  \"block_cache_hit_rate\": {:.4},\n  \
+             \"cold_ops_per_sec\": {:.0},\n  \
+             \"warm_ops_per_sec\": {:.0},\n  \"block_cache_hit_rate\": {:.4},\n  \
              \"bloom_negative_probes\": {},\n  \"data_block_reads\": {},\n  \
              \"block_bytes_stored\": {},\n  \"block_bytes_logical\": {},\n  \
              \"block_compression_ratio\": {:.2}\n}}\n",
@@ -288,14 +220,10 @@ fn main() {
             n_tables,
             total_table_bytes,
             config.sample_gets,
-            legacy.bytes_per_get,
             cold.bytes_per_get,
             warm.bytes_per_get,
-            legacy.ops_per_sec,
             cold.ops_per_sec,
             warm.ops_per_sec,
-            cold_reduction,
-            warm_json,
             hit_rate,
             stats.bloom_negative_probes,
             stats.data_block_reads,
@@ -308,13 +236,16 @@ fn main() {
     }
 
     if check {
+        let bar = total_table_bytes as f64 / n_tables as f64 / 10.0;
         assert!(
-            cold_reduction >= 10.0,
-            "acceptance: cold bytes-per-get reduction {cold_reduction:.1}x < 10x \
-             (legacy {:.1} vs cold {:.1})",
-            legacy.bytes_per_get,
+            cold.bytes_per_get <= bar,
+            "acceptance: a cold get read {:.1} bytes, more than a tenth of the average \
+             table blob ({bar:.1})",
             cold.bytes_per_get
         );
-        eprintln!("check passed: cold read path reads {cold_reduction:.1}x fewer bytes per get");
+        eprintln!(
+            "check passed: a cold get reads {:.1} bytes, the bar is {bar:.1}",
+            cold.bytes_per_get
+        );
     }
 }

@@ -1,19 +1,14 @@
-//! Physical execution of a compaction merge schedule.
+//! The vocabulary of a physical compaction: the steps of a merge
+//! schedule and the I/O executing them incurred.
 //!
 //! The scheduling problem (which sstables to merge in which order) is
-//! solved by the `compaction-core` crate; this module is the machinery
-//! that carries a chosen schedule out against real sstables: read the `k`
-//! input runs, merge-sort them with newest-wins semantics, write one
-//! output run, and retire the inputs. The outcome reports the disk I/O the
-//! schedule actually incurred, which is the quantity the paper's cost
-//! function (`cost_actual`, Section 2) models.
-
-use std::sync::Arc;
-
-use crate::manifest::Manifest;
-use crate::options::LsmOptions;
-use crate::storage::Storage;
-use crate::Error;
+//! solved by the `compaction-core` crate, and
+//! [`ParallelExecutor`](crate::ParallelExecutor) carries a chosen
+//! schedule out against real sstables: read the `k` input runs,
+//! merge-sort them with newest-wins semantics, write one output run, and
+//! retire the inputs. The outcome reports the disk I/O the schedule
+//! actually incurred, which is the quantity the paper's cost function
+//! (`cost_actual`, Section 2) models.
 
 /// One merge operation of a schedule, expressed over *slots*.
 ///
@@ -69,57 +64,18 @@ impl CompactionOutcome {
     }
 }
 
-/// Executes compaction steps against a storage backend and manifest,
-/// one step at a time.
-///
-/// Since the introduction of [`ParallelExecutor`](crate::ParallelExecutor)
-/// this type is a thin sequential façade over it (one merge at a time,
-/// same validation, same atomic manifest flip), kept so callers that
-/// want explicitly sequential execution have a named entry point.
-#[derive(Debug)]
-pub struct CompactionExecutor {
-    inner: crate::parallel::ParallelExecutor,
-}
-
-impl CompactionExecutor {
-    /// Creates an executor that reads and writes through `storage`.
-    #[must_use]
-    pub fn new(storage: Arc<dyn Storage>, options: LsmOptions) -> Self {
-        Self {
-            inner: crate::parallel::ParallelExecutor::new(storage, options.compaction_threads(1)),
-        }
-    }
-
-    /// Executes `steps` over the tables listed in `initial_table_ids`
-    /// (slot `i` = `initial_table_ids[i]`), updating `manifest` as tables
-    /// are created and retired.
-    ///
-    /// Tombstones are dropped only on the last step and only if the
-    /// options request it, because earlier intermediate outputs may still
-    /// shadow older versions living in tables outside this compaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidCompaction`] if a step references an
-    /// unknown or already-consumed slot or has fewer than two inputs, and
-    /// propagates storage/corruption errors.
-    pub fn execute(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        steps: &[CompactionStep],
-    ) -> Result<CompactionOutcome, Error> {
-        self.inner.execute(manifest, initial_table_ids, steps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::manifest::{ManifestEdit, TableMeta};
+    use crate::manifest::{Manifest, ManifestEdit, TableMeta};
+    use crate::options::LsmOptions;
+    use crate::parallel::ParallelExecutor;
     use crate::sstable::{Sstable, SstableBuilder};
-    use crate::storage::MemoryStorage;
+    use crate::storage::{MemoryStorage, Storage};
     use crate::types::{key_from_u64, Entry};
+    use crate::Error;
     use bytes::Bytes;
 
     /// Builds an sstable holding `keys` and registers it in the manifest.
@@ -155,11 +111,15 @@ mod tests {
         id
     }
 
-    fn setup() -> (Arc<MemoryStorage>, Manifest, CompactionExecutor) {
+    /// One merge at a time: the serial case of the wave executor.
+    fn serial_executor(storage: Arc<MemoryStorage>, options: LsmOptions) -> ParallelExecutor {
+        ParallelExecutor::new(storage, options.compaction_threads(1))
+    }
+
+    fn setup() -> (Arc<MemoryStorage>, Manifest, ParallelExecutor) {
         let storage = Arc::new(MemoryStorage::new());
-        let manifest = Manifest::new();
-        let exec = CompactionExecutor::new(storage.clone(), LsmOptions::default());
-        (storage, manifest, exec)
+        let exec = serial_executor(storage.clone(), LsmOptions::default());
+        (storage, Manifest::new(), exec)
     }
 
     #[test]
@@ -272,8 +232,7 @@ mod tests {
     fn kway_fanin_allows_wider_merges() {
         let storage = Arc::new(MemoryStorage::new());
         let mut manifest = Manifest::new();
-        let exec =
-            CompactionExecutor::new(storage.clone(), LsmOptions::default().compaction_fanin(4));
+        let exec = serial_executor(storage.clone(), LsmOptions::default().compaction_fanin(4));
         let ids: Vec<u64> = (0..4)
             .map(|i| {
                 make_table(

@@ -1,6 +1,6 @@
-//! In-tree block compression for the v3 sstable format.
+//! In-tree block compression for the sstable format.
 //!
-//! Every v3 data block is stored inside a small envelope:
+//! Every data block is stored inside a small envelope:
 //!
 //! ```text
 //! +-----+----------------------+------------------------+
@@ -45,7 +45,7 @@ use crate::Error;
 /// Per-block compression applied by the sstable builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompressionType {
-    /// Store block bytes raw (still CRC-framed in the v3 envelope).
+    /// Store block bytes raw (still CRC-framed in the envelope).
     None,
     /// The in-tree byte-oriented LZ codec (Snappy-style greedy
     /// matcher). Falls back to `None` per block when it cannot shrink
@@ -86,7 +86,7 @@ const HASH_BITS: u32 = 13;
 /// rotten length prefix from driving a giant allocation.
 const MAX_LOGICAL_LEN: usize = 1 << 30;
 
-/// Wraps one logical data block in the v3 envelope, compressing the
+/// Wraps one logical data block in the envelope, compressing the
 /// payload per `ty` (with per-block fallback to raw when compression
 /// does not shrink the bytes).
 pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8]) -> Vec<u8> {
@@ -115,7 +115,7 @@ pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8]) -> Vec<
     out
 }
 
-/// Unwraps a v3 block envelope back to the logical block bytes.
+/// Unwraps a block envelope back to the logical block bytes.
 ///
 /// The envelope CRC is checked before anything else is trusted; an
 /// unknown tag, bad stream, or logical-length mismatch is

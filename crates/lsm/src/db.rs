@@ -8,8 +8,8 @@
 //!
 //! * the write half — manifest, WAL, flush/compaction bookkeeping —
 //!   lives behind one internal mutex; `put`/`delete`/`write_batch`/
-//!   `flush`/compaction serialize on it exactly as the old `&mut self`
-//!   API serialized callers;
+//!   `flush` serialize on it, and a compaction takes it only for its
+//!   two brief bracket sections (see below);
 //! * the read half is lock-free in the fast path: an `ArcSwap` snapshot
 //!   of the live table list (newest first), a shared [`TableCache`] of
 //!   open lazy readers and a shared [`BlockCache`] of decoded blocks.
@@ -23,10 +23,23 @@
 //! publishes *before* clearing the memtable (a concurrent read finds
 //! the data in at least one of the two), and compaction publishes at
 //! the manifest flip, *before* consumed inputs are deleted
-//! ([`ParallelExecutor::execute_plan_with`]). A reader still holding a
+//! ([`ParallelExecutor::commit`]). A reader still holding a
 //! pre-compaction snapshot can race the blob deletion; it detects the
 //! vanished table, reloads the snapshot and retries — the data is, by
 //! construction, in the compaction output.
+//!
+//! # Compaction
+//!
+//! Every compaction — the scheduler thread's, a writer's whose inline
+//! flush tripped the [`CompactionPolicy`], [`Lsm::auto_compact`],
+//! [`Lsm::major_compact`] — runs through one driver on the asking
+//! thread: take the schedule from a snapshot of the table list, `prepare`
+//! under a brief write lock, merge with no lock held, commit and flip the
+//! manifest under a brief write lock, delete the consumed blobs unlocked.
+//! Whole runs serialize on `compaction_mx`, always taken *before* the
+//! write mutex — so the inline trigger fires only once the writer has
+//! dropped its write guard. A run on a caller's thread is one stall
+//! histogram sample (that caller waited for it); a scheduler run is none.
 //!
 //! # Background flush & compaction
 //!
@@ -42,9 +55,8 @@
 //!   *after* its sstable is durable and published — a crash at any
 //!   point replays every acked write from the live WAL segments;
 //! * a **compaction scheduler thread** owns the policy: the planner
-//!   stays the brain (observations → `MergePlan` → waves), but the
-//!   merge runs off the write lock — only the prepare and
-//!   commit/manifest-flip bracket it under brief write-lock sections;
+//!   stays the brain (observations → `MergePlan` → waves) and the
+//!   driver above runs on the scheduler, not on a writer;
 //! * **tiered write stalls** replace inline stalling: writers compute
 //!   the maintenance debt (frozen-queue depth + compaction backlog)
 //!   before taking the write lock. Past
@@ -170,7 +182,7 @@ pub(crate) struct LsmInner {
     /// and for event timestamps.
     epoch: Instant,
     /// Micros-since-`epoch` **plus one** at which the currently running
-    /// inline compaction started; 0 when none is running.
+    /// compaction started; 0 when none is running.
     compaction_started: AtomicU64,
     /// Per-operation latency histograms plus the stall histogram — the
     /// single source of truth for stall accounting
@@ -197,12 +209,9 @@ pub(crate) struct LsmInner {
     bg_flushes: AtomicU64,
     /// Table id **plus one** of the newest background flush; 0 = none.
     last_bg_flush_table: AtomicU64,
-    /// `true` while the background scheduler is executing a merge.
-    bg_compacting: AtomicBool,
-    /// Serializes whole compaction runs (background scheduler,
-    /// [`Lsm::auto_compact`], [`Lsm::major_compact`]) without holding
-    /// the write mutex across the merge. Lock order: `compaction_mx`
-    /// before `write`.
+    /// Serializes whole compaction runs and tombstone-GC rewrites
+    /// without holding the write mutex across the merge. Lock order:
+    /// `compaction_mx` before `write`.
     compaction_mx: Mutex<()>,
     /// Table ids tombstone GC examined and found nothing droppable in;
     /// skipped until the next manifest flip changes what other tables
@@ -322,7 +331,7 @@ pub struct LsmStats {
     /// once however many blocks it covers).
     pub data_block_reads: u64,
     /// Bytes of data blocks fetched from storage on the read path, as
-    /// stored on disk (compressed for v3 tables).
+    /// stored on disk (compressed).
     pub data_block_read_bytes: u64,
     /// Logical (decompressed) bytes of the data blocks decoded on the
     /// read path. The spread over
@@ -504,7 +513,7 @@ pub enum StallTier {
 ///
 /// Produced by [`Lsm::pressure`] without touching the write mutex, so a
 /// server can probe a shard that is mid-compaction and still get an
-/// instant answer. Under inline compaction the headline signal is
+/// instant answer. Under inline maintenance the headline signal is
 /// [`LsmPressure::current_stall`]; under background maintenance it is
 /// [`LsmPressure::stall_tier`] and [`LsmPressure::frozen_queue_depth`] —
 /// how far storage maintenance has fallen behind the write rate.
@@ -516,11 +525,13 @@ pub struct LsmPressure {
     pub memtable_len: usize,
     /// Memtable key capacity (flush threshold).
     pub memtable_capacity: usize,
-    /// `true` while a compaction is executing (inline or background).
+    /// `true` while a compaction is executing (on any thread).
     pub compaction_running: bool,
-    /// Wall-clock age of the in-progress *inline* compaction (zero when
-    /// idle or when merges run on the background scheduler). Every
-    /// write to this store queues behind it.
+    /// Wall-clock age of the in-progress compaction under inline
+    /// maintenance, where it runs on a writer's thread and every write
+    /// whose flush trips the policy queues behind it. Zero when idle
+    /// and under background maintenance, where no write waits on a
+    /// merge.
     pub current_stall: Duration,
     /// Wall-clock time writes stalled behind completed compactions and
     /// tiered write stalls.
@@ -632,7 +643,7 @@ impl Lsm {
 
     /// Work counters: write-side counters folded together with the
     /// lock-free read-path and cache counters. Never waits on the write
-    /// mutex, so a STATS probe answers instantly mid-compaction.
+    /// mutex, so a METRICS probe answers instantly mid-compaction.
     #[must_use]
     pub fn stats(&self) -> LsmStats {
         self.inner.stats_snapshot()
@@ -1114,10 +1125,9 @@ impl LsmInner {
                 }
             }
         }
-        // Establish the first checkpoint immediately (also migrates a
-        // legacy single-blob manifest): from this point on the data
-        // directory always carries a decodable checkpoint, so sstable
-        // blobs without *any* manifest can only mean the manifest was
+        // Establish the first checkpoint immediately: from this point
+        // on the data directory always carries a decodable checkpoint,
+        // so sstable blobs without one can only mean the manifest was
         // lost — `Manifest::load` fails with the orphaned-tables
         // diagnostic — never a normal crash window during the first
         // flush.
@@ -1259,7 +1269,6 @@ impl LsmInner {
             stop_stalls: AtomicU64::new(0),
             bg_flushes: AtomicU64::new(0),
             last_bg_flush_table: AtomicU64::new(0),
-            bg_compacting: AtomicBool::new(false),
             compaction_mx: Mutex::new(()),
             gc_barren: Mutex::new(Vec::new()),
             pins: Mutex::new(BTreeMap::new()),
@@ -1304,7 +1313,9 @@ impl LsmInner {
         let live_tables = self.snapshot.load_full().tables.len();
         let memtable_len = self.memtable.read().len();
         let started = self.compaction_started.load(Ordering::Relaxed);
-        let current_stall = if started == 0 {
+        // Under background maintenance no write waits on a merge, so a
+        // running compaction is not a stall.
+        let current_stall = if started == 0 || self.background() {
             Duration::ZERO
         } else {
             let now = self.epoch.elapsed().as_micros() as u64;
@@ -1320,7 +1331,7 @@ impl LsmInner {
             live_tables,
             memtable_len,
             memtable_capacity: self.options.memtable_capacity_keys(),
-            compaction_running: started != 0 || self.bg_compacting.load(Ordering::Relaxed),
+            compaction_running: started != 0,
             current_stall,
             total_stall: Duration::from_micros(self.metrics.stall.sum()),
             compaction_backlog,
@@ -1343,8 +1354,8 @@ impl LsmInner {
     }
 
     /// The stall tier currently in force ([`StallTier::None`] when
-    /// background maintenance is off: inline mode stalls by holding the
-    /// write mutex, not by throttling).
+    /// background maintenance is off: inline mode stalls the writer that
+    /// trips the policy, not every writer).
     fn stall_tier(&self) -> StallTier {
         if !self.background() {
             return StallTier::None;
@@ -1419,102 +1430,74 @@ impl LsmInner {
         }
     }
 
-    /// An executor wired to this store's compaction-step histogram and
-    /// wave-start trace events (`predicted_cost` is stamped on each
-    /// wave so a trace consumer can follow one compaction end to end).
-    fn instrumented_executor(&self, options: LsmOptions, predicted_cost: u64) -> ParallelExecutor {
-        let events = self.events.clone();
-        let shard = self.shard;
-        let epoch = self.epoch;
-        ParallelExecutor::new(Arc::clone(&self.storage), options)
-            .with_retain_floor(self.pin_floor())
-            .with_step_timer(self.metrics.compaction_step.clone())
-            .with_wave_hook(move |wave, steps| {
-                events.record(
-                    shard,
-                    EventKind::CompactionWaveStart,
-                    epoch.elapsed().as_micros() as u64,
-                    vec![
-                        ("wave", wave as u64),
-                        ("steps", steps as u64),
-                        ("predicted_cost", predicted_cost),
-                    ],
-                );
-            })
-    }
-
     fn put(&self, key: Key, value: Value) -> Result<(), Error> {
-        let started = Instant::now();
-        let result = self.put_inner(key, value);
-        self.metrics.put.record_duration(started.elapsed());
-        result
+        timed(&self.metrics.put, || {
+            self.write_with(|w| {
+                let seqno = w.manifest.allocate_seqno();
+                w.log_write(self.storage.as_ref(), &key, &value, seqno, ValueKind::Put)?;
+                self.memtable.write().put(key, value, seqno);
+                self.stats.lock().puts += 1;
+                Ok(())
+            })
+        })
     }
 
-    fn put_inner(&self, key: Key, value: Value) -> Result<(), Error> {
+    /// The shape every write shares: throttle, run `apply` under the
+    /// write mutex, rotate the memtable if that filled it, and — only
+    /// once the guard is gone — let the policy compact on this thread.
+    /// Lock order is `compaction_mx` before `write`, so a compaction
+    /// must never be started from under the write guard.
+    fn write_with(
+        &self,
+        apply: impl FnOnce(&mut WriteState) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         self.throttle_write();
-        let mut w = self.write.lock();
-        let seqno = w.manifest.allocate_seqno();
-        w.log_write(self.storage.as_ref(), &key, &value, seqno, ValueKind::Put)?;
-        self.memtable.write().put(key, value, seqno);
-        self.stats.lock().puts += 1;
-        self.maybe_flush(&mut w)
+        let flushed = {
+            let mut w = self.write.lock();
+            apply(&mut w)?;
+            self.maybe_flush(&mut w)?
+        };
+        if flushed {
+            self.maybe_compact()?;
+        }
+        Ok(())
     }
 
     fn delete(&self, key: Key) -> Result<(), Error> {
         // Deletes are writes of a tombstone; they share the put
         // histogram rather than splitting the sample population.
-        let started = Instant::now();
-        let result = self.delete_inner(key);
-        self.metrics.put.record_duration(started.elapsed());
-        result
-    }
-
-    fn delete_inner(&self, key: Key) -> Result<(), Error> {
-        self.throttle_write();
-        let mut w = self.write.lock();
-        let seqno = w.manifest.allocate_seqno();
-        w.log_write(
-            self.storage.as_ref(),
-            &key,
-            &Bytes::new(),
-            seqno,
-            ValueKind::Tombstone,
-        )?;
-        self.memtable.write().delete(key, seqno);
-        self.stats.lock().deletes += 1;
-        self.maybe_flush(&mut w)
+        timed(&self.metrics.put, || {
+            self.write_with(|w| {
+                let seqno = w.manifest.allocate_seqno();
+                let kind = ValueKind::Tombstone;
+                w.log_write(self.storage.as_ref(), &key, &Bytes::new(), seqno, kind)?;
+                self.memtable.write().delete(key, seqno);
+                self.stats.lock().deletes += 1;
+                Ok(())
+            })
+        })
     }
 
     fn delete_range(&self, start: Key, end: Key) -> Result<(), Error> {
         // Range deletes share the put histogram with the other write
         // shapes rather than splitting the sample population.
-        let started = Instant::now();
-        let result = self.delete_range_inner(start, end);
-        self.metrics.put.record_duration(started.elapsed());
-        result
-    }
-
-    fn delete_range_inner(&self, start: Key, end: Key) -> Result<(), Error> {
-        // An inverted or empty interval deletes nothing; bail before
-        // burning a sequence number or touching the WAL.
-        if start >= end {
-            return Ok(());
-        }
-        self.throttle_write();
-        let mut w = self.write.lock();
-        let seqno = w.manifest.allocate_seqno();
-        // One WAL record for the whole interval: key = inclusive start,
-        // value = exclusive end.
-        w.log_write(
-            self.storage.as_ref(),
-            &start,
-            &end,
-            seqno,
-            ValueKind::RangeDelete,
-        )?;
-        self.memtable.write().delete_range(start, end, seqno);
-        self.stats.lock().range_deletes += 1;
-        self.maybe_flush(&mut w)
+        timed(&self.metrics.put, || {
+            // An inverted or empty interval deletes nothing; bail before
+            // burning a sequence number or touching the WAL.
+            if start >= end {
+                return Ok(());
+            }
+            self.write_with(|w| {
+                let seqno = w.manifest.allocate_seqno();
+                // One WAL record for the whole interval: key = inclusive
+                // start, value = exclusive end.
+                let kind = ValueKind::RangeDelete;
+                w.log_write(self.storage.as_ref(), &start, &end, seqno, kind)?;
+                self.memtable.write().delete_range(start, end, seqno);
+                self.stats.lock().range_deletes += 1;
+                Ok(())
+            })
+        })
     }
 
     // ---- snapshot pins ----
@@ -1573,64 +1556,61 @@ impl LsmInner {
     }
 
     fn write_batch(&self, batch: WriteBatch) -> Result<(), Error> {
-        let started = Instant::now();
-        let result = self.write_batch_inner(batch);
-        self.metrics.write_batch.record_duration(started.elapsed());
-        result
-    }
-
-    fn write_batch_inner(&self, batch: WriteBatch) -> Result<(), Error> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.throttle_write();
-        let mut w = self.write.lock();
-        let records: Vec<WalRecord> = batch
-            .into_ops()
-            .into_iter()
-            .map(|op| WalRecord {
-                seqno: w.manifest.allocate_seqno(),
-                key: op.key,
-                value: op.value,
-                kind: op.kind,
-            })
-            .collect();
-        if let Some(wal) = &mut w.wal {
-            wal.append_batch(self.storage.as_ref(), &records)?;
-        }
-        {
-            let mut memtable = self.memtable.write();
-            let mut stats = self.stats.lock();
-            for record in records {
-                match record.kind {
-                    ValueKind::Put => {
-                        memtable.put(record.key, record.value, record.seqno);
-                        stats.puts += 1;
-                    }
-                    ValueKind::Tombstone => {
-                        memtable.delete(record.key, record.seqno);
-                        stats.deletes += 1;
-                    }
-                    ValueKind::RangeDelete => {
-                        memtable.delete_range(record.key, record.value, record.seqno);
-                        stats.range_deletes += 1;
+        timed(&self.metrics.write_batch, || {
+            if batch.is_empty() {
+                return Ok(());
+            }
+            self.write_with(|w| {
+                let records: Vec<WalRecord> = batch
+                    .into_ops()
+                    .into_iter()
+                    .map(|op| WalRecord {
+                        seqno: w.manifest.allocate_seqno(),
+                        key: op.key,
+                        value: op.value,
+                        kind: op.kind,
+                    })
+                    .collect();
+                if let Some(wal) = &mut w.wal {
+                    wal.append_batch(self.storage.as_ref(), &records)?;
+                }
+                let mut memtable = self.memtable.write();
+                let mut stats = self.stats.lock();
+                for record in records {
+                    match record.kind {
+                        ValueKind::Put => {
+                            memtable.put(record.key, record.value, record.seqno);
+                            stats.puts += 1;
+                        }
+                        ValueKind::Tombstone => {
+                            memtable.delete(record.key, record.seqno);
+                            stats.deletes += 1;
+                        }
+                        ValueKind::RangeDelete => {
+                            memtable.delete_range(record.key, record.value, record.seqno);
+                            stats.range_deletes += 1;
+                        }
                     }
                 }
-            }
-            stats.write_batches += 1;
-        }
-        self.maybe_flush(&mut w)
+                stats.write_batches += 1;
+                Ok(())
+            })
+        })
     }
 
-    fn maybe_flush(&self, w: &mut WriteState) -> Result<(), Error> {
-        if self.memtable.read().is_full() {
-            if self.background() {
-                self.freeze_active(w);
-            } else {
-                self.flush_locked(w)?;
-            }
+    /// Rotates a full memtable: frozen onto the queue under background
+    /// maintenance, flushed in line otherwise. Returns `true` when an
+    /// inline flush added a table, i.e. when the caller owes the policy
+    /// a [`LsmInner::maybe_compact`] after dropping its write guard.
+    fn maybe_flush(&self, w: &mut WriteState) -> Result<bool, Error> {
+        if !self.memtable.read().is_full() {
+            return Ok(false);
         }
-        Ok(())
+        if self.background() {
+            self.freeze_active(w);
+            return Ok(false);
+        }
+        Ok(self.flush_locked(w)?.is_some())
     }
 
     /// O(1) memtable rotation (background mode): swap the full active
@@ -1697,10 +1677,7 @@ impl LsmInner {
     /// `seqno <= upto`, with range tombstones applied. `SeqNo::MAX` is
     /// the ordinary latest-visible read.
     pub(crate) fn get_at(&self, key: &[u8], upto: SeqNo) -> Result<Option<Value>, Error> {
-        let started = Instant::now();
-        let result = self.get_at_inner(key, upto);
-        self.metrics.get.record_duration(started.elapsed());
-        result
+        timed(&self.metrics.get, || self.get_at_inner(key, upto))
     }
 
     fn get_at_inner(&self, key: &[u8], upto: SeqNo) -> Result<Option<Value>, Error> {
@@ -1773,7 +1750,7 @@ impl LsmInner {
             )?;
             // Consult the table's own range tombstones before its point
             // entries: a table's tombstones can shadow its own points.
-            // Gated on the manifest count so the pre-v4 fleet pays
+            // Gated on the manifest count so tables without any pay
             // nothing.
             let shadow = if meta.range_tombstone_count > 0 {
                 reader.max_covering_range_del(key, upto)
@@ -1896,8 +1873,11 @@ impl LsmInner {
 
     fn flush(&self) -> Result<Option<u64>, Error> {
         if !self.background() {
-            let mut w = self.write.lock();
-            return self.flush_locked(&mut w);
+            let table = self.flush_locked(&mut self.write.lock())?;
+            if table.is_some() {
+                self.maybe_compact()?;
+            }
+            return Ok(table);
         }
         // Background mode: rotate the active memtable onto the queue
         // and wait for the flush thread to drain everything.
@@ -1994,7 +1974,6 @@ impl LsmInner {
         }
         self.stats.lock().flushes += 1;
         w.flushes_since_compaction += 1;
-        self.maybe_compact_locked(w)?;
         Ok(Some(table_id))
     }
 
@@ -2170,100 +2149,39 @@ impl LsmInner {
             self.maint.compact_signal.notify();
             return Ok(None);
         }
-        let mut w = self.write.lock();
-        self.maybe_compact_locked(&mut w)
-    }
-
-    fn maybe_compact_locked(&self, w: &mut WriteState) -> Result<Option<AutoCompaction>, Error> {
-        let fire = match self.options.policy() {
-            CompactionPolicy::Disabled | CompactionPolicy::Manual => false,
-            CompactionPolicy::Threshold { live_tables } => w.manifest.table_count() >= live_tables,
-            CompactionPolicy::EveryNFlushes { flushes } => w.flushes_since_compaction >= flushes,
-        };
-        if !fire {
+        // Checked here as well as inside the run: a flush that is not
+        // due must not queue on `compaction_mx` behind another merge.
+        if !self.policy_fires(&self.write.lock()) {
             return Ok(None);
         }
-        self.run_planned_compaction(w)
+        self.compact_on_caller(true)
     }
 
     fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
         if self.options.policy() == CompactionPolicy::Disabled {
             return Ok(None);
         }
-        let _serial = self.compaction_mx.lock();
-        let mut w = self.write.lock();
-        self.run_planned_compaction(&mut w)
+        self.compact_on_caller(false)
     }
 
-    /// Inline planned compaction: the whole plan+merge under the write
-    /// mutex (callers hold `compaction_mx` first unless they already
-    /// own the write mutex via the inline flush path, which runs with
-    /// no scheduler to race).
-    fn run_planned_compaction(&self, w: &mut WriteState) -> Result<Option<AutoCompaction>, Error> {
-        let start = Instant::now();
-        let _mark = self.mark_compacting();
-        let Some(plan) =
-            plan_compaction(self.storage.as_ref(), w.manifest.tables(), &self.options)?
-        else {
+    fn major_compact(&self, steps: &[CompactionStep]) -> Result<CompactionOutcome, Error> {
+        let (_, outcome, elapsed) = self
+            .run_compaction(Schedule::Manual(steps))?
+            .expect("a manual schedule always runs");
+        self.metrics.stall.record_duration(elapsed);
+        Ok(outcome)
+    }
+
+    /// A planned compaction on a caller's thread: the caller waited for
+    /// the whole run, so it is one stall sample.
+    fn compact_on_caller(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
+        let options = self.options.clone();
+        let schedule = Schedule::Planned { options, if_due };
+        let Some((plan, outcome, stall)) = self.run_compaction(schedule)? else {
             return Ok(None);
         };
-        let initial: Vec<u64> = w.manifest.tables().iter().map(|t| t.table_id).collect();
-        let steps: Vec<CompactionStep> = plan
-            .steps()
-            .iter()
-            .map(|inputs| CompactionStep::new(inputs.clone()))
-            .collect();
-        let predicted = plan.predicted_cost_actual();
-        let outcome = if steps.is_empty() {
-            CompactionOutcome::default()
-        } else {
-            self.emit(
-                EventKind::CompactionPlanned,
-                vec![
-                    ("tables", initial.len() as u64),
-                    ("steps", steps.len() as u64),
-                    ("waves", plan.waves().len() as u64),
-                    ("predicted_cost", predicted),
-                ],
-            );
-            let executor = self.instrumented_executor(self.options.clone(), predicted);
-            let prepared =
-                executor.prepare(&mut w.manifest, &initial, &steps, Some(plan.waves()))?;
-            let merged = executor.merge_prepared(&prepared)?;
-            let outcome =
-                ParallelExecutor::commit(&mut w.manifest, &merged, self.storage.as_ref(), |m| {
-                    self.on_manifest_flip(&initial, m);
-                })?;
-            self.emit(
-                EventKind::CompactionManifestFlip,
-                vec![
-                    ("tables_after", w.manifest.table_count() as u64),
-                    ("predicted_cost", predicted),
-                    ("measured_cost", outcome.entry_cost()),
-                ],
-            );
-            executor.retire_consumed(&merged)?;
-            self.emit(
-                EventKind::CompactionInputsRetired,
-                vec![
-                    ("inputs", merged.consumed_count() as u64),
-                    ("predicted_cost", predicted),
-                    ("measured_cost", outcome.entry_cost()),
-                ],
-            );
-            outcome
-        };
-        // Inline compaction ran on the write path: the caller's write
-        // stalled for the whole run, so it is one stall sample.
-        let stall = start.elapsed();
         self.metrics.stall.record_duration(stall);
-        {
-            let mut stats = self.stats.lock();
-            stats.record_compaction(&outcome);
-            stats.auto_compactions += 1;
-            stats.compaction_predicted_cost += predicted;
-        }
-        w.flushes_since_compaction = 0;
+        let plan = plan.expect("a planned schedule carries its plan");
         Ok(Some(AutoCompaction {
             plan,
             outcome,
@@ -2271,72 +2189,21 @@ impl LsmInner {
         }))
     }
 
-    fn major_compact(&self, steps: &[CompactionStep]) -> Result<CompactionOutcome, Error> {
-        let _serial = self.compaction_mx.lock();
-        let start = Instant::now();
-        let mut w = self.write.lock();
-        let _mark = self.mark_compacting();
-        let initial: Vec<u64> = w.manifest.tables().iter().map(|t| t.table_id).collect();
-        // Manual schedules carry no planner prediction: cost fields
-        // trace as 0 predicted, measured only.
-        let outcome = if steps.is_empty() {
-            CompactionOutcome::default()
-        } else {
-            let waves = ParallelExecutor::waves_for_steps(initial.len(), steps);
-            self.emit(
-                EventKind::CompactionPlanned,
-                vec![
-                    ("tables", initial.len() as u64),
-                    ("steps", steps.len() as u64),
-                    ("waves", waves.len() as u64),
-                    ("predicted_cost", 0),
-                ],
-            );
-            let executor = self.instrumented_executor(self.options.clone(), 0);
-            let prepared = executor.prepare(&mut w.manifest, &initial, steps, Some(&waves))?;
-            let merged = executor.merge_prepared(&prepared)?;
-            let outcome =
-                ParallelExecutor::commit(&mut w.manifest, &merged, self.storage.as_ref(), |m| {
-                    self.on_manifest_flip(&initial, m);
-                })?;
-            self.emit(
-                EventKind::CompactionManifestFlip,
-                vec![
-                    ("tables_after", w.manifest.table_count() as u64),
-                    ("predicted_cost", 0),
-                    ("measured_cost", outcome.entry_cost()),
-                ],
-            );
-            executor.retire_consumed(&merged)?;
-            self.emit(
-                EventKind::CompactionInputsRetired,
-                vec![
-                    ("inputs", merged.consumed_count() as u64),
-                    ("predicted_cost", 0),
-                    ("measured_cost", outcome.entry_cost()),
-                ],
-            );
-            outcome
-        };
-        let stall = start.elapsed();
-        self.metrics.stall.record_duration(stall);
-        self.stats.lock().record_compaction(&outcome);
-        w.flushes_since_compaction = 0;
-        Ok(outcome)
-    }
-
-    // ---- background compaction scheduler ----
-
     /// The scheduler thread's main loop: whenever the policy is due,
-    /// run one planned compaction off the write lock; otherwise doze
-    /// until a flush kicks the signal.
+    /// run one planned compaction; otherwise doze until a flush kicks
+    /// the signal. No writer waits on these merges, so nothing is
+    /// recorded into the stall histogram.
     fn compaction_worker(&self) {
         loop {
             if self.maint.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            if self.compaction_due() {
-                if self.run_background_compaction().is_err() {
+            if self.policy_fires(&self.write.lock()) {
+                let run = self.run_compaction(Schedule::Planned {
+                    options: self.planning_options(),
+                    if_due: true,
+                });
+                if run.is_err() {
                     if self.maint.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
@@ -2359,8 +2226,7 @@ impl LsmInner {
         }
     }
 
-    fn compaction_due(&self) -> bool {
-        let w = self.write.lock();
+    fn policy_fires(&self, w: &WriteState) -> bool {
         match self.options.policy() {
             CompactionPolicy::Disabled | CompactionPolicy::Manual => false,
             CompactionPolicy::Threshold { live_tables } => w.manifest.table_count() >= live_tables,
@@ -2368,7 +2234,7 @@ impl LsmInner {
         }
     }
 
-    /// The planner options for the next background run. With
+    /// The planner options for the next scheduler run. With
     /// [`LsmOptions::adaptive_strategy`] enabled, pick the cheap
     /// smallest-output strategy while maintenance is keeping up and
     /// escalate to the configured (deeper-optimizing) strategy once
@@ -2388,93 +2254,129 @@ impl LsmInner {
         }
     }
 
-    /// One scheduler-driven compaction, off the write lock: plan from a
-    /// table snapshot, `prepare` under a brief lock, merge unlocked
-    /// (the expensive part), commit + manifest flip under a brief lock,
-    /// retire consumed blobs unlocked. Writers only ever wait for the
-    /// two brief bracket sections — the merge itself stalls nothing.
-    fn run_background_compaction(&self) -> Result<Option<AutoCompaction>, Error> {
+    /// The one compaction driver (module docs, *Compaction*), run on
+    /// whichever thread asks. `compaction_mx` serializes whole runs, so
+    /// every planned input still exists at prepare time: flushes can
+    /// only *add* tables meanwhile. `Ok(None)` means there was nothing
+    /// to do: fewer than two tables, or an `if_due` request whose policy
+    /// does not fire. Otherwise: the executed plan (`None` for a manual
+    /// schedule), what it moved, and the run's planning + merging
+    /// wall-clock from when it held `compaction_mx`.
+    fn run_compaction(&self, schedule: Schedule<'_>) -> Result<Option<CompactionRun>, Error> {
         let _serial = self.compaction_mx.lock();
-        self.bg_compacting.store(true, Ordering::Relaxed);
-        let _flag = BgCompactingGuard(self);
+        let _mark = self.mark_compacting();
         let start = Instant::now();
-        let options = self.planning_options();
-        // Planning reads observation sidecars (I/O) — do it from a
-        // snapshot of the table list, not under the write mutex. The
-        // flush thread can only *add* tables concurrently, and
-        // `compaction_mx` excludes other compactions, so every planned
-        // input still exists at prepare time.
-        let tables: Vec<TableMeta> = self.write.lock().manifest.tables().to_vec();
-        let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &options)? else {
-            self.write.lock().flushes_since_compaction = 0;
-            return Ok(None);
+        let if_due = matches!(schedule, Schedule::Planned { if_due: true, .. });
+        let tables: Vec<TableMeta> = {
+            let w = self.write.lock();
+            if if_due && !self.policy_fires(&w) {
+                return Ok(None);
+            }
+            w.manifest.tables().to_vec()
         };
         let initial: Vec<u64> = tables.iter().map(|t| t.table_id).collect();
-        let steps: Vec<CompactionStep> = plan
-            .steps()
-            .iter()
-            .map(|inputs| CompactionStep::new(inputs.clone()))
-            .collect();
-        let predicted = plan.predicted_cost_actual();
-        self.emit(
-            EventKind::CompactionPlanned,
-            vec![
-                ("tables", initial.len() as u64),
-                ("steps", steps.len() as u64),
-                ("waves", plan.waves().len() as u64),
-                ("predicted_cost", predicted),
-            ],
-        );
-        let executor = self.instrumented_executor(options, predicted);
-        let prepared = {
-            let mut w = self.write.lock();
-            executor.prepare(&mut w.manifest, &initial, &steps, Some(plan.waves()))?
+        // Planning reads observation sidecars (I/O), which is why it
+        // works from the snapshot rather than under the write mutex.
+        let (plan, steps, waves) = match schedule {
+            Schedule::Planned { options, .. } => {
+                let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &options)? else {
+                    // Nothing to merge: restart the flush cadence so an
+                    // `EveryNFlushes` scheduler does not spin on it.
+                    self.write.lock().flushes_since_compaction = 0;
+                    return Ok(None);
+                };
+                let steps: Vec<CompactionStep> = plan
+                    .steps()
+                    .iter()
+                    .map(|inputs| CompactionStep::new(inputs.clone()))
+                    .collect();
+                let waves = plan.waves().to_vec();
+                (Some(plan), steps, waves)
+            }
+            Schedule::Manual(steps) => {
+                let waves = ParallelExecutor::waves_for_steps(initial.len(), steps);
+                (None, steps.to_vec(), waves)
+            }
         };
-        let merged = executor.merge_prepared(&prepared)?;
-        let outcome = {
-            let mut w = self.write.lock();
-            let outcome = ParallelExecutor::commit(
-                &mut w.manifest,
-                &merged,
-                self.storage.as_ref(),
-                |manifest| self.on_manifest_flip(&initial, manifest),
-            )?;
-            w.flushes_since_compaction = 0;
+        let predicted = plan.as_ref().map_or(0, MergePlan::predicted_cost_actual);
+        let outcome = if steps.is_empty() {
+            CompactionOutcome::default()
+        } else {
             self.emit(
-                EventKind::CompactionManifestFlip,
+                EventKind::CompactionPlanned,
                 vec![
-                    ("tables_after", w.manifest.table_count() as u64),
+                    ("tables", initial.len() as u64),
+                    ("steps", steps.len() as u64),
+                    ("waves", waves.len() as u64),
+                    ("predicted_cost", predicted),
+                ],
+            );
+            // Wired to the compaction-step histogram and wave-start
+            // trace events; `predicted_cost` is stamped on each wave so
+            // a trace consumer can follow one compaction end to end.
+            let (events, shard, epoch) = (self.events.clone(), self.shard, self.epoch);
+            let executor = ParallelExecutor::new(Arc::clone(&self.storage), self.options.clone())
+                .with_retain_floor(self.pin_floor())
+                .with_step_timer(self.metrics.compaction_step.clone())
+                .with_wave_hook(move |wave, steps| {
+                    events.record(
+                        shard,
+                        EventKind::CompactionWaveStart,
+                        epoch.elapsed().as_micros() as u64,
+                        vec![
+                            ("wave", wave as u64),
+                            ("steps", steps as u64),
+                            ("predicted_cost", predicted),
+                        ],
+                    );
+                });
+            let prepared = executor.prepare(
+                &mut self.write.lock().manifest,
+                &initial,
+                &steps,
+                Some(&waves),
+            )?;
+            let merged = executor.merge_prepared(&prepared)?;
+            let outcome = {
+                let mut w = self.write.lock();
+                let outcome = ParallelExecutor::commit(
+                    &mut w.manifest,
+                    &merged,
+                    self.storage.as_ref(),
+                    |manifest| self.on_manifest_flip(&initial, manifest),
+                )?;
+                w.flushes_since_compaction = 0;
+                self.emit(
+                    EventKind::CompactionManifestFlip,
+                    vec![
+                        ("tables_after", w.manifest.table_count() as u64),
+                        ("predicted_cost", predicted),
+                        ("measured_cost", outcome.entry_cost()),
+                    ],
+                );
+                outcome
+            };
+            executor.retire_consumed(&merged)?;
+            self.emit(
+                EventKind::CompactionInputsRetired,
+                vec![
+                    ("inputs", merged.consumed_count() as u64),
                     ("predicted_cost", predicted),
                     ("measured_cost", outcome.entry_cost()),
                 ],
             );
             outcome
         };
-        executor.retire_consumed(&merged)?;
-        self.emit(
-            EventKind::CompactionInputsRetired,
-            vec![
-                ("inputs", merged.consumed_count() as u64),
-                ("predicted_cost", predicted),
-                ("measured_cost", outcome.entry_cost()),
-            ],
-        );
-        let stall = start.elapsed();
         {
-            // Elapsed time is scheduler time, not write stall: no
-            // writer waited on this merge, so nothing is recorded into
-            // the stall histogram.
             let mut stats = self.stats.lock();
             stats.record_compaction(&outcome);
-            stats.auto_compactions += 1;
-            stats.compaction_predicted_cost += predicted;
+            if plan.is_some() {
+                stats.auto_compactions += 1;
+                stats.compaction_predicted_cost += predicted;
+            }
         }
         self.maint.progress_signal.notify();
-        Ok(Some(AutoCompaction {
-            plan,
-            outcome,
-            stall,
-        }))
+        Ok(Some((plan, outcome, start.elapsed())))
     }
 
     // ---- tombstone GC ----
@@ -2636,7 +2538,8 @@ impl LsmInner {
     }
 
     /// Stamps the in-progress-compaction marker for [`Lsm::pressure`];
-    /// the returned guard clears it on every exit path.
+    /// the returned guard clears it on every exit path. Called with
+    /// `compaction_mx` held, so stamps never overlap.
     fn mark_compacting(&self) -> CompactionMark<'_> {
         self.compaction_started.store(
             self.epoch.elapsed().as_micros() as u64 + 1,
@@ -2700,15 +2603,28 @@ impl ReadView {
     /// `max_seqno` holds strictly newer data and a first-hit probe can
     /// stop there. Manifest position alone is not newest-first — a GC
     /// rewrite or partial merge re-appends *old* data at the manifest
-    /// tail. The sort is stable and legacy metas all decode
-    /// `max_seqno = 0`, so a pre-v3 table set keeps its historical
-    /// reverse-manifest order exactly.
+    /// tail.
     fn from_manifest(manifest: &Manifest) -> Self {
         let mut tables: Vec<TableMeta> = manifest.tables().iter().rev().cloned().collect();
         tables.sort_by_key(|t| std::cmp::Reverse(t.max_seqno));
         Self { tables }
     }
 }
+
+/// Where one compaction run's merge schedule comes from.
+enum Schedule<'a> {
+    /// The planner, configured by `options` (the merges themselves run
+    /// under the store's own). With `if_due` the run is abandoned unless
+    /// the policy fires once it holds `compaction_mx`: a trigger that
+    /// queued behind another run must not re-merge that run's output.
+    Planned { options: LsmOptions, if_due: bool },
+    /// A caller-supplied slot schedule ([`Lsm::major_compact`]); with no
+    /// planner prediction its cost fields trace `predicted_cost = 0`.
+    Manual(&'a [CompactionStep]),
+}
+
+/// What one [`LsmInner::run_compaction`] did: plan, outcome, elapsed.
+type CompactionRun = (Option<MergePlan>, CompactionOutcome, Duration);
 
 /// Clears the in-progress-compaction stamp when the compacting scope
 /// exits, success or error.
@@ -2720,14 +2636,12 @@ impl Drop for CompactionMark<'_> {
     }
 }
 
-/// Clears the background-compaction flag when the scheduler's run
-/// exits, success or error.
-struct BgCompactingGuard<'a>(&'a LsmInner);
-
-impl Drop for BgCompactingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.bg_compacting.store(false, Ordering::Relaxed);
-    }
+/// Runs `op`, recording its wall-clock into `timer`.
+fn timed<T>(timer: &obs::LatencyHistogram, op: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = op();
+    timer.record_duration(started.elapsed());
+    out
 }
 
 /// `true` for the error a reader sees when a table it probes was
@@ -2975,6 +2889,45 @@ mod tests {
         // Data integrity under policy-driven compaction.
         for i in 0..60u64 {
             assert!(get_vec(&db, i).is_some(), "key {i}");
+        }
+    }
+
+    /// Two inline-mode writers both flush past the threshold while the
+    /// other may be mid-compaction. The inline trigger takes
+    /// `compaction_mx` only after the write guard is gone, so neither
+    /// can hold `write` while waiting for the other's run.
+    #[test]
+    fn concurrent_inline_writers_compact_without_deadlock() {
+        const KEYS_PER_WRITER: u64 = 400;
+        let db = Arc::new(
+            Lsm::open_in_memory(
+                LsmOptions::default()
+                    .memtable_capacity(4)
+                    .compaction_policy(CompactionPolicy::Threshold { live_tables: 2 }),
+            )
+            .unwrap(),
+        );
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let (done, finished) = std::sync::mpsc::channel();
+        for writer in 0..2u64 {
+            let (db, start, done) = (Arc::clone(&db), Arc::clone(&start), done.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..KEYS_PER_WRITER {
+                    let key = writer * KEYS_PER_WRITER + i;
+                    db.put_u64(key, key.to_be_bytes().to_vec()).unwrap();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a writer deadlocked or panicked");
+        }
+        assert!(db.stats().auto_compactions >= 2);
+        for key in 0..2 * KEYS_PER_WRITER {
+            assert_eq!(get_vec(&db, key), Some(key.to_be_bytes().to_vec()));
         }
     }
 

@@ -121,7 +121,7 @@ pub use batch::{BatchOp, WriteBatch};
 pub use block::{Block, BlockBuilder};
 pub use bloom::BloomFilter;
 pub use cache::{BlockCache, CacheCounters, TableCache};
-pub use compaction::{CompactionExecutor, CompactionOutcome, CompactionStep};
+pub use compaction::{CompactionOutcome, CompactionStep};
 pub use compress::CompressionType;
 pub use db::{AutoCompaction, Lsm, LsmPressure, LsmStats, Snapshot, StallTier};
 pub use error::Error;

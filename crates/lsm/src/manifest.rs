@@ -21,10 +21,6 @@
 //! * A valid `CURRENT` pointing at a corrupt checkpoint is a hard
 //!   [`Error::Corruption`]: silently falling back further could resurrect
 //!   a table set whose WAL segments were already retired.
-//!
-//! Stores written before checkpointing persisted a single in-place
-//! `MANIFEST` blob; [`Manifest::load`] still reads it as a final
-//! fallback and the first persist migrates to the checkpoint layout.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -33,18 +29,14 @@ use crate::sstable::Sstable;
 use crate::storage::Storage;
 use crate::Error;
 
-/// Blob name of the legacy single-blob manifest (pre-checkpoint stores).
-pub const MANIFEST_BLOB: &str = "MANIFEST";
-
 /// Blob name of the checkpoint pointer.
 pub const CURRENT_BLOB: &str = "CURRENT";
 
-/// Magic prefix of a v2 (checkpoint-format) manifest blob.
-const MANIFEST_V2_MAGIC: &[u8; 8] = b"LSMMAN02";
+/// Magic prefix of a checkpoint blob.
+const MANIFEST_MAGIC: &[u8; 8] = b"LSMMAN03";
 
-/// Magic prefix of a v3 manifest blob (adds per-table range-tombstone
-/// counts for MVCC range deletes).
-const MANIFEST_V3_MAGIC: &[u8; 8] = b"LSMMAN03";
+/// Encoded length of one [`TableMeta`] record: six `u64`s.
+const TABLE_RECORD_LEN: usize = 48;
 
 /// Magic prefix of the `CURRENT` pointer blob.
 const CURRENT_MAGIC: &[u8; 8] = b"LSMCURR1";
@@ -59,21 +51,17 @@ pub struct TableMeta {
     /// Encoded size in bytes.
     pub encoded_len: u64,
     /// How many of the entries are tombstones — the signal tombstone GC
-    /// schedules rewrites by. Legacy manifests decode as 0 (unknown);
-    /// the count refreshes when the table is next rewritten.
+    /// schedules rewrites by.
     pub tombstone_count: u64,
-    /// How many range tombstones the table's v4 range-del section
-    /// carries. Non-zero flags the table for the read path's global
-    /// range-delete consultation; pre-v3 manifests decode as 0 and the
-    /// count refreshes when the table is next rewritten (pre-v4 tables
-    /// cannot carry range tombstones, so 0 is exact for them).
+    /// How many range tombstones the table's range-del section carries.
+    /// Non-zero flags the table for the read path's range-delete
+    /// consultation.
     pub range_tombstone_count: u64,
     /// Largest sequence number stored in the table (point entries and
     /// range tombstones). Live tables hold pairwise-disjoint seqno
     /// ranges, so the read path orders probes newest-first by this
     /// value instead of trusting manifest position (which compaction
-    /// and GC rewrites reshuffle). Pre-v3 manifests decode as 0; ties
-    /// fall back to manifest order.
+    /// and GC rewrites reshuffle).
     pub max_seqno: u64,
 }
 
@@ -95,8 +83,8 @@ pub struct Manifest {
     tables: Vec<TableMeta>,
     next_table_id: u64,
     next_seqno: u64,
-    /// Sequence of the newest persisted checkpoint (0 = never persisted
-    /// in checkpoint format).
+    /// Sequence of the newest persisted checkpoint (0 = never
+    /// persisted).
     checkpoint_seq: u64,
 }
 
@@ -170,7 +158,7 @@ impl Manifest {
     }
 
     /// Parses a checkpoint sequence back out of a blob name; `None` for
-    /// any other blob (including the legacy `MANIFEST`).
+    /// any other blob.
     #[must_use]
     pub fn checkpoint_seq_from_blob_name(name: &str) -> Option<u64> {
         name.strip_prefix("MANIFEST-")?.parse().ok()
@@ -206,11 +194,11 @@ impl Manifest {
         }
     }
 
-    /// Serializes the manifest in checkpoint (v3) format.
+    /// Serializes the manifest as a checkpoint blob.
     #[must_use]
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_slice(MANIFEST_V3_MAGIC);
+        buf.put_slice(MANIFEST_MAGIC);
         buf.put_u64_le(self.next_table_id);
         buf.put_u64_le(self.next_seqno);
         buf.put_u32_le(self.tables.len() as u32);
@@ -227,26 +215,17 @@ impl Manifest {
         buf.freeze()
     }
 
-    /// Deserializes a manifest produced by [`Manifest::encode`] — the
-    /// checkpoint v3 format, the v2 format (no per-table range-tombstone
-    /// counts — they decode as 0), or the legacy headerless layout
-    /// (which also lacks per-table tombstone counts).
+    /// Deserializes a manifest produced by [`Manifest::encode`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corruption`] on checksum or framing failures.
+    /// Returns [`Error::Corruption`] on a missing magic and on checksum
+    /// or framing failures.
     pub fn decode(data: &[u8]) -> Result<Self, Error> {
-        let v3 = data.starts_with(MANIFEST_V3_MAGIC);
-        let v2 = data.starts_with(MANIFEST_V2_MAGIC);
-        let record_len = if v3 {
-            48
-        } else if v2 {
-            32
-        } else {
-            24
-        };
-        let min_len = if v3 || v2 { 32 } else { 24 };
-        if data.len() < min_len {
+        if !data.starts_with(MANIFEST_MAGIC) {
+            return Err(Error::corruption("bad manifest magic"));
+        }
+        if data.len() < MANIFEST_MAGIC.len() + 8 + 8 + 4 + 4 {
             return Err(Error::corruption("manifest too short"));
         }
         let (payload, crc_bytes) = data.split_at(data.len() - 4);
@@ -254,27 +233,23 @@ impl Manifest {
         if crc32(payload) != stored {
             return Err(Error::corruption("manifest checksum mismatch"));
         }
-        let mut cursor = payload;
-        if v3 || v2 {
-            cursor.advance(MANIFEST_V3_MAGIC.len());
-        }
+        let mut cursor = &payload[MANIFEST_MAGIC.len()..];
         let next_table_id = cursor.get_u64_le();
         let next_seqno = cursor.get_u64_le();
-        let count = cursor.get_u32_le();
-        let mut tables = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            if cursor.remaining() < record_len {
-                return Err(Error::corruption("truncated manifest table record"));
-            }
-            tables.push(TableMeta {
+        let count = cursor.get_u32_le() as usize;
+        if count.checked_mul(TABLE_RECORD_LEN) != Some(cursor.remaining()) {
+            return Err(Error::corruption("manifest table records truncated"));
+        }
+        let tables = (0..count)
+            .map(|_| TableMeta {
                 table_id: cursor.get_u64_le(),
                 entry_count: cursor.get_u64_le(),
                 encoded_len: cursor.get_u64_le(),
-                tombstone_count: if v3 || v2 { cursor.get_u64_le() } else { 0 },
-                range_tombstone_count: if v3 { cursor.get_u64_le() } else { 0 },
-                max_seqno: if v3 { cursor.get_u64_le() } else { 0 },
-            });
-        }
+                tombstone_count: cursor.get_u64_le(),
+                range_tombstone_count: cursor.get_u64_le(),
+                max_seqno: cursor.get_u64_le(),
+            })
+            .collect();
         Ok(Self {
             tables,
             next_table_id,
@@ -317,15 +292,14 @@ impl Manifest {
                 }
             }
         }
-        let _ = storage.delete_blob(MANIFEST_BLOB);
     }
 
     /// Persists the manifest: writes checkpoint `N+1`, atomically swaps
-    /// `CURRENT` onto it, then sweeps stale checkpoints (and the legacy
-    /// `MANIFEST` blob, migrating old stores). A crash at any byte of
-    /// this sequence leaves a recoverable store: either `CURRENT` still
-    /// names the previous checkpoint (which the sweep had not touched
-    /// yet) or the swap completed and the new table set is authoritative.
+    /// `CURRENT` onto it, then sweeps stale checkpoints. A crash at any
+    /// byte of this sequence leaves a recoverable store: either
+    /// `CURRENT` still names the previous checkpoint (which the sweep
+    /// had not touched yet) or the swap completed and the new table set
+    /// is authoritative.
     ///
     /// # Errors
     ///
@@ -351,11 +325,10 @@ impl Manifest {
     /// 2. a torn/missing `CURRENT` falls back to the newest decodable
     ///    checkpoint whose referenced tables all exist, then repairs the
     ///    pointer;
-    /// 3. the legacy single `MANIFEST` blob;
-    /// 4. an empty store — but only when no `sst-*` blobs exist; live
-    ///    tables with no manifest of any form mean the manifest was
-    ///    lost, and silently serving an empty store would present
-    ///    acked data as deleted.
+    /// 3. an empty store — but only when no `sst-*` blobs exist; live
+    ///    tables with no checkpoint mean the manifest was lost, and
+    ///    silently serving an empty store would present acked data as
+    ///    deleted.
     ///
     /// # Errors
     ///
@@ -412,18 +385,14 @@ impl Manifest {
             ));
         }
 
-        if storage.contains_blob(MANIFEST_BLOB) {
-            return Self::decode(&storage.read_blob(MANIFEST_BLOB)?);
-        }
-
         let orphans: Vec<&String> = blobs
             .iter()
             .filter(|name| Sstable::id_from_blob_name(name).is_some())
             .collect();
         if !orphans.is_empty() {
             return Err(Error::corruption(format!(
-                "no manifest (checkpoint, CURRENT or legacy blob) but {} live sstable blob(s) \
-                 exist (e.g. `{}`) — refusing to serve an empty store over orphaned tables",
+                "no manifest checkpoint but {} live sstable blob(s) exist (e.g. `{}`) — \
+                 refusing to serve an empty store over orphaned tables",
                 orphans.len(),
                 orphans[0]
             )));
@@ -505,55 +474,32 @@ mod tests {
         assert!(Manifest::decode(&[1, 2, 3]).is_err());
     }
 
+    /// Only the `LSMMAN03` layout decodes: the two retired layouts
+    /// (`LSMMAN02` with four u64s per table, and the headerless one with
+    /// three) are CRC-valid here, so it is the magic check that refuses
+    /// them.
     #[test]
-    fn v2_manifest_blob_decodes_without_range_tombstone_counts() {
-        // The pre-v3 checkpoint layout: LSMMAN02 magic, 4 u64s per table.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MANIFEST_V2_MAGIC);
-        buf.put_u64_le(9); // next_table_id
-        buf.put_u64_le(50); // next_seqno
-        buf.put_u32_le(1);
-        buf.put_u64_le(3);
-        buf.put_u64_le(30);
-        buf.put_u64_le(300);
-        buf.put_u64_le(4);
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
-        let m = Manifest::decode(&buf).unwrap();
-        let t = m.table(3).unwrap();
-        assert_eq!(
-            (
-                t.entry_count,
-                t.encoded_len,
-                t.tombstone_count,
-                t.range_tombstone_count,
-                t.max_seqno
-            ),
-            (30, 300, 4, 0, 0)
-        );
-        assert_eq!(m.current_seqno(), 50);
-    }
-
-    #[test]
-    fn legacy_manifest_blob_decodes_without_tombstone_counts() {
-        // The pre-checkpoint layout: no magic, 3 u64s per table.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(9); // next_table_id
-        buf.put_u64_le(50); // next_seqno
-        buf.put_u32_le(1);
-        buf.put_u64_le(3);
-        buf.put_u64_le(30);
-        buf.put_u64_le(300);
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
-        let m = Manifest::decode(&buf).unwrap();
-        assert_eq!(m.table_count(), 1);
-        let t = m.table(3).unwrap();
-        assert_eq!(
-            (t.entry_count, t.encoded_len, t.tombstone_count),
-            (30, 300, 0)
-        );
-        assert_eq!(m.current_seqno(), 50);
+    fn retired_manifest_layouts_are_refused() {
+        let with_crc = |mut buf: BytesMut| {
+            let crc = crc32(&buf);
+            buf.put_u32_le(crc);
+            buf
+        };
+        let mut headerless = BytesMut::new();
+        headerless.put_u64_le(9); // next_table_id
+        headerless.put_u64_le(50); // next_seqno
+        headerless.put_u32_le(1);
+        for field in [3u64, 30, 300] {
+            headerless.put_u64_le(field);
+        }
+        let mut v2 = BytesMut::new();
+        v2.put_slice(b"LSMMAN02");
+        v2.put_slice(&headerless);
+        v2.put_u64_le(4); // tombstone_count
+        for blob in [with_crc(headerless), with_crc(v2)] {
+            let err = Manifest::decode(&blob).unwrap_err();
+            assert!(err.to_string().contains("bad manifest magic"), "{err}");
+        }
     }
 
     #[test]
@@ -664,6 +610,11 @@ mod tests {
     fn orphaned_tables_without_any_manifest_refuse_to_open() {
         let storage = MemoryStorage::new();
         fake_table_blob(&storage, 12);
+        // A single-blob `MANIFEST` is not a checkpoint: it is never
+        // read, so the tables beside it are orphans all the same.
+        storage
+            .write_blob("MANIFEST", &Manifest::new().encode())
+            .unwrap();
         let err = Manifest::load(&storage).unwrap_err();
         let text = err.to_string();
         assert!(matches!(err, Error::Corruption { .. }));
@@ -672,33 +623,6 @@ mod tests {
             "diagnostic names the cause: {text}"
         );
         assert!(text.contains("sst-"), "diagnostic names a blob: {text}");
-    }
-
-    #[test]
-    fn legacy_manifest_migrates_to_checkpoints_on_first_persist() {
-        let storage = MemoryStorage::new();
-        let mut m = Manifest::new();
-        m.apply(ManifestEdit::AddTable(meta(2))).unwrap();
-        fake_table_blob(&storage, 2);
-        // Persist in the legacy layout by hand (what old stores hold):
-        // strip the magic by re-encoding the old way.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(3);
-        buf.put_u64_le(0);
-        buf.put_u32_le(1);
-        buf.put_u64_le(2);
-        buf.put_u64_le(20);
-        buf.put_u64_le(200);
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
-        storage.write_blob(MANIFEST_BLOB, &buf).unwrap();
-
-        let mut loaded = Manifest::load(&storage).unwrap();
-        assert_eq!(loaded.checkpoint_seq(), 0, "legacy load, no checkpoint yet");
-        loaded.persist(&storage).unwrap();
-        assert!(!storage.contains_blob(MANIFEST_BLOB), "legacy blob retired");
-        assert!(storage.contains_blob(CURRENT_BLOB));
-        assert_eq!(Manifest::load(&storage).unwrap(), loaded);
     }
 
     #[test]

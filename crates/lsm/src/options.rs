@@ -298,11 +298,11 @@ impl LsmOptions {
     }
 
     /// Sets the per-block compression applied by the sstable builder
-    /// (default [`CompressionType::Lz`]). Newly built tables always
-    /// carry the v3 per-block envelope — [`CompressionType::None`]
-    /// stores blocks raw inside it — and blocks that do not shrink
-    /// fall back to raw storage individually. Existing v1/v2 tables
-    /// remain readable regardless of this knob.
+    /// (default [`CompressionType::Lz`]). Every block carries the
+    /// per-block envelope — [`CompressionType::None`] stores blocks raw
+    /// inside it — and blocks that do not shrink fall back to raw
+    /// storage individually, so tables built under either value are
+    /// readable under the other.
     #[must_use]
     pub fn compression(mut self, compression: CompressionType) -> Self {
         self.compression = compression;

@@ -1,8 +1,6 @@
-//! Parallel, atomic execution of compaction plans.
-//!
-//! The sequential [`CompactionExecutor`](crate::CompactionExecutor)
-//! applies manifest edits step by step. This executor is what
-//! policy-driven compaction uses instead:
+//! Parallel, atomic execution of compaction plans — the one executor
+//! every compaction goes through (`compaction_threads(1)` is the serial
+//! case):
 //!
 //! * **parallel** — steps are grouped into dependency waves (see
 //!   [`MergeSchedule::dependency_waves`](compaction_core::MergeSchedule::dependency_waves));
@@ -59,14 +57,6 @@ pub struct PreparedMerge {
     surviving_outputs: Vec<usize>,
     consumed_initial: Vec<u64>,
     waves: Vec<Vec<usize>>,
-}
-
-impl PreparedMerge {
-    /// `true` when the schedule has no steps (nothing to merge).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
 }
 
 /// The physical results of an executed [`PreparedMerge`]: every output
@@ -187,14 +177,15 @@ impl ParallelExecutor {
     }
 
     /// Executes `steps` over the tables listed in `initial_table_ids`
-    /// (slot `i` = `initial_table_ids[i]`).
+    /// (slot `i` = `initial_table_ids[i]`): the four phases below back
+    /// to back, for callers that own the manifest outright (the engine
+    /// drives them itself to drop its write lock around the merge).
     ///
     /// On success the manifest reflects the post-compaction table set
     /// and has been persisted. On error the manifest is untouched and
-    /// any partially written output blobs have been removed.
-    ///
-    /// Tombstones are dropped only by the final step, and only when the
-    /// options request it.
+    /// any partially written output blobs have been removed. Tombstones
+    /// are dropped only by the final step, and only when the options
+    /// request it.
     ///
     /// # Errors
     ///
@@ -207,86 +198,12 @@ impl ParallelExecutor {
         initial_table_ids: &[u64],
         steps: &[CompactionStep],
     ) -> Result<CompactionOutcome, Error> {
-        self.execute_inner(manifest, initial_table_ids, steps, None, |_| {})
-    }
-
-    /// [`ParallelExecutor::execute`] with a hook invoked at the manifest
-    /// flip: after the new table set is persisted but *before* the
-    /// consumed input blobs are deleted. The engine publishes its read
-    /// snapshot there, so concurrent readers move to the new tables
-    /// while the old blobs still exist — shrinking the already-handled
-    /// stale-snapshot window to readers mid-probe.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ParallelExecutor::execute`].
-    pub fn execute_with(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        steps: &[CompactionStep],
-        on_flip: impl FnOnce(&Manifest),
-    ) -> Result<CompactionOutcome, Error> {
-        self.execute_inner(manifest, initial_table_ids, steps, None, on_flip)
-    }
-
-    /// Executes a planner-produced [`MergePlan`](compaction_core::MergePlan)
-    /// directly, reusing the plan's precomputed dependency waves so the
-    /// engine's parallelism is exactly what the plan describes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ParallelExecutor::execute`].
-    pub fn execute_plan(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        plan: &compaction_core::MergePlan,
-    ) -> Result<CompactionOutcome, Error> {
-        self.execute_plan_with(manifest, initial_table_ids, plan, |_| {})
-    }
-
-    /// [`ParallelExecutor::execute_plan`] with the manifest-flip hook of
-    /// [`ParallelExecutor::execute_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ParallelExecutor::execute`].
-    pub fn execute_plan_with(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        plan: &compaction_core::MergePlan,
-        on_flip: impl FnOnce(&Manifest),
-    ) -> Result<CompactionOutcome, Error> {
-        let steps: Vec<CompactionStep> = plan
-            .steps()
-            .iter()
-            .map(|inputs| CompactionStep::new(inputs.clone()))
-            .collect();
-        self.execute_inner(
-            manifest,
-            initial_table_ids,
-            &steps,
-            Some(plan.waves()),
-            on_flip,
-        )
-    }
-
-    fn execute_inner(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        steps: &[CompactionStep],
-        precomputed_waves: Option<&[Vec<usize>]>,
-        on_flip: impl FnOnce(&Manifest),
-    ) -> Result<CompactionOutcome, Error> {
         if steps.is_empty() {
             return Ok(CompactionOutcome::default());
         }
-        let prepared = self.prepare(manifest, initial_table_ids, steps, precomputed_waves)?;
+        let prepared = self.prepare(manifest, initial_table_ids, steps, None)?;
         let merged = self.merge_prepared(&prepared)?;
-        let outcome = Self::commit(manifest, &merged, self.storage.as_ref(), on_flip)?;
+        let outcome = Self::commit(manifest, &merged, self.storage.as_ref(), |_| {})?;
         self.retire_consumed(&merged)?;
         Ok(outcome)
     }

@@ -78,10 +78,10 @@ pub fn observed_key(user_key: &[u8]) -> u64 {
 ///
 /// Returns `Ok(None)` when there are fewer than two tables (nothing to
 /// merge). The returned plan references tables by slot in `tables`
-/// order, ready for physical execution via
-/// [`ParallelExecutor::execute_plan`](crate::ParallelExecutor::execute_plan)
-/// (or lower it yourself with
-/// [`MergePlan::steps`](compaction_core::MergePlan::steps)).
+/// order: lower it with
+/// [`MergePlan::steps`](compaction_core::MergePlan::steps) and
+/// [`MergePlan::waves`](compaction_core::MergePlan::waves) for
+/// [`ParallelExecutor::prepare`](crate::ParallelExecutor::prepare).
 ///
 /// # Errors
 ///

@@ -63,7 +63,7 @@ impl ReadPathCounters {
     }
 
     /// Bytes of data blocks fetched from storage on the read path, as
-    /// stored on disk (compressed for v3 blobs).
+    /// stored on disk (compressed).
     #[must_use]
     pub fn block_read_bytes(&self) -> u64 {
         self.block_read_bytes.load(Ordering::Relaxed)
@@ -126,15 +126,12 @@ pub struct SstableReader {
     max_key: Option<Key>,
     /// (last_key, offset, stored_len) per data block, in key order.
     index: Vec<(Key, u64, u64)>,
-    /// Range tombstones (v4 blobs), resident like the rest of the tail
-    /// so coverage checks cost zero block I/O.
+    /// Range tombstones, resident like the rest of the tail so
+    /// coverage checks cost zero block I/O.
     range_dels: Vec<RangeTombstone>,
     entry_count: u64,
     total_len: u64,
     open_bytes: u64,
-    /// `true` for v3+ blobs: data blocks sit inside compression
-    /// envelopes and must be unwrapped before [`Block::decode`].
-    compressed_blocks: bool,
 }
 
 impl SstableReader {
@@ -157,33 +154,23 @@ impl SstableReader {
             Some(len) => len,
             None => storage.blob_len(&blob_name)?,
         };
-        let probe_len = (total_len as usize).min(Footer::MAX_LEN);
+        let probe_len = (total_len as usize).min(Footer::LEN);
         let probe = storage.read_blob_range(&blob_name, total_len - probe_len as u64, probe_len)?;
         let footer = Footer::parse(&probe, total_len as usize)?;
 
-        // One ranged read covers bloom + meta + index: they are written
-        // contiguously right before the footer.
-        let body_end = total_len as usize - footer.footer_len;
+        // One ranged read covers bloom + meta + range tombstones +
+        // index: they are written contiguously right before the footer.
+        let body_end = total_len as usize - Footer::LEN;
         let tail_len = body_end - footer.bloom_offset;
         let tail = storage.read_blob_range(&blob_name, footer.bloom_offset as u64, tail_len)?;
         let rel = |abs: usize| abs - footer.bloom_offset;
 
         let bloom = BloomFilter::decode(&tail[..footer.bloom_len])?;
         let index = decode_index(&tail[rel(footer.index_offset)..])?;
-        let range_dels = match footer.range_del_offset {
-            Some(offset) => decode_range_dels(&tail[rel(offset)..rel(footer.index_offset)])?,
-            None => Vec::new(),
-        };
-        let (min_key, max_key) = match footer.meta_offset {
-            Some(meta_offset) => decode_meta(&tail[rel(meta_offset)..rel(footer.index_offset)])?,
-            // Legacy v1 blob: no persisted meta block. The min key is
-            // unknown without decoding data block 0 — which the lazy
-            // reader refuses to do at open time — so it stays `None` and
-            // every range check treats the table as "always probe"
-            // ([`SstableReader::may_overlap`]). The max key is still
-            // exact: the last index entry.
-            None => (None, index.last().map(|(k, _, _)| k.clone())),
-        };
+        let range_dels =
+            decode_range_dels(&tail[rel(footer.range_del_offset)..rel(footer.index_offset)])?;
+        let (min_key, max_key) =
+            decode_meta(&tail[rel(footer.meta_offset)..rel(footer.range_del_offset)])?;
 
         let open_bytes = (probe_len + tail_len) as u64;
         Ok(Self {
@@ -198,7 +185,6 @@ impl SstableReader {
             entry_count: footer.entry_count,
             total_len,
             open_bytes,
-            compressed_blocks: footer.compressed_blocks,
         })
     }
 
@@ -250,9 +236,9 @@ impl SstableReader {
     /// a range scan skips every table whose key range is disjoint from
     /// the scan bounds.
     ///
-    /// Tables whose meta lacks min/max keys (v1-era blobs persisted no
-    /// meta block, so the min key is unknown) report `true` — an
-    /// unknown range must be probed, never silently skipped.
+    /// A non-empty table whose meta block carries no min/max keys
+    /// reports `true` — an unknown range must be probed, never silently
+    /// skipped.
     ///
     /// A table can hold range tombstones and no point entries at all (a
     /// memtable that absorbed only a `delete_range` flushes to exactly
@@ -265,8 +251,7 @@ impl SstableReader {
         if self.index.is_empty() && self.range_dels.is_empty() {
             return false;
         }
-        // Each side prunes only if that side's key is actually known: a
-        // v1 table knows its max (last index entry) but not its min.
+        // Each side prunes only if that side's key is actually known.
         let starts_after_max = match (&self.max_key, start) {
             (Some(max), Bound::Included(s)) => s > max.as_ref(),
             (Some(max), Bound::Excluded(s)) => s >= max.as_ref(),
@@ -321,8 +306,8 @@ impl SstableReader {
         }
     }
 
-    /// The table's range tombstones (empty for v1–v3 blobs). Resident
-    /// in the tail — reading them costs no block I/O.
+    /// The table's range tombstones. Resident in the tail — reading
+    /// them costs no block I/O.
     #[must_use]
     pub fn range_dels(&self) -> &[RangeTombstone] {
         &self.range_dels
@@ -395,8 +380,8 @@ impl SstableReader {
         self.decode_stored_block(&raw, idx, ctx)
     }
 
-    /// Decodes one block's stored bytes (unwrapping the v3 envelope
-    /// when present), records its logical size, and optionally fills
+    /// Decodes one block's stored bytes (unwrapping the compression
+    /// envelope), records its logical size, and optionally fills
     /// the cache — charged at the block's decoded in-memory footprint,
     /// not its (possibly compressed) stored length.
     fn decode_stored_block(
@@ -405,7 +390,7 @@ impl SstableReader {
         idx: usize,
         ctx: ReadContext<'_>,
     ) -> Result<Arc<Block>, Error> {
-        let (block, logical_len) = decode_table_block(raw, self.compressed_blocks)?;
+        let (block, logical_len) = decode_table_block(raw)?;
         ctx.counters.record_block_decode(logical_len as u64);
         let block = Arc::new(block);
         if ctx.fill_cache {
@@ -765,7 +750,7 @@ mod tests {
     #[test]
     fn cache_charges_decoded_footprint_not_stored_bytes() {
         let storage = Arc::new(MemoryStorage::new());
-        // Highly repetitive values: v3 blocks compress well.
+        // Highly repetitive values: the blocks compress well.
         let mut builder = SstableBuilder::new(9, 4096, 10);
         for i in 0..500u64 {
             builder.add(&Entry::put(
@@ -815,7 +800,7 @@ mod tests {
     #[test]
     fn may_overlap_prunes_by_persisted_min_max() {
         let storage = Arc::new(MemoryStorage::new());
-        // v2 table over keys 0, 2, …, 198 (min 0, max 198 persisted).
+        // Keys 0, 2, …, 198 (min 0, max 198 persisted).
         let encoded_len = store_table(storage.as_ref(), 1, 100, 256);
         let reader = SstableReader::open(storage, 1, Some(encoded_len)).unwrap();
         let k = key_from_u64;
@@ -887,52 +872,6 @@ mod tests {
         storage.write_blob(&Sstable::blob_name(11), &data).unwrap();
         let reader = SstableReader::open(storage, 11, None).unwrap();
         assert!(!reader.may_overlap(Bound::Unbounded, Bound::Unbounded));
-    }
-
-    /// Regression (v1-era meta): a legacy table persists no min/max
-    /// meta block, so its key range is (partially) unknown. Range
-    /// pruning must treat it as "always probe" — silently skipping it
-    /// would make scans lose every key the table holds.
-    #[test]
-    fn legacy_v1_table_without_meta_is_always_probed() {
-        let storage = Arc::new(MemoryStorage::new());
-        let data = crate::sstable::test_support::build_v1_table(300, 256);
-        storage.write_blob(&Sstable::blob_name(4), &data).unwrap();
-        let reader = SstableReader::open(storage, 4, None).unwrap();
-
-        assert_eq!(
-            reader.min_key(),
-            None,
-            "v1 meta lacks a min key (and the lazy open must not decode \
-             block 0 to recover it)"
-        );
-        assert_eq!(reader.max_key(), Some(&key_from_u64(299)));
-
-        // Unknown range ⇒ every scan window must probe the table, even
-        // one that looks disjoint from the known max-side bound.
-        let k = key_from_u64;
-        for (start, end) in [(0u64, 10u64), (100, 200), (290, 1_000)] {
-            assert!(
-                reader.may_overlap(
-                    Bound::Included(k(start).as_ref()),
-                    Bound::Excluded(k(end).as_ref())
-                ),
-                "v1 table silently skipped for range {start}..{end}"
-            );
-        }
-        // The max key is still known exactly, so ranges past it prune.
-        assert!(!reader.may_overlap(Bound::Included(k(300).as_ref()), Bound::Unbounded));
-
-        // Point reads keep working (range check falls back to "probe").
-        let (cache, counters) = ctx_parts();
-        let ctx = ReadContext {
-            block_cache: &cache,
-            fill_cache: true,
-            readahead_blocks: 1,
-            counters: &counters,
-        };
-        let entry = reader.get(&k(123), ctx).unwrap().unwrap();
-        assert_eq!(entry.value.as_ref(), b"v1-123");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The immutable sorted-run (sstable) format.
 //!
-//! Layout of an encoded sstable blob (format v3):
+//! Layout of an encoded sstable blob (`LSMTABL4`, the only format this
+//! build reads or writes):
 //!
 //! ```text
 //! +-------------------+
@@ -9,21 +10,22 @@
 //! | ...               |
 //! | bloom filter      |
 //! | meta block        |   min/max user key of the table
+//! | range tombstones  |   resident interval deletes + section CRC
 //! | index block       |   (last_key, offset, stored_len) per data block
 //! | footer            |   offsets + counts + magic + CRC
 //! +-------------------+
 //! ```
 //!
 //! Everything a point read needs to route itself — bloom filter, min/max
-//! keys, block index — lives in the *tail* of the blob, so the lazy
-//! reader ([`SstableReader`](crate::SstableReader)) opens a table with
-//! two ranged reads (footer, then tail) and afterwards fetches exactly
-//! one data block per lookup. Two legacy formats are still decoded:
-//! v1 (no meta block, raw data blocks) and v2 (meta block, raw data
-//! blocks). Since v3, each data block is stored inside a per-block
-//! [compression envelope](crate::compress) — tag byte, possibly-LZ
-//! payload, envelope CRC — and the index records the *stored* length,
-//! so ranged reads fetch exactly the compressed bytes.
+//! keys, range tombstones, block index — lives in the *tail* of the
+//! blob, so the lazy reader ([`SstableReader`](crate::SstableReader))
+//! opens a table with two ranged reads (footer, then tail) and
+//! afterwards fetches exactly one data block per lookup. Each data block
+//! is stored inside a per-block [compression envelope](crate::compress)
+//! — tag byte, possibly-LZ payload, envelope CRC — and the index records
+//! the *stored* length, so ranged reads fetch exactly the compressed
+//! bytes. A blob carrying the footer magic of an earlier format revision
+//! is recognised and refused, never parsed.
 //!
 //! Sstables are immutable once built: compaction never edits a table, it
 //! reads whole tables and writes a new one, which is exactly the I/O the
@@ -38,19 +40,16 @@ use crate::storage::Storage;
 use crate::types::{Entry, Key, RangeTombstone};
 use crate::Error;
 
-/// Magic of the v1 format: no meta block, min key only recoverable by
-/// decoding data block 0.
-pub(crate) const FOOTER_MAGIC_V1: u64 = 0x4C53_4D54_4142_4C45; // "LSMTABLE"
-/// Magic of the v2 format: min/max-key meta block, raw data blocks.
-pub(crate) const FOOTER_MAGIC_V2: u64 = 0x4C53_4D54_4142_4C32; // "LSMTABL2"
-/// Magic of the v3 format: v2 layout with every data block wrapped in a
-/// per-block compression envelope.
-pub(crate) const FOOTER_MAGIC_V3: u64 = 0x4C53_4D54_4142_4C33; // "LSMTABL3"
-/// Magic of the current format: v3 layout plus a resident range-
-/// tombstone section between the meta and index blocks, so interval
-/// deletes cost one record and readers check coverage with zero block
-/// I/O. v1–v3 blobs keep decoding (they simply carry no range dels).
-pub(crate) const FOOTER_MAGIC_V4: u64 = 0x4C53_4D54_4142_4C34; // "LSMTABL4"
+/// Footer magic of the one format this build reads and writes.
+const FOOTER_MAGIC: u64 = 0x4C53_4D54_4142_4C34; // "LSMTABL4"
+
+/// Footer magics of the three retired format revisions, kept only so a
+/// blob in one of them is refused by version rather than as garbage.
+const RETIRED_MAGICS: [(u64, u8); 3] = [
+    (0x4C53_4D54_4142_4C45, 1), // "LSMTABLE"
+    (0x4C53_4D54_4142_4C32, 2), // "LSMTABL2"
+    (0x4C53_4D54_4142_4C33, 3), // "LSMTABL3"
+];
 
 /// Parsed sstable footer, shared between the eager [`Sstable`] decoder
 /// and the lazy [`SstableReader`](crate::SstableReader).
@@ -60,73 +59,61 @@ pub(crate) struct Footer {
     pub bloom_offset: usize,
     /// Encoded bloom length in bytes.
     pub bloom_len: usize,
-    /// Absolute offset of the meta block (`None` in v1 blobs).
-    pub meta_offset: Option<usize>,
-    /// Absolute offset of the range-tombstone section (`None` in
-    /// v1–v3 blobs, which predate range deletes).
-    pub range_del_offset: Option<usize>,
+    /// Absolute offset of the meta block.
+    pub meta_offset: usize,
+    /// Absolute offset of the range-tombstone section.
+    pub range_del_offset: usize,
     /// Absolute offset of the index block.
     pub index_offset: usize,
     /// Number of entries in the table.
     pub entry_count: u64,
-    /// Encoded footer length (depends on the format version).
-    pub footer_len: usize,
-    /// `true` for v3+ blobs, whose data blocks are wrapped in the
-    /// per-block compression envelope; v1/v2 blocks are raw.
-    pub compressed_blocks: bool,
 }
 
 impl Footer {
-    /// v4 footer: 7 u64 fields + CRC32. Also the longest footer any
-    /// format uses — the size of the tail probe a reader must fetch.
-    pub(crate) const MAX_LEN: usize = 7 * 8 + 4;
-    /// v2/v3 footer: 6 u64 fields + CRC32.
-    pub(crate) const V2_LEN: usize = 6 * 8 + 4;
-    /// v1 footer: 5 u64 fields + CRC32.
-    pub(crate) const V1_LEN: usize = 5 * 8 + 4;
+    /// Encoded footer length: 7 u64 fields + CRC32 — the size of the
+    /// tail probe a reader must fetch.
+    pub(crate) const LEN: usize = 7 * 8 + 4;
 
     /// Parses the footer from `tail`, the last `tail.len()` bytes of a
     /// blob of `total_len` bytes. `tail` must contain at least the whole
-    /// footer ([`Footer::MAX_LEN`] bytes, or the entire blob if shorter).
+    /// footer ([`Footer::LEN`] bytes, or the entire blob if shorter).
     pub(crate) fn parse(tail: &[u8], total_len: usize) -> Result<Self, Error> {
-        if tail.len() < 12 || total_len < Self::V1_LEN {
+        if tail.len() < 12 {
             return Err(Error::corruption("sstable shorter than footer"));
         }
         let magic_probe = &tail[tail.len() - 12..tail.len() - 4];
         let magic = u64::from_le_bytes(magic_probe.try_into().expect("8 bytes"));
-        let (footer_len, fields, compressed_blocks) = match magic {
-            FOOTER_MAGIC_V4 => (Self::MAX_LEN, 7, true),
-            FOOTER_MAGIC_V3 => (Self::V2_LEN, 6, true),
-            FOOTER_MAGIC_V2 => (Self::V2_LEN, 6, false),
-            FOOTER_MAGIC_V1 => (Self::V1_LEN, 5, false),
-            _ => return Err(Error::corruption("bad sstable magic")),
-        };
-        if tail.len() < footer_len || total_len < footer_len {
+        if let Some((_, version)) = RETIRED_MAGICS.iter().find(|(m, _)| *m == magic) {
+            return Err(Error::corruption(format!(
+                "unsupported sstable format v{version}; this build reads v4 only"
+            )));
+        }
+        if magic != FOOTER_MAGIC {
+            return Err(Error::corruption("bad sstable magic"));
+        }
+        if tail.len() < Self::LEN || total_len < Self::LEN {
             return Err(Error::corruption("sstable shorter than footer"));
         }
-        let footer = &tail[tail.len() - footer_len..];
-        let crc_stored = u32::from_le_bytes(footer[footer_len - 4..].try_into().expect("4 bytes"));
-        if crc32(&footer[..footer_len - 4]) != crc_stored {
+        let footer = &tail[tail.len() - Self::LEN..];
+        let crc_stored = u32::from_le_bytes(footer[Self::LEN - 4..].try_into().expect("4 bytes"));
+        if crc32(&footer[..Self::LEN - 4]) != crc_stored {
             return Err(Error::corruption("sstable footer checksum mismatch"));
         }
         let mut cursor = footer;
         let bloom_offset = cursor.get_u64_le() as usize;
         let bloom_len = cursor.get_u64_le() as usize;
-        let meta_offset = (fields >= 6).then(|| cursor.get_u64_le() as usize);
-        let range_del_offset = (fields >= 7).then(|| cursor.get_u64_le() as usize);
+        let meta_offset = cursor.get_u64_le() as usize;
+        let range_del_offset = cursor.get_u64_le() as usize;
         let index_offset = cursor.get_u64_le() as usize;
         let entry_count = cursor.get_u64_le();
-        let body_end = total_len - footer_len;
+        let body_end = total_len - Self::LEN;
         let bloom_end = bloom_offset
             .checked_add(bloom_len)
             .ok_or_else(|| Error::corruption("sstable bloom range overflows"))?;
-        if bloom_end > body_end
+        if bloom_end > meta_offset
+            || meta_offset > range_del_offset
+            || range_del_offset > index_offset
             || index_offset > body_end
-            || index_offset < bloom_end
-            || meta_offset.is_some_and(|m| m < bloom_end || m > index_offset)
-            || range_del_offset.is_some_and(|r| {
-                r > index_offset || meta_offset.is_some_and(|m| r < m) || r < bloom_end
-            })
         {
             return Err(Error::corruption("sstable footer offsets out of range"));
         }
@@ -137,29 +124,22 @@ impl Footer {
             range_del_offset,
             index_offset,
             entry_count,
-            footer_len,
-            compressed_blocks,
         })
     }
 }
 
-/// Decodes one data block from its stored bytes: v3 blobs wrap every
-/// block in the compression envelope, v1/v2 blobs store the logical
-/// bytes raw. Returns the block and its logical (decompressed) byte
-/// length, which the read-path counters report next to the physical
-/// bytes actually fetched.
-pub(crate) fn decode_table_block(raw: &[u8], enveloped: bool) -> Result<(Block, usize), Error> {
-    if enveloped {
-        let logical = decode_block_envelope(raw)?;
-        Ok((Block::decode(&logical)?, logical.len()))
-    } else {
-        Ok((Block::decode(raw)?, raw.len()))
-    }
+/// Decodes one data block from its stored (enveloped) bytes. Returns
+/// the block and its logical (decompressed) byte length, which the
+/// read-path counters report next to the physical bytes actually
+/// fetched.
+pub(crate) fn decode_table_block(raw: &[u8]) -> Result<(Block, usize), Error> {
+    let logical = decode_block_envelope(raw)?;
+    Ok((Block::decode(&logical)?, logical.len()))
 }
 
 /// Encodes the range-tombstone section: count, per-record bounds +
 /// seqno, and a section CRC.
-pub(crate) fn encode_range_dels(buf: &mut BytesMut, range_dels: &[RangeTombstone]) {
+fn encode_range_dels(buf: &mut BytesMut, range_dels: &[RangeTombstone]) {
     let start = buf.len();
     buf.put_u32_le(range_dels.len() as u32);
     for rd in range_dels {
@@ -360,7 +340,7 @@ impl SstableBuilder {
         buf.put_u64_le(range_del_offset);
         buf.put_u64_le(index_offset);
         buf.put_u64_le(self.entry_count);
-        buf.put_u64_le(FOOTER_MAGIC_V4);
+        buf.put_u64_le(FOOTER_MAGIC);
         let crc = crc32(&buf[footer_start..]);
         buf.put_u32_le(crc);
 
@@ -409,7 +389,7 @@ pub struct SstableMeta {
 
 /// Encodes the min/max-key meta block: a presence flag followed by the
 /// two length-prefixed keys (absent for an empty table).
-pub(crate) fn encode_meta(buf: &mut BytesMut, min_key: Option<&Key>, max_key: Option<&Key>) {
+fn encode_meta(buf: &mut BytesMut, min_key: Option<&Key>, max_key: Option<&Key>) {
     match (min_key, max_key) {
         (Some(min), Some(max)) => {
             buf.put_u8(1);
@@ -507,8 +487,6 @@ pub struct Sstable {
     entry_count: u64,
     min_key: Option<Key>,
     max_key: Option<Key>,
-    /// `true` for v3+ blobs: data blocks sit inside compression envelopes.
-    compressed_blocks: bool,
 }
 
 impl Sstable {
@@ -540,34 +518,10 @@ impl Sstable {
         let bloom = BloomFilter::decode(
             &data[footer.bloom_offset..footer.bloom_offset + footer.bloom_len],
         )?;
-        let body_end = data.len() - footer.footer_len;
+        let body_end = data.len() - Footer::LEN;
         let index = decode_index(&data[footer.index_offset..body_end])?;
-        let range_dels = match footer.range_del_offset {
-            Some(offset) => decode_range_dels(&data[offset..footer.index_offset])?,
-            None => Vec::new(),
-        };
-
-        let (min_key, max_key) = match footer.meta_offset {
-            Some(meta_offset) => decode_meta(&data[meta_offset..footer.index_offset])?,
-            // Legacy v1 blob: no meta block. Recover the min key by
-            // decoding data block 0 — propagating corruption instead of
-            // swallowing it — and the max from the last index entry.
-            None => match index.first() {
-                Some(&(_, offset, len)) => {
-                    let (block, _) = decode_table_block(
-                        block_slice(&data, offset, len)?,
-                        footer.compressed_blocks,
-                    )?;
-                    let min = block
-                        .entries()
-                        .first()
-                        .map(|e| e.key.clone())
-                        .ok_or_else(|| Error::corruption("empty first data block"))?;
-                    (Some(min), index.last().map(|(k, _, _)| k.clone()))
-                }
-                None => (None, None),
-            },
-        };
+        let range_dels = decode_range_dels(&data[footer.range_del_offset..footer.index_offset])?;
+        let (min_key, max_key) = decode_meta(&data[footer.meta_offset..footer.range_del_offset])?;
 
         Ok(Self {
             table_id,
@@ -578,7 +532,6 @@ impl Sstable {
             entry_count: footer.entry_count,
             min_key,
             max_key,
-            compressed_blocks: footer.compressed_blocks,
         })
     }
 
@@ -611,8 +564,7 @@ impl Sstable {
     }
 
     /// Smallest user key, if the table is non-empty. Served from the
-    /// persisted table meta — no block read, no swallowed errors (any
-    /// corruption surfaced at [`Sstable::decode`] time).
+    /// persisted table meta.
     #[must_use]
     pub fn min_key(&self) -> Option<Key> {
         self.min_key.clone()
@@ -625,8 +577,8 @@ impl Sstable {
         self.max_key.clone()
     }
 
-    /// The table's range tombstones (empty for v1–v3 blobs). Resident —
-    /// reading them costs no block I/O.
+    /// The table's range tombstones. Resident — reading them costs no
+    /// block I/O.
     #[must_use]
     pub fn range_dels(&self) -> &[RangeTombstone] {
         &self.range_dels
@@ -662,10 +614,7 @@ impl Sstable {
 
     fn read_block(&self, idx: usize) -> Result<Block, Error> {
         let (_, offset, len) = self.index[idx];
-        let (block, _) = decode_table_block(
-            block_slice(&self.data, offset, len)?,
-            self.compressed_blocks,
-        )?;
+        let (block, _) = decode_table_block(block_slice(&self.data, offset, len)?)?;
         Ok(block)
     }
 
@@ -715,24 +664,6 @@ impl Iterator for SstableIter<'_> {
                 }
             }
         }
-    }
-}
-
-/// Test-only helpers shared between this module's tests and the reader
-/// tests (the real legacy encoders live in [`crate::test_support`] so
-/// integration tests can build mixed-version table sets too).
-#[cfg(test)]
-pub(crate) mod test_support {
-    use super::*;
-    use crate::types::key_from_u64;
-
-    /// Encodes `n` sequential-key entries (values `v1-<i>`) as a legacy
-    /// v1 sstable blob.
-    pub(crate) fn build_v1_table(n: u64, block_size: usize) -> Bytes {
-        let entries: Vec<Entry> = (0..n)
-            .map(|i| Entry::put(key_from_u64(i), Bytes::from(format!("v1-{i}")), 1_000 + i))
-            .collect();
-        crate::test_support::encode_v1_sstable(&entries, block_size)
     }
 }
 
@@ -810,28 +741,42 @@ mod tests {
         assert_eq!(table.max_key(), None);
     }
 
-    use super::test_support::build_v1_table;
-
+    /// Both decoders refuse a blob whose footer carries a retired
+    /// format's magic — naming the version, not parsing the body — and
+    /// report any other magic as plain garbage.
     #[test]
-    fn legacy_v1_tables_still_decode() {
-        let data = build_v1_table(300, 256);
-        let table = Sstable::decode(9, data).unwrap();
-        assert_eq!(table.entry_count(), 300);
-        assert!(table.block_count() > 1);
-        assert_eq!(table.min_key(), Some(key_from_u64(0)), "min from block 0");
-        assert_eq!(table.max_key(), Some(key_from_u64(299)), "max from index");
-        let e = table.get(&key_from_u64(123)).unwrap().unwrap();
-        assert_eq!(e.value.as_ref(), b"v1-123");
+    fn retired_format_magics_are_refused_by_version() {
+        use crate::SstableReader;
+        use std::sync::Arc;
 
-        // A corrupt first block must surface as an error at decode time,
-        // not be silently swallowed into `min_key() == None`.
-        let good = build_v1_table(300, 256);
-        let mut tampered = good.to_vec();
-        tampered[10] ^= 0xFF; // inside data block 0
-        assert!(matches!(
-            Sstable::decode(9, Bytes::from(tampered)),
-            Err(Error::Corruption { .. })
-        ));
+        let (current, _) = build_table(20, 4096);
+        assert_eq!(&current[current.len() - 12..current.len() - 4], b"4LBATMSL");
+        assert!(Sstable::decode(1, current).is_ok());
+
+        for (magic, expect) in [
+            (*b"LSMTABLE", "unsupported sstable format v1"),
+            (*b"LSMTABL2", "unsupported sstable format v2"),
+            (*b"LSMTABL3", "unsupported sstable format v3"),
+            (*b"LSMTABL9", "bad sstable magic"),
+        ] {
+            // A tail shaped like the old footers: offset fields, the
+            // magic (stored little-endian), then a CRC over the lot.
+            let mut blob = BytesMut::new();
+            blob.put_slice(&[0u8; 64]);
+            blob.put_u64_le(u64::from_be_bytes(magic));
+            let crc = crc32(&blob);
+            blob.put_u32_le(crc);
+            let blob = blob.freeze();
+
+            let storage = Arc::new(MemoryStorage::new());
+            storage.write_blob(&Sstable::blob_name(1), &blob).unwrap();
+            let eager = Sstable::decode(1, blob).unwrap_err();
+            let lazy = SstableReader::open(storage, 1, None).unwrap_err();
+            for err in [eager, lazy] {
+                assert!(matches!(err, Error::Corruption { .. }), "{err}");
+                assert!(err.to_string().contains(expect), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -861,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn range_tombstones_roundtrip_through_v4() {
+    fn range_tombstones_roundtrip() {
         let mut builder = SstableBuilder::new(3, 256, 10);
         for i in 10u64..20 {
             builder.add(&Entry::put(key_from_u64(i), Bytes::from_static(b"v"), i));
@@ -948,7 +893,7 @@ mod tests {
         // index): locate it via the footer.
         let footer = Footer::parse(&data, data.len()).unwrap();
         let mut tampered = data.to_vec();
-        tampered[footer.range_del_offset.unwrap() + 4] ^= 0xFF;
+        tampered[footer.range_del_offset + 4] ^= 0xFF;
         assert!(matches!(
             Sstable::decode(6, Bytes::from(tampered)),
             Err(Error::Corruption { .. })

@@ -4,22 +4,15 @@
 //! Not part of the engine's API contract — these exist so the engine,
 //! service and harness test suites can deterministically freeze
 //! storage-level events without each carrying its own copy of the
-//! wrapper (the copies had already drifted into four near-identical
-//! implementations before this module consolidated them).
+//! wrapper.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::block::{crc32, BlockBuilder};
-use crate::bloom::BloomFilter;
-use crate::compress::encode_block_envelope;
-use crate::sstable::{encode_meta, FOOTER_MAGIC_V1, FOOTER_MAGIC_V2, FOOTER_MAGIC_V3};
-use crate::CompressionType;
 use crate::storage::{MemoryStorage, Storage};
-use crate::types::{Entry, Key};
 use crate::Error;
 
 /// A [`MemoryStorage`] wrapper that can stall sstable writes on demand:
@@ -217,100 +210,6 @@ impl CrashPointStorage {
             Ok(budget as usize)
         }
     }
-}
-
-/// Encodes sorted `entries` as a legacy **v1** sstable blob: no meta
-/// block, raw (un-enveloped) data blocks, 5-field footer. The builder
-/// stopped emitting this layout at v2, but decoders must keep
-/// accepting it; tests use this to stage mixed-version table sets.
-#[must_use]
-pub fn encode_v1_sstable(entries: &[Entry], block_size: usize) -> Bytes {
-    encode_legacy_sstable(entries, block_size, 1)
-}
-
-/// Encodes sorted `entries` as a legacy **v2** sstable blob: min/max
-/// meta block, raw (un-enveloped) data blocks, 6-field footer. The
-/// builder stopped emitting this layout at v3 (compression
-/// envelopes), but decoders must keep accepting it.
-#[must_use]
-pub fn encode_v2_sstable(entries: &[Entry], block_size: usize) -> Bytes {
-    encode_legacy_sstable(entries, block_size, 2)
-}
-
-/// Encodes sorted `entries` as a legacy **v3** sstable blob: min/max
-/// meta block, LZ-enveloped data blocks, 6-field footer — no
-/// range-tombstone section. The builder stopped emitting this layout
-/// at v4 (range deletes), but decoders must keep accepting it.
-#[must_use]
-pub fn encode_v3_sstable(entries: &[Entry], block_size: usize) -> Bytes {
-    encode_legacy_sstable(entries, block_size, 3)
-}
-
-fn encode_legacy_sstable(entries: &[Entry], block_size: usize, version: u8) -> Bytes {
-    let mut finished: Vec<(Key, Bytes)> = Vec::new();
-    let mut current = BlockBuilder::new();
-    for entry in entries {
-        current.add(entry);
-        if current.size_in_bytes() >= block_size {
-            let last = current.last_key().expect("non-empty block").clone();
-            finished.push((last, current.finish()));
-        }
-    }
-    if !current.is_empty() {
-        let last = current.last_key().expect("non-empty block").clone();
-        finished.push((last, current.finish()));
-    }
-    let bloom = BloomFilter::build(entries.iter().map(|e| e.key.as_ref()), 10);
-
-    let mut buf = BytesMut::new();
-    let mut index: Vec<(Key, u64, u64)> = Vec::new();
-    for (last_key, encoded) in &finished {
-        let offset = buf.len() as u64;
-        // v3 stores each block inside a compression envelope; the index
-        // records the stored (enveloped) length.
-        let enveloped;
-        let stored: &[u8] = if version >= 3 {
-            enveloped = encode_block_envelope(CompressionType::Lz, encoded);
-            &enveloped
-        } else {
-            encoded
-        };
-        buf.put_slice(stored);
-        index.push((last_key.clone(), offset, stored.len() as u64));
-    }
-    let bloom_offset = buf.len() as u64;
-    let bloom_bytes = bloom.encode();
-    buf.put_slice(&bloom_bytes);
-    let meta_offset = buf.len() as u64;
-    if version >= 2 {
-        let min = entries.first().map(|e| e.key.clone());
-        let max = entries.last().map(|e| e.key.clone());
-        encode_meta(&mut buf, min.as_ref(), max.as_ref());
-    }
-    let index_offset = buf.len() as u64;
-    buf.put_u32_le(index.len() as u32);
-    for (last_key, offset, len) in &index {
-        buf.put_u32_le(last_key.len() as u32);
-        buf.put_slice(last_key);
-        buf.put_u64_le(*offset);
-        buf.put_u64_le(*len);
-    }
-    let footer_start = buf.len();
-    buf.put_u64_le(bloom_offset);
-    buf.put_u64_le(bloom_bytes.len() as u64);
-    if version >= 2 {
-        buf.put_u64_le(meta_offset);
-    }
-    buf.put_u64_le(index_offset);
-    buf.put_u64_le(entries.len() as u64);
-    buf.put_u64_le(match version {
-        1 => FOOTER_MAGIC_V1,
-        2 => FOOTER_MAGIC_V2,
-        _ => FOOTER_MAGIC_V3,
-    });
-    let crc = crc32(&buf[footer_start..]);
-    buf.put_u32_le(crc);
-    buf.freeze()
 }
 
 /// A [`MemoryStorage`] wrapper that charges a fixed latency on every

@@ -80,7 +80,7 @@ impl ValueKind {
 ///
 /// One range delete costs O(1) records regardless of how many keys it
 /// covers: the WAL logs a single [`ValueKind::RangeDelete`] record, the
-/// memtable keeps it in a side list, and v4 sstables persist it in a
+/// memtable keeps it in a side list, and sstables persist it in a
 /// small resident section (never in data blocks), so readers check
 /// coverage with zero block I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]

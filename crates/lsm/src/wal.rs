@@ -2,9 +2,10 @@
 //!
 //! Every write is appended to the WAL before it is applied to the
 //! memtable, so an engine restart can rebuild the memtable that had not
-//! yet been flushed to an sstable. Records are grouped into
-//! length-prefixed, CRC-protected *frames*; a frame holds one record for
-//! a plain put/delete or every record of a
+//! yet been flushed to an sstable. A segment is the 8-byte magic
+//! `LSMWAL02` (it lands with the first append, so an empty segment is an
+//! empty blob) followed by length-prefixed, CRC-protected *frames*; a
+//! frame holds one record for a plain put/delete or every record of a
 //! [`WriteBatch`](crate::WriteBatch). A frame is recovered only in full,
 //! so a batch whose frame was torn mid-write replays all-or-nothing —
 //! the crash-atomicity contract batched writes rely on.
@@ -12,17 +13,20 @@
 //! Replay distinguishes two failure taxa ([`SegmentReplay`]):
 //!
 //! * **torn tail** — the segment ends mid-frame (fewer bytes than the
-//!   frame's length prefix promises, or a dangling header). This is the
-//!   normal crash shape under prefix-persisting storage: the tail bytes
-//!   are dropped, everything before them replays, and the loss is only
-//!   of writes that were never acked.
+//!   frame's length prefix promises, or a dangling header) or mid-magic.
+//!   This is the normal crash shape under prefix-persisting storage: the
+//!   tail bytes are dropped, everything before them replays, and the
+//!   loss is only of writes that were never acked.
 //! * **bit rot** — a *byte-complete* frame fails its checksum or decode.
 //!   A crash cannot produce this shape (a tear leaves a prefix), so the
 //!   frame is quarantined, later frames are salvaged by following the
 //!   length chain, and the loss of **acked** writes is surfaced in the
 //!   counts instead of being silently absorbed. (If the rot corrupted a
 //!   length prefix itself the chain is lost and the remainder reads as a
-//!   torn tail — the report's truncated-byte count still exposes it.)
+//!   torn tail — the report's truncated-byte count still exposes it.) A
+//!   segment that does not start with the magic is rot of the whole
+//!   segment: nothing in it is parsed as frames, and it counts as one
+//!   quarantined frame.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -31,10 +35,8 @@ use crate::storage::Storage;
 use crate::types::{Key, SeqNo, Value, ValueKind};
 use crate::Error;
 
-/// Magic prefix of a count-framed (v2) WAL segment. Segments without it
-/// are replayed with the original one-record-per-frame decoding, so a
-/// store written before batched WALs existed still recovers its tail.
-const WAL_V2_MAGIC: &[u8; 8] = b"LSMWAL02";
+/// Magic prefix of every WAL segment.
+const WAL_MAGIC: &[u8; 8] = b"LSMWAL02";
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,11 +66,6 @@ pub struct Wal {
 /// Blob-name prefix shared by every WAL segment.
 const WAL_PREFIX: &str = "wal-";
 
-/// Name of the single-segment WAL written before per-generation
-/// segments existed. Replayed first on open (it predates any numbered
-/// generation) so old stores keep recovering.
-pub(crate) const LEGACY_WAL_SEGMENT: &str = "wal-current";
-
 impl Wal {
     /// Creates an empty WAL that will persist into blob `segment_name`.
     #[must_use]
@@ -89,31 +86,24 @@ impl Wal {
     }
 
     /// Parses a generation number back out of a segment blob name.
-    /// Returns `None` for the legacy segment and for non-WAL blobs.
+    /// Returns `None` for any other blob.
     #[must_use]
     pub fn parse_generation(blob_name: &str) -> Option<u64> {
         blob_name.strip_prefix(WAL_PREFIX)?.parse().ok()
     }
 
-    /// Every live WAL segment in `storage`, oldest first: the legacy
-    /// single segment (if present), then numbered generations ascending.
-    /// Reopen must replay them in exactly this order so newer writes to
-    /// the same key win.
+    /// Every live WAL segment in `storage`, oldest first (generations
+    /// ascending). Reopen must replay them in exactly this order so
+    /// newer writes to the same key win.
     #[must_use]
     pub fn live_segments(storage: &dyn Storage) -> Vec<String> {
-        let mut generations: Vec<(u64, String)> = Vec::new();
-        let mut legacy = None;
-        for name in storage.list_blobs() {
-            if name == LEGACY_WAL_SEGMENT {
-                legacy = Some(name);
-            } else if let Some(generation) = Self::parse_generation(&name) {
-                generations.push((generation, name));
-            }
-        }
+        let mut generations: Vec<(u64, String)> = storage
+            .list_blobs()
+            .into_iter()
+            .filter_map(|name| Some((Self::parse_generation(&name)?, name)))
+            .collect();
         generations.sort_unstable();
-        let mut segments: Vec<String> = legacy.into_iter().collect();
-        segments.extend(generations.into_iter().map(|(_, name)| name));
-        segments
+        generations.into_iter().map(|(_, name)| name).collect()
     }
 
     /// Deletes a retired segment blob (after the memtable generation it
@@ -175,7 +165,7 @@ impl Wal {
             return Ok(());
         }
         if self.buffer.is_empty() {
-            self.buffer.put_slice(WAL_V2_MAGIC);
+            self.buffer.put_slice(WAL_MAGIC);
         }
         let mut payload = BytesMut::new();
         payload.put_u32_le(records.len() as u32);
@@ -241,13 +231,16 @@ impl Wal {
             Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replay),
             Err(e) => return Err(e),
         };
-        let mut cursor = data.as_ref();
-        // Segments written before count framing carry no magic header;
-        // their frames hold exactly one record with no count prefix.
-        let legacy = !cursor.starts_with(WAL_V2_MAGIC);
-        if !legacy {
-            cursor.advance(WAL_V2_MAGIC.len());
-        }
+        let Some(mut cursor) = data.strip_prefix(WAL_MAGIC) else {
+            if WAL_MAGIC.starts_with(&data) {
+                // The header itself tore (or the segment is empty): no
+                // frame ever landed, so nothing acked is lost.
+                replay.bytes_truncated = data.len() as u64;
+            } else {
+                replay.frames_quarantined = 1;
+            }
+            return Ok(replay);
+        };
         loop {
             if cursor.remaining() < 8 {
                 // A dangling header (or nothing) past the last frame:
@@ -270,8 +263,6 @@ impl Wal {
                 // rot of an *acked* frame. Quarantine it and keep
                 // following the length chain — later frames are intact.
                 None
-            } else if legacy {
-                decode_legacy_record(payload).map(|r| vec![r])
             } else {
                 decode_frame(payload)
             };
@@ -357,7 +348,7 @@ impl RecoveryReport {
     }
 }
 
-/// Decodes the records of one count-framed payload, or `None` if the
+/// Decodes the records of one frame payload, or `None` if the
 /// payload is malformed (in which case the whole frame must be
 /// discarded).
 fn decode_frame(payload: &[u8]) -> Option<Vec<WalRecord>> {
@@ -374,13 +365,6 @@ fn decode_frame(payload: &[u8]) -> Option<Vec<WalRecord>> {
         records.push(decode_record(&mut p)?);
     }
     Some(records)
-}
-
-/// Decodes a pre-count-framing payload: exactly one record, no prefix.
-fn decode_legacy_record(payload: &[u8]) -> Option<WalRecord> {
-    let mut p = payload;
-    let record = decode_record(&mut p)?;
-    p.is_empty().then_some(record)
 }
 
 /// Decodes one record (key, value, seqno, kind) off the cursor.
@@ -505,28 +489,35 @@ mod tests {
         assert_eq!(replayed, vec![record(0)], "torn batch contributes nothing");
     }
 
+    /// The header taxonomy, one row per shape a segment's first bytes
+    /// can take: (blob, records, bytes truncated, frames quarantined).
     #[test]
-    fn legacy_segments_without_magic_still_replay() {
-        // Hand-build a segment in the pre-count-framing format: frames
-        // of exactly one record, no magic header, no count prefix.
+    fn segment_header_is_classified_not_parsed() {
         let storage = MemoryStorage::new();
-        let records: Vec<WalRecord> = (0..6).map(record).collect();
-        let mut blob = BytesMut::new();
-        for r in &records {
-            let mut payload = BytesMut::new();
-            payload.put_u32_le(r.key.len() as u32);
-            payload.put_slice(&r.key);
-            payload.put_u32_le(r.value.len() as u32);
-            payload.put_slice(&r.value);
-            payload.put_u64_le(r.seqno);
-            payload.put_u8(r.kind.as_u8());
-            blob.put_u32_le(payload.len() as u32);
-            blob.put_u32_le(crc32(&payload));
-            blob.put_slice(&payload);
+        let mut wal = Wal::new("wal-good");
+        wal.append(&storage, &record(1)).unwrap();
+        let good = storage.read_blob("wal-good").unwrap();
+        // The same frame bytes without the magic in front: byte-complete
+        // and CRC-valid, so only the header check keeps them unparsed.
+        let headerless = &good[WAL_MAGIC.len()..];
+        let mut wrong_magic = good.to_vec();
+        wrong_magic[..8].copy_from_slice(b"LSMWAL01");
+
+        let cases: [(&[u8], usize, u64, u64); 6] = [
+            (&good, 1, 0, 0),
+            (b"", 0, 0, 0),
+            (&WAL_MAGIC[..1], 0, 1, 0),
+            (&WAL_MAGIC[..7], 0, 7, 0),
+            (headerless, 0, 0, 1),
+            (&wrong_magic, 0, 0, 1),
+        ];
+        for (blob, records, truncated, quarantined) in cases {
+            storage.write_blob("wal-case", blob).unwrap();
+            let replay = Wal::replay_segment(&storage, "wal-case").unwrap();
+            assert_eq!(replay.records.len(), records, "{blob:?}");
+            assert_eq!(replay.bytes_truncated, truncated, "{blob:?}");
+            assert_eq!(replay.frames_quarantined, quarantined, "{blob:?}");
         }
-        storage.write_blob("wal-legacy", &blob).unwrap();
-        let replayed = Wal::replay(&storage, "wal-legacy").unwrap();
-        assert_eq!(replayed, records, "pre-magic segments must not be lost");
     }
 
     #[test]
@@ -550,19 +541,19 @@ mod tests {
         for (i, g) in [0, 1, 9, 10, 11, 100, u64::MAX].iter().enumerate() {
             assert_eq!(Wal::parse_generation(&names[i]), Some(*g));
         }
-        assert_eq!(Wal::parse_generation(LEGACY_WAL_SEGMENT), None);
+        assert_eq!(Wal::parse_generation("wal-current"), None);
         assert_eq!(Wal::parse_generation("sst-0000000001"), None);
     }
 
     #[test]
-    fn live_segments_lists_legacy_first_then_generations_in_order() {
+    fn live_segments_lists_generations_in_order_and_nothing_else() {
         let storage = MemoryStorage::new();
         // Write out of order, plus non-WAL noise that must be ignored.
         for name in [
             &Wal::generation_blob_name(7),
             "sst-0000000003",
             &Wal::generation_blob_name(2),
-            LEGACY_WAL_SEGMENT,
+            "wal-current",
             "MANIFEST",
             &Wal::generation_blob_name(10),
         ] {
@@ -571,7 +562,6 @@ mod tests {
         assert_eq!(
             Wal::live_segments(&storage),
             vec![
-                LEGACY_WAL_SEGMENT.to_string(),
                 Wal::generation_blob_name(2),
                 Wal::generation_blob_name(7),
                 Wal::generation_blob_name(10),
@@ -599,7 +589,7 @@ mod tests {
         // Flip one payload byte inside an *early* frame: frames after it
         // are intact and must replay.
         let mut blob = storage.read_blob("wal-rot").unwrap().to_vec();
-        blob[WAL_V2_MAGIC.len() + 9] ^= 0xFF;
+        blob[WAL_MAGIC.len() + 9] ^= 0xFF;
         storage.write_blob("wal-rot", &blob).unwrap();
 
         let replay = Wal::replay_segment(&storage, "wal-rot").unwrap();

@@ -315,8 +315,9 @@ fn torn_current_pointer_falls_back_to_newest_checkpoint() {
     assert_all_acked_recovered(survivors, &acked);
 }
 
-#[test]
-fn wal_bit_rot_is_quarantined_and_counted() {
+/// A store whose 32 acked writes live only in one WAL segment, with
+/// one byte of that segment flipped at `offset`.
+fn store_with_rotten_wal(offset: usize) -> (MemoryStorage, String) {
     let storage = Arc::new(CrashPointStorage::new());
     {
         let db = Lsm::open(storage.clone(), small_opts().memtable_capacity(1000)).unwrap();
@@ -330,47 +331,52 @@ fn wal_bit_rot_is_quarantined_and_counted() {
         .into_iter()
         .next()
         .expect("unflushed writes leave a live WAL segment");
-    // Flip a byte inside an early frame's payload (past the 8-byte
-    // magic and the first frame header), leaving later frames intact.
-    assert!(corrupt_blob_byte(&survivors, &segment, 24));
+    assert!(corrupt_blob_byte(&survivors, &segment, offset));
+    (survivors, segment)
+}
 
-    let survivors = Arc::new(survivors);
-    let db = Lsm::open(survivors.clone(), small_opts()).unwrap();
-    let stats = db.stats();
-    assert!(
-        stats.recovery_frames_quarantined > 0,
-        "the rotten frame must be counted, not silently skipped"
-    );
-    assert_eq!(stats.recovery_segments_quarantined, 1);
-    assert!(
-        stats.recovery_frames_replayed > 0,
-        "valid frames after the rotten one must be salvaged"
-    );
-    assert!(
-        survivors.contains_blob(&format!("quarantined-{segment}")),
-        "the rotten segment is preserved for forensics"
-    );
+/// The two shapes of WAL bit rot: a flipped byte inside an early
+/// frame's payload (past the 8-byte magic and the first frame header),
+/// which leaves later frames salvageable, and a flipped byte inside the
+/// magic, after which nothing in the segment is parsed as frames.
+const WAL_ROT_OFFSETS: [(usize, bool); 2] = [(24, true), (0, false)];
+
+#[test]
+fn wal_bit_rot_is_quarantined_and_counted() {
+    for (offset, salvageable) in WAL_ROT_OFFSETS {
+        let (survivors, segment) = store_with_rotten_wal(offset);
+        let survivors = Arc::new(survivors);
+        let db = Lsm::open(survivors.clone(), small_opts()).unwrap();
+        let stats = db.stats();
+        assert!(
+            stats.recovery_frames_quarantined > 0,
+            "rot at {offset} must be counted, not silently skipped"
+        );
+        assert_eq!(stats.recovery_segments_quarantined, 1);
+        assert_eq!(
+            stats.recovery_frames_replayed > 0,
+            salvageable,
+            "valid frames after a rotten one are salvaged; a segment without \
+             its magic is never parsed (rot at {offset})"
+        );
+        assert!(
+            survivors.contains_blob(&format!("quarantined-{segment}")),
+            "the rotten segment is preserved for forensics"
+        );
+    }
 }
 
 #[test]
 fn strict_recovery_refuses_to_open_on_bit_rot() {
-    let storage = Arc::new(CrashPointStorage::new());
-    {
-        let db = Lsm::open(storage.clone(), small_opts().memtable_capacity(1000)).unwrap();
-        for i in 0u64..32 {
-            db.put_u64(i, vec![i as u8; 8]).unwrap();
-        }
+    for (offset, _) in WAL_ROT_OFFSETS {
+        let (survivors, _) = store_with_rotten_wal(offset);
+        let err = Lsm::open(Arc::new(survivors), small_opts().strict_recovery(true))
+            .expect_err("strict recovery must refuse a gapped history");
+        assert!(
+            matches!(err, Error::Corruption { .. }),
+            "strict refusal is a Corruption error, got {err:?}"
+        );
     }
-    let survivors = storage.surviving();
-    let segment = Wal::live_segments(&survivors).into_iter().next().unwrap();
-    assert!(corrupt_blob_byte(&survivors, &segment, 24));
-
-    let err = Lsm::open(Arc::new(survivors), small_opts().strict_recovery(true))
-        .expect_err("strict recovery must refuse a gapped history");
-    assert!(
-        matches!(err, Error::Corruption { .. }),
-        "strict refusal is a Corruption error, got {err:?}"
-    );
 }
 
 #[test]
@@ -401,6 +407,19 @@ fn torn_wal_tail_recovers_without_quarantine() {
     assert!(stats.recovery_bytes_truncated > 0);
     for i in 0u64..15 {
         assert_eq!(db.get_u64(i).unwrap().as_deref(), Some(&[i as u8; 8][..]));
+    }
+
+    // A tear inside the segment's 8-byte magic (the first append of a
+    // generation died before its header landed) is the same taxon: no
+    // frame existed, so even strict recovery opens.
+    for len in [1usize, 7] {
+        let torn = MemoryStorage::new();
+        torn.write_blob(&segment, &bytes[..len]).unwrap();
+        let db = Lsm::open(Arc::new(torn), small_opts().strict_recovery(true)).unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.recovery_frames_quarantined, 0);
+        assert_eq!(stats.recovery_bytes_truncated, len as u64);
+        assert_eq!(stats.recovery_records_replayed, 0);
     }
 }
 

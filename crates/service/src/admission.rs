@@ -1,14 +1,16 @@
-//! STATS-driven admission control: shed writes instead of queueing
+//! Pressure-driven admission control: shed writes instead of queueing
 //! them behind a stalled shard.
 //!
 //! The paper's serving story is "keep answering while compaction runs".
 //! The engine's read path already holds that property structurally
-//! (reads never take a lock the compactor holds) — but **writes** to a
-//! compacting shard queue on that shard's write mutex for as long as
-//! the merge takes. Under closed-loop load that shows up as a latency
-//! spike; under *open-loop* load it is unbounded queue growth: every
-//! queued write pins a server worker, new connections pile into the
-//! accept queue, and the tail latency of everything explodes.
+//! (reads never take a lock the compactor holds) — but under inline
+//! maintenance a **write** whose flush trips the compaction policy
+//! waits for as long as the merge takes, and so does every later write
+//! that fills the memtable behind it. Under closed-loop load that shows
+//! up as a latency spike; under *open-loop* load it is unbounded queue
+//! growth: every queued write pins a server worker, new connections
+//! pile into the accept queue, and the tail latency of everything
+//! explodes.
 //!
 //! [`AdmissionController`] is the relief valve. Fed by the engine's
 //! lock-free [`LsmPressure`] snapshots (in-progress compaction stall,
@@ -20,7 +22,7 @@
 //! cheap even mid-compaction.
 //!
 //! The same controller also counts connections refused at the server's
-//! session cap, so one `STATS` probe shows the whole shed/admit
+//! session cap, so one `METRICS` probe shows the whole shed/admit
 //! picture.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,7 +109,7 @@ impl AdmissionConfig {
 }
 
 /// The server's admission state: the (optional) shedding policy plus
-/// the shed/admit counters surfaced in the `STATS` frame.
+/// the shed/admit counters surfaced in the `METRICS` frame.
 ///
 /// With no policy configured every write is admitted (and counted), so
 /// the counters are meaningful even on a server that never sheds.
@@ -164,7 +166,7 @@ impl AdmissionController {
         self.shed_connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The counters, for the `STATS` frame.
+    /// The counters, for the `METRICS` frame.
     #[must_use]
     pub fn counters(&self) -> AdmissionCounters {
         AdmissionCounters {

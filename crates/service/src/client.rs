@@ -4,9 +4,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use obs::MetricsSnapshot;
 
-use crate::protocol::{
-    read_frame, write_frame, EventBatch, FrameRead, Request, Response, StatsSummary, WireOp,
-};
+use crate::protocol::{read_frame, write_frame, EventBatch, FrameRead, Request, Response, WireOp};
 use crate::{wire, Error};
 
 /// A blocking client over one TCP connection.
@@ -180,21 +178,12 @@ impl KvClient {
         self.delete(wire::u64_key(key))
     }
 
-    /// Fetches the service statistics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport, protocol and server errors.
-    pub fn stats(&mut self) -> Result<StatsSummary, Error> {
-        wire::expect_stats(self.roundtrip(&Request::Stats)?)
-    }
-
     /// Fetches the self-describing metrics snapshot: named counters
-    /// (every `STATS` field, `stats_`-prefixed) plus the server's
-    /// `server_*_us` request histograms and the engine's `engine_*_us`
-    /// histograms merged across shards. Unlike [`KvClient::stats`],
-    /// nothing here is positional — servers can add metrics without
-    /// breaking this client.
+    /// (the aggregated engine and admission statistics, `stats_`-prefixed)
+    /// plus the server's `server_*_us` request histograms and the
+    /// engine's `engine_*_us` histograms merged across shards. Nothing
+    /// here is positional — servers can add metrics without breaking
+    /// this client.
     ///
     /// # Errors
     ///

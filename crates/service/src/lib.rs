@@ -19,8 +19,8 @@
 //!   one WAL frame + one memtable pass
 //!   ([`Lsm::write_batch`](lsm_engine::Lsm::write_batch));
 //! * [`KvServer`] / [`KvClient`] — a minimal length-prefixed TCP wire
-//!   protocol (`GET` / `PUT` / `DEL` / `BATCH` / `STATS` / `SCAN` /
-//!   `DELRANGE` / `SNAP_*`, `std::net` only) served by a fixed
+//!   protocol (`GET` / `PUT` / `DEL` / `BATCH` / `SCAN` / `DELRANGE` /
+//!   `SNAP_*` / `METRICS` / `EVENTS`, `std::net` only) served by a fixed
 //!   [`ThreadPool`];
 //! * MVCC over the wire — [`ShardedKv::delete_range`] broadcasts one
 //!   range-tombstone record per shard (`DELRANGE`), and
@@ -40,11 +40,11 @@
 //!   [`PipelinedClient`] keep up to `W` requests in flight per
 //!   connection, matched back to their requests by a reader thread;
 //! * admission control — [`ServerOptions::admission`] arms a
-//!   STATS-driven shed policy: writes to a shard past its
+//!   pressure-driven shed policy: writes to a shard past its
 //!   stall/backlog budgets ([`Lsm::pressure`](lsm_engine::Lsm::pressure))
 //!   are refused with `BUSY` instead of queueing unboundedly, the
 //!   session cap refuses surplus connections the same way, and the
-//!   shed/admit counters ride the `STATS` frame. Reads are never shed.
+//!   shed/admit counters ride the `METRICS` frame. Reads are never shed.
 //!
 //! The closed-loop YCSB throughput harness over this service lives in
 //! `compaction-sim` (`service_throughput`), the open-loop offered-load
@@ -96,7 +96,7 @@ pub use client::{KvClient, ScanStream};
 pub use error::Error;
 pub use executor::ThreadPool;
 pub use pipeline::PipelinedClient;
-pub use protocol::{EventBatch, Request, Response, StatsSummary, WireEvent, WireOp};
+pub use protocol::{EventBatch, Request, Response, WireEvent, WireOp};
 pub use router::ShardRouter;
 pub use server::{KvServer, ServerHandle, ServerOptions};
 pub use store::{ServiceStats, ShardScan, ShardStats, ShardedKv, ShardedSnapshot};

@@ -2,8 +2,8 @@
 //!
 //! Every message — request or response — is one *frame*: a little-endian
 //! `u32` payload length followed by the payload. Request payloads start
-//! with an opcode byte (`GET` / `PUT` / `DEL` / `BATCH` / `STATS` /
-//! `SCAN`), response payloads with a status byte. All integers are
+//! with an opcode byte (`GET` / `PUT` / `DEL` / `BATCH` / `SCAN` / …),
+//! response payloads with a status byte. All integers are
 //! little-endian; keys and values are length-prefixed byte strings. The
 //! protocol is deliberately minimal — `std::net` only, no external wire
 //! formats — but framed so requests and responses survive TCP
@@ -15,7 +15,6 @@
 //! | `PUT`  | key, value           | `OK` (durable once received)  |
 //! | `DEL`  | key                  | `OK`                          |
 //! | `BATCH`| n × (kind,key[,val]) | `OK` (applied per-shard batch)|
-//! | `STATS`| —                    | `STATS(summary)`              |
 //! | `SCAN` | start, end, limit    | stream: 0+ × `BATCH_VALUES`, then `SCAN_END` (or `ERR`) |
 //! | `METRICS`| —                  | `METRICS(snapshot)`           |
 //! | `EVENTS` | cursor, max        | `EVENTS(batch)`               |
@@ -37,19 +36,16 @@
 //!
 //! # Self-describing metrics (`METRICS` / `EVENTS`)
 //!
-//! `STATS` is the legacy **positional** summary: 29 bare `u64`s whose
-//! meaning is fixed by field order, so the encoding can never change
-//! shape without breaking every deployed client. `METRICS` is its
-//! self-describing successor: every counter and histogram travels as a
-//! *name-tagged* entry (`name, value` / `name, sum, sparse buckets`),
-//! so servers may add, remove or reorder metrics freely and old
-//! clients keep decoding. The counter set includes every `STATS` field
-//! under a `stats_`-prefixed name; the histograms are the engine's
-//! latency/stall distributions plus the server's per-opcode request
-//! timings. `EVENTS` drains the engine's bounded maintenance-trace
-//! ring from a client-held cursor; each event carries its kind as a
-//! string and its payload as named `u64` fields — same reasoning, same
-//! forward compatibility. Legacy `STATS` stays byte-identical.
+//! `METRICS` is the one statistics frame: every counter and histogram
+//! travels as a *name-tagged* entry (`name, value` / `name, sum, sparse
+//! buckets`), so servers may add, remove or reorder metrics freely and
+//! old clients keep decoding. The counters are the aggregated engine
+//! and admission statistics under `stats_`-prefixed names; the
+//! histograms are the engine's latency/stall distributions plus the
+//! server's per-opcode request timings. `EVENTS` drains the engine's
+//! bounded maintenance-trace ring from a client-held cursor; each event
+//! carries its kind as a string and its payload as named `u64` fields —
+//! same reasoning, same forward compatibility.
 //!
 //! Any write may instead be answered `BUSY` (shed, not applied), and
 //! any request/response may be wrapped in the sequenced framing — both
@@ -113,7 +109,7 @@ const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
 const OP_DEL: u8 = 3;
 const OP_BATCH: u8 = 4;
-const OP_STATS: u8 = 5;
+// Opcode 5 is reserved: never assign it, so it keeps decoding as `Err`.
 const OP_SCAN: u8 = 6;
 const OP_METRICS: u8 = 7;
 const OP_EVENTS: u8 = 8;
@@ -126,7 +122,7 @@ const OP_SNAP_SCAN: u8 = 13;
 const ST_OK: u8 = 0;
 const ST_VALUE: u8 = 1;
 const ST_NOT_FOUND: u8 = 2;
-const ST_STATS: u8 = 3;
+// Status 3 is reserved: never assign it, so it keeps decoding as `Err`.
 const ST_ERR: u8 = 4;
 const ST_BATCH_VALUES: u8 = 5;
 const ST_SCAN_END: u8 = 6;
@@ -200,8 +196,6 @@ pub enum Request {
         /// The operations, in application order.
         ops: Vec<WireOp>,
     },
-    /// Service statistics snapshot.
-    Stats,
     /// Streaming range scan. Answered by zero or more
     /// [`Response::BatchValues`] frames followed by
     /// [`Response::ScanEnd`] (or [`Response::Err`] on failure).
@@ -214,7 +208,7 @@ pub enum Request {
         limit: u32,
     },
     /// Self-describing metrics snapshot (named counters + named latency
-    /// histograms) — the forward-compatible successor of [`Request::Stats`].
+    /// histograms).
     Metrics,
     /// Drain the server's maintenance-event ring from `cursor`.
     Events {
@@ -266,10 +260,6 @@ pub enum Request {
 }
 
 /// A server response.
-// The `Stats` variant is large (29 u64 counters) but responses are
-// transient — built, encoded, dropped — so boxing it would cost an
-// allocation per STATS frame to save stack bytes nothing keeps.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// The request was applied (and, for writes, is durable).
@@ -281,8 +271,6 @@ pub enum Response {
     ),
     /// A `GET` miss (never written, or deleted).
     NotFound,
-    /// A `STATS` snapshot.
-    Stats(StatsSummary),
     /// One bounded chunk of a `SCAN` stream: `(key, value)` pairs in
     /// ascending key order.
     BatchValues(
@@ -348,147 +336,6 @@ pub struct EventBatch {
     pub dropped: u64,
     /// The drained events, oldest first.
     pub events: Vec<WireEvent>,
-}
-
-/// Aggregated service statistics carried over the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSummary {
-    /// Number of shards serving.
-    pub shards: u64,
-    /// Put operations accepted (across shards).
-    pub puts: u64,
-    /// Delete operations accepted.
-    pub deletes: u64,
-    /// Write batches applied.
-    pub write_batches: u64,
-    /// Point reads served.
-    pub gets: u64,
-    /// Reads answered from a memtable.
-    pub memtable_hits: u64,
-    /// Range scans started across shards.
-    pub range_scans: u64,
-    /// Tables skipped by range scans via their min/max key meta.
-    pub range_pruned_tables: u64,
-    /// Sstables consulted across reads (read-amplification numerator).
-    pub tables_probed: u64,
-    /// Probes rejected by bloom filters / key ranges with zero block I/O.
-    pub bloom_negative_probes: u64,
-    /// Data blocks fetched from storage on the read path.
-    pub data_block_reads: u64,
-    /// Bytes of data blocks fetched from storage on the read path.
-    pub data_block_read_bytes: u64,
-    /// Reader handles served from the table caches.
-    pub table_cache_hits: u64,
-    /// Reader handles opened on table-cache misses.
-    pub table_cache_misses: u64,
-    /// Data blocks served from the block caches.
-    pub block_cache_hits: u64,
-    /// Block lookups that missed the block caches.
-    pub block_cache_misses: u64,
-    /// Memtable flushes performed.
-    pub flushes: u64,
-    /// Compactions executed (all kinds).
-    pub compactions: u64,
-    /// Policy-triggered compactions.
-    pub auto_compactions: u64,
-    /// Compaction cost in entries (read + written).
-    pub compaction_entry_cost: u64,
-    /// Wall-clock microseconds writes stalled behind compaction.
-    pub compaction_stall_micros: u64,
-    /// Live sstables across shards.
-    pub live_tables: u64,
-    /// Writes the admission controller let through.
-    pub admitted_writes: u64,
-    /// Writes shed with `BUSY` because a shard was past its stall or
-    /// backlog budget.
-    pub shed_writes: u64,
-    /// Connections refused with `BUSY` because the server was at its
-    /// session cap.
-    pub shed_connections: u64,
-    /// Memtable generations currently parked on frozen queues awaiting
-    /// the flush threads (gauge, summed across shards).
-    pub frozen_queue_depth: u64,
-    /// Writes delayed by the engine's slowdown stall tier.
-    pub slowdown_stalls: u64,
-    /// Writes blocked by the engine's stop stall tier.
-    pub stop_stalls: u64,
-    /// Memtable flushes performed by background flush threads.
-    pub bg_flushes: u64,
-}
-
-impl StatsSummary {
-    fn encode_into(self, buf: &mut BytesMut) {
-        for field in [
-            self.shards,
-            self.puts,
-            self.deletes,
-            self.write_batches,
-            self.gets,
-            self.memtable_hits,
-            self.range_scans,
-            self.range_pruned_tables,
-            self.tables_probed,
-            self.bloom_negative_probes,
-            self.data_block_reads,
-            self.data_block_read_bytes,
-            self.table_cache_hits,
-            self.table_cache_misses,
-            self.block_cache_hits,
-            self.block_cache_misses,
-            self.flushes,
-            self.compactions,
-            self.auto_compactions,
-            self.compaction_entry_cost,
-            self.compaction_stall_micros,
-            self.live_tables,
-            self.admitted_writes,
-            self.shed_writes,
-            self.shed_connections,
-            self.frozen_queue_depth,
-            self.slowdown_stalls,
-            self.stop_stalls,
-            self.bg_flushes,
-        ] {
-            buf.put_u64_le(field);
-        }
-    }
-
-    fn decode_from(cursor: &mut &[u8]) -> Result<Self, Error> {
-        if cursor.remaining() < 29 * 8 {
-            return Err(Error::protocol("truncated stats summary"));
-        }
-        Ok(Self {
-            shards: cursor.get_u64_le(),
-            puts: cursor.get_u64_le(),
-            deletes: cursor.get_u64_le(),
-            write_batches: cursor.get_u64_le(),
-            gets: cursor.get_u64_le(),
-            memtable_hits: cursor.get_u64_le(),
-            range_scans: cursor.get_u64_le(),
-            range_pruned_tables: cursor.get_u64_le(),
-            tables_probed: cursor.get_u64_le(),
-            bloom_negative_probes: cursor.get_u64_le(),
-            data_block_reads: cursor.get_u64_le(),
-            data_block_read_bytes: cursor.get_u64_le(),
-            table_cache_hits: cursor.get_u64_le(),
-            table_cache_misses: cursor.get_u64_le(),
-            block_cache_hits: cursor.get_u64_le(),
-            block_cache_misses: cursor.get_u64_le(),
-            flushes: cursor.get_u64_le(),
-            compactions: cursor.get_u64_le(),
-            auto_compactions: cursor.get_u64_le(),
-            compaction_entry_cost: cursor.get_u64_le(),
-            compaction_stall_micros: cursor.get_u64_le(),
-            live_tables: cursor.get_u64_le(),
-            admitted_writes: cursor.get_u64_le(),
-            shed_writes: cursor.get_u64_le(),
-            shed_connections: cursor.get_u64_le(),
-            frozen_queue_depth: cursor.get_u64_le(),
-            slowdown_stalls: cursor.get_u64_le(),
-            stop_stalls: cursor.get_u64_le(),
-            bg_flushes: cursor.get_u64_le(),
-        })
-    }
 }
 
 fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
@@ -659,7 +506,6 @@ impl Request {
             Request::Put { .. } => OP_PUT,
             Request::Delete { .. } => OP_DEL,
             Request::Batch { .. } => OP_BATCH,
-            Request::Stats => OP_STATS,
             Request::Scan { .. } => OP_SCAN,
             Request::Metrics => OP_METRICS,
             Request::Events { .. } => OP_EVENTS,
@@ -694,7 +540,7 @@ impl Request {
                     }
                 }
             }
-            Request::Stats | Request::Metrics => {}
+            Request::Metrics => {}
             Request::Scan { start, end, limit } => {
                 put_bytes(&mut buf, start);
                 put_bytes(&mut buf, end);
@@ -802,7 +648,6 @@ impl Request {
                 }
                 Request::Batch { ops }
             }
-            OP_STATS => Request::Stats,
             OP_SCAN => {
                 let start = get_bytes(&mut cursor)?;
                 let end = get_bytes(&mut cursor)?;
@@ -882,7 +727,6 @@ impl Response {
             Response::Ok => ST_OK,
             Response::Value(_) => ST_VALUE,
             Response::NotFound => ST_NOT_FOUND,
-            Response::Stats(_) => ST_STATS,
             Response::BatchValues(_) => ST_BATCH_VALUES,
             Response::ScanEnd => ST_SCAN_END,
             Response::Busy => ST_BUSY,
@@ -901,7 +745,6 @@ impl Response {
         match self {
             Response::Ok | Response::NotFound | Response::ScanEnd | Response::Busy => {}
             Response::Value(value) => put_bytes(&mut buf, value),
-            Response::Stats(stats) => stats.encode_into(&mut buf),
             Response::BatchValues(pairs) => {
                 buf.put_u32_le(pairs.len() as u32);
                 for (key, value) in pairs {
@@ -959,7 +802,6 @@ impl Response {
             ST_OK => Response::Ok,
             ST_VALUE => Response::Value(get_bytes(&mut cursor)?),
             ST_NOT_FOUND => Response::NotFound,
-            ST_STATS => Response::Stats(StatsSummary::decode_from(&mut cursor)?),
             ST_BATCH_VALUES => {
                 if cursor.remaining() < 4 {
                     return Err(Error::protocol("truncated batch-values count"));
@@ -1117,7 +959,6 @@ mod tests {
                     WireOp::put(Vec::new(), Vec::new()),
                 ],
             },
-            Request::Stats,
             Request::Scan {
                 start: b"a".to_vec(),
                 end: b"z".to_vec(),
@@ -1161,12 +1002,6 @@ mod tests {
             Response::Ok,
             Response::Value(b"payload".to_vec()),
             Response::NotFound,
-            Response::Stats(StatsSummary {
-                shards: 4,
-                puts: 10,
-                compaction_stall_micros: 99,
-                ..StatsSummary::default()
-            }),
             Response::Err("went wrong".to_owned()),
             Response::Busy,
             Response::BatchValues(vec![
@@ -1237,9 +1072,18 @@ mod tests {
         // Truncated PUT: opcode + half a key length.
         assert!(Request::decode(&[OP_PUT, 5, 0]).is_err());
         // Trailing junk.
-        let mut ok = Request::Stats.encode();
+        let mut ok = Request::Metrics.encode();
         ok.push(0);
         assert!(Request::decode(&ok).is_err());
+        // The reserved opcode 5 / status 3 stay unassigned, bare or with
+        // a body behind them.
+        for body_len in [0, 29 * 8] {
+            let mut frame = vec![5u8];
+            frame.resize(1 + body_len, 0);
+            assert!(Request::decode_any(&frame).is_err());
+            frame[0] = 3;
+            assert!(Response::decode_any(&frame).is_err());
+        }
     }
 
     #[test]
@@ -1301,7 +1145,7 @@ mod tests {
             Request::Batch {
                 ops: vec![WireOp::put(b"a".to_vec(), b"1".to_vec())],
             },
-            Request::Stats,
+            Request::Metrics,
         ];
         for (i, request) in requests.iter().enumerate() {
             let seq = u64::MAX - i as u64;
@@ -1323,12 +1167,6 @@ mod tests {
             Response::NotFound,
             Response::Busy,
             Response::Err("overloaded".to_owned()),
-            Response::Stats(StatsSummary {
-                admitted_writes: 10,
-                shed_writes: 3,
-                shed_connections: 1,
-                ..StatsSummary::default()
-            }),
         ];
         for (i, response) in responses.iter().enumerate() {
             let seq = 7_000 + i as u64;
@@ -1342,7 +1180,7 @@ mod tests {
 
     #[test]
     fn truncated_sequence_ids_are_rejected() {
-        let encoded = Request::Stats.encode_sequenced(42);
+        let encoded = Request::Metrics.encode_sequenced(42);
         // Tag byte alone, and every prefix of the 8-byte id.
         for cut in 1..9 {
             assert!(
@@ -1366,33 +1204,6 @@ mod tests {
         let mut junk = encoded.clone();
         junk.push(0);
         assert!(Response::decode(&junk).is_err());
-    }
-
-    #[test]
-    fn stats_summary_carries_the_admission_counters() {
-        let stats = StatsSummary {
-            shards: 2,
-            admitted_writes: 1_000,
-            shed_writes: 77,
-            shed_connections: 5,
-            frozen_queue_depth: 3,
-            slowdown_stalls: 11,
-            stop_stalls: 2,
-            bg_flushes: 40,
-            ..StatsSummary::default()
-        };
-        match Response::decode(&Response::Stats(stats).encode()).unwrap() {
-            Response::Stats(decoded) => {
-                assert_eq!(decoded.admitted_writes, 1_000);
-                assert_eq!(decoded.shed_writes, 77);
-                assert_eq!(decoded.shed_connections, 5);
-                assert_eq!(decoded.frozen_queue_depth, 3);
-                assert_eq!(decoded.slowdown_stalls, 11);
-                assert_eq!(decoded.stop_stalls, 2);
-                assert_eq!(decoded.bg_flushes, 40);
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1511,51 +1322,6 @@ mod tests {
         let mut hostile = vec![ST_METRICS];
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Response::decode(&hostile).is_err());
-    }
-
-    #[test]
-    fn legacy_stats_encoding_is_byte_identical() {
-        // The positional STATS frame is frozen: 1 status byte + 29
-        // little-endian u64 fields in declaration order. METRICS is the
-        // self-describing successor; this asserts the legacy bytes
-        // never drift.
-        let stats = StatsSummary {
-            shards: 1,
-            puts: 2,
-            deletes: 3,
-            write_batches: 4,
-            gets: 5,
-            memtable_hits: 6,
-            range_scans: 7,
-            range_pruned_tables: 8,
-            tables_probed: 9,
-            bloom_negative_probes: 10,
-            data_block_reads: 11,
-            data_block_read_bytes: 12,
-            table_cache_hits: 13,
-            table_cache_misses: 14,
-            block_cache_hits: 15,
-            block_cache_misses: 16,
-            flushes: 17,
-            compactions: 18,
-            auto_compactions: 19,
-            compaction_entry_cost: 20,
-            compaction_stall_micros: 21,
-            live_tables: 22,
-            admitted_writes: 23,
-            shed_writes: 24,
-            shed_connections: 25,
-            frozen_queue_depth: 26,
-            slowdown_stalls: 27,
-            stop_stalls: 28,
-            bg_flushes: 29,
-        };
-        let encoded = Response::Stats(stats).encode();
-        let mut expected = vec![ST_STATS];
-        for field in 1..=29u64 {
-            expected.extend_from_slice(&field.to_le_bytes());
-        }
-        assert_eq!(encoded, expected);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use obs::{HistogramSnapshot, LatencyHistogram};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::protocol::{
-    read_frame, write_frame, EventBatch, FrameRead, Request, Response, StatsSummary, WireEvent,
+    read_frame, write_frame, EventBatch, FrameRead, Request, Response, WireEvent,
     MAX_WIRE_ELEMENTS, SCAN_BATCH_MAX_BYTES, SCAN_BATCH_MAX_ENTRIES,
 };
 use crate::{Error, ShardedKv, ThreadPool};
@@ -79,7 +79,6 @@ impl ServerMetrics {
             // not worth a histogram each.
             Request::Scan { .. }
             | Request::SnapScan { .. }
-            | Request::Stats
             | Request::Metrics
             | Request::Events { .. }
             | Request::SnapCreate
@@ -155,7 +154,7 @@ impl ServerOptions {
         self
     }
 
-    /// Enables STATS-driven admission control: writes to a shard past
+    /// Enables pressure-driven admission control: writes to a shard past
     /// the configured budgets are refused with `BUSY` (see
     /// [`AdmissionConfig`]). Disabled by default.
     #[must_use]
@@ -781,45 +780,9 @@ fn execute(
                 Err(e) => Response::Err(e.to_string()),
             }
         }
-        Request::Stats => {
-            let stats = store.stats();
-            let aggregate = stats.aggregate();
-            let admission = controller.counters();
-            Response::Stats(StatsSummary {
-                shards: store.shard_count() as u64,
-                puts: aggregate.puts,
-                deletes: aggregate.deletes,
-                write_batches: aggregate.write_batches,
-                gets: aggregate.gets,
-                memtable_hits: aggregate.memtable_hits,
-                range_scans: aggregate.range_scans,
-                range_pruned_tables: aggregate.range_pruned_tables,
-                tables_probed: aggregate.tables_probed,
-                bloom_negative_probes: aggregate.bloom_negative_probes,
-                data_block_reads: aggregate.data_block_reads,
-                data_block_read_bytes: aggregate.data_block_read_bytes,
-                table_cache_hits: aggregate.table_cache_hits,
-                table_cache_misses: aggregate.table_cache_misses,
-                block_cache_hits: aggregate.block_cache_hits,
-                block_cache_misses: aggregate.block_cache_misses,
-                flushes: aggregate.flushes,
-                compactions: aggregate.compactions,
-                auto_compactions: aggregate.auto_compactions,
-                compaction_entry_cost: aggregate.compaction_entry_cost(),
-                compaction_stall_micros: aggregate.compaction_stall.as_micros() as u64,
-                live_tables: stats.live_tables() as u64,
-                admitted_writes: admission.admitted_writes,
-                shed_writes: admission.shed_writes,
-                shed_connections: admission.shed_connections,
-                frozen_queue_depth: aggregate.frozen_queue_depth,
-                slowdown_stalls: aggregate.slowdown_stalls,
-                stop_stalls: aggregate.stop_stalls,
-                bg_flushes: aggregate.bg_flushes,
-            })
-        }
         Request::Metrics => {
             // The store contributes the merged engine histograms plus
-            // every STATS field as a `stats_`-prefixed counter; the
+            // the aggregated engine statistics as `stats_` counters; the
             // server layers its admission counters and request
             // histograms on top. One frame, fully self-describing.
             let mut snapshot = store.metrics_snapshot();

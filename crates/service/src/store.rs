@@ -444,10 +444,9 @@ impl ShardedKv {
     /// The store's self-describing metrics: every engine latency
     /// histogram merged across shards under its stable exposition name
     /// ([`lsm_engine::EngineMetrics::named_snapshots`]), plus the
-    /// aggregated engine statistics as `stats_`-prefixed counters — the
-    /// same numbers the positional `STATS` frame carries, now
-    /// name-tagged. (The server layers its own request histograms and
-    /// admission counters on top before answering `METRICS`.)
+    /// aggregated engine statistics as `stats_`-prefixed counters. (The
+    /// server layers its own request histograms and admission counters
+    /// on top before answering `METRICS`.)
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         // Merge shard histograms name-wise. Every shard emits the same
@@ -488,9 +487,8 @@ impl ShardedKv {
                 "stats_data_block_read_bytes".to_owned(),
                 aggregate.data_block_read_bytes,
             ),
-            // Named-only (the positional legacy STATS frame is frozen
-            // at 29 fields): logical bytes after decompression — the
-            // spread over read_bytes is the realized compression ratio.
+            // Logical bytes after decompression — the spread over
+            // read_bytes is the realized compression ratio.
             (
                 "stats_data_block_logical_bytes".to_owned(),
                 aggregate.data_block_logical_bytes,
@@ -536,9 +534,8 @@ impl ShardedKv {
             ),
             ("stats_stop_stalls".to_owned(), aggregate.stop_stalls),
             ("stats_bg_flushes".to_owned(), aggregate.bg_flushes),
-            // Storage-lifecycle counters (PR 8): WAL recovery taxonomy,
-            // manifest checkpointing and tombstone GC. Named-only — the
-            // positional legacy STATS frame is frozen at 29 fields.
+            // Storage-lifecycle counters: WAL recovery taxonomy,
+            // manifest checkpointing and tombstone GC.
             (
                 "stats_wal_segments_live".to_owned(),
                 aggregate.wal_segments_live,

@@ -13,7 +13,7 @@
 //! [`protocol`](crate::protocol); this module is only the shared
 //! client-side grammar over it.
 
-use crate::protocol::{EventBatch, Request, Response, StatsSummary};
+use crate::protocol::{EventBatch, Request, Response};
 use crate::Error;
 use obs::MetricsSnapshot;
 
@@ -107,14 +107,6 @@ pub(crate) fn expect_value(response: Response) -> Result<Option<Vec<u8>>, Error>
 pub(crate) fn expect_snapshot(response: Response) -> Result<u64, Error> {
     match response {
         Response::Snapshot(id) => Ok(id),
-        other => Err(fail(other)),
-    }
-}
-
-/// Interprets a `STATS` reply.
-pub(crate) fn expect_stats(response: Response) -> Result<StatsSummary, Error> {
-    match response {
-        Response::Stats(stats) => Ok(stats),
         other => Err(fail(other)),
     }
 }

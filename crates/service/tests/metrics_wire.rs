@@ -1,7 +1,7 @@
 //! End-to-end METRICS / EVENTS over a real server: the self-describing
-//! frame must agree with the legacy positional STATS frame, the merged
-//! engine histograms must have counted the traffic, and the event
-//! cursor must tail the maintenance trace without loss.
+//! frame must agree with the store's own statistics, the merged engine
+//! histograms must have counted the traffic, and the event cursor must
+//! tail the maintenance trace without loss.
 
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ fn serve() -> (kv_service::ServerHandle, Arc<ShardedKv>) {
 
 #[test]
 fn metrics_frame_counts_traffic_and_agrees_with_stats() {
-    let (handle, _store) = serve();
+    let (handle, store) = serve();
     let mut client = KvClient::connect(handle.addr()).unwrap();
 
     for i in 0..200u64 {
@@ -38,31 +38,32 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
     }
     client.delete_u64(7).unwrap();
 
-    let stats = client.stats().unwrap();
     let metrics = client.metrics().unwrap();
+    let stats = store.stats();
+    let aggregate = stats.aggregate();
 
-    // Satellite: every positional STATS field rides the METRICS frame
-    // as a `stats_`-prefixed named counter, and the values agree.
+    // The engine statistics ride the frame as `stats_`-prefixed named
+    // counters and agree with the store; the admission counters saw
+    // every write (200 puts + 1 delete) and shed none.
     for (name, expect) in [
-        ("stats_shards", stats.shards),
-        ("stats_puts", stats.puts),
-        ("stats_deletes", stats.deletes),
-        ("stats_gets", stats.gets),
-        ("stats_memtable_hits", stats.memtable_hits),
-        ("stats_flushes", stats.flushes),
-        ("stats_compactions", stats.compactions),
-        ("stats_live_tables", stats.live_tables),
-        ("stats_admitted_writes", stats.admitted_writes),
-        ("stats_shed_writes", stats.shed_writes),
-        ("stats_shed_connections", stats.shed_connections),
-        ("stats_bg_flushes", stats.bg_flushes),
+        ("stats_shards", 3),
+        ("stats_puts", aggregate.puts),
+        ("stats_deletes", aggregate.deletes),
+        ("stats_gets", aggregate.gets),
+        ("stats_memtable_hits", aggregate.memtable_hits),
+        ("stats_flushes", aggregate.flushes),
+        ("stats_compactions", aggregate.compactions),
+        ("stats_live_tables", stats.live_tables() as u64),
+        ("stats_admitted_writes", 201),
+        ("stats_shed_writes", 0),
+        ("stats_shed_connections", 0),
+        ("stats_bg_flushes", aggregate.bg_flushes),
     ] {
         assert_eq!(metrics.counter(name), Some(expect), "counter {name}");
     }
+    assert_eq!(aggregate.puts, 200);
+    assert_eq!(aggregate.gets, 100);
 
-    // The storage-lifecycle counters ride METRICS as named-only fields
-    // (the positional STATS frame is frozen at 29 slots and cannot
-    // carry them).
     assert!(
         metrics.counter("stats_manifest_checkpoint_seq").unwrap() >= 3,
         "every shard persists an initial manifest checkpoint at open"

@@ -187,19 +187,20 @@ fn open_loop_overload_sheds_but_never_loses_acked_writes() {
 
     // The server's shed/admit counters reconcile exactly with what the
     // clients observed.
-    let stats = KvClient::connect(addr)
-        .expect("stats connect")
-        .stats()
-        .expect("stats");
-    assert_eq!(stats.shed_writes, baseline_busy + busy, "server shed count");
+    let metrics = KvClient::connect(addr)
+        .expect("metrics connect")
+        .metrics()
+        .expect("metrics");
+    let shed_writes = metrics.counter("stats_shed_writes").unwrap();
+    assert_eq!(shed_writes, baseline_busy + busy, "server shed count");
     assert_eq!(
-        stats.admitted_writes,
+        metrics.counter("stats_admitted_writes").unwrap(),
         // Load-phase-free test: every admitted write came from the
         // baseline burst or the open-loop drivers.
         baseline_acked.len() as u64 + acked.len() as u64,
         "server admitted count"
     );
-    assert!(stats.shed_writes > 0 || client_shed > 0);
+    assert!(shed_writes > 0 || client_shed > 0);
 
     // Crash the whole process state: server down, engine dropped
     // without flushing. The memtable contents survive only via WAL.
@@ -306,9 +307,12 @@ fn writes_to_a_stalled_shard_are_shed_while_reads_and_other_shards_proceed() {
         .put_u64(stalled_key, b"x".to_vec())
         .expect("stalled shard admits writes after the compaction");
 
-    let stats = client.stats().expect("stats");
-    assert!(stats.shed_writes >= 1, "the BUSY write was counted");
-    assert!(stats.admitted_writes >= 202);
+    let metrics = client.metrics().expect("metrics");
+    assert!(
+        metrics.counter("stats_shed_writes").unwrap() >= 1,
+        "the BUSY write was counted"
+    );
+    assert!(metrics.counter("stats_admitted_writes").unwrap() >= 202);
     handle.shutdown();
 }
 
@@ -341,22 +345,27 @@ fn session_cap_refuses_extra_connections_with_busy() {
     drop(refused);
 
     // Releasing the held session frees the slot; the server then serves
-    // again and reports the refusal in STATS.
+    // again and reports the refusal in METRICS.
     drop(held);
     let deadline = Instant::now() + Duration::from_secs(5);
-    let stats = loop {
-        match KvClient::connect(addr).and_then(|mut c| c.stats()) {
-            Ok(stats) => break stats,
+    let metrics = loop {
+        match KvClient::connect(addr).and_then(|mut c| c.metrics()) {
+            Ok(metrics) => break metrics,
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(20));
             }
-            Err(e) => panic!("stats never became reachable: {e}"),
+            Err(e) => panic!("metrics never became reachable: {e}"),
         }
     };
     assert!(
-        stats.shed_connections >= 1,
-        "the refused connection must be counted: {stats:?}"
+        metrics.counter("stats_shed_connections").unwrap() >= 1,
+        "the refused connection must be counted: {:?}",
+        metrics.counters
     );
-    assert_eq!(stats.puts, 1, "the refused put must not have applied");
+    assert_eq!(
+        metrics.counter("stats_puts"),
+        Some(1),
+        "the refused put must not have applied"
+    );
     handle.shutdown();
 }

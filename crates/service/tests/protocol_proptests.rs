@@ -5,7 +5,7 @@
 //! rejected, and random garbage never decodes to the wrong thing or
 //! panics.
 
-use kv_service::{EventBatch, Request, Response, StatsSummary, WireEvent, WireOp};
+use kv_service::{EventBatch, Request, Response, WireEvent, WireOp};
 use obs::{HistogramSnapshot, MetricsSnapshot};
 use proptest::prelude::*;
 
@@ -382,8 +382,8 @@ proptest! {
     }
 }
 
-/// The full request/response palette (old and new opcodes) still
-/// round-trips after the scan additions — no tag collisions.
+/// The full request/response palette round-trips with no tag
+/// collisions, and the reserved opcode 5 / status 3 decode as errors.
 #[test]
 fn whole_palette_roundtrips() {
     let requests = vec![
@@ -396,7 +396,6 @@ fn whole_palette_roundtrips() {
         Request::Batch {
             ops: vec![WireOp::put(b"a".to_vec(), b"1".to_vec())],
         },
-        Request::Stats,
         Request::Scan {
             start: b"a".to_vec(),
             end: b"b".to_vec(),
@@ -439,12 +438,6 @@ fn whole_palette_roundtrips() {
         Response::Value(b"v".to_vec()),
         Response::NotFound,
         Response::Busy,
-        Response::Stats(StatsSummary {
-            range_scans: 7,
-            range_pruned_tables: 3,
-            shed_writes: 11,
-            ..StatsSummary::default()
-        }),
         Response::BatchValues(vec![(b"k".to_vec(), b"v".to_vec())]),
         Response::ScanEnd,
         Response::Err("boom".to_owned()),
@@ -468,14 +461,15 @@ fn whole_palette_roundtrips() {
     for response in &responses {
         assert_eq!(&Response::decode(&response.encode()).unwrap(), response);
     }
-    // The stats summary carries the scan and admission counters
-    // through the wire.
-    match Response::decode(&responses[4].encode()).unwrap() {
-        Response::Stats(stats) => {
-            assert_eq!(stats.range_scans, 7);
-            assert_eq!(stats.range_pruned_tables, 3);
-            assert_eq!(stats.shed_writes, 11);
+    // Reserved tags never decode, bare or with a body behind them, in
+    // either framing.
+    for body_len in [0usize, 8, 29 * 8] {
+        for flag in [0u8, 0x80] {
+            let mut frame = vec![0u8; 1 + body_len];
+            frame[0] = 5 | flag;
+            assert!(Request::decode_any(&frame).is_err());
+            frame[0] = 3 | flag;
+            assert!(Response::decode_any(&frame).is_err());
         }
-        other => panic!("expected stats, got {other:?}"),
     }
 }

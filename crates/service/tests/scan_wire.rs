@@ -136,11 +136,11 @@ fn scans_interleave_with_writes_and_stats_on_one_connection() {
             .expect("put");
         let keys = client.scan_u64(0..20_000, 0).expect("scan").count() as u64;
         assert_eq!(keys, 500 + round + 1, "round {round}");
-        let stats = client.stats().expect("stats");
-        assert!(stats.range_scans > round);
+        let metrics = client.metrics().expect("metrics");
+        assert!(metrics.counter("stats_range_scans").unwrap() > round);
     }
-    // The wire stats carry the scan counters.
-    let stats = client.stats().expect("stats");
-    assert!(stats.range_scans >= 3);
+    // The wire metrics carry the scan counters.
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.counter("stats_range_scans").unwrap() >= 3);
     handle.shutdown();
 }

@@ -266,12 +266,13 @@ fn gets_on_a_compacting_shard_are_served_over_tcp() {
         stats.per_shard[0].stats.compactions >= 1,
         "shard 0 never compacted"
     );
-    // The wire-level STATS frame carries the new read-path counters.
-    let summary = client.stats().expect("stats");
-    assert!(summary.gets >= 600);
-    assert!(summary.table_cache_hits + summary.table_cache_misses > 0);
+    // The wire-level METRICS frame carries the read-path counters.
+    let metrics = client.metrics().expect("metrics");
+    let counter = |name: &str| metrics.counter(name).expect(name);
+    assert!(counter("stats_gets") >= 600);
+    assert!(counter("stats_table_cache_hits") + counter("stats_table_cache_misses") > 0);
     assert!(
-        summary.block_cache_hits > 0,
+        counter("stats_block_cache_hits") > 0,
         "repeated GETs must hit the block cache"
     );
     handle.shutdown();

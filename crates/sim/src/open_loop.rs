@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use compaction_core::Strategy;
 use kv_service::{
     AdmissionConfig, KvClient, KvServer, PipelinedClient, Request, Response, ServerOptions,
-    ShardedKv, StatsSummary, WireOp,
+    ShardedKv, WireOp,
 };
 use lsm_engine::{CompactionPolicy, HistogramSnapshot, LsmOptions, MetricsSnapshot};
 use ycsb_gen::{Distribution, Operation, OperationKind, WorkloadSpec};
@@ -424,8 +424,14 @@ impl OpenLoopConfig {
         handle: &kv_service::ServerHandle,
         store: &Arc<ShardedKv>,
     ) -> OpenLoopRow {
-        let server = fetch_stats(handle.addr());
         let metrics = fetch_metrics(handle.addr());
+        // A missing counter would put a silent zero in the shed/admit
+        // columns of the report — and any baseline copied from it.
+        let counter = |name: &str| {
+            metrics
+                .counter(name)
+                .unwrap_or_else(|| panic!("METRICS frame lacks counter {name}"))
+        };
         // The server's own view of point-op latency: every timed request
         // kind the measured cell issues, merged into one histogram.
         // BATCH is deliberately excluded — the load phase is the only
@@ -469,12 +475,12 @@ impl OpenLoopConfig {
             completed,
             busy,
             client_shed,
-            server_admitted_writes: server.admitted_writes,
-            server_shed_writes: server.shed_writes,
-            server_shed_connections: server.shed_connections,
-            server_slowdown_stalls: server.slowdown_stalls,
-            server_stop_stalls: server.stop_stalls,
-            server_bg_flushes: server.bg_flushes,
+            server_admitted_writes: counter("stats_admitted_writes"),
+            server_shed_writes: counter("stats_shed_writes"),
+            server_shed_connections: counter("stats_shed_connections"),
+            server_slowdown_stalls: counter("stats_slowdown_stalls"),
+            server_stop_stalls: counter("stats_stop_stalls"),
+            server_bg_flushes: counter("stats_bg_flushes"),
             p50_micros: percentile_permille(&latencies, 500),
             p99_micros: percentile_permille(&latencies, 990),
             p999_micros: percentile_permille(&latencies, 999),
@@ -535,26 +541,11 @@ fn value_for(key: u64) -> Vec<u8> {
     key.to_le_bytes().to_vec()
 }
 
-/// Fetches the server's STATS frame on a fresh connection, retrying
+/// Fetches the server's METRICS frame on a fresh connection, retrying
 /// transient failures (e.g. a session slot not yet freed after the
 /// drivers disconnected). Silently reporting zeros here would poison
 /// the shed/admit columns of the report — and any baseline copied from
 /// it — so persistent failure is fatal instead.
-fn fetch_stats(addr: std::net::SocketAddr) -> StatsSummary {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match KvClient::connect(addr).and_then(|mut c| c.stats()) {
-            Ok(stats) => return stats,
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => panic!("post-cell STATS fetch never succeeded: {e}"),
-        }
-    }
-}
-
-/// Fetches the server's METRICS frame on a fresh connection, with the
-/// same retry/fail-loudly contract as [`fetch_stats`].
 fn fetch_metrics(addr: std::net::SocketAddr) -> MetricsSnapshot {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -30,7 +30,8 @@
 //!   the live server, per shard count and strategy).
 //! * [`service`] (`kv-service`) — the sharded concurrent KV service:
 //!   shard router, batched per-shard writes, TCP front-end
-//!   (`GET`/`PUT`/`DEL`/`BATCH`/`STATS`) and a worker-pool server;
+//!   (`GET`/`PUT`/`DEL`/`BATCH`/`SCAN`/`METRICS`/…) and a worker-pool
+//!   server;
 //!   `GET`s never take a shard lock, so reads proceed while any shard —
 //!   including their own — flushes or compacts.
 //!

@@ -2,8 +2,9 @@
 //! on scaled-down versions of the evaluation's experiments. These are the
 //! automated counterparts of EXPERIMENTS.md.
 
-use nosql_compaction::core::Strategy;
-use nosql_compaction::sim::{Fig7Config, Fig8Config, Fig9Config, Fig9Sweep};
+use nosql_compaction::core::{schedule_with, Strategy};
+use nosql_compaction::sim::{Fig7Config, Fig8Config, Fig9Config, Fig9Sweep, SstableGenerator};
+use nosql_compaction::ycsb::WorkloadSpec;
 
 /// Section 5.2 / Figure 7a: compaction cost decreases with the update
 /// percentage for every strategy, and RANDOM is the worst strategy at low
@@ -61,41 +62,64 @@ fn figure7_cost_trends() {
     );
 }
 
-/// Figure 7b: the parallel BT(I) implementation completes compaction at
-/// least as fast as single-threaded SI on insert-heavy workloads (where
-/// there is real merge work to parallelize), while producing a comparable
-/// cost.
+/// Figure 7b, stated without a clock: the parallel BT(I) implementation
+/// is competitive with single-threaded SI on insert-heavy workloads
+/// (where there is real merge work to parallelize) because its *critical
+/// path* — one merge per dependency wave, the most expensive of the
+/// wave, every other merge of the wave running beside it — moves no more
+/// entries than SI moves serially, while the two schedules' total cost
+/// nearly coincides. Wall-clock for the same claim is the `fig7` bench's
+/// column.
 #[test]
 fn figure7_time_bt_parallel_is_competitive() {
-    let mut config = Fig7Config::quick();
-    config.update_percents = vec![0];
-    config.operation_count = 20_000;
-    let rows = config.run();
-    let si = rows
-        .iter()
-        .find(|r| r.strategy == Strategy::SmallestInput)
-        .unwrap();
-    let bt = rows
-        .iter()
-        .find(|r| r.strategy == Strategy::BalanceTreeInput)
-        .unwrap();
-    // Cost parity (the paper observes SI and BT(I) nearly coincide).
-    assert!(
-        (bt.cost.mean - si.cost.mean).abs() / si.cost.mean < 0.25,
-        "BT(I) cost {} too far from SI cost {}",
-        bt.cost.mean,
-        si.cost.mean
-    );
-    // Time: allow generous slack (3x) because at this scale per-wave
-    // thread-spawn overhead and machine scheduling noise dwarf the
-    // parallel win (debug builds land around 2x on loaded machines), but
-    // BT(I) must not be wildly slower than SI.
-    assert!(
-        bt.time_ms.mean <= si.time_ms.mean * 3.0,
-        "parallel BT(I) ({} ms) should be competitive with SI ({} ms)",
-        bt.time_ms.mean,
-        si.time_ms.mean
-    );
+    let config = Fig7Config::quick();
+    for run in 0..config.runs as u64 {
+        let spec = WorkloadSpec::builder()
+            .record_count(config.record_count)
+            .operation_count(config.operation_count)
+            .update_percent(0)
+            .distribution(config.distribution)
+            .seed(config.seed + run)
+            .build()
+            .expect("valid spec");
+        let sstables = SstableGenerator::new(config.memtable_size).generate(&spec);
+        let si = schedule_with(Strategy::SmallestInput, &sstables, config.fanin).unwrap();
+        let bt = schedule_with(Strategy::BalanceTreeInput, &sstables, config.fanin).unwrap();
+
+        // Cost parity (the paper observes SI and BT(I) nearly coincide).
+        let si_cost = si.cost_actual(&sstables) as f64;
+        let bt_cost = bt.cost_actual(&sstables) as f64;
+        assert!(
+            (bt_cost - si_cost).abs() / si_cost < 0.25,
+            "BT(I) cost {bt_cost} too far from SI cost {si_cost}"
+        );
+
+        // Entries one merge reads and writes: its inputs plus its output.
+        let outputs = bt.outputs(&sstables);
+        let n = bt.n_initial();
+        let slot_len = |slot: usize| match slot.checked_sub(n) {
+            None => sstables[slot].len(),
+            Some(op) => outputs[op].len(),
+        };
+        let merge_cost = |op: usize| {
+            let inputs: usize = bt.ops()[op].inputs.iter().map(|&s| slot_len(s)).sum();
+            (inputs + outputs[op].len()) as f64
+        };
+        let waves = bt.dependency_waves();
+        assert!(
+            waves.len() < bt.len(),
+            "BT(I) over {n} tables must have parallel waves"
+        );
+        let critical_path: f64 = waves
+            .iter()
+            .map(|wave| wave.iter().map(|&op| merge_cost(op)).fold(0.0, f64::max))
+            .sum();
+        assert!(
+            critical_path <= si_cost,
+            "BT(I)'s wave critical path ({critical_path} entries) exceeds SI's serial cost \
+             ({si_cost} entries)"
+        );
+    }
 }
 
 /// Figure 8: BT(I)'s cost tracks the lower-bounded optimum within a

@@ -61,15 +61,16 @@ fn wire_scan_streams_more_than_ten_thousand_keys_in_bounded_chunks() {
     drop(stream);
 
     // A narrow follow-up scan proves range pruning end to end: the
-    // wire STATS frame carries range_pruned_tables > 0.
+    // wire METRICS frame carries stats_range_pruned_tables > 0.
     let narrow = client.scan_u64(100..200, 0).expect("scan");
     assert_eq!(narrow.count(), 100);
-    let stats = client.stats().expect("stats");
-    assert!(stats.range_scans >= 6, "per-shard scans counted");
+    let metrics = client.metrics().expect("metrics");
+    let counter = |name: &str| metrics.counter(name).expect(name);
+    assert!(counter("stats_range_scans") >= 6, "per-shard scans counted");
     assert!(
-        stats.range_pruned_tables > 0,
+        counter("stats_range_pruned_tables") > 0,
         "narrow scan pruned no tables across {} live tables",
-        stats.live_tables
+        counter("stats_live_tables")
     );
     handle.shutdown();
 }

@@ -78,7 +78,7 @@ fn bench_lsm(c: &mut Criterion) {
             let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(1_000).wal(false))
                 .unwrap();
             for i in 0u64..10_000 {
-                db.put_u64(black_box(i % 4_000), b"value".to_vec()).unwrap();
+                db.put(black_box(i % 4_000), b"value".to_vec()).unwrap();
             }
             db.flush().unwrap();
             db.live_tables().len()
@@ -91,7 +91,7 @@ fn bench_lsm(c: &mut Criterion) {
                     Lsm::open_in_memory(LsmOptions::default().memtable_capacity(500).wal(false))
                         .unwrap();
                 for i in 0u64..5_000 {
-                    db.put_u64(i % 2_000, b"value".to_vec()).unwrap();
+                    db.put(i % 2_000, b"value".to_vec()).unwrap();
                 }
                 db.flush().unwrap();
                 db
@@ -107,12 +107,12 @@ fn bench_lsm(c: &mut Criterion) {
         let db =
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(500).wal(false)).unwrap();
         for i in 0u64..5_000 {
-            db.put_u64(i, b"value".to_vec()).unwrap();
+            db.put(i, b"value".to_vec()).unwrap();
         }
         db.flush().unwrap();
         let n = db.live_tables().len();
         db.major_compact(&caterpillar(n)).unwrap();
-        b.iter(|| db.get_u64(black_box(2_345)).unwrap())
+        b.iter(|| db.get(black_box(2_345)).unwrap())
     });
     group.finish();
 }
@@ -131,7 +131,7 @@ fn bench_schedule_to_physical(c: &mut Criterion) {
                     Lsm::open_in_memory(LsmOptions::default().memtable_capacity(400).wal(false))
                         .unwrap();
                 for i in 0u64..4_000 {
-                    db.put_u64((i * 7) % 3_000, b"v".to_vec()).unwrap();
+                    db.put((i * 7) % 3_000, b"v".to_vec()).unwrap();
                 }
                 db.flush().unwrap();
                 db

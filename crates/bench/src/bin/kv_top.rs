@@ -89,9 +89,9 @@ impl SpawnedServer {
             while !traffic_stop.load(Ordering::Relaxed) {
                 let key = i % 5_000;
                 let sent = if i.is_multiple_of(4) {
-                    client.get_u64(key).map(|_| ())
+                    client.get(key).map(|_| ())
                 } else {
-                    client.put_u64(key, key.to_le_bytes().to_vec())
+                    client.put(key, key.to_le_bytes().to_vec())
                 };
                 if sent.is_err() {
                     break;

@@ -29,7 +29,11 @@ fn main() {
     eprintln!(
         "range_delete: {} keys, expiring prefix of {}, {}-byte values, \
          memtable {}, trigger {} tables",
-        config.keys, config.expired, config.value_bytes, config.memtable_capacity, config.trigger_tables,
+        config.keys,
+        config.expired,
+        config.value_bytes,
+        config.memtable_capacity,
+        config.trigger_tables,
     );
     let rows = config.run();
     if csv {

@@ -79,8 +79,7 @@ fn build_store(config: &Config) -> (Arc<MemoryStorage>, Lsm) {
     )
     .expect("in-memory open cannot fail");
     for key in 0..config.records {
-        db.put_u64(key, value_for(key, config.value_len))
-            .expect("put");
+        db.put(key, value_for(key, config.value_len)).expect("put");
     }
     db.flush().expect("flush");
     assert_eq!(db.memtable_len(), 0, "reads must hit sstables only");
@@ -96,7 +95,7 @@ fn run_lazy(config: &Config) -> (PhaseResult, PhaseResult, Lsm) {
         let stats_before = db.stats();
         let started = Instant::now();
         for &key in &keys {
-            assert!(db.get_u64(key).expect("get").is_some(), "key {key}");
+            assert!(db.get(key).expect("get").is_some(), "key {key}");
         }
         let elapsed = started.elapsed();
         PhaseResult {
@@ -112,7 +111,7 @@ fn run_lazy(config: &Config) -> (PhaseResult, PhaseResult, Lsm) {
         let stats_before = db.stats();
         let started = Instant::now();
         for &key in &keys {
-            assert!(db.get_u64(key).expect("get").is_some(), "key {key}");
+            assert!(db.get(key).expect("get").is_some(), "key {key}");
         }
         let elapsed = started.elapsed();
         PhaseResult {

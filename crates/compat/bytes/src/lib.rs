@@ -264,13 +264,6 @@ pub trait Buf {
         self.copy_to_slice(&mut buf);
         u64::from_le_bytes(buf)
     }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut buf = [0u8; 8];
-        self.copy_to_slice(&mut buf);
-        u64::from_be_bytes(buf)
-    }
 }
 
 impl Buf for &[u8] {
@@ -314,11 +307,6 @@ pub trait BufMut {
     /// Appends a little-endian `u64`.
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
     }
 }
 
@@ -368,14 +356,5 @@ mod tests {
         assert_eq!(cursor, b"tail");
         cursor.advance(4);
         assert_eq!(cursor.remaining(), 0);
-    }
-
-    #[test]
-    fn big_endian_helpers() {
-        let mut out = Vec::new();
-        out.put_u64(42);
-        assert_eq!(out, 42u64.to_be_bytes());
-        let mut cursor: &[u8] = &out;
-        assert_eq!(cursor.get_u64(), 42);
     }
 }

@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 
-use crate::types::{key_from_u64, Key, Value, ValueKind};
+use crate::types::{IntoKey, Key, Value, ValueKind};
 
 /// One operation of a [`WriteBatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,12 +39,12 @@ pub struct BatchOp {
 /// # fn main() -> Result<(), lsm_engine::Error> {
 /// let db = Lsm::open_in_memory(LsmOptions::default())?;
 /// let mut batch = WriteBatch::new();
-/// batch.put_u64(1, b"one".to_vec());
-/// batch.put_u64(2, b"two".to_vec());
-/// batch.delete_u64(1);
+/// batch.put(1, b"one".to_vec().into());
+/// batch.put(2, b"two".to_vec().into());
+/// batch.delete(1);
 /// db.write_batch(batch)?;
-/// assert_eq!(db.get_u64(1)?, None);
-/// assert_eq!(db.get_u64(2)?.as_deref(), Some(b"two".as_slice()));
+/// assert_eq!(db.get(1)?, None);
+/// assert_eq!(db.get(2)?.as_deref(), Some(b"two".as_slice()));
 /// # Ok(())
 /// # }
 /// ```
@@ -69,9 +69,9 @@ impl WriteBatch {
     }
 
     /// Queues an insert/overwrite of `key`.
-    pub fn put(&mut self, key: Key, value: Value) -> &mut Self {
+    pub fn put(&mut self, key: impl IntoKey, value: Value) -> &mut Self {
         self.ops.push(BatchOp {
-            key,
+            key: key.into_key(),
             value,
             kind: ValueKind::Put,
         });
@@ -79,23 +79,13 @@ impl WriteBatch {
     }
 
     /// Queues a delete (tombstone) of `key`.
-    pub fn delete(&mut self, key: Key) -> &mut Self {
+    pub fn delete(&mut self, key: impl IntoKey) -> &mut Self {
         self.ops.push(BatchOp {
-            key,
+            key: key.into_key(),
             value: Bytes::new(),
             kind: ValueKind::Tombstone,
         });
         self
-    }
-
-    /// Convenience: [`WriteBatch::put`] with an integer key.
-    pub fn put_u64(&mut self, key: u64, value: impl Into<Vec<u8>>) -> &mut Self {
-        self.put(key_from_u64(key), Bytes::from(value.into()))
-    }
-
-    /// Convenience: [`WriteBatch::delete`] with an integer key.
-    pub fn delete_u64(&mut self, key: u64) -> &mut Self {
-        self.delete(key_from_u64(key))
     }
 
     /// Number of queued operations.
@@ -134,11 +124,12 @@ impl WriteBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::key_from_u64;
 
     #[test]
     fn batch_accumulates_in_order() {
         let mut batch = WriteBatch::with_capacity(3);
-        batch.put_u64(1, b"a".to_vec()).delete_u64(2);
+        batch.put(1, b"a".to_vec().into()).delete(2);
         batch.put(key_from_u64(3), Bytes::from_static(b"c"));
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());

@@ -94,7 +94,7 @@ use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::scan::RangeIter;
 use crate::sstable::{Sstable, SstableBuilder};
 use crate::storage::{FileStorage, MemoryStorage, Storage};
-use crate::types::{key_from_u64, Entry, IntoKey, Key, RangeTombstone, SeqNo, Value, ValueKind};
+use crate::types::{Entry, IntoKey, Key, RangeTombstone, SeqNo, Value, ValueKind};
 use crate::wal::{RecoveryReport, Wal, WalRecord};
 use crate::Error;
 
@@ -717,8 +717,7 @@ impl Lsm {
     ///
     /// The key is anything [`IntoKey`] covers — `Key` bytes, slices,
     /// strings, or a `u64` (big-endian encoded so lexicographic order
-    /// matches numeric order). One keyed surface replaces the old
-    /// per-type variants.
+    /// matches numeric order).
     ///
     /// # Errors
     ///
@@ -809,27 +808,6 @@ impl Lsm {
         self.inner.write_batch(batch)
     }
 
-    /// Thin shim over [`Lsm::put`], kept for callers written against
-    /// the pre-[`IntoKey`] API. Prefer `put(key, value)` — a `u64` key
-    /// is accepted directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Lsm::put`].
-    pub fn put_u64(&self, key: u64, value: impl Into<Vec<u8>>) -> Result<(), Error> {
-        self.put(key_from_u64(key), Bytes::from(value.into()))
-    }
-
-    /// Thin shim over [`Lsm::delete`], kept for callers written against
-    /// the pre-[`IntoKey`] API. Prefer `delete(key)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Lsm::delete`].
-    pub fn delete_u64(&self, key: u64) -> Result<(), Error> {
-        self.delete(key_from_u64(key))
-    }
-
     /// Point read: newest visible value for `key`, or `None` if the key
     /// was never written or its newest version is a tombstone.
     ///
@@ -845,17 +823,6 @@ impl Lsm {
     /// Propagates storage and corruption errors.
     pub fn get(&self, key: impl IntoKey) -> Result<Option<Value>, Error> {
         self.inner.get(&key.into_key())
-    }
-
-    /// Thin shim over [`Lsm::get`], kept for callers written against
-    /// the pre-[`IntoKey`] API. Prefer `get(key)` — a `u64` key is
-    /// accepted directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Lsm::get`].
-    pub fn get_u64(&self, key: u64) -> Result<Option<Value>, Error> {
-        self.get(key_from_u64(key))
     }
 
     /// Flushes the memtable to a new sstable even if it is not full.
@@ -986,16 +953,16 @@ impl Lsm {
     /// # Examples
     ///
     /// ```
-    /// use lsm_engine::{Lsm, LsmOptions};
+    /// use lsm_engine::{key_from_u64, key_to_u64, Lsm, LsmOptions};
     ///
     /// # fn main() -> Result<(), lsm_engine::Error> {
     /// let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(4))?;
     /// for i in 0u64..20 {
-    ///     db.put_u64(i, vec![i as u8])?;
+    ///     db.put(i, vec![i as u8])?;
     /// }
     /// let hits: Vec<u64> = db
-    ///     .range_u64(5..9)
-    ///     .map(|r| r.map(|(k, _)| lsm_engine::key_to_u64(&k).unwrap()))
+    ///     .range(key_from_u64(5)..key_from_u64(9))
+    ///     .map(|r| r.map(|(k, _)| key_to_u64(&k).unwrap()))
     ///     .collect::<Result<_, _>>()?;
     /// assert_eq!(hits, vec![5, 6, 7, 8]);
     /// # Ok(())
@@ -1007,13 +974,6 @@ impl Lsm {
             self.inner.as_ref(),
             (range.start_bound().cloned(), range.end_bound().cloned()),
         )
-    }
-
-    /// Thin shim over [`Lsm::range`] for big-endian-encoded integer
-    /// keys (half-open, like the `start..end` it takes), kept for
-    /// callers written against the pre-[`IntoKey`] API.
-    pub fn range_u64(&self, range: std::ops::Range<u64>) -> RangeIter<'_> {
-        self.range(key_from_u64(range.start)..key_from_u64(range.end))
     }
 }
 
@@ -1066,11 +1026,6 @@ impl Snapshot {
             (range.start_bound().cloned(), range.end_bound().cloned()),
             self.lsn,
         )
-    }
-
-    /// [`Snapshot::range`] over big-endian-encoded integer keys.
-    pub fn range_u64(&self, range: std::ops::Range<u64>) -> RangeIter<'_> {
-        self.range(key_from_u64(range.start)..key_from_u64(range.end))
     }
 
     /// Every live `(key, value)` pair as of the pinned LSN, collected.
@@ -2694,7 +2649,7 @@ mod tests {
     }
 
     fn get_vec(db: &Lsm, key: u64) -> Option<Vec<u8>> {
-        db.get_u64(key).unwrap().map(|v| v.to_vec())
+        db.get(key).unwrap().map(|v| v.to_vec())
     }
 
     /// Polls `cond` until it holds or `deadline` elapses.
@@ -2734,9 +2689,9 @@ mod tests {
     #[test]
     fn put_get_delete_in_memtable() {
         let db = small_db();
-        db.put_u64(1, b"one".to_vec()).unwrap();
+        db.put(1, b"one".to_vec()).unwrap();
         assert_eq!(get_vec(&db, 1), Some(b"one".to_vec()));
-        db.delete_u64(1).unwrap();
+        db.delete(1).unwrap();
         assert_eq!(get_vec(&db, 1), None);
         assert_eq!(get_vec(&db, 2), None);
         assert_eq!(db.stats().puts, 1);
@@ -2748,7 +2703,7 @@ mod tests {
     fn automatic_flush_on_capacity() {
         let db = small_db();
         for i in 0..25u64 {
-            db.put_u64(i, vec![b'x']).unwrap();
+            db.put(i, vec![b'x']).unwrap();
         }
         assert!(db.stats().flushes >= 2, "memtable capacity 10 ⇒ ≥2 flushes");
         assert!(db.live_tables().len() >= 2);
@@ -2761,13 +2716,13 @@ mod tests {
     #[test]
     fn newest_version_wins_across_tables() {
         let db = small_db();
-        db.put_u64(7, b"v1".to_vec()).unwrap();
+        db.put(7, b"v1".to_vec()).unwrap();
         db.flush().unwrap();
-        db.put_u64(7, b"v2".to_vec()).unwrap();
+        db.put(7, b"v2".to_vec()).unwrap();
         db.flush().unwrap();
         assert_eq!(get_vec(&db, 7), Some(b"v2".to_vec()));
 
-        db.delete_u64(7).unwrap();
+        db.delete(7).unwrap();
         db.flush().unwrap();
         assert_eq!(get_vec(&db, 7), None, "tombstone shadows older puts");
     }
@@ -2776,9 +2731,9 @@ mod tests {
     fn major_compact_collapses_to_one_table() {
         let db = small_db();
         for i in 0..40u64 {
-            db.put_u64(i % 20, format!("v{i}").into_bytes()).unwrap();
+            db.put(i % 20, format!("v{i}").into_bytes()).unwrap();
         }
-        db.delete_u64(3).unwrap();
+        db.delete(3).unwrap();
         db.flush().unwrap();
         let n = db.live_tables().len();
         assert!(n >= 2);
@@ -2811,9 +2766,9 @@ mod tests {
     fn scan_all_merges_memtable_and_tables() {
         let db = small_db();
         for i in 0..15u64 {
-            db.put_u64(i, vec![i as u8]).unwrap();
+            db.put(i, vec![i as u8]).unwrap();
         }
-        db.delete_u64(2).unwrap();
+        db.delete(2).unwrap();
         // No explicit flush: some keys live in sstables (auto-flushed), the
         // rest in the memtable.
         let all = db.scan_all().unwrap();
@@ -2835,9 +2790,9 @@ mod tests {
                 LsmOptions::default().memtable_capacity(100),
             )
             .unwrap();
-            db.put_u64(1, b"persisted".to_vec()).unwrap();
-            db.put_u64(2, b"also".to_vec()).unwrap();
-            db.delete_u64(2).unwrap();
+            db.put(1, b"persisted".to_vec()).unwrap();
+            db.put(2, b"also".to_vec()).unwrap();
+            db.delete(2).unwrap();
             // Dropped without flush: data only in WAL.
         }
         let reopened = Lsm::open(storage, LsmOptions::default().memtable_capacity(100)).unwrap();
@@ -2853,7 +2808,7 @@ mod tests {
         {
             let db = Lsm::open_on_disk(&dir, LsmOptions::default().memtable_capacity(4)).unwrap();
             for i in 0..10u64 {
-                db.put_u64(i, format!("d{i}").into_bytes()).unwrap();
+                db.put(i, format!("d{i}").into_bytes()).unwrap();
             }
             db.flush().unwrap();
         }
@@ -2876,7 +2831,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..200u64 {
-            db.put_u64(i % 60, vec![i as u8]).unwrap();
+            db.put(i % 60, vec![i as u8]).unwrap();
         }
         db.flush().unwrap();
         assert!(
@@ -2915,7 +2870,7 @@ mod tests {
                 start.wait();
                 for i in 0..KEYS_PER_WRITER {
                     let key = writer * KEYS_PER_WRITER + i;
-                    db.put_u64(key, key.to_be_bytes().to_vec()).unwrap();
+                    db.put(key, key.to_be_bytes().to_vec()).unwrap();
                 }
                 done.send(()).unwrap();
             });
@@ -2941,7 +2896,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..70u64 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         db.flush().unwrap();
         assert!(db.stats().flushes >= 14);
@@ -2962,7 +2917,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..30u64 {
-            disabled.put_u64(i, b"x".to_vec()).unwrap();
+            disabled.put(i, b"x".to_vec()).unwrap();
         }
         disabled.flush().unwrap();
         let tables = disabled.live_tables().len();
@@ -2975,7 +2930,7 @@ mod tests {
         let manual =
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(5).wal(false)).unwrap();
         for i in 0..30u64 {
-            manual.put_u64(i, b"x".to_vec()).unwrap();
+            manual.put(i, b"x".to_vec()).unwrap();
         }
         manual.flush().unwrap();
         assert!(manual.live_tables().len() >= 4);
@@ -3007,7 +2962,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..300u64 {
-                db.put_u64(i % 100, format!("v{i}").into_bytes()).unwrap();
+                db.put(i % 100, format!("v{i}").into_bytes()).unwrap();
             }
             db.flush().unwrap();
             db.scan_all().unwrap()
@@ -3025,7 +2980,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..20u64 {
-                db.put_u64(i, b"x".to_vec()).unwrap();
+                db.put(i, b"x".to_vec()).unwrap();
             }
             db.flush().unwrap();
         }
@@ -3054,9 +3009,9 @@ mod tests {
         let db = small_db();
         let mut batch = WriteBatch::with_capacity(25);
         for i in 0..25u64 {
-            batch.put_u64(i, format!("b{i}").into_bytes());
+            batch.put(i, format!("b{i}").into_bytes().into());
         }
-        batch.delete_u64(3).put_u64(4, b"rewritten".to_vec());
+        batch.delete(3).put(4, b"rewritten".to_vec().into());
         db.write_batch(batch).unwrap();
         // 27 ops against a capacity-10 memtable: one pass, one flush.
         assert_eq!(db.stats().flushes, 1, "single flush at the end");
@@ -3084,9 +3039,9 @@ mod tests {
             .unwrap();
             let mut batch = WriteBatch::new();
             batch
-                .put_u64(1, b"one".to_vec())
-                .put_u64(2, b"two".to_vec())
-                .delete_u64(1);
+                .put(1, b"one".to_vec().into())
+                .put(2, b"two".to_vec().into())
+                .delete(1);
             db.write_batch(batch).unwrap();
             // Dropped without flush: the batch lives only in the WAL.
         }
@@ -3146,7 +3101,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..5u64 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         let table_id = db.flush().unwrap().expect("flush produced a table");
         let obs = TableKeyObservation::load(storage.as_ref(), table_id)
@@ -3165,7 +3120,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..5u64 {
-                db.put_u64(i, b"x".to_vec()).unwrap();
+                db.put(i, b"x".to_vec()).unwrap();
             }
             db.flush().unwrap();
         }
@@ -3193,7 +3148,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..60u64 {
-            db.put_u64(i % 20, vec![i as u8]).unwrap();
+            db.put(i % 20, vec![i as u8]).unwrap();
         }
         db.flush().unwrap();
         assert!(db.stats().auto_compactions >= 1);
@@ -3218,7 +3173,7 @@ mod tests {
         let db =
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(5).wal(false)).unwrap();
         for i in 0..12u64 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         assert_eq!(get_vec(&db, 11), Some(b"x".to_vec()));
     }
@@ -3229,7 +3184,7 @@ mod tests {
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(8).wal(false)).unwrap(),
         );
         for i in 0..64u64 {
-            db.put_u64(i, vec![i as u8]).unwrap();
+            db.put(i, vec![i as u8]).unwrap();
         }
         db.flush().unwrap();
         std::thread::scope(|scope| {
@@ -3255,7 +3210,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..200u64 {
-            db.put_u64(i, format!("value-{i}").into_bytes()).unwrap();
+            db.put(i, format!("value-{i}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
         assert!(db.live_tables().len() >= 2);
@@ -3289,7 +3244,7 @@ mod tests {
     fn background_flush_serves_reads_and_persists() {
         let db = Lsm::open_in_memory(bg_options(4).wal(false)).unwrap();
         for i in 0..20u64 {
-            db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            db.put(i, format!("v{i}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
         assert_eq!(db.frozen_queue_depth(), 0, "flush drains the queue");
@@ -3311,7 +3266,7 @@ mod tests {
         gated.close_gate();
         let db = Lsm::open(Arc::clone(&gated) as Arc<dyn Storage>, bg_options(4)).unwrap();
         for i in 0..10u64 {
-            db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            db.put(i, format!("v{i}").into_bytes()).unwrap();
         }
         // Capacity 4 ⇒ rotations after keys 3 and 7; the flush thread is
         // parked on the storage gate, so both generations stay queued.
@@ -3344,7 +3299,7 @@ mod tests {
         gated.close_gate();
         let db = Lsm::open(Arc::clone(&gated) as Arc<dyn Storage>, bg_options(4)).unwrap();
         for i in 0..10u64 {
-            db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            db.put(i, format!("v{i}").into_bytes()).unwrap();
         }
         assert!(db.frozen_queue_depth() >= 2);
         assert_eq!(db.live_tables().len(), 0, "nothing flushed yet");
@@ -3376,7 +3331,7 @@ mod tests {
         gated.close_gate();
         let db = Lsm::open(Arc::clone(&gated) as Arc<dyn Storage>, bg_options(2)).unwrap();
         for i in 0..6u64 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         assert_eq!(db.frozen_queue_depth(), 3);
         let live = Wal::live_segments(gated.as_ref() as &dyn Storage);
@@ -3407,7 +3362,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..8u64 {
-                db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+                db.put(i, format!("v{i}").into_bytes()).unwrap();
             }
             assert!(db.frozen_queue_depth() >= 1);
             gated.open_gate();
@@ -3444,11 +3399,11 @@ mod tests {
                 .frozen_queue_limit(100),
         )
         .unwrap();
-        db.put_u64(0, b"x".to_vec()).unwrap();
-        db.put_u64(1, b"x".to_vec()).unwrap();
+        db.put(0, b"x".to_vec()).unwrap();
+        db.put(1, b"x".to_vec()).unwrap();
         assert_eq!(db.frozen_queue_depth(), 1);
         assert_eq!(db.pressure().stall_tier, StallTier::Slowdown);
-        db.put_u64(2, b"x".to_vec()).unwrap();
+        db.put(2, b"x".to_vec()).unwrap();
         let stats = db.stats();
         assert!(stats.slowdown_stalls >= 1, "write was delayed");
         assert!(
@@ -3463,7 +3418,7 @@ mod tests {
         );
         assert_eq!(db.pressure().stall_tier, StallTier::None, "tier released");
         let before = db.stats().slowdown_stalls;
-        db.put_u64(3, b"x".to_vec()).unwrap();
+        db.put(3, b"x".to_vec()).unwrap();
         assert_eq!(
             db.stats().slowdown_stalls,
             before,
@@ -3486,7 +3441,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..4u64 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         assert_eq!(db.frozen_queue_depth(), 2);
         assert_eq!(db.pressure().stall_tier, StallTier::Stop);
@@ -3495,7 +3450,7 @@ mod tests {
         let blocked_done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                db.put_u64(99, b"blocked".to_vec()).unwrap();
+                db.put(99, b"blocked".to_vec()).unwrap();
                 blocked_done.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(50));
@@ -3526,7 +3481,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..400u64 {
-            db.put_u64(i % 100, format!("v{i}").into_bytes()).unwrap();
+            db.put(i % 100, format!("v{i}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
         assert!(
@@ -3567,8 +3522,8 @@ mod tests {
             ),
             "idle engine plans with the cheap strategy"
         );
-        db.put_u64(0, b"x".to_vec()).unwrap();
-        db.put_u64(1, b"x".to_vec()).unwrap();
+        db.put(0, b"x".to_vec()).unwrap();
+        db.put(1, b"x".to_vec()).unwrap();
         assert_eq!(db.frozen_queue_depth(), 1);
         assert!(
             matches!(

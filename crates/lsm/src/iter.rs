@@ -157,11 +157,9 @@ impl Iterator for MergingIter {
             // A range tombstone at or below the floor shadows this
             // version — and, having a larger seqno, every older version
             // of the key too.
-            if self
-                .range_dels
-                .iter()
-                .any(|rd| rd.seqno <= self.retain_floor && rd.shadows(&item.entry.key, item.entry.seqno))
-            {
+            if self.range_dels.iter().any(|rd| {
+                rd.seqno <= self.retain_floor && rd.shadows(&item.entry.key, item.entry.seqno)
+            }) {
                 self.key_done = true;
                 continue;
             }
@@ -272,7 +270,11 @@ mod tests {
         let merged: Vec<u64> = MergingIter::with_visibility(src, false, 5, Vec::new())
             .map(|e| e.seqno)
             .collect();
-        assert_eq!(merged, vec![9, 6, 3], "3 is the newest version a pin at 5 sees");
+        assert_eq!(
+            merged,
+            vec![9, 6, 3],
+            "3 is the newest version a pin at 5 sees"
+        );
     }
 
     #[test]
@@ -282,14 +284,21 @@ mod tests {
         let merged: Vec<Entry> =
             MergingIter::with_visibility(src, false, SeqNo::MAX, vec![rd.clone()]).collect();
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].seqno, 8, "version newer than the range del survives");
+        assert_eq!(
+            merged[0].seqno, 8,
+            "version newer than the range del survives"
+        );
         assert_eq!(key_to_u64(&merged[1].key), Some(20), "outside the interval");
 
         // With the floor below the range del's seqno, nothing may drop:
         // a pin between the two could still read the old version.
         let src = vec![vec![put(1, "new", 8), put(1, "old", 2)]];
         let merged: Vec<Entry> = MergingIter::with_visibility(src, false, 3, vec![rd]).collect();
-        assert_eq!(merged.len(), 2, "floor 3 < rd seqno 5: covered version retained");
+        assert_eq!(
+            merged.len(),
+            2,
+            "floor 3 < rd seqno 5: covered version retained"
+        );
     }
 
     #[test]

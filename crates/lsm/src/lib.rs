@@ -80,10 +80,10 @@
 //!         .compaction_strategy(Strategy::BalanceTreeInput),
 //! )?;
 //! for i in 0u64..1_000 {
-//!     db.put_u64(i, format!("value-{i}").into_bytes())?;
+//!     db.put(i, format!("value-{i}").into_bytes())?;
 //! }
 //! db.flush()?;
-//! assert_eq!(db.get_u64(42)?.as_deref(), Some(b"value-42".as_slice()));
+//! assert_eq!(db.get(42)?.as_deref(), Some(b"value-42".as_slice()));
 //! assert!(db.live_tables().len() < 4, "the engine compacted itself");
 //! assert!(db.stats().auto_compactions >= 1);
 //! # Ok(())

@@ -349,13 +349,19 @@ mod tests {
         assert!(mt.approximate_size() > before);
         assert_eq!(mt.len(), 2, "range delete does not occupy key slots");
         assert!(!mt.is_empty());
-        assert_eq!(mt.max_covering_range_del(&key_from_u64(5), u64::MAX), Some(3));
+        assert_eq!(
+            mt.max_covering_range_del(&key_from_u64(5), u64::MAX),
+            Some(3)
+        );
         assert_eq!(
             mt.max_covering_range_del(&key_from_u64(5), 2),
             None,
             "a snapshot pinned before the delete does not see it"
         );
-        assert_eq!(mt.max_covering_range_del(&key_from_u64(100), u64::MAX), None);
+        assert_eq!(
+            mt.max_covering_range_del(&key_from_u64(100), u64::MAX),
+            None
+        );
         mt.clear();
         assert!(mt.range_dels().is_empty());
         assert!(mt.is_empty());
@@ -367,10 +373,7 @@ mod tests {
         mt.set_retain_floor(0);
         mt.put(key_from_u64(1), Bytes::from_static(b"old"), 1);
         mt.put(key_from_u64(1), Bytes::from_static(b"new"), 2);
-        let entries = mt.range(
-            &std::ops::Bound::Unbounded,
-            &std::ops::Bound::Unbounded,
-        );
+        let entries = mt.range(&std::ops::Bound::Unbounded, &std::ops::Bound::Unbounded);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].seqno, 2, "newest version first");
         assert_eq!(entries[1].seqno, 1);

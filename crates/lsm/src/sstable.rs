@@ -163,7 +163,9 @@ pub(crate) fn decode_range_dels(section: &[u8]) -> Result<Vec<RangeTombstone>, E
     let (payload, crc_bytes) = section.split_at(section.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
     if crc32(payload) != stored {
-        return Err(Error::corruption("range-tombstone section checksum mismatch"));
+        return Err(Error::corruption(
+            "range-tombstone section checksum mismatch",
+        ));
     }
     let mut cursor = payload;
     let count = cursor.get_u32_le();
@@ -226,7 +228,10 @@ impl SstableBuilder {
     /// visibility walk over a key's versions stays within one block.
     pub fn add(&mut self, entry: &Entry) {
         if self.current.size_in_bytes() >= self.block_size
-            && self.current.last_key().is_some_and(|last| *last != entry.key)
+            && self
+                .current
+                .last_key()
+                .is_some_and(|last| *last != entry.key)
         {
             self.rotate_block();
         }
@@ -871,10 +876,7 @@ mod tests {
             let block = table.read_block(idx).unwrap();
             let first = block.entries().first().unwrap().key.clone();
             if let Some(prev_last) = &seen_last {
-                assert_ne!(
-                    *prev_last, first,
-                    "user key split across adjacent blocks"
-                );
+                assert_ne!(*prev_last, first, "user key split across adjacent blocks");
             }
             seen_last = Some(block.entries().last().unwrap().key.clone());
         }

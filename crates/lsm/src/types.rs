@@ -122,12 +122,10 @@ impl RangeTombstone {
 }
 
 /// Conversion into a [`Key`], the single keyed entry point for
-/// [`Lsm`](crate::Lsm) and [`Snapshot`](crate::Snapshot) operations.
-///
-/// One generic `put`/`get`/`delete` family replaces the parallel
-/// `*_u64` method set: byte-ish types pass through and `u64` keys are
-/// big-endian encoded (via [`key_from_u64`]) so lexicographic order
-/// matches numeric order.
+/// [`Lsm`](crate::Lsm), [`Snapshot`](crate::Snapshot) and
+/// [`WriteBatch`](crate::WriteBatch) operations: byte-ish types pass
+/// through and `u64` keys are big-endian encoded (via
+/// [`key_from_u64`]) so lexicographic order matches numeric order.
 pub trait IntoKey {
     /// Converts `self` into a key.
     fn into_key(self) -> Key;
@@ -314,7 +312,10 @@ mod tests {
         assert!(!rd.covers(&key_from_u64(9)));
         assert!(rd.shadows(&key_from_u64(15), 99), "older versions die");
         assert!(!rd.shadows(&key_from_u64(15), 100), "same seqno survives");
-        assert!(!rd.shadows(&key_from_u64(15), 101), "newer versions survive");
+        assert!(
+            !rd.shadows(&key_from_u64(15), 101),
+            "newer versions survive"
+        );
         assert!(!rd.shadows(&key_from_u64(25), 1), "outside the interval");
     }
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsm_engine::test_support::{corrupt_blob_byte, CrashPointStorage};
-use lsm_engine::{Error, Lsm, LsmOptions, MemoryStorage, Storage, Wal};
+use lsm_engine::{key_from_u64, Error, Lsm, LsmOptions, MemoryStorage, Storage, Wal};
 use proptest::prelude::*;
 
 /// What the workload knows was acknowledged: key -> Some(value) for a
@@ -30,7 +30,7 @@ fn run_workload(db: &Lsm, acked: &mut Acked, ops: u64) -> bool {
     for i in 0..ops {
         let r = if i % 5 == 4 {
             let key = i / 2;
-            match db.delete_u64(key) {
+            match db.delete(key) {
                 Ok(()) => {
                     acked.insert(key, None);
                     Ok(())
@@ -39,7 +39,7 @@ fn run_workload(db: &Lsm, acked: &mut Acked, ops: u64) -> bool {
             }
         } else {
             let value = format!("value-{i}").into_bytes();
-            match db.put_u64(i, value.clone()) {
+            match db.put(i, value.clone()) {
                 Ok(()) => {
                     acked.insert(i, Some(value));
                     Ok(())
@@ -63,7 +63,7 @@ fn assert_all_acked_recovered(storage: MemoryStorage, acked: &Acked) {
     let db = Lsm::open(Arc::new(storage), small_opts())
         .expect("reopen after a pure crash (torn writes only) must succeed");
     for (key, expected) in acked {
-        let got = db.get_u64(*key).expect("post-recovery read");
+        let got = db.get(*key).expect("post-recovery read");
         assert_eq!(
             got.as_deref(),
             expected.as_deref(),
@@ -165,7 +165,7 @@ proptest! {
         let db = Lsm::open(Arc::new(survivors), small_opts().wal(false))
             .expect("table blocks are decoded lazily; open reads only tails");
         for (key, expected) in &acked {
-            match db.get_u64(*key) {
+            match db.get(*key) {
                 Ok(got) => prop_assert_eq!(
                     got.as_deref(),
                     expected.as_deref(),
@@ -180,7 +180,7 @@ proptest! {
         let mut oracle = acked
             .iter()
             .filter_map(|(k, v)| v.as_ref().map(|v| (*k, v.clone())));
-        for item in db.range_u64(0..u64::MAX) {
+        for item in db.range(key_from_u64(0)..key_from_u64(u64::MAX)) {
             match item {
                 Ok((k, v)) => {
                     let key = lsm_engine::key_to_u64(&k).unwrap();
@@ -221,7 +221,7 @@ proptest! {
                 // Survived: every read must still be explicit about its
                 // outcome (value, miss or corruption) — no panics.
                 for key in acked.keys() {
-                    let _ = db.get_u64(*key);
+                    let _ = db.get(*key);
                 }
             }
             Err(Error::Corruption { .. }) => {}
@@ -239,7 +239,7 @@ proptest! {
         let storage = Arc::new(CrashPointStorage::new());
         let db = Lsm::open(storage.clone(), small_opts()).unwrap();
         for k in 0..100u64 {
-            db.put_u64(k, format!("v{k}").into_bytes()).unwrap();
+            db.put(k, format!("v{k}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
 
@@ -250,7 +250,7 @@ proptest! {
         let recovered = Lsm::open(Arc::new(storage.surviving()), small_opts())
             .expect("a torn range-delete record must recover, not corrupt");
         let inside: Vec<u64> = (20..80)
-            .filter(|k| recovered.get_u64(*k).unwrap().is_some())
+            .filter(|k| recovered.get(*k).unwrap().is_some())
             .collect();
         if acked {
             prop_assert!(
@@ -266,7 +266,7 @@ proptest! {
         }
         // Keys outside the interval are untouched either way.
         for k in (0..20).chain(80..100) {
-            let got = recovered.get_u64(k).unwrap();
+            let got = recovered.get(k).unwrap();
             let expect = format!("v{k}").into_bytes();
             prop_assert_eq!(
                 got.as_deref(),
@@ -289,7 +289,7 @@ fn crash_during_manifest_swap_keeps_previous_checkpoint() {
     // next flush will hit first at its sstable write.
     storage.crash_after(0);
     for i in 1000u64..1008 {
-        let _ = db.put_u64(i, b"doomed".to_vec());
+        let _ = db.put(i, b"doomed".to_vec());
     }
     let _ = db.flush();
     drop(db);
@@ -322,7 +322,7 @@ fn store_with_rotten_wal(offset: usize) -> (MemoryStorage, String) {
     {
         let db = Lsm::open(storage.clone(), small_opts().memtable_capacity(1000)).unwrap();
         for i in 0u64..32 {
-            db.put_u64(i, vec![i as u8; 8]).unwrap();
+            db.put(i, vec![i as u8; 8]).unwrap();
         }
         // No flush: all 32 writes live only in the WAL.
     }
@@ -385,7 +385,7 @@ fn torn_wal_tail_recovers_without_quarantine() {
     {
         let db = Lsm::open(storage.clone(), small_opts().memtable_capacity(1000)).unwrap();
         for i in 0u64..16 {
-            db.put_u64(i, vec![i as u8; 8]).unwrap();
+            db.put(i, vec![i as u8; 8]).unwrap();
         }
     }
     let survivors = storage.surviving();
@@ -406,7 +406,7 @@ fn torn_wal_tail_recovers_without_quarantine() {
     );
     assert!(stats.recovery_bytes_truncated > 0);
     for i in 0u64..15 {
-        assert_eq!(db.get_u64(i).unwrap().as_deref(), Some(&[i as u8; 8][..]));
+        assert_eq!(db.get(i).unwrap().as_deref(), Some(&[i as u8; 8][..]));
     }
 
     // A tear inside the segment's 8-byte magic (the first append of a
@@ -429,7 +429,7 @@ fn corrupt_checkpoint_with_valid_current_is_a_hard_error() {
     {
         let db = Lsm::open(storage.clone(), small_opts()).unwrap();
         for i in 0u64..32 {
-            db.put_u64(i, b"x".to_vec()).unwrap();
+            db.put(i, b"x".to_vec()).unwrap();
         }
         db.flush().unwrap();
     }
@@ -452,12 +452,12 @@ fn crash_during_gc_flip_loses_no_live_data() {
     let db = Lsm::open(storage.clone(), opts.clone()).unwrap();
     // Two tables: one whose tombstones will be droppable, one peer.
     for i in 0u64..4 {
-        db.put_u64(i, b"keep".to_vec()).unwrap();
+        db.put(i, b"keep".to_vec()).unwrap();
     }
     db.flush().unwrap();
     for i in 100u64..103 {
-        db.put_u64(i, b"tmp".to_vec()).unwrap();
-        db.delete_u64(i).unwrap();
+        db.put(i, b"tmp".to_vec()).unwrap();
+        db.delete(i).unwrap();
     }
     db.flush().unwrap();
     // Kill the GC rewrite at its first write (the new sstable).
@@ -467,13 +467,13 @@ fn crash_during_gc_flip_loses_no_live_data() {
     let db = Lsm::open(Arc::new(storage.surviving()), opts).expect("reopen after GC crash");
     for i in 0u64..4 {
         assert_eq!(
-            db.get_u64(i).unwrap().as_deref(),
+            db.get(i).unwrap().as_deref(),
             Some(b"keep".as_slice()),
             "live key {i} lost across a GC crash"
         );
     }
     for i in 100u64..103 {
-        assert_eq!(db.get_u64(i).unwrap(), None, "deleted key {i} resurrected");
+        assert_eq!(db.get(i).unwrap(), None, "deleted key {i} resurrected");
     }
 }
 
@@ -483,8 +483,8 @@ fn completed_gc_survives_reopen() {
     let opts = small_opts().memtable_capacity(4);
     let db = Lsm::open(storage.clone(), opts.clone()).unwrap();
     for i in 0u64..4 {
-        db.put_u64(i, b"keep".to_vec()).unwrap();
-        db.delete_u64(i + 100).unwrap();
+        db.put(i, b"keep".to_vec()).unwrap();
+        db.delete(i + 100).unwrap();
     }
     db.flush().unwrap();
     let dropped = db.gc_tombstones().unwrap();
@@ -493,7 +493,7 @@ fn completed_gc_survives_reopen() {
     drop(db);
     let db = Lsm::open(Arc::new(storage.surviving()), opts).unwrap();
     for i in 0u64..4 {
-        assert_eq!(db.get_u64(i).unwrap().as_deref(), Some(b"keep".as_slice()));
-        assert_eq!(db.get_u64(i + 100).unwrap(), None);
+        assert_eq!(db.get(i).unwrap().as_deref(), Some(b"keep".as_slice()));
+        assert_eq!(db.get(i + 100).unwrap(), None);
     }
 }

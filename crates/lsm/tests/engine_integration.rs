@@ -12,7 +12,7 @@ use lsm_engine::{
 /// Point read returning an owned `Vec<u8>` (test convenience over the
 /// zero-copy `Option<Value>` the engine now returns).
 fn get_vec(db: &Lsm, key: u64) -> Option<Vec<u8>> {
-    db.get_u64(key).unwrap().map(|v| v.to_vec())
+    db.get(key).unwrap().map(|v| v.to_vec())
 }
 
 /// Builds a left-to-right merge schedule over `n` live tables.
@@ -52,7 +52,7 @@ fn balanced(n: usize) -> Vec<CompactionStep> {
 fn read_amplification_drops_after_major_compaction() {
     let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(50).wal(false)).unwrap();
     for i in 0u64..1_000 {
-        db.put_u64(i, vec![1, 2, 3]).unwrap();
+        db.put(i, vec![1, 2, 3]).unwrap();
     }
     db.flush().unwrap();
     let tables_before = db.live_tables().len();
@@ -60,7 +60,7 @@ fn read_amplification_drops_after_major_compaction() {
 
     // Reads of old keys before compaction probe many tables.
     for key in (0u64..1_000).step_by(97) {
-        assert!(db.get_u64(key).unwrap().is_some());
+        assert!(db.get(key).unwrap().is_some());
     }
     let probes_before = db.stats().tables_probed;
 
@@ -68,7 +68,7 @@ fn read_amplification_drops_after_major_compaction() {
     assert_eq!(db.live_tables().len(), 1);
 
     for key in (0u64..1_000).step_by(97) {
-        assert!(db.get_u64(key).unwrap().is_some());
+        assert!(db.get(key).unwrap().is_some());
     }
     let probes_after = db.stats().tables_probed - probes_before;
     assert!(
@@ -83,9 +83,9 @@ fn balanced_and_caterpillar_schedules_produce_identical_contents() {
         let db =
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(64).wal(false)).unwrap();
         for i in 0u64..800 {
-            db.put_u64(i % 300, format!("v{}", i).into_bytes()).unwrap();
+            db.put(i % 300, format!("v{}", i).into_bytes()).unwrap();
         }
-        db.delete_u64(7).unwrap();
+        db.delete(7).unwrap();
         db.flush().unwrap();
         let n = db.live_tables().len();
         let outcome = db.major_compact(&steps_for(n)).unwrap();
@@ -117,7 +117,7 @@ fn kway_physical_compaction_with_wide_fanin() {
     )
     .unwrap();
     for i in 0u64..1_200 {
-        db.put_u64(i, b"x".to_vec()).unwrap();
+        db.put(i, b"x".to_vec()).unwrap();
     }
     db.flush().unwrap();
     let n = db.live_tables().len();
@@ -152,7 +152,7 @@ fn kway_physical_compaction_with_wide_fanin() {
 fn compaction_fails_cleanly_on_malformed_schedules_without_losing_data() {
     let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(10).wal(false)).unwrap();
     for i in 0u64..50 {
-        db.put_u64(i, vec![9]).unwrap();
+        db.put(i, vec![9]).unwrap();
     }
     db.flush().unwrap();
     let err = db
@@ -185,7 +185,7 @@ fn bloom_filters_add_modest_overhead_and_preserve_read_correctness() {
         )
         .unwrap();
         for i in 0u64..2_000 {
-            db.put_u64(i * 2, b"even".to_vec()).unwrap();
+            db.put(i * 2, b"even".to_vec()).unwrap();
         }
         db.flush().unwrap();
         for i in 0u64..2_000 {
@@ -217,7 +217,7 @@ fn wal_recovery_preserves_writes_across_simulated_crash_and_compaction() {
         )
         .unwrap();
         for i in 0u64..250 {
-            db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            db.put(i, format!("v{i}").into_bytes()).unwrap();
         }
         // 2 full flushes happened automatically; 50 writes remain in the
         // memtable and exist only in the WAL when we "crash" here.
@@ -258,9 +258,9 @@ fn wal_recovery_across_auto_compaction_mid_write_stream() {
         // 0..470 wraps keys 0..200 unevenly: updates overlap tables, so
         // compactions triggered mid-stream do real merge work.
         for i in 0u64..470 {
-            db.put_u64(i % 200, format!("v{i}").into_bytes()).unwrap();
+            db.put(i % 200, format!("v{i}").into_bytes()).unwrap();
         }
-        db.delete_u64(13).unwrap();
+        db.delete(13).unwrap();
         compactions_before_crash = db.stats().auto_compactions;
         assert!(
             compactions_before_crash >= 2,
@@ -296,7 +296,7 @@ fn wal_recovery_across_auto_compaction_mid_write_stream() {
     }
     // The store keeps compacting itself after recovery.
     for i in 0u64..300 {
-        db.put_u64(i % 50, b"post-crash".to_vec()).unwrap();
+        db.put(i % 50, b"post-crash".to_vec()).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() < 4, "policy active after recovery");
@@ -309,9 +309,9 @@ fn auto_compaction_scan_is_identical_to_uncompacted_store() {
     // never-compacting store must read back identically.
     let write = |db: &Lsm| {
         for i in 0u64..900 {
-            db.put_u64(i % 250, format!("x{i}").into_bytes()).unwrap();
+            db.put(i % 250, format!("x{i}").into_bytes()).unwrap();
             if i % 97 == 0 {
-                db.delete_u64(i % 250).unwrap();
+                db.delete(i % 250).unwrap();
             }
         }
         db.flush().unwrap();

@@ -57,7 +57,7 @@ fn background_flush_traces_exact_lifecycle_per_generation() {
 
     // Capacity 4 ⇒ generations 0 and 1 freeze after keys 3 and 7.
     for i in 0..10u64 {
-        db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+        db.put(i, format!("v{i}").into_bytes()).unwrap();
     }
     assert!(db.frozen_queue_depth() >= 2);
 
@@ -122,7 +122,7 @@ fn inline_compaction_traces_planned_waves_flip_and_retire_with_costs() {
     )
     .unwrap();
     for i in 0..40u64 {
-        db.put_u64(i % 20, format!("v{i}").into_bytes()).unwrap();
+        db.put(i % 20, format!("v{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() >= 2);

@@ -22,7 +22,7 @@ fn opts() -> LsmOptions {
 fn pinned_snapshot_reads_are_byte_identical_across_flush_compaction_and_gc() {
     let db = Lsm::open_in_memory(opts()).unwrap();
     for k in 0..200u64 {
-        db.put_u64(k, format!("old{k}").into_bytes()).unwrap();
+        db.put(k, format!("old{k}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
 
@@ -34,16 +34,19 @@ fn pinned_snapshot_reads_are_byte_identical_across_flush_compaction_and_gc() {
     // range delete over a third of the space, then the maintenance
     // machinery runs for real.
     for k in 0..200u64 {
-        db.put_u64(k, format!("new{k}").into_bytes()).unwrap();
+        db.put(k, format!("new{k}").into_bytes()).unwrap();
     }
-    db.delete_u64(7).unwrap();
+    db.delete(7).unwrap();
     db.delete_range(100u64, 170u64).unwrap();
     db.flush().unwrap();
     db.auto_compact().unwrap();
     db.gc_tombstones().unwrap();
 
     let replay = snap.scan_all().unwrap();
-    assert_eq!(replay, baseline, "snapshot bytes drifted across maintenance");
+    assert_eq!(
+        replay, baseline,
+        "snapshot bytes drifted across maintenance"
+    );
     for k in [0u64, 7, 100, 169, 199] {
         assert_eq!(
             snap.get(k).unwrap().as_deref(),
@@ -55,9 +58,9 @@ fn pinned_snapshot_reads_are_byte_identical_across_flush_compaction_and_gc() {
     // The live view has moved on: new values, both kinds of delete.
     let live = db.scan_all().unwrap();
     assert_eq!(live.len(), 200 - 1 - 70);
-    assert_eq!(db.get_u64(7).unwrap(), None);
-    assert_eq!(db.get_u64(150).unwrap(), None);
-    assert_eq!(db.get_u64(0).unwrap().as_deref(), Some(&b"new0"[..]));
+    assert_eq!(db.get(7).unwrap(), None);
+    assert_eq!(db.get(150).unwrap(), None);
+    assert_eq!(db.get(0).unwrap().as_deref(), Some(&b"new0"[..]));
 
     // Releasing the pin and re-running maintenance reclaims the old
     // versions without perturbing the live answers.
@@ -65,7 +68,11 @@ fn pinned_snapshot_reads_are_byte_identical_across_flush_compaction_and_gc() {
     db.flush().unwrap();
     db.auto_compact().unwrap();
     db.gc_tombstones().unwrap();
-    assert_eq!(db.scan_all().unwrap(), live, "live view changed on pin release");
+    assert_eq!(
+        db.scan_all().unwrap(),
+        live,
+        "live view changed on pin release"
+    );
 }
 
 /// Inverted and empty bounds are accepted no-ops: no record is written,
@@ -73,7 +80,7 @@ fn pinned_snapshot_reads_are_byte_identical_across_flush_compaction_and_gc() {
 #[test]
 fn inverted_or_empty_delete_range_consumes_no_seqno() {
     let db = Lsm::open_in_memory(opts()).unwrap();
-    db.put_u64(7, b"keep".to_vec()).unwrap();
+    db.put(7, b"keep".to_vec()).unwrap();
 
     let before = db.snapshot().lsn();
     db.delete_range(9u64, 3u64).unwrap();
@@ -83,7 +90,7 @@ fn inverted_or_empty_delete_range_consumes_no_seqno() {
     let after = db.snapshot().lsn();
     assert_eq!(after, before + 1, "a no-op delete_range consumed a seqno");
     assert_eq!(db.stats().range_deletes, 0, "no tombstone was recorded");
-    assert_eq!(db.get_u64(7).unwrap().as_deref(), Some(&b"keep"[..]));
+    assert_eq!(db.get(7).unwrap().as_deref(), Some(&b"keep"[..]));
 }
 
 /// A pin created below a tombstone's seqno blocks tombstone GC from
@@ -102,7 +109,7 @@ fn pins_block_tombstone_gc_until_released() {
     // Tombstones for keys never written anywhere else: with no pin they
     // provably shadow nothing and GC drops them all.
     for k in 1_000..1_020u64 {
-        db.delete_u64(k).unwrap();
+        db.delete(k).unwrap();
     }
     db.flush().unwrap();
 

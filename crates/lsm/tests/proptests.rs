@@ -52,11 +52,11 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
-                    db.put_u64(*k, v.clone()).unwrap();
+                    db.put(*k, v.clone()).unwrap();
                     model.insert(*k, v.clone());
                 }
                 Op::Delete(k) => {
-                    db.delete_u64(*k).unwrap();
+                    db.delete(*k).unwrap();
                     model.remove(k);
                 }
                 Op::Flush => {
@@ -75,12 +75,12 @@ proptest! {
         }
 
         for (k, v) in &model {
-            let got = db.get_u64(*k).unwrap();
+            let got = db.get(*k).unwrap();
             prop_assert_eq!(got.as_deref(), Some(v.as_slice()), "key {}", k);
         }
         // Spot-check some absent keys.
         for k in 200..205u64 {
-            prop_assert_eq!(db.get_u64(k).unwrap(), None);
+            prop_assert_eq!(db.get(k).unwrap(), None);
         }
         // Full scan equals the model (keys and values).
         let scanned: Vec<(u64, Vec<u8>)> = db
@@ -102,10 +102,10 @@ proptest! {
     ) {
         let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(16)).unwrap();
         for (i, k) in keys.iter().enumerate() {
-            db.put_u64(*k, format!("v{i}").into_bytes()).unwrap();
+            db.put(*k, format!("v{i}").into_bytes()).unwrap();
         }
         for k in &deletes {
-            db.delete_u64(*k).unwrap();
+            db.delete(*k).unwrap();
         }
         db.flush().unwrap();
         let before = db.scan_all().unwrap();

@@ -10,7 +10,7 @@ use lsm_engine::test_support::GatedStorage;
 use lsm_engine::{CompactionPolicy, Lsm, LsmOptions, MemoryStorage, Storage};
 
 fn get_vec(db: &Lsm, key: u64) -> Option<Vec<u8>> {
-    db.get_u64(key).unwrap().map(|v| v.to_vec())
+    db.get(key).unwrap().map(|v| v.to_vec())
 }
 
 /// A multi-table store with no memtable residue, so every read must go
@@ -18,7 +18,7 @@ fn get_vec(db: &Lsm, key: u64) -> Option<Vec<u8>> {
 fn multi_table_store(options: LsmOptions) -> Lsm {
     let db = Lsm::open_in_memory(options).unwrap();
     for i in 0..400u64 {
-        db.put_u64(i, format!("value-{i}").into_bytes()).unwrap();
+        db.put(i, format!("value-{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     assert_eq!(db.memtable_len(), 0);
@@ -116,7 +116,7 @@ fn block_cache_evicts_under_a_tiny_budget_and_stays_correct() {
     )
     .unwrap();
     for i in 0..600u64 {
-        db.put_u64(i, format!("v-{i}").into_bytes()).unwrap();
+        db.put(i, format!("v-{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     // Sweep everything twice: the second pass cannot fit in cache, so
@@ -167,7 +167,7 @@ fn table_cache_bounds_open_readers() {
     )
     .unwrap();
     for i in 0..300u64 {
-        db.put_u64(i, vec![i as u8]).unwrap();
+        db.put(i, vec![i as u8]).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() > 8, "more tables than cache slots");
@@ -230,7 +230,7 @@ fn gets_are_served_while_a_compaction_is_frozen_mid_write() {
         .unwrap(),
     );
     for i in 0..300u64 {
-        db.put_u64(i, format!("value-{i}").into_bytes()).unwrap();
+        db.put(i, format!("value-{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() >= 2);
@@ -288,7 +288,7 @@ fn pressure_reports_the_in_progress_compaction_without_the_write_lock() {
         .unwrap(),
     );
     for i in 0..300u64 {
-        db.put_u64(i, format!("value-{i}").into_bytes()).unwrap();
+        db.put(i, format!("value-{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     let live = db.live_tables().len();
@@ -355,7 +355,7 @@ fn pressure_counts_tables_at_or_past_the_threshold_trigger_as_backlog() {
         .unwrap();
         for batch in 0..5u64 {
             for i in 0..10u64 {
-                db.put_u64(batch * 100 + i, b"x".to_vec()).unwrap();
+                db.put(batch * 100 + i, b"x".to_vec()).unwrap();
             }
             db.flush().unwrap();
         }
@@ -395,7 +395,7 @@ fn concurrent_readers_stay_consistent_under_auto_compaction() {
     );
     const KEYS: u64 = 128;
     for i in 0..KEYS {
-        db.put_u64(i, 0u64.to_be_bytes().to_vec()).unwrap();
+        db.put(i, 0u64.to_be_bytes().to_vec()).unwrap();
     }
     db.flush().unwrap();
 
@@ -409,7 +409,7 @@ fn concurrent_readers_stay_consistent_under_auto_compaction() {
             scope.spawn(move || {
                 for version in 1u64..=40 {
                     for i in 0..KEYS {
-                        db.put_u64(i, version.to_be_bytes().to_vec()).unwrap();
+                        db.put(i, version.to_be_bytes().to_vec()).unwrap();
                     }
                 }
                 stop.store(true, Ordering::SeqCst);
@@ -426,7 +426,7 @@ fn concurrent_readers_stay_consistent_under_auto_compaction() {
                 let mut last_seen = vec![0u64; KEYS as usize];
                 while !stop.load(Ordering::SeqCst) {
                     for i in 0..KEYS {
-                        let raw = db.get_u64(i).unwrap().unwrap_or_else(|| {
+                        let raw = db.get(i).unwrap().unwrap_or_else(|| {
                             panic!("reader {reader}: key {i} vanished mid-compaction")
                         });
                         let version = u64::from_be_bytes(raw.as_ref().try_into().unwrap());
@@ -448,7 +448,7 @@ fn concurrent_readers_stay_consistent_under_auto_compaction() {
         "the policy never fired — the readers were not racing compaction"
     );
     for i in 0..KEYS {
-        let raw = db.get_u64(i).unwrap().unwrap();
+        let raw = db.get(i).unwrap().unwrap();
         assert_eq!(u64::from_be_bytes(raw.as_ref().try_into().unwrap()), 40);
     }
 }

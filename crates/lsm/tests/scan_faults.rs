@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use lsm_engine::test_support::GatedStorage;
 use lsm_engine::{
-    key_to_u64, CompactionPolicy, Lsm, LsmOptions, MemoryStorage, Storage, WriteBatch,
+    key_from_u64, key_to_u64, CompactionPolicy, Lsm, LsmOptions, MemoryStorage, Storage, WriteBatch,
 };
 
 #[test]
@@ -36,7 +36,7 @@ fn scan_survives_a_manifest_flip_landing_mid_iteration() {
         .unwrap(),
     );
     for i in 0..KEYS {
-        db.put_u64(i, format!("value-{i}").into_bytes()).unwrap();
+        db.put(i, format!("value-{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() >= 8);
@@ -44,7 +44,7 @@ fn scan_survives_a_manifest_flip_landing_mid_iteration() {
 
     // Start the scan against the pre-compaction table set and pull a
     // prefix out of it.
-    let mut scan = db.range_u64(0..KEYS);
+    let mut scan = db.range(key_from_u64(0)..key_from_u64(KEYS));
     let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
     for _ in 0..100 {
         let (k, v) = scan.next().expect("scan prefix").unwrap();
@@ -130,7 +130,7 @@ fn concurrent_scans_stay_correct_under_auto_compaction_churn() {
     );
     const KEYS: u64 = 256;
     for i in 0..KEYS {
-        db.put_u64(i, 0u64.to_be_bytes().to_vec()).unwrap();
+        db.put(i, 0u64.to_be_bytes().to_vec()).unwrap();
     }
     db.flush().unwrap();
 
@@ -142,7 +142,7 @@ fn concurrent_scans_stay_correct_under_auto_compaction_churn() {
             scope.spawn(move || {
                 for version in 1u64..=30 {
                     for i in 0..KEYS {
-                        db.put_u64(i, version.to_be_bytes().to_vec()).unwrap();
+                        db.put(i, version.to_be_bytes().to_vec()).unwrap();
                     }
                 }
                 stop.store(true, Ordering::SeqCst);
@@ -155,7 +155,7 @@ fn concurrent_scans_stay_correct_under_auto_compaction_churn() {
                 let mut scans = 0u64;
                 while !stop.load(Ordering::SeqCst) {
                     let keys: Vec<u64> = db
-                        .range_u64(0..KEYS)
+                        .range(key_from_u64(0)..key_from_u64(KEYS))
                         .map(|r| key_to_u64(&r.unwrap().0).unwrap())
                         .collect();
                     assert_eq!(
@@ -187,27 +187,27 @@ fn scans_after_wal_replay_see_every_acked_write() {
         .unwrap();
         // Some writes reach sstables...
         for i in 0..100u64 {
-            db.put_u64(i, format!("flushed-{i}").into_bytes()).unwrap();
+            db.put(i, format!("flushed-{i}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
         // ...some only the WAL: singles, a batch, overwrites, deletes.
         for i in 100..130u64 {
-            db.put_u64(i, format!("walled-{i}").into_bytes()).unwrap();
+            db.put(i, format!("walled-{i}").into_bytes()).unwrap();
         }
         let mut batch = WriteBatch::new();
         batch
-            .put_u64(130, b"batched-130".to_vec())
-            .put_u64(131, b"batched-131".to_vec())
-            .delete_u64(5)
-            .put_u64(50, b"rewritten-50".to_vec());
+            .put(130, b"batched-130".to_vec().into())
+            .put(131, b"batched-131".to_vec().into())
+            .delete(5)
+            .put(50, b"rewritten-50".to_vec().into());
         db.write_batch(batch).unwrap();
-        db.delete_u64(107).unwrap();
+        db.delete(107).unwrap();
         // Crash: dropped with a dirty memtable; acked data is WAL-only.
     }
 
     let reopened = Lsm::open(storage, LsmOptions::default().memtable_capacity(40)).unwrap();
     let got: Vec<(u64, Vec<u8>)> = reopened
-        .range_u64(0..1_000)
+        .range(key_from_u64(0)..key_from_u64(1_000))
         .map(|r| {
             let (k, v) = r.unwrap();
             (key_to_u64(&k).unwrap(), v.to_vec())
@@ -237,7 +237,7 @@ fn scans_after_wal_replay_see_every_acked_write() {
 
     // A bounded window over the replayed region agrees too.
     let window: Vec<u64> = reopened
-        .range_u64(105..112)
+        .range(key_from_u64(105)..key_from_u64(112))
         .map(|r| key_to_u64(&r.unwrap().0).unwrap())
         .collect();
     assert_eq!(window, vec![105, 106, 108, 109, 110, 111]);

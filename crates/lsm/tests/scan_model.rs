@@ -42,7 +42,7 @@ fn arb_window() -> impl Strategy<Value = (u64, u64)> {
 }
 
 fn collect_range(db: &Lsm, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, String> {
-    db.range_u64(lo..hi)
+    db.range(key_from_u64(lo)..key_from_u64(hi))
         .map(|item| {
             item.map(|(k, v)| (key_to_u64(&k).expect("8-byte key"), v.to_vec()))
                 .map_err(|e| format!("scan error in {lo}..{hi}: {e}"))
@@ -78,11 +78,11 @@ fn check_strategy(
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Put(k, v) => {
-                db.put_u64(*k, v.clone()).map_err(|e| e.to_string())?;
+                db.put(*k, v.clone()).map_err(|e| e.to_string())?;
                 model.insert(*k, v.clone());
             }
             Op::Delete(k) => {
-                db.delete_u64(*k).map_err(|e| e.to_string())?;
+                db.delete(*k).map_err(|e| e.to_string())?;
                 model.remove(k);
             }
             Op::DeleteRange(a, b) => {
@@ -151,7 +151,7 @@ fn check_strategy(
         for &(a, b) in windows {
             let (lo, hi) = (a.min(b), a.max(b));
             let got: Vec<(u64, Vec<u8>)> = snap
-                .range_u64(lo..hi)
+                .range(key_from_u64(lo)..key_from_u64(hi))
                 .map(|item| {
                     item.map(|(k, v)| (key_to_u64(&k).unwrap(), v.to_vec()))
                         .map_err(|e| format!("snapshot scan error in {lo}..{hi}: {e}"))
@@ -231,7 +231,7 @@ proptest! {
         ).unwrap();
         let mut model = BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
-            db.put_u64(*k, vec![i as u8]).unwrap();
+            db.put(*k, vec![i as u8]).unwrap();
             model.insert(*k, vec![i as u8]);
         }
         // Empty window.
@@ -265,13 +265,13 @@ fn narrow_scans_prune_disjoint_tables() {
     // Sequential fill: each flushed table covers ~50 consecutive keys,
     // so the tables partition the key space.
     for i in 0..400u64 {
-        db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+        db.put(i, format!("v{i}").into_bytes()).unwrap();
     }
     db.flush().unwrap();
     assert!(db.live_tables().len() >= 8, "need many disjoint tables");
 
     let got: Vec<u64> = db
-        .range_u64(100..140)
+        .range(key_from_u64(100)..key_from_u64(140))
         .map(|r| key_to_u64(&r.unwrap().0).unwrap())
         .collect();
     assert_eq!(got, (100..140).collect::<Vec<u64>>());
@@ -307,10 +307,10 @@ fn scans_bypass_the_block_cache_by_default() {
         )
         .unwrap();
         for i in 0..300u64 {
-            db.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            db.put(i, format!("v{i}").into_bytes()).unwrap();
         }
         db.flush().unwrap();
-        assert_eq!(db.range_u64(0..300).count(), 300);
+        assert_eq!(db.range(key_from_u64(0)..key_from_u64(300)).count(), 300);
         db
     };
     let bypass = build(false);
@@ -332,14 +332,14 @@ fn scans_bypass_the_block_cache_by_default() {
 fn tombstones_suppress_keys_across_layers() {
     let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(10).wal(false)).unwrap();
     for i in 0..30u64 {
-        db.put_u64(i, vec![1]).unwrap();
+        db.put(i, vec![1]).unwrap();
     }
     db.flush().unwrap();
     // Tombstones in the memtable only.
-    db.delete_u64(5).unwrap();
-    db.delete_u64(6).unwrap();
+    db.delete(5).unwrap();
+    db.delete(6).unwrap();
     let keys: Vec<u64> = db
-        .range_u64(0..30)
+        .range(key_from_u64(0)..key_from_u64(30))
         .map(|r| key_to_u64(&r.unwrap().0).unwrap())
         .collect();
     let expect: Vec<u64> = (0..30).filter(|k| *k != 5 && *k != 6).collect();
@@ -347,9 +347,9 @@ fn tombstones_suppress_keys_across_layers() {
 
     // Resurrection: a newer put over a flushed tombstone reappears.
     db.flush().unwrap();
-    db.put_u64(5, vec![2]).unwrap();
+    db.put(5, vec![2]).unwrap();
     let got: Vec<(u64, Vec<u8>)> = db
-        .range_u64(4..8)
+        .range(key_from_u64(4)..key_from_u64(8))
         .map(|r| {
             let (k, v) = r.unwrap();
             (key_to_u64(&k).unwrap(), v.to_vec())
@@ -377,7 +377,7 @@ fn scans_include_legacy_tables_with_unknown_ranges() {
     )
     .unwrap();
     for i in 0..100u64 {
-        db.put_u64(i, vec![i as u8]).unwrap();
+        db.put(i, vec![i as u8]).unwrap();
     }
     db.flush().unwrap();
     let metas = db.live_tables();
@@ -406,4 +406,3 @@ fn scans_include_legacy_tables_with_unknown_ranges() {
         assert_eq!(total as u64, reader.entry_count());
     }
 }
-

@@ -1,19 +1,25 @@
 //! A blocking TCP client for the KV service.
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
+use lsm_engine::IntoKey;
 use obs::MetricsSnapshot;
 
-use crate::protocol::{read_frame, write_frame, EventBatch, FrameRead, Request, Response, WireOp};
+use crate::protocol::{
+    read_frame, write_frame, EventBatch, FrameRead, Request, Response, WireOp, UNSOLICITED_SEQ,
+};
 use crate::{wire, Error};
 
 /// A blocking client over one TCP connection.
 ///
-/// One request is in flight at a time (closed-loop); the load harness
-/// runs many clients on separate threads to generate concurrency.
+/// One request is in flight at a time (closed-loop), read back on the
+/// calling thread; the load harness runs many clients on separate
+/// threads to generate concurrency.
 #[derive(Debug)]
 pub struct KvClient {
     stream: TcpStream,
+    /// Sequence id of the request in flight (clients number from 1).
+    seq: u64,
 }
 
 impl KvClient {
@@ -25,17 +31,38 @@ impl KvClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, Error> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream,
+            seq: UNSOLICITED_SEQ,
+        })
+    }
+
+    /// Sends `request` under the next sequence id.
+    fn send(&mut self, request: &Request) -> Result<(), Error> {
+        self.seq += 1;
+        write_frame(&mut self.stream, &request.encode(self.seq))
+    }
+
+    /// Blocks for the next frame answering the request in flight.
+    fn reply(&mut self) -> Result<Response, Error> {
+        // No read timeout is set, so anything but a frame is the end.
+        let FrameRead::Frame(payload) = read_frame(&mut self.stream)? else {
+            return Err(Error::protocol("server closed the connection"));
+        };
+        match Response::decode(&payload)? {
+            (seq, response) if seq == self.seq => Ok(response),
+            // The session-cap refusal answers no request.
+            (UNSOLICITED_SEQ, Response::Busy) => Err(Error::Busy),
+            (seq, _) => Err(Error::protocol(format!(
+                "reply to request {seq} while waiting on request {}",
+                self.seq
+            ))),
+        }
     }
 
     fn roundtrip(&mut self, request: &Request) -> Result<Response, Error> {
-        write_frame(&mut self.stream, &request.encode())?;
-        match read_frame(&mut self.stream)? {
-            FrameRead::Frame(payload) => Response::decode(&payload),
-            FrameRead::Eof | FrameRead::Idle => {
-                Err(Error::protocol("server closed the connection"))
-            }
-        }
+        self.send(request)?;
+        self.reply()
     }
 
     fn expect_ok(&mut self, request: &Request) -> Result<(), Error> {
@@ -47,8 +74,8 @@ impl KvClient {
     /// # Errors
     ///
     /// Propagates transport, protocol and server errors.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, Error> {
-        wire::expect_value(self.roundtrip(&wire::get(key))?)
+    pub fn get(&mut self, key: impl IntoKey) -> Result<Option<Vec<u8>>, Error> {
+        wire::expect_value(self.roundtrip(&Request::Get { key: wire_key(key) })?)
     }
 
     /// Insert/overwrite; durable on the server once this returns.
@@ -56,8 +83,11 @@ impl KvClient {
     /// # Errors
     ///
     /// Propagates transport, protocol and server errors.
-    pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<(), Error> {
-        self.expect_ok(&wire::put(key, value))
+    pub fn put(&mut self, key: impl IntoKey, value: impl Into<Vec<u8>>) -> Result<(), Error> {
+        self.expect_ok(&Request::Put {
+            key: wire_key(key),
+            value: value.into(),
+        })
     }
 
     /// Delete.
@@ -65,8 +95,8 @@ impl KvClient {
     /// # Errors
     ///
     /// Propagates transport, protocol and server errors.
-    pub fn delete(&mut self, key: Vec<u8>) -> Result<(), Error> {
-        self.expect_ok(&wire::delete(key))
+    pub fn delete(&mut self, key: impl IntoKey) -> Result<(), Error> {
+        self.expect_ok(&Request::Delete { key: wire_key(key) })
     }
 
     /// Deletes every key in `[start, end)` server-side with one range
@@ -77,18 +107,11 @@ impl KvClient {
     /// # Errors
     ///
     /// Propagates transport, protocol and server errors.
-    pub fn delete_range(&mut self, start: Vec<u8>, end: Vec<u8>) -> Result<(), Error> {
-        self.expect_ok(&wire::delete_range(start, end))
-    }
-
-    /// Convenience: [`KvClient::delete_range`] over big-endian integer
-    /// keys (half-open range).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::delete_range`].
-    pub fn delete_range_u64(&mut self, range: std::ops::Range<u64>) -> Result<(), Error> {
-        self.delete_range(wire::u64_key(range.start), wire::u64_key(range.end))
+    pub fn delete_range(&mut self, start: impl IntoKey, end: impl IntoKey) -> Result<(), Error> {
+        self.expect_ok(&Request::DeleteRange {
+            start: wire_key(start),
+            end: wire_key(end),
+        })
     }
 
     /// Pins a server-side snapshot (`SNAP_CREATE`): a consistent cut
@@ -125,17 +148,11 @@ impl KvClient {
     ///
     /// Propagates transport, protocol and server errors (including an
     /// unknown/evicted handle, reported by the server as `ERR`).
-    pub fn snap_get(&mut self, id: u64, key: &[u8]) -> Result<Option<Vec<u8>>, Error> {
-        wire::expect_value(self.roundtrip(&wire::snap_get(id, key))?)
-    }
-
-    /// Convenience: [`KvClient::snap_get`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::snap_get`].
-    pub fn snap_get_u64(&mut self, id: u64, key: u64) -> Result<Option<Vec<u8>>, Error> {
-        self.snap_get(id, &key.to_be_bytes())
+    pub fn snap_get(&mut self, id: u64, key: impl IntoKey) -> Result<Option<Vec<u8>>, Error> {
+        wire::expect_value(self.roundtrip(&Request::SnapGet {
+            id,
+            key: wire_key(key),
+        })?)
     }
 
     /// Applies `ops` as one wire batch (grouped per shard server-side,
@@ -149,33 +166,6 @@ impl KvClient {
             return Ok(());
         }
         self.expect_ok(&Request::Batch { ops })
-    }
-
-    /// Convenience: [`KvClient::get`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::get`].
-    pub fn get_u64(&mut self, key: u64) -> Result<Option<Vec<u8>>, Error> {
-        self.get(&key.to_be_bytes())
-    }
-
-    /// Convenience: [`KvClient::put`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::put`].
-    pub fn put_u64(&mut self, key: u64, value: impl Into<Vec<u8>>) -> Result<(), Error> {
-        self.put(wire::u64_key(key), value.into())
-    }
-
-    /// Convenience: [`KvClient::delete`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::delete`].
-    pub fn delete_u64(&mut self, key: u64) -> Result<(), Error> {
-        self.delete(wire::u64_key(key))
     }
 
     /// Fetches the self-describing metrics snapshot: named counters
@@ -224,25 +214,15 @@ impl KvClient {
     /// through the iterator.
     pub fn scan(
         &mut self,
-        start: Vec<u8>,
-        end: Vec<u8>,
+        start: impl IntoKey,
+        end: impl IntoKey,
         limit: u32,
     ) -> Result<ScanStream<'_>, Error> {
-        self.start_stream(&wire::scan(start, end, limit))
-    }
-
-    /// Convenience: [`KvClient::scan`] over big-endian integer keys
-    /// (half-open range).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::scan`].
-    pub fn scan_u64(
-        &mut self,
-        range: std::ops::Range<u64>,
-        limit: u32,
-    ) -> Result<ScanStream<'_>, Error> {
-        self.scan(wire::u64_key(range.start), wire::u64_key(range.end), limit)
+        self.start_stream(&Request::Scan {
+            start: wire_key(start),
+            end: wire_key(end),
+            limit,
+        })
     }
 
     /// Streaming range scan at pinned snapshot `id` (`SNAP_SCAN`): the
@@ -257,33 +237,23 @@ impl KvClient {
     pub fn snap_scan(
         &mut self,
         id: u64,
-        start: Vec<u8>,
-        end: Vec<u8>,
+        start: impl IntoKey,
+        end: impl IntoKey,
         limit: u32,
     ) -> Result<ScanStream<'_>, Error> {
-        self.start_stream(&wire::snap_scan(id, start, end, limit))
-    }
-
-    /// Convenience: [`KvClient::snap_scan`] over big-endian integer
-    /// keys (half-open range).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KvClient::snap_scan`].
-    pub fn snap_scan_u64(
-        &mut self,
-        id: u64,
-        range: std::ops::Range<u64>,
-        limit: u32,
-    ) -> Result<ScanStream<'_>, Error> {
-        self.snap_scan(id, wire::u64_key(range.start), wire::u64_key(range.end), limit)
+        self.start_stream(&Request::SnapScan {
+            id,
+            start: wire_key(start),
+            end: wire_key(end),
+            limit,
+        })
     }
 
     /// Sends one streaming request and wraps the reply stream.
     fn start_stream(&mut self, request: &Request) -> Result<ScanStream<'_>, Error> {
-        write_frame(&mut self.stream, &request.encode())?;
+        self.send(request)?;
         Ok(ScanStream {
-            stream: &mut self.stream,
+            client: self,
             pending: Vec::new().into_iter(),
             batches: 0,
             keys: 0,
@@ -292,13 +262,18 @@ impl KvClient {
     }
 }
 
+/// The wire form of a key.
+fn wire_key(key: impl IntoKey) -> Vec<u8> {
+    key.into_key().to_vec()
+}
+
 /// A blocking iterator over one in-flight `SCAN` stream.
 ///
 /// Produced by [`KvClient::scan`]. Yields pairs in ascending key order;
 /// the first transport/protocol/server error ends the stream.
 #[derive(Debug)]
 pub struct ScanStream<'a> {
-    stream: &'a mut TcpStream,
+    client: &'a mut KvClient,
     pending: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
     batches: u64,
     keys: u64,
@@ -319,37 +294,22 @@ impl ScanStream<'_> {
         self.keys
     }
 
-    /// Reads the next frame of the stream, refilling `pending`.
+    /// Reads the next frame of the stream, refilling `pending`. Any
+    /// outcome but a `BATCH_VALUES` frame finishes the stream.
     fn fill(&mut self) -> Result<(), Error> {
-        loop {
-            match read_frame(self.stream)? {
-                FrameRead::Idle => continue,
-                FrameRead::Eof => {
-                    self.finished = true;
-                    return Err(Error::protocol("server closed the connection mid-scan"));
-                }
-                FrameRead::Frame(payload) => match Response::decode(&payload)? {
-                    Response::BatchValues(pairs) => {
-                        self.batches += 1;
-                        self.pending = pairs.into_iter();
-                        return Ok(());
-                    }
-                    Response::ScanEnd => {
-                        self.finished = true;
-                        return Ok(());
-                    }
-                    Response::Err(detail) => {
-                        self.finished = true;
-                        return Err(Error::remote(detail));
-                    }
-                    other => {
-                        self.finished = true;
-                        return Err(Error::protocol(format!(
-                            "unexpected response {other:?} inside a scan stream"
-                        )));
-                    }
-                },
-            }
+        let response = self.client.reply();
+        if let Ok(Response::BatchValues(pairs)) = response {
+            self.batches += 1;
+            self.pending = pairs.into_iter();
+            return Ok(());
+        }
+        self.finished = true;
+        match response? {
+            Response::ScanEnd => Ok(()),
+            Response::Err(detail) => Err(Error::remote(detail)),
+            other => Err(Error::protocol(format!(
+                "unexpected response {other:?} inside a scan stream"
+            ))),
         }
     }
 }
@@ -367,7 +327,6 @@ impl Iterator for ScanStream<'_> {
                 return None;
             }
             if let Err(e) = self.fill() {
-                self.finished = true;
                 return Some(Err(e));
             }
         }
@@ -390,13 +349,12 @@ impl Drop for ScanStream<'_> {
         let mut drained = 0u64;
         while !self.finished {
             if drained >= DROP_DRAIN_FRAME_BUDGET {
-                let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                let _ = self.client.stream.shutdown(Shutdown::Both);
                 break;
             }
             if self.fill().is_err() {
                 break;
             }
-            self.pending = Vec::new().into_iter();
             drained += 1;
         }
     }

@@ -35,10 +35,10 @@
 //! * acknowledged durability — a write is `OK`-ed only after the owning
 //!   shard's WAL append returned, so acknowledged writes survive
 //!   crash-and-reopen of every shard;
-//! * pipelining — sequenced wire frames (a `u64` id after the
-//!   opcode/status byte; legacy frames unchanged) let
-//!   [`PipelinedClient`] keep up to `W` requests in flight per
-//!   connection, matched back to their requests by a reader thread;
+//! * pipelining — every frame carries its request's `u64` sequence id
+//!   after the opcode/status byte, so [`PipelinedClient`] keeps up to
+//!   `W` requests — scans included — in flight per connection, matched
+//!   back to their requests by a reader thread;
 //! * admission control — [`ServerOptions::admission`] arms a
 //!   pressure-driven shed policy: writes to a shard past its
 //!   stall/backlog budgets ([`Lsm::pressure`](lsm_engine::Lsm::pressure))
@@ -69,8 +69,8 @@
 //! let handle = KvServer::bind(Arc::clone(&store), "127.0.0.1:0", 4)?.spawn();
 //!
 //! let mut client = KvClient::connect(handle.addr())?;
-//! client.put_u64(1, b"one".to_vec())?;
-//! assert_eq!(client.get_u64(1)?, Some(b"one".to_vec()));
+//! client.put(1, b"one".to_vec())?;
+//! assert_eq!(client.get(1)?, Some(b"one".to_vec()));
 //!
 //! handle.shutdown();
 //! # Ok(())

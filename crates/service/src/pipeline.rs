@@ -5,10 +5,10 @@
 //! before sending the next request, so each connection's throughput is
 //! capped at `1 / round-trip`, and a benchmark built on it can never
 //! actually saturate the server — the condition under which compaction
-//! stalls matter. [`PipelinedClient`] removes that cap: requests are
-//! sent as **sequenced frames** (see [`protocol`](crate::protocol)) and
-//! a dedicated reader thread matches each sequenced reply back to its
-//! request by id, so up to a configurable window `W` of requests ride
+//! stalls matter. [`PipelinedClient`] removes that cap: every request
+//! carries a sequence id (see [`protocol`](crate::protocol)) and a
+//! dedicated reader thread matches each reply back to its request by
+//! the id it echoes, so up to a configurable window `W` of requests ride
 //! the connection concurrently. The server processes one connection's
 //! requests in order, but it never idles waiting for the client's next
 //! frame — the pipeline keeps its input buffer full.
@@ -17,9 +17,13 @@
 //! that shed instead of queueing) only when the window is exhausted,
 //! which is exactly the moment the server is the bottleneck.
 //!
-//! `SCAN` cannot be pipelined: its reply is a multi-frame stream that
-//! cannot interleave with other in-flight replies. Use the closed-loop
-//! client for scans.
+//! `SCAN` / `SNAP_SCAN` ride the pipeline like any other request: each
+//! `BATCH_VALUES` frame of the reply is handed out as its own
+//! completion carrying the scan's id, and the scan keeps its window
+//! slot until the frame that ends the stream (`SCAN_END` or `ERR`)
+//! arrives. Replies come back in request order, so a scan's frames are
+//! contiguous in the completion stream. The reader buffers frames as
+//! they arrive: collect a large scan's completions as it streams.
 
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,8 +32,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, FrameRead, Request, Response};
-use crate::{wire, Error};
+use crate::protocol::{read_frame, write_frame, FrameRead, Request, Response, UNSOLICITED_SEQ};
+use crate::Error;
 
 /// How long a window-full [`PipelinedClient::submit`] waits between
 /// re-checks of the connection-failure flag.
@@ -45,7 +49,7 @@ const DRAIN_STEP_TIMEOUT: Duration = Duration::from_secs(10);
 /// Submit requests with [`PipelinedClient::submit`] (blocking when the
 /// window is full) or [`PipelinedClient::try_submit`] (reporting a full
 /// window, for open-loop load generators that shed instead of queue);
-/// collect `(sequence id, response)` completions with
+/// collect `(sequence id, response frame)` completions with
 /// [`PipelinedClient::try_completion`] /
 /// [`PipelinedClient::wait_completion`] / [`PipelinedClient::drain`].
 ///
@@ -78,8 +82,9 @@ pub struct PipelinedClient {
     writer: TcpStream,
     window: usize,
     next_seq: u64,
-    /// Submitted minus handed-out completions: exact, unlike the window
-    /// count which decrements before the completion is buffered.
+    /// Submitted requests whose last reply frame has not been handed
+    /// out: exact, unlike the window count which decrements before the
+    /// completion is buffered.
     outstanding: u64,
     shared: Arc<Shared>,
     completions: Receiver<(u64, Response)>,
@@ -96,9 +101,9 @@ struct Shared {
     /// submitters.
     failed: AtomicBool,
     /// Set alongside `failed` when the death was the server's
-    /// session-cap refusal (an unsequenced `BUSY` frame): surfaced as
-    /// [`Error::Busy`] so callers can tell "shed, retry later" from
-    /// corruption.
+    /// session-cap refusal (a `BUSY` frame answering no request):
+    /// surfaced as [`Error::Busy`] so callers can tell "shed, retry
+    /// later" from corruption.
     refused: AtomicBool,
 }
 
@@ -130,7 +135,7 @@ impl PipelinedClient {
         Ok(Self {
             writer,
             window: window.max(1),
-            next_seq: 0,
+            next_seq: UNSOLICITED_SEQ + 1,
             outstanding: 0,
             shared,
             completions: rx,
@@ -154,21 +159,19 @@ impl PipelinedClient {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Submitted requests whose completions have not yet been handed to
-    /// the caller.
+    /// Submitted requests whose reply has not yet been handed to the
+    /// caller in full.
     #[must_use]
     pub fn outstanding(&self) -> u64 {
         self.outstanding
     }
 
-    /// Submits `request` as a sequenced frame, blocking while the
-    /// window is full. Returns the sequence id the matching completion
-    /// will carry.
+    /// Submits `request`, blocking while the window is full. Returns
+    /// the sequence id every completion answering it will carry.
     ///
     /// # Errors
     ///
-    /// Fails if the connection has died, the request cannot be sent, or
-    /// the request is a `SCAN` (not pipelinable).
+    /// Fails if the connection has died or the request cannot be sent.
     pub fn submit(&mut self, request: &Request) -> Result<u64, Error> {
         self.claim_slot(true)?;
         self.send_claimed(request)
@@ -193,7 +196,7 @@ impl PipelinedClient {
     ///
     /// Same as [`PipelinedClient::submit`].
     pub fn submit_put(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<u64, Error> {
-        self.submit(&wire::put(key, value))
+        self.submit(&Request::Put { key, value })
     }
 
     /// Typed [`PipelinedClient::submit`]: `GET key`.
@@ -202,38 +205,7 @@ impl PipelinedClient {
     ///
     /// Same as [`PipelinedClient::submit`].
     pub fn submit_get(&mut self, key: &[u8]) -> Result<u64, Error> {
-        self.submit(&wire::get(key))
-    }
-
-    /// Typed [`PipelinedClient::submit`]: `DEL key`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PipelinedClient::submit`].
-    pub fn submit_delete(&mut self, key: Vec<u8>) -> Result<u64, Error> {
-        self.submit(&wire::delete(key))
-    }
-
-    /// Typed [`PipelinedClient::submit`]: `DELRANGE [start, end)` — one
-    /// range tombstone per shard, pipelinable like any single-response
-    /// write.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PipelinedClient::submit`].
-    pub fn submit_delete_range(&mut self, start: Vec<u8>, end: Vec<u8>) -> Result<u64, Error> {
-        self.submit(&wire::delete_range(start, end))
-    }
-
-    /// Typed [`PipelinedClient::submit`]: `SNAP_GET id key` — a
-    /// snapshot-scoped point read is single-response and rides the
-    /// pipeline like a live `GET`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PipelinedClient::submit`].
-    pub fn submit_snap_get(&mut self, id: u64, key: &[u8]) -> Result<u64, Error> {
-        self.submit(&wire::snap_get(id, key))
+        self.submit(&Request::Get { key: key.to_vec() })
     }
 
     /// Claims a window slot; with `block`, waits for one.
@@ -269,14 +241,8 @@ impl PipelinedClient {
     /// Sends `request` on the slot just claimed, releasing the slot on
     /// failure.
     fn send_claimed(&mut self, request: &Request) -> Result<u64, Error> {
-        if wire::is_streaming(request) {
-            self.release_slot();
-            return Err(Error::protocol(
-                "scan streams multiple frames and cannot be pipelined",
-            ));
-        }
         let seq = self.next_seq;
-        if let Err(e) = write_frame(&mut self.writer, &request.encode_sequenced(seq)) {
+        if let Err(e) = write_frame(&mut self.writer, &request.encode(seq)) {
             self.release_slot();
             return Err(e);
         }
@@ -303,10 +269,7 @@ impl PipelinedClient {
     /// Fails if the connection died with requests still outstanding.
     pub fn try_completion(&mut self) -> Result<Option<(u64, Response)>, Error> {
         match self.completions.try_recv() {
-            Ok(completion) => {
-                self.outstanding -= 1;
-                Ok(Some(completion))
-            }
+            Ok(completion) => Ok(Some(self.hand_out(completion))),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(self.lost()),
         }
@@ -320,10 +283,7 @@ impl PipelinedClient {
     /// Fails if the connection died with requests still outstanding.
     pub fn wait_completion(&mut self, timeout: Duration) -> Result<Option<(u64, Response)>, Error> {
         match self.completions.recv_timeout(timeout) {
-            Ok(completion) => {
-                self.outstanding -= 1;
-                Ok(Some(completion))
-            }
+            Ok(completion) => Ok(Some(self.hand_out(completion))),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(self.lost()),
         }
@@ -345,6 +305,15 @@ impl PipelinedClient {
             }
         }
         Ok(out)
+    }
+
+    /// Accounts for a completion leaving the buffer: a request is done
+    /// with the frame that ends its reply.
+    fn hand_out(&mut self, completion: (u64, Response)) -> (u64, Response) {
+        if ends_reply(&completion.1) {
+            self.outstanding -= 1;
+        }
+        completion
     }
 
     fn lost(&self) -> Error {
@@ -372,45 +341,51 @@ impl Drop for PipelinedClient {
     }
 }
 
-/// The reader half: matches sequenced replies off the wire, frees
-/// window slots, and buffers completions for the submit thread.
+/// Whether `response` is the last frame of its request's reply.
+/// `BATCH_VALUES` never is (a scan stream ends with `SCAN_END` or
+/// `ERR`); every other frame always is.
+fn ends_reply(response: &Response) -> bool {
+    !matches!(response, Response::BatchValues(_))
+}
+
+/// The reader half: takes reply frames off the wire, frees a request's
+/// window slot when its reply ends, and buffers completions for the
+/// submit thread.
 fn read_loop(mut stream: TcpStream, shared: &Shared, completions: &Sender<(u64, Response)>) {
     loop {
-        let outcome = match read_frame(&mut stream) {
+        let completion = match read_frame(&mut stream) {
             Ok(FrameRead::Idle) => continue,
             Ok(FrameRead::Eof) | Err(_) => None,
-            Ok(FrameRead::Frame(payload)) => match Response::decode_any(&payload) {
-                Ok((Some(seq), response)) => Some((seq, response)),
-                // An unsequenced BUSY is the server's session-cap
-                // refusal (sent before it read any request of ours):
-                // the connection is dead, but the caller should see
-                // "shed, retry later", not corruption.
-                Ok((None, Response::Busy)) => {
+            Ok(FrameRead::Frame(payload)) => match Response::decode(&payload) {
+                // A BUSY answering no request is the server's
+                // session-cap refusal (sent before it read any request
+                // of ours): the connection is dead, but the caller
+                // should see "shed, retry later", not corruption.
+                Ok((UNSOLICITED_SEQ, Response::Busy)) => {
                     shared.refused.store(true, Ordering::SeqCst);
                     None
                 }
-                // Any other unsequenced frame inside a pipelined
-                // session means the two sides disagree about what is
-                // in flight: the connection is unusable.
-                Ok((None, _)) | Err(_) => None,
+                // Any other frame answering no request means the two
+                // sides disagree about what is in flight: the
+                // connection is unusable.
+                Ok((UNSOLICITED_SEQ, _)) | Err(_) => None,
+                Ok(completion) => Some(completion),
             },
         };
-        match outcome {
-            Some((seq, response)) => {
-                {
-                    let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                    *inflight = inflight.saturating_sub(1);
-                }
-                shared.slot_free.notify_one();
-                if completions.send((seq, response)).is_err() {
-                    return; // client dropped
-                }
+        let Some(completion) = completion else {
+            shared.failed.store(true, Ordering::SeqCst);
+            shared.slot_free.notify_all();
+            return;
+        };
+        if ends_reply(&completion.1) {
+            {
+                let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
+                *inflight = inflight.saturating_sub(1);
             }
-            None => {
-                shared.failed.store(true, Ordering::SeqCst);
-                shared.slot_free.notify_all();
-                return;
-            }
+            shared.slot_free.notify_one();
+        }
+        if completions.send(completion).is_err() {
+            return; // client dropped
         }
     }
 }
@@ -519,28 +494,49 @@ mod tests {
         handle.shutdown();
     }
 
+    /// Against a scripted peer, so the stream can be held open between
+    /// frames: a scan keeps its window slot and stays outstanding
+    /// through every `BATCH_VALUES` frame and gives both up exactly at
+    /// the frame that ends the stream.
     #[test]
-    fn scan_is_rejected_and_releases_its_slot() {
-        let (handle, _store) = server();
-        let mut client = PipelinedClient::connect(handle.addr(), 1).unwrap();
-        let err = client
-            .submit(&Request::Scan {
-                start: Vec::new(),
-                end: Vec::new(),
-                limit: 0,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("pipelined"));
-        assert_eq!(client.in_flight(), 0, "rejected scan must free its slot");
-        // The connection is still usable.
-        client
-            .submit(&Request::Put {
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            })
-            .unwrap();
-        assert_eq!(client.drain().unwrap().len(), 1);
-        handle.shutdown();
+    fn scan_holds_its_slot_until_the_stream_ends() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = PipelinedClient::connect(listener.local_addr().unwrap(), 1).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let scan = Request::Scan {
+            start: Vec::new(),
+            end: Vec::new(),
+            limit: 0,
+        };
+        let seq = client.submit(&scan).unwrap();
+        assert_eq!(seq, 1, "clients number their requests from 1");
+        match read_frame(&mut peer).unwrap() {
+            FrameRead::Frame(payload) => {
+                assert_eq!(Request::decode(&payload).unwrap(), (seq, scan.clone()));
+            }
+            other => panic!("expected the scan request, got {other:?}"),
+        }
+
+        let chunk = Response::BatchValues(vec![(b"k".to_vec(), b"v".to_vec())]);
+        for _ in 0..3 {
+            write_frame(&mut peer, &chunk.encode(seq)).unwrap();
+            let got = client.wait_completion(Duration::from_secs(10)).unwrap();
+            assert_eq!(got, Some((seq, chunk.clone())));
+            assert_eq!(client.in_flight(), 1, "BATCH_VALUES must not free the slot");
+            assert_eq!(client.outstanding(), 1);
+            assert_eq!(
+                client.try_submit(&scan).unwrap(),
+                None,
+                "window of 1 is full"
+            );
+        }
+        write_frame(&mut peer, &Response::ScanEnd.encode(seq)).unwrap();
+        let got = client.wait_completion(Duration::from_secs(10)).unwrap();
+        assert_eq!(got, Some((seq, Response::ScanEnd)));
+        // The reader frees the slot before it buffers the completion.
+        assert_eq!(client.in_flight(), 0);
+        assert_eq!(client.outstanding(), 0);
+        assert_eq!(client.try_submit(&scan).unwrap(), Some(seq + 1));
     }
 
     #[test]
@@ -557,11 +553,11 @@ mod tests {
         .spawn();
         // Occupy the single session (round-trip proves it is serving).
         let mut held = crate::KvClient::connect(handle.addr()).unwrap();
-        held.put_u64(1, b"v".to_vec()).unwrap();
+        held.put(1, b"v".to_vec()).unwrap();
 
-        // The pipelined client's connection is refused with an
-        // unsequenced BUSY; the reader must latch that as "shed", not
-        // as protocol corruption.
+        // The pipelined client's connection is refused with a BUSY
+        // that answers no request; the reader must latch that as
+        // "shed", not as protocol corruption.
         let mut refused = PipelinedClient::connect(handle.addr(), 4).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

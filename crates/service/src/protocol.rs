@@ -1,9 +1,11 @@
 //! The length-prefixed wire protocol.
 //!
 //! Every message — request or response — is one *frame*: a little-endian
-//! `u32` payload length followed by the payload. Request payloads start
-//! with an opcode byte (`GET` / `PUT` / `DEL` / `BATCH` / `SCAN` / …),
-//! response payloads with a status byte. All integers are
+//! `u32` payload length followed by the payload. Every payload is
+//! `tag u8 | seq u64 LE | body`: the tag is an opcode (`GET` / `PUT` /
+//! `DEL` / `BATCH` / `SCAN` / …) on a request and a status on a
+//! response, and `seq` is the request's sequence id, which the server
+//! echoes on every frame that answers it. All integers are
 //! little-endian; keys and values are length-prefixed byte strings. The
 //! protocol is deliberately minimal — `std::net` only, no external wire
 //! formats — but framed so requests and responses survive TCP
@@ -15,7 +17,7 @@
 //! | `PUT`  | key, value           | `OK` (durable once received)  |
 //! | `DEL`  | key                  | `OK`                          |
 //! | `BATCH`| n × (kind,key[,val]) | `OK` (applied per-shard batch)|
-//! | `SCAN` | start, end, limit    | stream: 0+ × `BATCH_VALUES`, then `SCAN_END` (or `ERR`) |
+//! | `SCAN` | start, end, limit    | stream: 0+ × `BATCH_VALUES`, then `SCAN_END` (or `ERR`), every frame echoing the scan's seq |
 //! | `METRICS`| —                  | `METRICS(snapshot)`           |
 //! | `EVENTS` | cursor, max        | `EVENTS(batch)`               |
 //! | `DELRANGE` | start, end       | `OK` (one range tombstone per shard) |
@@ -23,6 +25,25 @@
 //! | `SNAP_RELEASE` | id           | `OK` or `NOT_FOUND`           |
 //! | `SNAP_GET` | id, key          | `VALUE(v)` / `NOT_FOUND` / `ERR` |
 //! | `SNAP_SCAN` | id, start, end, limit | same stream as `SCAN`   |
+//!
+//! # Sequence ids
+//!
+//! A client numbers its requests from 1 and may keep many in flight on
+//! one connection; the server answers one connection's requests
+//! strictly in order and stamps each reply with the id of the request
+//! it answers. Sequence id 0 is reserved for replies that answer no
+//! request: the session-cap `BUSY` sent to a refused connection, and
+//! the `ERR` for a payload too short to carry an id.
+//!
+//! `SCAN` and `SNAP_SCAN` are the requests answered by **more than one
+//! frame**: the server streams the range back as bounded `BATCH_VALUES`
+//! chunks (at most [`SCAN_BATCH_MAX_ENTRIES`] pairs /
+//! ~[`SCAN_BATCH_MAX_BYTES`] payload bytes each) terminated by
+//! `SCAN_END` (or `ERR`), so a scan over millions of keys never
+//! materializes server-side. Because replies are in request order the
+//! stream's frames are contiguous on the connection, and
+//! `BATCH_VALUES` is by definition never the last frame of a reply. An
+//! empty `end` means "unbounded"; `limit` 0 means "no limit".
 //!
 //! # Snapshots over the wire (`SNAP_*`)
 //!
@@ -46,33 +67,6 @@
 //! bounded maintenance-trace ring from a client-held cursor; each event
 //! carries its kind as a string and its payload as named `u64` fields —
 //! same reasoning, same forward compatibility.
-//!
-//! Any write may instead be answered `BUSY` (shed, not applied), and
-//! any request/response may be wrapped in the sequenced framing — both
-//! described below.
-//!
-//! `SCAN` is the one request answered by **more than one frame**: the
-//! server streams the range back as bounded `BATCH_VALUES` chunks (at
-//! most [`SCAN_BATCH_MAX_ENTRIES`] pairs / ~[`SCAN_BATCH_MAX_BYTES`]
-//! payload bytes each) terminated by `SCAN_END`, so a scan over millions
-//! of keys never materializes server-side and the client renders it as a
-//! blocking iterator. An empty `end` means "unbounded"; `limit` 0 means
-//! "no limit".
-//!
-//! # Sequenced frames (pipelining)
-//!
-//! A frame whose opcode/status byte has the high bit ([`SEQ_FLAG`]) set
-//! is **sequenced**: a little-endian `u64` request sequence id follows
-//! the tag byte, then the ordinary body. A pipelined client keeps many
-//! sequenced requests in flight on one connection and matches each
-//! sequenced reply to its request by id; the server echoes the id of
-//! the request it is answering. Old unsequenced frames are the same
-//! bytes as ever and still decode — [`Request::decode_any`] /
-//! [`Response::decode_any`] accept both framings, while the legacy
-//! [`Request::decode`] / [`Response::decode`] reject sequenced frames
-//! (a closed-loop endpoint must not silently drop a sequence id).
-//! `SCAN` is excluded: its multi-frame response stream cannot be
-//! interleaved, so it stays a closed-loop request.
 //!
 //! # Overload (`BUSY`)
 //!
@@ -101,9 +95,9 @@ pub const SCAN_BATCH_MAX_ENTRIES: usize = 256;
 /// that crossed it).
 pub const SCAN_BATCH_MAX_BYTES: usize = 64 * 1024;
 
-/// High bit of the opcode/status byte: the frame is sequenced — a
-/// little-endian `u64` sequence id follows the tag byte.
-pub const SEQ_FLAG: u8 = 0x80;
+/// Sequence id of a reply that answers no request (see the module
+/// docs); clients number their requests from 1.
+pub const UNSOLICITED_SEQ: u64 = 0;
 
 const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
@@ -360,11 +354,27 @@ fn get_string(cursor: &mut &[u8]) -> Result<String, Error> {
     String::from_utf8(get_bytes(cursor)?).map_err(|_| Error::protocol("non-utf8 metric name"))
 }
 
-fn get_u64(cursor: &mut &[u8]) -> Result<u64, Error> {
+fn read_u64(cursor: &mut &[u8]) -> Result<u64, Error> {
     if cursor.remaining() < 8 {
         return Err(Error::protocol("truncated u64"));
     }
     Ok(cursor.get_u64_le())
+}
+
+/// Reads the `tag u8 | seq u64 LE` header every payload starts with.
+fn read_header(cursor: &mut &[u8]) -> Result<(u8, u64), Error> {
+    if cursor.remaining() < 9 {
+        return Err(Error::protocol("payload too short for tag and sequence id"));
+    }
+    Ok((cursor.get_u8(), cursor.get_u64_le()))
+}
+
+/// The sequence id `payload` carries — what the `ERR` for a request
+/// that does not decode echoes — or [`UNSOLICITED_SEQ`] when it is too
+/// short to carry one.
+#[must_use]
+pub fn seq_of(mut payload: &[u8]) -> u64 {
+    read_header(&mut payload).map_or(UNSOLICITED_SEQ, |(_tag, seq)| seq)
 }
 
 /// Reads an element count and rejects hostile values up front (the
@@ -405,13 +415,13 @@ fn decode_metrics(cursor: &mut &[u8]) -> Result<MetricsSnapshot, Error> {
     let mut counters = Vec::with_capacity(n_counters);
     for _ in 0..n_counters {
         let name = get_string(cursor)?;
-        counters.push((name, get_u64(cursor)?));
+        counters.push((name, read_u64(cursor)?));
     }
     let n_histograms = get_count(cursor)?;
     let mut histograms = Vec::with_capacity(n_histograms);
     for _ in 0..n_histograms {
         let name = get_string(cursor)?;
-        let sum = get_u64(cursor)?;
+        let sum = read_u64(cursor)?;
         let n_buckets = get_count(cursor)?;
         let mut sparse = Vec::with_capacity(n_buckets);
         for _ in 0..n_buckets {
@@ -449,13 +459,13 @@ fn encode_events(batch: &EventBatch, buf: &mut BytesMut) {
 }
 
 fn decode_events(cursor: &mut &[u8]) -> Result<EventBatch, Error> {
-    let next_cursor = get_u64(cursor)?;
-    let dropped = get_u64(cursor)?;
+    let next_cursor = read_u64(cursor)?;
+    let dropped = read_u64(cursor)?;
     let n_events = get_count(cursor)?;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
-        let seq = get_u64(cursor)?;
-        let at_micros = get_u64(cursor)?;
+        let seq = read_u64(cursor)?;
+        let at_micros = read_u64(cursor)?;
         if cursor.remaining() < 4 {
             return Err(Error::protocol("truncated event shard"));
         }
@@ -465,7 +475,7 @@ fn decode_events(cursor: &mut &[u8]) -> Result<EventBatch, Error> {
         let mut fields = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
             let name = get_string(cursor)?;
-            fields.push((name, get_u64(cursor)?));
+            fields.push((name, read_u64(cursor)?));
         }
         events.push(WireEvent {
             seq,
@@ -483,25 +493,13 @@ fn decode_events(cursor: &mut &[u8]) -> Result<EventBatch, Error> {
 }
 
 impl Request {
-    /// Serializes the request payload (without the frame header), in the
-    /// legacy unsequenced framing.
+    /// Serializes the request payload (without the frame header)
+    /// carrying sequence id `seq`, which the server echoes on every
+    /// frame of the reply.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(None)
-    }
-
-    /// Serializes the request payload as a sequenced frame carrying
-    /// `seq` (see the module docs). The server echoes `seq` on the
-    /// matching reply, so many sequenced requests can share one
-    /// connection out of order.
-    #[must_use]
-    pub fn encode_sequenced(&self, seq: u64) -> Vec<u8> {
-        self.encode_with(Some(seq))
-    }
-
-    fn encode_with(&self, seq: Option<u64>) -> Vec<u8> {
+    pub fn encode(&self, seq: u64) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        let opcode = match self {
+        buf.put_u8(match self {
             Request::Get { .. } => OP_GET,
             Request::Put { .. } => OP_PUT,
             Request::Delete { .. } => OP_DEL,
@@ -514,14 +512,8 @@ impl Request {
             Request::SnapRelease { .. } => OP_SNAP_RELEASE,
             Request::SnapGet { .. } => OP_SNAP_GET,
             Request::SnapScan { .. } => OP_SNAP_SCAN,
-        };
-        match seq {
-            None => buf.put_u8(opcode),
-            Some(seq) => {
-                buf.put_u8(opcode | SEQ_FLAG);
-                buf.put_u64_le(seq);
-            }
-        }
+        });
+        buf.put_u64_le(seq);
         match self {
             Request::Get { key } | Request::Delete { key } => {
                 put_bytes(&mut buf, key);
@@ -575,44 +567,16 @@ impl Request {
         buf.to_vec()
     }
 
-    /// Deserializes a request payload in the legacy unsequenced framing;
-    /// sequenced frames are rejected (a closed-loop endpoint must not
-    /// silently drop a sequence id — use [`Request::decode_any`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] for unknown opcodes, truncation, or a
-    /// sequenced frame.
-    pub fn decode(payload: &[u8]) -> Result<Self, Error> {
-        match Self::decode_any(payload)? {
-            (None, request) => Ok(request),
-            (Some(_), _) => Err(Error::protocol(
-                "sequenced request where an unsequenced one was expected",
-            )),
-        }
-    }
-
-    /// Deserializes a request payload in either framing, returning the
-    /// sequence id when the frame was sequenced.
+    /// Deserializes a request payload into its sequence id and the
+    /// request.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Protocol`] for unknown opcodes or truncation.
-    pub fn decode_any(payload: &[u8]) -> Result<(Option<u64>, Self), Error> {
+    pub fn decode(payload: &[u8]) -> Result<(u64, Self), Error> {
         let mut cursor = payload;
-        if cursor.is_empty() {
-            return Err(Error::protocol("empty request payload"));
-        }
-        let tag = cursor.get_u8();
-        let seq = if tag & SEQ_FLAG != 0 {
-            if cursor.remaining() < 8 {
-                return Err(Error::protocol("truncated request sequence id"));
-            }
-            Some(cursor.get_u64_le())
-        } else {
-            None
-        };
-        let request = match tag & !SEQ_FLAG {
+        let (tag, seq) = read_header(&mut cursor)?;
+        let request = match tag {
             OP_GET => Request::Get {
                 key: get_bytes(&mut cursor)?,
             },
@@ -662,7 +626,7 @@ impl Request {
             }
             OP_METRICS => Request::Metrics,
             OP_EVENTS => {
-                let cursor_pos = get_u64(&mut cursor)?;
+                let cursor_pos = read_u64(&mut cursor)?;
                 if cursor.remaining() < 4 {
                     return Err(Error::protocol("truncated events max"));
                 }
@@ -677,14 +641,14 @@ impl Request {
             },
             OP_SNAP_CREATE => Request::SnapCreate,
             OP_SNAP_RELEASE => Request::SnapRelease {
-                id: get_u64(&mut cursor)?,
+                id: read_u64(&mut cursor)?,
             },
             OP_SNAP_GET => Request::SnapGet {
-                id: get_u64(&mut cursor)?,
+                id: read_u64(&mut cursor)?,
                 key: get_bytes(&mut cursor)?,
             },
             OP_SNAP_SCAN => {
-                let id = get_u64(&mut cursor)?;
+                let id = read_u64(&mut cursor)?;
                 let start = get_bytes(&mut cursor)?;
                 let end = get_bytes(&mut cursor)?;
                 if cursor.remaining() < 4 {
@@ -707,23 +671,12 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes the response payload (without the frame header), in
-    /// the legacy unsequenced framing.
+    /// Serializes the response payload (without the frame header)
+    /// echoing `seq`, the id of the request it answers.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(None)
-    }
-
-    /// Serializes the response payload as a sequenced frame echoing the
-    /// request's `seq` (see the module docs).
-    #[must_use]
-    pub fn encode_sequenced(&self, seq: u64) -> Vec<u8> {
-        self.encode_with(Some(seq))
-    }
-
-    fn encode_with(&self, seq: Option<u64>) -> Vec<u8> {
+    pub fn encode(&self, seq: u64) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        let status = match self {
+        buf.put_u8(match self {
             Response::Ok => ST_OK,
             Response::Value(_) => ST_VALUE,
             Response::NotFound => ST_NOT_FOUND,
@@ -734,14 +687,8 @@ impl Response {
             Response::Metrics(_) => ST_METRICS,
             Response::Events(_) => ST_EVENTS,
             Response::Snapshot(_) => ST_SNAPSHOT,
-        };
-        match seq {
-            None => buf.put_u8(status),
-            Some(seq) => {
-                buf.put_u8(status | SEQ_FLAG);
-                buf.put_u64_le(seq);
-            }
-        }
+        });
+        buf.put_u64_le(seq);
         match self {
             Response::Ok | Response::NotFound | Response::ScanEnd | Response::Busy => {}
             Response::Value(value) => put_bytes(&mut buf, value),
@@ -760,45 +707,17 @@ impl Response {
         buf.to_vec()
     }
 
-    /// Deserializes a response payload in the legacy unsequenced
-    /// framing; sequenced frames are rejected (use
-    /// [`Response::decode_any`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Protocol`] for unknown status bytes, truncation,
-    /// or a sequenced frame.
-    pub fn decode(payload: &[u8]) -> Result<Self, Error> {
-        match Self::decode_any(payload)? {
-            (None, response) => Ok(response),
-            (Some(_), _) => Err(Error::protocol(
-                "sequenced response where an unsequenced one was expected",
-            )),
-        }
-    }
-
-    /// Deserializes a response payload in either framing, returning the
-    /// echoed sequence id when the frame was sequenced.
+    /// Deserializes a response payload into the echoed sequence id
+    /// and the response.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Protocol`] for unknown status bytes or
     /// truncation.
-    pub fn decode_any(payload: &[u8]) -> Result<(Option<u64>, Self), Error> {
+    pub fn decode(payload: &[u8]) -> Result<(u64, Self), Error> {
         let mut cursor = payload;
-        if cursor.is_empty() {
-            return Err(Error::protocol("empty response payload"));
-        }
-        let tag = cursor.get_u8();
-        let seq = if tag & SEQ_FLAG != 0 {
-            if cursor.remaining() < 8 {
-                return Err(Error::protocol("truncated response sequence id"));
-            }
-            Some(cursor.get_u64_le())
-        } else {
-            None
-        };
-        let response = match tag & !SEQ_FLAG {
+        let (tag, seq) = read_header(&mut cursor)?;
+        let response = match tag {
             ST_OK => Response::Ok,
             ST_VALUE => Response::Value(get_bytes(&mut cursor)?),
             ST_NOT_FOUND => Response::NotFound,
@@ -823,7 +742,7 @@ impl Response {
             ),
             ST_METRICS => Response::Metrics(decode_metrics(&mut cursor)?),
             ST_EVENTS => Response::Events(decode_events(&mut cursor)?),
-            ST_SNAPSHOT => Response::Snapshot(get_u64(&mut cursor)?),
+            ST_SNAPSHOT => Response::Snapshot(read_u64(&mut cursor)?),
             other => return Err(Error::protocol(format!("unknown status {other}"))),
         };
         if !cursor.is_empty() {
@@ -941,6 +860,9 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), Error>
 mod tests {
     use super::*;
 
+    /// The sequence id the single-frame tests stamp on what they encode.
+    const SEQ: u64 = 0x0102_0304_0506_0708;
+
     #[test]
     fn request_roundtrips() {
         let requests = vec![
@@ -991,8 +913,8 @@ mod tests {
             },
         ];
         for request in requests {
-            let decoded = Request::decode(&request.encode()).unwrap();
-            assert_eq!(decoded, request);
+            let decoded = Request::decode(&request.encode(SEQ)).unwrap();
+            assert_eq!(decoded, (SEQ, request));
         }
     }
 
@@ -1015,13 +937,13 @@ mod tests {
             Response::Snapshot(u64::MAX),
         ];
         for response in responses {
-            let decoded = Response::decode(&response.encode()).unwrap();
-            assert_eq!(decoded, response);
+            let decoded = Response::decode(&response.encode(SEQ)).unwrap();
+            assert_eq!(decoded, (SEQ, response));
         }
     }
 
     #[test]
-    fn snapshot_and_delrange_frames_reject_truncation_and_sequence() {
+    fn snapshot_and_delrange_frames_reject_truncation() {
         let requests = [
             Request::DeleteRange {
                 start: b"aa".to_vec(),
@@ -1040,7 +962,7 @@ mod tests {
             },
         ];
         for request in &requests {
-            let encoded = request.encode();
+            let encoded = request.encode(SEQ);
             for cut in 0..encoded.len() {
                 assert!(
                     Request::decode(&encoded[..cut]).is_err(),
@@ -1050,39 +972,50 @@ mod tests {
             let mut long = encoded.clone();
             long.push(0);
             assert!(Request::decode(&long).is_err());
-            // Sequenced framing carries the id through.
-            let (seq, decoded) = Request::decode_any(&request.encode_sequenced(11)).unwrap();
-            assert_eq!(seq, Some(11));
-            assert_eq!(&decoded, request);
         }
-        let encoded = Response::Snapshot(42).encode();
+        let encoded = Response::Snapshot(42).encode(SEQ);
         for cut in 0..encoded.len() {
             assert!(Response::decode(&encoded[..cut]).is_err());
         }
-        let (seq, decoded) = Response::decode_any(&Response::Snapshot(42).encode_sequenced(8)).unwrap();
-        assert_eq!(seq, Some(8));
-        assert_eq!(decoded, Response::Snapshot(42));
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[99]).is_err());
-        assert!(Response::decode(&[77]).is_err());
-        // Truncated PUT: opcode + half a key length.
-        assert!(Request::decode(&[OP_PUT, 5, 0]).is_err());
+        // A bare tag, and a tag with half a sequence id.
+        assert!(Request::decode(&[OP_GET]).is_err());
+        assert!(Response::decode(&[ST_OK, 1, 0, 0, 0]).is_err());
+        // Unknown tags behind a full header — including a known opcode
+        // or status with its high bit set.
+        for tag in [99, OP_GET | 0x80, OP_SCAN | 0x80] {
+            let mut payload = Request::Metrics.encode(SEQ);
+            payload[0] = tag;
+            let err = Request::decode(&payload).unwrap_err();
+            assert!(err.to_string().contains("unknown opcode"), "{err}");
+        }
+        for tag in [77, ST_OK | 0x80, ST_BUSY | 0x80] {
+            let mut payload = Response::Ok.encode(SEQ);
+            payload[0] = tag;
+            let err = Response::decode(&payload).unwrap_err();
+            assert!(err.to_string().contains("unknown status"), "{err}");
+        }
+        // Truncated PUT: header + half a key length.
+        let mut put = Request::Metrics.encode(SEQ);
+        put[0] = OP_PUT;
+        put.extend_from_slice(&[5, 0]);
+        assert!(Request::decode(&put).is_err());
         // Trailing junk.
-        let mut ok = Request::Metrics.encode();
+        let mut ok = Request::Metrics.encode(SEQ);
         ok.push(0);
         assert!(Request::decode(&ok).is_err());
         // The reserved opcode 5 / status 3 stay unassigned, bare or with
         // a body behind them.
         for body_len in [0, 29 * 8] {
             let mut frame = vec![5u8];
-            frame.resize(1 + body_len, 0);
-            assert!(Request::decode_any(&frame).is_err());
+            frame.resize(9 + body_len, 0);
+            assert!(Request::decode(&frame).is_err());
             frame[0] = 3;
-            assert!(Response::decode_any(&frame).is_err());
+            assert!(Response::decode(&frame).is_err());
         }
     }
 
@@ -1093,7 +1026,7 @@ mod tests {
             end: b"zz".to_vec(),
             limit: 7,
         };
-        let encoded = scan.encode();
+        let encoded = scan.encode(SEQ);
         // Every strict prefix of a SCAN request is rejected (the limit
         // field, the byte strings and their length prefixes all check).
         for cut in 0..encoded.len() {
@@ -1111,7 +1044,7 @@ mod tests {
             (b"key-1".to_vec(), b"value-1".to_vec()),
             (b"key-2".to_vec(), b"value-2".to_vec()),
         ]);
-        let encoded = batch.encode();
+        let encoded = batch.encode(SEQ);
         // A torn BATCH_VALUES (count says 2, payload holds fewer) and
         // every other strict prefix are rejected.
         for cut in 0..encoded.len() {
@@ -1125,102 +1058,19 @@ mod tests {
         assert!(Response::decode(&long).is_err());
 
         // SCAN_END carries no payload: any trailing byte is junk.
-        let mut end = Response::ScanEnd.encode();
-        assert_eq!(Response::decode(&end).unwrap(), Response::ScanEnd);
+        let mut end = Response::ScanEnd.encode(SEQ);
+        assert_eq!(Response::decode(&end).unwrap(), (SEQ, Response::ScanEnd));
         end.push(1);
         assert!(Response::decode(&end).is_err());
     }
 
     #[test]
-    fn sequenced_frames_roundtrip_with_their_ids() {
-        let requests = [
-            Request::Get { key: b"k".to_vec() },
-            Request::Put {
-                key: b"key".to_vec(),
-                value: b"value".to_vec(),
-            },
-            Request::Delete {
-                key: b"gone".to_vec(),
-            },
-            Request::Batch {
-                ops: vec![WireOp::put(b"a".to_vec(), b"1".to_vec())],
-            },
-            Request::Metrics,
-        ];
-        for (i, request) in requests.iter().enumerate() {
-            let seq = u64::MAX - i as u64;
-            let encoded = request.encode_sequenced(seq);
-            let (got_seq, decoded) = Request::decode_any(&encoded).unwrap();
-            assert_eq!(got_seq, Some(seq));
-            assert_eq!(&decoded, request);
-            // The legacy decoder refuses to drop the sequence id.
-            assert!(Request::decode(&encoded).is_err());
-            // decode_any also still takes the legacy framing.
-            let (none_seq, decoded) = Request::decode_any(&request.encode()).unwrap();
-            assert_eq!(none_seq, None);
-            assert_eq!(&decoded, request);
-        }
-
-        let responses = [
-            Response::Ok,
-            Response::Value(b"v".to_vec()),
-            Response::NotFound,
-            Response::Busy,
-            Response::Err("overloaded".to_owned()),
-        ];
-        for (i, response) in responses.iter().enumerate() {
-            let seq = 7_000 + i as u64;
-            let encoded = response.encode_sequenced(seq);
-            let (got_seq, decoded) = Response::decode_any(&encoded).unwrap();
-            assert_eq!(got_seq, Some(seq));
-            assert_eq!(&decoded, response);
-            assert!(Response::decode(&encoded).is_err());
-        }
-    }
-
-    #[test]
-    fn truncated_sequence_ids_are_rejected() {
-        let encoded = Request::Metrics.encode_sequenced(42);
-        // Tag byte alone, and every prefix of the 8-byte id.
-        for cut in 1..9 {
-            assert!(
-                Request::decode_any(&encoded[..cut]).is_err(),
-                "sequenced prefix of {cut} bytes decoded"
-            );
-        }
-        let encoded = Response::Busy.encode_sequenced(42);
-        for cut in 1..9 {
-            assert!(
-                Response::decode_any(&encoded[..cut]).is_err(),
-                "sequenced prefix of {cut} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
     fn busy_roundtrips_and_carries_no_payload() {
-        let encoded = Response::Busy.encode();
-        assert_eq!(Response::decode(&encoded).unwrap(), Response::Busy);
+        let encoded = Response::Busy.encode(SEQ);
+        assert_eq!(Response::decode(&encoded).unwrap(), (SEQ, Response::Busy));
         let mut junk = encoded.clone();
         junk.push(0);
         assert!(Response::decode(&junk).is_err());
-    }
-
-    #[test]
-    fn metrics_and_events_requests_roundtrip() {
-        for request in [
-            Request::Metrics,
-            Request::Events { cursor: 0, max: 0 },
-            Request::Events {
-                cursor: u64::MAX,
-                max: 4096,
-            },
-        ] {
-            assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-            let (seq, decoded) = Request::decode_any(&request.encode_sequenced(9)).unwrap();
-            assert_eq!(seq, Some(9));
-            assert_eq!(decoded, request);
-        }
     }
 
     #[test]
@@ -1240,8 +1090,8 @@ mod tests {
             ],
         };
         let response = Response::Metrics(snapshot.clone());
-        match Response::decode(&response.encode()).unwrap() {
-            Response::Metrics(decoded) => {
+        match Response::decode(&response.encode(SEQ)).unwrap() {
+            (SEQ, Response::Metrics(decoded)) => {
                 assert_eq!(decoded, snapshot);
                 assert_eq!(decoded.counter("stats_puts"), Some(42));
                 let h = decoded.histogram("server_get_us").unwrap();
@@ -1274,8 +1124,8 @@ mod tests {
                 },
             ],
         };
-        match Response::decode(&Response::Events(batch.clone()).encode()).unwrap() {
-            Response::Events(decoded) => {
+        match Response::decode(&Response::Events(batch.clone()).encode(SEQ)).unwrap() {
+            (SEQ, Response::Events(decoded)) => {
                 assert_eq!(decoded, batch);
                 assert_eq!(decoded.events[0].field("generation"), Some(4));
                 assert_eq!(decoded.events[0].field("missing"), None);
@@ -1293,7 +1143,7 @@ mod tests {
                 HistogramSnapshot::from_sparse(&[(3, 2), (40, 1)], 999),
             )],
         })
-        .encode();
+        .encode(SEQ);
         for cut in 0..metrics.len() {
             assert!(
                 Response::decode(&metrics[..cut]).is_err(),
@@ -1311,7 +1161,7 @@ mod tests {
                 fields: vec![("generation".to_owned(), 0)],
             }],
         })
-        .encode();
+        .encode(SEQ);
         for cut in 0..events.len() {
             assert!(
                 Response::decode(&events[..cut]).is_err(),
@@ -1319,7 +1169,8 @@ mod tests {
             );
         }
         // Hostile element counts are a protocol error, not an allocation.
-        let mut hostile = vec![ST_METRICS];
+        let mut hostile = Response::Ok.encode(SEQ);
+        hostile[0] = ST_METRICS;
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Response::decode(&hostile).is_err());
     }

@@ -48,13 +48,6 @@ impl ShardRouter {
     pub fn shard_for(&self, key: &[u8]) -> usize {
         (hll::hash_bytes(key) % self.shards as u64) as usize
     }
-
-    /// Convenience: the shard owning the big-endian encoding of an
-    /// integer key (the encoding [`lsm_engine::key_from_u64`] produces).
-    #[must_use]
-    pub fn shard_for_u64(&self, key: u64) -> usize {
-        self.shard_for(&key.to_be_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +62,7 @@ mod tests {
             let s = router.shard_for(&key);
             assert!(s < 8);
             assert_eq!(s, router.shard_for(&key));
-            assert_eq!(s, router.shard_for_u64(i));
+            assert_eq!(s, router.shard_for(&i.to_be_bytes()));
         }
     }
 
@@ -78,7 +71,7 @@ mod tests {
         let router = ShardRouter::new(4);
         let mut counts = [0usize; 4];
         for i in 0..4_000u64 {
-            counts[router.shard_for_u64(i)] += 1;
+            counts[router.shard_for(&i.to_be_bytes())] += 1;
         }
         for (shard, &count) in counts.iter().enumerate() {
             assert!(

@@ -26,8 +26,9 @@ use obs::{HistogramSnapshot, LatencyHistogram};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::protocol::{
-    read_frame, write_frame, EventBatch, FrameRead, Request, Response, WireEvent,
-    MAX_WIRE_ELEMENTS, SCAN_BATCH_MAX_BYTES, SCAN_BATCH_MAX_ENTRIES,
+    read_frame, seq_of, write_frame, EventBatch, FrameRead, Request, Response, WireEvent,
+    MAX_FRAME_LEN, MAX_WIRE_ELEMENTS, SCAN_BATCH_MAX_BYTES, SCAN_BATCH_MAX_ENTRIES,
+    UNSOLICITED_SEQ,
 };
 use crate::{Error, ShardedKv, ThreadPool};
 
@@ -49,11 +50,12 @@ const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 const EVENTS_BATCH_DEFAULT: usize = 1024;
 
 /// Server-side request latency histograms, shared by every connection:
-/// the time from a decoded request to its response being ready (for
-/// scans, the whole stream). This is the server's honest counterpart to
-/// whatever a load generator measures client-side — only the wire and
-/// the client's own queueing are excluded — and it rides the `METRICS`
-/// frame as `server_*_us` next to the engine's `engine_*_us`.
+/// the time from a decoded request to the frame that ends its reply
+/// being ready to send (for scans, the whole stream before it). This is
+/// the server's honest counterpart to whatever a load generator
+/// measures client-side — only the wire and the client's own queueing
+/// are excluded — and it rides the `METRICS` frame as `server_*_us`
+/// next to the engine's `engine_*_us`.
 #[derive(Debug, Clone, Default)]
 struct ServerMetrics {
     get: LatencyHistogram,
@@ -74,12 +76,10 @@ impl ServerMetrics {
             Request::Delete { .. } => Some(self.delete.clone()),
             Request::DeleteRange { .. } => Some(self.delete_range.clone()),
             Request::Batch { .. } => Some(self.batch.clone()),
-            // Scans (live and snapshot-scoped) are timed at the stream
-            // site; introspection and snapshot-lifecycle requests are
-            // not worth a histogram each.
-            Request::Scan { .. }
-            | Request::SnapScan { .. }
-            | Request::Metrics
+            Request::Scan { .. } | Request::SnapScan { .. } => Some(self.scan.clone()),
+            // Introspection and snapshot-lifecycle requests are not
+            // worth a histogram each.
+            Request::Metrics
             | Request::Events { .. }
             | Request::SnapCreate
             | Request::SnapRelease { .. }
@@ -269,42 +269,36 @@ impl KvServer {
             .listener
             .local_addr()
             .expect("freshly bound listener has an address");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_shutdown = Arc::clone(&shutdown);
-        let controller = Arc::new(AdmissionController::new(self.options.admission_policy()));
-        let metrics = Arc::new(ServerMetrics::default());
-        let snapshots = Arc::new(SnapshotRegistry::default());
+        let state = Arc::new(ServerState {
+            store: self.store,
+            controller: AdmissionController::new(self.options.admission_policy()),
+            metrics: ServerMetrics::default(),
+            snapshots: SnapshotRegistry::default(),
+            shutdown: AtomicBool::new(false),
+        });
+        let accept_state = Arc::clone(&state);
+        let listener = self.listener;
         let max_sessions = self.options.session_cap();
         let workers = self.options.worker_count();
         let accept = std::thread::Builder::new()
             .name("kv-accept".to_owned())
             .spawn(move || {
+                let state = accept_state;
                 let pool = ThreadPool::new(workers);
                 let sessions = Arc::new(AtomicUsize::new(0));
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    match self.listener.accept() {
+                while !state.shutdown.load(Ordering::SeqCst) {
+                    match listener.accept() {
                         Ok((stream, _peer)) => {
                             if sessions.load(Ordering::SeqCst) >= max_sessions {
-                                controller.record_shed_connection();
+                                state.controller.record_shed_connection();
                                 refuse_connection(stream);
                                 continue;
                             }
                             let session = SessionGuard::enter(&sessions);
-                            let store = Arc::clone(&self.store);
-                            let shutdown = Arc::clone(&accept_shutdown);
-                            let controller = Arc::clone(&controller);
-                            let metrics = Arc::clone(&metrics);
-                            let snapshots = Arc::clone(&snapshots);
+                            let state = Arc::clone(&state);
                             pool.execute(move || {
                                 let _session = session;
-                                serve_connection(
-                                    &store,
-                                    &controller,
-                                    &metrics,
-                                    &snapshots,
-                                    stream,
-                                    &shutdown,
-                                );
+                                serve_connection(&state, stream);
                             });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -319,10 +313,20 @@ impl KvServer {
             .expect("spawning the accept thread");
         ServerHandle {
             addr,
-            shutdown,
+            state,
             accept: Some(accept),
         }
     }
+}
+
+/// What every connection of one server shares.
+#[derive(Debug)]
+struct ServerState {
+    store: Arc<ShardedKv>,
+    controller: AdmissionController,
+    metrics: ServerMetrics,
+    snapshots: SnapshotRegistry,
+    shutdown: AtomicBool,
 }
 
 /// Holds one slot of the session cap; the slot frees when the session
@@ -418,7 +422,7 @@ fn refuse_connection(stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(REFUSE_IO_TIMEOUT));
     let _ = stream.set_read_timeout(Some(REFUSE_IO_TIMEOUT));
-    if write_frame(&mut stream, &Response::Busy.encode()).is_err() {
+    if send(&mut stream, UNSOLICITED_SEQ, &Response::Busy).is_err() {
         return;
     }
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -435,7 +439,7 @@ fn refuse_connection(stream: TcpStream) {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    state: Arc<ServerState>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -454,7 +458,7 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -467,18 +471,17 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Sends one reply frame echoing `seq` — the only place a response is
+/// encoded.
+fn send(stream: &mut TcpStream, seq: u64, response: &Response) -> Result<(), Error> {
+    write_frame(stream, &response.encode(seq))
+}
+
 /// One client session: frames in, frames out, until EOF / error /
-/// shutdown. Accepts both framings — a sequenced request gets its
-/// sequence id echoed on the reply, so a pipelined client can keep many
-/// requests in flight on this connection.
-fn serve_connection(
-    store: &ShardedKv,
-    controller: &AdmissionController,
-    metrics: &ServerMetrics,
-    snapshots: &SnapshotRegistry,
-    mut stream: TcpStream,
-    shutdown: &AtomicBool,
-) {
+/// shutdown. Requests are answered strictly in arrival order, each
+/// reply frame echoing its request's sequence id, so a client may keep
+/// many requests in flight on this connection.
+fn serve_connection(state: &ServerState, mut stream: TcpStream) {
     // One small response frame per request: without NODELAY every
     // closed-loop round-trip pays Nagle + delayed-ACK (~40 ms).
     if stream.set_nodelay(true).is_err()
@@ -488,7 +491,7 @@ fn serve_connection(
         return;
     }
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if state.shutdown.load(Ordering::SeqCst) {
             let _ = stream.flush();
             return;
         }
@@ -497,88 +500,37 @@ fn serve_connection(
             Ok(FrameRead::Idle) => continue,
             Ok(FrameRead::Eof) | Err(_) => return,
         };
-        let (seq, response) = match Request::decode_any(&payload) {
-            // SCAN / SNAP_SCAN are answered by a stream of frames, not
-            // a single response — they cannot interleave with other
-            // in-flight replies, so they are closed-loop only.
-            Ok((None, Request::Scan { start, end, limit })) => {
-                let started = Instant::now();
-                let result = stream_pairs(
-                    &mut stream,
-                    store.scan(scan_bounds(start, &end)),
-                    limit,
-                    shutdown,
-                );
-                metrics.scan.record_duration(started.elapsed());
-                if result.is_err() {
-                    return;
-                }
-                continue;
-            }
-            Ok((
-                None,
-                Request::SnapScan {
-                    id,
-                    start,
-                    end,
-                    limit,
-                },
-            )) => {
-                let started = Instant::now();
-                let result = match snapshots.get(id) {
-                    // The Arc keeps the pin alive for the whole stream
-                    // even if the handle is released concurrently.
-                    Some(snap) => stream_pairs(
-                        &mut stream,
-                        snap.scan(scan_bounds(start, &end)),
-                        limit,
-                        shutdown,
-                    ),
-                    None => {
-                        let detail = format!("unknown snapshot handle {id}");
-                        write_frame(&mut stream, &Response::Err(detail).encode())
-                    }
-                };
-                metrics.scan.record_duration(started.elapsed());
-                if result.is_err() {
-                    return;
-                }
-                continue;
-            }
-            Ok((seq @ Some(_), Request::Scan { .. } | Request::SnapScan { .. })) => (
-                seq,
-                Response::Err("scan requires an unsequenced frame".to_owned()),
-            ),
+        let (seq, response) = match Request::decode(&payload) {
             Ok((seq, request)) => {
-                let timer = metrics.timer_for(&request);
+                let timer = state.metrics.timer_for(&request);
                 let started = Instant::now();
-                let response = execute(store, controller, metrics, snapshots, request);
+                let Ok(response) = execute(state, &mut stream, seq, request) else {
+                    return;
+                };
                 if let Some(timer) = timer {
                     timer.record_duration(started.elapsed());
                 }
                 (seq, response)
             }
-            Err(e) => (None, Response::Err(e.to_string())),
+            // A payload that got as far as carrying an id has its `ERR`
+            // matched to it; a shorter one answers no request.
+            Err(e) => (seq_of(&payload), Response::Err(e.to_string())),
         };
-        let encoded = match seq {
-            None => response.encode(),
-            Some(seq) => response.encode_sequenced(seq),
-        };
-        if write_frame(&mut stream, &encoded).is_err() {
+        if send(&mut stream, seq, &response).is_err() {
             return;
         }
     }
 }
 
 /// Encoded overhead of a `BATCH_VALUES` frame around one pair: status
-/// byte + pair count + the two per-pair length prefixes.
-const BATCH_SINGLETON_OVERHEAD: usize = 1 + 4 + 4 + 4;
+/// byte + sequence id + pair count + the two per-pair length prefixes.
+const BATCH_SINGLETON_OVERHEAD: usize = 1 + 8 + 4 + 4 + 4;
 
 /// Lowers wire scan bounds (`start` bytes, empty `end` = unbounded)
 /// into the engine's key-range bounds.
 fn scan_bounds(
     start: Vec<u8>,
-    end: &[u8],
+    end: Vec<u8>,
 ) -> (
     std::ops::Bound<lsm_engine::Key>,
     std::ops::Bound<lsm_engine::Key>,
@@ -588,35 +540,36 @@ fn scan_bounds(
     let end = if end.is_empty() {
         Bound::Unbounded
     } else {
-        Bound::Excluded(Bytes::copy_from_slice(end))
+        Bound::Excluded(Bytes::from(end))
     };
     (start, end)
 }
 
-/// Streams one range scan back as bounded `BATCH_VALUES` frames
-/// terminated by `SCAN_END`. The pair source is lazy
-/// ([`ShardedKv::scan`] or a pinned
+/// Streams one range scan back as bounded `BATCH_VALUES` frames echoing
+/// `seq` and returns the frame that terminates the stream — `SCAN_END`,
+/// or `ERR` — for the caller to send like any other reply. The pair
+/// source is lazy ([`ShardedKv::scan`] or a pinned
 /// [`ShardedSnapshot::scan`](crate::ShardedSnapshot::scan) — `SCAN`
 /// and `SNAP_SCAN` share this path), so only one chunk is ever
 /// materialized — a scan over the whole keyspace runs in constant
 /// server memory. A chunk closes *before* a pair would cross either
 /// bound, so no frame exceeds the byte bound unless a single pair
 /// alone does (an oversized-beyond-`MAX_FRAME_LEN` entry ends the
-/// stream with an `ERR` frame rather than a dropped connection).
+/// stream with `ERR` rather than a dropped connection).
 ///
 /// Checks the shutdown flag between frames: a server shutting down
-/// mid-scan terminates the stream with an `ERR` frame instead of
-/// streaming to completion.
+/// mid-scan terminates the stream with `ERR` instead of streaming to
+/// completion.
 ///
 /// Returns `Err` only for transport failures (the connection is dead);
-/// store-side scan errors are reported to the client as an `ERR` frame
-/// terminating the stream.
+/// store-side scan errors terminate the stream as `ERR`.
 fn stream_pairs(
     stream: &mut TcpStream,
+    seq: u64,
     pairs: impl Iterator<Item = Result<(lsm_engine::Key, lsm_engine::Value), Error>>,
     limit: u32,
     shutdown: &AtomicBool,
-) -> Result<(), Error> {
+) -> Result<Response, Error> {
     let mut remaining: u64 = if limit == 0 {
         u64::MAX
     } else {
@@ -624,83 +577,92 @@ fn stream_pairs(
     };
     let mut chunk: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let mut chunk_bytes = 0usize;
+    let mut flush = |chunk: &mut Vec<(Vec<u8>, Vec<u8>)>| {
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        send(stream, seq, &Response::BatchValues(std::mem::take(chunk)))
+    };
     for item in pairs {
         if remaining == 0 {
             break;
         }
-        match item {
-            Ok((key, value)) => {
-                let pair_bytes = key.len() + value.len() + 8;
-                let singleton_frame = key.len() + value.len() + BATCH_SINGLETON_OVERHEAD;
-                if singleton_frame > crate::protocol::MAX_FRAME_LEN {
-                    // The entry cannot fit any legal frame: report it
-                    // instead of tearing the connection down.
-                    if !chunk.is_empty() {
-                        write_frame(
-                            stream,
-                            &Response::BatchValues(std::mem::take(&mut chunk)).encode(),
-                        )?;
-                    }
-                    let detail = format!("entry of {pair_bytes} bytes exceeds the frame limit");
-                    write_frame(stream, &Response::Err(detail).encode())?;
-                    return Ok(());
-                }
-                // Close the current chunk before this pair would cross a
-                // bound (between frames is also where shutdown lands).
-                if !chunk.is_empty()
-                    && (chunk.len() >= SCAN_BATCH_MAX_ENTRIES
-                        || chunk_bytes + pair_bytes > SCAN_BATCH_MAX_BYTES)
-                {
-                    write_frame(
-                        stream,
-                        &Response::BatchValues(std::mem::take(&mut chunk)).encode(),
-                    )?;
-                    chunk_bytes = 0;
-                    if shutdown.load(Ordering::SeqCst) {
-                        let detail = "server shutting down".to_owned();
-                        write_frame(stream, &Response::Err(detail).encode())?;
-                        return Ok(());
-                    }
-                }
-                remaining -= 1;
-                chunk_bytes += pair_bytes;
-                chunk.push((key.to_vec(), value.to_vec()));
-            }
+        let (key, value) = match item {
+            Ok(pair) => pair,
             Err(e) => {
-                // Flush what was already collected, then end the stream
-                // with the error.
-                if !chunk.is_empty() {
-                    let frame = Response::BatchValues(std::mem::take(&mut chunk));
-                    write_frame(stream, &frame.encode())?;
-                }
-                write_frame(stream, &Response::Err(e.to_string()).encode())?;
-                return Ok(());
+                flush(&mut chunk)?;
+                return Ok(Response::Err(e.to_string()));
+            }
+        };
+        let pair_bytes = key.len() + value.len() + 8;
+        if key.len() + value.len() + BATCH_SINGLETON_OVERHEAD > MAX_FRAME_LEN {
+            // The entry cannot fit any legal frame: report it instead
+            // of tearing the connection down.
+            flush(&mut chunk)?;
+            let detail = format!("entry of {pair_bytes} bytes exceeds the frame limit");
+            return Ok(Response::Err(detail));
+        }
+        // Close the current chunk before this pair would cross a bound
+        // (between frames is also where shutdown lands).
+        if !chunk.is_empty()
+            && (chunk.len() >= SCAN_BATCH_MAX_ENTRIES
+                || chunk_bytes + pair_bytes > SCAN_BATCH_MAX_BYTES)
+        {
+            flush(&mut chunk)?;
+            chunk_bytes = 0;
+            if shutdown.load(Ordering::SeqCst) {
+                return Ok(Response::Err("server shutting down".to_owned()));
             }
         }
+        remaining -= 1;
+        chunk_bytes += pair_bytes;
+        chunk.push((key.to_vec(), value.to_vec()));
     }
-    if !chunk.is_empty() {
-        write_frame(stream, &Response::BatchValues(chunk).encode())?;
-    }
-    write_frame(stream, &Response::ScanEnd.encode())
+    flush(&mut chunk)?;
+    Ok(Response::ScanEnd)
 }
 
-/// Applies one single-response request to the store (`SCAN` and
-/// `SNAP_SCAN` stream and never reach here — see [`stream_pairs`]).
-/// Writes pass through the admission controller first: a write to a
-/// shard past its budgets is answered `BUSY` without touching the
-/// engine (reads never are).
+/// Applies one request to the store and returns the frame that ends
+/// its reply; a scan's `BATCH_VALUES` frames go out on `stream` before
+/// that (see [`stream_pairs`]) and no other request touches the
+/// stream. Writes pass through the admission controller first: a
+/// write to a shard past its budgets is answered `BUSY` without
+/// touching the engine (reads never are).
+///
+/// Returns `Err` only when the connection died mid-stream.
 fn execute(
-    store: &ShardedKv,
-    controller: &AdmissionController,
-    metrics: &ServerMetrics,
-    snapshots: &SnapshotRegistry,
+    state: &ServerState,
+    stream: &mut TcpStream,
+    seq: u64,
     request: Request,
-) -> Response {
-    match request {
-        Request::Scan { .. } | Request::SnapScan { .. } => {
-            Response::Err("scan must be streamed".to_owned())
+) -> Result<Response, Error> {
+    let ServerState {
+        store,
+        controller,
+        metrics,
+        snapshots,
+        shutdown,
+    } = state;
+    Ok(match request {
+        Request::Scan { start, end, limit } => {
+            let pairs = store.scan(scan_bounds(start, end));
+            stream_pairs(stream, seq, pairs, limit, shutdown)?
         }
-        Request::Get { key } => match store.get(&key) {
+        Request::SnapScan {
+            id,
+            start,
+            end,
+            limit,
+        } => match snapshots.get(id) {
+            // The Arc keeps the pin alive for the whole stream even if
+            // the handle is released concurrently.
+            Some(snap) => {
+                let pairs = snap.scan(scan_bounds(start, end));
+                stream_pairs(stream, seq, pairs, limit, shutdown)?
+            }
+            None => Response::Err(format!("unknown snapshot handle {id}")),
+        },
+        Request::Get { key } => match store.get(key) {
             Ok(Some(value)) => Response::Value(value.to_vec()),
             Ok(None) => Response::NotFound,
             Err(e) => Response::Err(e.to_string()),
@@ -710,18 +672,18 @@ fn execute(
             // pressure snapshot (ArcSwap load + two short locks) is
             // never taken.
             if !controller.admit_write(std::iter::once_with(|| store.pressure_for_key(&key))) {
-                return Response::Busy;
+                return Ok(Response::Busy);
             }
-            match store.put(Bytes::from(key), Bytes::from(value)) {
+            match store.put(key, value.into()) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(e.to_string()),
             }
         }
         Request::Delete { key } => {
             if !controller.admit_write(std::iter::once_with(|| store.pressure_for_key(&key))) {
-                return Response::Busy;
+                return Ok(Response::Busy);
             }
-            match store.delete(Bytes::from(key)) {
+            match store.delete(key) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(e.to_string()),
             }
@@ -731,9 +693,9 @@ fn execute(
             // admission decision spans every shard's pressure — like a
             // batch that touches all of them.
             if !controller.admit_write((0..store.shard_count()).map(|s| store.shard_pressure(s))) {
-                return Response::Busy;
+                return Ok(Response::Busy);
             }
-            match store.delete_range(&start, &end) {
+            match store.delete_range(start, end) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(e.to_string()),
             }
@@ -750,7 +712,7 @@ fn execute(
             // `NOT_FOUND` is reserved for "key absent at the cut":
             // a dead handle is an error, not an empty read.
             None => Response::Err(format!("unknown snapshot handle {id}")),
-            Some(snap) => match snap.get(&key) {
+            Some(snap) => match snap.get(key) {
                 Ok(Some(value)) => Response::Value(value.to_vec()),
                 Ok(None) => Response::NotFound,
                 Err(e) => Response::Err(e.to_string()),
@@ -765,7 +727,7 @@ fn execute(
             touched.sort_unstable();
             touched.dedup();
             if !controller.admit_write(touched.into_iter().map(|s| store.shard_pressure(s))) {
-                return Response::Busy;
+                return Ok(Response::Busy);
             }
             let mut batch = WriteBatch::with_capacity(ops.len());
             for op in ops {
@@ -830,5 +792,5 @@ fn execute(
                     .collect(),
             })
         }
-    }
+    })
 }

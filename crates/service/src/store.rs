@@ -22,8 +22,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use lsm_engine::{
-    EventRing, HistogramSnapshot, Key, Lsm, LsmOptions, LsmPressure, LsmStats, MetricsSnapshot,
-    RangeIter, Storage, Value, WriteBatch,
+    EventRing, HistogramSnapshot, IntoKey, Key, Lsm, LsmOptions, LsmPressure, LsmStats,
+    MetricsSnapshot, RangeIter, Storage, Value, WriteBatch,
 };
 
 use crate::{Error, ShardRouter};
@@ -57,8 +57,8 @@ const SERVICE_EVENT_RING_CAPACITY: usize = 8192;
 ///
 /// # fn main() -> Result<(), kv_service::Error> {
 /// let store = ShardedKv::open_in_memory(4, LsmOptions::default())?;
-/// store.put_u64(1, b"one".to_vec())?;
-/// assert_eq!(store.get_u64(1)?, Some(b"one".to_vec()));
+/// store.put(1, b"one".to_vec().into())?;
+/// assert_eq!(store.get(1)?.as_deref(), Some(&b"one"[..]));
 /// assert_eq!(store.shard_count(), 4);
 /// # Ok(())
 /// # }
@@ -261,8 +261,9 @@ impl ShardedKv {
     /// # Errors
     ///
     /// Propagates engine errors.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Value>, Error> {
-        Ok(self.shard(key).get(key)?)
+    pub fn get(&self, key: impl IntoKey) -> Result<Option<Value>, Error> {
+        let key = key.into_key();
+        Ok(self.shard(&key).get(key)?)
     }
 
     /// Inserts or overwrites `key` on its owning shard. Durable (WAL)
@@ -271,7 +272,8 @@ impl ShardedKv {
     /// # Errors
     ///
     /// Propagates engine errors.
-    pub fn put(&self, key: Key, value: Value) -> Result<(), Error> {
+    pub fn put(&self, key: impl IntoKey, value: Value) -> Result<(), Error> {
+        let key = key.into_key();
         Ok(self.shard(&key).put(key, value)?)
     }
 
@@ -280,38 +282,9 @@ impl ShardedKv {
     /// # Errors
     ///
     /// Propagates engine errors.
-    pub fn delete(&self, key: Key) -> Result<(), Error> {
+    pub fn delete(&self, key: impl IntoKey) -> Result<(), Error> {
+        let key = key.into_key();
         Ok(self.shard(&key).delete(key)?)
-    }
-
-    /// Convenience: [`ShardedKv::get`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedKv::get`].
-    pub fn get_u64(&self, key: u64) -> Result<Option<Vec<u8>>, Error> {
-        Ok(self.get(&key.to_be_bytes())?.map(|v| v.to_vec()))
-    }
-
-    /// Convenience: [`ShardedKv::put`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedKv::put`].
-    pub fn put_u64(&self, key: u64, value: impl Into<Vec<u8>>) -> Result<(), Error> {
-        self.put(
-            lsm_engine::key_from_u64(key),
-            bytes::Bytes::from(value.into()),
-        )
-    }
-
-    /// Convenience: [`ShardedKv::delete`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedKv::delete`].
-    pub fn delete_u64(&self, key: u64) -> Result<(), Error> {
-        self.delete(lsm_engine::key_from_u64(key))
     }
 
     /// Deletes every key in `[start, end)` across the store with **one
@@ -332,21 +305,12 @@ impl ShardedKv {
     ///
     /// Propagates engine errors; earlier shards may already carry the
     /// tombstone when a later shard fails.
-    pub fn delete_range(&self, start: &[u8], end: &[u8]) -> Result<(), Error> {
+    pub fn delete_range(&self, start: impl IntoKey, end: impl IntoKey) -> Result<(), Error> {
+        let (start, end) = (start.into_key(), end.into_key());
         for shard in &self.shards {
-            shard.delete_range(start, end)?;
+            shard.delete_range(&start, &end)?;
         }
         Ok(())
-    }
-
-    /// Convenience: [`ShardedKv::delete_range`] over an integer key
-    /// interval.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedKv::delete_range`].
-    pub fn delete_range_u64(&self, range: std::ops::Range<u64>) -> Result<(), Error> {
-        self.delete_range(&range.start.to_be_bytes(), &range.end.to_be_bytes())
     }
 
     /// Pins a point-in-time view of the whole store: one engine
@@ -724,17 +688,9 @@ impl ShardedSnapshot {
     /// # Errors
     ///
     /// Propagates engine errors.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Value>, Error> {
-        Ok(self.shards[self.router.shard_for(key)].get(key)?)
-    }
-
-    /// Convenience: [`ShardedSnapshot::get`] with an integer key.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedSnapshot::get`].
-    pub fn get_u64(&self, key: u64) -> Result<Option<Vec<u8>>, Error> {
-        Ok(self.get(&key.to_be_bytes())?.map(|v| v.to_vec()))
+    pub fn get(&self, key: impl IntoKey) -> Result<Option<Value>, Error> {
+        let key = key.into_key();
+        Ok(self.shards[self.router.shard_for(&key)].get(key)?)
     }
 
     /// Streams every pair inside `range` *at the pinned cut*, in
@@ -821,13 +777,13 @@ mod tests {
     fn put_get_delete_route_consistently() {
         let kv = store(4);
         for i in 0..200u64 {
-            kv.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            kv.put(i, format!("v{i}").into_bytes().into()).unwrap();
         }
         for i in 0..200u64 {
-            assert_eq!(kv.get_u64(i).unwrap(), Some(format!("v{i}").into_bytes()));
+            assert_eq!(kv.get(i).unwrap(), Some(format!("v{i}").into()));
         }
-        kv.delete_u64(7).unwrap();
-        assert_eq!(kv.get_u64(7).unwrap(), None);
+        kv.delete(7).unwrap();
+        assert_eq!(kv.get(7).unwrap(), None);
         let agg = kv.stats().aggregate();
         assert_eq!(agg.puts, 200);
         assert_eq!(agg.deletes, 1);
@@ -839,13 +795,13 @@ mod tests {
         let kv = store(3);
         let mut batch = WriteBatch::new();
         for i in 0..60u64 {
-            batch.put_u64(i, vec![i as u8]);
+            batch.put(i, vec![i as u8].into());
         }
-        batch.delete_u64(5);
+        batch.delete(5);
         kv.apply_batch(batch).unwrap();
-        assert_eq!(kv.get_u64(5).unwrap(), None);
+        assert_eq!(kv.get(5).unwrap(), None);
         for i in 6..60u64 {
-            assert_eq!(kv.get_u64(i).unwrap(), Some(vec![i as u8]));
+            assert_eq!(kv.get(i).unwrap(), Some(vec![i as u8].into()));
         }
         let stats = kv.stats();
         // Each shard applied exactly one sub-batch.
@@ -866,14 +822,14 @@ mod tests {
         )
         .unwrap();
         for i in 0..400u64 {
-            kv.put_u64(i % 120, vec![i as u8]).unwrap();
+            kv.put(i % 120, vec![i as u8].into()).unwrap();
         }
         kv.flush_all().unwrap();
         let stats = kv.stats();
         let agg = stats.aggregate();
         assert!(agg.auto_compactions >= 2, "both shards compacted");
         for i in 0..120u64 {
-            assert!(kv.get_u64(i).unwrap().is_some(), "key {i}");
+            assert!(kv.get(i).unwrap().is_some(), "key {i}");
         }
     }
 
@@ -883,7 +839,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         {
             let kv = ShardedKv::open_on_disk(&dir, 3, LsmOptions::default()).unwrap();
-            kv.put_u64(1, b"one".to_vec()).unwrap();
+            kv.put(1, b"one".to_vec().into()).unwrap();
             kv.flush_all().unwrap();
         }
         let err = ShardedKv::open_on_disk(&dir, 5, LsmOptions::default()).unwrap_err();
@@ -895,7 +851,7 @@ mod tests {
             }
         ));
         let kv = ShardedKv::open_on_disk(&dir, 3, LsmOptions::default()).unwrap();
-        assert_eq!(kv.get_u64(1).unwrap(), Some(b"one".to_vec()));
+        assert_eq!(kv.get(1).unwrap(), Some(b"one".to_vec().into()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -903,9 +859,9 @@ mod tests {
     fn scan_merges_shards_lazily_in_key_order() {
         let kv = store(4);
         for i in 0..300u64 {
-            kv.put_u64(i, format!("s{i}").into_bytes()).unwrap();
+            kv.put(i, format!("s{i}").into_bytes().into()).unwrap();
         }
-        kv.delete_u64(70).unwrap();
+        kv.delete(70).unwrap();
         kv.flush_all().unwrap();
 
         let start = lsm_engine::key_from_u64(50);
@@ -929,7 +885,7 @@ mod tests {
     fn scan_all_merges_shards_sorted() {
         let kv = store(4);
         for i in 0..50u64 {
-            kv.put_u64(i, vec![1]).unwrap();
+            kv.put(i, vec![1].into()).unwrap();
         }
         let all = kv.scan_all().unwrap();
         assert_eq!(all.len(), 50);
@@ -940,21 +896,21 @@ mod tests {
     fn delete_range_broadcasts_one_tombstone_per_shard() {
         let kv = store(4);
         for i in 0..300u64 {
-            kv.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+            kv.put(i, format!("v{i}").into_bytes().into()).unwrap();
         }
         // One logical range delete = exactly one record per shard,
         // however many keys the interval covers.
-        kv.delete_range_u64(50..250).unwrap();
+        kv.delete_range(50, 250).unwrap();
         let stats = kv.stats();
         for shard in &stats.per_shard {
             assert_eq!(shard.stats.range_deletes, 1);
         }
         for i in 0..300u64 {
-            let got = kv.get_u64(i).unwrap();
+            let got = kv.get(i).unwrap();
             if (50..250).contains(&i) {
                 assert_eq!(got, None, "key {i} inside the erased interval");
             } else {
-                assert_eq!(got, Some(format!("v{i}").into_bytes()), "key {i}");
+                assert_eq!(got, Some(format!("v{i}").into()), "key {i}");
             }
         }
         // The merged scan sees the gap too.
@@ -969,11 +925,10 @@ mod tests {
     #[test]
     fn inverted_or_empty_delete_range_is_a_noop() {
         let kv = store(2);
-        kv.put_u64(5, b"v".to_vec()).unwrap();
-        #[allow(clippy::reversed_empty_ranges)]
-        kv.delete_range_u64(9..3).unwrap();
-        kv.delete_range_u64(7..7).unwrap();
-        assert_eq!(kv.get_u64(5).unwrap(), Some(b"v".to_vec()));
+        kv.put(5, b"v".to_vec().into()).unwrap();
+        kv.delete_range(9, 3).unwrap();
+        kv.delete_range(7, 7).unwrap();
+        assert_eq!(kv.get(5).unwrap(), Some(b"v".to_vec().into()));
         let agg = kv.stats().aggregate();
         assert_eq!(agg.range_deletes, 0, "no-ops consume nothing");
     }
@@ -982,25 +937,25 @@ mod tests {
     fn snapshot_pins_a_cut_across_every_shard() {
         let kv = store(4);
         for i in 0..200u64 {
-            kv.put_u64(i, format!("old{i}").into_bytes()).unwrap();
+            kv.put(i, format!("old{i}").into_bytes().into()).unwrap();
         }
         let snap = kv.snapshot();
         assert_eq!(snap.lsns().len(), 4);
 
         // Overwrite, delete, range-delete and churn the live store.
         for i in 0..200u64 {
-            kv.put_u64(i, format!("new{i}").into_bytes()).unwrap();
+            kv.put(i, format!("new{i}").into_bytes().into()).unwrap();
         }
-        kv.delete_u64(3).unwrap();
-        kv.delete_range_u64(100..180).unwrap();
+        kv.delete(3).unwrap();
+        kv.delete_range(100, 180).unwrap();
         kv.flush_all().unwrap();
         kv.compact_all().unwrap();
 
         // The snapshot still reads the pinned cut, point and scan.
         for i in 0..200u64 {
             assert_eq!(
-                snap.get_u64(i).unwrap(),
-                Some(format!("old{i}").into_bytes()),
+                snap.get(i).unwrap(),
+                Some(format!("old{i}").into()),
                 "snapshot get({i}) after churn"
             );
         }
@@ -1017,9 +972,9 @@ mod tests {
             .all(|(k, v)| v == format!("old{k}").as_bytes().to_vec().as_slice()));
 
         // The live store sees the new world.
-        assert_eq!(kv.get_u64(3).unwrap(), None);
-        assert_eq!(kv.get_u64(150).unwrap(), None);
-        assert_eq!(kv.get_u64(0).unwrap(), Some(b"new0".to_vec()));
+        assert_eq!(kv.get(3).unwrap(), None);
+        assert_eq!(kv.get(150).unwrap(), None);
+        assert_eq!(kv.get(0).unwrap(), Some(b"new0".to_vec().into()));
         drop(snap);
     }
 
@@ -1036,14 +991,14 @@ mod tests {
         )
         .unwrap();
         for i in 0..40u64 {
-            kv.put_u64(i, vec![i as u8]).unwrap();
+            kv.put(i, vec![i as u8].into()).unwrap();
         }
         kv.flush_all().unwrap();
         // The injected backends physically hold the shards' blobs.
         let total_blobs: usize = storages.iter().map(|s| s.list_blobs().len()).sum();
         assert!(total_blobs >= 2, "flushes landed in the injected storages");
         for i in 0..40u64 {
-            assert_eq!(kv.get_u64(i).unwrap(), Some(vec![i as u8]));
+            assert_eq!(kv.get(i).unwrap(), Some(vec![i as u8].into()));
         }
         drop(kv);
 
@@ -1070,7 +1025,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..40u64 {
-            assert_eq!(reopened.get_u64(i).unwrap(), Some(vec![i as u8]));
+            assert_eq!(reopened.get(i).unwrap(), Some(vec![i as u8].into()));
         }
     }
 }

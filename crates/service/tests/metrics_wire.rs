@@ -31,12 +31,12 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
     let mut client = KvClient::connect(handle.addr()).unwrap();
 
     for i in 0..200u64 {
-        client.put_u64(i, format!("v{i}").into_bytes()).unwrap();
+        client.put(i, format!("v{i}").into_bytes()).unwrap();
     }
     for i in 0..100u64 {
-        assert!(client.get_u64(i).unwrap().is_some());
+        assert!(client.get(i).unwrap().is_some());
     }
-    client.delete_u64(7).unwrap();
+    client.delete(7).unwrap();
 
     let metrics = client.metrics().unwrap();
     let stats = store.stats();
@@ -121,7 +121,7 @@ fn events_cursor_tails_the_maintenance_trace() {
     // Capacity 16 across 3 shards: 600 puts force freezes + flushes +
     // threshold compactions on every shard.
     for i in 0..600u64 {
-        client.put_u64(i, vec![i as u8]).unwrap();
+        client.put(i, vec![i as u8]).unwrap();
     }
     store.flush_all().unwrap();
     store.compact_all().unwrap();

@@ -63,7 +63,7 @@ fn open_loop_overload_sheds_but_never_loses_acked_writes() {
         let started = Instant::now();
         for i in 0..400u64 {
             let key = 1_000_000 + i;
-            match client.put_u64(key, key.to_le_bytes().to_vec()) {
+            match client.put(key, key.to_le_bytes().to_vec()) {
                 Ok(()) => baseline_acked.push(key),
                 Err(Error::Busy) => baseline_busy += 1,
                 Err(e) => panic!("baseline put failed: {e}"),
@@ -211,10 +211,10 @@ fn open_loop_overload_sheds_but_never_loses_acked_writes() {
     let reopened =
         ShardedKv::open_with_storages(storages, engine_options()).expect("reopen after crash");
     for key in baseline_acked.iter().chain(&acked) {
-        let got = reopened.get_u64(*key).expect("get after reopen");
+        let got = reopened.get(*key).expect("get after reopen");
         assert_eq!(
             got,
-            Some(key.to_le_bytes().to_vec()),
+            Some(key.to_le_bytes().to_vec().into()),
             "acked write to key {key} lost by the crash"
         );
     }
@@ -260,9 +260,7 @@ fn writes_to_a_stalled_shard_are_shed_while_reads_and_other_shards_proceed() {
     // Seed both shards with a few tables so compaction has work.
     let mut client = KvClient::connect(addr).expect("connect");
     for i in 0..200u64 {
-        client
-            .put_u64(i, i.to_le_bytes().to_vec())
-            .expect("seed put");
+        client.put(i, i.to_le_bytes().to_vec()).expect("seed put");
     }
     store.flush_all().expect("flush");
     assert!(store.shard_pressure(0).live_tables >= 2);
@@ -285,16 +283,16 @@ fn writes_to_a_stalled_shard_are_shed_while_reads_and_other_shards_proceed() {
     // and reads everywhere: served.
     let stalled_key = shard_key(0, 500);
     let healthy_key = shard_key(1, 500);
-    match client.put_u64(stalled_key, b"x".to_vec()) {
+    match client.put(stalled_key, b"x".to_vec()) {
         Err(Error::Busy) => {}
         other => panic!("write to the stalled shard must be BUSY, got {other:?}"),
     }
     client
-        .put_u64(healthy_key, b"y".to_vec())
+        .put(healthy_key, b"y".to_vec())
         .expect("healthy shard still writable");
     let read_key = shard_key(0, 0);
     assert_eq!(
-        client.get_u64(read_key).expect("read on the stalled shard"),
+        client.get(read_key).expect("read on the stalled shard"),
         Some(read_key.to_le_bytes().to_vec()),
         "reads are never shed"
     );
@@ -304,7 +302,7 @@ fn writes_to_a_stalled_shard_are_shed_while_reads_and_other_shards_proceed() {
     compactor.join().unwrap();
     assert!(!store.shard_pressure(0).compaction_running);
     client
-        .put_u64(stalled_key, b"x".to_vec())
+        .put(stalled_key, b"x".to_vec())
         .expect("stalled shard admits writes after the compaction");
 
     let metrics = client.metrics().expect("metrics");
@@ -333,12 +331,12 @@ fn session_cap_refuses_extra_connections_with_busy() {
     // Occupy the single session (the round-trip proves the server is
     // actually serving it, so the cap is known-reached).
     let mut held = KvClient::connect(addr).expect("first connect");
-    held.put_u64(1, b"v".to_vec()).expect("first put");
+    held.put(1, b"v".to_vec()).expect("first put");
 
     // The second connection is accepted at the TCP level but refused
     // with one BUSY frame.
     let mut refused = KvClient::connect(addr).expect("second connect");
-    match refused.put_u64(2, b"w".to_vec()) {
+    match refused.put(2, b"w".to_vec()) {
         Err(Error::Busy) => {}
         other => panic!("expected BUSY at the session cap, got {other:?}"),
     }

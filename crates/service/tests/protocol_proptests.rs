@@ -1,11 +1,16 @@
-//! Property-based wire-protocol tests, centered on the scan and
-//! introspection frames: every structurally valid `SCAN` /
-//! `BATCH_VALUES` / `SCAN_END` / `METRICS` / `EVENTS` message
-//! round-trips byte-exactly, every strict prefix (a torn frame) is
-//! rejected, and random garbage never decodes to the wrong thing or
-//! panics.
+//! Property-based tests of the one wire framing, `tag | seq | body`:
+//! every request and response round-trips with its sequence id, every
+//! strict prefix (a torn frame) is rejected, a flipped bit either fails
+//! to decode or decodes to a well-formed value, hostile element counts
+//! are errors rather than allocations, and a server answers a payload
+//! too short to carry an id with `ERR` under sequence id 0.
 
-use kv_service::{EventBatch, Request, Response, WireEvent, WireOp};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+use kv_service::protocol::{read_frame, write_frame, FrameRead};
+use kv_service::{EventBatch, KvServer, Request, Response, ShardedKv, WireEvent, WireOp};
+use lsm_engine::LsmOptions;
 use obs::{HistogramSnapshot, MetricsSnapshot};
 use proptest::prelude::*;
 
@@ -74,402 +79,308 @@ fn arb_event_batch() -> impl Strategy<Value = EventBatch> {
         })
 }
 
+fn arb_wire_op() -> impl Strategy<Value = WireOp> {
+    (arb_bytes(16), arb_bytes(24), 0u8..2).prop_map(|(key, value, kind)| {
+        if kind == 1 {
+            WireOp::delete(key)
+        } else {
+            WireOp::put(key, value)
+        }
+    })
+}
+
+/// Every request variant, empty keys and bounds included.
+fn arb_request() -> impl Strategy<Value = Request> {
+    let key = || arb_bytes(32);
+    prop_oneof![
+        key().prop_map(|key| Request::Get { key }),
+        (key(), arb_bytes(48)).prop_map(|(key, value)| Request::Put { key, value }),
+        key().prop_map(|key| Request::Delete { key }),
+        proptest::collection::vec(arb_wire_op(), 0..6).prop_map(|ops| Request::Batch { ops }),
+        (key(), key(), any::<u32>()).prop_map(|(start, end, limit)| Request::Scan {
+            start,
+            end,
+            limit
+        }),
+        Just(Request::Metrics),
+        (any::<u64>(), any::<u32>()).prop_map(|(cursor, max)| Request::Events { cursor, max }),
+        (key(), key()).prop_map(|(start, end)| Request::DeleteRange { start, end }),
+        Just(Request::SnapCreate),
+        any::<u64>().prop_map(|id| Request::SnapRelease { id }),
+        (any::<u64>(), key()).prop_map(|(id, key)| Request::SnapGet { id, key }),
+        (any::<u64>(), key(), key(), any::<u32>()).prop_map(|(id, start, end, limit)| {
+            Request::SnapScan {
+                id,
+                start,
+                end,
+                limit,
+            }
+        }),
+    ]
+}
+
+/// Every response variant.
+fn arb_response() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        Just(Response::Ok),
+        arb_bytes(48).prop_map(Response::Value),
+        Just(Response::NotFound),
+        proptest::collection::vec((arb_bytes(16), arb_bytes(24)), 0..8)
+            .prop_map(Response::BatchValues),
+        Just(Response::ScanEnd),
+        Just(Response::Busy),
+        arb_name().prop_map(Response::Err),
+        arb_metrics().prop_map(Response::Metrics),
+        arb_event_batch().prop_map(Response::Events),
+        any::<u64>().prop_map(Response::Snapshot),
+    ]
+}
+
+/// Every payload obtained from `payload` by flipping one bit.
+fn single_bit_flips(payload: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    (0..payload.len() * 8).map(|bit| {
+        let mut flipped = payload.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// SCAN requests round-trip for arbitrary start/end/limit, including
-    /// empty keys (the "unbounded" encoding).
+    /// (a) Every request round-trips with an arbitrary sequence id, and
+    /// every strict prefix or extension of its payload is rejected —
+    /// never a silent truncation to fewer ops or a shorter key.
     #[test]
-    fn scan_request_roundtrips(
-        start in arb_bytes(48),
-        end in arb_bytes(48),
-        limit in any::<u32>(),
-    ) {
-        let request = Request::Scan { start, end, limit };
-        prop_assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-    }
-
-    /// BATCH_VALUES frames round-trip for arbitrary pair sets, and
-    /// SCAN_END (no payload) stays stable alongside them.
-    #[test]
-    fn batch_values_roundtrips(
-        pairs in proptest::collection::vec((arb_bytes(32), arb_bytes(64)), 0..24),
-    ) {
-        let response = Response::BatchValues(pairs);
-        prop_assert_eq!(Response::decode(&response.encode()).unwrap(), response);
-        prop_assert_eq!(
-            Response::decode(&Response::ScanEnd.encode()).unwrap(),
-            Response::ScanEnd
-        );
-    }
-
-    /// Torn frames: every strict prefix of a valid SCAN request or
-    /// BATCH_VALUES response is a decode error, never a silent
-    /// truncation to fewer pairs.
-    #[test]
-    fn torn_scan_frames_are_rejected(
-        start in arb_bytes(24),
-        end in arb_bytes(24),
-        limit in any::<u32>(),
-        pairs in proptest::collection::vec((arb_bytes(16), arb_bytes(24)), 1..8),
-        cut_seed in any::<u32>(),
-    ) {
-        let request = Request::Scan { start, end, limit }.encode();
-        let cut = cut_seed as usize % request.len();
-        prop_assert!(
-            Request::decode(&request[..cut]).is_err(),
-            "request prefix of {} / {} bytes decoded",
-            cut,
-            request.len()
-        );
-
-        let response = Response::BatchValues(pairs).encode();
-        let cut = cut_seed as usize % response.len();
-        prop_assert!(
-            Response::decode(&response[..cut]).is_err(),
-            "response prefix of {} / {} bytes decoded",
-            cut,
-            response.len()
-        );
-    }
-
-    /// Valid frames with trailing garbage are rejected (the decoder
-    /// must consume the payload exactly).
-    #[test]
-    fn trailing_garbage_is_rejected(
-        start in arb_bytes(16),
+    fn requests_roundtrip_and_tear_safely(
+        request in arb_request(),
+        seq in any::<u64>(),
         junk in proptest::collection::vec(any::<u8>(), 1..8),
     ) {
-        let mut request = Request::Scan { start, end: Vec::new(), limit: 1 }.encode();
-        request.extend_from_slice(&junk);
-        prop_assert!(Request::decode(&request).is_err());
-
-        let mut response = Response::ScanEnd.encode();
-        response.extend_from_slice(&junk);
-        prop_assert!(Response::decode(&response).is_err());
-    }
-
-    /// Random byte soup never panics a decoder: whatever decodes is a
-    /// stable value (its canonical re-encoding decodes back to itself).
-    #[test]
-    fn random_bytes_decode_safely(payload in arb_bytes(64)) {
-        if let Ok(request) = Request::decode(&payload) {
-            prop_assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        }
-        if let Ok(response) = Response::decode(&payload) {
-            prop_assert_eq!(Response::decode(&response.encode()).unwrap(), response);
-        }
-        // The dual-framing decoders survive the same soup, and whatever
-        // they accept round-trips with its sequence id intact.
-        if let Ok((seq, request)) = Request::decode_any(&payload) {
-            let reencoded = match seq {
-                None => request.encode(),
-                Some(seq) => request.encode_sequenced(seq),
-            };
-            prop_assert_eq!(reencoded, payload.clone());
-        }
-        if let Ok((seq, response)) = Response::decode_any(&payload) {
-            let reencoded = match seq {
-                None => response.encode(),
-                Some(seq) => response.encode_sequenced(seq),
-            };
-            prop_assert_eq!(reencoded, payload.clone());
-        }
-    }
-
-    /// The MVCC frames — DELRANGE and the SNAP_* family — round-trip
-    /// for arbitrary bounds, keys, ids and limits (empty bounds
-    /// included), and every strict prefix is rejected, in both the
-    /// legacy and the sequenced framing.
-    #[test]
-    fn mvcc_frames_roundtrip_and_tear_safely(
-        start in arb_bytes(32),
-        end in arb_bytes(32),
-        key in arb_bytes(32),
-        id in any::<u64>(),
-        limit in any::<u32>(),
-        seq in any::<u64>(),
-        cut_seed in any::<u32>(),
-    ) {
-        let requests = [
-            Request::DeleteRange { start: start.clone(), end: end.clone() },
-            Request::SnapCreate,
-            Request::SnapRelease { id },
-            Request::SnapGet { id, key },
-            Request::SnapScan { id, start, end, limit },
-        ];
-        for request in requests {
-            let encoded = request.encode();
-            prop_assert_eq!(&Request::decode(&encoded).unwrap(), &request);
-            let cut = cut_seed as usize % encoded.len();
+        let encoded = request.encode(seq);
+        prop_assert_eq!(Request::decode(&encoded).unwrap(), (seq, request));
+        for cut in 0..encoded.len() {
             prop_assert!(
                 Request::decode(&encoded[..cut]).is_err(),
-                "{:?} prefix of {} / {} bytes decoded",
-                request,
-                cut,
-                encoded.len()
+                "prefix of {} / {} bytes decoded", cut, encoded.len()
             );
-            let sequenced = request.encode_sequenced(seq);
-            let (got_seq, decoded) = Request::decode_any(&sequenced).unwrap();
-            prop_assert_eq!(got_seq, Some(seq));
-            prop_assert_eq!(&decoded, &request);
         }
-
-        let response = Response::Snapshot(id);
-        let encoded = response.encode();
-        prop_assert_eq!(&Response::decode(&encoded).unwrap(), &response);
-        let cut = cut_seed as usize % encoded.len();
-        prop_assert!(Response::decode(&encoded[..cut]).is_err());
+        let mut long = encoded;
+        long.extend_from_slice(&junk);
+        prop_assert!(Request::decode(&long).is_err());
     }
 
-    /// Sequenced frames round-trip for arbitrary ids and bodies, the
-    /// legacy decoder rejects them, and every strict prefix (torn
-    /// frame) is rejected — the id is length-checked like everything
-    /// else.
+    /// (a) The same for every response.
     #[test]
-    fn sequenced_frames_roundtrip_and_tear_safely(
+    fn responses_roundtrip_and_tear_safely(
+        response in arb_response(),
         seq in any::<u64>(),
-        key in arb_bytes(32),
-        value in arb_bytes(48),
-        cut_seed in any::<u32>(),
+        junk in proptest::collection::vec(any::<u8>(), 1..8),
     ) {
-        let request = Request::Put { key, value };
-        let encoded = request.encode_sequenced(seq);
-        let (got_seq, decoded) = Request::decode_any(&encoded).unwrap();
-        prop_assert_eq!(got_seq, Some(seq));
-        prop_assert_eq!(&decoded, &request);
-        prop_assert!(Request::decode(&encoded).is_err());
-        let cut = cut_seed as usize % encoded.len();
-        prop_assert!(
-            Request::decode_any(&encoded[..cut]).is_err(),
-            "sequenced request prefix of {} / {} bytes decoded",
-            cut,
-            encoded.len()
-        );
-
-        // The same holds for every sequenced response shape, BUSY
-        // included (the overload reply must survive the same torture).
-        for response in [
-            Response::Ok,
-            Response::Busy,
-            Response::Value(b"v".to_vec()),
-            Response::NotFound,
-            Response::Err("shed".to_owned()),
-        ] {
-            let encoded = response.encode_sequenced(seq);
-            let (got_seq, decoded) = Response::decode_any(&encoded).unwrap();
-            prop_assert_eq!(got_seq, Some(seq));
-            prop_assert_eq!(&decoded, &response);
-            prop_assert!(Response::decode(&encoded).is_err());
-            let cut = cut_seed as usize % encoded.len();
+        let encoded = response.encode(seq);
+        prop_assert_eq!(Response::decode(&encoded).unwrap(), (seq, response));
+        for cut in 0..encoded.len() {
             prop_assert!(
-                Response::decode_any(&encoded[..cut]).is_err(),
-                "sequenced response prefix of {} bytes decoded",
-                cut
+                Response::decode(&encoded[..cut]).is_err(),
+                "prefix of {} / {} bytes decoded", cut, encoded.len()
             );
         }
+        let mut long = encoded;
+        long.extend_from_slice(&junk);
+        prop_assert!(Response::decode(&long).is_err());
     }
 
-    /// Corrupting a single byte of a sequenced frame never panics
-    /// either decoder; if it still decodes, only the id and/or content
-    /// bytes moved (the re-encoding reproduces the corrupted frame).
+    /// (b) Flipping any single bit of a valid payload never panics a
+    /// decoder; whatever still decodes is a well-formed value — its
+    /// canonical re-encoding decodes back to itself. A flip in a count
+    /// or length field must hit a truncation check or the element cap.
     #[test]
-    fn sequenced_single_byte_corruption_never_panics(
+    fn single_bit_flips_never_panic(
+        request in arb_request(),
+        response in arb_response(),
         seq in any::<u64>(),
-        key in arb_bytes(16),
-        pos_seed in any::<u32>(),
-        flip in 1u8..=255,
     ) {
-        let mut encoded = Request::Get { key }.encode_sequenced(seq);
-        let pos = pos_seed as usize % encoded.len();
-        encoded[pos] ^= flip;
-        if let Ok((got_seq, decoded)) = Request::decode_any(&encoded) {
-            let reencoded = match got_seq {
-                None => decoded.encode(),
-                Some(s) => decoded.encode_sequenced(s),
-            };
-            prop_assert_eq!(reencoded, encoded);
+        for flipped in single_bit_flips(&request.encode(seq)) {
+            if let Ok((seq, decoded)) = Request::decode(&flipped) {
+                prop_assert_eq!(Request::decode(&decoded.encode(seq)).unwrap(), (seq, decoded));
+            }
         }
-    }
-
-    /// METRICS frames round-trip for arbitrary named counters and
-    /// sparse histograms, and every strict prefix (a torn frame) is a
-    /// decode error — never a silently truncated metric set.
-    #[test]
-    fn metrics_frames_roundtrip_and_tear_safely(
-        snapshot in arb_metrics(),
-        cut_seed in any::<u32>(),
-    ) {
-        let response = Response::Metrics(snapshot);
-        let encoded = response.encode();
-        prop_assert_eq!(&Response::decode(&encoded).unwrap(), &response);
-        let cut = cut_seed as usize % encoded.len();
-        prop_assert!(
-            Response::decode(&encoded[..cut]).is_err(),
-            "METRICS prefix of {} / {} bytes decoded",
-            cut,
-            encoded.len()
-        );
-    }
-
-    /// EVENTS frames round-trip for arbitrary cursors, drop counts and
-    /// structured events, and every strict prefix is rejected. The
-    /// EVENTS *request* (cursor + max) gets the same treatment.
-    #[test]
-    fn events_frames_roundtrip_and_tear_safely(
-        batch in arb_event_batch(),
-        cursor in any::<u64>(),
-        max in any::<u32>(),
-        cut_seed in any::<u32>(),
-    ) {
-        let response = Response::Events(batch);
-        let encoded = response.encode();
-        prop_assert_eq!(&Response::decode(&encoded).unwrap(), &response);
-        let cut = cut_seed as usize % encoded.len();
-        prop_assert!(
-            Response::decode(&encoded[..cut]).is_err(),
-            "EVENTS prefix of {} / {} bytes decoded",
-            cut,
-            encoded.len()
-        );
-
-        let request = Request::Events { cursor, max };
-        let encoded = request.encode();
-        prop_assert_eq!(Request::decode(&encoded).unwrap(), request);
-        let cut = cut_seed as usize % encoded.len();
-        prop_assert!(Request::decode(&encoded[..cut]).is_err());
-    }
-
-    /// Corrupting a single byte of a METRICS or EVENTS frame never
-    /// panics the decoder; whatever still decodes is a stable value
-    /// (its canonical re-encoding decodes back to itself). A flip in a
-    /// count field may hit the element cap or a truncation check — both
-    /// must surface as `Err`, not as a panic or hang.
-    #[test]
-    fn corrupt_introspection_frames_never_panic(
-        snapshot in arb_metrics(),
-        batch in arb_event_batch(),
-        pos_seed in any::<u32>(),
-        flip in 1u8..=255,
-    ) {
-        for encoded in [Response::Metrics(snapshot).encode(), Response::Events(batch).encode()] {
-            let mut corrupted = encoded;
-            let pos = pos_seed as usize % corrupted.len();
-            corrupted[pos] ^= flip;
-            if let Ok(decoded) = Response::decode(&corrupted) {
-                let reencoded = decoded.encode();
-                prop_assert_eq!(Response::decode(&reencoded).unwrap(), decoded);
+        for flipped in single_bit_flips(&response.encode(seq)) {
+            if let Ok((seq, decoded)) = Response::decode(&flipped) {
+                prop_assert_eq!(Response::decode(&decoded.encode(seq)).unwrap(), (seq, decoded));
             }
         }
     }
 
-    /// Corrupting a single byte of a BATCH_VALUES frame either still
-    /// decodes (the flip hit key/value content — contents are opaque)
-    /// or errors; a flip inside the count/length structure must never
-    /// panic or mis-shape the result silently.
+    /// (b) Random byte soup never panics a decoder either, and what it
+    /// accepts is well-formed in the same sense.
     #[test]
-    fn single_byte_corruption_never_panics(
-        pairs in proptest::collection::vec((arb_bytes(8), arb_bytes(8)), 1..6),
-        pos_seed in any::<u32>(),
-        flip in 1u8..=255,
-    ) {
-        let mut encoded = Response::BatchValues(pairs).encode();
-        let pos = pos_seed as usize % encoded.len();
-        encoded[pos] ^= flip;
-        if let Ok(decoded) = Response::decode(&encoded) {
-            prop_assert_eq!(decoded.encode(), encoded);
+    fn random_bytes_decode_safely(payload in arb_bytes(64)) {
+        if let Ok((seq, request)) = Request::decode(&payload) {
+            prop_assert_eq!(Request::decode(&request.encode(seq)).unwrap(), (seq, request));
         }
+        if let Ok((seq, response)) = Response::decode(&payload) {
+            prop_assert_eq!(Response::decode(&response.encode(seq)).unwrap(), (seq, response));
+        }
+    }
+
+    /// (c) The tag byte is an opcode or a status and nothing else: a
+    /// valid payload whose tag gains the high bit is an unknown
+    /// opcode/status, whatever body follows.
+    #[test]
+    fn high_bit_tags_are_unknown(
+        request in arb_request(),
+        response in arb_response(),
+        seq in any::<u64>(),
+    ) {
+        let mut payload = request.encode(seq);
+        payload[0] |= 0x80;
+        let err = Request::decode(&payload).unwrap_err();
+        prop_assert!(err.to_string().contains("unknown opcode"), "{}", err);
+
+        let mut payload = response.encode(seq);
+        payload[0] |= 0x80;
+        let err = Response::decode(&payload).unwrap_err();
+        prop_assert!(err.to_string().contains("unknown status"), "{}", err);
     }
 }
 
-/// The full request/response palette round-trips with no tag
-/// collisions, and the reserved opcode 5 / status 3 decode as errors.
+/// (b) A count field claiming `u32::MAX` elements over a near-empty
+/// body is a decode error: no decoder sizes an allocation by a count it
+/// has not checked against the bytes actually present.
 #[test]
-fn whole_palette_roundtrips() {
-    let requests = vec![
-        Request::Get { key: b"k".to_vec() },
+fn hostile_counts_are_errors_not_allocations() {
+    let seq = 7;
+    let hostile = |payload: Vec<u8>, count_at: usize| {
+        let mut payload = payload;
+        payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload
+    };
+    // The first count of each counted frame sits right after the
+    // 9-byte header (EVENTS carries two u64s before it).
+    let batch = Request::Batch {
+        ops: vec![WireOp::put(b"k".to_vec(), b"v".to_vec())],
+    };
+    assert!(Request::decode(&hostile(batch.encode(seq), 9)).is_err());
+    let values = Response::BatchValues(vec![(b"k".to_vec(), b"v".to_vec())]);
+    assert!(Response::decode(&hostile(values.encode(seq), 9)).is_err());
+    let metrics = Response::Metrics(MetricsSnapshot {
+        counters: vec![("stats_puts".to_owned(), 1)],
+        histograms: Vec::new(),
+    });
+    assert!(Response::decode(&hostile(metrics.encode(seq), 9)).is_err());
+    let events = Response::Events(EventBatch::default());
+    assert!(Response::decode(&hostile(events.encode(seq), 9 + 16)).is_err());
+    // A byte-string length prefix gets the same treatment.
+    let get = Request::Get { key: b"k".to_vec() };
+    assert!(Request::decode(&hostile(get.encode(seq), 9)).is_err());
+}
+
+/// (c) No two variants share a tag, and the reserved opcode 5 /
+/// status 3 decode as errors, bare or with a body behind them.
+#[test]
+fn tags_are_distinct_and_reserved_ones_stay_unassigned() {
+    let requests = [
+        Request::Get { key: Vec::new() },
         Request::Put {
-            key: b"k".to_vec(),
-            value: b"v".to_vec(),
+            key: Vec::new(),
+            value: Vec::new(),
         },
-        Request::Delete { key: b"k".to_vec() },
-        Request::Batch {
-            ops: vec![WireOp::put(b"a".to_vec(), b"1".to_vec())],
-        },
+        Request::Delete { key: Vec::new() },
+        Request::Batch { ops: Vec::new() },
         Request::Scan {
-            start: b"a".to_vec(),
-            end: b"b".to_vec(),
-            limit: 3,
+            start: Vec::new(),
+            end: Vec::new(),
+            limit: 0,
         },
         Request::Metrics,
-        Request::Events { cursor: 42, max: 8 },
+        Request::Events { cursor: 0, max: 0 },
         Request::DeleteRange {
-            start: b"a".to_vec(),
-            end: b"b".to_vec(),
+            start: Vec::new(),
+            end: Vec::new(),
         },
         Request::SnapCreate,
-        Request::SnapRelease { id: 7 },
+        Request::SnapRelease { id: 0 },
         Request::SnapGet {
-            id: 7,
-            key: b"k".to_vec(),
+            id: 0,
+            key: Vec::new(),
         },
         Request::SnapScan {
-            id: 7,
-            start: b"a".to_vec(),
-            end: b"b".to_vec(),
-            limit: 3,
+            id: 0,
+            start: Vec::new(),
+            end: Vec::new(),
+            limit: 0,
         },
     ];
-    let mut encoded_requests: Vec<Vec<u8>> = Vec::new();
-    for request in &requests {
-        let encoded = request.encode();
-        assert_eq!(&Request::decode(&encoded).unwrap(), request);
-        encoded_requests.push(encoded);
-    }
-    // Distinct opcodes: no two different requests share an encoding.
-    for (i, a) in encoded_requests.iter().enumerate() {
-        for b in encoded_requests.iter().skip(i + 1) {
-            assert_ne!(a, b);
-        }
-    }
+    let mut tags: Vec<u8> = requests.iter().map(|r| r.encode(1)[0]).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    assert_eq!(tags.len(), requests.len());
+    assert!(!tags.contains(&5));
 
-    let responses = vec![
+    let responses = [
         Response::Ok,
-        Response::Value(b"v".to_vec()),
+        Response::Value(Vec::new()),
         Response::NotFound,
         Response::Busy,
-        Response::BatchValues(vec![(b"k".to_vec(), b"v".to_vec())]),
+        Response::BatchValues(Vec::new()),
         Response::ScanEnd,
-        Response::Err("boom".to_owned()),
-        Response::Snapshot(u64::MAX),
-        Response::Metrics(MetricsSnapshot {
-            counters: vec![("stats_puts".to_owned(), 9)],
-            histograms: vec![("server_get_us".to_owned(), HistogramSnapshot::default())],
-        }),
-        Response::Events(EventBatch {
-            next_cursor: 5,
-            dropped: 1,
-            events: vec![WireEvent {
-                seq: 4,
-                at_micros: 77,
-                shard: 2,
-                kind: "flush_publish".to_owned(),
-                fields: vec![("generation".to_owned(), 3)],
-            }],
-        }),
+        Response::Err(String::new()),
+        Response::Snapshot(0),
+        Response::Metrics(MetricsSnapshot::default()),
+        Response::Events(EventBatch::default()),
     ];
-    for response in &responses {
-        assert_eq!(&Response::decode(&response.encode()).unwrap(), response);
-    }
-    // Reserved tags never decode, bare or with a body behind them, in
-    // either framing.
+    let mut tags: Vec<u8> = responses.iter().map(|r| r.encode(1)[0]).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    assert_eq!(tags.len(), responses.len());
+    assert!(!tags.contains(&3));
+
     for body_len in [0usize, 8, 29 * 8] {
-        for flag in [0u8, 0x80] {
-            let mut frame = vec![0u8; 1 + body_len];
-            frame[0] = 5 | flag;
-            assert!(Request::decode_any(&frame).is_err());
-            frame[0] = 3 | flag;
-            assert!(Response::decode_any(&frame).is_err());
-        }
+        let mut payload = vec![0u8; 9 + body_len];
+        payload[0] = 5;
+        assert!(Request::decode(&payload).is_err());
+        payload[0] = 3;
+        assert!(Response::decode(&payload).is_err());
     }
+}
+
+/// (d) A payload too short to carry a sequence id is answered `ERR`
+/// under id 0, a longer malformed one under the id it carried, and the
+/// connection serves the next well-formed request either way.
+#[test]
+fn short_payloads_get_err_with_seq_zero_and_the_connection_survives() {
+    let store = Arc::new(ShardedKv::open_in_memory(1, LsmOptions::default().wal(false)).unwrap());
+    let handle = KvServer::bind(store, "127.0.0.1:0", 1).unwrap().spawn();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut stream, payload).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            FrameRead::Frame(reply) => Response::decode(&reply).unwrap(),
+            other => panic!("expected a reply frame, got {other:?}"),
+        }
+    };
+
+    let put = Request::Put {
+        key: b"k".to_vec(),
+        value: b"v".to_vec(),
+    };
+    for len in 0..9 {
+        let reply = exchange(&put.encode(41)[..len]);
+        assert!(
+            matches!(reply, (0, Response::Err(_))),
+            "a {len}-byte payload was answered {reply:?}"
+        );
+    }
+    // Header intact, body torn: the ERR is matched to the request.
+    let reply = exchange(&put.encode(42)[..12]);
+    assert!(matches!(reply, (42, Response::Err(_))), "{reply:?}");
+
+    assert_eq!(exchange(&put.encode(43)), (43, Response::Ok));
+    let get = Request::Get { key: b"k".to_vec() };
+    assert_eq!(
+        exchange(&get.encode(44)),
+        (44, Response::Value(b"v".to_vec()))
+    );
+    handle.shutdown();
 }

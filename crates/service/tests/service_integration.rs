@@ -34,7 +34,7 @@ fn run_client(addr: std::net::SocketAddr, client_id: u64, rounds: u64) -> Acknow
             // Single put.
             0 | 1 => {
                 let value = format!("c{client_id}-r{round}").into_bytes();
-                client.put_u64(key, value.clone()).expect("put");
+                client.put(key, value.clone()).expect("put");
                 acked.insert(key, Some(value));
             }
             // Batch of 8 puts (+ occasionally a delete inside).
@@ -54,12 +54,12 @@ fn run_client(addr: std::net::SocketAddr, client_id: u64, rounds: u64) -> Acknow
             }
             // Delete.
             3 => {
-                client.delete_u64(key).expect("delete");
+                client.delete(key).expect("delete");
                 acked.insert(key, None);
             }
             // Read-your-writes check, live, mid-compaction.
             _ => {
-                let got = client.get_u64(key).expect("get");
+                let got = client.get(key).expect("get");
                 assert_eq!(
                     got.as_ref(),
                     acked.get(&key).and_then(|v| v.as_ref()),
@@ -119,10 +119,10 @@ fn concurrent_clients_survive_compaction_and_crash_recovery() {
     let mut checked = 0usize;
     for (client_id, expectations) in acked.iter().enumerate() {
         for (&key, expected) in expectations {
-            let got = reopened.get_u64(key).expect("get after reopen");
+            let got = reopened.get(key).expect("get after reopen");
             assert_eq!(
-                got.as_ref(),
-                expected.as_ref(),
+                got.as_deref(),
+                expected.as_deref(),
                 "client {client_id} lost acknowledged write for key {key}"
             );
             checked += 1;
@@ -152,8 +152,12 @@ fn reads_proceed_while_another_shard_compacts() {
     );
     let router = store.router();
     // A key owned by shard 0 that the reader polls.
-    let read_key = (0u64..).find(|&k| router.shard_for_u64(k) == 0).unwrap();
-    store.put_u64(read_key, b"stable".to_vec()).expect("seed");
+    let read_key = (0u64..)
+        .find(|&k| router.shard_for(&k.to_be_bytes()) == 0)
+        .unwrap();
+    store
+        .put(read_key, b"stable".to_vec().into())
+        .expect("seed");
 
     std::thread::scope(|scope| {
         let reader_store = Arc::clone(&store);
@@ -161,8 +165,8 @@ fn reads_proceed_while_another_shard_compacts() {
             let mut reads = 0u64;
             for _ in 0..2_000 {
                 assert_eq!(
-                    reader_store.get_u64(read_key).expect("read"),
-                    Some(b"stable".to_vec())
+                    reader_store.get(read_key).expect("read"),
+                    Some(b"stable".to_vec().into())
                 );
                 reads += 1;
             }
@@ -172,12 +176,14 @@ fn reads_proceed_while_another_shard_compacts() {
         let writer_store = Arc::clone(&store);
         let writer = scope.spawn(move || {
             let keys: Vec<u64> = (0u64..)
-                .filter(|&k| router.shard_for_u64(k) == 1)
+                .filter(|&k| router.shard_for(&k.to_be_bytes()) == 1)
                 .take(64)
                 .collect();
             for round in 0..200u64 {
                 for &k in &keys {
-                    writer_store.put_u64(k, vec![round as u8]).expect("write");
+                    writer_store
+                        .put(k, vec![round as u8].into())
+                        .expect("write");
                 }
             }
         });
@@ -224,7 +230,7 @@ fn gets_on_a_compacting_shard_are_served_over_tcp() {
         let mut client = KvClient::connect(addr).expect("connect");
         for i in 0..200u64 {
             client
-                .put_u64(i, format!("value-{i}").into_bytes())
+                .put(i, format!("value-{i}").into_bytes())
                 .expect("put");
         }
     }
@@ -248,7 +254,7 @@ fn gets_on_a_compacting_shard_are_served_over_tcp() {
     for round in 0..3 {
         for i in 0..200u64 {
             assert_eq!(
-                client.get_u64(i).expect("get"),
+                client.get(i).expect("get"),
                 Some(format!("value-{i}").into_bytes()),
                 "round {round}: GET stalled or failed mid-compaction"
             );
@@ -277,6 +283,6 @@ fn gets_on_a_compacting_shard_are_served_over_tcp() {
     );
     handle.shutdown();
     for i in 0..200u64 {
-        assert!(store.get_u64(i).expect("get").is_some(), "key {i}");
+        assert!(store.get(i).expect("get").is_some(), "key {i}");
     }
 }

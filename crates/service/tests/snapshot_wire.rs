@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use kv_service::{Error, KvClient, KvServer, PipelinedClient, Response, ShardedKv};
+use kv_service::{Error, KvClient, KvServer, PipelinedClient, Request, Response, ShardedKv};
 use lsm_engine::LsmOptions;
 
 fn spawn_server(shards: usize) -> (kv_service::ServerHandle, Arc<ShardedKv>) {
@@ -38,7 +38,7 @@ fn delrange_erases_an_interval_with_one_record_per_shard() {
 
     // One wire request erases a 100k-key prefix: O(shards) records, not
     // O(keys) — the engines each log exactly one range tombstone.
-    client.delete_range_u64(0..RECORDS).expect("delrange");
+    client.delete_range(0, RECORDS).expect("delrange");
     let stats = store.stats();
     for shard in &stats.per_shard {
         assert_eq!(
@@ -50,16 +50,16 @@ fn delrange_erases_an_interval_with_one_record_per_shard() {
 
     // Spot-check gets plus a full scan: the prefix is gone.
     for k in [0u64, 1, 4_999, 50_000, RECORDS - 1] {
-        assert_eq!(client.get_u64(k).expect("get"), None, "key {k}");
+        assert_eq!(client.get(k).expect("get"), None, "key {k}");
     }
-    let leftovers = client.scan_u64(0..RECORDS, 0).expect("scan").count();
+    let leftovers = client.scan(0, RECORDS, 0).expect("scan").count();
     assert_eq!(leftovers, 0);
 
     // Inverted and empty bounds: OK no-ops, nothing else erased.
-    client.put_u64(7, b"keep".to_vec()).expect("put");
-    client.delete_range_u64(9..3).expect("inverted is ok");
-    client.delete_range_u64(5..5).expect("empty is ok");
-    assert_eq!(client.get_u64(7).expect("get"), Some(b"keep".to_vec()));
+    client.put(7, b"keep".to_vec()).expect("put");
+    client.delete_range(9, 3).expect("inverted is ok");
+    client.delete_range(5, 5).expect("empty is ok");
+    assert_eq!(client.get(7).expect("get"), Some(b"keep".to_vec()));
     handle.shutdown();
 }
 
@@ -68,7 +68,7 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
     let (handle, store) = spawn_server(3);
     let mut writer = KvClient::connect(handle.addr()).expect("connect");
     for k in 0..500u64 {
-        writer.put_u64(k, format!("old{k}").into_bytes()).expect("put");
+        writer.put(k, format!("old{k}").into_bytes()).expect("put");
     }
 
     let snap = writer.snap_create().expect("snap_create");
@@ -77,10 +77,10 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
     // range delete, then flush + compaction so the old versions only
     // survive because the pin holds them.
     for k in 0..500u64 {
-        writer.put_u64(k, format!("new{k}").into_bytes()).expect("put");
+        writer.put(k, format!("new{k}").into_bytes()).expect("put");
     }
-    writer.delete_u64(2).expect("del");
-    writer.delete_range_u64(300..450).expect("delrange");
+    writer.delete(2).expect("del");
+    writer.delete_range(300, 450).expect("delrange");
     store.flush_all().expect("flush");
     store.compact_all().expect("compact");
 
@@ -89,11 +89,11 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
     let mut reader = KvClient::connect(handle.addr()).expect("connect");
     for k in [0u64, 2, 299, 300, 449, 499] {
         assert_eq!(
-            reader.snap_get_u64(snap, k).expect("snap_get"),
+            reader.snap_get(snap, k).expect("snap_get"),
             Some(format!("old{k}").into_bytes()),
             "snapshot get({k})"
         );
-        let live = reader.get_u64(k).expect("get");
+        let live = reader.get(k).expect("get");
         if k == 2 || (300..450).contains(&k) {
             assert_eq!(live, None, "live get({k}) deleted");
         } else {
@@ -101,7 +101,7 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
         }
     }
     let snap_pairs: Vec<(u64, Vec<u8>)> = reader
-        .snap_scan_u64(snap, 0..1_000, 0)
+        .snap_scan(snap, 0, 1_000, 0)
         .expect("snap_scan")
         .map(|item| {
             let (k, v) = item.expect("snap item");
@@ -112,7 +112,7 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
     assert!(snap_pairs
         .iter()
         .all(|(k, v)| *v == format!("old{k}").into_bytes()));
-    let live_count = reader.scan_u64(0..1_000, 0).expect("scan").count();
+    let live_count = reader.scan(0, 1_000, 0).expect("scan").count();
     assert_eq!(live_count, 500 - 1 - 150, "live world has the deletions");
 
     // Release, then both verbs report the dead handle.
@@ -121,13 +121,13 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
         Err(Error::Remote { .. }) => {}
         other => panic!("double release must fail remotely, got {other:?}"),
     }
-    match reader.snap_get_u64(snap, 0) {
+    match reader.snap_get(snap, 0) {
         Err(Error::Remote { detail }) => {
             assert!(detail.contains("unknown snapshot handle"), "{detail}")
         }
         other => panic!("expected unknown-handle error, got {other:?}"),
     }
-    let mut dead = reader.snap_scan_u64(snap, 0..10, 0).expect("send");
+    let mut dead = reader.snap_scan(snap, 0, 10, 0).expect("send");
     match dead.next() {
         Some(Err(Error::Remote { detail })) => {
             assert!(detail.contains("unknown snapshot handle"), "{detail}")
@@ -136,7 +136,7 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
     }
     drop(dead);
     // The connection resynchronized after the errored stream.
-    assert_eq!(reader.get_u64(0).expect("get"), Some(b"new0".to_vec()));
+    assert_eq!(reader.get(0).expect("get"), Some(b"new0".to_vec()));
     handle.shutdown();
 }
 
@@ -144,24 +144,24 @@ fn snapshot_reads_survive_live_overwrites_and_cross_connections() {
 fn abandoned_snapshot_handles_are_evicted_at_the_cap() {
     let (handle, _store) = spawn_server(2);
     let mut client = KvClient::connect(handle.addr()).expect("connect");
-    client.put_u64(1, b"v".to_vec()).expect("put");
+    client.put(1, b"v".to_vec()).expect("put");
 
     let first = client.snap_create().expect("snap");
-    assert_eq!(client.snap_get_u64(first, 1).expect("get"), Some(b"v".to_vec()));
+    assert_eq!(client.snap_get(first, 1).expect("get"), Some(b"v".to_vec()));
     // Create handles past the server's cap without releasing any: the
     // oldest (first) must be evicted rather than pinned forever.
     let mut last = first;
     for _ in 0..64 {
         last = client.snap_create().expect("snap");
     }
-    match client.snap_get_u64(first, 1) {
+    match client.snap_get(first, 1) {
         Err(Error::Remote { detail }) => {
             assert!(detail.contains("unknown snapshot handle"), "{detail}")
         }
         other => panic!("evicted handle must error, got {other:?}"),
     }
     assert_eq!(
-        client.snap_get_u64(last, 1).expect("get"),
+        client.snap_get(last, 1).expect("get"),
         Some(b"v".to_vec()),
         "the newest handle survives the eviction"
     );
@@ -169,45 +169,65 @@ fn abandoned_snapshot_handles_are_evicted_at_the_cap() {
 }
 
 #[test]
-fn pipeline_rides_delrange_and_snap_get_but_rejects_snap_scan() {
+fn pipeline_rides_delrange_snap_get_and_snap_scan() {
     let (handle, _store) = spawn_server(2);
     let mut setup = KvClient::connect(handle.addr()).expect("connect");
     for k in 0..100u64 {
-        setup.put_u64(k, format!("p{k}").into_bytes()).expect("put");
+        setup.put(k, format!("p{k}").into_bytes()).expect("put");
     }
     let snap = setup.snap_create().expect("snap");
 
     let mut pipe = PipelinedClient::connect(handle.addr(), 8).expect("connect");
     let del_seq = pipe
-        .submit_delete_range(20u64.to_be_bytes().to_vec(), 80u64.to_be_bytes().to_vec())
+        .submit(&Request::DeleteRange {
+            start: 20u64.to_be_bytes().to_vec(),
+            end: 80u64.to_be_bytes().to_vec(),
+        })
         .expect("submit delrange");
-    let snap_seq = pipe.submit_snap_get(snap, &50u64.to_be_bytes()).expect("submit snap_get");
+    let snap_seq = pipe
+        .submit(&Request::SnapGet {
+            id: snap,
+            key: 50u64.to_be_bytes().to_vec(),
+        })
+        .expect("submit snap_get");
     let live_seq = pipe.submit_get(&50u64.to_be_bytes()).expect("submit get");
-    // SNAP_SCAN streams and must be refused before touching the wire.
-    let err = pipe
-        .submit(&kv_service::Request::SnapScan {
+    // SNAP_SCAN streams on the same pipelined connection, every frame
+    // under the scan's id.
+    let scan_seq = pipe
+        .submit(&Request::SnapScan {
             id: snap,
             start: Vec::new(),
             end: Vec::new(),
             limit: 0,
         })
-        .expect_err("snap_scan cannot pipeline");
-    assert!(err.to_string().contains("pipelined"));
+        .expect("submit snap_scan");
 
-    let completions = pipe.drain().expect("drain");
-    assert_eq!(completions.len(), 3);
-    for (seq, response) in completions {
+    let mut scanned = Vec::new();
+    let mut ended = false;
+    for (seq, response) in pipe.drain().expect("drain") {
         // The server processes one connection's frames in order, so the
-        // snapshot read (pinned before the DELRANGE) and the live read
-        // (after it) are both deterministic.
+        // snapshot reads (pinned before the DELRANGE) and the live read
+        // (after it) are all deterministic.
         if seq == del_seq {
             assert_eq!(response, Response::Ok);
         } else if seq == snap_seq {
             assert_eq!(response, Response::Value(b"p50".to_vec()));
-        } else {
-            assert_eq!(seq, live_seq);
+        } else if seq == live_seq {
             assert_eq!(response, Response::NotFound);
+        } else {
+            assert_eq!(seq, scan_seq);
+            assert!(!ended, "no frame follows SCAN_END");
+            match response {
+                Response::BatchValues(pairs) => scanned.extend(pairs),
+                Response::ScanEnd => ended = true,
+                other => panic!("unexpected frame in the scan stream: {other:?}"),
+            }
         }
     }
+    assert!(ended);
+    let expected: Vec<(Vec<u8>, Vec<u8>)> = (0..100u64)
+        .map(|k| (k.to_be_bytes().to_vec(), format!("p{k}").into_bytes()))
+        .collect();
+    assert_eq!(scanned, expected, "the pinned cut predates the DELRANGE");
     handle.shutdown();
 }

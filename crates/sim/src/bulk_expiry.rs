@@ -89,7 +89,7 @@ impl BulkExpiryConfig {
         let value = vec![0x3c_u8; self.value_bytes];
         let db = Lsm::open(storage.clone(), self.options()).expect("open");
         for key in 0..self.keys {
-            db.put_u64(key, value.clone()).expect("load put");
+            db.put(key, value.clone()).expect("load put");
         }
         db.flush().expect("post-load flush");
         while db.auto_compact().expect("post-load compact").is_some() {}
@@ -101,7 +101,7 @@ impl BulkExpiryConfig {
             1
         } else {
             for key in 0..self.expired {
-                db.delete_u64(key).expect("point delete");
+                db.delete(key).expect("point delete");
             }
             self.expired
         };
@@ -126,9 +126,9 @@ impl BulkExpiryConfig {
             "expiry ({}) left the wrong survivor count",
             mode_label(range_delete)
         );
-        assert_eq!(db.get_u64(0).expect("expired get"), None);
+        assert_eq!(db.get(0).expect("expired get"), None);
         assert_eq!(
-            db.get_u64(self.expired).expect("survivor get").as_deref(),
+            db.get(self.expired).expect("survivor get").as_deref(),
             Some(value.as_slice())
         );
         assert!(
@@ -149,8 +149,7 @@ impl BulkExpiryConfig {
             expiry_us,
             pre_expiry_blob_bytes,
             post_compact_blob_bytes,
-            reclaimed_fraction: 1.0
-                - post_compact_blob_bytes as f64 / pre_expiry_blob_bytes as f64,
+            reclaimed_fraction: 1.0 - post_compact_blob_bytes as f64 / pre_expiry_blob_bytes as f64,
             compaction_entry_cost: stats.compaction_entry_cost(),
             scan_keys_per_sec: survivors.len() as f64 / (scan_us / 1e6),
         }

@@ -109,7 +109,7 @@ impl ChurnConfig {
         let mut db = Lsm::open(storage.clone(), self.options()).expect("initial open");
         // Seed the permanent working set.
         for key in 0..self.live_keys {
-            db.put_u64(key, value.clone()).expect("seed put");
+            db.put(key, value.clone()).expect("seed put");
         }
 
         let mut rows = Vec::new();
@@ -123,7 +123,7 @@ impl ChurnConfig {
 
         for cycle in 1..=self.cycles {
             for _ in 0..self.overwrites_per_cycle {
-                db.put_u64(overwrite_cursor % self.live_keys, value.clone())
+                db.put(overwrite_cursor % self.live_keys, value.clone())
                     .expect("overwrite put");
                 overwrite_cursor += 1;
                 ops += 1;
@@ -132,8 +132,8 @@ impl ChurnConfig {
             for _ in 0..self.churn_keys_per_cycle {
                 let key = next_scratch;
                 next_scratch += 1;
-                db.put_u64(key, value.clone()).expect("scratch put");
-                db.delete_u64(key).expect("scratch delete");
+                db.put(key, value.clone()).expect("scratch put");
+                db.delete(key).expect("scratch delete");
                 last_deleted.push(key);
                 ops += 2;
             }
@@ -168,7 +168,7 @@ impl ChurnConfig {
             // Correctness ride-along: the working set reads back, the
             // freshest deleted scratch keys stay gone.
             for key in [0, self.live_keys / 2, self.live_keys - 1] {
-                let got = db.get_u64(key).expect("post-reopen get");
+                let got = db.get(key).expect("post-reopen get");
                 assert_eq!(
                     got.as_deref(),
                     Some(value.as_slice()),
@@ -177,7 +177,7 @@ impl ChurnConfig {
             }
             for &key in last_deleted.iter().take(8) {
                 assert_eq!(
-                    db.get_u64(key).expect("post-reopen get"),
+                    db.get(key).expect("post-reopen get"),
                     None,
                     "deleted key {key} resurrected under churn (cycle {cycle})"
                 );

@@ -132,8 +132,8 @@ impl LiveEngineConfig {
                 let db = Lsm::open_in_memory(options).expect("in-memory open cannot fail");
                 for op in &write_ops {
                     match op.kind {
-                        OperationKind::Delete => db.delete_u64(op.key),
-                        _ => db.put_u64(op.key, op.key.to_le_bytes().to_vec()),
+                        OperationKind::Delete => db.delete(op.key),
+                        _ => db.put(op.key, op.key.to_le_bytes().to_vec()),
                     }
                     .expect("in-memory writes cannot fail");
                 }

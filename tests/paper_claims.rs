@@ -150,9 +150,12 @@ fn figure8_constant_factor_from_lower_bound() {
     );
 }
 
-/// Figure 9: running time increases monotonically (modulo noise) with the
-/// cost for the SI strategy, validating the cost function as a proxy for
-/// compaction time.
+/// Figure 9: the cost function orders the sweeps' endpoints the way the
+/// work does — `cost_actual` (entries read and written; the simulator's
+/// keys are fixed-width, so also bytes moved) falls as the workload turns
+/// update-heavy (9a) and grows with the operation count (9b). That the
+/// same ordering holds for wall-clock time is the `fig9` bench's to show;
+/// no clock is read here.
 #[test]
 fn figure9_cost_predicts_time() {
     for sweep in [Fig9Sweep::UpdatePercent, Fig9Sweep::OperationCount] {
@@ -161,18 +164,18 @@ fn figure9_cost_predicts_time() {
         config.update_percents = vec![0, 100];
         let rows = config.run();
         assert_eq!(rows.len(), 2);
-        let (small, large) = if rows[0].cost.mean <= rows[1].cost.mean {
-            (&rows[0], &rows[1])
-        } else {
-            (&rows[1], &rows[0])
+        let (low, high) = match sweep {
+            // All inserts keep every key distinct: the most to merge.
+            Fig9Sweep::UpdatePercent => (&rows[1], &rows[0]),
+            Fig9Sweep::OperationCount => (&rows[0], &rows[1]),
         };
-        // The higher-cost point must not be faster by more than noise.
         assert!(
-            large.time_ms.mean * 1.5 >= small.time_ms.mean,
-            "{sweep:?}: higher cost ({}) should not take materially less time ({} ms vs {} ms)",
-            large.cost.mean,
-            large.time_ms.mean,
-            small.time_ms.mean
+            low.cost.mean < high.cost.mean,
+            "{sweep:?}: x = {} must cost less ({}) than x = {} ({})",
+            low.x,
+            low.cost.mean,
+            high.x,
+            high.cost.mean
         );
     }
 }

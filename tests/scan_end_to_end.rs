@@ -62,7 +62,7 @@ fn wire_scan_streams_more_than_ten_thousand_keys_in_bounded_chunks() {
 
     // A narrow follow-up scan proves range pruning end to end: the
     // wire METRICS frame carries stats_range_pruned_tables > 0.
-    let narrow = client.scan_u64(100..200, 0).expect("scan");
+    let narrow = client.scan(100, 200, 0).expect("scan");
     assert_eq!(narrow.count(), 100);
     let metrics = client.metrics().expect("metrics");
     let counter = |name: &str| metrics.counter(name).expect(name);

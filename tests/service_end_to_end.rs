@@ -79,7 +79,7 @@ fn write_heavy_ycsb_run_survives_shard_crash_recovery() {
                         let mut acked = Vec::with_capacity(ops.len());
                         for op in ops {
                             client
-                                .put_u64(op.key, value_for(op.key))
+                                .put(op.key, value_for(op.key))
                                 .expect("write acknowledged");
                             acked.push(op.key);
                         }
@@ -114,8 +114,8 @@ fn write_heavy_ycsb_run_survives_shard_crash_recovery() {
     let reopened = ShardedKv::open_on_disk(&dir, SHARDS, options()).expect("reopen");
     for &key in &acked_keys {
         assert_eq!(
-            reopened.get_u64(key).expect("read after recovery"),
-            Some(value_for(key)),
+            reopened.get(key).expect("read after recovery"),
+            Some(value_for(key).into()),
             "acknowledged write of key {key} lost in crash recovery"
         );
     }

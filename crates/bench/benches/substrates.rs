@@ -3,10 +3,13 @@
 //! flush / physical-compaction path.
 
 use compaction_core::Strategy;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hll::HyperLogLog;
-use lsm_engine::{CompactionStep, Lsm, LsmOptions};
+use lsm_engine::{
+    CompactionStep, Lsm, LsmOptions, Manifest, MemoryStorage, ParallelExecutor, Storage,
+};
 use std::hint::black_box;
+use std::sync::Arc;
 use ycsb_gen::{Distribution, WorkloadSpec};
 
 fn bench_hll(c: &mut Criterion) {
@@ -157,11 +160,63 @@ fn bench_schedule_to_physical(c: &mut Criterion) {
     group.finish();
 }
 
+/// Eight 10 000-entry tables with interleaved key ranges (table `t`
+/// holds keys `2i + t`, so tables of equal parity overlap), flushed by
+/// the engine onto a fresh in-memory store.
+fn eight_overlapping_tables() -> (Arc<MemoryStorage>, Manifest) {
+    let storage = Arc::new(MemoryStorage::new());
+    let db = Lsm::open(
+        Arc::clone(&storage) as Arc<dyn Storage>,
+        LsmOptions::default().memtable_capacity(10_000).wal(false),
+    )
+    .unwrap();
+    for table in 0u64..8 {
+        for i in 0u64..10_000 {
+            db.put(2 * i + table, b"value-of-a-merge-path-entry".to_vec())
+                .unwrap();
+        }
+        db.flush().unwrap();
+    }
+    assert_eq!(db.live_tables().len(), 8);
+    drop(db);
+    let manifest = Manifest::load(storage.as_ref()).unwrap();
+    (storage, manifest)
+}
+
+/// The merge path in isolation — block decode, 8-way merge, sstable
+/// build — as one 8-way step on one thread, in the unit the benchmark's
+/// `merge.entries_per_s` uses (entries read + written per second).
+fn bench_merge_path(c: &mut Criterion) {
+    let options = LsmOptions::default()
+        .compaction_fanin(8)
+        .compaction_threads(1);
+    let steps = [CompactionStep::new((0..8).collect())];
+    let merge = |(storage, mut manifest): (Arc<MemoryStorage>, Manifest)| {
+        let ids: Vec<u64> = manifest.tables().iter().map(|t| t.table_id).collect();
+        ParallelExecutor::new(storage, options.clone())
+            .execute(&mut manifest, &ids, &steps)
+            .unwrap()
+            .entry_cost()
+    };
+    let mut group = c.benchmark_group("merge_path");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(merge(eight_overlapping_tables())));
+    group.bench_function("eight_way_step_80k_entries", |b| {
+        b.iter_batched(
+            eight_overlapping_tables,
+            merge,
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hll,
     bench_ycsb,
     bench_lsm,
-    bench_schedule_to_physical
+    bench_schedule_to_physical,
+    bench_merge_path
 );
 criterion_main!(benches);

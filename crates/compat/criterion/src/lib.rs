@@ -109,6 +109,7 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: u64,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -129,8 +130,10 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Accepted for compatibility.
-    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
+    /// Work done by one iteration of the benchmarks that follow; their
+    /// reports add the rate per second.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -169,8 +172,13 @@ impl BenchmarkGroup<'_> {
 
     fn report(&mut self, id: &BenchmarkId, bencher: &Bencher) {
         let mean = bencher.elapsed.as_nanos() / u128::from(bencher.iterations.max(1));
+        let rate = match self.throughput {
+            Some(Throughput::Bytes(n)) => format!(", {:.0} bytes/s", per_second(n, mean)),
+            Some(Throughput::Elements(n)) => format!(", {:.0} elements/s", per_second(n, mean)),
+            None => String::new(),
+        };
         println!(
-            "bench {group}/{id}: {mean} ns/iter (n = {n})",
+            "bench {group}/{id}: {mean} ns/iter (n = {n}){rate}",
             group = self.name,
             n = bencher.iterations,
         );
@@ -181,7 +189,12 @@ impl BenchmarkGroup<'_> {
     pub fn finish(&mut self) {}
 }
 
-/// Throughput hints (accepted and ignored).
+/// `work` units per iteration of `mean_ns` nanoseconds, per second.
+fn per_second(work: u64, mean_ns: u128) -> f64 {
+    work as f64 * 1e9 / (mean_ns.max(1) as f64)
+}
+
+/// Work done per iteration, reported as a rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Throughput {
     /// Bytes processed per iteration.
@@ -203,6 +216,7 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: 10,
+            throughput: None,
         }
     }
 

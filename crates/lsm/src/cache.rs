@@ -197,7 +197,7 @@ impl TableCache {
     /// Propagates [`SstableReader::open`] failures.
     pub fn get_or_open(
         &self,
-        storage: &Arc<dyn Storage>,
+        storage: &dyn Storage,
         table_id: u64,
         len_hint: Option<u64>,
     ) -> Result<Arc<SstableReader>, Error> {
@@ -207,11 +207,7 @@ impl TableCache {
             return Ok(reader);
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let reader = Arc::new(SstableReader::open(
-            Arc::clone(storage),
-            table_id,
-            len_hint,
-        )?);
+        let reader = Arc::new(SstableReader::open(storage, table_id, len_hint)?);
         let evicted =
             shard
                 .lock()
@@ -338,7 +334,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sstable::{Sstable, SstableBuilder};
+    use crate::sstable::SstableBuilder;
     use crate::storage::MemoryStorage;
     use crate::types::{key_from_u64, Entry};
     use bytes::Bytes;
@@ -398,17 +394,18 @@ mod tests {
             builder.add(&Entry::put(key_from_u64(k), Bytes::from(vec![k as u8]), k));
         }
         let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(id), &data)
+            .unwrap();
         meta.encoded_len
     }
 
     #[test]
     fn table_cache_hits_misses_and_invalidation() {
-        let mem = Arc::new(MemoryStorage::new());
+        let storage = MemoryStorage::new();
         for id in 0..4 {
-            write_table(&mem, id, 0..50);
+            write_table(&storage, id, 0..50);
         }
-        let storage: Arc<dyn Storage> = mem;
         let cache = TableCache::new(16);
         for id in 0..4 {
             cache.get_or_open(&storage, id, None).unwrap();

@@ -69,11 +69,13 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::manifest::{Manifest, ManifestEdit, TableMeta};
+    use crate::manifest::{Manifest, ManifestEdit};
     use crate::options::LsmOptions;
     use crate::parallel::ParallelExecutor;
-    use crate::sstable::{Sstable, SstableBuilder};
+    use crate::reader::SstableReader;
+    use crate::sstable::write_table;
     use crate::storage::{MemoryStorage, Storage};
+    use crate::test_support::read_table;
     use crate::types::{key_from_u64, Entry};
     use crate::Error;
     use bytes::Bytes;
@@ -86,28 +88,17 @@ mod tests {
         seq_base: u64,
     ) -> u64 {
         let id = manifest.allocate_table_id();
-        let mut builder = SstableBuilder::new(id, 4096, 10);
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        for &k in &sorted {
-            builder.add(&Entry::put(
+        let entries = sorted.iter().map(|&k| {
+            Ok(Entry::put(
                 key_from_u64(k),
                 Bytes::from(format!("v{k}-s{seq_base}")),
                 seq_base,
-            ));
-        }
-        let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
-        manifest
-            .apply(ManifestEdit::AddTable(TableMeta {
-                table_id: id,
-                entry_count: meta.entry_count,
-                encoded_len: meta.encoded_len,
-                tombstone_count: meta.tombstone_count,
-                range_tombstone_count: meta.range_tombstone_count,
-                max_seqno: meta.max_seqno,
-            }))
-            .unwrap();
+            ))
+        });
+        let meta = write_table(storage, &LsmOptions::default(), id, entries, []).unwrap();
+        manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
         id
     }
 
@@ -155,15 +146,15 @@ mod tests {
         assert_eq!(outcome.merge_ops, 2);
         assert_eq!(manifest.table_count(), 1);
         let final_id = outcome.final_table_id.unwrap();
-        let table = Sstable::load(storage.as_ref(), final_id).unwrap();
-        assert_eq!(table.entry_count(), 5, "keys 1..=5 deduplicated");
+        let entries = read_table(storage.as_ref(), final_id).unwrap();
+        assert_eq!(entries.len(), 5, "keys 1..=5 deduplicated");
         // Newest version wins: key 3 was written by t2 (seq 3) last.
-        let e = table.get(&key_from_u64(3)).unwrap().unwrap();
-        assert_eq!(e.value.as_ref(), b"v3-s3");
+        assert_eq!(entries[2].key, key_from_u64(3));
+        assert_eq!(entries[2].value.as_ref(), b"v3-s3");
         // Inputs are gone from storage.
-        assert!(!storage.contains_blob(&Sstable::blob_name(t0)));
-        assert!(!storage.contains_blob(&Sstable::blob_name(t1)));
-        assert!(!storage.contains_blob(&Sstable::blob_name(t2)));
+        for id in [t0, t1, t2] {
+            assert!(!storage.contains_blob(&SstableReader::blob_name(id)));
+        }
         // Entry accounting: step1 reads 4+4=8 writes 5; step2 reads 5+3 writes 5.
         assert_eq!(outcome.entries_read, 16);
         assert_eq!(outcome.entries_written, 10);
@@ -177,26 +168,22 @@ mod tests {
         let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1, 2], 1);
         // Table with a tombstone for key 1 (newer).
         let id = manifest.allocate_table_id();
-        let mut builder = SstableBuilder::new(id, 4096, 10);
-        builder.add(&Entry::tombstone(key_from_u64(1), 5));
-        let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
-        manifest
-            .apply(ManifestEdit::AddTable(TableMeta {
-                table_id: id,
-                entry_count: meta.entry_count,
-                encoded_len: meta.encoded_len,
-                tombstone_count: meta.tombstone_count,
-                range_tombstone_count: meta.range_tombstone_count,
-                max_seqno: meta.max_seqno,
-            }))
-            .unwrap();
+        let tombstone = Entry::tombstone(key_from_u64(1), 5);
+        let meta = write_table(
+            storage.as_ref(),
+            &LsmOptions::default(),
+            id,
+            std::iter::once(Ok(tombstone)),
+            [],
+        )
+        .unwrap();
+        manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
 
         let steps = vec![CompactionStep::new(vec![0, 1])];
         let outcome = exec.execute(&mut manifest, &[t0, id], &steps).unwrap();
-        let table = Sstable::load(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
-        assert_eq!(table.entry_count(), 1, "key 1 deleted, key 2 survives");
-        assert!(table.get(&key_from_u64(1)).unwrap().is_none());
+        let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
+        assert_eq!(entries.len(), 1, "key 1 deleted, key 2 survives");
+        assert_eq!(entries[0].key, key_from_u64(2));
     }
 
     #[test]
@@ -247,8 +234,8 @@ mod tests {
         let outcome = exec.execute(&mut manifest, &ids, &steps).unwrap();
         assert_eq!(outcome.merge_ops, 1);
         assert_eq!(manifest.table_count(), 1);
-        let table = Sstable::load(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
-        assert_eq!(table.entry_count(), 12);
+        let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
+        assert_eq!(entries.len(), 12);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   two brief bracket sections (see below);
 //! * the read half is lock-free in the fast path: an `ArcSwap` snapshot
 //!   of the live table list (newest first), a shared [`TableCache`] of
-//!   open lazy readers and a shared [`BlockCache`] of decoded blocks.
+//!   open readers and a shared [`BlockCache`] of decoded blocks.
 //!   [`Lsm::get`] takes `&self`, loads the snapshot, and probes tables
 //!   through the caches — one data block per hit, zero for
 //!   bloom-negative probes;
@@ -83,16 +83,17 @@ use parking_lot::{Mutex, RwLock};
 use crate::batch::WriteBatch;
 use crate::cache::{BlockCache, TableCache};
 use crate::compaction::{CompactionOutcome, CompactionStep};
+use crate::iter::Retained;
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::memtable::Memtable;
 use crate::metrics::EngineMetrics;
 use crate::observation::TableKeyObservation;
 use crate::options::{CompactionPolicy, LsmOptions};
 use crate::parallel::ParallelExecutor;
-use crate::planner::{observed_key, plan_compaction};
+use crate::planner::plan_compaction;
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::scan::RangeIter;
-use crate::sstable::{Sstable, SstableBuilder};
+use crate::sstable::write_table;
 use crate::storage::{FileStorage, MemoryStorage, Storage};
 use crate::types::{Entry, IntoKey, Key, RangeTombstone, SeqNo, Value, ValueKind};
 use crate::wal::{RecoveryReport, Wal, WalRecord};
@@ -120,7 +121,7 @@ const FLUSH_FAILURE_GIVE_UP: u64 = 3;
 /// [`LsmOptions::background_maintenance`] is enabled (the memtable is
 /// then frozen in O(1) and queued). Reads consult the active memtable,
 /// then any frozen memtables (newest first), then the live sstables
-/// newest-first through lazy readers and the table/block caches, using
+/// newest-first through their readers and the table/block caches, using
 /// each table's bloom filter and key range to skip runs without I/O.
 /// [`Lsm::major_compact`] executes a merge schedule and leaves a single
 /// sstable behind.
@@ -941,11 +942,11 @@ impl Lsm {
     /// merges them newest-wins with tombstones suppressed, and skips
     /// every sstable whose persisted min/max key range is disjoint from
     /// `range` (key-range-partitioned probing — see
-    /// [`LsmStats::range_pruned_tables`]). Block fetches bypass the
-    /// block cache unless [`LsmOptions::scan_fill_cache`] says
-    /// otherwise. If a compaction retires a pinned table mid-iteration,
-    /// the scan reloads the freshest snapshot and resumes after the last
-    /// key it returned ([`scan`](crate::scan) module docs).
+    /// [`LsmStats::range_pruned_tables`]). Blocks the scan fetches are
+    /// never inserted into the block cache. If a compaction retires a
+    /// pinned table mid-iteration, the scan reloads the freshest
+    /// snapshot and resumes after the last key it returned
+    /// ([`scan`](crate::scan) module docs).
     ///
     /// Runs concurrently with writes, flushes and compaction — it takes
     /// `&self` and never holds an engine lock across I/O.
@@ -1072,7 +1073,7 @@ impl LsmInner {
         // invisible to reads and safe to delete. WAL segments do not
         // parse as sstable/observation ids, so they survive the sweep.
         for blob in storage.list_blobs() {
-            let orphan_id = Sstable::id_from_blob_name(&blob)
+            let orphan_id = SstableReader::id_from_blob_name(&blob)
                 .or_else(|| TableKeyObservation::id_from_blob_name(&blob));
             if let Some(orphan_id) = orphan_id {
                 if manifest.table(orphan_id).is_none() {
@@ -1691,18 +1692,15 @@ impl LsmInner {
         upto: SeqNo,
     ) -> Result<Option<Value>, Error> {
         let ctx = ReadContext {
-            block_cache: &self.block_cache,
-            fill_cache: self.options.fills_cache(),
+            storage: self.storage.as_ref(),
+            block_cache: Some(&self.block_cache),
+            fill_cache: true,
             readahead_blocks: 1,
             counters: &self.read_counters,
         };
         for meta in &snap.tables {
             self.tables_probed.fetch_add(1, Ordering::Relaxed);
-            let reader = self.table_cache.get_or_open(
-                &self.storage,
-                meta.table_id,
-                Some(meta.encoded_len),
-            )?;
+            let reader = self.open_reader(meta)?;
             // Consult the table's own range tombstones before its point
             // entries: a table's tombstones can shadow its own points.
             // Gated on the manifest count so tables without any pay
@@ -1743,20 +1741,22 @@ impl LsmInner {
         self.snapshot.load_full()
     }
 
-    /// Opens (or fetches from the table cache) the lazy reader for a
-    /// live table.
-    pub(crate) fn open_reader(&self, meta: &TableMeta) -> Result<Arc<crate::SstableReader>, Error> {
+    /// Opens (or fetches from the table cache) the reader for a live
+    /// table.
+    pub(crate) fn open_reader(&self, meta: &TableMeta) -> Result<Arc<SstableReader>, Error> {
         self.table_cache
-            .get_or_open(&self.storage, meta.table_id, Some(meta.encoded_len))
+            .get_or_open(self.storage.as_ref(), meta.table_id, Some(meta.encoded_len))
     }
 
-    /// The read context range scans fetch blocks through (cache-fill
-    /// policy from [`LsmOptions::scan_fill_cache`], readahead width
-    /// from [`LsmOptions::scan_readahead_blocks`]).
+    /// The read context range scans fetch blocks through: cached blocks
+    /// are used, fetched ones are not inserted (a long scan must not
+    /// flush the hot set), readahead width from
+    /// [`LsmOptions::scan_readahead_blocks`].
     pub(crate) fn scan_read_ctx(&self) -> ReadContext<'_> {
         ReadContext {
-            block_cache: &self.block_cache,
-            fill_cache: self.options.scan_fills_cache(),
+            storage: self.storage.as_ref(),
+            block_cache: Some(&self.block_cache),
+            fill_cache: false,
             readahead_blocks: self.options.scan_readahead(),
             counters: &self.read_counters,
         }
@@ -1903,7 +1903,7 @@ impl LsmInner {
         );
         let started = Instant::now();
         let table_id = w.manifest.allocate_table_id();
-        let meta = self.build_sstable(table_id, &entries, &range_dels)?;
+        let meta = self.write_table(table_id, entries, range_dels)?;
         w.manifest.apply(ManifestEdit::AddTable(meta))?;
         w.manifest.persist(self.storage.as_ref())?;
         // Publish the new table, *then* clear the memtable: a read
@@ -1932,46 +1932,21 @@ impl LsmInner {
         Ok(Some(table_id))
     }
 
-    /// Builds and persists the sstable (and its key-observation
-    /// sidecar) for `entries`, returning its manifest metadata. No
-    /// engine lock is required — callers decide what to hold.
-    fn build_sstable(
+    /// [`write_table`] over this store's storage and options. No engine
+    /// lock is required — callers decide what to hold.
+    fn write_table(
         &self,
         table_id: u64,
-        entries: &[Entry],
-        range_dels: &[RangeTombstone],
+        entries: Vec<Entry>,
+        range_dels: Vec<RangeTombstone>,
     ) -> Result<TableMeta, Error> {
-        let mut builder = SstableBuilder::new(
+        write_table(
+            self.storage.as_ref(),
+            &self.options,
             table_id,
-            self.options.block_size_bytes(),
-            self.options.bloom_bits(),
+            entries.into_iter().map(Ok),
+            range_dels,
         )
-        .compression(self.options.compression_type());
-        let mut observed = Vec::with_capacity(entries.len());
-        for entry in entries {
-            observed.push(observed_key(&entry.key));
-            builder.add(entry);
-        }
-        for rd in range_dels {
-            builder.add_range_del(rd.clone());
-        }
-        let (data, meta) = builder.finish();
-        self.storage
-            .write_blob(&Sstable::blob_name(table_id), &data)?;
-        // Persist the key observation before the manifest references the
-        // table: a crash in between leaves only orphans (swept on open),
-        // never a live table without its sidecar. Best-effort — the
-        // planner falls back to reading the table if the sidecar is
-        // missing, so a failed cache write must not fail the flush.
-        let _ = TableKeyObservation::new(table_id, observed).persist(self.storage.as_ref());
-        Ok(TableMeta {
-            table_id,
-            entry_count: meta.entry_count,
-            encoded_len: meta.encoded_len,
-            tombstone_count: meta.tombstone_count,
-            range_tombstone_count: meta.range_tombstone_count,
-            max_seqno: meta.max_seqno,
-        })
     }
 
     // ---- background flush thread ----
@@ -2028,7 +2003,7 @@ impl LsmInner {
     /// the two (duplicates deduplicate by source precedence).
     fn flush_frozen(&self, gen: &Arc<FrozenGen>) -> Result<(), Error> {
         let entries: Vec<Entry> = gen.memtable.iter().collect();
-        let range_dels = gen.memtable.range_dels();
+        let range_dels = gen.memtable.range_dels().to_vec();
         let started = Instant::now();
         // A generation holding only range tombstones still flushes — the
         // records must out-live the WAL segment retired below.
@@ -2043,7 +2018,7 @@ impl LsmInner {
                 ],
             );
             let table_id = self.write.lock().manifest.allocate_table_id();
-            Some(self.build_sstable(table_id, &entries, range_dels)?)
+            Some(self.write_table(table_id, entries, range_dels)?)
         };
         let table_id = added.as_ref().map(|meta| meta.table_id);
         self.retire_frozen(gen, added)?;
@@ -2130,8 +2105,7 @@ impl LsmInner {
     /// A planned compaction on a caller's thread: the caller waited for
     /// the whole run, so it is one stall sample.
     fn compact_on_caller(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
-        let options = self.options.clone();
-        let schedule = Schedule::Planned { options, if_due };
+        let schedule = Schedule::Planned { if_due };
         let Some((plan, outcome, stall)) = self.run_compaction(schedule)? else {
             return Ok(None);
         };
@@ -2154,10 +2128,7 @@ impl LsmInner {
                 return;
             }
             if self.policy_fires(&self.write.lock()) {
-                let run = self.run_compaction(Schedule::Planned {
-                    options: self.planning_options(),
-                    if_due: true,
-                });
+                let run = self.run_compaction(Schedule::Planned { if_due: true });
                 if run.is_err() {
                     if self.maint.shutdown.load(Ordering::SeqCst) {
                         return;
@@ -2189,26 +2160,6 @@ impl LsmInner {
         }
     }
 
-    /// The planner options for the next scheduler run. With
-    /// [`LsmOptions::adaptive_strategy`] enabled, pick the cheap
-    /// smallest-output strategy while maintenance is keeping up and
-    /// escalate to the configured (deeper-optimizing) strategy once
-    /// debt crosses the slowdown trigger — the pressure-adaptive
-    /// scheduling the paper gestures at.
-    fn planning_options(&self) -> LsmOptions {
-        if !self.options.adaptive_strategy_enabled() {
-            return self.options.clone();
-        }
-        let (debt, _) = self.maintenance_debt();
-        if debt >= self.options.slowdown_trigger_debt() {
-            self.options.clone()
-        } else {
-            self.options
-                .clone()
-                .compaction_strategy(compaction_core::Strategy::SmallestOutput)
-        }
-    }
-
     /// The one compaction driver (module docs, *Compaction*), run on
     /// whichever thread asks. `compaction_mx` serializes whole runs, so
     /// every planned input still exists at prepare time: flushes can
@@ -2221,7 +2172,7 @@ impl LsmInner {
         let _serial = self.compaction_mx.lock();
         let _mark = self.mark_compacting();
         let start = Instant::now();
-        let if_due = matches!(schedule, Schedule::Planned { if_due: true, .. });
+        let if_due = matches!(schedule, Schedule::Planned { if_due: true });
         let tables: Vec<TableMeta> = {
             let w = self.write.lock();
             if if_due && !self.policy_fires(&w) {
@@ -2233,8 +2184,9 @@ impl LsmInner {
         // Planning reads observation sidecars (I/O), which is why it
         // works from the snapshot rather than under the write mutex.
         let (plan, steps, waves) = match schedule {
-            Schedule::Planned { options, .. } => {
-                let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &options)? else {
+            Schedule::Planned { .. } => {
+                let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &self.options)?
+                else {
                     // Nothing to merge: restart the flush cadence so an
                     // `EveryNFlushes` scheduler does not spin on it.
                     self.write.lock().flushes_since_compaction = 0;
@@ -2371,69 +2323,35 @@ impl LsmInner {
         let Some(candidate) = candidate else {
             return Ok(0);
         };
+        let storage = self.storage.as_ref();
         // The safety oracle: a tombstone is droppable iff no *other*
         // live table may contain its key (min/max + bloom, zero block
         // I/O — false positives keep a droppable tombstone, false
         // negatives cannot happen).
-        let mut others = Vec::with_capacity(tables.len().saturating_sub(1));
-        for t in tables.iter().filter(|t| t.table_id != candidate.table_id) {
-            others.push(SstableReader::open(
-                self.storage.clone(),
-                t.table_id,
-                Some(t.encoded_len),
-            )?);
-        }
-        // Every drop below must also be invisible to pinned snapshots:
-        // nothing sequenced above the floor is reclaimed, and shadowed
-        // history is only cut below the newest version at or under it.
+        let others = tables
+            .iter()
+            .filter(|t| t.table_id != candidate.table_id)
+            .map(|t| SstableReader::open(storage, t.table_id, Some(t.encoded_len)))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Every drop must also be invisible to pinned snapshots: nothing
+        // sequenced above the floor is reclaimed, and shadowed history
+        // is only cut below the newest version at or under it.
         let floor = self.pin_floor();
-        let table = Sstable::load(self.storage.as_ref(), candidate.table_id)?;
+        let table = SstableReader::open(storage, candidate.table_id, Some(candidate.encoded_len))?;
         // The table's own range tombstones shadow its own points; they
         // are carried into the rewrite untouched (they may still shadow
         // other live tables).
-        let own_rds = table.range_dels().to_vec();
-        let mut kept: Vec<Entry> = Vec::new();
-        let mut tombstones_dropped = 0u64;
-        let mut versions_dropped = 0u64;
-        let mut last_key: Option<Key> = None;
-        // Once the newest surviving version at or below the floor is
-        // kept (or a drop shadowed everything older), the key's
-        // remaining history is unobservable by any reader.
-        let mut key_done = false;
-        for entry in table.iter() {
-            let entry = entry?;
-            if last_key.as_ref() != Some(&entry.key) {
-                last_key = Some(entry.key.clone());
-                key_done = false;
-            }
-            if key_done
-                || own_rds
-                    .iter()
-                    .any(|rd| rd.seqno <= floor && rd.shadows(&entry.key, entry.seqno))
-            {
-                versions_dropped += 1;
-                if entry.is_tombstone() {
-                    tombstones_dropped += 1;
-                }
-                key_done = true;
-                continue;
-            }
-            if entry.is_tombstone()
-                && entry.seqno <= floor
-                && !others.iter().any(|r| r.may_contain(&entry.key))
-            {
-                versions_dropped += 1;
-                tombstones_dropped += 1;
-                // Older versions of the key sit under the dropped
-                // tombstone and the floor: equally unobservable.
-                key_done = true;
-                continue;
-            }
-            if entry.seqno <= floor {
-                key_done = true;
-            }
-            kept.push(entry);
-        }
+        let own_rds = table.range_dels();
+        let counters = ReadPathCounters::default();
+        let mut retained = Retained::new(
+            table.iter(ReadContext::whole_table(storage, &counters)),
+            floor,
+            own_rds,
+            |tombstone| !others.iter().any(|r| r.may_contain(&tombstone.key)),
+        );
+        let kept = retained.by_ref().collect::<Result<Vec<Entry>, _>>()?;
+        let (versions_dropped, tombstones_dropped) =
+            (retained.dropped(), retained.tombstones_dropped());
         if versions_dropped == 0 {
             // Barrenness is only provable when no pin held the floor
             // down: a pinned pass may have kept tombstones solely for
@@ -2454,7 +2372,7 @@ impl LsmInner {
             None
         } else {
             let table_id = self.write.lock().manifest.allocate_table_id();
-            Some(self.build_sstable(table_id, &kept, &own_rds)?)
+            Some(self.write_table(table_id, kept, own_rds.to_vec())?)
         };
         let output_id = new_meta.as_ref().map_or(0, |m| m.table_id);
         {
@@ -2465,12 +2383,11 @@ impl LsmInner {
             if let Some(meta) = new_meta {
                 w.manifest.apply(ManifestEdit::AddTable(meta))?;
             }
-            w.manifest.persist(self.storage.as_ref())?;
+            w.manifest.persist(storage)?;
             self.on_manifest_flip(&[candidate.table_id], &w.manifest);
         }
-        self.storage
-            .delete_blob(&Sstable::blob_name(candidate.table_id))?;
-        TableKeyObservation::delete(self.storage.as_ref(), candidate.table_id)?;
+        storage.delete_blob(&SstableReader::blob_name(candidate.table_id))?;
+        TableKeyObservation::delete(storage, candidate.table_id)?;
         self.emit(
             EventKind::CompactionGc,
             vec![
@@ -2568,11 +2485,11 @@ impl ReadView {
 
 /// Where one compaction run's merge schedule comes from.
 enum Schedule<'a> {
-    /// The planner, configured by `options` (the merges themselves run
-    /// under the store's own). With `if_due` the run is abandoned unless
-    /// the policy fires once it holds `compaction_mx`: a trigger that
-    /// queued behind another run must not re-merge that run's output.
-    Planned { options: LsmOptions, if_due: bool },
+    /// The planner, configured by the store's options. With `if_due` the
+    /// run is abandoned unless the policy fires once it holds
+    /// `compaction_mx`: a trigger that queued behind another run must
+    /// not re-merge that run's output.
+    Planned { if_due: bool },
     /// A caller-supplied slot schedule ([`Lsm::major_compact`]); with no
     /// planner prediction its cost fields trace `predicted_cost = 0`.
     Manual(&'a [CompactionStep]),
@@ -2987,16 +2904,16 @@ mod tests {
         // Simulate a crash that left a compaction output blob behind
         // without a manifest entry.
         storage
-            .write_blob(&Sstable::blob_name(9_999), b"garbage-orphan")
+            .write_blob(&SstableReader::blob_name(9_999), b"garbage-orphan")
             .unwrap();
-        assert!(storage.contains_blob(&Sstable::blob_name(9_999)));
+        assert!(storage.contains_blob(&SstableReader::blob_name(9_999)));
         let db = Lsm::open(
             Arc::clone(&storage),
             LsmOptions::default().memtable_capacity(5),
         )
         .unwrap();
         assert!(
-            !storage.contains_blob(&Sstable::blob_name(9_999)),
+            !storage.contains_blob(&SstableReader::blob_name(9_999)),
             "orphan swept on open"
         );
         for i in 0..20u64 {
@@ -3497,41 +3414,5 @@ mod tests {
         let stats = db.stats();
         assert!(stats.bg_flushes >= 1);
         assert!(stats.auto_compactions >= 1);
-    }
-
-    #[test]
-    fn adaptive_strategy_follows_pressure() {
-        let gated = Arc::new(GatedStorage::new());
-        gated.close_gate();
-        let db = Lsm::open(
-            Arc::clone(&gated) as Arc<dyn Storage>,
-            LsmOptions::default()
-                .memtable_capacity(2)
-                .background_maintenance(true)
-                .adaptive_strategy(true)
-                .compaction_strategy(compaction_core::Strategy::BalanceTreeInput)
-                .slowdown_trigger(1)
-                .stop_trigger(100)
-                .frozen_queue_limit(100),
-        )
-        .unwrap();
-        assert!(
-            matches!(
-                db.inner.planning_options().strategy(),
-                compaction_core::Strategy::SmallestOutput
-            ),
-            "idle engine plans with the cheap strategy"
-        );
-        db.put(0, b"x".to_vec()).unwrap();
-        db.put(1, b"x".to_vec()).unwrap();
-        assert_eq!(db.frozen_queue_depth(), 1);
-        assert!(
-            matches!(
-                db.inner.planning_options().strategy(),
-                compaction_core::Strategy::BalanceTreeInput
-            ),
-            "backlogged engine escalates to the configured strategy"
-        );
-        gated.open_gate();
     }
 }

@@ -17,23 +17,24 @@
 //! This crate implements that entire substrate from scratch:
 //!
 //! * [`Memtable`] — a sorted, size-bounded in-memory buffer;
-//! * [`SstableBuilder`] / [`Sstable`] — an immutable sorted-run format with
-//!   data blocks, a [`BloomFilter`], an index and a checksummed footer;
+//! * [`SstableBuilder`] / [`SstableReader`] — an immutable sorted-run
+//!   format with data blocks, a [`BloomFilter`], an index and a
+//!   checksummed footer, and the one reader of it: a table opens with
+//!   two ranged reads ([`Storage::read_blob_range`]) of its tail and
+//!   fetches data blocks on demand — one per point lookup through the
+//!   [`TableCache`] / [`BlockCache`] pair, a readahead span per scan
+//!   step, the whole data section in one read for a compaction input;
 //! * [`Wal`] — a write-ahead log for memtable durability;
 //! * [`Manifest`] — the record of live sstables and compaction edits;
 //! * [`Storage`] — pluggable backing store ([`MemoryStorage`] for
 //!   simulation, [`FileStorage`] for real files);
-//! * [`MergingIter`] — a heap-based k-way merging iterator with
-//!   newest-wins de-duplication and tombstone dropping;
-//! * [`SstableReader`] — the lazy read path: a table opens with two
-//!   ranged reads ([`Storage::read_blob_range`]) of its tail (bloom +
-//!   min/max meta + index + footer) and fetches one data block per
-//!   lookup through the [`TableCache`] / [`BlockCache`] pair;
+//! * [`MergingIter`] — the one heap-based k-way merge, streaming over
+//!   fallible sorted sources; compaction's retention rule and the scan
+//!   visibility rule are thin filters over it;
 //! * [`RangeIter`] — streaming, snapshot-consistent range scans
-//!   ([`Lsm::range`]): a lazy k-way merge over the frozen memtable view
-//!   and the live tables, pruning tables by their persisted min/max
-//!   keys before any bloom or block is touched (see the [`scan`]
-//!   module);
+//!   ([`Lsm::range`]): that merge over the memtable view and the live
+//!   tables, pruning tables by their persisted min/max keys before any
+//!   bloom or block is touched (see the [`scan`] module);
 //! * [`Lsm`] — the database facade: `put`/`get`/`delete`/`flush`, plus
 //!   [`Lsm::delete_range`] (one [`RangeTombstone`] record erases a whole
 //!   interval), [`Lsm::snapshot`] (a pinned-LSN [`Snapshot`] read view
@@ -56,6 +57,7 @@
 //!   schedule (no manual [`CompactionStep`] construction);
 //! * [`ParallelExecutor`] decides *how* — independent steps of a
 //!   dependency wave (e.g. one BALANCETREE level) run on scoped threads,
+//!   each streaming its inputs through the merge into one table writer,
 //!   and manifest edits are applied atomically after the whole plan
 //!   succeeds.
 //!
@@ -135,7 +137,7 @@ pub use parallel::ParallelExecutor;
 pub use planner::{observe_tables, observed_key, plan_compaction};
 pub use reader::{ReadContext, ReadPathCounters, SstableReader, SstableReaderIter};
 pub use scan::RangeIter;
-pub use sstable::{Sstable, SstableBuilder, SstableIter, SstableMeta};
+pub use sstable::{SstableBuilder, SstableMeta};
 pub use storage::{FileStorage, MemoryStorage, Storage};
 pub use types::{
     key_from_u64, key_to_u64, Entry, InternalKey, IntoKey, Key, RangeTombstone, SeqNo, Value,

@@ -25,7 +25,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::crc32;
-use crate::sstable::Sstable;
+use crate::reader::SstableReader;
 use crate::storage::Storage;
 use crate::Error;
 
@@ -371,7 +371,7 @@ impl Manifest {
             if manifest
                 .tables
                 .iter()
-                .all(|t| storage.contains_blob(&Sstable::blob_name(t.table_id)))
+                .all(|t| storage.contains_blob(&SstableReader::blob_name(t.table_id)))
             {
                 manifest.checkpoint_seq = seq;
                 storage.write_blob_atomic(CURRENT_BLOB, &Self::encode_current(seq))?;
@@ -387,7 +387,7 @@ impl Manifest {
 
         let orphans: Vec<&String> = blobs
             .iter()
-            .filter(|name| Sstable::id_from_blob_name(name).is_some())
+            .filter(|name| SstableReader::id_from_blob_name(name).is_some())
             .collect();
         if !orphans.is_empty() {
             return Err(Error::corruption(format!(
@@ -421,7 +421,7 @@ mod tests {
     /// the referenced table as present.
     fn fake_table_blob(storage: &dyn Storage, id: u64) {
         storage
-            .write_blob(&Sstable::blob_name(id), b"placeholder")
+            .write_blob(&SstableReader::blob_name(id), b"placeholder")
             .unwrap();
     }
 

@@ -12,8 +12,8 @@
 //! same [`observed_key`](crate::observed_key) mapping the planner uses)
 //! is persisted as a small sidecar blob next to the table. At plan time
 //! [`observe_tables`](crate::observe_tables) loads the sidecar instead
-//! of the table; only tables written before this format existed fall
-//! back to a full read.
+//! of the table; only a table whose sidecar is missing (the write is
+//! best-effort) or corrupt falls back to a full read.
 //!
 //! The sidecar always stores the **exact** observed key set, regardless
 //! of the configured [`SizeEstimator`](compaction_core::SizeEstimator):
@@ -105,10 +105,12 @@ impl TableKeyObservation {
                 "unknown key observation representation {repr}"
             )));
         }
-        let count = cursor.get_u64_le() as usize;
-        if cursor.remaining() != count * 8 {
-            return Err(Error::corruption("key observation length mismatch"));
-        }
+        // The count is input: it sizes the allocation below only once it
+        // has been checked, without overflow, against the bytes present.
+        let count = usize::try_from(cursor.get_u64_le())
+            .ok()
+            .filter(|count| count.checked_mul(8) == Some(cursor.remaining()))
+            .ok_or_else(|| Error::corruption("key observation length mismatch"))?;
         let mut keys = Vec::with_capacity(count);
         for _ in 0..count {
             keys.push(cursor.get_u64_le());
@@ -126,8 +128,8 @@ impl TableKeyObservation {
     }
 
     /// Loads the persisted observation for `table_id`, or `Ok(None)` if
-    /// no sidecar exists (a pre-observation table: the caller falls back
-    /// to reading the table itself).
+    /// no sidecar exists (the caller falls back to reading the table
+    /// itself).
     ///
     /// # Errors
     ///
@@ -181,6 +183,22 @@ mod tests {
         let crc = crc32(&bad_tag[..len - 4]);
         bad_tag[len - 4..].copy_from_slice(&crc.to_le_bytes());
         assert!(TableKeyObservation::decode(1, &bad_tag).is_err());
+    }
+
+    /// A CRC-valid payload whose count overflows `count * 8` must be
+    /// refused before it sizes an allocation (`1 << 61` wraps to 0 bytes
+    /// in release builds and panics in debug ones).
+    #[test]
+    fn decode_rejects_a_count_that_overflows() {
+        for count in [1u64 << 61, u64::MAX, 3] {
+            let mut forged = BytesMut::new();
+            forged.put_u8(REPR_EXACT);
+            forged.put_u64_le(count);
+            let crc = crc32(&forged);
+            forged.put_u32_le(crc);
+            let err = TableKeyObservation::decode(1, &forged).unwrap_err();
+            assert!(matches!(err, Error::Corruption { .. }), "{count}: {err}");
+        }
     }
 
     #[test]

@@ -65,8 +65,9 @@ impl CompactionPolicy {
 ///
 /// The defaults mirror the paper's simulator settings: memtables are
 /// bounded by a *key-count* capacity (the paper's "memtable size" is the
-/// number of keys before a flush), compaction fan-in `k = 2`, and
-/// tombstones are dropped during major compaction. Compaction planning
+/// number of keys before a flush) and compaction fan-in `k = 2`; the
+/// final merge of a major compaction drops the tombstones no pinned
+/// snapshot can still observe. Compaction planning
 /// defaults to the paper's recommended `BT(I)` strategy with exact size
 /// observations, triggered manually.
 ///
@@ -91,7 +92,6 @@ pub struct LsmOptions {
     block_size: usize,
     bloom_bits_per_key: usize,
     compaction_fanin: usize,
-    drop_tombstones_on_major_compaction: bool,
     wal_enabled: bool,
     compaction_policy: CompactionPolicy,
     compaction_strategy: Strategy,
@@ -99,15 +99,12 @@ pub struct LsmOptions {
     compaction_threads: usize,
     table_cache_capacity: usize,
     block_cache_capacity_bytes: u64,
-    fill_cache: bool,
-    scan_fill_cache: bool,
     scan_readahead_blocks: usize,
     compression: CompressionType,
     background_maintenance: bool,
     slowdown_trigger: usize,
     stop_trigger: usize,
     frozen_queue_limit: usize,
-    adaptive_strategy: bool,
     event_sink: Option<EventSinkOpt>,
     shard_tag: u32,
     strict_recovery: bool,
@@ -122,7 +119,6 @@ impl Default for LsmOptions {
             block_size: 4 * 1024,
             bloom_bits_per_key: 10,
             compaction_fanin: 2,
-            drop_tombstones_on_major_compaction: true,
             wal_enabled: true,
             compaction_policy: CompactionPolicy::Manual,
             compaction_strategy: Strategy::BalanceTreeInput,
@@ -130,15 +126,12 @@ impl Default for LsmOptions {
             compaction_threads: 1,
             table_cache_capacity: 64,
             block_cache_capacity_bytes: 8 * 1024 * 1024,
-            fill_cache: true,
-            scan_fill_cache: false,
             scan_readahead_blocks: 8,
             compression: CompressionType::Lz,
             background_maintenance: false,
             slowdown_trigger: 2,
             stop_trigger: 4,
             frozen_queue_limit: 8,
-            adaptive_strategy: false,
             event_sink: None,
             shard_tag: 0,
             strict_recovery: false,
@@ -183,14 +176,6 @@ impl LsmOptions {
     #[must_use]
     pub fn compaction_fanin(mut self, k: usize) -> Self {
         self.compaction_fanin = k.max(2);
-        self
-    }
-
-    /// Controls whether tombstones are physically dropped when a major
-    /// compaction produces the final single sstable.
-    #[must_use]
-    pub fn drop_tombstones(mut self, drop: bool) -> Self {
-        self.drop_tombstones_on_major_compaction = drop;
         self
     }
 
@@ -258,28 +243,11 @@ impl LsmOptions {
     /// 8 MiB). Blocks are charged at their decoded in-memory footprint
     /// — not the (possibly compressed) stored size — and LRU-evicted;
     /// a warm point read served from this cache does zero storage I/O.
+    /// Point reads insert the blocks they fetch; range scans and
+    /// compaction never do, so neither can flush the hot set.
     #[must_use]
     pub fn block_cache_capacity_bytes(mut self, bytes: u64) -> Self {
         self.block_cache_capacity_bytes = bytes.max(1);
-        self
-    }
-
-    /// Controls whether point reads insert the blocks they fetch into
-    /// the block cache (default `true`). Full scans always bypass the
-    /// cache so they cannot flush the hot set.
-    #[must_use]
-    pub fn fill_cache(mut self, fill: bool) -> Self {
-        self.fill_cache = fill;
-        self
-    }
-
-    /// Controls whether range scans ([`Lsm::range`](crate::Lsm::range))
-    /// insert the blocks they fetch into the block cache (default
-    /// `false`: a long scan sweeping cold blocks must not flush the hot
-    /// set a point-read workload built up).
-    #[must_use]
-    pub fn scan_fill_cache(mut self, fill: bool) -> Self {
-        self.scan_fill_cache = fill;
         self
     }
 
@@ -349,17 +317,6 @@ impl LsmOptions {
     #[must_use]
     pub fn frozen_queue_limit(mut self, generations: usize) -> Self {
         self.frozen_queue_limit = generations.max(2);
-        self
-    }
-
-    /// Enables pressure-adaptive strategy selection for background
-    /// compaction (default `false`): an idle engine plans with
-    /// `SmallestOutput` (cheapest total I/O), a backlogged one with the
-    /// configured strategy (typically `BT(I)`, widest parallelism) — the
-    /// scheduling result the paper gestures at.
-    #[must_use]
-    pub fn adaptive_strategy(mut self, enabled: bool) -> Self {
-        self.adaptive_strategy = enabled;
         self
     }
 
@@ -448,12 +405,6 @@ impl LsmOptions {
         self.compaction_fanin
     }
 
-    /// Whether major compaction drops tombstones.
-    #[must_use]
-    pub fn drops_tombstones(&self) -> bool {
-        self.drop_tombstones_on_major_compaction
-    }
-
     /// Whether the WAL is enabled.
     #[must_use]
     pub fn wal_enabled(&self) -> bool {
@@ -496,18 +447,6 @@ impl LsmOptions {
         self.block_cache_capacity_bytes
     }
 
-    /// Whether point reads populate the block cache.
-    #[must_use]
-    pub fn fills_cache(&self) -> bool {
-        self.fill_cache
-    }
-
-    /// Whether range scans populate the block cache.
-    #[must_use]
-    pub fn scan_fills_cache(&self) -> bool {
-        self.scan_fill_cache
-    }
-
     /// Consecutive blocks one scan round-trip may fetch (≥ 1).
     #[must_use]
     pub fn scan_readahead(&self) -> usize {
@@ -543,12 +482,6 @@ impl LsmOptions {
     #[must_use]
     pub fn frozen_queue_limit_generations(&self) -> usize {
         self.frozen_queue_limit
-    }
-
-    /// Whether background compaction picks its strategy from pressure.
-    #[must_use]
-    pub fn adaptive_strategy_enabled(&self) -> bool {
-        self.adaptive_strategy
     }
 
     /// The injected shared event ring, if any (a cheap handle clone).
@@ -593,19 +526,15 @@ mod tests {
             .block_size(1)
             .compaction_fanin(1)
             .bloom_bits_per_key(0)
-            .drop_tombstones(false)
             .compaction_threads(0)
             .table_cache_capacity(0)
             .block_cache_capacity_bytes(0)
-            .fill_cache(false)
-            .scan_fill_cache(true)
             .scan_readahead_blocks(0)
             .compression(CompressionType::None)
             .background_maintenance(true)
             .slowdown_trigger(0)
             .stop_trigger(0)
             .frozen_queue_limit(0)
-            .adaptive_strategy(true)
             .strict_recovery(true)
             .tombstone_gc(true)
             .gc_min_tombstones(0)
@@ -617,14 +546,10 @@ mod tests {
         assert_eq!(opts.bloom_bits(), 0);
         assert_eq!(opts.table_cache_tables(), 8, "table cache clamps to 8");
         assert_eq!(opts.block_cache_bytes(), 1, "block cache clamps to 1");
-        assert!(!opts.fills_cache());
-        assert!(opts.scan_fills_cache());
         assert_eq!(opts.scan_readahead(), 1, "readahead clamps to 1");
         assert_eq!(opts.compression_type(), CompressionType::None);
-        assert!(!opts.drops_tombstones());
         assert!(!opts.wal_enabled());
         assert!(opts.background_maintenance_enabled());
-        assert!(opts.adaptive_strategy_enabled());
         assert_eq!(opts.slowdown_trigger_debt(), 1, "slowdown clamps to 1");
         assert_eq!(opts.stop_trigger_debt(), 2, "stop clamps to 2");
         assert_eq!(
@@ -653,18 +578,12 @@ mod tests {
         let opts = LsmOptions::default();
         assert_eq!(opts.memtable_capacity_keys(), 1_000);
         assert_eq!(opts.fanin(), 2);
-        assert!(opts.drops_tombstones());
         assert_eq!(opts.policy(), CompactionPolicy::Manual);
         assert_eq!(opts.strategy(), Strategy::BalanceTreeInput);
         assert_eq!(opts.estimator(), SizeEstimator::Exact);
         assert_eq!(opts.threads(), 1);
         assert_eq!(opts.table_cache_tables(), 64);
         assert_eq!(opts.block_cache_bytes(), 8 * 1024 * 1024);
-        assert!(opts.fills_cache());
-        assert!(
-            !opts.scan_fills_cache(),
-            "scans bypass the cache by default"
-        );
         assert_eq!(opts.scan_readahead(), 8, "scans read ahead by default");
         assert_eq!(
             opts.compression_type(),
@@ -675,7 +594,6 @@ mod tests {
             !opts.background_maintenance_enabled(),
             "maintenance is inline by default, matching the seed engine"
         );
-        assert!(!opts.adaptive_strategy_enabled());
         assert_eq!(opts.slowdown_trigger_debt(), 2);
         assert_eq!(opts.stop_trigger_debt(), 4);
         assert_eq!(opts.frozen_queue_limit_generations(), 8);

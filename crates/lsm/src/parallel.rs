@@ -2,6 +2,11 @@
 //! every compaction goes through (`compaction_threads(1)` is the serial
 //! case):
 //!
+//! * **streaming** — a step opens each input through
+//!   [`SstableReader`] (no cache, one read of its data section), feeds
+//!   the cursors to the k-way [`MergingIter`](crate::MergingIter) under
+//!   the retention rule and drains that into the one table writer, so
+//!   it holds one decoded block per input, never a decoded table;
 //! * **parallel** — steps are grouped into dependency waves (see
 //!   [`MergeSchedule::dependency_waves`](compaction_core::MergeSchedule::dependency_waves));
 //!   independent steps of one wave (e.g. the merges inside one
@@ -21,25 +26,21 @@ use std::time::Instant;
 use obs::LatencyHistogram;
 
 use crate::compaction::{CompactionOutcome, CompactionStep};
-use crate::iter::MergingIter;
+use crate::iter::{MergingIter, Retained};
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
-use crate::planner::observed_key;
-use crate::sstable::{Sstable, SstableBuilder};
+use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
+use crate::sstable::write_table;
 use crate::storage::Storage;
-use crate::types::{Entry, RangeTombstone, SeqNo};
+use crate::types::{RangeTombstone, SeqNo};
 use crate::Error;
 
 /// What one merge step produced, reported back from a worker.
 #[derive(Debug)]
 struct StepResult {
-    output_id: u64,
-    entry_count: u64,
-    encoded_len: u64,
-    tombstone_count: u64,
-    range_tombstone_count: u64,
-    max_seqno: u64,
+    /// The output table, as the manifest will record it.
+    output: TableMeta,
     entries_read: u64,
     bytes_read: u64,
 }
@@ -184,8 +185,8 @@ impl ParallelExecutor {
     /// On success the manifest reflects the post-compaction table set
     /// and has been persisted. On error the manifest is untouched and
     /// any partially written output blobs have been removed. Tombstones
-    /// are dropped only by the final step, and only when the options
-    /// request it.
+    /// at or below the retention floor are dropped by the final step
+    /// only: every older version of their keys is among its inputs.
     ///
     /// # Errors
     ///
@@ -312,8 +313,7 @@ impl ParallelExecutor {
                             .map(|&step_idx| {
                                 let input_ids = &prepared.step_inputs[step_idx];
                                 let output_id = prepared.output_ids[step_idx];
-                                let drop_tombstones =
-                                    step_idx + 1 == steps.len() && self.options.drops_tombstones();
+                                let drop_tombstones = step_idx + 1 == steps.len();
                                 scope.spawn(move || {
                                     let started = Instant::now();
                                     let result =
@@ -337,17 +337,17 @@ impl ParallelExecutor {
                 for (step_idx, result) in chunk_results {
                     match result {
                         Ok(step_result) => {
-                            written_blobs.push(Sstable::blob_name(step_result.output_id));
-                            written_blobs
-                                .push(TableKeyObservation::blob_name(step_result.output_id));
+                            let output_id = step_result.output.table_id;
+                            written_blobs.push(SstableReader::blob_name(output_id));
+                            written_blobs.push(TableKeyObservation::blob_name(output_id));
                             results[step_idx] = Some(step_result);
                         }
                         Err(e) => {
                             // Best-effort: a step can fail after its
                             // output blob (and sidecar) hit storage.
-                            let _ = self
-                                .storage
-                                .delete_blob(&Sstable::blob_name(prepared.output_ids[step_idx]));
+                            let _ = self.storage.delete_blob(&SstableReader::blob_name(
+                                prepared.output_ids[step_idx],
+                            ));
                             let _ = TableKeyObservation::delete(
                                 self.storage.as_ref(),
                                 prepared.output_ids[step_idx],
@@ -399,24 +399,17 @@ impl ParallelExecutor {
             outcome.merge_ops += 1;
             outcome.entries_read += result.entries_read;
             outcome.bytes_read += result.bytes_read;
-            outcome.entries_written += result.entry_count;
-            outcome.bytes_written += result.encoded_len;
+            outcome.entries_written += result.output.entry_count;
+            outcome.bytes_written += result.output.encoded_len;
         }
-        outcome.final_table_id = merged.results.last().map(|r| r.output_id);
+        outcome.final_table_id = merged.results.last().map(|r| r.output.table_id);
 
         for &table_id in &merged.consumed_initial {
             manifest.apply(ManifestEdit::RemoveTable { table_id })?;
         }
         for &step_idx in &merged.surviving_outputs {
-            let result = &merged.results[step_idx];
-            manifest.apply(ManifestEdit::AddTable(TableMeta {
-                table_id: result.output_id,
-                entry_count: result.entry_count,
-                encoded_len: result.encoded_len,
-                tombstone_count: result.tombstone_count,
-                range_tombstone_count: result.range_tombstone_count,
-                max_seqno: result.max_seqno,
-            }))?;
+            let output = merged.results[step_idx].output.clone();
+            manifest.apply(ManifestEdit::AddTable(output))?;
         }
         manifest.persist(storage)?;
         on_flip(manifest);
@@ -433,39 +426,42 @@ impl ParallelExecutor {
     /// Propagates storage errors.
     pub fn retire_consumed(&self, merged: &MergedOutputs) -> Result<(), Error> {
         for &table_id in &merged.consumed_initial {
-            self.storage.delete_blob(&Sstable::blob_name(table_id))?;
+            self.storage
+                .delete_blob(&SstableReader::blob_name(table_id))?;
             TableKeyObservation::delete(self.storage.as_ref(), table_id)?;
         }
         for (step_idx, result) in merged.results.iter().enumerate() {
             if !merged.surviving_outputs.contains(&step_idx) {
+                let output_id = result.output.table_id;
                 self.storage
-                    .delete_blob(&Sstable::blob_name(result.output_id))?;
-                TableKeyObservation::delete(self.storage.as_ref(), result.output_id)?;
+                    .delete_blob(&SstableReader::blob_name(output_id))?;
+                TableKeyObservation::delete(self.storage.as_ref(), output_id)?;
             }
         }
         Ok(())
     }
 
-    /// One worker merge: read the input runs, merge-sort them with
-    /// newest-wins semantics, write the output run under `output_id`.
+    /// One worker merge: stream the input runs through the k-way merge
+    /// under the retention rule and write the output run under
+    /// `output_id`. Each input is open as its resident tail, the raw
+    /// bytes of its data section (one read) and one decoded block; a
+    /// corrupt block therefore surfaces mid-merge, before anything is
+    /// written.
     fn merge_step(
         &self,
         input_ids: &[u64],
         output_id: u64,
         drop_tombstones: bool,
     ) -> Result<StepResult, Error> {
-        let mut sources: Vec<Vec<Entry>> = Vec::with_capacity(input_ids.len());
-        let mut range_dels: Vec<RangeTombstone> = Vec::new();
-        let mut entries_read = 0u64;
-        let mut bytes_read = 0u64;
-        for &id in input_ids {
-            let table = Sstable::load(self.storage.as_ref(), id)?;
-            bytes_read += table.encoded_len();
-            entries_read += table.entry_count();
-            range_dels.extend_from_slice(table.range_dels());
-            let entries: Result<Vec<Entry>, Error> = table.iter().collect();
-            sources.push(entries?);
-        }
+        let storage = self.storage.as_ref();
+        let readers = input_ids
+            .iter()
+            .map(|&id| SstableReader::open(storage, id, None))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut range_dels: Vec<RangeTombstone> = readers
+            .iter()
+            .flat_map(|r| r.range_dels().iter().cloned())
+            .collect();
         // Deterministic output order regardless of which input held each
         // tombstone: start asc, then newest first.
         range_dels.sort_by(|a, b| {
@@ -474,49 +470,29 @@ impl ParallelExecutor {
                 .then(b.seqno.cmp(&a.seqno))
                 .then(a.end.cmp(&b.end))
         });
-        let merged = MergingIter::with_visibility(
-            sources,
-            drop_tombstones,
-            self.retain_floor,
-            range_dels.clone(),
+        let floor = self.retain_floor;
+        let counters = ReadPathCounters::default();
+        let ctx = ReadContext::whole_table(storage, &counters);
+        let merged = Retained::new(
+            MergingIter::new(readers.iter().map(|r| r.iter(ctx)).collect()),
+            floor,
+            &range_dels,
+            |_| drop_tombstones,
         );
-        let mut builder = SstableBuilder::new(
-            output_id,
-            self.options.block_size_bytes(),
-            self.options.bloom_bits(),
-        )
-        .compression(self.options.compression_type());
-        let mut observed = Vec::new();
-        for entry in merged {
-            observed.push(observed_key(&entry.key));
-            builder.add(&entry);
-        }
         // Range tombstones ride along into the output so they keep
         // shadowing older tables outside this merge; a final-step merge
         // may retire those at or below the floor — everything they could
         // ever delete was merged here, and no pinned snapshot can still
         // observe a version they shadow.
-        for rd in range_dels {
-            if drop_tombstones && rd.seqno <= self.retain_floor {
-                continue;
-            }
-            builder.add_range_del(rd);
-        }
-        let (data, meta) = builder.finish();
-        self.storage
-            .write_blob(&Sstable::blob_name(output_id), &data)?;
-        // Sidecar written with the output: future plans over this table
-        // read the observation, not the table.
-        TableKeyObservation::new(output_id, observed).persist(self.storage.as_ref())?;
+        let carried = range_dels
+            .iter()
+            .filter(|rd| !(drop_tombstones && rd.seqno <= floor))
+            .cloned();
+        let output = write_table(storage, &self.options, output_id, merged, carried)?;
         Ok(StepResult {
-            output_id,
-            entry_count: meta.entry_count,
-            encoded_len: meta.encoded_len,
-            tombstone_count: meta.tombstone_count,
-            range_tombstone_count: meta.range_tombstone_count,
-            max_seqno: meta.max_seqno,
-            entries_read,
-            bytes_read,
+            output,
+            entries_read: readers.iter().map(SstableReader::entry_count).sum(),
+            bytes_read: readers.iter().map(SstableReader::encoded_len).sum(),
         })
     }
 }
@@ -525,33 +501,23 @@ impl ParallelExecutor {
 mod tests {
     use super::*;
     use crate::storage::MemoryStorage;
-    use crate::types::key_from_u64;
+    use crate::test_support::{corrupt_blob_byte, read_table};
+    use crate::types::{key_from_u64, Entry};
     use bytes::Bytes;
 
     fn make_table(storage: &dyn Storage, manifest: &mut Manifest, keys: &[u64], seq: u64) -> u64 {
         let id = manifest.allocate_table_id();
-        let mut builder = SstableBuilder::new(id, 4096, 10);
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        for &k in &sorted {
-            builder.add(&Entry::put(
+        let entries = sorted.iter().map(|&k| {
+            Ok(Entry::put(
                 key_from_u64(k),
                 Bytes::from(format!("v{k}-s{seq}")),
                 seq,
-            ));
-        }
-        let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
-        manifest
-            .apply(ManifestEdit::AddTable(TableMeta {
-                table_id: id,
-                entry_count: meta.entry_count,
-                encoded_len: meta.encoded_len,
-                tombstone_count: meta.tombstone_count,
-                range_tombstone_count: meta.range_tombstone_count,
-                max_seqno: meta.max_seqno,
-            }))
-            .unwrap();
+            ))
+        });
+        let meta = write_table(storage, &LsmOptions::default(), id, entries, []).unwrap();
+        manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
         id
     }
 
@@ -607,14 +573,14 @@ mod tests {
             assert_eq!(outcome.merge_ops, 3, "threads={threads}");
             assert_eq!(manifest.table_count(), 1);
             let final_id = outcome.final_table_id.unwrap();
-            let table = Sstable::load(storage.as_ref(), final_id).unwrap();
-            assert_eq!(table.entry_count(), 7, "keys 1..=7 deduplicated");
+            let entries = read_table(storage.as_ref(), final_id).unwrap();
+            assert_eq!(entries.len(), 7, "keys 1..=7 deduplicated");
             // Newest version of key 3 came from seq 3.
-            let e = table.get(&key_from_u64(3)).unwrap().unwrap();
-            assert_eq!(e.value.as_ref(), b"v3-s3");
+            assert_eq!(entries[2].key, key_from_u64(3));
+            assert_eq!(entries[2].value.as_ref(), b"v3-s3");
             // All inputs and intermediates are gone from storage.
             for id in &ids {
-                assert!(!storage.contains_blob(&Sstable::blob_name(*id)));
+                assert!(!storage.contains_blob(&SstableReader::blob_name(*id)));
             }
             let blobs = storage.list_blobs();
             let sst_blobs: Vec<_> = blobs.iter().filter(|b| b.starts_with("sst-")).collect();
@@ -647,6 +613,43 @@ mod tests {
         }
         assert_eq!(manifest.table_count(), 2, "manifest untouched on error");
         assert_eq!(storage.bytes_written(), bytes_before, "no I/O on error");
+    }
+
+    /// An input whose *last* data block is rotten opens fine (its tail
+    /// is intact) and fails mid-merge. Nothing of the schedule may
+    /// remain: not the failed step's output, not the output its healthy
+    /// wave sibling already wrote.
+    #[test]
+    fn corrupt_input_block_fails_mid_merge_and_rolls_back() {
+        let (storage, mut manifest, exec) = setup(2);
+        let keys: Vec<u64> = (0..2_000).collect();
+        let ids: Vec<u64> = (1..=4)
+            .map(|seq| make_table(storage.as_ref(), &mut manifest, &keys, seq))
+            .collect();
+        let victim = SstableReader::open(storage.as_ref(), ids[3], None).unwrap();
+        assert!(victim.block_count() > 4);
+        let data_end = (victim.encoded_len() - victim.open_bytes()) as usize;
+        let name = SstableReader::blob_name(ids[3]);
+        assert!(corrupt_blob_byte(&storage, &name, data_end - 2));
+
+        let mut blobs_before = storage.list_blobs();
+        blobs_before.sort();
+        let manifest_before = manifest.clone();
+        let steps = vec![
+            CompactionStep::new(vec![0, 1]),
+            CompactionStep::new(vec![2, 3]),
+            CompactionStep::new(vec![4, 5]),
+        ];
+        let prepared = exec.prepare(&mut manifest, &ids, &steps, None).unwrap();
+        let err = exec.merge_prepared(&prepared).unwrap_err();
+        assert!(matches!(err, Error::Corruption { .. }), "{err}");
+
+        let mut blobs_after = storage.list_blobs();
+        blobs_after.sort();
+        assert_eq!(blobs_after, blobs_before, "every output rolled back");
+        assert_eq!(manifest.tables(), manifest_before.tables());
+        // The healthy inputs are still whole.
+        assert_eq!(read_table(storage.as_ref(), ids[0]).unwrap().len(), 2_000);
     }
 
     #[test]

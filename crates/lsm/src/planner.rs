@@ -2,10 +2,10 @@
 //!
 //! This is the bridge between the engine's physical world (sstables on
 //! storage, identified by table id) and `compaction-core`'s logical one
-//! (key sets in slots). [`observe_tables`] reads each live table and
-//! reduces it to a [`TableObservation`] — 8-byte big-endian keys are
-//! decoded directly, anything else is hashed, which preserves the sizes
-//! and overlap structure the strategies consume. [`plan_compaction`]
+//! (key sets in slots). [`observe_tables`] reduces each live table to a
+//! [`TableObservation`] — 8-byte big-endian keys are decoded directly,
+//! anything else is hashed, which preserves the sizes and overlap
+//! structure the strategies consume. [`plan_compaction`]
 //! then asks a [`StrategyPlanner`] configured from [`LsmOptions`] for an
 //! executable [`MergePlan`].
 
@@ -14,7 +14,7 @@ use compaction_core::{KeySet, MergePlan, Planner, StrategyPlanner, TableObservat
 use crate::manifest::TableMeta;
 use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
-use crate::sstable::Sstable;
+use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::storage::Storage;
 use crate::types::key_to_u64;
 use crate::Error;
@@ -24,10 +24,10 @@ use crate::Error;
 ///
 /// Observations are loaded from the key-observation sidecars the engine
 /// persists whenever it creates a table
-/// ([`TableKeyObservation`](crate::TableKeyObservation)), so planning no
-/// longer reads the full tables that the executor is about to read again
-/// for the merge. Tables without a sidecar (written before the sidecar
-/// format existed) fall back to a full read.
+/// ([`TableKeyObservation`](crate::TableKeyObservation)), so planning
+/// does not read the full tables that the executor is about to read for
+/// the merge. A table whose sidecar is missing (its best-effort write
+/// failed) or corrupt is read through [`SstableReader`] instead.
 ///
 /// Tombstones count as keys: they occupy space and must be read and
 /// rewritten by merges, exactly as the paper's model assumes.
@@ -56,12 +56,12 @@ pub fn observe_tables(
             ));
             continue;
         }
-        let table = Sstable::load(storage, meta.table_id)?;
-        let mut keys = Vec::with_capacity(table.entry_count() as usize);
-        for entry in table.iter() {
-            let entry = entry?;
-            keys.push(observed_key(&entry.key));
-        }
+        let reader = SstableReader::open(storage, meta.table_id, Some(meta.encoded_len))?;
+        let counters = ReadPathCounters::default();
+        let keys = reader
+            .iter(ReadContext::whole_table(storage, &counters))
+            .map(|entry| entry.map(|e| observed_key(&e.key)))
+            .collect::<Result<Vec<u64>, Error>>()?;
         observations.push(TableObservation::new(meta.table_id, KeySet::from_vec(keys)));
     }
     Ok(observations)
@@ -128,7 +128,9 @@ mod tests {
             builder.add(&Entry::put(key_from_u64(k), Bytes::from_static(b"v"), seq));
         }
         let (data, built) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(id), &data)
+            .unwrap();
         let meta = TableMeta {
             table_id: id,
             entry_count: built.entry_count,

@@ -1,23 +1,30 @@
-//! The lazy, footer-oriented sstable reader.
+//! The sstable reader: tail resident, data blocks on demand.
 //!
-//! [`Sstable`](crate::Sstable) is the *eager* view: it loads the whole
-//! blob, which is the right shape for compaction merges (they consume
-//! every entry). The read path must not pay that: a point read that
-//! probes five tables would read five whole files to return eight bytes.
+//! [`SstableReader`] is the one read path over the table format
+//! [`SstableBuilder`](crate::SstableBuilder) writes. It opens a table
+//! with two ranged reads — the footer, then the tail (bloom filter +
+//! min/max meta + range tombstones + block index) — and keeps only that
+//! tail resident. Every consumer then fetches data blocks through a
+//! [`ReadContext`] that says where the bytes come from and what the
+//! fetch may touch:
 //!
-//! [`SstableReader`] opens a table with two ranged reads — the footer,
-//! then the tail (bloom filter + min/max meta + block index) — and keeps
-//! only that tail resident. A lookup then:
-//!
-//! 1. rejects the key with the bloom filter or the min/max range,
-//!    touching **zero** data blocks;
-//! 2. binary-searches the index for the single candidate block;
-//! 3. serves the block from the [`BlockCache`] or fetches exactly that
-//!    block with one ranged read.
+//! * a **point read** rejects the key with the bloom filter or the
+//!   min/max range (zero data blocks), binary-searches the index for the
+//!   single candidate block, and serves it from the [`BlockCache`] or
+//!   with one ranged read;
+//! * a **scan** walks a [`BlockCursor`] whose ranged reads span several
+//!   consecutive blocks (readahead), looking blocks up in the cache but
+//!   not filling it;
+//! * **maintenance** — a compaction input, a tombstone-GC rewrite, the
+//!   planner's no-sidecar fallback — iterates the whole table with
+//!   [`ReadContext::whole_table`]: no cache, one read covering the whole
+//!   data section (footer probe + tail + data = exactly the blob's
+//!   bytes) and counters of its own, so the serving path's
+//!   [`ReadPathCounters`] keep meaning "gets and scans".
 //!
 //! Readers are immutable and shared (`Arc`) through the
-//! [`TableCache`](crate::TableCache); the counters they feed surface in
-//! [`LsmStats`](crate::LsmStats).
+//! [`TableCache`](crate::TableCache); the serving path's counters
+//! surface in [`LsmStats`](crate::LsmStats).
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,16 +35,15 @@ use bytes::Bytes;
 use crate::block::Block;
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
-use crate::sstable::{
-    decode_index, decode_meta, decode_range_dels, decode_table_block, Footer, Sstable,
-};
+use crate::sstable::{decode_index, decode_meta, decode_range_dels, decode_table_block, Footer};
 use crate::storage::Storage;
 use crate::types::{Entry, Key, RangeTombstone, SeqNo};
 use crate::Error;
 
-/// Atomic counters describing the physical work of the lazy read path,
-/// shared by every reader of one store and folded into
-/// [`LsmStats`](crate::LsmStats).
+/// Atomic counters describing the physical work of block fetches. A
+/// store shares one instance across its gets and scans and folds it into
+/// [`LsmStats`](crate::LsmStats); maintenance reads feed a throwaway
+/// instance instead.
 #[derive(Debug, Default)]
 pub struct ReadPathCounters {
     bloom_negatives: AtomicU64,
@@ -93,17 +99,20 @@ impl ReadPathCounters {
     }
 }
 
-/// Everything a reader needs to resolve a block: the cache, the fill
-/// policy, the readahead width and the counters. Borrowed per call so
-/// one reader can serve cached gets and cache-bypassing scans
-/// concurrently.
+/// Everything a reader needs to resolve a block: the storage, the
+/// cache, the fill policy, the readahead width and the counters.
+/// Borrowed per call so one reader can serve cached gets, cache-bypassing
+/// scans and a compaction concurrently.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadContext<'a> {
-    /// The shared block cache.
-    pub block_cache: &'a BlockCache,
+    /// Where the table's blob lives.
+    pub storage: &'a dyn Storage,
+    /// The block cache to consult, or `None` to neither look blocks up
+    /// nor insert them (maintenance reads: their one pass over a table
+    /// must not disturb the serving path's hit rate or recency order).
+    pub block_cache: Option<&'a BlockCache>,
     /// Whether blocks fetched for this operation populate the cache
-    /// (point reads: yes; large scans: usually no, to avoid flushing
-    /// the hot set).
+    /// (point reads: yes; scans: no, to avoid flushing the hot set).
     pub fill_cache: bool,
     /// How many consecutive blocks one ranged read may fetch when a
     /// cursor walks this table (clamped to ≥ 1). Point reads pass 1;
@@ -114,13 +123,28 @@ pub struct ReadContext<'a> {
     pub counters: &'a ReadPathCounters,
 }
 
-/// A lazily-loading sstable reader: tail resident, data blocks on
-/// demand.
+impl<'a> ReadContext<'a> {
+    /// The context maintenance reads a whole table through: no block
+    /// cache, and a readahead that covers the entire data section with
+    /// one ranged read. `counters` should not be a store's serving-path
+    /// instance.
+    #[must_use]
+    pub fn whole_table(storage: &'a dyn Storage, counters: &'a ReadPathCounters) -> Self {
+        Self {
+            storage,
+            block_cache: None,
+            fill_cache: false,
+            readahead_blocks: usize::MAX,
+            counters,
+        }
+    }
+}
+
+/// An open sstable: tail resident, data blocks on demand.
 #[derive(Debug)]
 pub struct SstableReader {
     table_id: u64,
     blob_name: String,
-    storage: Arc<dyn Storage>,
     bloom: BloomFilter,
     min_key: Option<Key>,
     max_key: Option<Key>,
@@ -135,21 +159,38 @@ pub struct SstableReader {
 }
 
 impl SstableReader {
+    /// The canonical blob name for a table id.
+    #[must_use]
+    pub fn blob_name(table_id: u64) -> String {
+        format!("sst-{table_id:012}.sst")
+    }
+
+    /// Parses a table id back out of a blob name produced by
+    /// [`SstableReader::blob_name`]; `None` for any other blob
+    /// (manifest, WAL segments, temporaries).
+    #[must_use]
+    pub fn id_from_blob_name(name: &str) -> Option<u64> {
+        name.strip_prefix("sst-")?
+            .strip_suffix(".sst")?
+            .parse()
+            .ok()
+    }
+
     /// Opens the reader for `table_id`, loading only the footer and the
-    /// tail (bloom + meta + index). `len_hint` is the blob length when
-    /// the caller already knows it (the manifest records it); `None`
-    /// asks the storage backend.
+    /// tail (bloom + meta + range tombstones + index). `len_hint` is the
+    /// blob length when the caller already knows it (the manifest
+    /// records it); `None` asks the storage backend.
     ///
     /// # Errors
     ///
     /// Fails if the blob is missing, the footer/tail is corrupt, or the
     /// backend errors.
     pub fn open(
-        storage: Arc<dyn Storage>,
+        storage: &dyn Storage,
         table_id: u64,
         len_hint: Option<u64>,
     ) -> Result<Self, Error> {
-        let blob_name = Sstable::blob_name(table_id);
+        let blob_name = Self::blob_name(table_id);
         let total_len = match len_hint {
             Some(len) => len,
             None => storage.blob_len(&blob_name)?,
@@ -176,7 +217,6 @@ impl SstableReader {
         Ok(Self {
             table_id,
             blob_name,
-            storage,
             bloom,
             min_key,
             max_key,
@@ -369,15 +409,20 @@ impl SstableReader {
     ///
     /// Propagates storage errors and block corruption.
     pub fn block(&self, idx: usize, ctx: ReadContext<'_>) -> Result<Arc<Block>, Error> {
-        if let Some(block) = ctx.block_cache.get(self.table_id, idx as u32) {
+        if let Some(block) = self.cached_block(idx, ctx) {
             return Ok(block);
         }
         let (_, offset, len) = self.index[idx];
-        let raw = self
+        let raw = ctx
             .storage
             .read_blob_range(&self.blob_name, offset, len as usize)?;
         ctx.counters.record_block_read(len);
         self.decode_stored_block(&raw, idx, ctx)
+    }
+
+    /// Block `idx` from the context's cache, if it has one and holds it.
+    fn cached_block(&self, idx: usize, ctx: ReadContext<'_>) -> Option<Arc<Block>> {
+        ctx.block_cache?.get(self.table_id, idx as u32)
     }
 
     /// Decodes one block's stored bytes (unwrapping the compression
@@ -393,8 +438,8 @@ impl SstableReader {
         let (block, logical_len) = decode_table_block(raw)?;
         ctx.counters.record_block_decode(logical_len as u64);
         let block = Arc::new(block);
-        if ctx.fill_cache {
-            ctx.block_cache.insert(
+        if let (Some(cache), true) = (ctx.block_cache, ctx.fill_cache) {
+            cache.insert(
                 self.table_id,
                 idx as u32,
                 Arc::clone(&block),
@@ -404,10 +449,10 @@ impl SstableReader {
         Ok(block)
     }
 
-    /// Iterates every entry in key order, fetching blocks through `ctx`
-    /// as it advances (scans usually pass `fill_cache: false`; with
-    /// `ctx.readahead_blocks > 1` each storage round-trip spans several
-    /// blocks).
+    /// Iterates every entry in internal-key order, fetching blocks
+    /// through `ctx` as it advances (with `ctx.readahead_blocks > 1` each
+    /// storage round-trip spans several blocks; one decoded block is
+    /// held at a time).
     #[must_use]
     pub fn iter<'a>(&'a self, ctx: ReadContext<'a>) -> SstableReaderIter<'a> {
         SstableReaderIter {
@@ -534,7 +579,7 @@ impl BlockCursor {
         ctx: ReadContext<'_>,
     ) -> Result<Arc<Block>, Error> {
         let idx = self.block_idx;
-        if let Some(block) = ctx.block_cache.get(reader.table_id, idx as u32) {
+        if let Some(block) = reader.cached_block(idx, ctx) {
             return Ok(block);
         }
         let covered = self
@@ -579,7 +624,7 @@ impl BlockCursor {
             .and_then(|end| end.checked_sub(base_offset))
             .and_then(|len| usize::try_from(len).ok())
             .ok_or_else(|| Error::corruption("block span range overflows"))?;
-        let raw = reader
+        let raw = ctx
             .storage
             .read_blob_range(&reader.blob_name, base_offset, span_len)?;
         ctx.counters.record_block_read(span_len as u64);
@@ -593,9 +638,8 @@ impl BlockCursor {
     }
 }
 
-/// Iterator over all entries of an [`SstableReader`] in key order,
-/// built on the shared [`BlockCursor`] (readahead-aware, no per-block
-/// buffer copies).
+/// Iterator over all entries of an [`SstableReader`] in key order
+/// (readahead-aware, no per-block buffer copies).
 #[derive(Debug)]
 pub struct SstableReaderIter<'a> {
     reader: &'a SstableReader,
@@ -629,7 +673,9 @@ mod tests {
             ));
         }
         let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(id), &data).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(id), &data)
+            .unwrap();
         meta.encoded_len
     }
 
@@ -642,7 +688,7 @@ mod tests {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 1, 2_000, 256);
         let before = storage.bytes_read();
-        let reader = SstableReader::open(storage.clone(), 1, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 1, Some(encoded_len)).unwrap();
         let open_bytes = storage.bytes_read() - before;
         assert!(reader.block_count() > 10);
         assert_eq!(reader.open_bytes(), open_bytes);
@@ -660,10 +706,11 @@ mod tests {
     fn get_touches_at_most_one_block() {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 1, 2_000, 256);
-        let reader = SstableReader::open(storage.clone(), 1, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 1, Some(encoded_len)).unwrap();
         let (cache, counters) = ctx_parts();
         let ctx = ReadContext {
-            block_cache: &cache,
+            storage: storage.as_ref(),
+            block_cache: Some(&cache),
             fill_cache: true,
             readahead_blocks: 1,
             counters: &counters,
@@ -695,10 +742,11 @@ mod tests {
     fn fill_cache_false_bypasses_the_cache() {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 3, 500, 256);
-        let reader = SstableReader::open(storage.clone(), 3, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 3, Some(encoded_len)).unwrap();
         let (cache, counters) = ctx_parts();
         let ctx = ReadContext {
-            block_cache: &cache,
+            storage: storage.as_ref(),
+            block_cache: Some(&cache),
             fill_cache: false,
             readahead_blocks: 1,
             counters: &counters,
@@ -713,13 +761,14 @@ mod tests {
     fn readahead_spans_multiple_blocks_per_round_trip() {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 6, 2_000, 256);
-        let reader = SstableReader::open(storage, 6, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 6, Some(encoded_len)).unwrap();
         let blocks = reader.block_count() as u64;
         assert!(blocks > 16, "need a many-block table: {blocks}");
 
         let (cache, counters) = ctx_parts();
         let ctx = ReadContext {
-            block_cache: &cache,
+            storage: storage.as_ref(),
+            block_cache: Some(&cache),
             fill_cache: false,
             readahead_blocks: 8,
             counters: &counters,
@@ -743,6 +792,21 @@ mod tests {
         );
     }
 
+    /// The maintenance context: no cache, and footer probe + tail + one
+    /// data read add up to exactly the blob's bytes.
+    #[test]
+    fn whole_table_context_reads_the_blob_exactly_once() {
+        let storage = Arc::new(MemoryStorage::new());
+        let encoded_len = store_table(storage.as_ref(), 4, 2_000, 256);
+        let before = storage.bytes_read();
+        let reader = SstableReader::open(storage.as_ref(), 4, None).unwrap();
+        let counters = ReadPathCounters::default();
+        let ctx = ReadContext::whole_table(storage.as_ref(), &counters);
+        assert_eq!(reader.iter(ctx).count(), 2_000);
+        assert_eq!(counters.block_reads(), 1, "one read spans the data section");
+        assert_eq!(storage.bytes_read() - before, encoded_len);
+    }
+
     /// Regression: the cache stores *decoded* blocks, so it must charge
     /// their in-memory footprint — charging the stored (compressed)
     /// length would inflate the effective budget by the compression
@@ -760,12 +824,15 @@ mod tests {
             ));
         }
         let (data, meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(9), &data).unwrap();
-        let reader = SstableReader::open(storage, 9, Some(meta.encoded_len)).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(9), &data)
+            .unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 9, Some(meta.encoded_len)).unwrap();
 
         let (cache, counters) = ctx_parts();
         let ctx = ReadContext {
-            block_cache: &cache,
+            storage: storage.as_ref(),
+            block_cache: Some(&cache),
             fill_cache: true,
             readahead_blocks: 1,
             counters: &counters,
@@ -792,9 +859,12 @@ mod tests {
     fn open_without_len_hint_asks_storage() {
         let storage = Arc::new(MemoryStorage::new());
         store_table(storage.as_ref(), 7, 100, 512);
-        let reader = SstableReader::open(storage.clone(), 7, None).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 7, None).unwrap();
         assert_eq!(reader.entry_count(), 100);
-        assert!(SstableReader::open(storage, 8, None).is_err(), "missing");
+        assert!(
+            SstableReader::open(storage.as_ref(), 8, None).is_err(),
+            "missing"
+        );
     }
 
     #[test]
@@ -802,7 +872,7 @@ mod tests {
         let storage = Arc::new(MemoryStorage::new());
         // Keys 0, 2, …, 198 (min 0, max 198 persisted).
         let encoded_len = store_table(storage.as_ref(), 1, 100, 256);
-        let reader = SstableReader::open(storage, 1, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 1, Some(encoded_len)).unwrap();
         let k = key_from_u64;
         let overlap = |start: &[u8], end: &[u8]| {
             reader.may_overlap(Bound::Included(start), Bound::Excluded(end))
@@ -839,8 +909,10 @@ mod tests {
             9,
         ));
         let (data, _meta) = builder.finish();
-        storage.write_blob(&Sstable::blob_name(6), &data).unwrap();
-        let reader = SstableReader::open(storage, 6, None).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(6), &data)
+            .unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 6, None).unwrap();
 
         assert_eq!(reader.entry_count(), 0);
         assert_eq!(reader.block_count(), 0);
@@ -869,8 +941,10 @@ mod tests {
     fn genuinely_empty_table_is_always_pruned() {
         let storage = Arc::new(MemoryStorage::new());
         let (data, _meta) = SstableBuilder::new(11, 4096, 10).finish();
-        storage.write_blob(&Sstable::blob_name(11), &data).unwrap();
-        let reader = SstableReader::open(storage, 11, None).unwrap();
+        storage
+            .write_blob(&SstableReader::blob_name(11), &data)
+            .unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 11, None).unwrap();
         assert!(!reader.may_overlap(Bound::Unbounded, Bound::Unbounded));
     }
 
@@ -878,7 +952,7 @@ mod tests {
     fn seek_block_idx_lands_on_the_covering_block() {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 2, 2_000, 256);
-        let reader = SstableReader::open(storage, 2, Some(encoded_len)).unwrap();
+        let reader = SstableReader::open(storage.as_ref(), 2, Some(encoded_len)).unwrap();
         assert!(reader.block_count() > 10);
         assert_eq!(reader.seek_block_idx(&Bound::Unbounded), 0);
         assert_eq!(reader.seek_block_idx(&Bound::Included(key_from_u64(0))), 0);
@@ -894,7 +968,8 @@ mod tests {
         assert!(idx < reader.block_count());
         let (cache, counters) = ctx_parts();
         let ctx = ReadContext {
-            block_cache: &cache,
+            storage: storage.as_ref(),
+            block_cache: Some(&cache),
             fill_cache: false,
             readahead_blocks: 1,
             counters: &counters,
@@ -905,24 +980,5 @@ mod tests {
             let prev = reader.block(idx - 1, ctx).unwrap();
             assert!(prev.entries().last().unwrap().key < target);
         }
-    }
-
-    #[test]
-    fn empty_table_roundtrips_through_reader() {
-        let storage = Arc::new(MemoryStorage::new());
-        let (data, meta) = SstableBuilder::new(5, 4096, 10).finish();
-        storage.write_blob(&Sstable::blob_name(5), &data).unwrap();
-        let reader = SstableReader::open(storage, 5, Some(meta.encoded_len)).unwrap();
-        assert_eq!(reader.block_count(), 0);
-        assert_eq!(reader.min_key(), None);
-        let (cache, counters) = ctx_parts();
-        let ctx = ReadContext {
-            block_cache: &cache,
-            fill_cache: true,
-            readahead_blocks: 1,
-            counters: &counters,
-        };
-        assert!(reader.get(b"anything", ctx).unwrap().is_none());
-        assert_eq!(reader.iter(ctx).count(), 0);
     }
 }

@@ -1,6 +1,8 @@
 //! Streaming, snapshot-consistent range scans.
 //!
-//! [`Lsm::range`] returns a [`RangeIter`]: a lazy k-way merge over
+//! [`Lsm::range`] returns a [`RangeIter`]: the engine's k-way merge
+//! ([`MergingIter`]) under the scan visibility rule,
+//! over
 //!
 //! * a **memtable view** — the in-range entries of the active memtable
 //!   *and* of every generation parked on the frozen-memtable queue
@@ -10,19 +12,17 @@
 //!   Tables whose persisted min/max meta is disjoint from the scan
 //!   bounds are pruned before their blooms or blocks are ever touched
 //!   (key-range-partitioned probing, counted in
-//!   [`LsmStats::range_pruned_tables`](crate::LsmStats)); tables whose
-//!   v1-era meta lacks min/max keys are always probed, never skipped.
+//!   [`LsmStats::range_pruned_tables`](crate::LsmStats)).
 //!
 //! Entries stream out newest-wins with tombstones suppressed. Each
-//! table cursor walks the shared readahead-aware block cursor
-//! ([`BlockCursor`]): one ranged read fetches up to
+//! table cursor walks the reader's readahead-aware block cursor
+//! (`BlockCursor`): one ranged read fetches up to
 //! [`LsmOptions::scan_readahead_blocks`](crate::LsmOptions::scan_readahead_blocks)
 //! consecutive blocks (never past the block covering the scan's end
-//! bound), decoded lazily, bypassing the block cache by default
-//! ([`LsmOptions::scan_fill_cache`](crate::LsmOptions::scan_fill_cache))
-//! so a long scan cannot flush the hot set. Nothing is materialized
-//! beyond one decoded block and one raw prefetched span per probed
-//! table.
+//! bound), decoded lazily. A scan reads blocks the cache already holds
+//! but never inserts the ones it fetches, so a long scan cannot flush
+//! the hot set. Nothing is materialized beyond one decoded block and one
+//! raw prefetched span per probed table.
 //!
 //! # Consistency under concurrent compaction
 //!
@@ -34,34 +34,16 @@
 //! is lost or duplicated. Entries past the resume point reflect the
 //! newer snapshot (which can only contain newer versions).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 use crate::db::{LsmInner, ReadView};
-use crate::reader::{BlockCursor, SstableReader};
-use crate::types::{Entry, InternalKey, Key, RangeTombstone, SeqNo, Value};
+use crate::iter::{MergingIter, Visible};
+use crate::reader::{BlockCursor, ReadContext, SstableReader};
+use crate::types::{Entry, Key, SeqNo, Value};
 use crate::Error;
-
-/// Clones a borrowed `Bound<&Key>` into an owned one.
-fn clone_bound(bound: Bound<&Key>) -> Bound<Key> {
-    match bound {
-        Bound::Included(k) => Bound::Included(k.clone()),
-        Bound::Excluded(k) => Bound::Excluded(k.clone()),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-/// Borrows an owned bound as `Bound<&[u8]>` (what the reader's range
-/// check takes).
-fn as_byte_bound(bound: &Bound<Key>) -> Bound<&[u8]> {
-    match bound {
-        Bound::Included(k) => Bound::Included(k.as_ref()),
-        Bound::Excluded(k) => Bound::Excluded(k.as_ref()),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
+#[cfg(doc)]
+use crate::Lsm;
 
 /// `true` when `key` lies beyond the scan's end bound.
 fn past_end(key: &[u8], end: &Bound<Key>) -> bool {
@@ -84,9 +66,9 @@ fn before_start(key: &[u8], start: &Bound<Key>) -> bool {
 /// A streaming range scan over an [`Lsm`] store.
 ///
 /// Yields `(key, value)` pairs in ascending key order, newest version
-/// per key, tombstones suppressed. Produced by [`Lsm::range`] /
-/// [`Lsm::range_u64`]; see the [module docs](self) for the consistency
-/// contract.
+/// per key, tombstones suppressed. Produced by [`Lsm::range`] and
+/// [`Snapshot::range`](crate::Snapshot::range); see the
+/// [module docs](self) for the consistency contract.
 #[derive(Debug)]
 pub struct RangeIter<'a> {
     db: &'a LsmInner,
@@ -100,7 +82,7 @@ pub struct RangeIter<'a> {
     /// the newest version *at the snapshot*, not the newest overall.
     /// `SeqNo::MAX` for plain [`Lsm::range`] scans.
     upto: SeqNo,
-    state: Option<ScanState>,
+    state: Option<ScanState<'a>>,
     done: bool,
 }
 
@@ -114,8 +96,8 @@ impl<'a> RangeIter<'a> {
     pub(crate) fn pinned(db: &'a LsmInner, range: impl RangeBounds<Key>, upto: SeqNo) -> Self {
         Self {
             db,
-            cursor: clone_bound(range.start_bound()),
-            end: clone_bound(range.end_bound()),
+            cursor: range.start_bound().cloned(),
+            end: range.end_bound().cloned(),
             upto,
             state: None,
             done: false,
@@ -125,7 +107,7 @@ impl<'a> RangeIter<'a> {
     /// Builds (or rebuilds, after a compaction retired a pinned table)
     /// the merge state from the freshest snapshot, retrying the build
     /// itself if it races another flip.
-    fn build_state(&mut self) -> Result<ScanState, Error> {
+    fn build_state(&mut self) -> Result<ScanState<'a>, Error> {
         loop {
             // Read in the opposite order of data flow (active memtable →
             // frozen queue → tables): a freeze moves entries active →
@@ -138,7 +120,7 @@ impl<'a> RangeIter<'a> {
             let snapshot = self.db.read_view();
             match ScanState::build(
                 self.db,
-                snapshot.clone(),
+                Arc::clone(&snapshot),
                 frozen,
                 memtable,
                 &self.cursor,
@@ -180,7 +162,7 @@ impl RangeIter<'_> {
                 }
             }
             let state = self.state.as_mut().expect("state built above");
-            match state.next_merged(self.db) {
+            match state.merged.next() {
                 None => {
                     self.done = true;
                     return None;
@@ -215,74 +197,80 @@ fn is_retired_table(e: &Error) -> bool {
     matches!(e, Error::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
 }
 
-/// One merge source: a frozen memtable slice or a lazy sstable cursor.
+/// One merge source: a memtable slice or an sstable cursor.
 #[derive(Debug)]
-enum Source {
-    Frozen(std::vec::IntoIter<Entry>),
-    Table(TableCursor),
+enum Source<'a> {
+    Memtable(std::vec::IntoIter<Entry>),
+    Table(TableCursor<'a>),
 }
 
-impl Source {
-    fn next_entry(&mut self, db: &LsmInner, end: &Bound<Key>) -> Option<Result<Entry, Error>> {
+impl Iterator for Source<'_> {
+    type Item = Result<Entry, Error>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         match self {
-            Source::Frozen(iter) => iter.next().map(Ok),
-            Source::Table(cursor) => cursor.next_entry(db, end),
+            Source::Memtable(iter) => iter.next().map(Ok),
+            Source::Table(cursor) => cursor.next(),
         }
     }
 }
 
-/// Lazily walks one sstable's in-range entries on the shared
+/// Walks one sstable's in-range entries on the reader's
 /// [`BlockCursor`]: seeked to the block covering the scan cursor at
 /// build time (so a rebuilt scan never re-fetches fully-consumed
-/// blocks), readahead-limited to the block covering the end bound,
-/// yielding entries without the per-block clone pass the old cursor
-/// paid.
+/// blocks) and readahead-limited to the block covering the end bound.
 #[derive(Debug)]
-struct TableCursor {
+struct TableCursor<'a> {
     reader: Arc<SstableReader>,
+    ctx: ReadContext<'a>,
     core: BlockCursor,
-    /// Set once an entry at/past the end bound (or an error) is seen:
-    /// no later entry can be in range.
-    exhausted: bool,
     /// Entries inside the first block that precede this bound are
     /// skipped before anything is yielded.
     start: Bound<Key>,
+    end: Bound<Key>,
     started: bool,
+    /// Set once an entry at/past the end bound (or an error) is seen:
+    /// no later entry can be in range.
+    exhausted: bool,
 }
 
-impl TableCursor {
-    fn new(reader: Arc<SstableReader>, start: &Bound<Key>, end: &Bound<Key>) -> Self {
+impl<'a> TableCursor<'a> {
+    fn new(
+        reader: Arc<SstableReader>,
+        ctx: ReadContext<'a>,
+        start: &Bound<Key>,
+        end: &Bound<Key>,
+    ) -> Self {
         let block_idx = reader.seek_block_idx(start);
         let limit = reader.end_block_limit(end);
         Self {
             reader,
+            ctx,
             core: BlockCursor::with_limit(block_idx, limit),
-            exhausted: false,
             start: start.clone(),
+            end: end.clone(),
             started: false,
+            exhausted: false,
         }
     }
 
-    fn next_entry(&mut self, db: &LsmInner, end: &Bound<Key>) -> Option<Result<Entry, Error>> {
+    fn next(&mut self) -> Option<Result<Entry, Error>> {
         if self.exhausted {
             return None;
         }
-        let ctx = db.scan_read_ctx();
         let next = if self.started {
-            self.core.next_entry(&self.reader, ctx)
+            self.core.next_entry(&self.reader, self.ctx)
         } else {
             self.started = true;
-            let start = self.start.clone();
+            let start = &self.start;
             self.core
-                .skip_while(&self.reader, ctx, |e| before_start(&e.key, &start))
+                .skip_while(&self.reader, self.ctx, |e| before_start(&e.key, start))
         };
         match next {
-            Some(Ok(entry)) => {
-                if past_end(&entry.key, end) {
-                    self.exhausted = true;
-                    return None;
-                }
-                Some(Ok(entry))
+            Some(Ok(entry)) if !past_end(&entry.key, &self.end) => Some(Ok(entry)),
+            Some(Ok(_)) => {
+                self.exhausted = true;
+                None
             }
             Some(Err(e)) => {
                 self.exhausted = true;
@@ -293,59 +281,28 @@ impl TableCursor {
     }
 }
 
-/// A heap item: the next entry of one source, ordered so the smallest
-/// internal key pops first and, on exact internal-key ties, the newer
-/// source wins (sources are listed oldest-first).
-#[derive(Debug, PartialEq, Eq)]
-struct HeapItem {
-    key: InternalKey,
-    source: usize,
-    entry: Entry,
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.source.cmp(&self.source))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The merge state over one pinned snapshot.
+/// The merge over one pinned snapshot: in-range entries in key order,
+/// the newest visible version per user key (possibly a tombstone — the
+/// [`RangeIter`] suppresses those).
 #[derive(Debug)]
-struct ScanState {
-    pub(crate) snapshot: Arc<ReadView>,
-    sources: Vec<Source>,
-    heap: BinaryHeap<Reverse<HeapItem>>,
-    end: Bound<Key>,
-    /// Visibility ceiling inherited from the [`RangeIter`].
-    upto: SeqNo,
-    /// Every visible range tombstone (memtable, frozen queue, and all
-    /// probed tables), applied globally: an entry is suppressed when any
-    /// of these shadows it. Correct regardless of which layer holds the
-    /// tombstone, because shadowing is pure seqno arithmetic.
-    range_dels: Vec<RangeTombstone>,
-    last_emitted: Option<Key>,
+struct ScanState<'a> {
+    snapshot: Arc<ReadView>,
+    merged: Visible<MergingIter<Source<'a>>>,
 }
 
-impl ScanState {
+impl<'a> ScanState<'a> {
     /// Builds the merge over `snapshot`: opens (via the table cache) a
     /// cursor for every live table overlapping `(cursor, end)`, pruning
-    /// the rest by their persisted min/max meta, and primes the heap.
+    /// the rest by their persisted min/max meta.
     ///
-    /// Pruning never loses a range tombstone: a table's persisted
-    /// min/max keys are widened over its range-tombstone bounds, so any
-    /// table whose tombstones could touch the scan interval overlaps it
-    /// and is probed.
+    /// Every visible range tombstone — memtable, frozen queue and all
+    /// probed tables — is applied globally. Pruning never loses one: a
+    /// table's persisted min/max keys are widened over its
+    /// range-tombstone bounds, so any table whose tombstones could touch
+    /// the scan interval overlaps it and is probed.
     #[allow(clippy::too_many_arguments)]
     fn build(
-        db: &LsmInner,
+        db: &'a LsmInner,
         snapshot: Arc<ReadView>,
         frozen: Vec<Vec<Entry>>,
         memtable: Vec<Entry>,
@@ -353,12 +310,14 @@ impl ScanState {
         end: &Bound<Key>,
         upto: SeqNo,
     ) -> Result<Self, Error> {
-        let start_ref = as_byte_bound(cursor);
-        let end_ref = as_byte_bound(end);
+        let start_ref = cursor.as_ref().map(|k| k.as_ref());
+        let end_ref = end.as_ref().map(|k| k.as_ref());
+        let ctx = db.scan_read_ctx();
         // Sources oldest-first — tables, then frozen generations (oldest
-        // queued first), then the active memtable last: on internal-key
-        // ties the higher source index (the newer data) wins.
-        let mut sources: Vec<Source> = Vec::new();
+        // queued first), then the active memtable last: a version held
+        // by two sources during a flush hand-off comes out once, from
+        // the newer one.
+        let mut sources: Vec<Source<'a>> = Vec::new();
         let mut range_dels = db.memtable_range_dels(upto);
         let mut pruned = 0u64;
         for meta in snapshot.tables.iter().rev() {
@@ -371,84 +330,20 @@ impl ScanState {
                         .filter(|rd| rd.seqno <= upto)
                         .cloned(),
                 );
-                sources.push(Source::Table(TableCursor::new(reader, cursor, end)));
+                sources.push(Source::Table(TableCursor::new(reader, ctx, cursor, end)));
             } else {
                 pruned += 1;
             }
         }
         for generation in frozen {
-            sources.push(Source::Frozen(generation.into_iter()));
+            sources.push(Source::Memtable(generation.into_iter()));
         }
-        sources.push(Source::Frozen(memtable.into_iter()));
+        sources.push(Source::Memtable(memtable.into_iter()));
         db.record_range_pruned(pruned);
 
-        let mut state = Self {
+        Ok(Self {
             snapshot,
-            sources,
-            heap: BinaryHeap::new(),
-            end: end.clone(),
-            upto,
-            range_dels,
-            last_emitted: None,
-        };
-        for idx in 0..state.sources.len() {
-            state.advance_source(db, idx)?;
-        }
-        Ok(state)
-    }
-
-    /// Pulls the next entry from source `idx` onto the heap.
-    fn advance_source(&mut self, db: &LsmInner, idx: usize) -> Result<(), Error> {
-        if let Some(result) = self.sources[idx].next_entry(db, &self.end) {
-            let entry = result?;
-            self.heap.push(Reverse(HeapItem {
-                key: entry.internal_key(),
-                source: idx,
-                entry,
-            }));
-        }
-        Ok(())
-    }
-
-    /// The next in-range entry in internal-key order, newest version per
-    /// user key (possibly a tombstone — the caller suppresses those).
-    fn next_merged(&mut self, db: &LsmInner) -> Option<Result<Entry, Error>> {
-        while let Some(Reverse(item)) = self.heap.pop() {
-            if let Err(e) = self.advance_source(db, item.source) {
-                return Some(Err(e));
-            }
-            if past_end(&item.entry.key, &self.end) {
-                // Defensive: cursors filter per block, so this is only
-                // reachable for frozen sources, which pre-filter too.
-                continue;
-            }
-            if item.entry.seqno > self.upto {
-                // Newer than the pinned LSN. Skipped *before* the dedup
-                // below so an invisible newer version doesn't mask the
-                // snapshot-visible older one behind it.
-                continue;
-            }
-            if self
-                .last_emitted
-                .as_ref()
-                .is_some_and(|last| *last == item.entry.key)
-            {
-                continue; // older version of an already-handled key
-            }
-            self.last_emitted = Some(item.entry.key.clone());
-            if self
-                .range_dels
-                .iter()
-                .any(|rd| rd.shadows(&item.entry.key, item.entry.seqno))
-            {
-                // The newest visible version is range-deleted; every
-                // older version has a smaller seqno and is shadowed by
-                // the same tombstone, so the dedup above retires the
-                // whole key.
-                continue;
-            }
-            return Some(Ok(item.entry));
-        }
-        None
+            merged: Visible::new(MergingIter::new(sources), upto, range_dels),
+        })
     }
 }

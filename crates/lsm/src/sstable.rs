@@ -16,26 +16,36 @@
 //! +-------------------+
 //! ```
 //!
-//! Everything a point read needs to route itself — bloom filter, min/max
-//! keys, range tombstones, block index — lives in the *tail* of the
-//! blob, so the lazy reader ([`SstableReader`](crate::SstableReader))
-//! opens a table with two ranged reads (footer, then tail) and
-//! afterwards fetches exactly one data block per lookup. Each data block
-//! is stored inside a per-block [compression envelope](crate::compress)
-//! — tag byte, possibly-LZ payload, envelope CRC — and the index records
-//! the *stored* length, so ranged reads fetch exactly the compressed
-//! bytes. A blob carrying the footer magic of an earlier format revision
-//! is recognised and refused, never parsed.
+//! Everything a read needs to route itself — bloom filter, min/max keys,
+//! range tombstones, block index — lives in the *tail* of the blob, so
+//! [`SstableReader`](crate::SstableReader), the one reader of this
+//! format, opens a table with two ranged reads (footer, then tail) and
+//! afterwards fetches data blocks on demand: one per point lookup, a
+//! readahead span per scan step, the whole data section in one read for
+//! a compaction input. Each data block is stored inside a per-block
+//! [compression envelope](crate::compress) — tag byte, possibly-LZ
+//! payload, envelope CRC — and the index records the *stored* length, so
+//! ranged reads fetch exactly the compressed bytes. A blob carrying the
+//! footer magic of an earlier format revision is recognised and refused,
+//! never parsed.
 //!
 //! Sstables are immutable once built: compaction never edits a table, it
-//! reads whole tables and writes a new one, which is exactly the I/O the
-//! paper's cost function charges for.
+//! streams whole tables through the k-way merge and writes a new one,
+//! which is exactly the I/O the paper's cost function charges for. Every
+//! table the engine creates — at flush, as a merge output, as a
+//! tombstone-GC rewrite — goes through [`write_table`]: builder → blob →
+//! key-observation sidecar → manifest metadata.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::{crc32, Block, BlockBuilder};
 use crate::bloom::BloomFilter;
 use crate::compress::{decode_block_envelope, encode_block_envelope, CompressionType};
+use crate::manifest::TableMeta;
+use crate::observation::TableKeyObservation;
+use crate::options::LsmOptions;
+use crate::planner::observed_key;
+use crate::reader::SstableReader;
 use crate::storage::Storage;
 use crate::types::{Entry, Key, RangeTombstone};
 use crate::Error;
@@ -51,8 +61,7 @@ const RETIRED_MAGICS: [(u64, u8); 3] = [
     (0x4C53_4D54_4142_4C33, 3), // "LSMTABL3"
 ];
 
-/// Parsed sstable footer, shared between the eager [`Sstable`] decoder
-/// and the lazy [`SstableReader`](crate::SstableReader).
+/// Parsed sstable footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Footer {
     /// Absolute offset of the bloom filter.
@@ -436,20 +445,6 @@ fn decode_meta_key(cursor: &mut &[u8]) -> Result<Key, Error> {
     Ok(key)
 }
 
-/// Slices a data block's byte range out of a fully-loaded table,
-/// surfacing a corrupt index entry (the footer CRC does not cover the
-/// index) as [`Error::Corruption`] instead of a slice panic.
-fn block_slice(data: &[u8], offset: u64, len: u64) -> Result<&[u8], Error> {
-    let start =
-        usize::try_from(offset).map_err(|_| Error::corruption("block offset overflows usize"))?;
-    let end = len
-        .checked_add(offset)
-        .and_then(|end| usize::try_from(end).ok())
-        .ok_or_else(|| Error::corruption("block range overflows"))?;
-    data.get(start..end)
-        .ok_or_else(|| Error::corruption("block range past end of table"))
-}
-
 /// Decodes the block index: `(last_key, offset, len)` per data block.
 pub(crate) fn decode_index(mut cursor: &[u8]) -> Result<Vec<(Key, u64, u64)>, Error> {
     if cursor.remaining() < 4 {
@@ -474,207 +469,57 @@ pub(crate) fn decode_index(mut cursor: &[u8]) -> Result<Vec<(Key, u64, u64)>, Er
     Ok(index)
 }
 
-/// An immutable, fully-loaded sstable.
+/// Builds table `table_id` from `entries` (internal-key order) and
+/// `range_dels`, writes its blob and its key-observation sidecar, and
+/// returns the metadata the manifest records — the one way the engine
+/// creates a table. Nothing is written if `entries` yields an error.
 ///
-/// This is the *eager* view: the entire blob is in memory, which is what
-/// compaction merges want (they read every entry anyway). The point-read
-/// path uses the lazy [`SstableReader`](crate::SstableReader) instead,
-/// which keeps only the tail (bloom + meta + index) resident and fetches
-/// data blocks on demand.
-#[derive(Debug, Clone)]
-pub struct Sstable {
+/// The sidecar is derivable cache data, so its write is best-effort: a
+/// failure never fails the flush or merge that produced the table, and
+/// [`observe_tables`](crate::observe_tables) falls back to reading a
+/// table whose sidecar is missing or corrupt. It is written before the
+/// caller's manifest edit, so a crash in between leaves only orphans
+/// (swept on open).
+///
+/// # Errors
+///
+/// Propagates the first error `entries` yields and storage failures of
+/// the table blob write.
+pub(crate) fn write_table(
+    storage: &dyn Storage,
+    options: &LsmOptions,
     table_id: u64,
-    data: Bytes,
-    bloom: BloomFilter,
-    /// (last_key, offset, stored_len) per data block, in key order.
-    index: Vec<(Key, u64, u64)>,
-    range_dels: Vec<RangeTombstone>,
-    entry_count: u64,
-    min_key: Option<Key>,
-    max_key: Option<Key>,
+    entries: impl Iterator<Item = Result<Entry, Error>>,
+    range_dels: impl IntoIterator<Item = RangeTombstone>,
+) -> Result<TableMeta, Error> {
+    let mut builder =
+        SstableBuilder::new(table_id, options.block_size_bytes(), options.bloom_bits())
+            .compression(options.compression_type());
+    let mut observed = Vec::with_capacity(entries.size_hint().0);
+    for entry in entries {
+        let entry = entry?;
+        observed.push(observed_key(&entry.key));
+        builder.add(&entry);
+    }
+    for rd in range_dels {
+        builder.add_range_del(rd);
+    }
+    let (data, meta) = builder.finish();
+    storage.write_blob(&SstableReader::blob_name(table_id), &data)?;
+    let _ = TableKeyObservation::new(table_id, observed).persist(storage);
+    Ok(TableMeta {
+        table_id,
+        entry_count: meta.entry_count,
+        encoded_len: meta.encoded_len,
+        tombstone_count: meta.tombstone_count,
+        range_tombstone_count: meta.range_tombstone_count,
+        max_seqno: meta.max_seqno,
+    })
 }
-
-impl Sstable {
-    /// The canonical blob name for a table id.
-    #[must_use]
-    pub fn blob_name(table_id: u64) -> String {
-        format!("sst-{table_id:012}.sst")
-    }
-
-    /// Parses a table id back out of a blob name produced by
-    /// [`Sstable::blob_name`]; `None` for any other blob (manifest, WAL
-    /// segments, temporaries).
-    #[must_use]
-    pub fn id_from_blob_name(name: &str) -> Option<u64> {
-        name.strip_prefix("sst-")?
-            .strip_suffix(".sst")?
-            .parse()
-            .ok()
-    }
-
-    /// Decodes an sstable from its encoded bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corruption`] if the footer, index or checksums are
-    /// malformed.
-    pub fn decode(table_id: u64, data: Bytes) -> Result<Self, Error> {
-        let footer = Footer::parse(&data, data.len())?;
-        let bloom = BloomFilter::decode(
-            &data[footer.bloom_offset..footer.bloom_offset + footer.bloom_len],
-        )?;
-        let body_end = data.len() - Footer::LEN;
-        let index = decode_index(&data[footer.index_offset..body_end])?;
-        let range_dels = decode_range_dels(&data[footer.range_del_offset..footer.index_offset])?;
-        let (min_key, max_key) = decode_meta(&data[footer.meta_offset..footer.range_del_offset])?;
-
-        Ok(Self {
-            table_id,
-            data,
-            bloom,
-            index,
-            range_dels,
-            entry_count: footer.entry_count,
-            min_key,
-            max_key,
-        })
-    }
-
-    /// Loads and decodes the sstable blob for `table_id` from `storage`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the blob is missing or corrupt.
-    pub fn load(storage: &dyn Storage, table_id: u64) -> Result<Self, Error> {
-        let data = storage.read_blob(&Self::blob_name(table_id))?;
-        Self::decode(table_id, data)
-    }
-
-    /// The table's id.
-    #[must_use]
-    pub fn table_id(&self) -> u64 {
-        self.table_id
-    }
-
-    /// Number of entries in the table.
-    #[must_use]
-    pub fn entry_count(&self) -> u64 {
-        self.entry_count
-    }
-
-    /// Encoded size of the table in bytes.
-    #[must_use]
-    pub fn encoded_len(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Smallest user key, if the table is non-empty. Served from the
-    /// persisted table meta.
-    #[must_use]
-    pub fn min_key(&self) -> Option<Key> {
-        self.min_key.clone()
-    }
-
-    /// Largest user key, if the table is non-empty. Served from the
-    /// persisted table meta.
-    #[must_use]
-    pub fn max_key(&self) -> Option<Key> {
-        self.max_key.clone()
-    }
-
-    /// The table's range tombstones. Resident — reading them costs no
-    /// block I/O.
-    #[must_use]
-    pub fn range_dels(&self) -> &[RangeTombstone] {
-        &self.range_dels
-    }
-
-    /// Point lookup: returns the newest version of `key` stored in this
-    /// table (which may be a tombstone), or `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corruption`] if the containing block fails its
-    /// checksum.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Entry>, Error> {
-        if !self.bloom.may_contain(key) {
-            return Ok(None);
-        }
-        // Binary search the index for the first block whose last key >= key.
-        let block_idx = self
-            .index
-            .partition_point(|(last, _, _)| last.as_ref() < key);
-        if block_idx >= self.index.len() {
-            return Ok(None);
-        }
-        let block = self.read_block(block_idx)?;
-        Ok(block.get(key).cloned())
-    }
-
-    /// Number of data blocks.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.index.len()
-    }
-
-    fn read_block(&self, idx: usize) -> Result<Block, Error> {
-        let (_, offset, len) = self.index[idx];
-        let (block, _) = decode_table_block(block_slice(&self.data, offset, len)?)?;
-        Ok(block)
-    }
-
-    /// Iterates every entry in the table in internal-key order.
-    #[must_use]
-    pub fn iter(&self) -> SstableIter<'_> {
-        SstableIter {
-            table: self,
-            block_idx: 0,
-            entries: Vec::new(),
-            entry_idx: 0,
-        }
-    }
-}
-
-/// Iterator over all entries of an [`Sstable`] in key order.
-#[derive(Debug)]
-pub struct SstableIter<'a> {
-    table: &'a Sstable,
-    block_idx: usize,
-    entries: Vec<Entry>,
-    entry_idx: usize,
-}
-
-impl Iterator for SstableIter<'_> {
-    type Item = Result<Entry, Error>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.entry_idx < self.entries.len() {
-                let entry = self.entries[self.entry_idx].clone();
-                self.entry_idx += 1;
-                return Some(Ok(entry));
-            }
-            if self.block_idx >= self.table.index.len() {
-                return None;
-            }
-            match self.table.read_block(self.block_idx) {
-                Ok(block) => {
-                    self.block_idx += 1;
-                    self.entries = block.into_entries();
-                    self.entry_idx = 0;
-                }
-                Err(e) => {
-                    self.block_idx = self.table.index.len();
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{ReadContext, ReadPathCounters};
     use crate::storage::MemoryStorage;
     use crate::types::key_from_u64;
 
@@ -696,36 +541,70 @@ mod tests {
         builder.finish()
     }
 
+    /// An encoded table stored as a blob and opened through the reader.
+    struct Stored {
+        storage: MemoryStorage,
+        reader: SstableReader,
+        counters: ReadPathCounters,
+    }
+
+    impl Stored {
+        fn open(table_id: u64, data: &[u8]) -> Result<Self, Error> {
+            let storage = MemoryStorage::new();
+            storage.write_blob(&SstableReader::blob_name(table_id), data)?;
+            let reader = SstableReader::open(&storage, table_id, None)?;
+            Ok(Self {
+                storage,
+                reader,
+                counters: ReadPathCounters::default(),
+            })
+        }
+
+        fn ctx(&self) -> ReadContext<'_> {
+            ReadContext::whole_table(&self.storage, &self.counters)
+        }
+
+        fn get(&self, key: &[u8]) -> Option<Entry> {
+            self.reader.get(key, self.ctx()).unwrap()
+        }
+
+        fn entries(&self) -> Vec<Entry> {
+            self.reader
+                .iter(self.ctx())
+                .collect::<Result<_, _>>()
+                .unwrap()
+        }
+    }
+
     #[test]
-    fn build_decode_and_point_lookup() {
+    fn build_open_and_point_lookup() {
         let (data, meta) = build_table(1_000, 256);
         assert_eq!(meta.entry_count, 1_000);
         assert_eq!(meta.min_key, Some(key_from_u64(0)));
         assert_eq!(meta.max_key, Some(key_from_u64(999)));
 
-        let table = Sstable::decode(7, data).unwrap();
-        assert_eq!(table.table_id(), 7);
-        assert_eq!(table.entry_count(), 1_000);
+        let table = Stored::open(7, &data).unwrap();
+        assert_eq!(table.reader.table_id(), 7);
+        assert_eq!(table.reader.entry_count(), 1_000);
+        assert_eq!(table.reader.encoded_len(), meta.encoded_len);
         assert!(
-            table.block_count() > 1,
+            table.reader.block_count() > 1,
             "small block size must yield several blocks"
         );
-        assert_eq!(table.min_key(), Some(key_from_u64(0)));
-        assert_eq!(table.max_key(), Some(key_from_u64(999)));
+        assert_eq!(table.reader.min_key(), Some(&key_from_u64(0)));
+        assert_eq!(table.reader.max_key(), Some(&key_from_u64(999)));
 
-        let entry = table.get(&key_from_u64(500)).unwrap().unwrap();
+        let entry = table.get(&key_from_u64(500)).unwrap();
         assert_eq!(entry.value.as_ref(), b"value-500");
-        let tomb = table.get(&key_from_u64(990)).unwrap().unwrap();
+        let tomb = table.get(&key_from_u64(990)).unwrap();
         assert!(tomb.is_tombstone());
-        assert!(table.get(&key_from_u64(5_000)).unwrap().is_none());
+        assert!(table.get(&key_from_u64(5_000)).is_none());
     }
 
     #[test]
     fn iter_returns_all_entries_in_order() {
         let (data, _) = build_table(500, 200);
-        let table = Sstable::decode(1, data).unwrap();
-        let entries: Result<Vec<Entry>, Error> = table.iter().collect();
-        let entries = entries.unwrap();
+        let entries = Stored::open(1, &data).unwrap().entries();
         assert_eq!(entries.len(), 500);
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.key, key_from_u64(i as u64));
@@ -737,26 +616,23 @@ mod tests {
         let builder = SstableBuilder::new(2, 4096, 10);
         let (data, meta) = builder.finish();
         assert_eq!(meta.entry_count, 0);
-        let table = Sstable::decode(2, data).unwrap();
-        assert_eq!(table.entry_count(), 0);
-        assert_eq!(table.block_count(), 0);
-        assert!(table.get(b"x").unwrap().is_none());
-        assert_eq!(table.iter().count(), 0);
-        assert_eq!(table.min_key(), None);
-        assert_eq!(table.max_key(), None);
+        let table = Stored::open(2, &data).unwrap();
+        assert_eq!(table.reader.entry_count(), 0);
+        assert_eq!(table.reader.block_count(), 0);
+        assert!(table.get(b"x").is_none());
+        assert!(table.entries().is_empty());
+        assert_eq!(table.reader.min_key(), None);
+        assert_eq!(table.reader.max_key(), None);
     }
 
-    /// Both decoders refuse a blob whose footer carries a retired
-    /// format's magic — naming the version, not parsing the body — and
-    /// report any other magic as plain garbage.
+    /// A blob whose footer carries a retired format's magic is refused
+    /// naming the version, not parsing the body; any other magic is
+    /// plain garbage.
     #[test]
     fn retired_format_magics_are_refused_by_version() {
-        use crate::SstableReader;
-        use std::sync::Arc;
-
         let (current, _) = build_table(20, 4096);
         assert_eq!(&current[current.len() - 12..current.len() - 4], b"4LBATMSL");
-        assert!(Sstable::decode(1, current).is_ok());
+        assert!(Stored::open(1, &current).is_ok());
 
         for (magic, expect) in [
             (*b"LSMTABLE", "unsupported sstable format v1"),
@@ -771,43 +647,39 @@ mod tests {
             blob.put_u64_le(u64::from_be_bytes(magic));
             let crc = crc32(&blob);
             blob.put_u32_le(crc);
-            let blob = blob.freeze();
 
-            let storage = Arc::new(MemoryStorage::new());
-            storage.write_blob(&Sstable::blob_name(1), &blob).unwrap();
-            let eager = Sstable::decode(1, blob).unwrap_err();
-            let lazy = SstableReader::open(storage, 1, None).unwrap_err();
-            for err in [eager, lazy] {
-                assert!(matches!(err, Error::Corruption { .. }), "{err}");
-                assert!(err.to_string().contains(expect), "{err}");
-            }
+            let err = Stored::open(1, &blob).map(|_| ()).unwrap_err();
+            assert!(matches!(err, Error::Corruption { .. }), "{err}");
+            assert!(err.to_string().contains(expect), "{err}");
         }
     }
 
     #[test]
-    fn decode_rejects_corruption() {
+    fn open_rejects_corruption_and_missing_blobs() {
         let (data, _) = build_table(50, 4096);
         let mut tampered = data.to_vec();
         let last = tampered.len() - 1;
         tampered[last] ^= 0xFF;
-        assert!(Sstable::decode(1, Bytes::from(tampered)).is_err());
-        assert!(Sstable::decode(1, Bytes::from_static(b"tiny")).is_err());
-    }
+        assert!(Stored::open(1, &tampered).is_err());
+        assert!(Stored::open(1, b"tiny").is_err());
 
-    #[test]
-    fn load_from_storage() {
-        let storage = MemoryStorage::new();
-        let (data, _) = build_table(100, 512);
-        storage.write_blob(&Sstable::blob_name(42), &data).unwrap();
-        let table = Sstable::load(&storage, 42).unwrap();
-        assert_eq!(table.entry_count(), 100);
-        assert!(Sstable::load(&storage, 43).is_err());
+        let table = Stored::open(42, &data).unwrap();
+        assert_eq!(table.reader.entry_count(), 50);
+        assert!(SstableReader::open(&table.storage, 43, None).is_err());
     }
 
     #[test]
     fn blob_names_are_stable_and_sortable() {
-        assert_eq!(Sstable::blob_name(1), "sst-000000000001.sst");
-        assert!(Sstable::blob_name(2) < Sstable::blob_name(10));
+        assert_eq!(SstableReader::blob_name(1), "sst-000000000001.sst");
+        assert!(SstableReader::blob_name(2) < SstableReader::blob_name(10));
+        assert_eq!(
+            SstableReader::id_from_blob_name(&SstableReader::blob_name(42)),
+            Some(42)
+        );
+        assert_eq!(
+            SstableReader::id_from_blob_name("obs-000000000042.keys"),
+            None
+        );
     }
 
     #[test]
@@ -831,12 +703,13 @@ mod tests {
             "max widened to the range-del end"
         );
 
-        let table = Sstable::decode(3, data).unwrap();
-        assert_eq!(table.range_dels().len(), 2);
-        assert_eq!(table.range_dels()[0].seqno, 30);
-        assert_eq!(table.range_dels()[1].start, key_from_u64(12));
+        let table = Stored::open(3, &data).unwrap();
+        let range_dels = table.reader.range_dels();
+        assert_eq!(range_dels.len(), 2);
+        assert_eq!(range_dels[0].seqno, 30);
+        assert_eq!(range_dels[1].start, key_from_u64(12));
         // Point entries still resolve normally.
-        assert!(table.get(&key_from_u64(15)).unwrap().is_some());
+        assert!(table.get(&key_from_u64(15)).is_some());
     }
 
     #[test]
@@ -847,10 +720,10 @@ mod tests {
         assert_eq!(meta.entry_count, 0);
         assert_eq!(meta.range_tombstone_count, 1);
         assert_eq!(meta.min_key, Some(key_from_u64(5)));
-        let table = Sstable::decode(4, data).unwrap();
-        assert_eq!(table.entry_count(), 0);
-        assert_eq!(table.range_dels().len(), 1);
-        assert!(table.range_dels()[0].shadows(&key_from_u64(6), 70));
+        let table = Stored::open(4, &data).unwrap();
+        assert_eq!(table.reader.entry_count(), 0);
+        assert_eq!(table.reader.range_dels().len(), 1);
+        assert!(table.reader.range_dels()[0].shadows(&key_from_u64(6), 70));
     }
 
     #[test]
@@ -869,11 +742,11 @@ mod tests {
             }
         }
         let (data, _) = builder.finish();
-        let table = Sstable::decode(5, data).unwrap();
-        assert!(table.block_count() > 5, "rotation still happens");
+        let table = Stored::open(5, &data).unwrap();
+        assert!(table.reader.block_count() > 5, "rotation still happens");
         let mut seen_last: Option<Key> = None;
-        for idx in 0..table.block_count() {
-            let block = table.read_block(idx).unwrap();
+        for idx in 0..table.reader.block_count() {
+            let block = table.reader.block(idx, table.ctx()).unwrap();
             let first = block.entries().first().unwrap().key.clone();
             if let Some(prev_last) = &seen_last {
                 assert_ne!(*prev_last, first, "user key split across adjacent blocks");
@@ -888,8 +761,8 @@ mod tests {
         builder.add(&Entry::put(key_from_u64(1), Bytes::from_static(b"v"), 1));
         builder.add_range_del(RangeTombstone::new(key_from_u64(2), key_from_u64(9), 5));
         let (data, _) = builder.finish();
-        let decoded = Sstable::decode(6, data.clone()).unwrap();
-        assert_eq!(decoded.range_dels().len(), 1);
+        let table = Stored::open(6, &data).unwrap();
+        assert_eq!(table.reader.range_dels().len(), 1);
 
         // Flip a byte inside the range-del section (between meta and
         // index): locate it via the footer.
@@ -897,8 +770,36 @@ mod tests {
         let mut tampered = data.to_vec();
         tampered[footer.range_del_offset + 4] ^= 0xFF;
         assert!(matches!(
-            Sstable::decode(6, Bytes::from(tampered)),
+            Stored::open(6, &tampered).map(|_| ()),
             Err(Error::Corruption { .. })
         ));
+    }
+
+    /// The one writer: blob, sidecar and manifest metadata agree, and an
+    /// input error writes nothing.
+    #[test]
+    fn write_table_persists_blob_and_sidecar_or_nothing() {
+        let storage = MemoryStorage::new();
+        let options = LsmOptions::default().block_size(256);
+        let entries = (0..100u64).map(|i| Ok(Entry::put(key_from_u64(i), Bytes::new(), i + 1)));
+        let rd = RangeTombstone::new(key_from_u64(200), key_from_u64(300), 500);
+        let meta = write_table(&storage, &options, 9, entries, [rd]).unwrap();
+        assert_eq!(
+            (meta.table_id, meta.entry_count, meta.range_tombstone_count),
+            (9, 100, 1)
+        );
+        assert_eq!(meta.max_seqno, 500);
+        let reader = SstableReader::open(&storage, 9, Some(meta.encoded_len)).unwrap();
+        assert_eq!(reader.entry_count(), 100);
+        let sidecar = TableKeyObservation::load(&storage, 9).unwrap().unwrap();
+        assert_eq!(sidecar.keys, (0..100).collect::<Vec<u64>>());
+
+        let failing = [
+            Ok(Entry::put(key_from_u64(1), Bytes::new(), 1)),
+            Err(Error::corruption("input rot")),
+        ];
+        let before = storage.bytes_written();
+        assert!(write_table(&storage, &options, 10, failing.into_iter(), []).is_err());
+        assert_eq!(storage.bytes_written(), before, "nothing written");
     }
 }

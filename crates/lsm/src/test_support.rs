@@ -12,7 +12,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::storage::{MemoryStorage, Storage};
+use crate::types::Entry;
 use crate::Error;
 
 /// A [`MemoryStorage`] wrapper that can stall sstable writes on demand:
@@ -300,6 +302,20 @@ pub fn corrupt_blob_byte(storage: &MemoryStorage, name: &str, offset: usize) -> 
     data[offset] ^= 0x40;
     storage.write_blob(name, &data).unwrap();
     true
+}
+
+/// Every entry of table `table_id`, in internal-key order, read the
+/// way maintenance reads a table.
+///
+/// # Errors
+///
+/// Fails if the blob is missing or any part of it is corrupt.
+pub fn read_table(storage: &dyn Storage, table_id: u64) -> Result<Vec<Entry>, Error> {
+    let reader = SstableReader::open(storage, table_id, None)?;
+    let counters = ReadPathCounters::default();
+    reader
+        .iter(ReadContext::whole_table(storage, &counters))
+        .collect()
 }
 
 impl Storage for CrashPointStorage {

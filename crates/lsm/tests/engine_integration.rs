@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
+use lsm_engine::test_support::corrupt_blob_byte;
 use lsm_engine::{
-    key_from_u64, CompactionPolicy, CompactionStep, Lsm, LsmOptions, MemoryStorage, Sstable,
-    SstableBuilder, Storage, Strategy,
+    key_from_u64, CompactionPolicy, CompactionStep, Lsm, LsmOptions, MemoryStorage, ReadContext,
+    ReadPathCounters, SstableBuilder, SstableReader, Storage, Strategy,
 };
 
 /// Point read returning an owned `Vec<u8>` (test convenience over the
@@ -287,10 +288,13 @@ fn wal_recovery_across_auto_compaction_mid_write_stream() {
     // every sstable blob is referenced by the manifest.
     let live_ids: Vec<u64> = db.live_tables().iter().map(|t| t.table_id).collect();
     for &id in &live_ids {
-        assert!(storage.contains_blob(&Sstable::blob_name(id)), "table {id}");
+        assert!(
+            storage.contains_blob(&SstableReader::blob_name(id)),
+            "table {id}"
+        );
     }
     for blob in storage.list_blobs() {
-        if let Some(id) = Sstable::id_from_blob_name(&blob) {
+        if let Some(id) = SstableReader::id_from_blob_name(&blob) {
             assert!(live_ids.contains(&id), "orphan {blob} survived reopen");
         }
     }
@@ -349,16 +353,62 @@ fn sstables_written_by_builder_are_readable_by_the_engine_storage() {
     }
     let (data, meta) = builder.finish();
     assert_eq!(meta.entry_count, 500);
-    storage.write_blob(&Sstable::blob_name(77), &data).unwrap();
-    let table = Sstable::load(&storage, 77).unwrap();
+    storage
+        .write_blob(&SstableReader::blob_name(77), &data)
+        .unwrap();
+    let table = SstableReader::open(&storage, 77, None).unwrap();
     assert_eq!(table.entry_count(), 500);
+    let counters = ReadPathCounters::default();
+    let ctx = ReadContext::whole_table(&storage, &counters);
+    let entry = table.get(&key_from_u64(123), ctx).unwrap().unwrap();
+    assert_eq!(entry.value.as_ref(), b"direct-123");
+}
+
+/// A rotten block at the *end* of a compaction input is only met
+/// mid-merge (the table opens fine). The compaction must fail with
+/// nothing left behind, and the store must keep serving from its inputs.
+#[test]
+fn compaction_over_a_rotten_input_block_leaves_the_store_serving() {
+    let storage = Arc::new(MemoryStorage::new());
+    let db = Lsm::open(
+        Arc::clone(&storage) as Arc<dyn Storage>,
+        LsmOptions::default()
+            .memtable_capacity(500)
+            .block_size(256)
+            .wal(false),
+    )
+    .unwrap();
+    for i in 0u64..1_000 {
+        db.put(i, format!("v{i}").into_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    let tables = db.live_tables();
+    assert_eq!(tables.len(), 2);
+
+    let victim = &tables[0];
+    let reader =
+        SstableReader::open(storage.as_ref(), victim.table_id, Some(victim.encoded_len)).unwrap();
+    assert!(reader.block_count() > 4);
+    let data_end = (reader.encoded_len() - reader.open_bytes()) as usize;
+    let name = SstableReader::blob_name(victim.table_id);
+    assert!(corrupt_blob_byte(&storage, &name, data_end - 2));
+
+    let sorted_blobs = || {
+        let mut blobs = storage.list_blobs();
+        blobs.sort();
+        blobs
+    };
+    let blobs_before = sorted_blobs();
+    let err = db
+        .major_compact(&[CompactionStep::new(vec![0, 1])])
+        .unwrap_err();
+    assert!(matches!(err, lsm_engine::Error::Corruption { .. }), "{err}");
+    assert_eq!(sorted_blobs(), blobs_before, "no output or sidecar remains");
+    assert_eq!(db.live_tables(), tables, "manifest untouched");
     assert_eq!(
-        table
-            .get(&key_from_u64(123))
-            .unwrap()
-            .unwrap()
-            .value
-            .as_ref(),
-        b"direct-123"
+        get_vec(&db, 0),
+        Some(b"v0".to_vec()),
+        "victim's sound blocks"
     );
+    assert_eq!(get_vec(&db, 999), Some(b"v999".to_vec()), "the other input");
 }

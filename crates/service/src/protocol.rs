@@ -16,7 +16,7 @@
 //! | `GET`  | key                  | `VALUE(v)` or `NOT_FOUND`     |
 //! | `PUT`  | key, value           | `OK` (durable once received)  |
 //! | `DEL`  | key                  | `OK`                          |
-//! | `BATCH`| n × (kind,key[,val]) | `OK` (applied per-shard batch)|
+//! | `BATCH`| n × (kind, key, val?) | `OK` (applied per-shard batch)|
 //! | `SCAN` | start, end, limit    | stream: 0+ × `BATCH_VALUES`, then `SCAN_END` (or `ERR`), every frame echoing the scan's seq |
 //! | `METRICS`| —                  | `METRICS(snapshot)`           |
 //! | `EVENTS` | cursor, max        | `EVENTS(batch)`               |

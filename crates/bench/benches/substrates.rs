@@ -1,12 +1,13 @@
 //! Benchmarks of the substrates the evaluation depends on: HyperLogLog
 //! estimation, YCSB workload generation, and the LSM engine's write /
-//! flush / physical-compaction path.
+//! flush / physical-compaction path, merge path and WAL append path.
 
 use compaction_core::Strategy;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hll::HyperLogLog;
 use lsm_engine::{
-    CompactionStep, Lsm, LsmOptions, Manifest, MemoryStorage, ParallelExecutor, Storage,
+    key_from_u64, CompactionStep, Lsm, LsmOptions, Manifest, MemoryStorage, ParallelExecutor,
+    Storage, ValueKind, Wal, WalRecord,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -211,12 +212,51 @@ fn bench_merge_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The WAL append path in isolation — frame encode, CRC, storage append
+/// — over the benchmark's record shape (8-byte key, 100-byte value) on a
+/// fresh in-memory segment: 1 000 one-record frames (a put each) and one
+/// 1 000-record frame (a batch). Elements are records, so both report
+/// per record appended; this is the owner of the benchmark's
+/// `wal.put_us`.
+fn bench_wal_append(c: &mut Criterion) {
+    let records: Vec<WalRecord> = (0u64..1_000)
+        .map(|i| WalRecord {
+            key: key_from_u64(i),
+            value: vec![i as u8; 100].into(),
+            seqno: i,
+            kind: ValueKind::Put,
+        })
+        .collect();
+    let mut group = c.benchmark_group("wal_append");
+    group.throughput(Throughput::Elements(records.len() as u64));
+    group.bench_function("1000_single_record_frames", |b| {
+        b.iter(|| {
+            let storage = MemoryStorage::new();
+            let mut wal = Wal::new("wal-bench");
+            for record in &records {
+                wal.append(&storage, black_box(record)).unwrap();
+            }
+            storage.bytes_written()
+        })
+    });
+    group.bench_function("one_1000_record_frame", |b| {
+        b.iter(|| {
+            let storage = MemoryStorage::new();
+            let mut wal = Wal::new("wal-bench");
+            wal.append_batch(&storage, black_box(&records)).unwrap();
+            storage.bytes_written()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hll,
     bench_ycsb,
     bench_lsm,
     bench_schedule_to_physical,
-    bench_merge_path
+    bench_merge_path,
+    bench_wal_append
 );
 criterion_main!(benches);

@@ -194,10 +194,12 @@ fn render_storage_line(metrics: &MetricsSnapshot) -> String {
     };
     let get = |name: &str| counter(metrics, name).unwrap_or(0);
     format!(
-        "storage: checkpoint_seq={checkpoint} wal_segments_live={} \
-         gc_rewrites={} tombstones_dropped={} | recovery: frames_replayed={} \
+        "storage: checkpoint_seq={checkpoint} wal_segments_live={} wal_appends={} \
+         wal_bytes={} gc_rewrites={} tombstones_dropped={} | recovery: frames_replayed={} \
          bytes_truncated={} quarantined={} frames / {} segments\n",
         get("stats_wal_segments_live"),
+        get("stats_wal_appends"),
+        get("stats_wal_bytes_written"),
         get("stats_gc_rewrites"),
         get("stats_tombstones_dropped"),
         get("stats_recovery_frames_replayed"),

@@ -212,12 +212,6 @@ impl Block {
             .take_while(|e| e.key.as_ref() == key)
             .find(|e| e.seqno <= upto)
     }
-
-    /// Consumes the block, returning its entries.
-    #[must_use]
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
-    }
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) computed bytewise.

@@ -80,7 +80,7 @@ use compaction_core::MergePlan;
 use obs::{EventKind, EventRing};
 use parking_lot::{Mutex, RwLock};
 
-use crate::batch::WriteBatch;
+use crate::batch::{BatchOp, WriteBatch};
 use crate::cache::{BlockCache, TableCache};
 use crate::compaction::{CompactionOutcome, CompactionStep};
 use crate::iter::Retained;
@@ -289,6 +289,9 @@ struct WriteState {
     /// Generation number for the next WAL segment (one segment per
     /// memtable generation under background maintenance).
     next_wal_generation: u64,
+    /// Behind [`LsmStats::wal_appends`] / [`LsmStats::wal_bytes_written`].
+    wal_appends: u64,
+    wal_bytes_written: u64,
 }
 
 /// The immutable view a point read or range scan navigates: live tables
@@ -412,6 +415,12 @@ pub struct LsmStats {
     /// Live WAL segments on storage (a gauge, sampled when the stats
     /// were taken; summed across shards).
     pub wal_segments_live: u64,
+    /// Frames appended to the WAL: one per acknowledged put, delete,
+    /// range delete or batch, plus recovery's re-persisted frame.
+    pub wal_appends: u64,
+    /// Bytes those appends wrote to storage — the WAL's share of write
+    /// amplification, beside [`LsmStats::compaction_bytes_written`].
+    pub wal_bytes_written: u64,
     /// Range-delete operations accepted ([`Lsm::delete_range`]); each is
     /// one record however many keys the interval covers.
     pub range_deletes: u64,
@@ -425,12 +434,6 @@ impl LsmStats {
     #[must_use]
     pub fn compaction_entry_cost(&self) -> u64 {
         self.compaction_entries_read + self.compaction_entries_written
-    }
-
-    /// Measured `cost_actual` in bytes of compaction storage traffic.
-    #[must_use]
-    pub fn compaction_byte_cost(&self) -> u64 {
-        self.compaction_bytes_read + self.compaction_bytes_written
     }
 
     /// Adds every counter of `other` into `self`. This is how a sharded
@@ -478,6 +481,8 @@ impl LsmStats {
         self.gc_rewrites += other.gc_rewrites;
         self.manifest_checkpoint_seq += other.manifest_checkpoint_seq;
         self.wal_segments_live += other.wal_segments_live;
+        self.wal_appends += other.wal_appends;
+        self.wal_bytes_written += other.wal_bytes_written;
         self.range_deletes += other.range_deletes;
         self.snapshots_created += other.snapshots_created;
     }
@@ -1141,15 +1146,7 @@ impl LsmInner {
                 .map_or(0, |g| g + 1);
             let mut wal = Wal::new(Wal::generation_blob_name(next_generation));
             for r in &records {
-                match r.kind {
-                    ValueKind::Put => memtable.put(r.key.clone(), r.value.clone(), r.seqno),
-                    ValueKind::Tombstone => memtable.delete(r.key.clone(), r.seqno),
-                    // A range delete logs its exclusive end bound as the
-                    // record value.
-                    ValueKind::RangeDelete => {
-                        memtable.delete_range(r.key.clone(), r.value.clone(), r.seqno);
-                    }
-                }
+                memtable.apply(r.clone());
             }
             // The persisted manifest may predate the replayed records'
             // allocations; bump the allocator past them so fresh writes
@@ -1159,13 +1156,14 @@ impl LsmInner {
             }
             wal.append_batch(storage.as_ref(), &records)?;
             for segment in &segments {
-                Wal::retire_segment(storage.as_ref(), segment)?;
+                storage.delete_blob(segment)?;
             }
             next_wal_generation = next_generation + 1;
             Some(wal)
         } else {
             None
         };
+        let wal_bytes_written = wal.as_ref().map_or(0, Wal::segment_len);
         let snapshot = ArcSwap::new(Arc::new(ReadView::from_manifest(&manifest)));
         let events = crate::metrics::event_ring_for(&options);
         let shard = options.shard_tag_id();
@@ -1203,6 +1201,8 @@ impl LsmInner {
                 wal,
                 flushes_since_compaction: 0,
                 next_wal_generation,
+                wal_appends: u64::from(wal_bytes_written > 0),
+                wal_bytes_written,
             }),
             stats: Mutex::new(stats),
             memtable: RwLock::new(memtable),
@@ -1261,7 +1261,10 @@ impl LsmInner {
         stats.frozen_queue_depth = self.frozen.load_full().len() as u64;
         stats.compaction_stall = Duration::from_micros(self.metrics.stall.sum());
         stats.wal_segments_live = Wal::live_segments(self.storage.as_ref()).len() as u64;
-        stats.manifest_checkpoint_seq = self.write.lock().manifest.checkpoint_seq();
+        let w = self.write.lock();
+        stats.manifest_checkpoint_seq = w.manifest.checkpoint_seq();
+        stats.wal_appends = w.wal_appends;
+        stats.wal_bytes_written = w.wal_bytes_written;
         stats
     }
 
@@ -1387,15 +1390,45 @@ impl LsmInner {
     }
 
     fn put(&self, key: Key, value: Value) -> Result<(), Error> {
+        self.write_one(key, value, ValueKind::Put)
+    }
+
+    /// A single-record write. Deletes and range deletes share the put
+    /// histogram rather than splitting the sample population.
+    fn write_one(&self, key: Key, value: Value, kind: ValueKind) -> Result<(), Error> {
         timed(&self.metrics.put, || {
-            self.write_with(|w| {
-                let seqno = w.manifest.allocate_seqno();
-                w.log_write(self.storage.as_ref(), &key, &value, seqno, ValueKind::Put)?;
-                self.memtable.write().put(key, value, seqno);
-                self.stats.lock().puts += 1;
-                Ok(())
-            })
+            self.write_with(|w| self.commit(w, [BatchOp { key, value, kind }]))
         })
+    }
+
+    /// Sequences `ops`, logs them as **one** WAL frame and — only once
+    /// that append is acknowledged — applies them to the memtable.
+    fn commit(
+        &self,
+        w: &mut WriteState,
+        ops: impl IntoIterator<Item = BatchOp>,
+    ) -> Result<(), Error> {
+        let records: Vec<WalRecord> = ops
+            .into_iter()
+            .map(|op| WalRecord {
+                seqno: w.manifest.allocate_seqno(),
+                key: op.key,
+                value: op.value,
+                kind: op.kind,
+            })
+            .collect();
+        w.log(self.storage.as_ref(), &records)?;
+        let mut memtable = self.memtable.write();
+        let mut stats = self.stats.lock();
+        for record in records {
+            match record.kind {
+                ValueKind::Put => stats.puts += 1,
+                ValueKind::Tombstone => stats.deletes += 1,
+                ValueKind::RangeDelete => stats.range_deletes += 1,
+            }
+            memtable.apply(record);
+        }
+        Ok(())
     }
 
     /// The shape every write shares: throttle, run `apply` under the
@@ -1420,40 +1453,18 @@ impl LsmInner {
     }
 
     fn delete(&self, key: Key) -> Result<(), Error> {
-        // Deletes are writes of a tombstone; they share the put
-        // histogram rather than splitting the sample population.
-        timed(&self.metrics.put, || {
-            self.write_with(|w| {
-                let seqno = w.manifest.allocate_seqno();
-                let kind = ValueKind::Tombstone;
-                w.log_write(self.storage.as_ref(), &key, &Bytes::new(), seqno, kind)?;
-                self.memtable.write().delete(key, seqno);
-                self.stats.lock().deletes += 1;
-                Ok(())
-            })
-        })
+        self.write_one(key, Bytes::new(), ValueKind::Tombstone)
     }
 
     fn delete_range(&self, start: Key, end: Key) -> Result<(), Error> {
-        // Range deletes share the put histogram with the other write
-        // shapes rather than splitting the sample population.
-        timed(&self.metrics.put, || {
-            // An inverted or empty interval deletes nothing; bail before
-            // burning a sequence number or touching the WAL.
-            if start >= end {
-                return Ok(());
-            }
-            self.write_with(|w| {
-                let seqno = w.manifest.allocate_seqno();
-                // One WAL record for the whole interval: key = inclusive
-                // start, value = exclusive end.
-                let kind = ValueKind::RangeDelete;
-                w.log_write(self.storage.as_ref(), &start, &end, seqno, kind)?;
-                self.memtable.write().delete_range(start, end, seqno);
-                self.stats.lock().range_deletes += 1;
-                Ok(())
-            })
-        })
+        // An inverted or empty interval deletes nothing; bail before
+        // burning a sequence number or touching the WAL.
+        if start >= end {
+            return Ok(());
+        }
+        // One WAL record for the whole interval: key = inclusive start,
+        // value = exclusive end.
+        self.write_one(start, end, ValueKind::RangeDelete)
     }
 
     // ---- snapshot pins ----
@@ -1517,38 +1528,8 @@ impl LsmInner {
                 return Ok(());
             }
             self.write_with(|w| {
-                let records: Vec<WalRecord> = batch
-                    .into_ops()
-                    .into_iter()
-                    .map(|op| WalRecord {
-                        seqno: w.manifest.allocate_seqno(),
-                        key: op.key,
-                        value: op.value,
-                        kind: op.kind,
-                    })
-                    .collect();
-                if let Some(wal) = &mut w.wal {
-                    wal.append_batch(self.storage.as_ref(), &records)?;
-                }
-                let mut memtable = self.memtable.write();
-                let mut stats = self.stats.lock();
-                for record in records {
-                    match record.kind {
-                        ValueKind::Put => {
-                            memtable.put(record.key, record.value, record.seqno);
-                            stats.puts += 1;
-                        }
-                        ValueKind::Tombstone => {
-                            memtable.delete(record.key, record.seqno);
-                            stats.deletes += 1;
-                        }
-                        ValueKind::RangeDelete => {
-                            memtable.delete_range(record.key, record.value, record.seqno);
-                            stats.range_deletes += 1;
-                        }
-                    }
-                }
-                stats.write_batches += 1;
+                self.commit(w, batch.into_ops())?;
+                self.stats.lock().write_batches += 1;
                 Ok(())
             })
         })
@@ -2063,7 +2044,7 @@ impl LsmInner {
             self.frozen.store(Arc::new(remaining));
         }
         if let Some(segment) = &gen.wal_segment {
-            Wal::retire_segment(self.storage.as_ref(), segment)?;
+            self.storage.delete_blob(segment)?;
             self.emit(
                 EventKind::WalSegmentRetire,
                 vec![("generation", gen.generation)],
@@ -2444,25 +2425,17 @@ impl LsmInner {
 }
 
 impl WriteState {
-    fn log_write(
-        &mut self,
-        storage: &dyn Storage,
-        key: &Key,
-        value: &Value,
-        seqno: u64,
-        kind: ValueKind,
-    ) -> Result<(), Error> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(
-                storage,
-                &WalRecord {
-                    key: key.clone(),
-                    value: value.clone(),
-                    seqno,
-                    kind,
-                },
-            )?;
-        }
+    /// Appends `records` to the active WAL segment as one frame and
+    /// counts it; a no-op with the WAL off. The write is acked only if
+    /// this returns `Ok`.
+    fn log(&mut self, storage: &dyn Storage, records: &[WalRecord]) -> Result<(), Error> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let before = wal.segment_len();
+        wal.append_batch(storage, records)?;
+        self.wal_appends += 1;
+        self.wal_bytes_written += wal.segment_len() - before;
         Ok(())
     }
 }
@@ -2710,12 +2683,27 @@ mod tests {
             db.put(1, b"persisted".to_vec()).unwrap();
             db.put(2, b"also".to_vec()).unwrap();
             db.delete(2).unwrap();
-            // Dropped without flush: data only in WAL.
+            // Dropped without flush: data only in WAL — one frame per
+            // write, each written once, nothing else between them.
+            let stats = db.stats();
+            assert_eq!(stats.wal_appends, 3);
+            let segment = Wal::generation_blob_name(0);
+            assert_eq!(stats.wal_bytes_written, storage.blob_len(&segment).unwrap());
         }
-        let reopened = Lsm::open(storage, LsmOptions::default().memtable_capacity(100)).unwrap();
+        let written = storage.bytes_written();
+        let reopened = Lsm::open(
+            Arc::clone(&storage),
+            LsmOptions::default().memtable_capacity(100),
+        )
+        .unwrap();
         assert_eq!(get_vec(&reopened, 1), Some(b"persisted".to_vec()));
         assert_eq!(get_vec(&reopened, 2), None);
         assert_eq!(reopened.memtable_len(), 2);
+        // Recovery re-persisted the three records as one frame, and that
+        // is all it wrote.
+        let stats = reopened.stats();
+        assert_eq!(stats.wal_appends, 1);
+        assert_eq!(stats.wal_bytes_written, storage.bytes_written() - written);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use crate::types::{Entry, Key, RangeTombstone, SeqNo, Value, ValueKind};
+use crate::wal::WalRecord;
 
 /// A sorted in-memory buffer of recent writes.
 //
@@ -88,6 +89,16 @@ impl Memtable {
         let rd = RangeTombstone::new(start, end, seqno);
         self.approximate_bytes += rd.encoded_size();
         self.range_dels.push(rd);
+    }
+
+    /// Applies one logged record (a live write or a WAL replay). A range
+    /// delete logs its exclusive end bound as the record value.
+    pub fn apply(&mut self, record: WalRecord) {
+        match record.kind {
+            ValueKind::Put => self.put(record.key, record.value, record.seqno),
+            ValueKind::Tombstone => self.delete(record.key, record.seqno),
+            ValueKind::RangeDelete => self.delete_range(record.key, record.value, record.seqno),
+        }
     }
 
     fn insert(&mut self, key: Key, value: Value, seqno: SeqNo, kind: ValueKind) {

@@ -14,36 +14,52 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::Error;
 
-/// Abstraction over where immutable blobs (sstables, WAL segments,
-/// manifest snapshots) live.
+/// Abstraction over where blobs (sstables, WAL segments, manifest
+/// snapshots) live.
 ///
 /// Implementations must be safe for concurrent readers; the engine holds
-/// the only writer.
+/// the only writer. Every mutation is durable when it returns `Ok`; what
+/// a *failed* (crashed) call may leave behind is stated per method.
 pub trait Storage: std::fmt::Debug + Send + Sync {
-    /// Writes (or atomically replaces) the blob named `name`.
+    /// Writes (or replaces) the blob named `name`.
+    ///
+    /// Tear semantics: a failed call leaves an *existing* blob with its
+    /// previous contents, and may leave a *new* blob absent or holding
+    /// any prefix of `data`.
     ///
     /// # Errors
     ///
     /// Propagates backend I/O failures.
     fn write_blob(&self, name: &str, data: &[u8]) -> Result<(), Error>;
 
-    /// Writes the blob named `name` with all-or-nothing visibility:
-    /// after a crash mid-call, a reader sees either the previous
-    /// contents (or absence) of the blob or the complete new contents —
-    /// never a torn prefix. This is the write-new-then-swap primitive
-    /// the manifest's `CURRENT` pointer relies on.
+    /// Appends `data` to the blob named `name`, creating it if absent,
+    /// at a cost of `data.len()` however long the blob already is (the
+    /// WAL's only write).
+    ///
+    /// Tear semantics: a failed call may leave any prefix of `data`
+    /// appended; bytes appended by earlier calls are never disturbed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend I/O failures.
+    fn append_blob(&self, name: &str, data: &[u8]) -> Result<(), Error>;
+
+    /// Writes the blob named `name` with all-or-nothing visibility.
+    ///
+    /// Tear semantics: none — after a failed call a reader sees either
+    /// the previous contents (or absence) of the blob or the complete
+    /// new contents, never a torn prefix. This is the
+    /// write-new-then-swap primitive the manifest's `CURRENT` pointer
+    /// relies on.
     ///
     /// The default delegates to [`Storage::write_blob`]: both built-in
-    /// backends already replace atomically ([`MemoryStorage`] swaps a
-    /// map entry, [`FileStorage`] writes a temp file, fsyncs and
-    /// renames). Fault-injecting test backends distinguish the two —
-    /// plain writes tear at a scripted byte, atomic writes either land
-    /// whole or not at all — which is what lets the crash battery prove
-    /// the manifest swap cannot half-happen.
+    /// backends already replace atomically. Fault-injecting test
+    /// backends keep the two apart, which is what lets the crash battery
+    /// prove the manifest swap cannot half-happen.
     ///
     /// # Errors
     ///
@@ -63,35 +79,23 @@ pub trait Storage: std::fmt::Debug + Send + Sync {
     /// `offset`. This is the primitive that makes lazy sstable readers
     /// possible: a point read fetches one footer, one index and one data
     /// block instead of the whole table. Only the requested range counts
-    /// toward [`Storage::bytes_read`] in backends with native support.
-    ///
-    /// The default implementation reads the whole blob and slices it —
-    /// correct for any backend, but it pays the full-blob read the
-    /// ranged API exists to avoid; both built-in backends override it.
+    /// toward [`Storage::bytes_read`].
     ///
     /// # Errors
     ///
     /// Fails if the blob does not exist, the range extends past the end
     /// of the blob, or the backend errors.
-    fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
-        let blob = self.read_blob(name)?;
-        range_of(&blob, name, offset, len)
-    }
+    fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error>;
 
-    /// Length of the blob named `name` in bytes.
-    ///
-    /// The default implementation reads the whole blob; both built-in
-    /// backends answer from metadata instead.
+    /// Length of the blob named `name` in bytes, answered from metadata.
     ///
     /// # Errors
     ///
     /// Fails if the blob does not exist or the backend errors.
-    fn blob_len(&self, name: &str) -> Result<u64, Error> {
-        Ok(self.read_blob(name)?.len() as u64)
-    }
+    fn blob_len(&self, name: &str) -> Result<u64, Error>;
 
     /// Deletes the blob named `name`. Deleting a missing blob is not an
-    /// error (idempotent).
+    /// error (idempotent). A failed call leaves the blob whole or gone.
     ///
     /// # Errors
     ///
@@ -111,9 +115,9 @@ pub trait Storage: std::fmt::Debug + Send + Sync {
     fn bytes_read(&self) -> u64;
 }
 
-/// Slices `[offset, offset + len)` out of a fully loaded blob, with
-/// range checking shared by the trait default and [`MemoryStorage`].
-fn range_of(blob: &Bytes, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
+/// Slices `[offset, offset + len)` out of a [`MemoryStorage`] blob, with
+/// range checking.
+fn range_of(blob: &[u8], name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
     let start = usize::try_from(offset)
         .map_err(|_| Error::corruption(format!("range offset {offset} overflows usize")))?;
     let end = start.checked_add(len).ok_or_else(|| {
@@ -128,10 +132,29 @@ fn range_of(blob: &Bytes, name: &str, offset: u64, len: usize) -> Result<Bytes, 
     Ok(Bytes::copy_from_slice(&blob[start..end]))
 }
 
+/// One stored blob of a [`MemoryStorage`]. `write_blob` stores a shared
+/// immutable buffer, so reading a table or sidecar back is an `Arc`
+/// clone; `append_blob` grows a plain vector in place (amortised
+/// O(`data.len()`)), which only WAL replay ever reads back.
+#[derive(Debug)]
+enum Blob {
+    Whole(Bytes),
+    Appended(Vec<u8>),
+}
+
+impl Blob {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Blob::Whole(bytes) => bytes,
+            Blob::Appended(buf) => buf,
+        }
+    }
+}
+
 /// In-memory storage backend (the simulator default).
 #[derive(Debug, Default)]
 pub struct MemoryStorage {
-    blobs: RwLock<HashMap<String, Bytes>>,
+    blobs: RwLock<HashMap<String, Blob>>,
     written: AtomicU64,
     read: AtomicU64,
 }
@@ -144,51 +167,58 @@ impl MemoryStorage {
     }
 }
 
+/// The error every read of a missing [`MemoryStorage`] blob returns.
+fn not_found(name: &str) -> Error {
+    Error::Io(std::io::Error::new(
+        std::io::ErrorKind::NotFound,
+        format!("blob `{name}` not found"),
+    ))
+}
+
 impl Storage for MemoryStorage {
     fn write_blob(&self, name: &str, data: &[u8]) -> Result<(), Error> {
         self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.blobs
-            .write()
-            .insert(name.to_owned(), Bytes::copy_from_slice(data));
+        let blob = Blob::Whole(Bytes::copy_from_slice(data));
+        self.blobs.write().insert(name.to_owned(), blob);
+        Ok(())
+    }
+
+    fn append_blob(&self, name: &str, data: &[u8]) -> Result<(), Error> {
+        self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
+        let mut blobs = self.blobs.write();
+        match blobs.get_mut(name) {
+            Some(Blob::Appended(buf)) => buf.extend_from_slice(data),
+            Some(whole) => *whole = Blob::Appended([whole.as_slice(), data].concat()),
+            None => {
+                blobs.insert(name.to_owned(), Blob::Appended(data.to_vec()));
+            }
+        }
         Ok(())
     }
 
     fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
         let guard = self.blobs.read();
-        let blob = guard.get(name).ok_or_else(|| {
-            Error::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("blob `{name}` not found"),
-            ))
-        })?;
-        self.read.fetch_add(blob.len() as u64, Ordering::Relaxed);
-        Ok(blob.clone())
+        let blob = guard.get(name).ok_or_else(|| not_found(name))?;
+        self.read
+            .fetch_add(blob.as_slice().len() as u64, Ordering::Relaxed);
+        Ok(match blob {
+            Blob::Whole(bytes) => bytes.clone(),
+            Blob::Appended(buf) => Bytes::copy_from_slice(buf),
+        })
     }
 
     fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
         let guard = self.blobs.read();
-        let blob = guard.get(name).ok_or_else(|| {
-            Error::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("blob `{name}` not found"),
-            ))
-        })?;
-        let slice = range_of(blob, name, offset, len)?;
+        let blob = guard.get(name).ok_or_else(|| not_found(name))?;
+        let slice = range_of(blob.as_slice(), name, offset, len)?;
         self.read.fetch_add(slice.len() as u64, Ordering::Relaxed);
         Ok(slice)
     }
 
     fn blob_len(&self, name: &str) -> Result<u64, Error> {
-        self.blobs
-            .read()
-            .get(name)
-            .map(|b| b.len() as u64)
-            .ok_or_else(|| {
-                Error::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("blob `{name}` not found"),
-                ))
-            })
+        let guard = self.blobs.read();
+        let blob = guard.get(name).ok_or_else(|| not_found(name))?;
+        Ok(blob.as_slice().len() as u64)
     }
 
     fn delete_blob(&self, name: &str) -> Result<(), Error> {
@@ -217,6 +247,11 @@ impl Storage for MemoryStorage {
 #[derive(Debug)]
 pub struct FileStorage {
     root: PathBuf,
+    /// One open `O_APPEND` handle per appended blob (the live WAL
+    /// segments), so an append is one `write` and one `fdatasync`.
+    /// Dropped when the name is replaced or deleted: `write_blob`'s
+    /// rename swaps the inode under the handle.
+    appenders: Mutex<HashMap<String, fs::File>>,
     written: AtomicU64,
     read: AtomicU64,
 }
@@ -232,6 +267,7 @@ impl FileStorage {
         fs::create_dir_all(&root)?;
         Ok(Self {
             root,
+            appenders: Mutex::new(HashMap::new()),
             written: AtomicU64::new(0),
             read: AtomicU64::new(0),
         })
@@ -246,6 +282,13 @@ impl FileStorage {
             .collect();
         self.root.join(safe)
     }
+
+    /// Makes a directory-entry change (a created or renamed blob)
+    /// durable: without it the file's bytes are synced but its name can
+    /// vanish on power loss after the write was acked.
+    fn sync_dir(&self) -> Result<(), Error> {
+        Ok(fs::File::open(&self.root)?.sync_all()?)
+    }
 }
 
 impl Storage for FileStorage {
@@ -257,7 +300,30 @@ impl Storage for FileStorage {
             file.write_all(data)?;
             file.sync_all()?;
         }
+        self.appenders.lock().remove(name);
         fs::rename(&tmp_path, &final_path)?;
+        self.sync_dir()?;
+        self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn append_blob(&self, name: &str, data: &[u8]) -> Result<(), Error> {
+        let mut appenders = self.appenders.lock();
+        if !appenders.contains_key(name) {
+            let path = self.path_for(name);
+            let created = !path.exists();
+            let file = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?;
+            if created {
+                self.sync_dir()?;
+            }
+            appenders.insert(name.to_owned(), file);
+        }
+        let file = appenders.get_mut(name).expect("inserted above");
+        file.write_all(data)?;
+        file.sync_data()?;
         self.written.fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
     }
@@ -290,6 +356,7 @@ impl Storage for FileStorage {
     }
 
     fn delete_blob(&self, name: &str) -> Result<(), Error> {
+        self.appenders.lock().remove(name);
         match fs::remove_file(self.path_for(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -363,12 +430,54 @@ mod tests {
         assert!(storage.read_blob_range("b", 6, 0).is_err());
         assert!(storage.read_blob_range("missing", 0, 1).is_err());
         assert!(storage.blob_len("missing").is_err());
+
+        // Appends: create-if-absent, concatenation, exact byte accounting.
+        assert!(!storage.contains_blob("log"));
+        let before = storage.bytes_written();
+        storage.append_blob("log", b"abc").unwrap();
+        assert_eq!(storage.read_blob("log").unwrap().as_ref(), b"abc");
+        storage.append_blob("log", b"defg").unwrap();
+        assert_eq!(
+            storage.bytes_written() - before,
+            7,
+            "only the appended bytes"
+        );
+        assert_eq!(storage.read_blob("log").unwrap().as_ref(), b"abcdefg");
+        assert_eq!(storage.blob_len("log").unwrap(), 7);
+        assert_eq!(
+            storage.read_blob_range("log", 2, 4).unwrap().as_ref(),
+            b"cdef"
+        );
+        assert!(storage.list_blobs().contains(&"log".to_owned()));
+        // A replaced or deleted blob must not be reached through a stale
+        // append handle: the append lands after the replacement / starts
+        // the blob over.
+        storage.write_blob("log", b"new").unwrap();
+        storage.append_blob("log", b"+tail").unwrap();
+        assert_eq!(storage.read_blob("log").unwrap().as_ref(), b"new+tail");
+        storage.write_blob("log", b"").unwrap();
+        storage.append_blob("log", b"x").unwrap();
+        assert_eq!(storage.read_blob("log").unwrap().as_ref(), b"x");
+        storage.delete_blob("log").unwrap();
+        assert!(!storage.contains_blob("log"));
+        storage.append_blob("log", b"fresh").unwrap();
+        assert_eq!(storage.read_blob("log").unwrap().as_ref(), b"fresh");
+        storage.append_blob("log", b"").unwrap();
+        assert_eq!(storage.blob_len("log").unwrap(), 5);
     }
 
     #[test]
     fn memory_storage_contract() {
         let storage = MemoryStorage::new();
         exercise(&storage);
+        // Reading a `write_blob`-written blob (every table and sidecar)
+        // shares the stored buffer instead of copying it.
+        storage.write_blob("t", b"table").unwrap();
+        let (a, b) = (
+            storage.read_blob("t").unwrap(),
+            storage.read_blob("t").unwrap(),
+        );
+        assert_eq!(a.as_ptr(), b.as_ptr());
     }
 
     #[test]

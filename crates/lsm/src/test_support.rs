@@ -17,6 +17,33 @@ use crate::storage::{MemoryStorage, Storage};
 use crate::types::Entry;
 use crate::Error;
 
+/// Inside an `impl Storage for` a wrapper with an `inner` storage:
+/// forwards each named method — and the five metadata methods no double
+/// intercepts — to `self.inner` unchanged, so the double writes out
+/// only the methods it intercepts.
+macro_rules! forward_to_inner {
+    ($($method:ident),*) => {
+        $(forward_to_inner!(@ $method);)*
+        forward_to_inner!(@fn blob_len(name: &str) -> Result<u64, Error>);
+        forward_to_inner!(@fn contains_blob(name: &str) -> bool);
+        forward_to_inner!(@fn list_blobs() -> Vec<String>);
+        forward_to_inner!(@fn bytes_written() -> u64);
+        forward_to_inner!(@fn bytes_read() -> u64);
+    };
+    (@ write_blob) => { forward_to_inner!(@fn write_blob(name: &str, data: &[u8]) -> Result<(), Error>); };
+    (@ append_blob) => { forward_to_inner!(@fn append_blob(name: &str, data: &[u8]) -> Result<(), Error>); };
+    (@ read_blob) => { forward_to_inner!(@fn read_blob(name: &str) -> Result<Bytes, Error>); };
+    (@ read_blob_range) => {
+        forward_to_inner!(@fn read_blob_range(name: &str, offset: u64, len: usize) -> Result<Bytes, Error>);
+    };
+    (@ delete_blob) => { forward_to_inner!(@fn delete_blob(name: &str) -> Result<(), Error>); };
+    (@fn $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        fn $method(&self, $($arg: $ty),*) -> $ret {
+            self.inner.$method($($arg),*)
+        }
+    };
+}
+
 /// A [`MemoryStorage`] wrapper that can stall sstable writes on demand:
 /// while the gate is closed, any `write_blob` of an `sst-*` blob blocks
 /// until [`GatedStorage::open_gate`]. This freezes a compaction (or
@@ -81,54 +108,24 @@ impl Storage for GatedStorage {
         self.inner.write_blob(name, data)
     }
 
-    fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
-        self.inner.read_blob(name)
-    }
-
-    fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
-        self.inner.read_blob_range(name, offset, len)
-    }
-
-    fn blob_len(&self, name: &str) -> Result<u64, Error> {
-        self.inner.blob_len(name)
-    }
-
-    fn delete_blob(&self, name: &str) -> Result<(), Error> {
-        self.inner.delete_blob(name)
-    }
-
-    fn contains_blob(&self, name: &str) -> bool {
-        self.inner.contains_blob(name)
-    }
-
-    fn list_blobs(&self) -> Vec<String> {
-        self.inner.list_blobs()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
+    forward_to_inner!(append_blob, read_blob, read_blob_range, delete_blob);
 }
 
 /// A [`MemoryStorage`] wrapper that simulates a process death at an
 /// exact write offset: after a scripted byte budget is exhausted, the
 /// write in flight dies and every subsequent mutation fails — what a
-/// power cut leaves on disk. Tear semantics mirror the real backends'
-/// write-new-then-rename: an *existing* blob keeps its previous
-/// contents (the rename never happened; acked bytes cannot tear), a
-/// *brand-new* blob is left as a partial prefix (a torn tail recovery
-/// must treat as unacked).
+/// power cut leaves on disk. Tear semantics follow the [`Storage`]
+/// contract: a `write_blob` of an *existing* blob keeps its previous
+/// contents (the rename never happened) and of a *brand-new* blob leaves
+/// a partial prefix; an `append_blob` leaves a prefix of the appended
+/// bytes after everything appended before (the torn tail recovery must
+/// treat as unacked).
 ///
 /// [`Storage::write_blob_atomic`] honors its contract even at the
 /// crash point: the swap either happens entirely (budget covers it) or
 /// not at all — a torn `CURRENT`-style pointer can only come from
 /// backends that ignore the atomic hint, which the fault battery also
-/// exercises by corrupting blobs directly via
-/// [`CrashPointStorage::corrupt_byte`].
+/// exercises by corrupting blobs directly via [`corrupt_blob_byte`].
 ///
 /// Drive it with [`CrashPointStorage::crash_after`], run the workload
 /// until it errors, then [`CrashPointStorage::surviving`] hands the
@@ -186,13 +183,6 @@ impl CrashPointStorage {
         copy
     }
 
-    /// Flips one bit of `name` at `offset` in place (bit-rot
-    /// injection). Returns `false` if the blob is missing or shorter
-    /// than `offset`.
-    pub fn corrupt_byte(&self, name: &str, offset: usize) -> bool {
-        corrupt_blob_byte(&self.inner, name, offset)
-    }
-
     /// Charges `len` against the budget. `Ok(len)` = full write goes
     /// through; `Ok(prefix)` = tear the write at `prefix` bytes and
     /// die; `Err` = already dead.
@@ -245,10 +235,6 @@ impl LatencyStorage {
 }
 
 impl Storage for LatencyStorage {
-    fn write_blob(&self, name: &str, data: &[u8]) -> Result<(), Error> {
-        self.inner.write_blob(name, data)
-    }
-
     fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
         self.charge_read();
         self.inner.read_blob(name)
@@ -259,29 +245,7 @@ impl Storage for LatencyStorage {
         self.inner.read_blob_range(name, offset, len)
     }
 
-    fn blob_len(&self, name: &str) -> Result<u64, Error> {
-        self.inner.blob_len(name)
-    }
-
-    fn delete_blob(&self, name: &str) -> Result<(), Error> {
-        self.inner.delete_blob(name)
-    }
-
-    fn contains_blob(&self, name: &str) -> bool {
-        self.inner.contains_blob(name)
-    }
-
-    fn list_blobs(&self) -> Vec<String> {
-        self.inner.list_blobs()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
+    forward_to_inner!(write_blob, append_blob, delete_blob);
 }
 
 /// The error every mutation returns after the scripted death.
@@ -347,16 +311,16 @@ impl Storage for CrashPointStorage {
         }
     }
 
-    fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
-        self.inner.read_blob(name)
-    }
-
-    fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
-        self.inner.read_blob_range(name, offset, len)
-    }
-
-    fn blob_len(&self, name: &str) -> Result<u64, Error> {
-        self.inner.blob_len(name)
+    fn append_blob(&self, name: &str, data: &[u8]) -> Result<(), Error> {
+        // An append has no rename to hide behind: it tears at any byte,
+        // whether or not the blob already exists.
+        let allowed = self.charge(data.len())?;
+        self.inner.append_blob(name, &data[..allowed])?;
+        if allowed == data.len() {
+            Ok(())
+        } else {
+            Err(dead_storage_error())
+        }
     }
 
     fn delete_blob(&self, name: &str) -> Result<(), Error> {
@@ -366,19 +330,5 @@ impl Storage for CrashPointStorage {
         self.inner.delete_blob(name)
     }
 
-    fn contains_blob(&self, name: &str) -> bool {
-        self.inner.contains_blob(name)
-    }
-
-    fn list_blobs(&self) -> Vec<String> {
-        self.inner.list_blobs()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
+    forward_to_inner!(read_blob, read_blob_range);
 }

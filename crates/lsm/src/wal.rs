@@ -10,6 +10,19 @@
 //! so a batch whose frame was torn mid-write replays all-or-nothing —
 //! the crash-atomicity contract batched writes rely on.
 //!
+//! **Append contract.** A frame is persisted by one
+//! [`Storage::append_blob`] call carrying that frame alone (plus the
+//! magic on a segment's first append), so an acknowledged write costs its
+//! own bytes, not its segment's; it is acked once that call returns. If
+//! the call fails, any prefix of the frame may have landed — and a frame
+//! appended *after* a torn one would be unreachable on replay (the length
+//! chain reads it as the torn frame's payload: bit rot of an acked
+//! write). So a failed append **poisons** the [`Wal`]: every later append
+//! fails until the segment is reset or rotated, or the store reopened.
+//! Recovery keeps the rule from the other side: it never appends to a
+//! segment it replayed, but re-persists what it salvaged as one frame
+//! into a fresh segment.
+//!
 //! Replay distinguishes two failure taxa ([`SegmentReplay`]):
 //!
 //! * **torn tail** — the segment ends mid-frame (fewer bytes than the
@@ -28,7 +41,7 @@
 //!   segment: nothing in it is parsed as frames, and it counts as one
 //!   quarantined frame.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::block::crc32;
 use crate::storage::Storage;
@@ -51,16 +64,22 @@ pub struct WalRecord {
     pub kind: ValueKind,
 }
 
-/// An append-only write-ahead log stored as a single blob per segment.
+/// The writer of one append-only WAL segment (a single blob).
 ///
 /// The engine uses one segment per memtable generation: the segment is
-/// truncated (re-created empty) after the memtable it protects has been
-/// flushed into an sstable.
+/// truncated (re-created empty) or retired after the memtable it
+/// protects has been flushed into an sstable. The `Wal` holds no copy of
+/// its segment — only a scratch buffer for the frame in flight and the
+/// length already acknowledged — and refuses every append after a failed
+/// one (see the module docs for the poison rule).
 #[derive(Debug)]
 pub struct Wal {
     segment_name: String,
-    buffer: BytesMut,
-    record_count: u64,
+    /// Reused encode buffer: the frame being appended, nothing more.
+    frame: Vec<u8>,
+    /// Bytes of the segment acknowledged so far (magic included).
+    acked_len: u64,
+    poisoned: bool,
 }
 
 /// Blob-name prefix shared by every WAL segment.
@@ -72,8 +91,9 @@ impl Wal {
     pub fn new(segment_name: impl Into<String>) -> Self {
         Self {
             segment_name: segment_name.into(),
-            buffer: BytesMut::new(),
-            record_count: 0,
+            frame: Vec::new(),
+            acked_len: 0,
+            poisoned: false,
         }
     }
 
@@ -106,38 +126,21 @@ impl Wal {
         generations.into_iter().map(|(_, name)| name).collect()
     }
 
-    /// Deletes a retired segment blob (after the memtable generation it
-    /// protected became a durable sstable). A missing blob is fine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures other than "not found".
-    pub fn retire_segment(storage: &dyn Storage, segment_name: &str) -> Result<(), Error> {
-        match storage.delete_blob(segment_name) {
-            Ok(()) => Ok(()),
-            Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
     /// The blob name this WAL persists to.
     #[must_use]
     pub fn segment_name(&self) -> &str {
         &self.segment_name
     }
 
-    /// Number of records appended since the last reset.
+    /// Bytes of the segment acknowledged since the last reset: the
+    /// blob's length, short of a torn tail left by a failed append.
     #[must_use]
-    pub fn record_count(&self) -> u64 {
-        self.record_count
+    pub fn segment_len(&self) -> u64 {
+        self.acked_len
     }
 
-    /// Appends a record to the in-memory segment buffer and persists the
-    /// whole segment to `storage`.
-    ///
-    /// Persisting the full segment on every append is simple and safe; for
-    /// the simulator workloads segments are small (one memtable's worth of
-    /// writes).
+    /// Appends `record` to the segment as a one-record frame
+    /// ([`Wal::append_batch`]).
     ///
     /// # Errors
     ///
@@ -146,16 +149,17 @@ impl Wal {
         self.append_batch(storage, std::slice::from_ref(record))
     }
 
-    /// Appends every record in `records` as a **single frame** and
-    /// persists the segment. Because a frame is the unit of CRC
-    /// protection, replay recovers either all of the records or (after a
-    /// torn write) none of them — the crash-atomic contract behind
-    /// [`Lsm::write_batch`](crate::Lsm::write_batch). An empty slice is a
-    /// no-op.
+    /// Appends every record in `records` as a **single frame**, with one
+    /// [`Storage::append_blob`] of that frame. Because a frame is the
+    /// unit of CRC protection, replay recovers either all of the records
+    /// or (after a torn write) none of them — the crash-atomic contract
+    /// behind [`Lsm::write_batch`](crate::Lsm::write_batch). An empty
+    /// slice is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates storage failures.
+    /// Propagates storage failures; after one, this and every later
+    /// append fails until [`Wal::reset`] (the poison rule).
     pub fn append_batch(
         &mut self,
         storage: &dyn Storage,
@@ -164,49 +168,52 @@ impl Wal {
         if records.is_empty() {
             return Ok(());
         }
-        if self.buffer.is_empty() {
-            self.buffer.put_slice(WAL_MAGIC);
+        if self.poisoned {
+            return Err(Error::Io(std::io::Error::other(format!(
+                "WAL segment `{}` is poisoned by a failed append",
+                self.segment_name
+            ))));
         }
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(records.len() as u32);
+        self.frame.clear();
+        if self.acked_len == 0 {
+            self.frame.put_slice(WAL_MAGIC);
+        }
+        // Length and CRC are back-filled once the payload is encoded.
+        let header = self.frame.len();
+        self.frame.put_slice(&[0; 8]);
+        self.frame.put_u32_le(records.len() as u32);
         for record in records {
-            payload.put_u32_le(record.key.len() as u32);
-            payload.put_slice(&record.key);
-            payload.put_u32_le(record.value.len() as u32);
-            payload.put_slice(&record.value);
-            payload.put_u64_le(record.seqno);
-            payload.put_u8(record.kind.as_u8());
+            self.frame.put_u32_le(record.key.len() as u32);
+            self.frame.put_slice(&record.key);
+            self.frame.put_u32_le(record.value.len() as u32);
+            self.frame.put_slice(&record.value);
+            self.frame.put_u64_le(record.seqno);
+            self.frame.put_u8(record.kind.as_u8());
         }
+        let (head, payload) = self.frame[header..].split_at_mut(8);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 
-        self.buffer.put_u32_le(payload.len() as u32);
-        self.buffer.put_u32_le(crc32(&payload));
-        self.buffer.put_slice(&payload);
-        self.record_count += records.len() as u64;
-
-        storage.write_blob(&self.segment_name, &self.buffer)
+        if let Err(e) = storage.append_blob(&self.segment_name, &self.frame) {
+            self.poisoned = true;
+            return Err(e);
+        }
+        self.acked_len += self.frame.len() as u64;
+        Ok(())
     }
 
-    /// Clears the segment (after a successful memtable flush).
+    /// Truncates the segment to empty (after a successful memtable
+    /// flush), which also clears the poison: no torn frame is left to
+    /// append after.
     ///
     /// # Errors
     ///
-    /// Propagates storage failures.
+    /// Propagates storage failures; the segment then keeps its contents.
     pub fn reset(&mut self, storage: &dyn Storage) -> Result<(), Error> {
-        self.buffer.clear();
-        self.record_count = 0;
-        storage.write_blob(&self.segment_name, &[])
-    }
-
-    /// Replays a WAL segment from `storage`, returning every recovered
-    /// record in append order. Shorthand for
-    /// [`Wal::replay_segment`]`.records` where the caller does not need
-    /// the taxonomy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures other than "not found".
-    pub fn replay(storage: &dyn Storage, segment_name: &str) -> Result<Vec<WalRecord>, Error> {
-        Ok(Self::replay_segment(storage, segment_name)?.records)
+        storage.write_blob(&self.segment_name, &[])?;
+        self.acked_len = 0;
+        self.poisoned = false;
+        Ok(())
     }
 
     /// Replays a WAL segment from `storage`, classifying every byte as
@@ -295,15 +302,6 @@ pub struct SegmentReplay {
     /// Bytes dropped off the segment's tail because the final frame was
     /// incomplete (the normal crash shape; only unacked writes).
     pub bytes_truncated: u64,
-}
-
-impl SegmentReplay {
-    /// `true` when the segment replayed without any torn or rotten
-    /// bytes.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.frames_quarantined == 0 && self.bytes_truncated == 0
-    }
 }
 
 /// Aggregate recovery outcome across every segment replayed at open,
@@ -398,7 +396,12 @@ fn decode_record(p: &mut &[u8]) -> Option<WalRecord> {
 mod tests {
     use super::*;
     use crate::storage::MemoryStorage;
+    use crate::test_support::CrashPointStorage;
     use crate::types::key_from_u64;
+
+    fn replayed(storage: &dyn Storage, segment: &str) -> Vec<WalRecord> {
+        Wal::replay_segment(storage, segment).unwrap().records
+    }
 
     fn record(i: u64) -> WalRecord {
         WalRecord {
@@ -421,15 +424,57 @@ mod tests {
         for r in &records {
             wal.append(&storage, r).unwrap();
         }
-        assert_eq!(wal.record_count(), 50);
-        let replayed = Wal::replay(&storage, "wal-0").unwrap();
+        let replayed = replayed(&storage, "wal-0");
         assert_eq!(replayed, records);
+    }
+
+    #[test]
+    fn appends_write_each_frame_once() {
+        let storage = MemoryStorage::new();
+        let mut wal = Wal::new("wal-linear");
+        for i in 0..1_000 {
+            wal.append(&storage, &record(i)).unwrap();
+        }
+        // Linear, not quadratic: every byte of the segment was written
+        // exactly once.
+        let len = storage.blob_len("wal-linear").unwrap();
+        assert_eq!(storage.bytes_written(), len);
+        assert_eq!(wal.segment_len(), len);
+        let replayed = replayed(&storage, "wal-linear");
+        assert_eq!(replayed, (0..1_000).map(record).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn failed_append_poisons_the_segment_until_reset() {
+        let storage = CrashPointStorage::new();
+        let mut wal = Wal::new("wal-poison");
+        wal.append(&storage, &record(0)).unwrap();
+        wal.append(&storage, &record(1)).unwrap();
+        // Die 11 bytes into the third frame, then bring storage back: a
+        // frame appended after the torn one would be unreachable.
+        storage.crash_after(11);
+        assert!(wal.append(&storage, &record(2)).is_err());
+        storage.crash_after(u64::MAX);
+        assert!(wal.append(&storage, &record(3)).is_err(), "still poisoned");
+        assert_eq!(
+            storage.blob_len("wal-poison").unwrap(),
+            wal.segment_len() + 11
+        );
+
+        let replay = Wal::replay_segment(&storage.surviving(), "wal-poison").unwrap();
+        assert_eq!(replay.records, vec![record(0), record(1)]);
+        assert_eq!(replay.frames_quarantined, 0, "a torn tail, not bit rot");
+        assert_eq!(replay.bytes_truncated, 11);
+
+        wal.reset(&storage).unwrap();
+        wal.append(&storage, &record(4)).unwrap();
+        assert_eq!(replayed(&storage, "wal-poison"), vec![record(4)]);
     }
 
     #[test]
     fn missing_segment_replays_empty() {
         let storage = MemoryStorage::new();
-        assert!(Wal::replay(&storage, "nope").unwrap().is_empty());
+        assert!(replayed(&storage, "nope").is_empty());
     }
 
     #[test]
@@ -438,8 +483,8 @@ mod tests {
         let mut wal = Wal::new("wal-1");
         wal.append(&storage, &record(1)).unwrap();
         wal.reset(&storage).unwrap();
-        assert_eq!(wal.record_count(), 0);
-        assert!(Wal::replay(&storage, "wal-1").unwrap().is_empty());
+        assert_eq!(wal.segment_len(), 0);
+        assert!(replayed(&storage, "wal-1").is_empty());
     }
 
     #[test]
@@ -454,7 +499,7 @@ mod tests {
         let len = blob.len();
         blob[len - 3..].iter_mut().for_each(|b| *b ^= 0xFF);
         storage.write_blob("wal-2", &blob).unwrap();
-        let replayed = Wal::replay(&storage, "wal-2").unwrap();
+        let replayed = replayed(&storage, "wal-2");
         assert_eq!(replayed.len(), 9, "only the torn final record is dropped");
         assert_eq!(replayed[..], (0..9).map(record).collect::<Vec<_>>()[..]);
     }
@@ -467,8 +512,7 @@ mod tests {
         let batch: Vec<WalRecord> = (1..5).map(record).collect();
         wal.append_batch(&storage, &batch).unwrap();
         wal.append(&storage, &record(5)).unwrap();
-        assert_eq!(wal.record_count(), 6);
-        let replayed = Wal::replay(&storage, "wal-b0").unwrap();
+        let replayed = replayed(&storage, "wal-b0");
         assert_eq!(replayed, (0..6).map(record).collect::<Vec<_>>());
     }
 
@@ -485,7 +529,7 @@ mod tests {
         let blob = storage.read_blob("wal-b1").unwrap();
         let torn = intact_len + (blob.len() - intact_len) / 2;
         storage.write_blob("wal-b1", &blob[..torn]).unwrap();
-        let replayed = Wal::replay(&storage, "wal-b1").unwrap();
+        let replayed = replayed(&storage, "wal-b1");
         assert_eq!(replayed, vec![record(0)], "torn batch contributes nothing");
     }
 
@@ -525,8 +569,8 @@ mod tests {
         let storage = MemoryStorage::new();
         let mut wal = Wal::new("wal-b2");
         wal.append_batch(&storage, &[]).unwrap();
-        assert_eq!(wal.record_count(), 0);
-        assert!(Wal::replay(&storage, "wal-b2").unwrap().is_empty());
+        assert_eq!(wal.segment_len(), 0);
+        assert!(replayed(&storage, "wal-b2").is_empty());
     }
 
     #[test]
@@ -570,16 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_segment_deletes_and_tolerates_missing() {
-        let storage = MemoryStorage::new();
-        let name = Wal::generation_blob_name(3);
-        storage.write_blob(&name, b"x").unwrap();
-        Wal::retire_segment(&storage, &name).unwrap();
-        assert!(!storage.contains_blob(&name));
-        Wal::retire_segment(&storage, &name).unwrap();
-    }
-
-    #[test]
     fn mid_segment_bit_rot_quarantines_the_frame_and_salvages_the_rest() {
         let storage = MemoryStorage::new();
         let mut wal = Wal::new("wal-rot");
@@ -596,7 +630,6 @@ mod tests {
         assert_eq!(replay.frames_quarantined, 1, "the rotten frame is counted");
         assert_eq!(replay.frames_replayed, 9);
         assert_eq!(replay.bytes_truncated, 0);
-        assert!(!replay.is_clean());
         assert_eq!(
             replay.records,
             (1..10).map(record).collect::<Vec<_>>(),
@@ -641,10 +674,17 @@ mod tests {
             wal.append(&storage, &record(i)).unwrap();
         }
         let replay = Wal::replay_segment(&storage, "wal-clean").unwrap();
-        assert!(replay.is_clean());
+        assert_eq!((replay.frames_quarantined, replay.bytes_truncated), (0, 0));
         assert_eq!(replay.frames_replayed, 3);
         // Missing segments are clean too.
-        assert!(Wal::replay_segment(&storage, "absent").unwrap().is_clean());
+        let absent = Wal::replay_segment(&storage, "absent").unwrap();
+        assert_eq!(
+            absent,
+            SegmentReplay {
+                segment: "absent".into(),
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
@@ -685,7 +725,7 @@ mod tests {
         storage
             .write_blob("wal-3", &blob[..blob.len() - 5])
             .unwrap();
-        let replayed = Wal::replay(&storage, "wal-3").unwrap();
+        let replayed = replayed(&storage, "wal-3");
         assert_eq!(replayed.len(), 4);
     }
 }

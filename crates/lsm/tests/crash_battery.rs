@@ -72,27 +72,70 @@ fn assert_all_acked_recovered(storage: MemoryStorage, acked: &Acked) {
     }
 }
 
+/// Dry run: the mutation bytes `workload` charges against a crash
+/// budget on a store opened with `opts` when nothing crashes. Sweeping
+/// budgets below this total makes every case die *somewhere* inside the
+/// workload instead of overshooting it.
+fn mutation_bytes(opts: LsmOptions, workload: impl FnOnce(&Lsm)) -> u64 {
+    let storage = Arc::new(CrashPointStorage::new());
+    let db = Lsm::open(storage.clone(), opts).unwrap();
+    let before = storage.bytes_written();
+    workload(&db);
+    storage.bytes_written() - before
+}
+
+/// Ops in the swept workloads: the last one is an explicit flush, so a
+/// dry run's byte total does not depend on how far a background flush
+/// thread got when the workload returned.
+const SWEPT_OPS: u64 = 208;
+
+/// Background maintenance with triggers high enough that a writer never
+/// *blocks* on a dead flush thread — after the crash, the next WAL
+/// append fails the write instead.
+fn background_opts() -> LsmOptions {
+    small_opts()
+        .background_maintenance(true)
+        .frozen_queue_limit(64)
+        .stop_trigger(64)
+        .slowdown_trigger(63)
+}
+
+fn workload_bytes(opts: LsmOptions) -> u64 {
+    mutation_bytes(opts, |db| {
+        assert!(run_workload(db, &mut Acked::new(), SWEPT_OPS));
+    })
+}
+
+/// The sweeps' shared body: die `budget` mutation bytes into the
+/// workload (the budget is below the dry-run total, so the crash always
+/// fires), reopen what survived, demand every acked write back.
+fn crash_and_recover(opts: LsmOptions, budget: u64) -> Result<(), String> {
+    let storage = Arc::new(CrashPointStorage::new());
+    let mut acked = Acked::new();
+    let db = Lsm::open(storage.clone(), opts).unwrap();
+    storage.crash_after(budget);
+    let completed = run_workload(&db, &mut acked, SWEPT_OPS);
+    prop_assert!(
+        storage.crashed() && !completed,
+        "budget {budget} outlasted the workload: the sweep went vacuous"
+    );
+    drop(db);
+    assert_all_acked_recovered(storage.surviving(), &acked);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tentpole property: a crash after *any* number of storage
     /// bytes loses no acknowledged write. Sweeps the crash point across
-    /// WAL appends, sstable flush writes, manifest checkpoint writes
-    /// and CURRENT swaps alike.
+    /// WAL appends (torn mid-segment, at any byte of a frame), sstable
+    /// flush writes, manifest checkpoint writes and CURRENT swaps alike.
     #[test]
-    fn crash_at_any_byte_offset_loses_no_acked_write(budget in 0u64..60_000) {
-        let storage = Arc::new(CrashPointStorage::new());
-        let mut acked = Acked::new();
-        let db = Lsm::open(storage.clone(), small_opts()).unwrap();
-        storage.crash_after(budget);
-        let completed = run_workload(&db, &mut acked, 200);
-        if completed {
-            // Budget outlasted the workload: flush the rest through so
-            // the reopen below still exercises recovery.
-            storage.crash_after(u64::MAX);
-        }
-        drop(db);
-        assert_all_acked_recovered(storage.surviving(), &acked);
+    fn crash_at_any_byte_offset_loses_no_acked_write(
+        budget in 0..workload_bytes(small_opts()),
+    ) {
+        crash_and_recover(small_opts(), budget)?;
     }
 
     /// Same sweep under background maintenance: frozen generations,
@@ -103,24 +146,10 @@ proptest! {
     /// against a wedged flush thread must surface the thread's error,
     /// not wait forever for progress dead storage will never make.
     #[test]
-    fn crash_under_background_maintenance_loses_no_acked_write(budget in 0u64..60_000) {
-        // Triggers high enough that a writer never *blocks* on the dead
-        // flush thread — after the crash, the next WAL append fails the
-        // write instead.
-        let opts = small_opts()
-            .background_maintenance(true)
-            .frozen_queue_limit(64)
-            .stop_trigger(64)
-            .slowdown_trigger(63);
-        let storage = Arc::new(CrashPointStorage::new());
-        let mut acked = Acked::new();
-        let db = Lsm::open(storage.clone(), opts).unwrap();
-        storage.crash_after(budget);
-        if run_workload(&db, &mut acked, 200) {
-            storage.crash_after(u64::MAX);
-        }
-        drop(db);
-        assert_all_acked_recovered(storage.surviving(), &acked);
+    fn crash_under_background_maintenance_loses_no_acked_write(
+        budget in 0..workload_bytes(background_opts()),
+    ) {
+        crash_and_recover(background_opts(), budget)?;
     }
 
     /// Bit rot inside a *data block* of a live v3 sstable — including
@@ -235,7 +264,9 @@ proptest! {
     /// range. Sweeps the crash point across the record's bytes (and,
     /// when acked, the interval must always be gone).
     #[test]
-    fn crash_mid_delete_range_is_all_or_nothing(budget in 0u64..600) {
+    fn crash_mid_delete_range_is_all_or_nothing(
+        budget in 0..=mutation_bytes(small_opts(), |db| db.delete_range(20u64, 80u64).unwrap()),
+    ) {
         let storage = Arc::new(CrashPointStorage::new());
         let db = Lsm::open(storage.clone(), small_opts()).unwrap();
         for k in 0..100u64 {
@@ -245,6 +276,9 @@ proptest! {
 
         storage.crash_after(budget);
         let acked = db.delete_range(20u64, 80u64).is_ok();
+        // The top of the range is the record's exact size: it lands whole
+        // and is acked; every budget below tears it.
+        prop_assert!(storage.crashed() != acked);
         drop(db);
 
         let recovered = Lsm::open(Arc::new(storage.surviving()), small_opts())
@@ -421,6 +455,38 @@ fn torn_wal_tail_recovers_without_quarantine() {
         assert_eq!(stats.recovery_bytes_truncated, len as u64);
         assert_eq!(stats.recovery_records_replayed, 0);
     }
+}
+
+/// A WAL append that fails mid-frame leaves a torn tail in the segment.
+/// Even if storage comes back, the store must refuse further writes: a
+/// frame appended after the torn one would be acked yet unreachable on
+/// replay (the length chain would read it as rot inside the torn frame).
+#[test]
+fn failed_wal_append_poisons_writes_until_reopen() {
+    let storage = Arc::new(CrashPointStorage::new());
+    let db = Lsm::open(storage.clone(), small_opts().memtable_capacity(1000)).unwrap();
+    for i in 0u64..10 {
+        db.put(i, vec![i as u8; 8]).unwrap();
+    }
+    storage.crash_after(11);
+    assert!(db.put(10u64, b"torn".to_vec()).is_err());
+    storage.crash_after(u64::MAX);
+    assert!(
+        db.put(11u64, b"after".to_vec()).is_err(),
+        "the segment stays poisoned after storage revives"
+    );
+    drop(db);
+
+    let db = Lsm::open(Arc::new(storage.surviving()), small_opts()).unwrap();
+    let stats = db.stats();
+    assert_eq!(stats.recovery_frames_quarantined, 0, "torn tail only");
+    assert_eq!(stats.recovery_bytes_truncated, 11);
+    assert_eq!(stats.recovery_records_replayed, 10);
+    for i in 0u64..10 {
+        assert_eq!(db.get(i).unwrap().as_deref(), Some(&[i as u8; 8][..]));
+    }
+    assert_eq!(db.get(10u64).unwrap(), None);
+    assert_eq!(db.get(11u64).unwrap(), None);
 }
 
 #[test]

@@ -504,6 +504,13 @@ impl ShardedKv {
                 "stats_wal_segments_live".to_owned(),
                 aggregate.wal_segments_live,
             ),
+            // The WAL's share of write amplification, a server signal
+            // rather than a harness subtraction.
+            ("stats_wal_appends".to_owned(), aggregate.wal_appends),
+            (
+                "stats_wal_bytes_written".to_owned(),
+                aggregate.wal_bytes_written,
+            ),
             (
                 "stats_manifest_checkpoint_seq".to_owned(),
                 aggregate.manifest_checkpoint_seq,

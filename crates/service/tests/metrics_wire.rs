@@ -8,14 +8,14 @@ use std::sync::Arc;
 use kv_service::{KvClient, KvServer, ShardedKv};
 use lsm_engine::{CompactionPolicy, LsmOptions};
 
-fn serve() -> (kv_service::ServerHandle, Arc<ShardedKv>) {
+fn serve(wal: bool) -> (kv_service::ServerHandle, Arc<ShardedKv>) {
     let store = Arc::new(
         ShardedKv::open_in_memory(
             3,
             LsmOptions::default()
                 .memtable_capacity(16)
                 .compaction_policy(CompactionPolicy::Threshold { live_tables: 3 })
-                .wal(false),
+                .wal(wal),
         )
         .unwrap(),
     );
@@ -27,7 +27,7 @@ fn serve() -> (kv_service::ServerHandle, Arc<ShardedKv>) {
 
 #[test]
 fn metrics_frame_counts_traffic_and_agrees_with_stats() {
-    let (handle, store) = serve();
+    let (handle, store) = serve(true);
     let mut client = KvClient::connect(handle.addr()).unwrap();
 
     for i in 0..200u64 {
@@ -58,11 +58,15 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
         ("stats_shed_writes", 0),
         ("stats_shed_connections", 0),
         ("stats_bg_flushes", aggregate.bg_flushes),
+        // One WAL frame per acknowledged write, and the bytes they cost.
+        ("stats_wal_appends", 201),
+        ("stats_wal_bytes_written", aggregate.wal_bytes_written),
     ] {
         assert_eq!(metrics.counter(name), Some(expect), "counter {name}");
     }
     assert_eq!(aggregate.puts, 200);
     assert_eq!(aggregate.gets, 100);
+    assert!(aggregate.wal_bytes_written > 201 * 16);
 
     assert!(
         metrics.counter("stats_manifest_checkpoint_seq").unwrap() >= 3,
@@ -70,6 +74,8 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
     );
     for name in [
         "stats_wal_segments_live",
+        "stats_wal_appends",
+        "stats_wal_bytes_written",
         "stats_recovery_segments_scanned",
         "stats_recovery_frames_replayed",
         "stats_recovery_bytes_truncated",
@@ -110,7 +116,7 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
 
 #[test]
 fn events_cursor_tails_the_maintenance_trace() {
-    let (handle, store) = serve();
+    let (handle, store) = serve(false);
     let mut client = KvClient::connect(handle.addr()).unwrap();
 
     // Nothing has flushed yet: the trace is empty from cursor 0.

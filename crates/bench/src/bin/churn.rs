@@ -1,25 +1,25 @@
 //! Regenerates the churn-soak report: a fixed working set overwritten
 //! cycle after cycle while scratch keys are created and deleted, with
 //! background maintenance and tombstone GC running, sampling live-blob
-//! bytes (space amplification) and reopen time every few cycles. A
-//! healthy storage lifecycle shows both series flat; a leak in
+//! bytes (space amplification) and recovery work (WAL segments scanned,
+//! records replayed; reopen time beside them) every few cycles. A
+//! healthy storage lifecycle shows the series flat; a leak in
 //! tombstone GC, checkpoint sweeping or WAL retirement climbs.
 //!
+//! Ungated: `benchmark/` has no churn workload yet. CI runs `--quick`
+//! for its exit code only (the harness panics on a lost or resurrected
+//! key).
+//!
 //! Run with:
-//! `cargo run --release --bin churn [--quick] [--csv] [--json PATH]`
+//! `cargo run --release -p compaction-bench --bin churn -- [--quick] [--csv]`
 
-use compaction_sim::report::{churn_csv, churn_json, churn_table};
+use compaction_sim::report::{churn_csv, churn_table};
 use compaction_sim::ChurnConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     let config = if quick {
         ChurnConfig::quick()
@@ -44,9 +44,5 @@ fn main() {
         print!("{}", churn_csv(&rows));
     } else {
         print!("{}", churn_table(&rows));
-    }
-    if let Some(path) = json_path {
-        std::fs::write(&path, churn_json(&rows)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
     }
 }

@@ -80,6 +80,6 @@ pub use error::Error;
 pub use estimator::{CardinalityEstimator, ExactEstimator, HllEstimator};
 pub use heuristics::{schedule_with, GreedyMerger, Strategy};
 pub use planner::{MergePlan, Planner, SizeEstimator, StrategyPlanner, TableObservation};
-pub use schedule::{MergeOp, MergeSchedule};
+pub use schedule::{dependency_waves, MergeOp, MergeSchedule};
 pub use set::KeySet;
 pub use tree::MergeTree;

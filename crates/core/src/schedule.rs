@@ -265,19 +265,10 @@ impl MergeSchedule {
     /// caterpillar schedules degenerate to one op per wave.
     #[must_use]
     pub fn dependency_waves(&self) -> Vec<Vec<usize>> {
-        let n = self.n_initial;
-        // Wave of each slot: initial sets are wave 0.
-        let mut slot_wave = vec![0usize; n + self.ops.len()];
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            let wave = op.inputs.iter().map(|&s| slot_wave[s]).max().unwrap_or(0) + 1;
-            slot_wave[n + i] = wave;
-            if waves.len() < wave {
-                waves.resize(wave, Vec::new());
-            }
-            waves[wave - 1].push(i);
-        }
-        waves
+        dependency_waves(
+            self.n_initial,
+            self.ops.iter().map(|op| op.inputs.as_slice()),
+        )
     }
 
     /// The tree view of this schedule (Section 2): leaves in slot order,
@@ -296,6 +287,38 @@ impl MergeSchedule {
         let root = if self.ops.is_empty() { 0 } else { root };
         MergeTree::from_parts(nodes, root)
     }
+}
+
+/// The one wave grouping behind [`MergeSchedule::dependency_waves`] and
+/// the engine's parallel executor: `step_inputs` yields each step's
+/// input slots in execution order, slots `0..n_initial` are the initial
+/// sets and step `i` writes slot `n_initial + i`. Step `i` lands in the
+/// first wave after the latest wave any of its inputs was produced in;
+/// a slot no step has produced yet counts as initial (callers validate
+/// schedules separately). Returns the step indices of each wave,
+/// ascending.
+#[must_use]
+pub fn dependency_waves<'a>(
+    n_initial: usize,
+    step_inputs: impl IntoIterator<Item = &'a [usize]>,
+) -> Vec<Vec<usize>> {
+    // Wave of each slot: initial sets are wave 0.
+    let mut slot_wave = vec![0usize; n_initial];
+    let mut waves: Vec<Vec<usize>> = Vec::new();
+    for (i, inputs) in step_inputs.into_iter().enumerate() {
+        let wave = inputs
+            .iter()
+            .map(|&s| slot_wave.get(s).copied().unwrap_or(0))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        slot_wave.push(wave);
+        if waves.len() < wave {
+            waves.resize(wave, Vec::new());
+        }
+        waves[wave - 1].push(i);
+    }
+    waves
 }
 
 #[cfg(test)]

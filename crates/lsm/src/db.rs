@@ -302,130 +302,160 @@ pub(crate) struct ReadView {
     pub(crate) tables: Vec<TableMeta>,
 }
 
-/// Counters describing the work an [`Lsm`] instance has performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LsmStats {
+/// Declares [`LsmStats`] and its counter list from one field list, so a
+/// counter added here is aggregated across shards
+/// ([`LsmStats::absorb`]) and published on `METRICS`
+/// ([`LsmStats::counters`]) without a second place to remember.
+macro_rules! lsm_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Counters describing the work an [`Lsm`] instance has performed.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct LsmStats {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Wall-clock time writes were stalled behind compaction
+            /// work: inline merge time, plus slowdown sleeps and stop
+            /// blocks under background maintenance. Background merge
+            /// time itself does **not** count — no write waits on it.
+            /// Derived at snapshot time from the engine's stall
+            /// histogram ([`EngineMetrics::stall`]), the single source
+            /// every stall surface reads from.
+            pub compaction_stall: Duration,
+        }
+
+        impl LsmStats {
+            /// Every `u64` counter and gauge as `(field name, value)`,
+            /// in declaration order — the one list the service's
+            /// `METRICS` reply (as `stats_<name>`) and
+            /// [`LsmStats::absorb`] both walk.
+            /// [`LsmStats::compaction_stall`], the one field that is
+            /// not a `u64`, is not in it.
+            #[must_use]
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field)),*]
+            }
+
+            fn counters_mut(&mut self) -> Vec<&mut u64> {
+                vec![$(&mut self.$field),*]
+            }
+        }
+    };
+}
+
+lsm_stats! {
     /// Number of put operations accepted.
-    pub puts: u64,
+    puts,
     /// Number of delete operations accepted.
-    pub deletes: u64,
+    deletes,
     /// Number of [`WriteBatch`] applications accepted (their individual
     /// operations also count into [`LsmStats::puts`] / [`LsmStats::deletes`]).
-    pub write_batches: u64,
+    write_batches,
     /// Number of point reads served.
-    pub gets: u64,
+    gets,
     /// Number of memtable flushes performed.
-    pub flushes: u64,
+    flushes,
     /// Number of sstables consulted across all reads (read amplification
     /// numerator).
-    pub tables_probed: u64,
+    tables_probed,
     /// Number of reads answered from the memtable (active or frozen).
-    pub memtable_hits: u64,
+    memtable_hits,
     /// Number of range scans started ([`Lsm::range`]).
-    pub range_scans: u64,
+    range_scans,
     /// Live tables skipped by range scans because their persisted
     /// min/max key range was disjoint from the scan bounds
     /// (key-range-partitioned probing: no bloom probe, no block I/O).
-    pub range_pruned_tables: u64,
+    range_pruned_tables,
     /// Table probes rejected by a bloom filter or min/max key range
     /// without reading any data block.
-    pub bloom_negative_probes: u64,
+    bloom_negative_probes,
     /// Data-block round-trips to storage on the read path (block-cache
     /// misses that reached storage; one scan-readahead span counts
     /// once however many blocks it covers).
-    pub data_block_reads: u64,
+    data_block_reads,
     /// Bytes of data blocks fetched from storage on the read path, as
     /// stored on disk (compressed).
-    pub data_block_read_bytes: u64,
+    data_block_read_bytes,
     /// Logical (decompressed) bytes of the data blocks decoded on the
     /// read path. The spread over
     /// [`LsmStats::data_block_read_bytes`] is the compression ratio
     /// reads are actually realizing.
-    pub data_block_logical_bytes: u64,
+    data_block_logical_bytes,
     /// Reader handles served from the table cache.
-    pub table_cache_hits: u64,
+    table_cache_hits,
     /// Reader handles opened because the table cache missed.
-    pub table_cache_misses: u64,
+    table_cache_misses,
     /// Reader handles dropped by LRU pressure or compaction retirement.
-    pub table_cache_evictions: u64,
+    table_cache_evictions,
     /// Data blocks served from the block cache.
-    pub block_cache_hits: u64,
+    block_cache_hits,
     /// Block lookups that missed the block cache.
-    pub block_cache_misses: u64,
+    block_cache_misses,
     /// Blocks dropped by LRU pressure or compaction retirement.
-    pub block_cache_evictions: u64,
+    block_cache_evictions,
     /// Number of major compaction runs executed (manual and automatic).
-    pub compactions: u64,
+    compactions,
     /// Number of compactions fired by the configured
     /// [`CompactionPolicy`] (a subset of [`LsmStats::compactions`]).
-    pub auto_compactions: u64,
+    auto_compactions,
     /// Entries read from input tables across all compaction merges.
-    pub compaction_entries_read: u64,
+    compaction_entries_read,
     /// Entries written to output tables across all compaction merges.
-    pub compaction_entries_written: u64,
+    compaction_entries_written,
     /// Bytes read from storage by compaction merges.
-    pub compaction_bytes_read: u64,
+    compaction_bytes_read,
     /// Bytes written to storage by compaction merges.
-    pub compaction_bytes_written: u64,
-    /// Wall-clock time writes were stalled behind compaction work:
-    /// inline merge time, plus slowdown sleeps and stop blocks under
-    /// background maintenance. Background merge time itself does **not**
-    /// count — no write waits on it. Derived at snapshot time from the
-    /// engine's stall histogram ([`EngineMetrics::stall`]), the single
-    /// source every stall surface reads from.
-    pub compaction_stall: Duration,
+    compaction_bytes_written,
     /// Sum of the planner's predicted `cost_actual` (in keys) over all
     /// policy-driven compactions, for planned-vs-measured comparison.
-    pub compaction_predicted_cost: u64,
+    compaction_predicted_cost,
     /// Sstables written by the background flush thread (a subset of
     /// [`LsmStats::flushes`]).
-    pub bg_flushes: u64,
+    bg_flushes,
     /// Writes delayed by the slowdown stall tier (bounded sleep).
-    pub slowdown_stalls: u64,
+    slowdown_stalls,
     /// Writes blocked by the stop stall tier until maintenance caught
     /// up.
-    pub stop_stalls: u64,
+    stop_stalls,
     /// Frozen memtables currently queued for flush (a gauge, sampled
     /// when the stats were taken).
-    pub frozen_queue_depth: u64,
+    frozen_queue_depth,
     /// WAL segments scanned during open-time recovery.
-    pub recovery_segments_scanned: u64,
+    recovery_segments_scanned,
     /// WAL frames whose checksum verified and whose records were
     /// replayed during recovery.
-    pub recovery_frames_replayed: u64,
+    recovery_frames_replayed,
     /// Individual records replayed into the memtable during recovery.
-    pub recovery_records_replayed: u64,
+    recovery_records_replayed,
     /// Bytes discarded as torn tails (incomplete trailing frames from a
     /// crash mid-append; never acknowledged, so no data was lost).
-    pub recovery_bytes_truncated: u64,
+    recovery_bytes_truncated,
     /// Checksum-mismatched frames with valid frames after them (bit
     /// rot): the frame was quarantined and later frames salvaged, but
     /// acknowledged history is gone. Nonzero means explicit data loss.
-    pub recovery_frames_quarantined: u64,
+    recovery_frames_quarantined,
     /// WAL segments preserved under a `quarantined-` name because they
     /// contained rotten frames.
-    pub recovery_segments_quarantined: u64,
+    recovery_segments_quarantined,
     /// Tombstones physically dropped by tombstone-GC rewrites.
-    pub tombstones_dropped: u64,
+    tombstones_dropped,
     /// Single-table tombstone-GC rewrites executed.
-    pub gc_rewrites: u64,
+    gc_rewrites,
     /// Sequence number of the current manifest checkpoint (a gauge;
     /// summed across shards by [`LsmStats::absorb`]).
-    pub manifest_checkpoint_seq: u64,
+    manifest_checkpoint_seq,
     /// Live WAL segments on storage (a gauge, sampled when the stats
     /// were taken; summed across shards).
-    pub wal_segments_live: u64,
+    wal_segments_live,
     /// Frames appended to the WAL: one per acknowledged put, delete,
     /// range delete or batch, plus recovery's re-persisted frame.
-    pub wal_appends: u64,
+    wal_appends,
     /// Bytes those appends wrote to storage — the WAL's share of write
     /// amplification, beside [`LsmStats::compaction_bytes_written`].
-    pub wal_bytes_written: u64,
+    wal_bytes_written,
     /// Range-delete operations accepted ([`Lsm::delete_range`]); each is
     /// one record however many keys the interval covers.
-    pub range_deletes: u64,
+    range_deletes,
     /// Pinned snapshots created ([`Lsm::snapshot`]).
-    pub snapshots_created: u64,
+    snapshots_created,
 }
 
 impl LsmStats {
@@ -439,52 +469,13 @@ impl LsmStats {
     /// Adds every counter of `other` into `self`. This is how a sharded
     /// deployment aggregates statistics across shards: each shard keeps
     /// its own `LsmStats` and the service folds them together on demand.
+    /// Gauges (queue depth, checkpoint sequence, live WAL segments) sum
+    /// like everything else.
     pub fn absorb(&mut self, other: &LsmStats) {
-        self.puts += other.puts;
-        self.deletes += other.deletes;
-        self.write_batches += other.write_batches;
-        self.gets += other.gets;
-        self.flushes += other.flushes;
-        self.tables_probed += other.tables_probed;
-        self.memtable_hits += other.memtable_hits;
-        self.range_scans += other.range_scans;
-        self.range_pruned_tables += other.range_pruned_tables;
-        self.bloom_negative_probes += other.bloom_negative_probes;
-        self.data_block_reads += other.data_block_reads;
-        self.data_block_read_bytes += other.data_block_read_bytes;
-        self.data_block_logical_bytes += other.data_block_logical_bytes;
-        self.table_cache_hits += other.table_cache_hits;
-        self.table_cache_misses += other.table_cache_misses;
-        self.table_cache_evictions += other.table_cache_evictions;
-        self.block_cache_hits += other.block_cache_hits;
-        self.block_cache_misses += other.block_cache_misses;
-        self.block_cache_evictions += other.block_cache_evictions;
-        self.compactions += other.compactions;
-        self.auto_compactions += other.auto_compactions;
-        self.compaction_entries_read += other.compaction_entries_read;
-        self.compaction_entries_written += other.compaction_entries_written;
-        self.compaction_bytes_read += other.compaction_bytes_read;
-        self.compaction_bytes_written += other.compaction_bytes_written;
+        for (mine, (_, theirs)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine += theirs;
+        }
         self.compaction_stall += other.compaction_stall;
-        self.compaction_predicted_cost += other.compaction_predicted_cost;
-        self.bg_flushes += other.bg_flushes;
-        self.slowdown_stalls += other.slowdown_stalls;
-        self.stop_stalls += other.stop_stalls;
-        self.frozen_queue_depth += other.frozen_queue_depth;
-        self.recovery_segments_scanned += other.recovery_segments_scanned;
-        self.recovery_frames_replayed += other.recovery_frames_replayed;
-        self.recovery_records_replayed += other.recovery_records_replayed;
-        self.recovery_bytes_truncated += other.recovery_bytes_truncated;
-        self.recovery_frames_quarantined += other.recovery_frames_quarantined;
-        self.recovery_segments_quarantined += other.recovery_segments_quarantined;
-        self.tombstones_dropped += other.tombstones_dropped;
-        self.gc_rewrites += other.gc_rewrites;
-        self.manifest_checkpoint_seq += other.manifest_checkpoint_seq;
-        self.wal_segments_live += other.wal_segments_live;
-        self.wal_appends += other.wal_appends;
-        self.wal_bytes_written += other.wal_bytes_written;
-        self.range_deletes += other.range_deletes;
-        self.snapshots_created += other.snapshots_created;
     }
 
     fn record_compaction(&mut self, outcome: &CompactionOutcome) {
@@ -553,15 +544,6 @@ pub struct LsmPressure {
     /// The write-stall tier currently in force
     /// ([`StallTier::None`] when background maintenance is off).
     pub stall_tier: StallTier,
-}
-
-impl LsmPressure {
-    /// Memtable fullness in `[0, 1]` (1.0 = next write may flush, and a
-    /// flush may trigger a compaction the writer pays for in line).
-    #[must_use]
-    pub fn memtable_fill(&self) -> f64 {
-        self.memtable_len as f64 / self.memtable_capacity.max(1) as f64
-    }
 }
 
 /// The result of one policy-driven compaction: what the planner chose
@@ -2956,45 +2938,33 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_sums_counters() {
-        let mut a = LsmStats {
-            puts: 1,
-            gets: 2,
-            flushes: 3,
-            block_cache_hits: 4,
-            compaction_stall: Duration::from_millis(5),
-            ..LsmStats::default()
+    fn stats_absorb_is_the_element_wise_sum_over_the_counter_list() {
+        // Fill every counter the list declares with a distinct value,
+        // so a field that `absorb` skipped — or one declared outside
+        // the list — cannot hide behind a zero.
+        let filled = |scale: u64| {
+            let mut stats = LsmStats::default();
+            for (i, slot) in stats.counters_mut().into_iter().enumerate() {
+                *slot = scale * (i as u64 + 1);
+            }
+            stats
         };
-        let b = LsmStats {
-            puts: 10,
-            deletes: 4,
-            write_batches: 2,
-            block_cache_hits: 6,
-            table_cache_misses: 3,
-            data_block_reads: 9,
-            bloom_negative_probes: 2,
-            compaction_stall: Duration::from_millis(7),
-            bg_flushes: 5,
-            slowdown_stalls: 6,
-            stop_stalls: 7,
-            frozen_queue_depth: 2,
-            ..LsmStats::default()
-        };
+        let (mut a, mut b) = (filled(1), filled(1_000));
+        a.compaction_stall = Duration::from_millis(5);
+        b.compaction_stall = Duration::from_millis(7);
+        let want: Vec<(&str, u64)> = a
+            .counters()
+            .into_iter()
+            .zip(b.counters())
+            .map(|((name, x), (_, y))| (name, x + y))
+            .collect();
+        assert!(want.iter().all(|&(_, sum)| sum > 0));
         a.absorb(&b);
-        assert_eq!(a.puts, 11);
-        assert_eq!(a.deletes, 4);
-        assert_eq!(a.gets, 2);
-        assert_eq!(a.flushes, 3);
-        assert_eq!(a.write_batches, 2);
-        assert_eq!(a.block_cache_hits, 10);
-        assert_eq!(a.table_cache_misses, 3);
-        assert_eq!(a.data_block_reads, 9);
-        assert_eq!(a.bloom_negative_probes, 2);
+        assert_eq!(a.counters(), want);
         assert_eq!(a.compaction_stall, Duration::from_millis(12));
-        assert_eq!(a.bg_flushes, 5);
-        assert_eq!(a.slowdown_stalls, 6);
-        assert_eq!(a.stop_stalls, 7);
-        assert_eq!(a.frozen_queue_depth, 2);
+        // Named spot checks tie list positions to the struct's fields.
+        assert_eq!(a.puts, 1_001);
+        assert_eq!(a.snapshots_created, 1_001 * want.len() as u64);
     }
 
     #[test]

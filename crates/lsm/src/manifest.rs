@@ -134,12 +134,6 @@ impl Manifest {
         seq
     }
 
-    /// The next sequence number that will be allocated.
-    #[must_use]
-    pub fn current_seqno(&self) -> u64 {
-        self.next_seqno
-    }
-
     /// Records that `seqno` has been used, bumping the allocator past
     /// it. WAL recovery calls this with the largest replayed sequence
     /// number: replayed records were sequenced by a previous process
@@ -450,7 +444,7 @@ mod tests {
         let s1 = m.allocate_seqno();
         let s2 = m.allocate_seqno();
         assert!(s2 > s1);
-        assert_eq!(m.current_seqno(), s2 + 1);
+        assert_eq!(m.allocate_seqno(), s2 + 1);
         // Adding a table with a large explicit id bumps the allocator.
         m.apply(ManifestEdit::AddTable(meta(100))).unwrap();
         assert!(m.allocate_table_id() > 100);

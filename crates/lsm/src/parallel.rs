@@ -153,28 +153,15 @@ impl ParallelExecutor {
     }
 
     /// Groups `steps` into dependency waves over `n_initial` input
-    /// slots: a step is in wave `w` when every input is an initial slot
-    /// or the output of a step in a wave `< w`. Steps within a wave are
-    /// independent and may run concurrently.
+    /// slots ([`compaction_core::dependency_waves`] over the steps'
+    /// input slots): steps within a wave are independent and may run
+    /// concurrently.
     #[must_use]
     pub fn waves_for_steps(n_initial: usize, steps: &[CompactionStep]) -> Vec<Vec<usize>> {
-        let mut slot_wave = vec![0usize; n_initial + steps.len()];
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        for (i, step) in steps.iter().enumerate() {
-            let wave = step
-                .inputs
-                .iter()
-                .map(|&s| slot_wave.get(s).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0)
-                + 1;
-            slot_wave[n_initial + i] = wave;
-            if waves.len() < wave {
-                waves.resize(wave, Vec::new());
-            }
-            waves[wave - 1].push(i);
-        }
-        waves
+        compaction_core::dependency_waves(
+            n_initial,
+            steps.iter().map(|step| step.inputs.as_slice()),
+        )
     }
 
     /// Executes `steps` over the tables listed in `initial_table_ids`

@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -30,7 +29,6 @@ macro_rules! forward_to_inner {
         forward_to_inner!(@fn bytes_written() -> u64);
         forward_to_inner!(@fn bytes_read() -> u64);
     };
-    (@ write_blob) => { forward_to_inner!(@fn write_blob(name: &str, data: &[u8]) -> Result<(), Error>); };
     (@ append_blob) => { forward_to_inner!(@fn append_blob(name: &str, data: &[u8]) -> Result<(), Error>); };
     (@ read_blob) => { forward_to_inner!(@fn read_blob(name: &str) -> Result<Bytes, Error>); };
     (@ read_blob_range) => {
@@ -202,50 +200,6 @@ impl CrashPointStorage {
             Ok(budget as usize)
         }
     }
-}
-
-/// A [`MemoryStorage`] wrapper that charges a fixed latency on every
-/// *read* call (`read_blob` / `read_blob_range`), simulating a device
-/// where each round-trip costs real time. Writes stay free so load,
-/// flush and compaction phases are unaffected. This exists to make
-/// read-path *round-trip counts* visible in wall-clock benchmarks
-/// (the scan-readahead column): over a plain `MemoryStorage`, a 10x
-/// difference in fetch counts hides behind nanosecond reads.
-#[derive(Debug)]
-pub struct LatencyStorage {
-    inner: MemoryStorage,
-    read_latency: Duration,
-}
-
-impl LatencyStorage {
-    /// An empty store charging `read_latency` per read round-trip.
-    #[must_use]
-    pub fn new(read_latency: Duration) -> Self {
-        Self {
-            inner: MemoryStorage::new(),
-            read_latency,
-        }
-    }
-
-    fn charge_read(&self) {
-        if !self.read_latency.is_zero() {
-            std::thread::sleep(self.read_latency);
-        }
-    }
-}
-
-impl Storage for LatencyStorage {
-    fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
-        self.charge_read();
-        self.inner.read_blob(name)
-    }
-
-    fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
-        self.charge_read();
-        self.inner.read_blob_range(name, offset, len)
-    }
-
-    forward_to_inner!(write_blob, append_blob, delete_blob);
 }
 
 /// The error every mutation returns after the scripted death.

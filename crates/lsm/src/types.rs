@@ -266,12 +266,6 @@ impl Entry {
         self.kind == ValueKind::Tombstone
     }
 
-    /// The internal key of this entry.
-    #[must_use]
-    pub fn internal_key(&self) -> InternalKey {
-        InternalKey::new(self.key.clone(), self.seqno, self.kind)
-    }
-
     /// Approximate in-memory / on-disk footprint of the entry in bytes
     /// (key + value + fixed per-entry metadata). Used for size-based
     /// memtable thresholds and for disk-I/O accounting.
@@ -345,7 +339,7 @@ mod tests {
     fn entry_constructors() {
         let e = Entry::put(key_from_u64(3), Bytes::from_static(b"v"), 10);
         assert!(!e.is_tombstone());
-        assert_eq!(e.internal_key().seqno, 10);
+        assert_eq!(e.seqno, 10);
         let t = Entry::tombstone(key_from_u64(3), 11);
         assert!(t.is_tombstone());
         assert!(t.value.is_empty());

@@ -1,9 +1,12 @@
 //! Engine-level MVCC integration: a pinned snapshot's reads are
 //! byte-identical across flush, compaction and tombstone GC; inverted
-//! range-delete bounds are sequence-free no-ops; and pins hold the
-//! tombstone-GC floor down until released.
+//! range-delete bounds are sequence-free no-ops; pins hold the
+//! tombstone-GC floor down until released; and one range delete does
+//! the work of a tombstone storm in one record.
 
-use lsm_engine::{CompactionPolicy, Lsm, LsmOptions};
+use std::sync::Arc;
+
+use lsm_engine::{CompactionPolicy, Lsm, LsmOptions, MemoryStorage, Storage};
 
 fn opts() -> LsmOptions {
     LsmOptions::default()
@@ -126,5 +129,74 @@ fn pins_block_tombstone_gc_until_released() {
         db.gc_tombstones().unwrap(),
         20,
         "with the pin gone the tombstones are reclaimable"
+    );
+}
+
+/// Bulk expiry, both ways over the same store: `delete_range` over a
+/// 1 200-key prefix is **one** WAL append where point deletes are 1 200,
+/// the survivors are identical, and once flush, compaction and GC have
+/// settled, the interval is really reclaimed — the footprint shrinks
+/// below the pre-expiry store and is no larger than what the tombstone
+/// storm leaves behind.
+#[test]
+fn one_range_delete_expires_a_prefix_like_a_tombstone_storm_in_one_record() {
+    const KEYS: u64 = 2_000;
+    const EXPIRED: u64 = 1_200;
+    let blob_bytes = |storage: &MemoryStorage| -> u64 {
+        let names = storage.list_blobs();
+        names.iter().map(|n| storage.blob_len(n).unwrap()).sum()
+    };
+    let settle = |db: &Lsm| {
+        db.flush().unwrap();
+        while db.auto_compact().unwrap().is_some() {}
+        while db.gc_tombstones().unwrap() > 0 {}
+    };
+    // Returns (WAL appends the expiry cost, settled bytes, survivors).
+    let expire = |range_delete: bool| {
+        let storage = Arc::new(MemoryStorage::new());
+        let db = Lsm::open(
+            storage.clone() as Arc<dyn Storage>,
+            LsmOptions::default()
+                .memtable_capacity(100)
+                .compaction_policy(CompactionPolicy::Threshold { live_tables: 4 })
+                .tombstone_gc(true)
+                .gc_min_tombstones(4),
+        )
+        .unwrap();
+        for key in 0..KEYS {
+            db.put(key, vec![0x3c_u8; 32]).unwrap();
+        }
+        settle(&db);
+        let loaded_bytes = blob_bytes(&storage);
+
+        let appends_before = db.stats().wal_appends;
+        if range_delete {
+            db.delete_range(0u64, EXPIRED).unwrap();
+        } else {
+            for key in 0..EXPIRED {
+                db.delete(key).unwrap();
+            }
+        }
+        let appends = db.stats().wal_appends - appends_before;
+        settle(&db);
+
+        let settled_bytes = blob_bytes(&storage);
+        assert!(
+            settled_bytes < loaded_bytes,
+            "expiring {EXPIRED} of {KEYS} keys must shrink the settled store: \
+             {loaded_bytes} -> {settled_bytes} bytes (range_delete: {range_delete})"
+        );
+        (appends, settled_bytes, db.scan_all().unwrap())
+    };
+
+    let (storm_appends, storm_bytes, storm_survivors) = expire(false);
+    let (range_appends, range_bytes, range_survivors) = expire(true);
+    assert_eq!(storm_appends, EXPIRED);
+    assert_eq!(range_appends, 1);
+    assert_eq!(range_survivors.len() as u64, KEYS - EXPIRED);
+    assert_eq!(range_survivors, storm_survivors);
+    assert!(
+        range_bytes <= storm_bytes,
+        "the range tombstone left {range_bytes} bytes, the storm {storm_bytes}"
     );
 }

@@ -72,6 +72,51 @@ fn warm_point_read_loads_at_most_one_data_block() {
     );
 }
 
+/// The bar any reader that loads whole tables fails: over a ten-table
+/// store with empty caches, a get averages at most a tenth of one
+/// average table blob in storage reads (footer + tail per table open,
+/// at most one data block per probe), and the same gets again read
+/// nothing at all.
+#[test]
+fn cold_gets_read_at_most_a_tenth_of_a_table_blob_each() {
+    let storage = Arc::new(MemoryStorage::new());
+    let db = Lsm::open(
+        storage.clone() as Arc<dyn Storage>,
+        LsmOptions::default()
+            .memtable_capacity(400)
+            .block_size(1024)
+            .wal(false),
+    )
+    .unwrap();
+    for key in 0..4_000u64 {
+        let mut value = key.to_le_bytes().to_vec();
+        value.resize(64, b'v');
+        db.put(key, value).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.memtable_len(), 0, "reads must hit sstables only");
+    let tables = db.live_tables();
+    assert_eq!(tables.len(), 10);
+    let average_blob = tables.iter().map(|t| t.encoded_len).sum::<u64>() / tables.len() as u64;
+
+    // A fixed pseudo-uniform sample of present keys.
+    let keys: Vec<u64> = (0..500u64).map(|i| (i * 7919 + 13) % 4_000).collect();
+    let bytes_read_by_a_pass = || {
+        let before = storage.bytes_read();
+        for &key in &keys {
+            assert!(db.get(key).unwrap().is_some(), "key {key}");
+        }
+        storage.bytes_read() - before
+    };
+    let cold_per_get = bytes_read_by_a_pass() / keys.len() as u64;
+    assert!(
+        cold_per_get <= average_blob / 10,
+        "a cold get read {cold_per_get} bytes; a tenth of the average table blob is {}",
+        average_blob / 10
+    );
+    assert_eq!(bytes_read_by_a_pass(), 0, "warm gets performed storage I/O");
+}
+
 #[test]
 fn bloom_negative_probes_read_zero_data_blocks() {
     // Generous bloom budget so absent-key probes are (deterministically,
@@ -300,7 +345,7 @@ fn pressure_reports_the_in_progress_compaction_without_the_write_lock() {
     assert_eq!(idle.current_stall, Duration::ZERO);
     assert_eq!(idle.live_tables, live);
     assert_eq!(idle.memtable_capacity, 50);
-    assert!(idle.memtable_fill() >= 0.0 && idle.memtable_fill() <= 1.0);
+    assert!(idle.memtable_len <= idle.memtable_capacity);
     assert_eq!(
         idle.compaction_backlog, 0,
         "trigger of 100 is nowhere near: no backlog"

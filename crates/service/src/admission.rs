@@ -41,8 +41,7 @@ use lsm_engine::{LsmPressure, StallTier};
 /// let config = AdmissionConfig::default()
 ///     .stall_budget(Duration::from_millis(50))
 ///     .backlog_budget(2);
-/// assert_eq!(config.stall_budget_duration(), Duration::from_millis(50));
-/// assert_eq!(config.backlog_budget_tables(), 2);
+/// assert_ne!(config, AdmissionConfig::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
@@ -78,18 +77,6 @@ impl AdmissionConfig {
     pub fn backlog_budget(mut self, tables: usize) -> Self {
         self.backlog_budget = tables;
         self
-    }
-
-    /// The configured stall budget.
-    #[must_use]
-    pub fn stall_budget_duration(&self) -> Duration {
-        self.stall_budget
-    }
-
-    /// The configured backlog budget in tables.
-    #[must_use]
-    pub fn backlog_budget_tables(&self) -> usize {
-        self.backlog_budget
     }
 
     /// `true` when a shard with this pressure snapshot should have its

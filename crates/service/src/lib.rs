@@ -46,11 +46,10 @@
 //!   session cap refuses surplus connections the same way, and the
 //!   shed/admit counters ride the `METRICS` frame. Reads are never shed.
 //!
-//! The closed-loop YCSB throughput harness over this service lives in
-//! `compaction-sim` (`service_throughput`), the open-loop offered-load
-//! harness in `compaction-sim` (`open_loop`), both with a CLI in
-//! `compaction-bench` (`--bin service_throughput`, `--open-loop` for
-//! the latter).
+//! Closed-loop serving is measured by the detached `benchmark/`
+//! package (`wire-hot`); the open-loop offered-load harness lives in
+//! `compaction-sim` (`open_loop`) with a CLI in `compaction-bench`
+//! (`--bin open_loop`).
 //!
 //! # Examples
 //!

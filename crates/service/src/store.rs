@@ -426,59 +426,11 @@ impl ShardedKv {
         }
         let stats = self.stats();
         let aggregate = stats.aggregate();
-        let counters = vec![
+        // Every engine counter comes from the one list `LsmStats`
+        // declares; only what is not a plain field is named here.
+        let mut counters = vec![
             ("stats_shards".to_owned(), self.shard_count() as u64),
-            ("stats_puts".to_owned(), aggregate.puts),
-            ("stats_deletes".to_owned(), aggregate.deletes),
-            ("stats_write_batches".to_owned(), aggregate.write_batches),
-            ("stats_gets".to_owned(), aggregate.gets),
-            ("stats_memtable_hits".to_owned(), aggregate.memtable_hits),
-            ("stats_range_scans".to_owned(), aggregate.range_scans),
-            (
-                "stats_range_pruned_tables".to_owned(),
-                aggregate.range_pruned_tables,
-            ),
-            ("stats_tables_probed".to_owned(), aggregate.tables_probed),
-            (
-                "stats_bloom_negative_probes".to_owned(),
-                aggregate.bloom_negative_probes,
-            ),
-            (
-                "stats_data_block_reads".to_owned(),
-                aggregate.data_block_reads,
-            ),
-            (
-                "stats_data_block_read_bytes".to_owned(),
-                aggregate.data_block_read_bytes,
-            ),
-            // Logical bytes after decompression — the spread over
-            // read_bytes is the realized compression ratio.
-            (
-                "stats_data_block_logical_bytes".to_owned(),
-                aggregate.data_block_logical_bytes,
-            ),
-            (
-                "stats_table_cache_hits".to_owned(),
-                aggregate.table_cache_hits,
-            ),
-            (
-                "stats_table_cache_misses".to_owned(),
-                aggregate.table_cache_misses,
-            ),
-            (
-                "stats_block_cache_hits".to_owned(),
-                aggregate.block_cache_hits,
-            ),
-            (
-                "stats_block_cache_misses".to_owned(),
-                aggregate.block_cache_misses,
-            ),
-            ("stats_flushes".to_owned(), aggregate.flushes),
-            ("stats_compactions".to_owned(), aggregate.compactions),
-            (
-                "stats_auto_compactions".to_owned(),
-                aggregate.auto_compactions,
-            ),
+            ("stats_live_tables".to_owned(), stats.live_tables() as u64),
             (
                 "stats_compaction_entry_cost".to_owned(),
                 aggregate.compaction_entry_cost(),
@@ -487,75 +439,17 @@ impl ShardedKv {
                 "stats_compaction_stall_micros".to_owned(),
                 aggregate.compaction_stall.as_micros() as u64,
             ),
-            ("stats_live_tables".to_owned(), stats.live_tables() as u64),
-            (
-                "stats_frozen_queue_depth".to_owned(),
-                aggregate.frozen_queue_depth,
-            ),
-            (
-                "stats_slowdown_stalls".to_owned(),
-                aggregate.slowdown_stalls,
-            ),
-            ("stats_stop_stalls".to_owned(), aggregate.stop_stalls),
-            ("stats_bg_flushes".to_owned(), aggregate.bg_flushes),
-            // Storage-lifecycle counters: WAL recovery taxonomy,
-            // manifest checkpointing and tombstone GC.
-            (
-                "stats_wal_segments_live".to_owned(),
-                aggregate.wal_segments_live,
-            ),
-            // The WAL's share of write amplification, a server signal
-            // rather than a harness subtraction.
-            ("stats_wal_appends".to_owned(), aggregate.wal_appends),
-            (
-                "stats_wal_bytes_written".to_owned(),
-                aggregate.wal_bytes_written,
-            ),
-            (
-                "stats_manifest_checkpoint_seq".to_owned(),
-                aggregate.manifest_checkpoint_seq,
-            ),
-            (
-                "stats_recovery_segments_scanned".to_owned(),
-                aggregate.recovery_segments_scanned,
-            ),
-            (
-                "stats_recovery_frames_replayed".to_owned(),
-                aggregate.recovery_frames_replayed,
-            ),
-            (
-                "stats_recovery_records_replayed".to_owned(),
-                aggregate.recovery_records_replayed,
-            ),
-            (
-                "stats_recovery_bytes_truncated".to_owned(),
-                aggregate.recovery_bytes_truncated,
-            ),
-            (
-                "stats_recovery_frames_quarantined".to_owned(),
-                aggregate.recovery_frames_quarantined,
-            ),
-            (
-                "stats_recovery_segments_quarantined".to_owned(),
-                aggregate.recovery_segments_quarantined,
-            ),
-            (
-                "stats_tombstones_dropped".to_owned(),
-                aggregate.tombstones_dropped,
-            ),
-            ("stats_gc_rewrites".to_owned(), aggregate.gc_rewrites),
         ];
+        counters.extend(
+            aggregate
+                .counters()
+                .into_iter()
+                .map(|(name, value)| (format!("stats_{name}"), value)),
+        );
         MetricsSnapshot {
             counters,
             histograms,
         }
-    }
-
-    /// [`ShardedKv::metrics_snapshot`] rendered as Prometheus text
-    /// exposition — scrape-ready without any protocol awareness.
-    #[must_use]
-    pub fn metrics_text(&self) -> String {
-        self.metrics_snapshot().to_prometheus_text()
     }
 
     /// Every live key/value pair across all shards, in key order:
@@ -682,13 +576,6 @@ pub struct ShardedSnapshot {
 }
 
 impl ShardedSnapshot {
-    /// The pinned LSN of each shard, in shard order — the cut this
-    /// handle reads at.
-    #[must_use]
-    pub fn lsns(&self) -> Vec<u64> {
-        self.shards.iter().map(lsm_engine::Snapshot::lsn).collect()
-    }
-
     /// Point read of `key` at the pinned cut, routed to the owning
     /// shard's snapshot.
     ///
@@ -947,7 +834,6 @@ mod tests {
             kv.put(i, format!("old{i}").into_bytes().into()).unwrap();
         }
         let snap = kv.snapshot();
-        assert_eq!(snap.lsns().len(), 4);
 
         // Overwrite, delete, range-delete and churn the live store.
         for i in 0..200u64 {

@@ -115,6 +115,40 @@ fn metrics_frame_counts_traffic_and_agrees_with_stats() {
 }
 
 #[test]
+fn every_engine_counter_rides_the_frame_and_compaction_moves_its_cost() {
+    let (handle, store) = serve(false);
+    let mut client = KvClient::connect(handle.addr()).unwrap();
+
+    // Every counter `LsmStats` declares is on the wire from the first
+    // probe, before any traffic.
+    let idle = client.metrics().unwrap();
+    for (name, _) in store.stats().aggregate().counters() {
+        let name = format!("stats_{name}");
+        assert!(idle.counter(&name).is_some(), "counter {name} missing");
+    }
+    assert_eq!(idle.counter("stats_compaction_bytes_written"), Some(0));
+    assert_eq!(idle.counter("stats_compaction_predicted_cost"), Some(0));
+
+    // Capacity 16 across 3 shards: threshold compactions fire inline.
+    for i in 0..600u64 {
+        client.put(i, vec![i as u8]).unwrap();
+    }
+    let metrics = client.metrics().unwrap();
+    let aggregate = store.stats().aggregate();
+    assert!(aggregate.auto_compactions > 0, "threshold compaction fired");
+    assert!(metrics.counter("stats_compaction_bytes_written").unwrap() > 0);
+    assert!(metrics.counter("stats_compaction_predicted_cost").unwrap() > 0);
+    // The frame is the counter list, value for value (maintenance is
+    // inline, so nothing moved between the probe and the snapshot).
+    for (name, value) in aggregate.counters() {
+        let name = format!("stats_{name}");
+        assert_eq!(metrics.counter(&name), Some(value), "counter {name}");
+    }
+
+    handle.shutdown();
+}
+
+#[test]
 fn events_cursor_tails_the_maintenance_trace() {
     let (handle, store) = serve(false);
     let mut client = KvClient::connect(handle.addr()).unwrap();

@@ -1,10 +1,10 @@
 //! Open-loop (offered-load) serving over the live KV service.
 //!
-//! The closed-loop harness ([`service_throughput`](crate::service_throughput))
-//! waits for every reply before sending the next request, so the server
-//! is never truly saturated and compaction stalls are flattered: the
-//! clients politely stop offering load exactly when the server slows
-//! down. This experiment removes that mercy, in three cells:
+//! A closed-loop client (every `benchmark/` workload) waits for each
+//! reply before sending the next request, so the server is never truly
+//! saturated and compaction stalls are flattered: the clients politely
+//! stop offering load exactly when the server slows down. This
+//! experiment removes that mercy, in three cells:
 //!
 //! 1. **`closed`** — the closed-loop baseline at `C` connections: the
 //!    throughput ceiling one-request-per-round-trip clients reach.
@@ -426,7 +426,7 @@ impl OpenLoopConfig {
     ) -> OpenLoopRow {
         let metrics = fetch_metrics(handle.addr());
         // A missing counter would put a silent zero in the shed/admit
-        // columns of the report — and any baseline copied from it.
+        // columns of the report.
         let counter = |name: &str| {
             metrics
                 .counter(name)
@@ -544,8 +544,8 @@ fn value_for(key: u64) -> Vec<u8> {
 /// Fetches the server's METRICS frame on a fresh connection, retrying
 /// transient failures (e.g. a session slot not yet freed after the
 /// drivers disconnected). Silently reporting zeros here would poison
-/// the shed/admit columns of the report — and any baseline copied from
-/// it — so persistent failure is fatal instead.
+/// the shed/admit columns of the report, so persistent failure is fatal
+/// instead.
 fn fetch_metrics(addr: std::net::SocketAddr) -> MetricsSnapshot {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -1,21 +1,21 @@
 //! Plain-text and CSV rendering of experiment series.
 //!
 //! The `fig7`/`fig8`/`fig9` binaries in the `compaction-bench` crate call
-//! these to print the same rows/series the paper's figures plot.
+//! these to print the same rows/series the paper's figures plot; the
+//! `live_engine`, `open_loop` and `churn` binaries print theirs the same
+//! way. Text tables and CSV only.
 
-use crate::bulk_expiry::BulkExpiryRow;
 use crate::churn::ChurnRow;
 use crate::experiment::{Fig7Row, Fig8Row, Fig9Row, Fig9Sweep};
 use crate::live_engine::LiveEngineRow;
 use crate::open_loop::OpenLoopRow;
-use crate::service_throughput::ServiceThroughputRow;
 
 /// Renders the churn-soak sample series as a fixed-width text table.
 #[must_use]
 pub fn churn_table(rows: &[ChurnRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>10}  {:>9}  {:>12}  {:>9}  {:>6}  {:>8}  {:>8}  {:>9}  {:>10}  {:>8}\n",
+        "{:>10}  {:>9}  {:>12}  {:>9}  {:>6}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}  {:>10}  {:>8}\n",
         "sample",
         "ops",
         "blob_bytes",
@@ -23,13 +23,15 @@ pub fn churn_table(rows: &[ChurnRow]) -> String {
         "tables",
         "wal_segs",
         "ckpt_seq",
+        "rec_segs",
+        "rec_recs",
         "reopen_ms",
         "gc_dropped",
         "gc_rw"
     ));
     for row in rows {
         out.push_str(&format!(
-            "{:>10}  {:>9}  {:>12}  {:>9.2}  {:>6}  {:>8}  {:>8}  {:>9.3}  {:>10}  {:>8}\n",
+            "{:>10}  {:>9}  {:>12}  {:>9.2}  {:>6}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9.3}  {:>10}  {:>8}\n",
             row.label,
             row.ops,
             row.live_blob_bytes,
@@ -37,6 +39,8 @@ pub fn churn_table(rows: &[ChurnRow]) -> String {
             row.live_tables,
             row.wal_segments_live,
             row.manifest_checkpoint_seq,
+            row.recovery_segments_scanned,
+            row.recovery_records_replayed,
             row.reopen_ms,
             row.tombstones_dropped,
             row.gc_rewrites,
@@ -50,11 +54,12 @@ pub fn churn_table(rows: &[ChurnRow]) -> String {
 pub fn churn_csv(rows: &[ChurnRow]) -> String {
     let mut out = String::from(
         "label,cycle,ops,live_blob_bytes,logical_bytes,space_amp,live_tables,\
-         wal_segments_live,manifest_checkpoint_seq,reopen_ms,tombstones_dropped,gc_rewrites\n",
+         wal_segments_live,manifest_checkpoint_seq,recovery_segments_scanned,\
+         recovery_records_replayed,reopen_ms,tombstones_dropped,gc_rewrites\n",
     );
     for row in rows {
         out.push_str(&format!(
-            "{},{},{},{},{},{:.4},{},{},{},{:.3},{},{}\n",
+            "{},{},{},{},{},{:.4},{},{},{},{},{},{:.3},{},{}\n",
             row.label,
             row.cycle,
             row.ops,
@@ -64,287 +69,13 @@ pub fn churn_csv(rows: &[ChurnRow]) -> String {
             row.live_tables,
             row.wal_segments_live,
             row.manifest_checkpoint_seq,
+            row.recovery_segments_scanned,
+            row.recovery_records_replayed,
             row.reopen_ms,
             row.tombstones_dropped,
             row.gc_rewrites,
         ));
     }
-    out
-}
-
-/// Renders the churn-soak sample series as a JSON array (hand-rolled:
-/// the workspace is offline, no serde). `space_amp` and `reopen_ms`
-/// carry no gated suffix, so the bench gate records them without
-/// budget-checking — the committed baseline documents the healthy flat
-/// series and flags structural drift in review.
-#[must_use]
-pub fn churn_json(rows: &[ChurnRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"label\": \"{}\", \"cycle\": {}, \"ops\": {}, \
-             \"live_blob_bytes\": {}, \"logical_bytes\": {}, \"space_amp\": {:.4}, \
-             \"live_tables\": {}, \"wal_segments_live\": {}, \
-             \"manifest_checkpoint_seq\": {}, \"reopen_ms\": {:.3}, \
-             \"tombstones_dropped\": {}, \"gc_rewrites\": {}}}{}\n",
-            row.label,
-            row.cycle,
-            row.ops,
-            row.live_blob_bytes,
-            row.logical_bytes,
-            row.space_amp,
-            row.live_tables,
-            row.wal_segments_live,
-            row.manifest_checkpoint_seq,
-            row.reopen_ms,
-            row.tombstones_dropped,
-            row.gc_rewrites,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders the bulk-expiry comparison (point tombstone storm vs a single
-/// range-tombstone record) as a fixed-width text table.
-#[must_use]
-pub fn bulk_expiry_table(rows: &[BulkExpiryRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>14}  {:>8}  {:>8}  {:>9}  {:>10}  {:>11}  {:>11}  {:>9}  {:>10}  {:>11}\n",
-        "mode",
-        "keys",
-        "expired",
-        "records",
-        "expiry_us",
-        "pre_bytes",
-        "post_bytes",
-        "reclaimed",
-        "entry_cost",
-        "scankeys/s"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:>14}  {:>8}  {:>8}  {:>9}  {:>10.0}  {:>11}  {:>11}  {:>8.1}%  {:>10}  {:>11.0}\n",
-            row.label,
-            row.keys,
-            row.expired,
-            row.expiry_records,
-            row.expiry_us,
-            row.pre_expiry_blob_bytes,
-            row.post_compact_blob_bytes,
-            row.reclaimed_fraction * 100.0,
-            row.compaction_entry_cost,
-            row.scan_keys_per_sec,
-        ));
-    }
-    out
-}
-
-/// Renders the bulk-expiry comparison as CSV.
-#[must_use]
-pub fn bulk_expiry_csv(rows: &[BulkExpiryRow]) -> String {
-    let mut out = String::from(
-        "label,keys,expired,expiry_records,expiry_us,pre_expiry_blob_bytes,\
-         post_compact_blob_bytes,reclaimed_fraction,compaction_entry_cost,scan_keys_per_sec\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{:.1},{},{},{:.4},{},{:.1}\n",
-            row.label,
-            row.keys,
-            row.expired,
-            row.expiry_records,
-            row.expiry_us,
-            row.pre_expiry_blob_bytes,
-            row.post_compact_blob_bytes,
-            row.reclaimed_fraction,
-            row.compaction_entry_cost,
-            row.scan_keys_per_sec,
-        ));
-    }
-    out
-}
-
-/// Renders the bulk-expiry comparison as a JSON array (hand-rolled: the
-/// workspace is offline, no serde). Only `scan_keys_per_sec` carries a
-/// gated suffix; the record counts, footprints and reclaimed fraction
-/// are recorded without budget-checking — the committed baseline
-/// documents the one-record-vs-sixty-thousand contrast and flags
-/// structural drift in review.
-#[must_use]
-pub fn bulk_expiry_json(rows: &[BulkExpiryRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"label\": \"{}\", \"keys\": {}, \"expired\": {}, \
-             \"expiry_records\": {}, \"expiry_us\": {:.1}, \
-             \"pre_expiry_blob_bytes\": {}, \"post_compact_blob_bytes\": {}, \
-             \"reclaimed_fraction\": {:.4}, \"compaction_entry_cost\": {}, \
-             \"scan_keys_per_sec\": {:.1}}}{}\n",
-            row.label,
-            row.keys,
-            row.expired,
-            row.expiry_records,
-            row.expiry_us,
-            row.pre_expiry_blob_bytes,
-            row.post_compact_blob_bytes,
-            row.reclaimed_fraction,
-            row.compaction_entry_cost,
-            row.scan_keys_per_sec,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders the service throughput sweep (per shard count, per strategy)
-/// as a fixed-width text table.
-#[must_use]
-pub fn service_throughput_table(rows: &[ServiceThroughputRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>6}  {:>10}  {:>10}  {:>7}  {:>5}  {:>5}  {:>5}  {:>8}  {:>10}  {:>8}  {:>8}  {:>8}  {:>9}  {:>9}  {:>10}  {:>10}  {:>10}  {:>7}  {:>6}  {:>10}\n",
-        "shards",
-        "strategy",
-        "mode",
-        "clients",
-        "read%",
-        "scan%",
-        "rdahd",
-        "ops",
-        "ops/s",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "getp50_us",
-        "getp99_us",
-        "scanp50_us",
-        "scanp99_us",
-        "scankeys/s",
-        "flushes",
-        "autoc",
-        "stall_ms"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:>6}  {:>10}  {:>10}  {:>7}  {:>5}  {:>5}  {:>5}  {:>8}  {:>10.0}  {:>8}  {:>8}  {:>8}  {:>9}  {:>9}  {:>10}  {:>10}  {:>10.0}  {:>7}  {:>6}  {:>10.2}\n",
-            row.shards,
-            row.strategy.name(),
-            row.mode,
-            row.clients,
-            row.read_percent,
-            row.scan_percent,
-            row.readahead,
-            row.operations,
-            row.throughput_ops_per_sec,
-            row.p50_micros,
-            row.p95_micros,
-            row.p99_micros,
-            row.get_p50_micros,
-            row.get_p99_micros,
-            row.scan_p50_micros,
-            row.scan_p99_micros,
-            row.scan_keys_per_sec,
-            row.flushes,
-            row.auto_compactions,
-            row.compaction_stall.as_secs_f64() * 1e3,
-        ));
-    }
-    out
-}
-
-/// Renders the service throughput sweep as CSV.
-#[must_use]
-pub fn service_throughput_csv(rows: &[ServiceThroughputRow]) -> String {
-    let mut out = String::from(
-        "shards,strategy,mode,clients,read_percent,scan_percent,readahead,operations,read_operations,\
-         scan_operations,scan_keys,elapsed_ms,\
-         ops_per_sec,scan_keys_per_sec,p50_us,p95_us,p99_us,get_p50_us,get_p99_us,\
-         scan_p50_us,scan_p99_us,\
-         flushes,auto_compactions,compaction_entry_cost,stall_ms\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{:.2},{:.1},{:.1},{},{},{},{},{},{},{},{},{},{},{:.4}\n",
-            row.shards,
-            row.strategy.name(),
-            row.mode,
-            row.clients,
-            row.read_percent,
-            row.scan_percent,
-            row.readahead,
-            row.operations,
-            row.read_operations,
-            row.scan_operations,
-            row.scan_keys,
-            row.elapsed.as_secs_f64() * 1e3,
-            row.throughput_ops_per_sec,
-            row.scan_keys_per_sec,
-            row.p50_micros,
-            row.p95_micros,
-            row.p99_micros,
-            row.get_p50_micros,
-            row.get_p99_micros,
-            row.scan_p50_micros,
-            row.scan_p99_micros,
-            row.flushes,
-            row.auto_compactions,
-            row.compaction_entry_cost,
-            row.compaction_stall.as_secs_f64() * 1e3,
-        ));
-    }
-    out
-}
-
-/// Renders the service throughput sweep as a JSON array (hand-rolled:
-/// the workspace is offline, no serde), the format CI archives as a
-/// build artifact (`BENCH_*.json`).
-#[must_use]
-pub fn service_throughput_json(rows: &[ServiceThroughputRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"shards\": {}, \"strategy\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \
-             \"read_percent\": {}, \"scan_percent\": {}, \"readahead\": {}, \"operations\": {}, \
-             \"read_operations\": {}, \"scan_operations\": {}, \"scan_keys\": {}, \
-             \"elapsed_ms\": {:.2}, \"ops_per_sec\": {:.1}, \"scan_keys_per_sec\": {:.1}, \
-             \"p50_us\": {}, \"p95_us\": {}, \
-             \"p99_us\": {}, \"get_p50_us\": {}, \"get_p99_us\": {}, \
-             \"scan_p50_us\": {}, \"scan_p99_us\": {}, \
-             \"flushes\": {}, \"auto_compactions\": {}, \
-             \"compaction_entry_cost\": {}, \"stall_ms\": {:.4}}}{}\n",
-            row.shards,
-            row.strategy.name(),
-            row.mode,
-            row.clients,
-            row.read_percent,
-            row.scan_percent,
-            row.readahead,
-            row.operations,
-            row.read_operations,
-            row.scan_operations,
-            row.scan_keys,
-            row.elapsed.as_secs_f64() * 1e3,
-            row.throughput_ops_per_sec,
-            row.scan_keys_per_sec,
-            row.p50_micros,
-            row.p95_micros,
-            row.p99_micros,
-            row.get_p50_micros,
-            row.get_p99_micros,
-            row.scan_p50_micros,
-            row.scan_p99_micros,
-            row.flushes,
-            row.auto_compactions,
-            row.compaction_entry_cost,
-            row.compaction_stall.as_secs_f64() * 1e3,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -443,54 +174,6 @@ pub fn open_loop_csv(rows: &[OpenLoopRow]) -> String {
             row.compaction_stall.as_secs_f64() * 1e3,
         ));
     }
-    out
-}
-
-/// Renders the open-loop serving cells as a JSON array (hand-rolled:
-/// the workspace is offline, no serde), the format CI archives and the
-/// bench-regression gate compares against `bench-baselines/`.
-#[must_use]
-pub fn open_loop_json(rows: &[OpenLoopRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"label\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \"strategy\": \"{}\", \
-             \"connections\": {}, \"window\": {}, \"offered_ops_per_sec\": {:.1}, \
-             \"achieved_ops_per_sec\": {:.1}, \"completed\": {}, \"busy\": {}, \
-             \"client_shed\": {}, \"server_admitted_writes\": {}, \
-             \"server_shed_writes\": {}, \"server_shed_connections\": {}, \
-             \"server_slowdown_stalls\": {}, \"server_stop_stalls\": {}, \
-             \"server_bg_flushes\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"server_p99_us\": {}, \"p999_us\": {}, \
-             \"elapsed_ms\": {:.2}, \"auto_compactions\": {}, \"stall_ms\": {:.4}}}{}\n",
-            row.label,
-            row.mode,
-            row.shards,
-            row.strategy.name(),
-            row.connections,
-            row.window,
-            row.offered_ops_per_sec,
-            row.achieved_ops_per_sec,
-            row.completed,
-            row.busy,
-            row.client_shed,
-            row.server_admitted_writes,
-            row.server_shed_writes,
-            row.server_shed_connections,
-            row.server_slowdown_stalls,
-            row.server_stop_stalls,
-            row.server_bg_flushes,
-            row.p50_micros,
-            row.p99_micros,
-            row.server_p99_micros,
-            row.p999_micros,
-            row.elapsed.as_secs_f64() * 1e3,
-            row.auto_compactions,
-            row.compaction_stall.as_secs_f64() * 1e3,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
     out
 }
 

@@ -1,6 +1,6 @@
 //! The bounded churn soak at CI scale: sustained overwrite/delete
 //! traffic under background maintenance and tombstone GC must keep the
-//! store's disk footprint and reopen time flat, reclaim tombstones
+//! store's disk footprint and recovery work flat, reclaim tombstones
 //! without anyone calling a manual major compaction, and never lose a
 //! live key or resurrect a deleted one (the harness asserts the
 //! correctness part on every sample).
@@ -35,15 +35,31 @@ fn quick_churn_soak_stays_flat_and_reclaims_tombstones() {
         last.live_blob_bytes
     );
 
-    // Reopen time is flat too (recovery replays only live state, not
-    // history). Sub-millisecond samples are scheduler-noisy, so the
-    // band gets a small absolute floor on top of the relative one.
+    // Recovery work is flat too: a reopen replays only live state, not
+    // history, so the WAL segments it scans and the records it replays
+    // stay in the same band however many cycles came before. Counts,
+    // not the clock — `reopen_ms` is a printed column only.
     assert!(
-        last.reopen_ms <= (1.2 * first.reopen_ms).max(first.reopen_ms + 5.0),
-        "reopen time climbed under churn: first {:.3}ms, last {:.3}ms",
-        first.reopen_ms,
-        last.reopen_ms
+        first.recovery_records_replayed > 0,
+        "every sample reopens over an unflushed tail: {first:?}"
     );
+    for (what, at_first, at_last) in [
+        (
+            "WAL segments scanned",
+            first.recovery_segments_scanned,
+            last.recovery_segments_scanned,
+        ),
+        (
+            "records replayed",
+            first.recovery_records_replayed,
+            last.recovery_records_replayed,
+        ),
+    ] {
+        assert!(
+            at_last as f64 <= 1.2 * at_first as f64,
+            "recovery work climbed under churn: {what} first {at_first}, last {at_last}"
+        );
+    }
 
     // The checkpoint sequence advances (the manifest is actually being
     // checkpointed) while stale checkpoints are swept — if they were

@@ -25,9 +25,10 @@
 //! * [`hll`] — HyperLogLog cardinality estimation, used by the
 //!   SmallestOutput heuristic exactly as in the paper's evaluation.
 //! * [`sim`] (`compaction-sim`) — the two-phase simulator, the
-//!   experiment harness regenerating Figures 7, 8 and 9, and the
-//!   service throughput experiment (closed-loop YCSB clients against
-//!   the live server, per shard count and strategy).
+//!   experiment harness regenerating Figures 7, 8 and 9, the
+//!   live-engine validation, and the two ungated service harnesses
+//!   (open-loop offered load, churn soak). Closed-loop serving is
+//!   measured by the detached `benchmark/` package instead.
 //! * [`service`] (`kv-service`) — the sharded concurrent KV service:
 //!   shard router, batched per-shard writes, TCP front-end
 //!   (`GET`/`PUT`/`DEL`/`BATCH`/`SCAN`/`METRICS`/…) and a worker-pool

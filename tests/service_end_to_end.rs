@@ -1,7 +1,6 @@
 //! Acceptance: a multi-shard `KvServer` sustains concurrent TCP clients
-//! through a YCSB write-heavy run with auto-compaction enabled, loses no
-//! acknowledged write across crash-recovery of every shard, and the
-//! throughput harness renders a per-shard-count / per-strategy report.
+//! through a YCSB write-heavy run with auto-compaction enabled and loses
+//! no acknowledged write across crash-recovery of every shard.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -9,8 +8,6 @@ use std::sync::Arc;
 use nosql_compaction::core::Strategy;
 use nosql_compaction::lsm::{CompactionPolicy, LsmOptions};
 use nosql_compaction::service::{KvClient, KvServer, ShardedKv, WireOp};
-use nosql_compaction::sim::report::service_throughput_table;
-use nosql_compaction::sim::ServiceThroughputConfig;
 use nosql_compaction::ycsb::{Distribution, WorkloadSpec};
 
 /// Every acknowledged write of `key` stores this exact value, whichever
@@ -121,28 +118,4 @@ fn write_heavy_ycsb_run_survives_shard_crash_recovery() {
     }
     assert!(acked_keys.len() >= 300, "covered {} keys", acked_keys.len());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn throughput_harness_reports_per_shard_count_and_strategy() {
-    let mut config = ServiceThroughputConfig::quick();
-    config.operation_count = 1_200;
-    config.record_count = 200;
-    let rows = config.run();
-    assert_eq!(
-        rows.len(),
-        config.shard_counts.len() * config.strategies.len()
-    );
-    for row in &rows {
-        assert!(row.throughput_ops_per_sec > 0.0);
-        assert!(row.auto_compactions >= 1, "served without compacting");
-    }
-    let report = service_throughput_table(&rows);
-    println!("{report}");
-    for header in ["shards", "strategy", "ops/s", "p99_us", "autoc"] {
-        assert!(report.contains(header), "report missing column {header}");
-    }
-    for shards in &config.shard_counts {
-        assert!(report.contains(&shards.to_string()));
-    }
 }

@@ -7,74 +7,81 @@
 //! reads never queue behind writers, flushes or compaction:
 //!
 //! * the write half — manifest, WAL, flush/compaction bookkeeping —
-//!   lives behind one internal mutex; `put`/`delete`/`write_batch`/
-//!   `flush` serialize on it, and a compaction takes it only for its
-//!   two brief bracket sections (see below);
-//! * the read half is lock-free in the fast path: an `ArcSwap` snapshot
-//!   of the live table list (newest first), a shared [`TableCache`] of
-//!   open readers and a shared [`BlockCache`] of decoded blocks.
-//!   [`Lsm::get`] takes `&self`, loads the snapshot, and probes tables
-//!   through the caches — one data block per hit, zero for
-//!   bloom-negative probes;
+//!   lives behind one internal mutex; `put`/`delete`/`write_batch`
+//!   serialize on it, and a flush or compaction step takes it only for
+//!   its brief bracket sections (see below);
+//! * the read half is two wholesale-replaced `Arc`s — the live table
+//!   list (newest first) and the frozen-memtable queue — each behind a
+//!   read/write lock held for one `Arc::clone` or one pointer store,
+//!   never across I/O, plus a shared [`TableCache`] of open readers and
+//!   a shared [`BlockCache`] of decoded blocks. [`Lsm::get`] takes
+//!   `&self`, clones the current view, and probes tables through the
+//!   caches — one data block per hit, zero for bloom-negative probes;
 //! * the memtable sits behind a read/write lock held only for map
 //!   operations, never across I/O.
 //!
-//! Writers publish a fresh snapshot at every table-set change: a flush
-//! publishes *before* clearing the memtable (a concurrent read finds
-//! the data in at least one of the two), and compaction publishes at
-//! the manifest flip, *before* consumed inputs are deleted
-//! ([`ParallelExecutor::commit`]). A reader still holding a
-//! pre-compaction snapshot can race the blob deletion; it detects the
-//! vanished table, reloads the snapshot and retries — the data is, by
+//! Writers publish a fresh view at every table-set change: a flush
+//! publishes its table *before* the flushed generation leaves the frozen
+//! queue (a concurrent read finds the data in at least one of the two),
+//! and compaction publishes at the manifest flip, *before* consumed
+//! inputs are deleted ([`ParallelExecutor::commit`]). A reader still
+//! holding a pre-compaction view can race the blob deletion; it detects
+//! the vanished table, reloads the view and retries — the data is, by
 //! construction, in the compaction output.
 //!
-//! # Compaction
+//! # Maintenance: one pipeline, two drivers
 //!
-//! Every compaction — the scheduler thread's, a writer's whose inline
-//! flush tripped the [`CompactionPolicy`], [`Lsm::auto_compact`],
-//! [`Lsm::major_compact`] — runs through one driver on the asking
-//! thread: take the schedule from a snapshot of the table list, `prepare`
-//! under a brief write lock, merge with no lock held, commit and flip the
-//! manifest under a brief write lock, delete the consumed blobs unlocked.
-//! Whole runs serialize on `compaction_mx`, always taken *before* the
-//! write mutex — so the inline trigger fires only once the writer has
-//! dropped its write guard. A run on a caller's thread is one stall
-//! histogram sample (that caller waited for it); a scheduler run is none.
+//! Everything between a full memtable and a compacted table set is one
+//! pipeline of steps, and there is one copy of each:
 //!
-//! # Background flush & compaction
+//! * **freeze** — a full memtable is swapped in O(1) onto the queue of
+//!   immutable memtables, paired with the WAL segment that made it
+//!   durable; a fresh segment becomes the active one. Reads and range
+//!   scans consult active memtable → frozen queue (newest first) →
+//!   tables;
+//! * **flush step** — the oldest frozen generation is written to an
+//!   sstable with no engine lock held, **published**, and only then
+//!   **retired** together with its WAL segment — a crash at any point
+//!   replays every acked write from the live segments;
+//! * **compaction step** — if the [`CompactionPolicy`] fires, one run
+//!   of the compaction driver: take the schedule from a snapshot of the
+//!   table list (the planner stays the brain: observations →
+//!   `MergePlan` → waves), `prepare` under a brief write lock, merge
+//!   with no lock held, commit and flip the manifest under a brief
+//!   write lock, delete the consumed blobs unlocked. Otherwise, if due,
+//!   one tombstone-GC rewrite. [`Lsm::auto_compact`] and
+//!   [`Lsm::major_compact`] run the same driver on demand.
 //!
-//! With [`LsmOptions::background_maintenance`] enabled, no client write
-//! ever waits on sstable I/O:
+//! [`LsmOptions::background_maintenance`] chooses only *which thread*
+//! runs the steps. Off (the default), the thread that filled the
+//! memtable — or called [`Lsm::flush`] / [`Lsm::maybe_compact`] — runs
+//! them itself once it has dropped its write guard, until none is due:
+//! between two acknowledged calls the store holds no frozen generation
+//! and at most one live WAL segment, which is what makes the test
+//! batteries and the simulator deterministic. On, a **flush thread** and
+//! a **compaction scheduler thread** loop over the same steps, no client
+//! write waits on sstable I/O, and **tiered write stalls** pace writers
+//! instead: before taking the write lock a writer computes the
+//! maintenance debt (frozen-queue depth + compaction backlog); past
+//! [`LsmOptions::slowdown_trigger`] each write is delayed by a bounded
+//! sleep, past [`LsmOptions::stop_trigger`] writes block until
+//! maintenance catches up. The current tier is exported via
+//! [`LsmPressure::stall_tier`] so an admission controller is a backstop,
+//! not the steady state. Dropping the store signals and joins both
+//! threads, draining the frozen queue first so no acked write exists
+//! only in memory.
 //!
-//! * a full memtable is **frozen** in O(1): swapped out onto an
-//!   `ArcSwap`'d queue of immutable memtables, each paired with the WAL
-//!   segment that made it durable. Reads and range scans consult
-//!   active memtable → frozen queue (newest first) → tables;
-//! * a dedicated **flush thread** drains the queue oldest-first into
-//!   sstables, retiring each frozen memtable and its WAL segment only
-//!   *after* its sstable is durable and published — a crash at any
-//!   point replays every acked write from the live WAL segments;
-//! * a **compaction scheduler thread** owns the policy: the planner
-//!   stays the brain (observations → `MergePlan` → waves) and the
-//!   driver above runs on the scheduler, not on a writer;
-//! * **tiered write stalls** replace inline stalling: writers compute
-//!   the maintenance debt (frozen-queue depth + compaction backlog)
-//!   before taking the write lock. Past
-//!   [`LsmOptions::slowdown_trigger`] each write is delayed by a
-//!   bounded sleep; past [`LsmOptions::stop_trigger`] (or a saturated
-//!   frozen queue) writes block until maintenance catches up. The
-//!   current tier is exported via [`LsmPressure::stall_tier`] so an
-//!   admission controller is a backstop, not the steady state.
-//!
-//! Dropping the store signals and joins both threads, draining the
-//! frozen queue first so no acked write exists only in memory.
+//! Flush steps serialize on `flush_mx` and compaction steps on
+//! `compaction_mx`, each taken *before* the write mutex and never
+//! together — so a step is never started from under the write guard. A
+//! merge a caller's thread ran is one stall histogram sample (that
+//! caller waited for it); a scheduler-thread run is none.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use arc_swap::ArcSwap;
 use bytes::Bytes;
 use compaction_core::MergePlan;
 use obs::{EventKind, EventRing};
@@ -104,6 +111,12 @@ const SLOWDOWN_SLEEP: Duration = Duration::from_micros(500);
 /// Re-check period for blocked waits (stop-tier writers, queue drains,
 /// worker idle loops): a safety net against missed condvar wakeups.
 const STALL_WAIT_SLICE: Duration = Duration::from_millis(10);
+/// Consecutive data blocks one ranged read fetches when a range scan
+/// walks an sstable. Spans never extend past the block covering the
+/// scan's end bound and the prefetched blocks decode lazily: readahead
+/// trades one larger read for fewer storage round-trips. Point reads
+/// always fetch exactly one block.
+const SCAN_READAHEAD_BLOCKS: usize = 8;
 /// Back-off before a maintenance worker retries a failed flush/merge.
 const WORKER_RETRY_DELAY: Duration = Duration::from_millis(5);
 
@@ -116,10 +129,10 @@ const FLUSH_FAILURE_GIVE_UP: u64 = 3;
 /// A single-node LSM key-value store.
 ///
 /// Writes go to the memtable (and WAL); when the memtable reaches its key
-/// capacity it is flushed into a new immutable sstable — inline by
-/// default, or by a background flush thread when
-/// [`LsmOptions::background_maintenance`] is enabled (the memtable is
-/// then frozen in O(1) and queued). Reads consult the active memtable,
+/// capacity it is frozen in O(1) and flushed into a new immutable
+/// sstable — by the writing thread before its call returns, or by a
+/// flush thread when [`LsmOptions::background_maintenance`] is enabled.
+/// Reads consult the active memtable,
 /// then any frozen memtables (newest first), then the live sstables
 /// newest-first through their readers and the table/block caches, using
 /// each table's bloom filter and key range to skip runs without I/O.
@@ -147,13 +160,13 @@ const FLUSH_FAILURE_GIVE_UP: u64 = 3;
 #[derive(Debug)]
 pub struct Lsm {
     inner: Arc<LsmInner>,
-    /// Background maintenance threads (flush, compaction scheduler).
-    /// Empty unless [`LsmOptions::background_maintenance`] is enabled.
+    /// Maintenance worker threads (flush, compaction scheduler). Empty
+    /// unless [`LsmOptions::background_maintenance`] is enabled.
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// The engine state proper, shared between the `Lsm` handle and its
-/// background maintenance threads via `Arc`.
+/// maintenance worker threads via `Arc`.
 #[derive(Debug)]
 pub(crate) struct LsmInner {
     options: LsmOptions,
@@ -167,10 +180,13 @@ pub(crate) struct LsmInner {
     memtable: RwLock<Memtable>,
     /// Frozen immutable memtables awaiting flush, oldest first. Pushed
     /// by [`LsmInner::freeze_active`] (under the write mutex), popped by
-    /// the flush thread after the corresponding sstable is durable.
-    frozen: ArcSwap<Vec<Arc<FrozenGen>>>,
-    /// The atomically-swappable read view: live tables, newest first.
-    snapshot: ArcSwap<ReadView>,
+    /// [`LsmInner::flush_step`] after the corresponding sstable is
+    /// durable. Replaced wholesale; the lock is held for one
+    /// `Arc::clone` or pointer store, never across I/O.
+    frozen: RwLock<Arc<Vec<Arc<FrozenGen>>>>,
+    /// The read view: live tables, newest first. Replaced wholesale at
+    /// every table-set change, under the same locking rule as `frozen`.
+    snapshot: RwLock<Arc<ReadView>>,
     table_cache: Arc<TableCache>,
     block_cache: Arc<BlockCache>,
     read_counters: ReadPathCounters,
@@ -199,17 +215,19 @@ pub(crate) struct LsmInner {
     /// [`EventKind::StallTierChange`] events.
     stall_tier_seen: AtomicU64,
     /// Memtable generation ids tying freeze → flush → retire events of
-    /// one generation together (inline flushes allocate from the same
-    /// sequence).
+    /// one generation together.
     next_flush_generation: AtomicU64,
     /// Writes delayed by the slowdown stall tier.
     slowdown_stalls: AtomicU64,
     /// Writes blocked by the stop stall tier.
     stop_stalls: AtomicU64,
-    /// Sstables written by the background flush thread.
+    /// Flush steps the flush thread ran (caller-driven steps are not
+    /// counted).
     bg_flushes: AtomicU64,
-    /// Table id **plus one** of the newest background flush; 0 = none.
-    last_bg_flush_table: AtomicU64,
+    /// Serializes flush steps, so generations flush one at a time,
+    /// oldest first, whichever thread drives. Lock order: `flush_mx`
+    /// before `write`; never held together with `compaction_mx`.
+    flush_mx: Mutex<()>,
     /// Serializes whole compaction runs and tombstone-GC rewrites
     /// without holding the write mutex across the merge. Lock order:
     /// `compaction_mx` before `write`.
@@ -234,6 +252,9 @@ struct FrozenGen {
     generation: u64,
     memtable: Memtable,
     wal_segment: Option<String>,
+    /// The sstable this generation was flushed into, set at publish —
+    /// what a `flush()` that rotated this generation returns.
+    table: OnceLock<u64>,
 }
 
 /// Signals between writers and the maintenance threads. Uses std
@@ -287,7 +308,7 @@ struct WriteState {
     wal: Option<Wal>,
     flushes_since_compaction: u64,
     /// Generation number for the next WAL segment (one segment per
-    /// memtable generation under background maintenance).
+    /// memtable generation).
     next_wal_generation: u64,
     /// Behind [`LsmStats::wal_appends`] / [`LsmStats::wal_bytes_written`].
     wal_appends: u64,
@@ -313,9 +334,10 @@ macro_rules! lsm_stats {
         pub struct LsmStats {
             $($(#[$doc])* pub $field: u64,)*
             /// Wall-clock time writes were stalled behind compaction
-            /// work: inline merge time, plus slowdown sleeps and stop
-            /// blocks under background maintenance. Background merge
-            /// time itself does **not** count — no write waits on it.
+            /// work: merges run on a caller's thread, plus the slowdown
+            /// sleeps and stop blocks that pace writers when worker
+            /// threads drive maintenance. Merge time on the scheduler
+            /// thread does **not** count — no write waits on it.
             /// Derived at snapshot time from the engine's stall
             /// histogram ([`EngineMetrics::stall`]), the single source
             /// every stall surface reads from.
@@ -407,8 +429,8 @@ lsm_stats! {
     /// Sum of the planner's predicted `cost_actual` (in keys) over all
     /// policy-driven compactions, for planned-vs-measured comparison.
     compaction_predicted_cost,
-    /// Sstables written by the background flush thread (a subset of
-    /// [`LsmStats::flushes`]).
+    /// Flush steps the flush thread ran (a subset of
+    /// [`LsmStats::flushes`]; 0 when the caller drives maintenance).
     bg_flushes,
     /// Writes delayed by the slowdown stall tier (bounded sleep).
     slowdown_stalls,
@@ -488,7 +510,7 @@ impl LsmStats {
 }
 
 /// The write-stall tier currently in force, from the tiered triggers
-/// that replace binary BUSY under background maintenance (modelled on
+/// that pace writers when worker threads drive maintenance (modelled on
 /// RocksDB's `l0_slowdown_writes_trigger` / `l0_stop_writes_trigger`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StallTier {
@@ -499,19 +521,18 @@ pub enum StallTier {
     /// write is delayed by a bounded sleep so flush/compaction can
     /// catch up gradually.
     Slowdown,
-    /// Debt crossed [`LsmOptions::stop_trigger`] (or the frozen queue
-    /// is saturated): writes block until maintenance drains the
-    /// backlog.
+    /// Debt crossed [`LsmOptions::stop_trigger`]: writes block until
+    /// maintenance drains the backlog.
     Stop,
 }
 
-/// A lock-free snapshot of how overloaded a store currently is — the
-/// signals an admission controller sheds load on.
+/// A snapshot of how overloaded a store currently is — the signals an
+/// admission controller sheds load on.
 ///
 /// Produced by [`Lsm::pressure`] without touching the write mutex, so a
 /// server can probe a shard that is mid-compaction and still get an
-/// instant answer. Under inline maintenance the headline signal is
-/// [`LsmPressure::current_stall`]; under background maintenance it is
+/// instant answer. When callers drive maintenance the headline signal
+/// is [`LsmPressure::current_stall`]; when worker threads do it is
 /// [`LsmPressure::stall_tier`] and [`LsmPressure::frozen_queue_depth`] —
 /// how far storage maintenance has fallen behind the write rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -524,11 +545,10 @@ pub struct LsmPressure {
     pub memtable_capacity: usize,
     /// `true` while a compaction is executing (on any thread).
     pub compaction_running: bool,
-    /// Wall-clock age of the in-progress compaction under inline
-    /// maintenance, where it runs on a writer's thread and every write
-    /// whose flush trips the policy queues behind it. Zero when idle
-    /// and under background maintenance, where no write waits on a
-    /// merge.
+    /// Wall-clock age of the in-progress compaction when callers drive
+    /// maintenance: it runs on a writer's thread, and every write whose
+    /// flush trips the policy queues behind it. Zero when idle and when
+    /// worker threads drive, where no write waits on a merge.
     pub current_stall: Duration,
     /// Wall-clock time writes stalled behind completed compactions and
     /// tiered write stalls.
@@ -538,11 +558,11 @@ pub struct LsmPressure {
     /// due, ≥ 1 means flushes are outrunning compaction (the deeper, the
     /// further behind). Always 0 for non-threshold policies.
     pub compaction_backlog: usize,
-    /// Frozen memtables queued for background flush (0 when background
-    /// maintenance is off).
+    /// Frozen memtables queued for flush (0 between calls when the
+    /// caller drives maintenance).
     pub frozen_queue_depth: usize,
-    /// The write-stall tier currently in force
-    /// ([`StallTier::None`] when background maintenance is off).
+    /// The write-stall tier currently in force ([`StallTier::None`]
+    /// when the caller drives maintenance).
     pub stall_tier: StallTier,
 }
 
@@ -554,8 +574,8 @@ pub struct AutoCompaction {
     pub plan: MergePlan,
     /// The physical outcome (entries/bytes read and written).
     pub outcome: CompactionOutcome,
-    /// Wall-clock time the compaction took (planning + merging). Under
-    /// the background scheduler this is elapsed time, not write stall.
+    /// Wall-clock time the compaction took (planning + merging). On the
+    /// scheduler thread this is elapsed time, not write stall.
     pub stall: Duration,
 }
 
@@ -565,8 +585,9 @@ impl Lsm {
     ///
     /// With [`LsmOptions::background_maintenance`] enabled this also
     /// spawns the flush thread (and, under an automatic
-    /// [`CompactionPolicy`], the compaction scheduler thread). Both are
-    /// signalled and joined when the store is dropped.
+    /// [`CompactionPolicy`], the compaction scheduler thread) that
+    /// drive the maintenance pipeline. Both are signalled and joined
+    /// when the store is dropped.
     ///
     /// # Errors
     ///
@@ -640,7 +661,7 @@ impl Lsm {
     /// The store's current overload signals, read without the write
     /// mutex: live-table count from the read snapshot, memtable fill
     /// under a brief read lock, frozen-queue depth and stall tier from
-    /// atomically-swapped state. Safe to call at any rate from any
+    /// the frozen queue's current `Arc`. Safe to call at any rate from any
     /// thread — in particular while this store is deep inside a
     /// compaction, which is exactly when an admission controller needs
     /// the answer.
@@ -682,10 +703,10 @@ impl Lsm {
         self.inner.memtable.read().len()
     }
 
-    /// Frozen memtables currently queued for background flush.
+    /// Frozen memtables currently queued for flush.
     #[must_use]
     pub fn frozen_queue_depth(&self) -> usize {
-        self.inner.frozen.load_full().len()
+        self.inner.frozen_queue().len()
     }
 
     /// Bytes currently held by the block cache (diagnostics).
@@ -709,9 +730,10 @@ impl Lsm {
     ///
     /// # Errors
     ///
-    /// Propagates WAL/storage failures; flush failures if the write fills
-    /// the memtable (inline mode only — under background maintenance a
-    /// full memtable is frozen in O(1) with no I/O).
+    /// Propagates WAL/storage failures; flush and compaction failures
+    /// if the write fills the memtable and this thread drives
+    /// maintenance (the write itself is then already logged and
+    /// applied).
     pub fn put(&self, key: impl IntoKey, value: impl Into<Value>) -> Result<(), Error> {
         self.inner.put(key.into_key(), value.into())
     }
@@ -799,8 +821,8 @@ impl Lsm {
     /// Point read: newest visible value for `key`, or `None` if the key
     /// was never written or its newest version is a tombstone.
     ///
-    /// Lock-free against writers: consults the active memtable under a
-    /// brief read lock, then any frozen memtables newest-first, then
+    /// Never waits on the write mutex: consults the active memtable
+    /// under a brief read lock, then any frozen memtables newest-first, then
     /// probes the snapshot's tables newest-first through the table and
     /// block caches. If compaction retires a probed table mid-read (its
     /// blob vanishes), the read reloads the snapshot and retries — the
@@ -813,16 +835,18 @@ impl Lsm {
         self.inner.get(&key.into_key())
     }
 
-    /// Flushes the memtable to a new sstable even if it is not full.
-    /// A no-op on an empty memtable. Under background maintenance this
-    /// freezes the active memtable and **waits** for the flush thread to
-    /// drain the whole frozen queue, so on return everything previously
-    /// written is table-durable.
+    /// Flushes the memtable to a new sstable even if it is not full:
+    /// freezes the active memtable and returns once the whole frozen
+    /// queue has been flushed — by this thread, or by waiting for the
+    /// flush thread — so on return everything previously written is
+    /// table-durable.
     ///
-    /// After a successful flush the configured [`CompactionPolicy`] is
-    /// consulted ([`Lsm::maybe_compact`]); under an automatic policy the
-    /// returned table may therefore already have been merged away by the
-    /// time this returns.
+    /// Returns the id of the table the memtable *this call* rotated was
+    /// flushed into, or `None` if the active memtable was empty (older
+    /// frozen generations are still drained). The configured
+    /// [`CompactionPolicy`] gets its turn after every flush step, so
+    /// under an automatic policy the returned table may already have
+    /// been merged away by the time this returns.
     ///
     /// # Errors
     ///
@@ -832,11 +856,14 @@ impl Lsm {
         self.inner.flush()
     }
 
-    /// Consults the configured [`CompactionPolicy`] and, if it fires,
-    /// plans and executes a full compaction of the live tables. Called
-    /// automatically after every flush; callable directly to re-check
-    /// the policy at any time. Under background maintenance this only
-    /// kicks the scheduler thread and returns `Ok(None)` immediately.
+    /// Gives the maintenance pipeline its turn. When the caller drives
+    /// maintenance this runs every step that is due on this thread —
+    /// consults the configured [`CompactionPolicy`] and, if it fires,
+    /// plans and executes a full compaction of the live tables — and
+    /// returns that compaction. With worker threads it only wakes them
+    /// and returns `Ok(None)` immediately. Happens by itself after every
+    /// memtable rotation; callable directly to re-check the policy at
+    /// any time.
     ///
     /// Returns `Ok(None)` when the policy does not fire (or is not
     /// automatic).
@@ -845,7 +872,7 @@ impl Lsm {
     ///
     /// Propagates planning and storage failures.
     pub fn maybe_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        self.inner.maybe_compact()
+        self.inner.drive()
     }
 
     /// Plans a compaction of the live tables with the configured
@@ -1146,7 +1173,7 @@ impl LsmInner {
             None
         };
         let wal_bytes_written = wal.as_ref().map_or(0, Wal::segment_len);
-        let snapshot = ArcSwap::new(Arc::new(ReadView::from_manifest(&manifest)));
+        let snapshot = RwLock::new(Arc::new(ReadView::from_manifest(&manifest)));
         let events = crate::metrics::event_ring_for(&options);
         let shard = options.shard_tag_id();
         if recovery.segments_scanned > 0 {
@@ -1188,7 +1215,7 @@ impl LsmInner {
             }),
             stats: Mutex::new(stats),
             memtable: RwLock::new(memtable),
-            frozen: ArcSwap::new(Arc::new(Vec::new())),
+            frozen: RwLock::new(Arc::new(Vec::new())),
             snapshot,
             read_counters: ReadPathCounters::default(),
             gets: AtomicU64::new(0),
@@ -1206,7 +1233,7 @@ impl LsmInner {
             slowdown_stalls: AtomicU64::new(0),
             stop_stalls: AtomicU64::new(0),
             bg_flushes: AtomicU64::new(0),
-            last_bg_flush_table: AtomicU64::new(0),
+            flush_mx: Mutex::new(()),
             compaction_mx: Mutex::new(()),
             gc_barren: Mutex::new(Vec::new()),
             pins: Mutex::new(BTreeMap::new()),
@@ -1240,7 +1267,7 @@ impl LsmInner {
         stats.bg_flushes = self.bg_flushes.load(Ordering::Relaxed);
         stats.slowdown_stalls = self.slowdown_stalls.load(Ordering::Relaxed);
         stats.stop_stalls = self.stop_stalls.load(Ordering::Relaxed);
-        stats.frozen_queue_depth = self.frozen.load_full().len() as u64;
+        stats.frozen_queue_depth = self.frozen_queue().len() as u64;
         stats.compaction_stall = Duration::from_micros(self.metrics.stall.sum());
         stats.wal_segments_live = Wal::live_segments(self.storage.as_ref()).len() as u64;
         let w = self.write.lock();
@@ -1251,7 +1278,7 @@ impl LsmInner {
     }
 
     fn pressure(&self) -> LsmPressure {
-        let live_tables = self.snapshot.load_full().tables.len();
+        let live_tables = self.read_view().tables.len();
         let memtable_len = self.memtable.read().len();
         let started = self.compaction_started.load(Ordering::Relaxed);
         // Under background maintenance no write waits on a merge, so a
@@ -1262,12 +1289,6 @@ impl LsmInner {
             let now = self.epoch.elapsed().as_micros() as u64;
             Duration::from_micros(now.saturating_sub(started - 1))
         };
-        let compaction_backlog = match self.options.policy() {
-            CompactionPolicy::Threshold {
-                live_tables: trigger,
-            } => (live_tables + 1).saturating_sub(trigger),
-            _ => 0,
-        };
         LsmPressure {
             live_tables,
             memtable_len,
@@ -1275,36 +1296,39 @@ impl LsmInner {
             compaction_running: started != 0,
             current_stall,
             total_stall: Duration::from_micros(self.metrics.stall.sum()),
-            compaction_backlog,
-            frozen_queue_depth: self.frozen.load_full().len(),
+            compaction_backlog: self.compaction_backlog(live_tables),
+            frozen_queue_depth: self.frozen_queue().len(),
             stall_tier: self.stall_tier(),
         }
     }
 
-    /// The total maintenance debt writers are throttled on (frozen-queue
-    /// depth + compaction backlog) and the queue depth alone.
-    fn maintenance_debt(&self) -> (usize, usize) {
-        let depth = self.frozen.load_full().len();
-        let backlog = match self.options.policy() {
+    /// How many of `live_tables` sit at or beyond the
+    /// [`CompactionPolicy::Threshold`] trigger (0 for other policies).
+    fn compaction_backlog(&self, live_tables: usize) -> usize {
+        match self.options.policy() {
             CompactionPolicy::Threshold {
                 live_tables: trigger,
-            } => (self.snapshot.load_full().tables.len() + 1).saturating_sub(trigger),
+            } => (live_tables + 1).saturating_sub(trigger),
             _ => 0,
-        };
-        (depth + backlog, depth)
+        }
     }
 
-    /// The stall tier currently in force ([`StallTier::None`] when
-    /// background maintenance is off: inline mode stalls the writer that
-    /// trips the policy, not every writer).
+    /// The maintenance debt writers are throttled on: frozen-queue
+    /// depth + compaction backlog.
+    fn maintenance_debt(&self) -> usize {
+        self.frozen_queue().len() + self.compaction_backlog(self.read_view().tables.len())
+    }
+
+    /// The stall tier currently in force. [`StallTier::None`] when the
+    /// caller drives maintenance: the writer that rotates a memtable
+    /// pays for the steps itself, and a stopped writer with no worker
+    /// thread to wait for would wait forever.
     fn stall_tier(&self) -> StallTier {
         if !self.background() {
             return StallTier::None;
         }
-        let (debt, depth) = self.maintenance_debt();
-        if depth >= self.options.frozen_queue_limit_generations()
-            || debt >= self.options.stop_trigger_debt()
-        {
+        let debt = self.maintenance_debt();
+        if debt >= self.options.stop_trigger_debt() {
             StallTier::Stop
         } else if debt >= self.options.slowdown_trigger_debt() {
             StallTier::Slowdown
@@ -1415,21 +1439,25 @@ impl LsmInner {
 
     /// The shape every write shares: throttle, run `apply` under the
     /// write mutex, rotate the memtable if that filled it, and — only
-    /// once the guard is gone — let the policy compact on this thread.
-    /// Lock order is `compaction_mx` before `write`, so a compaction
-    /// must never be started from under the write guard.
+    /// once the guard is gone — get the rotated generation flushed
+    /// ([`LsmInner::drive`]). Lock order is `flush_mx` / `compaction_mx`
+    /// before `write`, so no step may start from under the write guard.
     fn write_with(
         &self,
         apply: impl FnOnce(&mut WriteState) -> Result<(), Error>,
     ) -> Result<(), Error> {
         self.throttle_write();
-        let flushed = {
+        let full = {
             let mut w = self.write.lock();
             apply(&mut w)?;
-            self.maybe_flush(&mut w)?
+            let full = self.memtable.read().is_full();
+            if full {
+                self.freeze_active(&mut w);
+            }
+            full
         };
-        if flushed {
-            self.maybe_compact()?;
+        if full {
+            self.drive()?;
         }
         Ok(())
     }
@@ -1517,40 +1545,26 @@ impl LsmInner {
         })
     }
 
-    /// Rotates a full memtable: frozen onto the queue under background
-    /// maintenance, flushed in line otherwise. Returns `true` when an
-    /// inline flush added a table, i.e. when the caller owes the policy
-    /// a [`LsmInner::maybe_compact`] after dropping its write guard.
-    fn maybe_flush(&self, w: &mut WriteState) -> Result<bool, Error> {
-        if !self.memtable.read().is_full() {
-            return Ok(false);
-        }
-        if self.background() {
-            self.freeze_active(w);
-            return Ok(false);
-        }
-        Ok(self.flush_locked(w)?.is_some())
-    }
-
-    /// O(1) memtable rotation (background mode): swap the full active
-    /// memtable onto the frozen queue and park its WAL segment with it;
-    /// a fresh segment becomes the active one. No storage I/O happens
-    /// here — the flush thread does the heavy lifting.
+    /// O(1) memtable rotation, the first step of the pipeline: swap the
+    /// active memtable onto the frozen queue and park its WAL segment
+    /// with it; a fresh segment becomes the active one (which also
+    /// leaves a poisoned segment behind). No storage I/O happens here —
+    /// [`LsmInner::flush_step`] does the heavy lifting.
     ///
     /// Runs under the write mutex. The swap and the queue publication
     /// happen inside one memtable-write-lock critical section, so a
     /// concurrent reader sees either the pre-swap active memtable or
     /// the published frozen generation — never the empty in-between.
     ///
-    /// If the queue is already at [`LsmOptions::frozen_queue_limit`],
-    /// the rotation is skipped: the active memtable keeps absorbing
-    /// writes past capacity while the stop stall tier (which fires at
-    /// queue saturation) bounds how far that grows.
-    fn freeze_active(&self, w: &mut WriteState) {
-        let queue = self.frozen.load_full();
-        if queue.len() >= self.options.frozen_queue_limit_generations() {
-            self.maint.flush_signal.notify();
-            return;
+    /// If the queue already holds [`LsmOptions::stop_trigger`]
+    /// generations the rotation is skipped (`None`): the active
+    /// memtable keeps absorbing writes past capacity while the stop
+    /// stall tier, which that depth alone puts in force, bounds how far
+    /// it grows.
+    fn freeze_active(&self, w: &mut WriteState) -> Option<Arc<FrozenGen>> {
+        let queue = self.frozen_queue();
+        if queue.len() >= self.options.stop_trigger_debt() {
+            return None;
         }
         let wal_segment = w.wal.take().map(|wal| wal.segment_name().to_string());
         if self.options.wal_enabled() {
@@ -1563,29 +1577,28 @@ impl LsmInner {
         // so pinned snapshots keep their versions across the rotation.
         let mut fresh = Memtable::new(self.options.memtable_capacity_keys());
         fresh.set_retain_floor(self.pin_floor());
-        let (entries, queue_depth) = {
+        let gen = {
             let mut active = self.memtable.write();
-            let frozen_memtable = std::mem::replace(&mut *active, fresh);
-            let entries = frozen_memtable.len() as u64;
-            let mut next: Vec<Arc<FrozenGen>> = queue.as_ref().clone();
-            next.push(Arc::new(FrozenGen {
+            let gen = Arc::new(FrozenGen {
                 generation,
-                memtable: frozen_memtable,
+                memtable: std::mem::replace(&mut *active, fresh),
                 wal_segment,
-            }));
-            let queue_depth = next.len() as u64;
-            self.frozen.store(Arc::new(next));
-            (entries, queue_depth)
+                table: OnceLock::new(),
+            });
+            let mut next: Vec<Arc<FrozenGen>> = queue.as_ref().clone();
+            next.push(Arc::clone(&gen));
+            *self.frozen.write() = Arc::new(next);
+            gen
         };
         self.emit(
             EventKind::MemtableFreeze,
             vec![
                 ("generation", generation),
-                ("entries", entries),
-                ("queue_depth", queue_depth),
+                ("entries", gen.memtable.len() as u64),
+                ("queue_depth", queue.len() as u64 + 1),
             ],
         );
-        self.maint.flush_signal.notify();
+        Some(gen)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Value>, Error> {
@@ -1624,7 +1637,7 @@ impl LsmInner {
                     return Ok(None);
                 }
             }
-            let frozen = self.frozen.load_full();
+            let frozen = self.frozen_queue();
             for gen in frozen.iter().rev() {
                 let shadow = gen.memtable.max_covering_range_del(key, upto);
                 if let Some(entry) = gen.memtable.get_visible(key, upto) {
@@ -1635,7 +1648,7 @@ impl LsmInner {
                     return Ok(None);
                 }
             }
-            let snap = self.snapshot.load_full();
+            let snap = self.read_view();
             match self.probe_tables(&snap, key, upto) {
                 Ok(found) => return Ok(found),
                 Err(e) if is_retired_table(&e) && self.read_view_changed(&snap) => continue,
@@ -1684,24 +1697,23 @@ impl LsmInner {
     }
 
     fn live_tables(&self) -> Vec<TableMeta> {
-        self.snapshot
-            .load_full()
-            .tables
-            .iter()
-            .rev()
-            .cloned()
-            .collect()
+        self.read_view().tables.iter().rev().cloned().collect()
     }
 
     /// `true` when the live read view has been swapped since `seen` was
     /// loaded (a flush or compaction published new tables).
     pub(crate) fn read_view_changed(&self, seen: &Arc<ReadView>) -> bool {
-        !Arc::ptr_eq(seen, &self.snapshot.load_full())
+        !Arc::ptr_eq(seen, &self.read_view())
     }
 
     /// The current read view (live tables, newest first).
     pub(crate) fn read_view(&self) -> Arc<ReadView> {
-        self.snapshot.load_full()
+        Arc::clone(&self.snapshot.read())
+    }
+
+    /// The frozen generations awaiting flush, oldest first.
+    fn frozen_queue(&self) -> Arc<Vec<Arc<FrozenGen>>> {
+        Arc::clone(&self.frozen.read())
     }
 
     /// Opens (or fetches from the table cache) the reader for a live
@@ -1713,14 +1725,13 @@ impl LsmInner {
 
     /// The read context range scans fetch blocks through: cached blocks
     /// are used, fetched ones are not inserted (a long scan must not
-    /// flush the hot set), readahead width from
-    /// [`LsmOptions::scan_readahead_blocks`].
+    /// flush the hot set), [`SCAN_READAHEAD_BLOCKS`] per ranged read.
     pub(crate) fn scan_read_ctx(&self) -> ReadContext<'_> {
         ReadContext {
             storage: self.storage.as_ref(),
             block_cache: Some(&self.block_cache),
             fill_cache: false,
-            readahead_blocks: self.options.scan_readahead(),
+            readahead_blocks: SCAN_READAHEAD_BLOCKS,
             counters: &self.read_counters,
         }
     }
@@ -1743,8 +1754,7 @@ impl LsmInner {
         start: &std::ops::Bound<Key>,
         end: &std::ops::Bound<Key>,
     ) -> Vec<Vec<Entry>> {
-        self.frozen
-            .load_full()
+        self.frozen_queue()
             .iter()
             .map(|gen| gen.memtable.range(start, end))
             .collect()
@@ -1763,7 +1773,7 @@ impl LsmInner {
             .filter(|rd| rd.seqno <= upto)
             .cloned()
             .collect();
-        for gen in self.frozen.load_full().iter() {
+        for gen in self.frozen_queue().iter() {
             rds.extend(
                 gen.memtable
                     .range_dels()
@@ -1790,29 +1800,29 @@ impl LsmInner {
     }
 
     fn flush(&self) -> Result<Option<u64>, Error> {
-        if !self.background() {
-            let table = self.flush_locked(&mut self.write.lock())?;
-            if table.is_some() {
-                self.maybe_compact()?;
-            }
-            return Ok(table);
-        }
-        // Background mode: rotate the active memtable onto the queue
-        // and wait for the flush thread to drain everything.
         loop {
+            let (rotated, saturated) = {
+                let mut w = self.write.lock();
+                if self.memtable.read().is_empty() {
+                    (None, false)
+                } else {
+                    let rotated = self.freeze_active(&mut w);
+                    let saturated = rotated.is_none();
+                    (rotated, saturated)
+                }
+            };
             self.drain_frozen_queue()?;
-            let mut w = self.write.lock();
-            if self.memtable.read().is_empty() {
-                break;
+            // A saturated queue refused the rotation; it has drained
+            // now, so the retry goes through.
+            if !saturated {
+                return Ok(rotated.and_then(|gen| gen.table.get().copied()));
             }
-            self.freeze_active(&mut w);
         }
-        let stamped = self.last_bg_flush_table.load(Ordering::Relaxed);
-        Ok(stamped.checked_sub(1))
     }
 
-    /// Blocks until the frozen queue is empty (or shutdown), kicking
-    /// the flush thread along the way.
+    /// Returns once the frozen queue is empty (or at shutdown), driving
+    /// the pipeline until then: a caller-driven store runs the steps
+    /// right here, a threaded one waits on the flush thread's progress.
     ///
     /// Gives up with the flush thread's own error once it has failed
     /// [`FLUSH_FAILURE_GIVE_UP`] consecutive attempts: a dead backend
@@ -1821,8 +1831,9 @@ impl LsmInner {
     /// only drains through successes, so a stale streak cannot outlive
     /// the condition it reports while the queue is non-empty.)
     fn drain_frozen_queue(&self) -> Result<(), Error> {
-        while !self.frozen.load_full().is_empty() {
-            if self.maint.shutdown.load(Ordering::SeqCst) {
+        loop {
+            self.drive()?;
+            if self.frozen_queue().is_empty() || self.maint.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
             if self.maint.flush_failure_streak.load(Ordering::SeqCst) >= FLUSH_FAILURE_GIVE_UP {
@@ -1837,62 +1848,8 @@ impl LsmInner {
                     "background flush cannot make progress: {detail}"
                 ))));
             }
-            self.maint.flush_signal.notify();
             self.maint.progress_signal.wait_timeout(STALL_WAIT_SLICE);
         }
-        Ok(())
-    }
-
-    /// Inline flush: memtable → sstable under the write mutex
-    /// (synchronous mode, and the building block background mode skips).
-    fn flush_locked(&self, w: &mut WriteState) -> Result<Option<u64>, Error> {
-        // Snapshot the entries without draining: concurrent reads keep
-        // hitting the memtable until the new table is published.
-        let (entries, range_dels): (Vec<Entry>, Vec<RangeTombstone>) = {
-            let memtable = self.memtable.read();
-            if memtable.is_empty() {
-                return Ok(None);
-            }
-            (memtable.iter().collect(), memtable.range_dels().to_vec())
-        };
-        // Inline flushes are their own freeze: the memtable goes
-        // straight to a table, so one generation id covers the whole
-        // freeze → flush → retire lifecycle in the trace.
-        let generation = self.next_flush_generation.fetch_add(1, Ordering::Relaxed);
-        let entry_total = entries.len() as u64;
-        self.emit(
-            EventKind::FlushStart,
-            vec![("generation", generation), ("entries", entry_total)],
-        );
-        let started = Instant::now();
-        let table_id = w.manifest.allocate_table_id();
-        let meta = self.write_table(table_id, entries, range_dels)?;
-        w.manifest.apply(ManifestEdit::AddTable(meta))?;
-        w.manifest.persist(self.storage.as_ref())?;
-        // Publish the new table, *then* clear the memtable: a read
-        // between the two sees the data twice (deduplicated by seqno),
-        // never zero times.
-        self.publish_snapshot(&w.manifest);
-        self.memtable.write().clear();
-        self.metrics.flush.record_duration(started.elapsed());
-        self.emit(
-            EventKind::FlushPublish,
-            vec![
-                ("generation", generation),
-                ("table", table_id),
-                ("entries", entry_total),
-            ],
-        );
-        if let Some(wal) = &mut w.wal {
-            wal.reset(self.storage.as_ref())?;
-            self.emit(
-                EventKind::WalSegmentRetire,
-                vec![("generation", generation)],
-            );
-        }
-        self.stats.lock().flushes += 1;
-        w.flushes_since_compaction += 1;
-        Ok(Some(table_id))
     }
 
     /// [`write_table`] over this store's storage and options. No engine
@@ -1912,31 +1869,155 @@ impl LsmInner {
         )
     }
 
-    // ---- background flush thread ----
+    // ---- the maintenance pipeline: steps ----
 
-    /// The flush thread's main loop: drain the frozen queue
-    /// oldest-first into sstables. Keeps draining after shutdown is
-    /// signalled until the queue is empty, so drop never abandons an
-    /// acked write to a memory-only memtable.
+    /// One flush step: flush the oldest frozen generation, if any, and
+    /// report whether there was one. `flush_mx` makes the step exclusive,
+    /// so generations reach the manifest oldest first and none is flushed
+    /// twice, whichever threads drive.
+    ///
+    /// The sstable is built with **no engine lock held** (the expensive
+    /// part), committed under a brief write-lock section, and only then
+    /// are the generation and its WAL segment retired. Publication order
+    /// matters: the sstable enters the read snapshot *before* the
+    /// generation leaves the frozen queue, so a concurrent reader sees
+    /// the data in at least one of the two (duplicates deduplicate by
+    /// source precedence). On an error the generation stays queued and
+    /// its segment live, so nothing is lost and a later step retries.
+    fn flush_step(&self) -> Result<bool, Error> {
+        let _serial = self.flush_mx.lock();
+        let Some(gen) = self.frozen_queue().first().cloned() else {
+            return Ok(false);
+        };
+        // A generation holding only range tombstones still flushes — the
+        // records must out-live the WAL segment retired below.
+        let entries: Vec<Entry> = gen.memtable.iter().collect();
+        let range_dels = gen.memtable.range_dels().to_vec();
+        let started = Instant::now();
+        self.emit(
+            EventKind::FlushStart,
+            vec![
+                ("generation", gen.generation),
+                ("entries", entries.len() as u64),
+            ],
+        );
+        let table_id = self.write.lock().manifest.allocate_table_id();
+        let meta = self.write_table(table_id, entries, range_dels)?;
+        self.retire_frozen(&gen, meta)?;
+        self.metrics.flush.record_duration(started.elapsed());
+        self.stats.lock().flushes += 1;
+        self.maint.progress_signal.notify();
+        Ok(true)
+    }
+
+    /// Commits a flushed generation: publish its sstable, pop the
+    /// generation off the frozen queue, and retire its WAL segment —
+    /// strictly in that order, so a crash at any point leaves the data
+    /// recoverable from either the table or the segment.
+    fn retire_frozen(&self, gen: &Arc<FrozenGen>, meta: TableMeta) -> Result<(), Error> {
+        {
+            let mut w = self.write.lock();
+            let (table_id, entry_count) = (meta.table_id, meta.entry_count);
+            w.manifest.apply(ManifestEdit::AddTable(meta))?;
+            w.manifest.persist(self.storage.as_ref())?;
+            self.publish_snapshot(&w.manifest);
+            w.flushes_since_compaction += 1;
+            gen.table
+                .set(table_id)
+                .expect("flush_mx admits one flush per generation");
+            self.emit(
+                EventKind::FlushPublish,
+                vec![
+                    ("generation", gen.generation),
+                    ("table", table_id),
+                    ("entries", entry_count),
+                ],
+            );
+            let remaining: Vec<Arc<FrozenGen>> = self
+                .frozen_queue()
+                .iter()
+                .filter(|g| !Arc::ptr_eq(g, gen))
+                .cloned()
+                .collect();
+            *self.frozen.write() = Arc::new(remaining);
+        }
+        if let Some(segment) = &gen.wal_segment {
+            self.storage.delete_blob(segment)?;
+            self.emit(
+                EventKind::WalSegmentRetire,
+                vec![("generation", gen.generation)],
+            );
+        }
+        Ok(())
+    }
+
+    /// One compaction step: run the planned compaction if the policy
+    /// fires, else one tombstone-GC rewrite if one is due. Merge work
+    /// always outranks space reclamation, so GC competes for the driver
+    /// without delaying the compactions the stall tiers depend on.
+    fn compact_step(&self) -> Result<CompactStep, Error> {
+        // Checked here as well as inside the run: a step that is not
+        // due must not queue on `compaction_mx` behind another merge.
+        if self.policy_fires(&self.write.lock()) {
+            let run = self.planned_compaction(true)?;
+            return Ok(run.map_or(CompactStep::Idle, CompactStep::Merged));
+        }
+        if self.gc_due() && self.run_tombstone_gc()? > 0 {
+            return Ok(CompactStep::Reclaimed);
+        }
+        Ok(CompactStep::Idle)
+    }
+
+    // ---- the maintenance pipeline: drivers ----
+
+    /// Maintenance may be due — a memtable was rotated, or the caller
+    /// asked. This is the one place the two drivers part: a threaded
+    /// store wakes its workers and returns; a caller-driven one runs
+    /// the same steps on this thread until none is due, so between two
+    /// acknowledged calls it holds no frozen generation and owes the
+    /// policy nothing. A merge run here made the caller wait: it is one
+    /// stall sample, and the last one is returned.
+    fn drive(&self) -> Result<Option<AutoCompaction>, Error> {
+        if self.background() {
+            self.maint.flush_signal.notify();
+            self.maint.compact_signal.notify();
+            return Ok(None);
+        }
+        while self.flush_step()? {}
+        let mut last = None;
+        loop {
+            match self.compact_step()? {
+                CompactStep::Idle => return Ok(last),
+                CompactStep::Merged(run) => {
+                    self.metrics.stall.record_duration(run.stall);
+                    last = Some(run);
+                }
+                CompactStep::Reclaimed => {}
+            }
+        }
+    }
+
+    /// The flush thread's main loop: flush steps until the queue is
+    /// empty, then doze until a rotation kicks the signal. Keeps
+    /// draining after shutdown is signalled until the queue is empty,
+    /// so drop never abandons an acked write to a memory-only memtable.
     fn flush_worker(&self) {
         loop {
-            let Some(gen) = self.frozen.load_full().first().cloned() else {
-                if self.maint.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                self.maint.flush_signal.wait_timeout(STALL_WAIT_SLICE);
-                continue;
-            };
-            match self.flush_frozen(&gen) {
-                Ok(()) => {
+            match self.flush_step() {
+                Ok(true) => {
+                    self.bg_flushes.fetch_add(1, Ordering::Relaxed);
                     self.maint.flush_failure_streak.store(0, Ordering::SeqCst);
                     self.maint.compact_signal.notify();
-                    self.maint.progress_signal.notify();
+                }
+                Ok(false) => {
+                    if self.maint.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    self.maint.flush_signal.wait_timeout(STALL_WAIT_SLICE);
                 }
                 Err(e) => {
-                    // The generation stays queued (and its WAL segment
-                    // live), so nothing is lost; retry after a pause.
-                    // At shutdown, give up — the WAL still has it.
+                    // Retry after a pause; at shutdown, give up — the
+                    // WAL still has the generation.
                     *self
                         .maint
                         .last_flush_error
@@ -1957,104 +2038,31 @@ impl LsmInner {
         }
     }
 
-    /// Flushes one frozen generation: build its sstable with **no
-    /// engine lock held** (the expensive part), then commit under a
-    /// brief write-lock section and only then retire the generation and
-    /// its WAL segment. Publication order matters: the sstable enters
-    /// the read snapshot *before* the generation leaves the frozen
-    /// queue, so a concurrent reader sees the data in at least one of
-    /// the two (duplicates deduplicate by source precedence).
-    fn flush_frozen(&self, gen: &Arc<FrozenGen>) -> Result<(), Error> {
-        let entries: Vec<Entry> = gen.memtable.iter().collect();
-        let range_dels = gen.memtable.range_dels().to_vec();
-        let started = Instant::now();
-        // A generation holding only range tombstones still flushes — the
-        // records must out-live the WAL segment retired below.
-        let added = if entries.is_empty() && range_dels.is_empty() {
-            None
-        } else {
-            self.emit(
-                EventKind::FlushStart,
-                vec![
-                    ("generation", gen.generation),
-                    ("entries", entries.len() as u64),
-                ],
-            );
-            let table_id = self.write.lock().manifest.allocate_table_id();
-            Some(self.write_table(table_id, entries, range_dels)?)
-        };
-        let table_id = added.as_ref().map(|meta| meta.table_id);
-        self.retire_frozen(gen, added)?;
-        if let Some(table_id) = table_id {
-            self.metrics.flush.record_duration(started.elapsed());
-            self.stats.lock().flushes += 1;
-            self.bg_flushes.fetch_add(1, Ordering::Relaxed);
-            self.last_bg_flush_table
-                .store(table_id + 1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Commits a flushed generation: publish its sstable (if any), pop
-    /// the generation off the frozen queue, and retire its WAL segment
-    /// — strictly in that order, so a crash at any point leaves the
-    /// data recoverable from either the table or the segment.
-    fn retire_frozen(&self, gen: &Arc<FrozenGen>, added: Option<TableMeta>) -> Result<(), Error> {
-        {
-            let mut w = self.write.lock();
-            if let Some(meta) = added {
-                let (table_id, entry_count) = (meta.table_id, meta.entry_count);
-                w.manifest.apply(ManifestEdit::AddTable(meta))?;
-                w.manifest.persist(self.storage.as_ref())?;
-                self.publish_snapshot(&w.manifest);
-                w.flushes_since_compaction += 1;
-                self.emit(
-                    EventKind::FlushPublish,
-                    vec![
-                        ("generation", gen.generation),
-                        ("table", table_id),
-                        ("entries", entry_count),
-                    ],
-                );
+    /// The scheduler thread's main loop: compaction steps while there
+    /// is work, otherwise doze until a flush kicks the signal. No
+    /// writer waits on these merges, so nothing is recorded into the
+    /// stall histogram.
+    fn compaction_worker(&self) {
+        while !self.maint.shutdown.load(Ordering::SeqCst) {
+            match self.compact_step() {
+                Ok(CompactStep::Idle) => self.maint.compact_signal.wait_timeout(STALL_WAIT_SLICE),
+                Ok(_) => {}
+                Err(_) => std::thread::sleep(WORKER_RETRY_DELAY),
             }
-            let queue = self.frozen.load_full();
-            let remaining: Vec<Arc<FrozenGen>> = queue
-                .iter()
-                .filter(|g| !Arc::ptr_eq(g, gen))
-                .cloned()
-                .collect();
-            self.frozen.store(Arc::new(remaining));
         }
-        if let Some(segment) = &gen.wal_segment {
-            self.storage.delete_blob(segment)?;
-            self.emit(
-                EventKind::WalSegmentRetire,
-                vec![("generation", gen.generation)],
-            );
-        }
-        Ok(())
     }
 
     // ---- compaction ----
-
-    fn maybe_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        if self.background() && self.options.policy().is_automatic() {
-            self.maint.compact_signal.notify();
-            return Ok(None);
-        }
-        // Checked here as well as inside the run: a flush that is not
-        // due must not queue on `compaction_mx` behind another merge.
-        if !self.policy_fires(&self.write.lock()) {
-            return Ok(None);
-        }
-        self.compact_on_caller(true)
-    }
 
     fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
         if self.options.policy() == CompactionPolicy::Disabled {
             return Ok(None);
         }
-        self.compact_on_caller(false)
+        let run = self.planned_compaction(false)?;
+        if let Some(run) = &run {
+            self.metrics.stall.record_duration(run.stall);
+        }
+        Ok(run)
     }
 
     fn major_compact(&self, steps: &[CompactionStep]) -> Result<CompactionOutcome, Error> {
@@ -2065,54 +2073,14 @@ impl LsmInner {
         Ok(outcome)
     }
 
-    /// A planned compaction on a caller's thread: the caller waited for
-    /// the whole run, so it is one stall sample.
-    fn compact_on_caller(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
-        let schedule = Schedule::Planned { if_due };
-        let Some((plan, outcome, stall)) = self.run_compaction(schedule)? else {
-            return Ok(None);
-        };
-        self.metrics.stall.record_duration(stall);
-        let plan = plan.expect("a planned schedule carries its plan");
-        Ok(Some(AutoCompaction {
-            plan,
+    /// One planner-scheduled compaction run, on whichever thread asks.
+    fn planned_compaction(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
+        let run = self.run_compaction(Schedule::Planned { if_due })?;
+        Ok(run.map(|(plan, outcome, stall)| AutoCompaction {
+            plan: plan.expect("a planned schedule carries its plan"),
             outcome,
             stall,
         }))
-    }
-
-    /// The scheduler thread's main loop: whenever the policy is due,
-    /// run one planned compaction; otherwise doze until a flush kicks
-    /// the signal. No writer waits on these merges, so nothing is
-    /// recorded into the stall histogram.
-    fn compaction_worker(&self) {
-        loop {
-            if self.maint.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if self.policy_fires(&self.write.lock()) {
-                let run = self.run_compaction(Schedule::Planned { if_due: true });
-                if run.is_err() {
-                    if self.maint.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(WORKER_RETRY_DELAY);
-                }
-            } else if self.gc_due() {
-                // Merge work always outranks space reclamation: GC only
-                // runs when the policy has nothing to merge, so it
-                // competes for the scheduler without delaying the
-                // compactions the stall tiers depend on.
-                if !matches!(self.run_tombstone_gc(), Ok(n) if n > 0) {
-                    if self.maint.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    self.maint.compact_signal.wait_timeout(STALL_WAIT_SLICE);
-                }
-            } else {
-                self.maint.compact_signal.wait_timeout(STALL_WAIT_SLICE);
-            }
-        }
     }
 
     fn policy_fires(&self, w: &WriteState) -> bool {
@@ -2401,8 +2369,7 @@ impl LsmInner {
     }
 
     fn publish_snapshot(&self, manifest: &Manifest) {
-        self.snapshot
-            .store(Arc::new(ReadView::from_manifest(manifest)));
+        *self.snapshot.write() = Arc::new(ReadView::from_manifest(manifest));
     }
 }
 
@@ -2453,6 +2420,16 @@ enum Schedule<'a> {
 /// What one [`LsmInner::run_compaction`] did: plan, outcome, elapsed.
 type CompactionRun = (Option<MergePlan>, CompactionOutcome, Duration);
 
+/// What one [`LsmInner::compact_step`] found to do.
+enum CompactStep {
+    /// Neither the policy nor tombstone GC had work.
+    Idle,
+    /// The policy fired and this compaction ran.
+    Merged(AutoCompaction),
+    /// Tombstone GC rewrote one table.
+    Reclaimed,
+}
+
 /// Clears the in-progress-compaction stamp when the compacting scope
 /// exits, success or error.
 struct CompactionMark<'a>(&'a LsmInner);
@@ -2487,8 +2464,8 @@ fn tier_code(tier: StallTier) -> u64 {
 }
 
 // The KV service shares one `Lsm` per shard across every worker thread:
-// reads run lock-free against the snapshot while writes serialize on the
-// internal write mutex. Checked at compile time.
+// reads work from a cloned view, never the write mutex, while writes
+// serialize on it. Checked at compile time.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Lsm>();
 
@@ -2555,7 +2532,6 @@ mod tests {
             .background_maintenance(true)
             .slowdown_trigger(100)
             .stop_trigger(100)
-            .frozen_queue_limit(100)
     }
 
     #[test]
@@ -2734,18 +2710,22 @@ mod tests {
         }
     }
 
-    /// Two inline-mode writers both flush past the threshold while the
-    /// other may be mid-compaction. The inline trigger takes
-    /// `compaction_mx` only after the write guard is gone, so neither
-    /// can hold `write` while waiting for the other's run.
+    /// Two caller-driven writers both rotate memtables past the
+    /// threshold while the other may be mid-flush or mid-compaction. A
+    /// step takes `flush_mx` / `compaction_mx` only after the write
+    /// guard is gone, so neither can hold `write` while waiting for the
+    /// other's step — and `flush_mx` keeps them from flushing one
+    /// generation twice.
     #[test]
     fn concurrent_inline_writers_compact_without_deadlock() {
         const KEYS_PER_WRITER: u64 = 400;
+        let ring = EventRing::new(1 << 14);
         let db = Arc::new(
             Lsm::open_in_memory(
                 LsmOptions::default()
                     .memtable_capacity(4)
-                    .compaction_policy(CompactionPolicy::Threshold { live_tables: 2 }),
+                    .compaction_policy(CompactionPolicy::Threshold { live_tables: 2 })
+                    .event_sink(ring.clone()),
             )
             .unwrap(),
         );
@@ -2771,6 +2751,48 @@ mod tests {
         for key in 0..2 * KEYS_PER_WRITER {
             assert_eq!(get_vec(&db, key), Some(key.to_be_bytes().to_vec()));
         }
+        // Each writer drained the queue before its last put returned,
+        // and every flush published a generation nobody else flushed.
+        assert_eq!(db.frozen_queue_depth(), 0);
+        let drained = ring.since(0, usize::MAX);
+        assert_eq!(drained.dropped, 0, "ring overflowed during the test");
+        let published: Vec<u64> = drained
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::FlushPublish)
+            .map(|e| e.field("generation").unwrap())
+            .collect();
+        let distinct: std::collections::BTreeSet<u64> = published.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            published.len(),
+            "a generation flushed twice"
+        );
+        assert_eq!(db.stats().flushes, distinct.len() as u64);
+    }
+
+    /// The option picks who drives the pipeline, not what it does: one
+    /// op list leaves the same contents, the same tables and the same
+    /// flush count under either driver.
+    #[test]
+    fn both_drivers_leave_the_same_store_for_one_op_list() {
+        let run = |threaded: bool| {
+            let db = Lsm::open_in_memory(bg_options(8).background_maintenance(threaded)).unwrap();
+            for i in 0..200u64 {
+                match i % 9 {
+                    4 => db.delete(i / 2).unwrap(),
+                    7 => db.delete_range(i % 50, i % 50 + 3).unwrap(),
+                    _ => db.put(i % 60, format!("v{i}").into_bytes()).unwrap(),
+                }
+            }
+            db.flush().unwrap();
+            assert_eq!(db.frozen_queue_depth(), 0);
+            let tables: Vec<u64> = db.live_tables().iter().map(|t| t.entry_count).collect();
+            (db.scan_all().unwrap(), tables, db.stats().flushes)
+        };
+        let (caller, threaded) = (run(false), run(true));
+        assert!(caller.2 >= 10, "the op list rotates many memtables");
+        assert_eq!(caller, threaded);
     }
 
     #[test]
@@ -3128,7 +3150,7 @@ mod tests {
         assert!(stats.bg_flushes >= 1, "the flush thread did the work");
         assert_eq!(
             stats.flushes, stats.bg_flushes,
-            "no inline flush happened in background mode"
+            "every flush step ran on the flush thread"
         );
         for i in 0..20u64 {
             assert_eq!(get_vec(&db, i), Some(format!("v{i}").into_bytes()));
@@ -3270,8 +3292,7 @@ mod tests {
                 .memtable_capacity(2)
                 .background_maintenance(true)
                 .slowdown_trigger(1)
-                .stop_trigger(100)
-                .frozen_queue_limit(100),
+                .stop_trigger(100),
         )
         .unwrap();
         db.put(0, b"x".to_vec()).unwrap();
@@ -3311,8 +3332,7 @@ mod tests {
                 .memtable_capacity(2)
                 .background_maintenance(true)
                 .slowdown_trigger(1)
-                .stop_trigger(2)
-                .frozen_queue_limit(100),
+                .stop_trigger(2),
         )
         .unwrap();
         for i in 0..4u64 {

@@ -42,8 +42,9 @@
 //!   tombstone GC), and [`Lsm::major_compact`], which physically
 //!   executes a merge schedule produced by the `compaction-core` crate.
 //!   Keys are anything implementing [`IntoKey`] (`&[u8]`, `&str`,
-//!   `u64`, …). Every method takes `&self`; reads are lock-free against
-//!   writers via an atomically-swapped snapshot of the live table list.
+//!   `u64`, …). Every method takes `&self`; reads never wait on the
+//!   write mutex: they clone the current live-table view (an `Arc`
+//!   behind a lock held for that one clone, never across I/O).
 //!
 //! On top of the substrate, the engine **compacts itself** with the
 //! paper's heuristics:

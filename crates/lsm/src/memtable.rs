@@ -242,16 +242,6 @@ impl Memtable {
             })
         })
     }
-
-    /// Empties the memtable. The flush path snapshots entries with
-    /// [`Memtable::iter`] first, publishes the new sstable to readers,
-    /// and only then clears — so a concurrent read always finds the data
-    /// in at least one of the two places.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.range_dels.clear();
-        self.approximate_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_returns_key_order_and_clear_empties() {
+    fn iter_returns_key_order_without_draining() {
         let mut mt = Memtable::new(10);
         for key in [5u64, 1, 9, 3] {
             mt.put(key_from_u64(key), Bytes::from_static(b"x"), key);
@@ -306,9 +296,6 @@ mod tests {
             .collect();
         assert_eq!(keys, vec![1, 3, 5, 9]);
         assert_eq!(mt.len(), 4, "iter does not drain");
-        mt.clear();
-        assert!(mt.is_empty());
-        assert_eq!(mt.approximate_size(), 0);
     }
 
     #[test]
@@ -373,9 +360,6 @@ mod tests {
             mt.max_covering_range_del(&key_from_u64(100), u64::MAX),
             None
         );
-        mt.clear();
-        assert!(mt.range_dels().is_empty());
-        assert!(mt.is_empty());
     }
 
     #[test]

@@ -32,14 +32,14 @@ pub struct EngineMetrics {
     pub write_batch: LatencyHistogram,
     /// Latency of one `next()` on a range scan iterator.
     pub scan_next: LatencyHistogram,
-    /// Duration of one memtable flush (sstable build + publish),
-    /// inline or background.
+    /// Duration of one flush step (sstable build + publish + retire),
+    /// on whichever thread drove it.
     pub flush: LatencyHistogram,
     /// Duration of one compaction merge step (read k runs, merge,
     /// write one run).
     pub compaction_step: LatencyHistogram,
-    /// Per-write stall time: slowdown sleeps, stop blocks, and inline
-    /// compaction time a writer paid. The **single source of truth**
+    /// Per-write stall time: slowdown sleeps, stop blocks, and the
+    /// compactions a caller's thread ran. The **single source of truth**
     /// for stall accounting — `LsmStats::compaction_stall` and
     /// `LsmPressure::total_stall` are both derived from this
     /// histogram's sum.

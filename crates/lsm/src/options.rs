@@ -99,12 +99,10 @@ pub struct LsmOptions {
     compaction_threads: usize,
     table_cache_capacity: usize,
     block_cache_capacity_bytes: u64,
-    scan_readahead_blocks: usize,
     compression: CompressionType,
     background_maintenance: bool,
     slowdown_trigger: usize,
     stop_trigger: usize,
-    frozen_queue_limit: usize,
     event_sink: Option<EventSinkOpt>,
     shard_tag: u32,
     strict_recovery: bool,
@@ -126,12 +124,10 @@ impl Default for LsmOptions {
             compaction_threads: 1,
             table_cache_capacity: 64,
             block_cache_capacity_bytes: 8 * 1024 * 1024,
-            scan_readahead_blocks: 8,
             compression: CompressionType::Lz,
             background_maintenance: false,
             slowdown_trigger: 2,
             stop_trigger: 4,
-            frozen_queue_limit: 8,
             event_sink: None,
             shard_tag: 0,
             strict_recovery: false,
@@ -251,20 +247,6 @@ impl LsmOptions {
         self
     }
 
-    /// Sets how many consecutive data blocks one ranged read may fetch
-    /// when a range scan walks an sstable (default 8, clamped to ≥ 1;
-    /// 1 restores one-block-per-round-trip). Spans never extend past
-    /// the block covering the scan's end bound, and the prefetched
-    /// blocks decode lazily — readahead trades one larger read for
-    /// fewer storage round-trips, which is what scan throughput on a
-    /// latency-bound backend is made of. Point reads always fetch
-    /// exactly one block.
-    #[must_use]
-    pub fn scan_readahead_blocks(mut self, blocks: usize) -> Self {
-        self.scan_readahead_blocks = blocks.max(1);
-        self
-    }
-
     /// Sets the per-block compression applied by the sstable builder
     /// (default [`CompressionType::Lz`]). Every block carries the
     /// per-block envelope — [`CompressionType::None`] stores blocks raw
@@ -277,12 +259,16 @@ impl LsmOptions {
         self
     }
 
-    /// Enables background maintenance: a full memtable freezes onto an
-    /// immutable queue in O(1) (drained to sstables by a dedicated flush
-    /// thread) and policy-driven compaction runs on a scheduler thread
-    /// off the write lock, so client writes never wait on sstable I/O
-    /// (default `false`: flush and compaction run inline, the seed
-    /// engine's behavior).
+    /// Chooses which thread drives the maintenance pipeline (freeze →
+    /// flush → publish → retire → compact; the steps are the same either
+    /// way). `true`: a dedicated flush thread and a compaction scheduler
+    /// thread run them, so client writes never wait on sstable I/O and
+    /// are paced by the stall triggers instead. `false` (the default):
+    /// the thread that filled the memtable, or called
+    /// [`Lsm::flush`](crate::Lsm::flush) /
+    /// [`Lsm::maybe_compact`](crate::Lsm::maybe_compact), runs them
+    /// itself before its call returns — deterministic, which is what the
+    /// simulator and the test batteries want.
     #[must_use]
     pub fn background_maintenance(mut self, enabled: bool) -> Self {
         self.background_maintenance = enabled;
@@ -293,7 +279,8 @@ impl LsmOptions {
     /// flush thread plus live tables past the compaction trigger) at
     /// which writes are delayed by a bounded sleep (default 2, clamped
     /// to ≥ 1). The analogue of RocksDB's `level0_slowdown_writes_trigger`;
-    /// only consulted when background maintenance is enabled.
+    /// only consulted when worker threads drive maintenance (a caller
+    /// that drives it has nobody to wait for).
     #[must_use]
     pub fn slowdown_trigger(mut self, debt: usize) -> Self {
         self.slowdown_trigger = debt.max(1);
@@ -302,21 +289,14 @@ impl LsmOptions {
 
     /// Sets the maintenance-debt level at which writes block until the
     /// backlog drains below it (default 4, clamped to ≥ 2). The analogue
-    /// of RocksDB's `level0_stop_writes_trigger`; only consulted when
-    /// background maintenance is enabled.
+    /// of RocksDB's `level0_stop_writes_trigger`; writers are only
+    /// stopped when worker threads drive maintenance. It is also the
+    /// hard cap on frozen memtables queued for flush, under either
+    /// driver: a memtable that fills while that many generations wait
+    /// is not rotated but keeps absorbing writes, bounding memory.
     #[must_use]
     pub fn stop_trigger(mut self, debt: usize) -> Self {
         self.stop_trigger = debt.max(2);
-        self
-    }
-
-    /// Sets the hard cap on frozen memtables queued for the flush thread
-    /// (default 8, clamped to ≥ 2). A writer that would freeze past this
-    /// limit blocks until the flush thread retires a generation,
-    /// bounding memory regardless of the stall triggers.
-    #[must_use]
-    pub fn frozen_queue_limit(mut self, generations: usize) -> Self {
-        self.frozen_queue_limit = generations.max(2);
         self
     }
 
@@ -447,19 +427,14 @@ impl LsmOptions {
         self.block_cache_capacity_bytes
     }
 
-    /// Consecutive blocks one scan round-trip may fetch (≥ 1).
-    #[must_use]
-    pub fn scan_readahead(&self) -> usize {
-        self.scan_readahead_blocks
-    }
-
     /// The per-block compression newly built sstables use.
     #[must_use]
     pub fn compression_type(&self) -> CompressionType {
         self.compression
     }
 
-    /// Whether flush and compaction run on background threads.
+    /// Whether worker threads (rather than the calling thread) drive
+    /// flush and compaction.
     #[must_use]
     pub fn background_maintenance_enabled(&self) -> bool {
         self.background_maintenance
@@ -471,17 +446,12 @@ impl LsmOptions {
         self.slowdown_trigger
     }
 
-    /// Maintenance-debt level that blocks writes until it drains.
-    /// Never below the slowdown trigger: the tiers cannot invert.
+    /// Maintenance-debt level that blocks writes until it drains, and
+    /// the cap on queued frozen generations. Never below the slowdown
+    /// trigger: the tiers cannot invert.
     #[must_use]
     pub fn stop_trigger_debt(&self) -> usize {
         self.stop_trigger.max(self.slowdown_trigger)
-    }
-
-    /// Hard cap on queued frozen memtable generations.
-    #[must_use]
-    pub fn frozen_queue_limit_generations(&self) -> usize {
-        self.frozen_queue_limit
     }
 
     /// The injected shared event ring, if any (a cheap handle clone).
@@ -529,12 +499,10 @@ mod tests {
             .compaction_threads(0)
             .table_cache_capacity(0)
             .block_cache_capacity_bytes(0)
-            .scan_readahead_blocks(0)
             .compression(CompressionType::None)
             .background_maintenance(true)
             .slowdown_trigger(0)
             .stop_trigger(0)
-            .frozen_queue_limit(0)
             .strict_recovery(true)
             .tombstone_gc(true)
             .gc_min_tombstones(0)
@@ -546,17 +514,11 @@ mod tests {
         assert_eq!(opts.bloom_bits(), 0);
         assert_eq!(opts.table_cache_tables(), 8, "table cache clamps to 8");
         assert_eq!(opts.block_cache_bytes(), 1, "block cache clamps to 1");
-        assert_eq!(opts.scan_readahead(), 1, "readahead clamps to 1");
         assert_eq!(opts.compression_type(), CompressionType::None);
         assert!(!opts.wal_enabled());
         assert!(opts.background_maintenance_enabled());
         assert_eq!(opts.slowdown_trigger_debt(), 1, "slowdown clamps to 1");
         assert_eq!(opts.stop_trigger_debt(), 2, "stop clamps to 2");
-        assert_eq!(
-            opts.frozen_queue_limit_generations(),
-            2,
-            "queue limit clamps to 2"
-        );
         assert!(opts.strict_recovery_enabled());
         assert!(opts.tombstone_gc_enabled());
         assert_eq!(
@@ -584,7 +546,6 @@ mod tests {
         assert_eq!(opts.threads(), 1);
         assert_eq!(opts.table_cache_tables(), 64);
         assert_eq!(opts.block_cache_bytes(), 8 * 1024 * 1024);
-        assert_eq!(opts.scan_readahead(), 8, "scans read ahead by default");
         assert_eq!(
             opts.compression_type(),
             CompressionType::Lz,
@@ -592,11 +553,10 @@ mod tests {
         );
         assert!(
             !opts.background_maintenance_enabled(),
-            "maintenance is inline by default, matching the seed engine"
+            "the caller drives maintenance by default, matching the seed engine"
         );
         assert_eq!(opts.slowdown_trigger_debt(), 2);
         assert_eq!(opts.stop_trigger_debt(), 4);
-        assert_eq!(opts.frozen_queue_limit_generations(), 8);
         assert!(
             !opts.strict_recovery_enabled(),
             "lenient recovery by default: salvage and report"

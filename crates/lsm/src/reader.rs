@@ -115,9 +115,8 @@ pub struct ReadContext<'a> {
     /// (point reads: yes; scans: no, to avoid flushing the hot set).
     pub fill_cache: bool,
     /// How many consecutive blocks one ranged read may fetch when a
-    /// cursor walks this table (clamped to ≥ 1). Point reads pass 1;
-    /// scans pass
-    /// [`LsmOptions::scan_readahead_blocks`](crate::LsmOptions::scan_readahead_blocks).
+    /// cursor walks this table (clamped to ≥ 1). Point reads pass 1,
+    /// scans 8.
     pub readahead_blocks: usize,
     /// Physical-work counters to feed.
     pub counters: &'a ReadPathCounters,

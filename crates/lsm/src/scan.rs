@@ -5,8 +5,8 @@
 //! over
 //!
 //! * a **memtable view** — the in-range entries of the active memtable
-//!   *and* of every generation parked on the frozen-memtable queue
-//!   (background-maintenance mode), copied out under brief read locks
+//!   *and* of every generation parked on the frozen-memtable queue,
+//!   copied out under brief read locks
 //!   when the scan (re)builds its state;
 //! * one cursor per live sstable that **can** contain keys in the range.
 //!   Tables whose persisted min/max meta is disjoint from the scan
@@ -16,17 +16,16 @@
 //!
 //! Entries stream out newest-wins with tombstones suppressed. Each
 //! table cursor walks the reader's readahead-aware block cursor
-//! (`BlockCursor`): one ranged read fetches up to
-//! [`LsmOptions::scan_readahead_blocks`](crate::LsmOptions::scan_readahead_blocks)
-//! consecutive blocks (never past the block covering the scan's end
-//! bound), decoded lazily. A scan reads blocks the cache already holds
+//! (`BlockCursor`): one ranged read fetches up to 8 consecutive blocks
+//! (never past the block covering the scan's end bound), decoded lazily. A scan reads blocks the cache already holds
 //! but never inserts the ones it fetches, so a long scan cannot flush
 //! the hot set. Nothing is materialized beyond one decoded block and one
 //! raw prefetched span per probed table.
 //!
 //! # Consistency under concurrent compaction
 //!
-//! The scan pins the ArcSwap'd table snapshot current at build time. If
+//! The scan pins the table snapshot current at build time (one
+//! `Arc::clone` under a read lock that is never held across I/O). If
 //! a compaction retires a pinned table mid-iteration and its blob is
 //! already deleted, the scan — exactly like [`Lsm::get`] — reloads the
 //! freshest snapshot and resumes after the last key it returned: the

@@ -18,7 +18,7 @@
 //! appended *after* a torn one would be unreachable on replay (the length
 //! chain reads it as the torn frame's payload: bit rot of an acked
 //! write). So a failed append **poisons** the [`Wal`]: every later append
-//! fails until the segment is reset or rotated, or the store reopened.
+//! fails until the segment is rotated or the store reopened.
 //! Recovery keeps the rule from the other side: it never appends to a
 //! segment it replayed, but re-persists what it salvaged as one frame
 //! into a fresh segment.
@@ -67,8 +67,8 @@ pub struct WalRecord {
 /// The writer of one append-only WAL segment (a single blob).
 ///
 /// The engine uses one segment per memtable generation: the segment is
-/// truncated (re-created empty) or retired after the memtable it
-/// protects has been flushed into an sstable. The `Wal` holds no copy of
+/// retired (its blob deleted) after the memtable it protects has been
+/// flushed into an sstable. The `Wal` holds no copy of
 /// its segment — only a scratch buffer for the frame in flight and the
 /// length already acknowledged — and refuses every append after a failed
 /// one (see the module docs for the poison rule).
@@ -132,8 +132,8 @@ impl Wal {
         &self.segment_name
     }
 
-    /// Bytes of the segment acknowledged since the last reset: the
-    /// blob's length, short of a torn tail left by a failed append.
+    /// Bytes of the segment acknowledged so far: the blob's length,
+    /// short of a torn tail left by a failed append.
     #[must_use]
     pub fn segment_len(&self) -> u64 {
         self.acked_len
@@ -159,7 +159,7 @@ impl Wal {
     /// # Errors
     ///
     /// Propagates storage failures; after one, this and every later
-    /// append fails until [`Wal::reset`] (the poison rule).
+    /// append to this segment fails (the poison rule).
     pub fn append_batch(
         &mut self,
         storage: &dyn Storage,
@@ -199,20 +199,6 @@ impl Wal {
             return Err(e);
         }
         self.acked_len += self.frame.len() as u64;
-        Ok(())
-    }
-
-    /// Truncates the segment to empty (after a successful memtable
-    /// flush), which also clears the poison: no torn frame is left to
-    /// append after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures; the segment then keeps its contents.
-    pub fn reset(&mut self, storage: &dyn Storage) -> Result<(), Error> {
-        storage.write_blob(&self.segment_name, &[])?;
-        self.acked_len = 0;
-        self.poisoned = false;
         Ok(())
     }
 
@@ -445,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_append_poisons_the_segment_until_reset() {
+    fn failed_append_poisons_the_segment() {
         let storage = CrashPointStorage::new();
         let mut wal = Wal::new("wal-poison");
         wal.append(&storage, &record(0)).unwrap();
@@ -465,26 +451,12 @@ mod tests {
         assert_eq!(replay.records, vec![record(0), record(1)]);
         assert_eq!(replay.frames_quarantined, 0, "a torn tail, not bit rot");
         assert_eq!(replay.bytes_truncated, 11);
-
-        wal.reset(&storage).unwrap();
-        wal.append(&storage, &record(4)).unwrap();
-        assert_eq!(replayed(&storage, "wal-poison"), vec![record(4)]);
     }
 
     #[test]
     fn missing_segment_replays_empty() {
         let storage = MemoryStorage::new();
         assert!(replayed(&storage, "nope").is_empty());
-    }
-
-    #[test]
-    fn reset_clears_segment() {
-        let storage = MemoryStorage::new();
-        let mut wal = Wal::new("wal-1");
-        wal.append(&storage, &record(1)).unwrap();
-        wal.reset(&storage).unwrap();
-        assert_eq!(wal.segment_len(), 0);
-        assert!(replayed(&storage, "wal-1").is_empty());
     }
 
     #[test]

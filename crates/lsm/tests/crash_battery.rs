@@ -27,6 +27,16 @@ fn small_opts() -> LsmOptions {
 /// recording only acknowledged operations. Returns whether the
 /// workload ran to completion (no crash fired).
 fn run_workload(db: &Lsm, acked: &mut Acked, ops: u64) -> bool {
+    run_workload_checked(db, acked, ops, |_| {})
+}
+
+/// [`run_workload`], calling `after_ack` after every acknowledged call.
+fn run_workload_checked(
+    db: &Lsm,
+    acked: &mut Acked,
+    ops: u64,
+    mut after_ack: impl FnMut(&Lsm),
+) -> bool {
     for i in 0..ops {
         let r = if i % 5 == 4 {
             let key = i / 2;
@@ -50,8 +60,12 @@ fn run_workload(db: &Lsm, acked: &mut Acked, ops: u64) -> bool {
         if r.is_err() {
             return false;
         }
-        if i % 16 == 15 && db.flush().is_err() {
-            return false;
+        after_ack(db);
+        if i % 16 == 15 {
+            if db.flush().is_err() {
+                return false;
+            }
+            after_ack(db);
         }
     }
     true
@@ -95,7 +109,6 @@ const SWEPT_OPS: u64 = 208;
 fn background_opts() -> LsmOptions {
     small_opts()
         .background_maintenance(true)
-        .frozen_queue_limit(64)
         .stop_trigger(64)
         .slowdown_trigger(63)
 }
@@ -128,9 +141,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tentpole property: a crash after *any* number of storage
-    /// bytes loses no acknowledged write. Sweeps the crash point across
-    /// WAL appends (torn mid-segment, at any byte of a frame), sstable
-    /// flush writes, manifest checkpoint writes and CURRENT swaps alike.
+    /// bytes loses no acknowledged write. The caller drives the same
+    /// pipeline the worker threads run, so the sweep tears every step of
+    /// it deterministically, at every byte: WAL appends (torn
+    /// mid-segment, at any byte of a frame), the first append of each
+    /// generation's fresh segment after a freeze, the sstable write,
+    /// the manifest checkpoint and CURRENT swap that publish it, and the
+    /// retirement of the flushed generation's segment.
     #[test]
     fn crash_at_any_byte_offset_loses_no_acked_write(
         budget in 0..workload_bytes(small_opts()),
@@ -309,6 +326,27 @@ proptest! {
             );
         }
     }
+}
+
+/// Between two acknowledged calls a caller-driven store has run its
+/// pipeline to the end: no generation sits frozen, and at most the
+/// active generation's WAL segment is live — the flushed ones were
+/// retired by the call that rotated them.
+#[test]
+fn caller_driven_store_is_quiescent_between_acked_calls() {
+    let storage = Arc::new(MemoryStorage::new());
+    let db = Lsm::open(storage.clone(), small_opts()).unwrap();
+    let mut acked = Acked::new();
+    let mut calls = 0u64;
+    let completed = run_workload_checked(&db, &mut acked, SWEPT_OPS, |db| {
+        calls += 1;
+        assert_eq!(db.frozen_queue_depth(), 0, "after call {calls}");
+        let live = Wal::live_segments(storage.as_ref());
+        assert!(live.len() <= 1, "after call {calls}: {live:?}");
+    });
+    assert!(completed);
+    assert_eq!(calls, SWEPT_OPS + SWEPT_OPS / 16);
+    assert!(db.stats().flushes >= SWEPT_OPS / 16, "memtables rotated");
 }
 
 #[test]

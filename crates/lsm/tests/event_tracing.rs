@@ -4,7 +4,9 @@
 //!
 //! The background-flush test uses [`GatedStorage`] to hold the flush
 //! thread mid-lifecycle, proving events are emitted at the real
-//! transition points rather than batched after the fact.
+//! transition points rather than batched after the fact. The
+//! caller-driven test pins the same lifecycle with no thread and no
+//! clock: the writer that fills a memtable runs the steps itself.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,8 +52,7 @@ fn background_flush_traces_exact_lifecycle_per_generation() {
             .memtable_capacity(4)
             .background_maintenance(true)
             .slowdown_trigger(100)
-            .stop_trigger(100)
-            .frozen_queue_limit(100),
+            .stop_trigger(100),
     )
     .unwrap();
 
@@ -90,12 +91,7 @@ fn background_flush_traces_exact_lifecycle_per_generation() {
     for generation in 0..2u64 {
         assert_eq!(
             generation_events(&events, generation),
-            vec![
-                EventKind::MemtableFreeze,
-                EventKind::FlushStart,
-                EventKind::FlushPublish,
-                EventKind::WalSegmentRetire,
-            ],
+            GENERATION_LIFECYCLE,
             "generation {generation} lifecycle"
         );
     }
@@ -110,6 +106,50 @@ fn background_flush_traces_exact_lifecycle_per_generation() {
 
     // Flush durations landed in the engine histogram.
     assert!(db.metrics().flush.count() >= 2);
+}
+
+/// The four-step lifecycle every flushed generation traces, in order.
+const GENERATION_LIFECYCLE: [EventKind; 4] = [
+    EventKind::MemtableFreeze,
+    EventKind::FlushStart,
+    EventKind::FlushPublish,
+    EventKind::WalSegmentRetire,
+];
+
+#[test]
+fn caller_driven_flush_traces_the_same_lifecycle_per_generation() {
+    let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(4)).unwrap();
+    // Capacity 4 ⇒ the puts of keys 3 and 7 fill generations 0 and 1 and
+    // flush them before returning; the explicit flush rotates the rest.
+    for i in 0..10u64 {
+        db.put(i, format!("v{i}").into_bytes()).unwrap();
+        assert_eq!(db.frozen_queue_depth(), 0, "after put {i}");
+    }
+    db.flush().unwrap();
+
+    let events = drain(&db);
+    for generation in 0..3u64 {
+        assert_eq!(
+            generation_events(&events, generation),
+            GENERATION_LIFECYCLE,
+            "generation {generation} lifecycle"
+        );
+    }
+    // One thread ran every step, so the generations do not interleave.
+    let generations: Vec<u64> = events
+        .iter()
+        .filter_map(|e| e.field("generation"))
+        .collect();
+    assert!(generations.windows(2).all(|w| w[0] <= w[1]));
+
+    let freezes: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::MemtableFreeze)
+        .collect();
+    let entries: Vec<Option<u64>> = freezes.iter().map(|e| e.field("entries")).collect();
+    assert_eq!(entries, [Some(4), Some(4), Some(2)]);
+    assert!(freezes.iter().all(|e| e.field("queue_depth") == Some(1)));
+    assert_eq!(db.metrics().flush.count(), 3);
 }
 
 #[test]

@@ -669,8 +669,8 @@ fn execute(
         },
         Request::Put { key, value } => {
             // Lazy probe: with no admission policy configured the
-            // pressure snapshot (ArcSwap load + two short locks) is
-            // never taken.
+            // pressure snapshot (a handful of brief lock acquisitions)
+            // is never taken.
             if !controller.admit_write(std::iter::once_with(|| store.pressure_for_key(&key))) {
                 return Ok(Response::Busy);
             }

@@ -4,7 +4,7 @@
 //! manifest, [`CompactionPolicy`](lsm_engine::CompactionPolicy), table
 //! cache and block cache. Since the read-path overhaul the engine itself
 //! is `&self` end to end: writes serialize on the shard's *internal*
-//! write mutex, while `GET`s probe an atomically-swapped snapshot
+//! write mutex, while `GET`s probe a wholesale-replaced snapshot
 //! through the caches and **never acquire a lock the write path holds**.
 //! A `GET` on shard 0 proceeds while shard 0 — not just shard 3 — is
 //! inside a policy-triggered compaction: the "read availability while

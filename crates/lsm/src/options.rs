@@ -339,8 +339,8 @@ impl LsmOptions {
         self
     }
 
-    /// Enables tombstone garbage collection (default `false`): the
-    /// background scheduler may rewrite a single sstable to drop
+    /// Enables tombstone garbage collection (default `false`): a
+    /// compaction step may rewrite a single sstable to drop
     /// tombstones that provably shadow nothing — no *other* live
     /// table's bloom/min-max admits the key — reclaiming space without
     /// waiting for a full major compaction. GC competes with merge

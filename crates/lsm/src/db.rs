@@ -576,8 +576,8 @@ impl Lsm {
     /// The store's current overload signals, read without the write
     /// mutex: live-table count from the read snapshot, memtable fill
     /// under a brief read lock, frozen-queue depth and stall tier from
-    /// the frozen queue's current `Arc`. Safe to call at any rate from any
-    /// thread — in particular while this store is deep inside a
+    /// the frozen queue's current `Arc`. Safe to call at any rate from
+    /// any thread — in particular while this store is deep inside a
     /// compaction, which is exactly when an admission controller needs
     /// the answer.
     #[must_use]
@@ -737,9 +737,9 @@ impl Lsm {
     /// was never written or its newest version is a tombstone.
     ///
     /// Never waits on the write mutex: consults the active memtable
-    /// under a brief read lock, then any frozen memtables newest-first, then
-    /// probes the snapshot's tables newest-first through the table and
-    /// block caches. If compaction retires a probed table mid-read (its
+    /// under a brief read lock, then any frozen memtables newest-first,
+    /// then probes the snapshot's tables newest-first through the table
+    /// and block caches. If compaction retires a probed table mid-read (its
     /// blob vanishes), the read reloads the snapshot and retries — the
     /// merged data is in the new table set.
     ///
@@ -829,8 +829,9 @@ impl Lsm {
 
     /// Runs one tombstone-GC rewrite right now, regardless of the
     /// [`LsmOptions::tombstone_gc`] toggle (which only governs the
-    /// maintenance pipeline's own compaction steps): pick the live table carrying the most
-    /// tombstones past [`LsmOptions::gc_min_tombstones`], drop every
+    /// maintenance pipeline's own compaction steps): pick the live
+    /// table carrying the most tombstones past
+    /// [`LsmOptions::gc_min_tombstones`], drop every
     /// tombstone that provably shadows nothing — no *other* live
     /// table's bloom/min-max admits its key — and swap in the slimmer
     /// rewrite via the usual atomic manifest flip. Returns the number

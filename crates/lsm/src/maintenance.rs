@@ -335,20 +335,16 @@ impl LsmInner {
 
     pub(super) fn flush(&self) -> Result<Option<u64>, Error> {
         loop {
-            let (rotated, saturated) = {
+            let (pending, rotated) = {
                 let mut w = self.write.lock();
-                if self.memtable.read().is_empty() {
-                    (None, false)
-                } else {
-                    let rotated = self.freeze_active(&mut w);
-                    let saturated = rotated.is_none();
-                    (rotated, saturated)
-                }
+                let pending = !self.memtable.read().is_empty();
+                let rotated = pending.then(|| self.freeze_active(&mut w)).flatten();
+                (pending, rotated)
             };
             self.drain_frozen_queue()?;
-            // A saturated queue refused the rotation; it has drained
-            // now, so the retry goes through.
-            if !saturated {
+            // Pending but not rotated: a saturated queue refused. It has
+            // drained now, so the retry goes through.
+            if rotated.is_some() || !pending {
                 return Ok(rotated.and_then(|gen| gen.table.get().copied()));
             }
         }

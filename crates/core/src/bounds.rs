@@ -1,4 +1,4 @@
-//! Lower bounds, approximation-ratio reporting and the paper's
+//! Lower bounds, the analytic approximation bounds and the paper's
 //! adversarial instances.
 
 use crate::{Cardinality, CostModel, KeySet, MergeSchedule};
@@ -90,41 +90,6 @@ pub mod adversarial {
     }
 }
 
-/// A compact report comparing one schedule against the lower bound and
-/// the analytic approximation guarantees; used by the experiment
-/// harness and the `tables` binary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApproximationReport {
-    /// Number of initial sets.
-    pub n: usize,
-    /// The schedule's simplified cost (eq. 2.1).
-    pub cost: u64,
-    /// The schedule's `cost_actual` (disk I/O).
-    pub cost_actual: u64,
-    /// The `LOPT` lower bound.
-    pub lopt: u64,
-    /// `cost / LOPT`.
-    pub ratio_to_lopt: f64,
-    /// The analytic `2·H_n + 1` greedy bound for reference.
-    pub greedy_bound: f64,
-    /// The analytic `⌈log₂ n⌉ + 1` BALANCETREE bound for reference.
-    pub balance_tree_bound: f64,
-}
-
-/// Builds an [`ApproximationReport`] for a schedule over `sets`.
-#[must_use]
-pub fn report(schedule: &MergeSchedule, sets: &[KeySet]) -> ApproximationReport {
-    ApproximationReport {
-        n: sets.len(),
-        cost: schedule.cost(sets),
-        cost_actual: schedule.cost_actual(sets),
-        lopt: lopt_lower_bound(sets),
-        ratio_to_lopt: ratio_to_lopt(schedule, sets),
-        greedy_bound: greedy_approximation_bound(sets.len()),
-        balance_tree_bound: balance_tree_approximation_bound(sets.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,17 +176,6 @@ mod tests {
         assert!(greedy_approximation_bound(1) > 2.9);
         assert_eq!(balance_tree_approximation_bound(8), 4.0);
         assert_eq!(balance_tree_approximation_bound(1), 1.0);
-    }
-
-    #[test]
-    fn report_is_internally_consistent() {
-        let sets = adversarial::largest_match_gap(6);
-        let schedule = schedule_with(Strategy::SmallestInput, &sets, 2).unwrap();
-        let rep = report(&schedule, &sets);
-        assert_eq!(rep.n, 6);
-        assert_eq!(rep.lopt, lopt_lower_bound(&sets));
-        assert!((rep.ratio_to_lopt - rep.cost as f64 / rep.lopt as f64).abs() < 1e-12);
-        assert!(rep.cost_actual >= rep.cost - rep.lopt);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * exact reference solvers ([`optimal`]): exhaustive branch-and-bound
 //!   for small `n`, the Huffman solver that is optimal for disjoint sets
 //!   (Lemma 4.3), and the left-to-right caterpillar merge;
-//! * the lower bound `LOPT = Σ|A_i|` and approximation-ratio reporting
-//!   ([`bounds`]), plus the adversarial instances from Lemmas 4.2 and 4.5
+//! * the lower bound `LOPT = Σ|A_i|`, the ratio to it and the analytic
+//!   approximation bounds ([`bounds`]), plus the adversarial instances from Lemmas 4.2 and 4.5
 //!   and the `Ω(n)` LargestMatch gap;
 //! * the constructions used in the NP-hardness proof (Appendix A) for
 //!   empirical validation ([`hardness`]).

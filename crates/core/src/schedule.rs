@@ -11,7 +11,6 @@ use crate::{Cardinality, CostModel, Error, KeySet, MergeTree};
 /// outputs. This is the same slot convention the `lsm-engine` crate's
 /// physical `CompactionStep` uses, so schedules can be executed directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MergeOp {
     /// Slot indices of the sets this operation merges (2 ≤ len ≤ k).
     pub inputs: Vec<usize>,
@@ -48,7 +47,6 @@ impl MergeOp {
 /// # Ok::<(), compaction_core::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MergeSchedule {
     n_initial: usize,
     fanin: usize,

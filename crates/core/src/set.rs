@@ -22,7 +22,6 @@ use std::collections::BTreeSet;
 /// assert_eq!(a.intersection_size(&b), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeySet {
     keys: Vec<u64>,
 }

@@ -12,7 +12,6 @@ use crate::{Error, MAX_PRECISION, MIN_PRECISION};
 /// `Registers` is intentionally a thin, reusable building block: the
 /// estimation maths lives in [`HyperLogLog`](crate::HyperLogLog).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Registers {
     precision: u8,
     slots: Vec<u8>,

@@ -28,7 +28,6 @@ use crate::{hash_bytes, hash_u64, Error, Registers, DEFAULT_PRECISION};
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HyperLogLog {
     registers: Registers,
 }

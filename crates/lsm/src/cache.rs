@@ -190,7 +190,8 @@ impl TableCache {
     /// after [`TableCache::evict_table`] purged it. That entry is
     /// unreachable garbage (table ids are never reused and no snapshot
     /// references it), bounded to one LRU slot until ordinary pressure
-    /// evicts it — accepted in exchange for lock-free lookups.
+    /// evicts it — accepted so a shard's mutex is held for the LRU probe
+    /// and insert, never across the open.
     ///
     /// # Errors
     ///

@@ -38,7 +38,6 @@ pub fn key_to_u64(key: &[u8]) -> Option<u64> {
 /// is physically removed only when a major compaction observes the
 /// tombstone as the newest version (Section 5.1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ValueKind {
     /// A live key/value pair.
     Put,

@@ -13,13 +13,13 @@
 //! explodes.
 //!
 //! [`AdmissionController`] is the relief valve. Fed by the engine's
-//! lock-free [`LsmPressure`] snapshots (in-progress compaction stall,
-//! live-table backlog), it refuses writes with a `BUSY` reply *before*
+//! [`LsmPressure`] snapshots, read without the write mutex (compaction
+//! stall, live-table backlog), it refuses writes with a `BUSY` reply *before*
 //! they touch the engine whenever the owning shard is past its budgets.
 //! A `BUSY` write was not applied and not logged — the client retries
 //! later, and the shard drains its backlog at full speed instead of
-//! accumulating a convoy. Reads are never shed: they are lock-free and
-//! cheap even mid-compaction.
+//! accumulating a convoy. Reads are never shed: they never wait on the
+//! write mutex and stay cheap even mid-compaction.
 //!
 //! The same controller also counts connections refused at the server's
 //! session cap, so one `METRICS` probe shows the whole shed/admit

@@ -1,4 +1,4 @@
-//! The sharded store: N independent LSM shards, lock-free reads.
+//! The sharded store: N independent LSM shards; reads skip the write mutex.
 //!
 //! Each shard is a complete [`Lsm`] instance — its own memtable, WAL,
 //! manifest, [`CompactionPolicy`](lsm_engine::CompactionPolicy), table
@@ -46,8 +46,8 @@ const SERVICE_EVENT_RING_CAPACITY: usize = 8192;
 
 /// A sharded key-value store over [`Lsm`] shards.
 ///
-/// Shared freely across threads (`&self` API; reads are lock-free
-/// against writers, writes serialize per shard inside the engine).
+/// Shared freely across threads (`&self` API; reads never wait on the
+/// write mutex, writes serialize per shard inside the engine).
 ///
 /// # Examples
 ///
@@ -238,8 +238,8 @@ impl ShardedKv {
         self.router.shard_for(key)
     }
 
-    /// The overload signals of shard `index` (lock-free even while that
-    /// shard is mid-compaction — see [`Lsm::pressure`]).
+    /// The overload signals of shard `index`, read without the write
+    /// mutex even mid-compaction (see [`Lsm::pressure`]).
     ///
     /// # Panics
     ///
@@ -255,8 +255,8 @@ impl ShardedKv {
         self.shard(key).pressure()
     }
 
-    /// Point read of `key` from its owning shard. Lock-free against
-    /// writes, flushes and compaction on the same shard.
+    /// Point read of `key` from its owning shard. Never waits on the
+    /// write mutex: same-shard writes and compaction do not block it.
     ///
     /// # Errors
     ///

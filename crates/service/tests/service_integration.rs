@@ -206,8 +206,8 @@ fn reads_proceed_while_another_shard_compacts() {
 fn gets_on_a_compacting_shard_are_served_over_tcp() {
     // The read-path acceptance test at the service layer: a shard's
     // compaction is frozen mid-write while TCP clients keep GETting keys
-    // *of that same shard* — lock-free reads mean they all succeed
-    // before the compaction is allowed to finish.
+    // *of that same shard* — reads never wait on the write mutex, so
+    // they all succeed before the compaction is allowed to finish.
     let gated = Arc::new(GatedStorage::new());
     let storages: Vec<Arc<dyn Storage>> = vec![
         Arc::clone(&gated) as Arc<dyn Storage>,

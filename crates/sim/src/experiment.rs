@@ -4,8 +4,8 @@
 //! Each config's `default_paper()` constructor carries the exact
 //! parameters reported in Section 5; `quick()` scales them down so the
 //! whole suite runs in seconds inside tests and CI. The `bench` crate's
-//! `fig7`/`fig8`/`fig9` binaries run the paper-sized versions and print
-//! the series.
+//! `tables` binary prints either size (`tables 7|8|9 [--quick]`), and
+//! `tests/paper_claims.rs` asserts the paper's claims on the quick ones.
 
 use compaction_core::Strategy;
 use ycsb_gen::{Distribution, WorkloadSpec};
@@ -444,92 +444,6 @@ pub struct Fig9Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig7_quick_run_shape_and_trends() {
-        let rows = Fig7Config::quick().run();
-        let config = Fig7Config::quick();
-        assert_eq!(
-            rows.len(),
-            config.update_percents.len() * config.strategies.len()
-        );
-
-        // Cost decreases as the update percentage grows (paper, Section 5.2).
-        for &strategy in &config.strategies {
-            let cost_at = |pct: u32| {
-                rows.iter()
-                    .find(|r| r.update_percent == pct && r.strategy == strategy)
-                    .unwrap()
-                    .cost
-                    .mean
-            };
-            assert!(
-                cost_at(0) > cost_at(100),
-                "{strategy}: cost should fall as updates increase ({} vs {})",
-                cost_at(0),
-                cost_at(100)
-            );
-        }
-
-        // RANDOM is the worst (or tied) strategy at 0% updates.
-        let at_zero: Vec<&Fig7Row> = rows.iter().filter(|r| r.update_percent == 0).collect();
-        let random = at_zero
-            .iter()
-            .find(|r| matches!(r.strategy, Strategy::Random { .. }))
-            .unwrap();
-        for row in &at_zero {
-            assert!(
-                random.cost.mean >= row.cost.mean * 0.999,
-                "RANDOM ({}) should not beat {} ({})",
-                random.cost.mean,
-                row.strategy,
-                row.cost.mean
-            );
-        }
-    }
-
-    #[test]
-    fn fig8_quick_run_ratio_is_small_constant() {
-        let rows = Fig8Config::quick().run();
-        assert!(!rows.is_empty());
-        for row in &rows {
-            assert!(
-                row.cost.mean >= row.lopt.mean,
-                "cost can never beat the lower bound"
-            );
-            // The worst case against LOPT is the 2·(⌈log₂ n⌉ + 1) factor of
-            // cost_actual over disjoint sstables (Lemma 4.5 regime); the
-            // measured ratio must stay below that analytic ceiling.
-            let ceiling = 2.0 * ((row.n_sstables.max(2) as f64).log2().ceil() + 1.0);
-            assert!(
-                row.ratio() <= ceiling,
-                "BT(I) ratio {} exceeds the analytic ceiling {ceiling}",
-                row.ratio()
-            );
-        }
-        // The paper's claim: the ratio stays a (small) constant across the
-        // memtable-size sweep, i.e. both curves have the same slope in
-        // log-log space. Check the ratio does not drift by more than 3×.
-        let ratios: Vec<f64> = rows.iter().map(Fig8Row::ratio).collect();
-        let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = ratios.iter().copied().fold(0.0f64, f64::max);
-        assert!(max / min < 3.0, "ratio drifts across the sweep: {ratios:?}");
-        // Cost grows with memtable size (more data ⇒ more I/O).
-        let first = rows.first().unwrap();
-        let last = rows.last().unwrap();
-        assert!(last.cost.mean > first.cost.mean);
-    }
-
-    #[test]
-    fn fig9_quick_runs_both_sweeps() {
-        let a = Fig9Config::quick(Fig9Sweep::UpdatePercent).run();
-        assert_eq!(a.len(), 3);
-        assert!(a.iter().all(|r| r.sweep == Fig9Sweep::UpdatePercent));
-        let b = Fig9Config::quick(Fig9Sweep::OperationCount).run();
-        assert_eq!(b.len(), 3);
-        // More operations ⇒ more cost.
-        assert!(b.last().unwrap().cost.mean > b.first().unwrap().cost.mean);
-    }
 
     #[test]
     fn paper_configs_match_section_5_parameters() {

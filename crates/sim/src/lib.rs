@@ -18,12 +18,17 @@
 //! parameter sweeps behind the paper's Figure 7 (cost and time vs update
 //! percentage), Figure 8 (BT(I) vs the `LOPT` lower bound as the memtable
 //! size grows) and Figure 9 (cost vs time for SI), and [`report`] renders
-//! the resulting series as text tables or CSV.
+//! the resulting series as text tables.
 //!
 //! The [`live_engine`] module goes one step beyond the paper: the same
 //! YCSB stream is driven through the real, policy-driven `lsm-engine`
 //! store under each strategy, validating the simulator's predicted
 //! `cost_actual` against entries a physical engine actually moved.
+//!
+//! One binary prints all of it — `cargo run --release -p
+//! compaction-bench --bin tables -- [7|8|9|live|theory] [--quick]` — and
+//! `tests/paper_claims.rs` asserts the paper's claims on the `quick()`
+//! configurations.
 //!
 //! Two service harnesses remain beside the simulator, ungated and with
 //! one small binary each, because the committed `benchmark/` package

@@ -74,24 +74,16 @@ impl LiveEngineConfig {
         }
     }
 
-    /// A smaller configuration for tests and smoke runs.
+    /// A smaller configuration, same strategy lineup: what
+    /// `tables --quick live` prints and `tests/paper_claims.rs` asserts.
     #[must_use]
     pub fn quick() -> Self {
         Self {
             record_count: 300,
             operation_count: 2_500,
-            update_percent: 60,
-            distribution: Distribution::Latest,
             memtable_capacity: 100,
             trigger_tables: 6,
-            strategies: vec![
-                Strategy::SmallestOutput,
-                Strategy::BalanceTreeInput,
-                Strategy::Random { seed: 3 },
-            ],
-            fanin: 2,
-            threads: 2,
-            seed: 7,
+            ..Self::default_paper()
         }
     }
 
@@ -198,50 +190,5 @@ impl LiveEngineRow {
             return f64::NAN;
         }
         self.cost_actual as f64 / self.predicted_cost as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rows_are_comparable_and_prediction_is_tight() {
-        let config = LiveEngineConfig::quick();
-        let rows = config.run();
-        assert_eq!(rows.len(), config.strategies.len());
-        let flushes: Vec<u64> = rows.iter().map(|r| r.flushes).collect();
-        assert!(
-            flushes.windows(2).all(|w| w[0] == w[1]),
-            "identical stream ⇒ identical flush counts: {flushes:?}"
-        );
-        for row in &rows {
-            assert!(row.auto_compactions >= 1, "{}", row.strategy);
-            assert_eq!(row.final_tables, 1, "{}", row.strategy);
-            assert!(row.cost_actual > 0);
-            // Exact u64-keyed observations make the prediction exact.
-            assert_eq!(
-                row.cost_actual, row.predicted_cost,
-                "{}: prediction should be exact",
-                row.strategy
-            );
-            assert!(row.sim_cost_actual > 0);
-            assert!((row.prediction_ratio() - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn smallest_output_beats_random_live() {
-        // The acceptance criterion of the policy-driven engine: the
-        // paper's Figure 7 ordering holds on the real engine.
-        let mut config = LiveEngineConfig::quick();
-        config.strategies = vec![Strategy::SmallestOutput, Strategy::Random { seed: 11 }];
-        let rows = config.run();
-        assert!(
-            rows[0].cost_actual <= rows[1].cost_actual,
-            "SO ({}) must not cost more than RANDOM ({})",
-            rows[0].cost_actual,
-            rows[1].cost_actual
-        );
     }
 }

@@ -1,9 +1,9 @@
-//! Plain-text and CSV rendering of experiment series.
+//! Plain-text rendering of experiment series.
 //!
-//! The `fig7`/`fig8`/`fig9` binaries in the `compaction-bench` crate call
-//! these to print the same rows/series the paper's figures plot; the
-//! `live_engine`, `open_loop` and `churn` binaries print theirs the same
-//! way. Text tables and CSV only.
+//! The `tables` binary in the `compaction-bench` crate prints the same
+//! rows the paper's figures plot (and the live-engine rows) through the
+//! `*_table` renderers; the `open_loop` and `churn` binaries print theirs
+//! the same way, or as CSV with `--csv`.
 
 use crate::churn::ChurnRow;
 use crate::experiment::{Fig7Row, Fig8Row, Fig9Row, Fig9Sweep};
@@ -209,28 +209,6 @@ pub fn live_engine_table(rows: &[LiveEngineRow]) -> String {
     out
 }
 
-/// Renders the live-engine rows as CSV.
-#[must_use]
-pub fn live_engine_csv(rows: &[LiveEngineRow]) -> String {
-    let mut out = String::from(
-        "strategy,flushes,auto_compactions,cost_actual,predicted_cost,sim_cost_actual,stall_ms,final_tables\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.4},{}\n",
-            row.strategy.name(),
-            row.flushes,
-            row.auto_compactions,
-            row.cost_actual,
-            row.predicted_cost,
-            row.sim_cost_actual,
-            row.stall.as_secs_f64() * 1e3,
-            row.final_tables,
-        ));
-    }
-    out
-}
-
 /// Renders the Figure 7 series (cost and time per strategy per update
 /// percentage) as a fixed-width text table.
 #[must_use]
@@ -253,27 +231,6 @@ pub fn fig7_table(rows: &[Fig7Row]) -> String {
     out
 }
 
-/// Renders the Figure 7 series as CSV.
-#[must_use]
-pub fn fig7_csv(rows: &[Fig7Row]) -> String {
-    let mut out = String::from(
-        "update_percent,strategy,n_sstables,cost_mean,cost_std,time_ms_mean,time_ms_std\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.2},{:.2},{:.4},{:.4}\n",
-            row.update_percent,
-            row.strategy.name(),
-            row.n_sstables,
-            row.cost.mean,
-            row.cost.std_dev,
-            row.time_ms.mean,
-            row.time_ms.std_dev,
-        ));
-    }
-    out
-}
-
 /// Renders the Figure 8 series (BT(I) cost vs the LOPT lower bound) as a
 /// fixed-width text table.
 #[must_use]
@@ -291,28 +248,6 @@ pub fn fig8_table(rows: &[Fig8Row]) -> String {
             row.n_sstables,
             row.cost.to_string(),
             row.lopt.to_string(),
-            row.ratio(),
-        ));
-    }
-    out
-}
-
-/// Renders the Figure 8 series as CSV.
-#[must_use]
-pub fn fig8_csv(rows: &[Fig8Row]) -> String {
-    let mut out = String::from(
-        "distribution,memtable_size,n_sstables,cost_mean,cost_std,lopt_mean,lopt_std,ratio\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.2},{:.2},{:.2},{:.2},{:.4}\n",
-            row.distribution.name(),
-            row.memtable_size,
-            row.n_sstables,
-            row.cost.mean,
-            row.cost.std_dev,
-            row.lopt.mean,
-            row.lopt.std_dev,
             row.ratio(),
         ));
     }
@@ -343,30 +278,6 @@ pub fn fig9_table(rows: &[Fig9Row]) -> String {
     out
 }
 
-/// Renders a Figure 9 series as CSV.
-#[must_use]
-pub fn fig9_csv(rows: &[Fig9Row]) -> String {
-    let mut out =
-        String::from("distribution,sweep,x,cost_mean,cost_std,time_ms_mean,time_ms_std\n");
-    for row in rows {
-        let sweep = match row.sweep {
-            Fig9Sweep::UpdatePercent => "update_percent",
-            Fig9Sweep::OperationCount => "operation_count",
-        };
-        out.push_str(&format!(
-            "{},{},{},{:.2},{:.2},{:.4},{:.4}\n",
-            row.distribution.name(),
-            sweep,
-            row.x,
-            row.cost.mean,
-            row.cost.std_dev,
-            row.time_ms.mean,
-            row.time_ms.std_dev,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,9 +291,7 @@ mod tests {
         for name in ["SI", "SO(HLL)", "BT(I)", "BT(O)", "RANDOM"] {
             assert!(table.contains(name), "missing {name} in:\n{table}");
         }
-        let csv = fig7_csv(&rows);
-        assert_eq!(csv.lines().count(), rows.len() + 1);
-        assert!(csv.starts_with("update_percent,"));
+        assert_eq!(table.lines().count(), rows.len() + 1);
     }
 
     #[test]
@@ -391,17 +300,14 @@ mod tests {
         let table = fig8_table(&rows);
         assert!(table.contains("ratio"));
         assert!(table.contains("latest"));
-        let csv = fig8_csv(&rows);
-        assert_eq!(csv.lines().count(), rows.len() + 1);
+        assert_eq!(table.lines().count(), rows.len() + 1);
     }
 
     #[test]
     fn fig9_rendering_labels_both_sweeps() {
         let a = Fig9Config::quick(Fig9Sweep::UpdatePercent).run();
         assert!(fig9_table(&a).contains("% updates"));
-        assert!(fig9_csv(&a).contains("update_percent"));
         let b = Fig9Config::quick(Fig9Sweep::OperationCount).run();
         assert!(fig9_table(&b).contains(" ops"));
-        assert!(fig9_csv(&b).contains("operation_count"));
     }
 }

@@ -10,9 +10,7 @@ use rand::Rng;
 use crate::DEFAULT_ZIPFIAN_CONSTANT;
 
 /// Which request distribution the run phase draws keys from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Distribution {
     /// Every existing key is equally likely to be chosen.
     #[default]

@@ -2,7 +2,6 @@
 
 /// The kind of a CRUD operation, mirroring YCSB's core operation mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OperationKind {
     /// Insert a brand-new key.
     Insert,
@@ -50,7 +49,6 @@ impl std::fmt::Display for OperationKind {
 /// compaction theory only cares about key identity, so the integer form is
 /// used directly throughout the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Operation {
     /// What the operation does.
     pub kind: OperationKind,

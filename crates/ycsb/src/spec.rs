@@ -24,7 +24,6 @@ use crate::{Distribution, Error, WorkloadGenerator};
 /// # Ok::<(), ycsb_gen::Error>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSpec {
     record_count: u64,
     operation_count: u64,

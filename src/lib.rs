@@ -17,16 +17,18 @@
 //!   that physically executes merge schedules — and, configured with a
 //!   `CompactionPolicy`, plans and runs its own compactions with the
 //!   paper's strategies (parallel across independent merge steps).
-//!   Point reads are lock-free against writers: lazy sstable readers
+//!   A point read never waits on the write mutex: lazy sstable readers
 //!   fetch one data block per hit through a table/block cache pair,
-//!   probing an atomically-swapped snapshot of the live tables.
+//!   probing a snapshot of the live tables whose read lock is held for
+//!   one `Arc::clone`.
 //! * [`ycsb`] (`ycsb-gen`) — a YCSB-style workload generator (uniform /
 //!   zipfian / latest request distributions, load and run phases).
 //! * [`hll`] — HyperLogLog cardinality estimation, used by the
 //!   SmallestOutput heuristic exactly as in the paper's evaluation.
 //! * [`sim`] (`compaction-sim`) — the two-phase simulator, the
-//!   experiment harness regenerating Figures 7, 8 and 9, the
-//!   live-engine validation, and the two ungated service harnesses
+//!   experiment configs behind Figures 7, 8 and 9 and the live-engine
+//!   validation (printed by the `tables` binary, asserted by
+//!   `tests/paper_claims.rs`), and the two ungated service harnesses
 //!   (open-loop offered load, churn soak). Closed-loop serving is
 //!   measured by the detached `benchmark/` package instead.
 //! * [`service`] (`kv-service`) — the sharded concurrent KV service:

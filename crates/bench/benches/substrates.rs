@@ -1,13 +1,15 @@
 //! Benchmarks of the substrates the evaluation depends on: HyperLogLog
 //! estimation, YCSB workload generation, and the LSM engine's write /
-//! flush / physical-compaction path, merge path and WAL append path.
+//! flush / physical-compaction path, merge path, WAL append path and
+//! cold read path.
 
 use compaction_core::Strategy;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hll::HyperLogLog;
 use lsm_engine::{
-    key_from_u64, CompactionStep, Lsm, LsmOptions, Manifest, MemoryStorage, ParallelExecutor,
-    Storage, ValueKind, Wal, WalRecord,
+    crc32, key_from_u64, CompactionStep, Entry, Lsm, LsmOptions, Manifest, MemoryStorage,
+    ParallelExecutor, ReadContext, ReadPathCounters, SstableBuilder, SstableReader, Storage,
+    ValueKind, Wal, WalRecord,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -250,6 +252,67 @@ fn bench_wal_append(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cold read path one layer at a time, on `MemoryStorage` with no
+/// block cache: the CRC-32 over a 4 KiB block, one 4 KiB LZ block
+/// fetched and decoded (envelope CRC, LZ, entry offsets), and a whole
+/// `SstableReader::get` (bloom, index search, that fetch and decode, the
+/// in-block search). The owner of `mem-read-cold`'s per-get cost.
+fn bench_read_path(c: &mut Criterion) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let noise: Vec<u8> = (0..4096)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect();
+    // 8-byte keys and 100-byte values that compress about 2x, in 4 KiB
+    // blocks: the shape of the benchmark's records.
+    let storage = MemoryStorage::new();
+    let mut builder = SstableBuilder::new(1, 4096, 10);
+    for i in 0u64..20_000 {
+        let mut value = format!("value-{i:012}-").into_bytes();
+        value.extend_from_slice(&noise[(i as usize * 50) % 4000..][..50]);
+        value.resize(100, b'.');
+        builder.add(&Entry::put(key_from_u64(2 * i), value.into(), i + 1));
+    }
+    let (data, _) = builder.finish();
+    storage
+        .write_blob(&SstableReader::blob_name(1), &data)
+        .unwrap();
+    let reader = SstableReader::open(&storage, 1, None).unwrap();
+    let counters = ReadPathCounters::default();
+    let ctx = ReadContext {
+        storage: &storage,
+        block_cache: None,
+        fill_cache: false,
+        readahead_blocks: 1,
+        counters: &counters,
+    };
+
+    let mut group = c.benchmark_group("read_path");
+    group.sample_size(20_000);
+    group.throughput(Throughput::Bytes(noise.len() as u64));
+    group.bench_function("crc32_4k", |b| b.iter(|| crc32(black_box(&noise))));
+    group.bench_function("block_fetch_decode_4k_lz", |b| {
+        let mut idx = 0;
+        b.iter(|| {
+            idx = (idx + 1) % reader.block_count();
+            reader.block(black_box(idx), ctx).unwrap().len()
+        })
+    });
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("cold_get_no_cache", |b| {
+        let mut key = 0u64;
+        b.iter(|| {
+            key = (key + 7_919) % 20_000;
+            reader.get(&key_from_u64(black_box(2 * key)), ctx).unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hll,
@@ -257,6 +320,7 @@ criterion_group!(
     bench_lsm,
     bench_schedule_to_physical,
     bench_merge_path,
-    bench_wal_append
+    bench_wal_append,
+    bench_read_path
 );
 criterion_main!(benches);

@@ -11,14 +11,21 @@
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply clonable, immutable, contiguous slice of memory.
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A cheaply clonable, immutable, contiguous slice of memory: a shared
+/// buffer plus the range of it this value covers, so [`Bytes::slice`]
+/// and `clone` are a refcount bump, never a copy. Equality, ordering,
+/// hashing and `Debug` go by the covered content alone.
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
+    start: usize,
+    end: usize,
 }
 
 impl Bytes {
@@ -32,31 +39,74 @@ impl Bytes {
     /// borrows, but callers only rely on the value semantics).
     #[must_use]
     pub fn from_static(data: &'static [u8]) -> Self {
-        Self { data: data.into() }
+        Self::from_arc(data.into())
     }
 
     /// Copies `data` into a new `Bytes`.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self { data: data.into() }
+        Self::from_arc(data.into())
+    }
+
+    fn from_arc(data: Arc<[u8]>) -> Self {
+        let end = data.len();
+        Self {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     /// Length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.end - self.start
     }
 
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.start == self.end
     }
 
     /// Copies the contents into a fresh `Vec<u8>`.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_ref().to_vec()
+    }
+
+    /// A `Bytes` covering `range` of this one, sharing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is inverted or ends past `self.len()`, as
+    /// in the real crate.
+    #[must_use]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let begin = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => self.len(),
+        };
+        assert!(
+            begin <= end,
+            "range start must not be greater than end: {begin:?} <= {end:?}"
+        );
+        assert!(
+            end <= self.len(),
+            "range end out of bounds: {end:?} <= {:?}",
+            self.len()
+        );
+        Self {
+            data: Arc::clone(&self.data),
+            start: self.start + begin,
+            end: self.start + end,
+        }
     }
 }
 
@@ -64,26 +114,54 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.data
+        self
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_ref().cmp(other.as_ref())
+    }
+}
+
+/// Hashes exactly as the covered `[u8]` does, which `Borrow<[u8]>`
+/// requires of map keys looked up by slice.
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter() {
+        for &b in self.iter() {
             for esc in std::ascii::escape_default(b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -94,7 +172,7 @@ impl fmt::Debug for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Self { data: data.into() }
+        Self::from_arc(data.into())
     }
 }
 
@@ -338,6 +416,69 @@ mod tests {
         assert_eq!(Bytes::from_static(b"xy").as_ref(), b"xy");
         assert_eq!(Bytes::copy_from_slice(&[9]).as_ref(), &[9]);
         assert_eq!(Bytes::from(String::from("hi")).as_ref(), b"hi");
+    }
+
+    /// Equal content at different offsets of different buffers is one
+    /// value: as `BTreeMap` and `HashMap` keys, by `Ord`, `Hash` and
+    /// `Debug`.
+    #[test]
+    fn slices_compare_hash_and_order_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::{BTreeMap, HashMap};
+
+        let a = Bytes::from(b"xxkeyyy".to_vec()).slice(2..5);
+        let b = Bytes::from(b"key".to_vec());
+        let c = Bytes::from(b"--key".to_vec()).slice(2..);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        assert_eq!(a.cmp(&c), Ordering::Equal);
+        assert!(a < Bytes::from_static(b"kez"));
+        let hash = |x: &Bytes| {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&b));
+        assert_eq!(hash(&a), hash(&c));
+
+        let mut btree = BTreeMap::new();
+        btree.insert(a.clone(), 1);
+        assert_eq!(btree.insert(c.clone(), 2), Some(1));
+        assert_eq!(btree.get(b"key".as_slice()), Some(&2));
+        let mut hash_map = HashMap::new();
+        hash_map.insert(a.clone(), 1);
+        assert_eq!(hash_map.insert(c, 2), Some(1));
+        assert_eq!(hash_map.get(b"key".as_slice()), Some(&2));
+
+        assert_eq!(format!("{a:?}"), "b\"key\"");
+    }
+
+    #[test]
+    fn slices_share_the_buffer_and_nest() {
+        let whole = Bytes::from(b"0123456789".to_vec());
+        let mid = whole.slice(2..8);
+        assert_eq!(mid.as_ref(), b"234567");
+        assert_eq!(mid.as_ptr(), whole[2..].as_ptr(), "a slice is not a copy");
+        let inner = mid.slice(1..=3);
+        assert_eq!(inner.as_ref(), b"345");
+        assert_eq!(inner.len(), 3);
+        assert_eq!(inner.to_vec(), b"345".to_vec());
+        assert_eq!(mid.slice(..).as_ref(), mid.as_ref());
+        assert!(mid.slice(6..).is_empty());
+        assert_eq!(whole.slice(..0), Bytes::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "range end out of bounds")]
+    fn slicing_past_the_end_panics() {
+        let _ = Bytes::from(b"abcdef".to_vec()).slice(2..4).slice(1..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "range start must not be greater than end")]
+    fn slicing_an_inverted_range_panics() {
+        let (start, end) = (3, 2);
+        let _ = Bytes::from(b"abcdef".to_vec()).slice(start..end);
     }
 
     #[test]

@@ -288,21 +288,14 @@ impl BlockCache {
         found
     }
 
-    /// Inserts a decoded block charged at `cost_bytes` — the block's
-    /// decoded in-memory footprint ([`Block::mem_size`]), since the
-    /// cache stores decoded blocks and charging the stored (possibly
-    /// compressed) length would overshoot the budget by the
-    /// compression ratio — evicting least-recently-used blocks over
+    /// Inserts a decoded block charged at its resident size
+    /// ([`Block::mem_size`]), evicting least-recently-used blocks over
     /// capacity.
-    pub fn insert(&self, table_id: u64, block_idx: u32, block: Arc<Block>, cost_bytes: u64) {
+    pub fn insert(&self, table_id: u64, block_idx: u32, block: Arc<Block>) {
+        let cost = block.mem_size() as u64;
         let evicted = self.shards[shard_index(table_id ^ u64::from(block_idx))]
             .lock()
-            .insert(
-                (table_id, block_idx),
-                block,
-                cost_bytes,
-                self.capacity_per_shard,
-            );
+            .insert((table_id, block_idx), block, cost, self.capacity_per_shard);
         self.counters
             .evictions
             .fetch_add(evicted, Ordering::Relaxed);
@@ -426,22 +419,23 @@ mod tests {
 
     #[test]
     fn block_cache_bounds_bytes_and_purges_tables() {
-        let cache = BlockCache::new(8 * 100);
-        let block = Arc::new(Block::decode(&crate::block::BlockBuilder::new().finish()).unwrap());
+        let block = Arc::new(Block::decode(crate::block::BlockBuilder::new().finish()).unwrap());
+        let cost = block.mem_size() as u64;
+        let cache = BlockCache::new(16 * cost);
         for i in 0..100u32 {
-            cache.insert(7, i, Arc::clone(&block), 50);
+            cache.insert(7, i, Arc::clone(&block));
         }
         assert!(
-            cache.usage_bytes() <= 8 * 100,
+            cache.usage_bytes() <= 16 * cost,
             "usage {} over budget",
             cache.usage_bytes()
         );
         assert!(cache.counters().evictions() > 0, "tiny budget must evict");
         let cached_before = cache.usage_bytes();
         assert!(cached_before > 0);
-        cache.insert(8, 0, Arc::clone(&block), 50);
+        cache.insert(8, 0, Arc::clone(&block));
         cache.evict_table(7);
-        assert_eq!(cache.usage_bytes(), 50, "only table 8's block remains");
+        assert_eq!(cache.usage_bytes(), cost, "only table 8's block remains");
         assert!(cache.get(8, 0).is_some());
         assert!(cache.get(7, 0).is_none());
     }

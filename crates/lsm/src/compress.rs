@@ -16,9 +16,10 @@
 //! The envelope CRC is verified *before* the tag is trusted, so a
 //! bit-flipped tag or a torn payload surfaces as
 //! [`Error::Corruption`] — never a panic, never a misdecoded block.
-//! The logical block bytes keep their own trailing CRC (see
-//! [`Block::decode`](crate::Block)), so corruption introduced anywhere
-//! between build and decode is caught at one of the two layers.
+//! It is the block's only checksum: it covers every stored byte, so the
+//! logical block inside carries none of its own (see
+//! [`Block::decode`](crate::Block::decode)). A raw payload is handed on as a
+//! slice of the stored bytes, not a copy.
 //!
 //! The workspace is offline (no crates.io), so the codec is a small
 //! Snappy-style byte-oriented LZ implemented here: greedy hash-table
@@ -37,9 +38,9 @@
 //!   Distances shorter than the copy length overlap, giving RLE for
 //!   free.
 
-use std::borrow::Cow;
+use bytes::Bytes;
 
-use crate::block::crc32;
+use crate::crc::{crc32, verified};
 use crate::Error;
 
 /// Per-block compression applied by the sstable builder.
@@ -81,10 +82,10 @@ const MAX_MATCH: usize = MIN_MATCH + 0x7F;
 const MAX_DISTANCE: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 13;
 
-/// Upper bound on a declared logical block length; anything larger is
-/// corruption (blocks are built to a few KiB), and bounding it keeps a
-/// rotten length prefix from driving a giant allocation.
-const MAX_LOGICAL_LEN: usize = 1 << 30;
+/// Most output bytes one stream byte can produce (a three-byte copy
+/// yields `MAX_MATCH`): a declared logical length past this ratio is
+/// refused before it sizes the output buffer.
+const MAX_EXPANSION: usize = MAX_MATCH.div_ceil(3);
 
 /// Wraps one logical data block in the envelope, compressing the
 /// payload per `ty` (with per-block fallback to raw when compression
@@ -115,35 +116,26 @@ pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8]) -> Vec<
     out
 }
 
-/// Unwraps a block envelope back to the logical block bytes.
+/// Unwraps a block envelope back to the logical block bytes: a slice of
+/// `raw` for a raw payload, a fresh buffer for a compressed one.
 ///
 /// The envelope CRC is checked before anything else is trusted; an
 /// unknown tag, bad stream, or logical-length mismatch is
 /// [`Error::Corruption`].
-pub(crate) fn decode_block_envelope(raw: &[u8]) -> Result<Cow<'_, [u8]>, Error> {
-    if raw.len() < ENVELOPE_OVERHEAD {
-        return Err(Error::corruption("block envelope shorter than framing"));
-    }
-    let (body, crc_bytes) = raw.split_at(raw.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(Error::corruption("block envelope checksum mismatch"));
-    }
-    let (tag, payload) = (body[0], &body[1..]);
+pub(crate) fn decode_block_envelope(raw: &Bytes) -> Result<Bytes, Error> {
+    let body =
+        verified(raw).ok_or_else(|| Error::corruption("block envelope checksum mismatch"))?;
+    let (&tag, payload) = body
+        .split_first()
+        .ok_or_else(|| Error::corruption("block envelope shorter than framing"))?;
     match tag {
-        TAG_NONE => Ok(Cow::Borrowed(payload)),
+        TAG_NONE => Ok(raw.slice(1..body.len())),
         TAG_LZ => {
-            if payload.len() < 4 {
-                return Err(Error::corruption("compressed block missing length prefix"));
-            }
-            let logical_len =
-                u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-            if logical_len > MAX_LOGICAL_LEN {
-                return Err(Error::corruption(
-                    "compressed block logical length implausible",
-                ));
-            }
-            Ok(Cow::Owned(lz_decompress(&payload[4..], logical_len)?))
+            let (logical_len, stream) = payload
+                .split_first_chunk()
+                .ok_or_else(|| Error::corruption("compressed block missing length prefix"))?;
+            let logical_len = u32::from_le_bytes(*logical_len) as usize;
+            Ok(Bytes::from(lz_decompress(stream, logical_len)?))
         }
         _ => Err(Error::corruption("unknown block compression tag")),
     }
@@ -199,6 +191,11 @@ fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
 /// Decompresses an LZ stream that must expand to exactly
 /// `logical_len` bytes; any structural mismatch is corruption.
 pub(crate) fn lz_decompress(stream: &[u8], logical_len: usize) -> Result<Vec<u8>, Error> {
+    if logical_len > stream.len().saturating_mul(MAX_EXPANSION) {
+        return Err(Error::corruption(
+            "lz logical length exceeds what the stream can expand to",
+        ));
+    }
     let mut out = Vec::with_capacity(logical_len);
     let mut i = 0usize;
     while i < stream.len() {
@@ -222,11 +219,15 @@ pub(crate) fn lz_decompress(stream: &[u8], logical_len: usize) -> Result<Vec<u8>
                 return Err(Error::corruption("lz match distance out of range"));
             }
             let start = out.len() - distance;
-            // Byte-by-byte: distances shorter than the copy length
-            // overlap the bytes this loop has just appended.
-            for j in 0..len {
-                let byte = out[start + j];
-                out.push(byte);
+            if distance >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // An overlapping (RLE) copy reads bytes it has just
+                // appended, so it goes byte by byte.
+                for j in 0..len {
+                    let byte = out[start + j];
+                    out.push(byte);
+                }
             }
         }
         if out.len() > logical_len {
@@ -265,6 +266,66 @@ mod tests {
         roundtrip(&blockish);
     }
 
+    /// Copies at distance 1 (RLE), `len - 1` (overlapping by one byte)
+    /// and `len` (adjacent, the bulk path), built by hand so each shape
+    /// is certain to occur.
+    #[test]
+    fn lz_copies_at_every_overlap_shape() {
+        let literal = |bytes: &[u8]| [&[(bytes.len() - 1) as u8][..], bytes].concat();
+        let copy = |len: usize, distance: u16| {
+            [
+                &[0x80 | (len - MIN_MATCH) as u8][..],
+                &distance.to_le_bytes(),
+            ]
+            .concat()
+        };
+        for (stream, expect) in [
+            ([literal(b"a"), copy(6, 1)].concat(), b"aaaaaaa".to_vec()),
+            (
+                [literal(b"abcde"), copy(6, 5)].concat(),
+                b"abcdeabcdea".to_vec(),
+            ),
+            (
+                [literal(b"abcdef"), copy(6, 6)].concat(),
+                b"abcdefabcdef".to_vec(),
+            ),
+            (
+                [literal(b"abcdefg"), copy(4, 6)].concat(),
+                b"abcdefgbcde".to_vec(),
+            ),
+        ] {
+            assert_eq!(lz_decompress(&stream, expect.len()).unwrap(), expect);
+        }
+        for len in [MIN_MATCH, 17, MAX_MATCH] {
+            for distance in [1, len - 1, len, len + 1] {
+                let input: Vec<u8> = (0..distance as u8)
+                    .cycle()
+                    .take(distance + len + 5)
+                    .collect();
+                roundtrip(&input);
+            }
+        }
+    }
+
+    /// A declared logical length past what the stream could expand to is
+    /// refused before it sizes the output buffer — even behind a valid
+    /// envelope CRC.
+    #[test]
+    fn a_forged_logical_length_is_refused_before_allocating() {
+        let stream = lz_compress(&[7u8; 1_000]);
+        assert!(lz_decompress(&stream, 1_000).is_ok());
+        let cap = stream.len() * MAX_EXPANSION;
+        for logical_len in [cap + 1, u32::MAX as usize] {
+            let mut forged = vec![TAG_LZ];
+            forged.extend_from_slice(&(logical_len as u32).to_le_bytes());
+            forged.extend_from_slice(&stream);
+            let crc = crc32(&forged);
+            forged.extend_from_slice(&crc.to_le_bytes());
+            let err = decode_block_envelope(&forged.into()).unwrap_err();
+            assert!(err.to_string().contains("exceeds what the stream"), "{err}");
+        }
+    }
+
     #[test]
     fn lz_roundtrips_incompressible_bytes() {
         // A cheap PRNG stream: almost no 4-byte repeats in range.
@@ -301,7 +362,7 @@ mod tests {
             .collect();
         for ty in [CompressionType::None, CompressionType::Lz] {
             let raw = encode_block_envelope(ty, &logical);
-            let back = decode_block_envelope(&raw).unwrap();
+            let back = decode_block_envelope(&raw.into()).unwrap();
             assert_eq!(back.as_ref(), logical.as_slice(), "{ty:?}");
         }
         let lz = encode_block_envelope(CompressionType::Lz, &logical);
@@ -328,7 +389,7 @@ mod tests {
         assert_eq!(raw[0], TAG_NONE, "codec must not inflate noise");
         assert_eq!(raw.len(), noise.len() + ENVELOPE_OVERHEAD);
         assert_eq!(
-            decode_block_envelope(&raw).unwrap().as_ref(),
+            decode_block_envelope(&raw.into()).unwrap().as_ref(),
             noise.as_slice()
         );
     }
@@ -342,7 +403,7 @@ mod tests {
         for byte in 0..good.len() {
             let mut bad = good.clone();
             bad[byte] ^= 0x10;
-            match decode_block_envelope(&bad) {
+            match decode_block_envelope(&bad.into()) {
                 Err(Error::Corruption { .. }) => {}
                 Ok(decoded) => panic!(
                     "flip at byte {byte} silently decoded ({} bytes)",
@@ -360,7 +421,7 @@ mod tests {
         for cut in 0..good.len() {
             assert!(
                 matches!(
-                    decode_block_envelope(&good[..cut]),
+                    decode_block_envelope(&good[..cut].to_vec().into()),
                     Err(Error::Corruption { .. })
                 ),
                 "truncation at {cut} must be corruption"

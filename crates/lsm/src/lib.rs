@@ -102,6 +102,7 @@ mod bloom;
 mod cache;
 mod compaction;
 mod compress;
+mod crc;
 mod db;
 mod error;
 mod iter;
@@ -126,6 +127,7 @@ pub use bloom::BloomFilter;
 pub use cache::{BlockCache, CacheCounters, TableCache};
 pub use compaction::{CompactionOutcome, CompactionStep};
 pub use compress::CompressionType;
+pub use crc::crc32;
 pub use db::{AutoCompaction, Lsm, LsmPressure, LsmStats, Snapshot, StallTier};
 pub use error::Error;
 pub use iter::MergingIter;

@@ -24,7 +24,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::block::crc32;
+use crate::crc::{crc32, verified};
 use crate::reader::SstableReader;
 use crate::storage::Storage;
 use crate::Error;
@@ -222,11 +222,8 @@ impl Manifest {
         if data.len() < MANIFEST_MAGIC.len() + 8 + 8 + 4 + 4 {
             return Err(Error::corruption("manifest too short"));
         }
-        let (payload, crc_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
-            return Err(Error::corruption("manifest checksum mismatch"));
-        }
+        let payload =
+            verified(data).ok_or_else(|| Error::corruption("manifest checksum mismatch"))?;
         let mut cursor = &payload[MANIFEST_MAGIC.len()..];
         let next_table_id = cursor.get_u64_le();
         let next_seqno = cursor.get_u64_le();
@@ -267,11 +264,8 @@ impl Manifest {
         if data.len() != 20 || !data.starts_with(CURRENT_MAGIC) {
             return Err(Error::corruption("CURRENT pointer malformed"));
         }
-        let (payload, crc_bytes) = data.split_at(16);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
-            return Err(Error::corruption("CURRENT pointer checksum mismatch"));
-        }
+        let payload =
+            verified(data).ok_or_else(|| Error::corruption("CURRENT pointer checksum mismatch"))?;
         Ok(u64::from_le_bytes(payload[8..16].try_into().expect("8")))
     }
 
@@ -494,6 +488,17 @@ mod tests {
             let err = Manifest::decode(&blob).unwrap_err();
             assert!(err.to_string().contains("bad manifest magic"), "{err}");
         }
+    }
+
+    /// A `CURRENT` payload's bytes, pinned: its CRC-32 stays readable by
+    /// every store already written.
+    #[test]
+    fn current_pointer_has_pinned_bytes() {
+        let hex: String = Manifest::encode_current(42)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "4c534d43555252312a00000000000000602f1064");
     }
 
     #[test]

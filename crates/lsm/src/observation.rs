@@ -26,7 +26,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::block::crc32;
+use crate::crc::{crc32, verified};
 use crate::storage::Storage;
 use crate::Error;
 
@@ -93,12 +93,8 @@ impl TableKeyObservation {
         if data.len() < 13 {
             return Err(Error::corruption("key observation too short"));
         }
-        let (payload, crc_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
-            return Err(Error::corruption("key observation checksum mismatch"));
-        }
-        let mut cursor = payload;
+        let mut cursor =
+            verified(data).ok_or_else(|| Error::corruption("key observation checksum mismatch"))?;
         let repr = cursor.get_u8();
         if repr != REPR_EXACT {
             return Err(Error::corruption(format!(

@@ -22,6 +22,11 @@
 //!   bytes) and counters of its own, so the serving path's
 //!   [`ReadPathCounters`] keep meaning "gets and scans".
 //!
+//! A fetched block is checked once — its envelope CRC, the only checksum
+//! an `LSMTABL5` data block has — and decoded into one buffer plus an
+//! entry-offset array ([`Block`]) that lookups binary-search in place;
+//! every entry handed out is a slice of it, so a cache hit copies none.
+//!
 //! Readers are immutable and shared (`Arc`) through the
 //! [`TableCache`](crate::TableCache); the serving path's counters
 //! surface in [`LsmStats`](crate::LsmStats).
@@ -35,7 +40,8 @@ use bytes::Bytes;
 use crate::block::Block;
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
-use crate::sstable::{decode_index, decode_meta, decode_range_dels, decode_table_block, Footer};
+use crate::compress::decode_block_envelope;
+use crate::sstable::{decode_index, decode_meta, decode_range_dels, Footer};
 use crate::storage::Storage;
 use crate::types::{Entry, Key, RangeTombstone, SeqNo};
 use crate::Error;
@@ -398,8 +404,7 @@ impl SstableReader {
         if block_idx >= self.index.len() {
             return Ok(None);
         }
-        let block = self.block(block_idx, ctx)?;
-        Ok(block.get_visible(key, upto).cloned())
+        Ok(self.block(block_idx, ctx)?.get_visible(key, upto))
     }
 
     /// Fetches block `idx` through the cache (or storage on a miss).
@@ -430,20 +435,15 @@ impl SstableReader {
     /// not its (possibly compressed) stored length.
     fn decode_stored_block(
         &self,
-        raw: &[u8],
+        raw: &Bytes,
         idx: usize,
         ctx: ReadContext<'_>,
     ) -> Result<Arc<Block>, Error> {
-        let (block, logical_len) = decode_table_block(raw)?;
-        ctx.counters.record_block_decode(logical_len as u64);
-        let block = Arc::new(block);
+        let logical = decode_block_envelope(raw)?;
+        ctx.counters.record_block_decode(logical.len() as u64);
+        let block = Arc::new(Block::decode(logical)?);
         if let (Some(cache), true) = (ctx.block_cache, ctx.fill_cache) {
-            cache.insert(
-                self.table_id,
-                idx as u32,
-                Arc::clone(&block),
-                block.mem_size() as u64,
-            );
+            cache.insert(self.table_id, idx as u32, Arc::clone(&block));
         }
         Ok(block)
     }
@@ -477,8 +477,8 @@ struct PrefetchedSpan {
 /// both drive it. It holds a position (block index + entry index into
 /// the current decoded block) and a prefetched span, so that
 ///
-/// * entries are yielded straight out of the decoded [`Block`] —
-///   cheap `Bytes` clones, no per-block buffer copy; and
+/// * entries are yielded straight out of the decoded [`Block`] — slices
+///   of its buffer, no per-entry copy; and
 /// * on a cache miss it fetches up to `ctx.readahead_blocks`
 ///   consecutive blocks with **one** `read_blob_range`, decoding them
 ///   lazily as the cursor reaches them.
@@ -530,9 +530,9 @@ impl BlockCursor {
     ) -> Option<Result<Entry, Error>> {
         loop {
             if let Some(block) = &self.block {
-                if let Some(entry) = block.entries().get(self.entry_idx) {
+                if let Some(entry) = block.entry(self.entry_idx) {
                     self.entry_idx += 1;
-                    return Some(Ok(entry.clone()));
+                    return Some(Ok(entry));
                 }
                 self.block = None;
             }
@@ -590,18 +590,13 @@ impl BlockCursor {
         }
         let span = self.span.as_ref().expect("span just ensured");
         let (_, offset, len) = reader.index[idx];
-        let rel_start = offset
+        let range = offset
             .checked_sub(span.base_offset)
             .and_then(|rel| usize::try_from(rel).ok())
-            .ok_or_else(|| Error::corruption("block offset before its span"))?;
-        let rel_end = rel_start
-            .checked_add(len as usize)
-            .ok_or_else(|| Error::corruption("block range overflows"))?;
-        let raw = span
-            .raw
-            .get(rel_start..rel_end)
-            .ok_or_else(|| Error::corruption("block range past end of span"))?;
-        reader.decode_stored_block(raw, idx, ctx)
+            .and_then(|start| Some(start..start.checked_add(usize::try_from(len).ok()?)?))
+            .filter(|range| range.end <= span.raw.len())
+            .ok_or_else(|| Error::corruption("block range outside its span"))?;
+        reader.decode_stored_block(&span.raw.slice(range), idx, ctx)
     }
 
     /// Fetches blocks `[block_idx, block_idx + readahead)` (clamped to
@@ -974,10 +969,10 @@ mod tests {
             counters: &counters,
         };
         let block = reader.block(idx, ctx).unwrap();
-        assert!(block.entries().last().unwrap().key >= target);
+        assert!(block.entry(block.len() - 1).unwrap().key >= target);
         if idx > 0 {
             let prev = reader.block(idx - 1, ctx).unwrap();
-            assert!(prev.entries().last().unwrap().key < target);
+            assert!(prev.entry(prev.len() - 1).unwrap().key < target);
         }
     }
 }

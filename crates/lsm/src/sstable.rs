@@ -1,12 +1,12 @@
 //! The immutable sorted-run (sstable) format.
 //!
-//! Layout of an encoded sstable blob (`LSMTABL4`, the only format this
+//! Layout of an encoded sstable blob (`LSMTABL5`, the only format this
 //! build reads or writes):
 //!
 //! ```text
 //! +-------------------+
-//! | data block 0      |   compression envelope: tag + payload + CRC
-//! | data block 1      |   (logical block bytes are CRC'd too, see `block`)
+//! | data block 0      |   compression envelope: tag + payload + CRC,
+//! | data block 1      |   the block's one checksum
 //! | ...               |
 //! | bloom filter      |
 //! | meta block        |   min/max user key of the table
@@ -25,7 +25,9 @@
 //! a compaction input. Each data block is stored inside a per-block
 //! [compression envelope](crate::compress) — tag byte, possibly-LZ
 //! payload, envelope CRC — and the index records the *stored* length, so
-//! ranged reads fetch exactly the compressed bytes. A blob carrying the
+//! ranged reads fetch exactly the compressed bytes. The envelope CRC is
+//! the only checksum over a data block: one pass over each stored byte
+//! on every decode. A blob carrying the
 //! footer magic of an earlier format revision is recognised and refused,
 //! never parsed.
 //!
@@ -38,9 +40,10 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::block::{crc32, Block, BlockBuilder};
+use crate::block::BlockBuilder;
 use crate::bloom::BloomFilter;
-use crate::compress::{decode_block_envelope, encode_block_envelope, CompressionType};
+use crate::compress::{encode_block_envelope, CompressionType};
+use crate::crc::{crc32, verified};
 use crate::manifest::TableMeta;
 use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
@@ -51,14 +54,15 @@ use crate::types::{Entry, Key, RangeTombstone};
 use crate::Error;
 
 /// Footer magic of the one format this build reads and writes.
-const FOOTER_MAGIC: u64 = 0x4C53_4D54_4142_4C34; // "LSMTABL4"
+const FOOTER_MAGIC: u64 = 0x4C53_4D54_4142_4C35; // "LSMTABL5"
 
-/// Footer magics of the three retired format revisions, kept only so a
+/// Footer magics of the four retired format revisions, kept only so a
 /// blob in one of them is refused by version rather than as garbage.
-const RETIRED_MAGICS: [(u64, u8); 3] = [
+const RETIRED_MAGICS: [(u64, u8); 4] = [
     (0x4C53_4D54_4142_4C45, 1), // "LSMTABLE"
     (0x4C53_4D54_4142_4C32, 2), // "LSMTABL2"
     (0x4C53_4D54_4142_4C33, 3), // "LSMTABL3"
+    (0x4C53_4D54_4142_4C34, 4), // "LSMTABL4"
 ];
 
 /// Parsed sstable footer.
@@ -94,7 +98,7 @@ impl Footer {
         let magic = u64::from_le_bytes(magic_probe.try_into().expect("8 bytes"));
         if let Some((_, version)) = RETIRED_MAGICS.iter().find(|(m, _)| *m == magic) {
             return Err(Error::corruption(format!(
-                "unsupported sstable format v{version}; this build reads v4 only"
+                "unsupported sstable format v{version}; this build reads v5 only"
             )));
         }
         if magic != FOOTER_MAGIC {
@@ -103,12 +107,8 @@ impl Footer {
         if tail.len() < Self::LEN || total_len < Self::LEN {
             return Err(Error::corruption("sstable shorter than footer"));
         }
-        let footer = &tail[tail.len() - Self::LEN..];
-        let crc_stored = u32::from_le_bytes(footer[Self::LEN - 4..].try_into().expect("4 bytes"));
-        if crc32(&footer[..Self::LEN - 4]) != crc_stored {
-            return Err(Error::corruption("sstable footer checksum mismatch"));
-        }
-        let mut cursor = footer;
+        let mut cursor = verified(&tail[tail.len() - Self::LEN..])
+            .ok_or_else(|| Error::corruption("sstable footer checksum mismatch"))?;
         let bloom_offset = cursor.get_u64_le() as usize;
         let bloom_len = cursor.get_u64_le() as usize;
         let meta_offset = cursor.get_u64_le() as usize;
@@ -137,15 +137,6 @@ impl Footer {
     }
 }
 
-/// Decodes one data block from its stored (enveloped) bytes. Returns
-/// the block and its logical (decompressed) byte length, which the
-/// read-path counters report next to the physical bytes actually
-/// fetched.
-pub(crate) fn decode_table_block(raw: &[u8]) -> Result<(Block, usize), Error> {
-    let logical = decode_block_envelope(raw)?;
-    Ok((Block::decode(&logical)?, logical.len()))
-}
-
 /// Encodes the range-tombstone section: count, per-record bounds +
 /// seqno, and a section CRC.
 fn encode_range_dels(buf: &mut BytesMut, range_dels: &[RangeTombstone]) {
@@ -166,27 +157,19 @@ fn encode_range_dels(buf: &mut BytesMut, range_dels: &[RangeTombstone]) {
 /// `section` must span exactly the section bytes (offset to the next
 /// block's offset).
 pub(crate) fn decode_range_dels(section: &[u8]) -> Result<Vec<RangeTombstone>, Error> {
-    if section.len() < 8 {
-        return Err(Error::corruption("truncated range-tombstone section"));
-    }
-    let (payload, crc_bytes) = section.split_at(section.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(payload) != stored {
-        return Err(Error::corruption(
-            "range-tombstone section checksum mismatch",
-        ));
-    }
-    let mut cursor = payload;
-    let count = cursor.get_u32_le();
-    let mut range_dels = Vec::with_capacity(count as usize);
+    let mut cursor = verified(section)
+        .filter(|payload| payload.len() >= 4)
+        .ok_or_else(|| Error::corruption("range-tombstone section truncated or rotten"))?;
+    let count = cursor.get_u32_le() as usize;
+    // A record is at least two length prefixes and a seqno.
+    let mut range_dels = Vec::with_capacity(count.min(cursor.remaining() / 16));
     for _ in 0..count {
         let start = decode_meta_key(&mut cursor)?;
         let end = decode_meta_key(&mut cursor)?;
         if cursor.remaining() < 8 {
             return Err(Error::corruption("truncated range-tombstone record"));
         }
-        let seqno = cursor.get_u64_le();
-        range_dels.push(RangeTombstone::new(start, end, seqno));
+        range_dels.push(RangeTombstone::new(start, end, cursor.get_u64_le()));
     }
     Ok(range_dels)
 }
@@ -200,13 +183,14 @@ pub struct SstableBuilder {
     compression: CompressionType,
     current: BlockBuilder,
     finished_blocks: Vec<(Key, Bytes)>,
-    all_keys: Vec<Key>,
+    /// Every key added, back to back, and the bounds between them: the
+    /// bloom filter's input and the table's point-key span. Copied, not
+    /// held, since a merge input's key is a slice of a whole block.
+    key_bytes: Vec<u8>,
+    key_bounds: Vec<usize>,
     range_dels: Vec<RangeTombstone>,
-    entry_count: u64,
     tombstone_count: u64,
     max_seqno: u64,
-    min_key: Option<Key>,
-    max_key: Option<Key>,
 }
 
 impl SstableBuilder {
@@ -220,13 +204,11 @@ impl SstableBuilder {
             compression: CompressionType::default(),
             current: BlockBuilder::new(),
             finished_blocks: Vec::new(),
-            all_keys: Vec::new(),
+            key_bytes: Vec::new(),
+            key_bounds: vec![0],
             range_dels: Vec::new(),
-            entry_count: 0,
             tombstone_count: 0,
             max_seqno: 0,
-            min_key: None,
-            max_key: None,
         }
     }
 
@@ -240,16 +222,12 @@ impl SstableBuilder {
             && self
                 .current
                 .last_key()
-                .is_some_and(|last| *last != entry.key)
+                .is_some_and(|last| last != entry.key.as_ref())
         {
             self.rotate_block();
         }
-        if self.min_key.is_none() {
-            self.min_key = Some(entry.key.clone());
-        }
-        self.max_key = Some(entry.key.clone());
-        self.all_keys.push(entry.key.clone());
-        self.entry_count += 1;
+        self.key_bytes.extend_from_slice(&entry.key);
+        self.key_bounds.push(self.key_bytes.len());
         self.max_seqno = self.max_seqno.max(entry.seqno);
         if entry.is_tombstone() {
             self.tombstone_count += 1;
@@ -269,7 +247,7 @@ impl SstableBuilder {
         if self.current.is_empty() {
             return;
         }
-        let last_key = self.current.last_key().expect("non-empty block").clone();
+        let last_key = Bytes::copy_from_slice(self.current.last_key().expect("non-empty block"));
         let encoded = self.current.finish();
         self.finished_blocks.push((last_key, encoded));
     }
@@ -286,7 +264,7 @@ impl SstableBuilder {
     /// Number of entries added so far.
     #[must_use]
     pub fn entry_count(&self) -> u64 {
-        self.entry_count
+        self.key_bounds.len() as u64 - 1
     }
 
     /// Serializes the table and returns (encoded bytes, metadata).
@@ -294,16 +272,17 @@ impl SstableBuilder {
     pub fn finish(mut self) -> (Bytes, SstableMeta) {
         self.rotate_block();
 
-        let bloom = BloomFilter::build(
-            self.all_keys.iter().map(|k| k.as_ref()),
-            self.bloom_bits_per_key,
-        );
+        let keys = self
+            .key_bounds
+            .windows(2)
+            .map(|w| &self.key_bytes[w[0]..w[1]]);
+        let bloom = BloomFilter::build(keys.clone(), self.bloom_bits_per_key);
 
         // The table's key range must cover its range tombstones too, so
         // range pruning never skips a table whose only relevant content
         // is an interval delete outside its point-key span.
-        let mut min_key = self.min_key;
-        let mut max_key = self.max_key;
+        let mut min_key = keys.clone().next().map(Bytes::copy_from_slice);
+        let mut max_key = keys.clone().next_back().map(Bytes::copy_from_slice);
         for rd in &self.range_dels {
             if min_key.as_ref().is_none_or(|m| rd.start < *m) {
                 min_key = Some(rd.start.clone());
@@ -353,14 +332,14 @@ impl SstableBuilder {
         buf.put_u64_le(meta_offset);
         buf.put_u64_le(range_del_offset);
         buf.put_u64_le(index_offset);
-        buf.put_u64_le(self.entry_count);
+        buf.put_u64_le(self.entry_count());
         buf.put_u64_le(FOOTER_MAGIC);
         let crc = crc32(&buf[footer_start..]);
         buf.put_u32_le(crc);
 
         let meta = SstableMeta {
             table_id: self.table_id,
-            entry_count: self.entry_count,
+            entry_count: self.entry_count(),
             tombstone_count: self.tombstone_count,
             range_tombstone_count: self.range_dels.len() as u64,
             max_seqno: self.max_seqno,
@@ -450,21 +429,15 @@ pub(crate) fn decode_index(mut cursor: &[u8]) -> Result<Vec<(Key, u64, u64)>, Er
     if cursor.remaining() < 4 {
         return Err(Error::corruption("truncated sstable index"));
     }
-    let block_count = cursor.get_u32_le();
-    let mut index = Vec::with_capacity(block_count as usize);
+    let block_count = cursor.get_u32_le() as usize;
+    // An entry is at least a length prefix, an offset and a length.
+    let mut index = Vec::with_capacity(block_count.min(cursor.remaining() / 20));
     for _ in 0..block_count {
-        if cursor.remaining() < 4 {
+        let key = decode_meta_key(&mut cursor)?;
+        if cursor.remaining() < 16 {
             return Err(Error::corruption("truncated index entry"));
         }
-        let klen = cursor.get_u32_le() as usize;
-        if cursor.remaining() < klen + 16 {
-            return Err(Error::corruption("truncated index entry body"));
-        }
-        let key = Bytes::copy_from_slice(&cursor[..klen]);
-        cursor.advance(klen);
-        let offset = cursor.get_u64_le();
-        let len = cursor.get_u64_le();
-        index.push((key, offset, len));
+        index.push((key, cursor.get_u64_le(), cursor.get_u64_le()));
     }
     Ok(index)
 }
@@ -631,13 +604,14 @@ mod tests {
     #[test]
     fn retired_format_magics_are_refused_by_version() {
         let (current, _) = build_table(20, 4096);
-        assert_eq!(&current[current.len() - 12..current.len() - 4], b"4LBATMSL");
+        assert_eq!(&current[current.len() - 12..current.len() - 4], b"5LBATMSL");
         assert!(Stored::open(1, &current).is_ok());
 
         for (magic, expect) in [
             (*b"LSMTABLE", "unsupported sstable format v1"),
             (*b"LSMTABL2", "unsupported sstable format v2"),
             (*b"LSMTABL3", "unsupported sstable format v3"),
+            (*b"LSMTABL4", "unsupported sstable format v4"),
             (*b"LSMTABL9", "bad sstable magic"),
         ] {
             // A tail shaped like the old footers: offset fields, the
@@ -747,11 +721,11 @@ mod tests {
         let mut seen_last: Option<Key> = None;
         for idx in 0..table.reader.block_count() {
             let block = table.reader.block(idx, table.ctx()).unwrap();
-            let first = block.entries().first().unwrap().key.clone();
+            let first = block.entry(0).unwrap().key;
             if let Some(prev_last) = &seen_last {
                 assert_ne!(*prev_last, first, "user key split across adjacent blocks");
             }
-            seen_last = Some(block.entries().last().unwrap().key.clone());
+            seen_last = Some(block.entry(block.len() - 1).unwrap().key);
         }
     }
 
@@ -773,6 +747,43 @@ mod tests {
             Stored::open(6, &tampered).map(|_| ()),
             Err(Error::Corruption { .. })
         ));
+    }
+
+    /// Each decoder's stored count is refused before it sizes an
+    /// allocation when the bytes behind it could not hold that many
+    /// records — a data block's behind a valid envelope CRC, the
+    /// range-tombstone section's behind its section CRC, the index's
+    /// (which has no CRC) as is. `u32::MAX` of any of them would ask for
+    /// tens of GiB.
+    #[test]
+    fn forged_counts_are_refused_before_allocating() {
+        let with_count = |mut bytes: Vec<u8>, at: usize, count: u32| {
+            bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            bytes
+        };
+        let corrupt = |result: Result<(), Error>| matches!(result, Err(Error::Corruption { .. }));
+
+        let mut block = BlockBuilder::new();
+        block.add(&Entry::put(key_from_u64(1), Bytes::new(), 1));
+        let block = block.finish().to_vec();
+        let mut range_dels = BytesMut::new();
+        encode_range_dels(&mut range_dels, &[]);
+        let mut index = BytesMut::new();
+        index.put_u32_le(0);
+        for count in [2, 1 << 20, u32::MAX] {
+            let logical = with_count(block.clone(), block.len() - 4, count);
+            let stored = encode_block_envelope(CompressionType::Lz, &logical);
+            let logical = crate::compress::decode_block_envelope(&stored.into()).unwrap();
+            assert!(corrupt(crate::block::Block::decode(logical).map(|_| ())));
+
+            let mut section = with_count(range_dels.to_vec(), 0, count);
+            let crc = crc32(&section[..4]);
+            section[4..].copy_from_slice(&crc.to_le_bytes());
+            assert!(corrupt(decode_range_dels(&section).map(|_| ())));
+
+            let forged = with_count(index.to_vec(), 0, count);
+            assert!(corrupt(decode_index(&forged).map(|_| ())));
+        }
     }
 
     /// The one writer: blob, sidecar and manifest metadata agree, and an

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -115,27 +116,25 @@ pub trait Storage: std::fmt::Debug + Send + Sync {
     fn bytes_read(&self) -> u64;
 }
 
-/// Slices `[offset, offset + len)` out of a [`MemoryStorage`] blob, with
-/// range checking.
-fn range_of(blob: &[u8], name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
-    let start = usize::try_from(offset)
-        .map_err(|_| Error::corruption(format!("range offset {offset} overflows usize")))?;
-    let end = start.checked_add(len).ok_or_else(|| {
-        Error::corruption(format!("range {offset}+{len} overflows in blob `{name}`"))
-    })?;
-    if end > blob.len() {
-        return Err(Error::corruption(format!(
-            "range {offset}+{len} past end of blob `{name}` ({} bytes)",
-            blob.len()
-        )));
-    }
-    Ok(Bytes::copy_from_slice(&blob[start..end]))
+/// The range `[offset, offset + len)` of a [`MemoryStorage`] blob of
+/// `blob_len` bytes, range checked.
+fn range_of(blob_len: usize, name: &str, offset: u64, len: usize) -> Result<Range<usize>, Error> {
+    usize::try_from(offset)
+        .ok()
+        .and_then(|start| Some(start..start.checked_add(len)?))
+        .filter(|range| range.end <= blob_len)
+        .ok_or_else(|| {
+            Error::corruption(format!(
+                "range {offset}+{len} past end of blob `{name}` ({blob_len} bytes)"
+            ))
+        })
 }
 
 /// One stored blob of a [`MemoryStorage`]. `write_blob` stores a shared
-/// immutable buffer, so reading a table or sidecar back is an `Arc`
-/// clone; `append_blob` grows a plain vector in place (amortised
-/// O(`data.len()`)), which only WAL replay ever reads back.
+/// immutable buffer, so reading a table or sidecar back — whole or a
+/// range of it — is a slice sharing that buffer; `append_blob` grows a
+/// plain vector in place (amortised O(`data.len()`)), which only WAL
+/// replay ever reads back.
 #[derive(Debug)]
 enum Blob {
     Whole(Bytes),
@@ -147,6 +146,15 @@ impl Blob {
         match self {
             Blob::Whole(bytes) => bytes,
             Blob::Appended(buf) => buf,
+        }
+    }
+
+    /// `range` of the blob: shared for a whole blob, copied for an
+    /// appended one.
+    fn bytes(&self, range: Range<usize>) -> Bytes {
+        match self {
+            Blob::Whole(bytes) => bytes.slice(range),
+            Blob::Appended(buf) => Bytes::copy_from_slice(&buf[range]),
         }
     }
 }
@@ -199,20 +207,17 @@ impl Storage for MemoryStorage {
     fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
         let guard = self.blobs.read();
         let blob = guard.get(name).ok_or_else(|| not_found(name))?;
-        self.read
-            .fetch_add(blob.as_slice().len() as u64, Ordering::Relaxed);
-        Ok(match blob {
-            Blob::Whole(bytes) => bytes.clone(),
-            Blob::Appended(buf) => Bytes::copy_from_slice(buf),
-        })
+        let len = blob.as_slice().len();
+        self.read.fetch_add(len as u64, Ordering::Relaxed);
+        Ok(blob.bytes(0..len))
     }
 
     fn read_blob_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, Error> {
         let guard = self.blobs.read();
         let blob = guard.get(name).ok_or_else(|| not_found(name))?;
-        let slice = range_of(blob.as_slice(), name, offset, len)?;
-        self.read.fetch_add(slice.len() as u64, Ordering::Relaxed);
-        Ok(slice)
+        let range = range_of(blob.as_slice().len(), name, offset, len)?;
+        self.read.fetch_add(len as u64, Ordering::Relaxed);
+        Ok(blob.bytes(range))
     }
 
     fn blob_len(&self, name: &str) -> Result<u64, Error> {
@@ -470,14 +475,18 @@ mod tests {
     fn memory_storage_contract() {
         let storage = MemoryStorage::new();
         exercise(&storage);
-        // Reading a `write_blob`-written blob (every table and sidecar)
-        // shares the stored buffer instead of copying it.
+        // Reading a `write_blob`-written blob (every table and sidecar),
+        // whole or a range of it, shares the stored buffer instead of
+        // copying it.
         storage.write_blob("t", b"table").unwrap();
         let (a, b) = (
             storage.read_blob("t").unwrap(),
             storage.read_blob("t").unwrap(),
         );
         assert_eq!(a.as_ptr(), b.as_ptr());
+        let range = storage.read_blob_range("t", 1, 3).unwrap();
+        assert_eq!(range.as_ref(), b"abl");
+        assert_eq!(range.as_ptr(), a[1..].as_ptr());
     }
 
     #[test]

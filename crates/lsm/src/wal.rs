@@ -43,7 +43,7 @@
 
 use bytes::{Buf, BufMut, Bytes};
 
-use crate::block::crc32;
+use crate::crc::crc32;
 use crate::storage::Storage;
 use crate::types::{Key, SeqNo, Value, ValueKind};
 use crate::Error;
@@ -412,6 +412,26 @@ mod tests {
         }
         let replayed = replayed(&storage, "wal-0");
         assert_eq!(replayed, records);
+    }
+
+    /// One put frame's bytes on storage, pinned: the framing and the
+    /// CRC-32 stay readable by every segment already written.
+    #[test]
+    fn one_put_frame_has_pinned_bytes() {
+        let storage = MemoryStorage::new();
+        let mut wal = Wal::new("wal-golden");
+        wal.append(&storage, &record(7)).unwrap();
+        let hex: String = storage
+            .read_blob("wal-golden")
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "4c534d57414c30321f00000037b7ca080100000008000000000000000000000702000000763707000000000000\
+             0000"
+        );
     }
 
     #[test]

@@ -152,18 +152,11 @@ pub enum Strategy {
     /// SMALLESTOUTPUT (`SO`) with exact union cardinalities.
     SmallestOutput,
     /// SMALLESTOUTPUT with HyperLogLog-estimated union cardinalities, as
-    /// implemented in the paper's simulator. `precision` is the HLL
-    /// precision `p` (14 in the evaluation).
+    /// implemented in the paper's simulator: one sketch cached per
+    /// sstable, so an iteration needs only the `C(n−k, k−1)` fresh
+    /// estimates that involve the newly merged table (Section 5.1).
+    /// `precision` is the HLL precision `p` (14 in the evaluation).
     SmallestOutputHll {
-        /// HyperLogLog precision (number of registers = `2^precision`).
-        precision: u8,
-    },
-    /// SMALLESTOUTPUT with HyperLogLog estimation *and* per-sstable sketch
-    /// caching — the optimization the paper describes for keeping the
-    /// per-iteration overhead at `C(n−k, k−1)` fresh estimates. Chooses
-    /// identical schedules to [`Strategy::SmallestOutputHll`] at the same
-    /// precision, with much lower scheduling overhead.
-    SmallestOutputCached {
         /// HyperLogLog precision (number of registers = `2^precision`).
         precision: u8,
     },
@@ -193,7 +186,6 @@ impl Strategy {
             Strategy::SmallestInput => "SI",
             Strategy::SmallestOutput => "SO",
             Strategy::SmallestOutputHll { .. } => "SO(HLL)",
-            Strategy::SmallestOutputCached { .. } => "SO(HLL+cache)",
             Strategy::LargestMatch => "LM",
             Strategy::Random { .. } => "RANDOM",
             Strategy::Frequency => "FREQ",
@@ -257,10 +249,7 @@ pub fn schedule_with(
         Strategy::BalanceTreeOutput => merger.run(BalanceTreePolicy::with_smallest_output()),
         Strategy::SmallestInput => merger.run(SmallestInputPolicy),
         Strategy::SmallestOutput => merger.run(SmallestOutputPolicy::new(ExactEstimator)),
-        Strategy::SmallestOutputHll { precision } => merger.run(SmallestOutputPolicy::new(
-            crate::estimator::HllEstimator::new(precision).unwrap_or_default(),
-        )),
-        Strategy::SmallestOutputCached { precision } => {
+        Strategy::SmallestOutputHll { precision } => {
             merger.run(CachedSmallestOutputPolicy::new(precision))
         }
         Strategy::LargestMatch => merger.run(LargestMatchPolicy),
@@ -363,7 +352,6 @@ mod tests {
             Strategy::SmallestInput,
             Strategy::SmallestOutput,
             Strategy::SmallestOutputHll { precision: 12 },
-            Strategy::SmallestOutputCached { precision: 12 },
             Strategy::LargestMatch,
             Strategy::Random { seed: 1 },
             Strategy::Frequency,

@@ -79,17 +79,11 @@ impl SizeEstimator {
     #[must_use]
     pub fn apply(self, strategy: Strategy) -> Strategy {
         match (self, strategy) {
-            (Self::Hll { precision }, Strategy::SmallestOutput) => {
-                Strategy::SmallestOutputCached { precision }
-            }
-            (
-                Self::Exact,
-                Strategy::SmallestOutputHll { .. } | Strategy::SmallestOutputCached { .. },
-            ) => Strategy::SmallestOutput,
             (
                 Self::Hll { precision },
-                Strategy::SmallestOutputHll { .. } | Strategy::SmallestOutputCached { .. },
-            ) => Strategy::SmallestOutputCached { precision },
+                Strategy::SmallestOutput | Strategy::SmallestOutputHll { .. },
+            ) => Strategy::SmallestOutputHll { precision },
+            (Self::Exact, Strategy::SmallestOutputHll { .. }) => Strategy::SmallestOutput,
             (_, other) => other,
         }
     }
@@ -294,7 +288,7 @@ mod tests {
         let hll = SizeEstimator::Hll { precision: 12 };
         assert_eq!(
             hll.apply(Strategy::SmallestOutput),
-            Strategy::SmallestOutputCached { precision: 12 }
+            Strategy::SmallestOutputHll { precision: 12 }
         );
         assert_eq!(
             hll.apply(Strategy::BalanceTreeInput),
@@ -307,7 +301,7 @@ mod tests {
         );
         assert_eq!(
             hll.apply(Strategy::SmallestOutputHll { precision: 14 }),
-            Strategy::SmallestOutputCached { precision: 12 }
+            Strategy::SmallestOutputHll { precision: 12 }
         );
         assert!(SizeEstimator::Exact.hll_estimator().is_none());
         assert_eq!(
@@ -326,7 +320,7 @@ mod tests {
             .with_estimator(SizeEstimator::Hll { precision: 12 });
         assert_eq!(
             planner.effective_strategy(),
-            Strategy::SmallestOutputCached { precision: 12 }
+            Strategy::SmallestOutputHll { precision: 12 }
         );
         let plan = planner.plan(&tables, 2).unwrap();
         assert_eq!(plan.steps().len(), 4);

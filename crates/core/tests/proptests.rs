@@ -31,7 +31,6 @@ fn all_strategies() -> Vec<Strategy> {
         Strategy::SmallestInput,
         Strategy::SmallestOutput,
         Strategy::SmallestOutputHll { precision: 12 },
-        Strategy::SmallestOutputCached { precision: 12 },
         Strategy::LargestMatch,
         Strategy::Random { seed: 17 },
         Strategy::Frequency,

@@ -181,7 +181,7 @@ pub(crate) struct LsmInner {
     /// Maintenance lifecycle trace: one shared ring when injected via
     /// [`LsmOptions::event_sink`], else a private one.
     events: EventRing,
-    /// Shard id stamped on every event ([`LsmOptions::shard_tag`]).
+    /// Shard id stamped on every event ([`LsmOptions::event_sink`]).
     shard: u32,
     /// [`StallTier`] code writers last observed; edges are traced as
     /// [`EventKind::StallTierChange`] events.
@@ -221,7 +221,6 @@ pub(crate) struct LsmInner {
 struct WriteState {
     manifest: Manifest,
     wal: Option<Wal>,
-    flushes_since_compaction: u64,
     /// Generation number for the next WAL segment (one segment per
     /// memtable generation).
     next_wal_generation: u64,
@@ -793,9 +792,8 @@ impl Lsm {
     /// Plans a compaction of the live tables with the configured
     /// strategy and estimator and executes it (parallel across
     /// independent steps when [`LsmOptions::threads`] > 1), regardless
-    /// of whether the policy would fire. Returns `Ok(None)` when the
-    /// policy is [`CompactionPolicy::Disabled`] or there are fewer than
-    /// two live tables.
+    /// of whether the policy would fire. Returns `Ok(None)` when there
+    /// are fewer than two live tables.
     ///
     /// This is the "compact now, your way" entry point: no manual
     /// [`CompactionStep`] construction involved.
@@ -1088,7 +1086,7 @@ impl LsmInner {
         let wal_bytes_written = wal.as_ref().map_or(0, Wal::segment_len);
         let snapshot = RwLock::new(Arc::new(ReadView::from_manifest(&manifest)));
         let events = crate::metrics::event_ring_for(&options);
-        let shard = options.shard_tag_id();
+        let shard = options.event_sink_shard();
         if recovery.segments_scanned > 0 {
             events.record(
                 shard,
@@ -1121,7 +1119,6 @@ impl LsmInner {
             write: Mutex::new(WriteState {
                 manifest,
                 wal,
-                flushes_since_compaction: 0,
                 next_wal_generation,
                 wal_appends: u64::from(wal_bytes_written > 0),
                 wal_bytes_written,
@@ -1890,7 +1887,7 @@ mod tests {
                 LsmOptions::default()
                     .memtable_capacity(4)
                     .compaction_policy(CompactionPolicy::Threshold { live_tables: 2 })
-                    .event_sink(ring.clone()),
+                    .event_sink(ring.clone(), 0),
             )
             .unwrap(),
         );
@@ -1961,46 +1958,9 @@ mod tests {
     }
 
     #[test]
-    fn every_n_flushes_policy_fires_on_schedule() {
-        let db = Lsm::open_in_memory(
-            LsmOptions::default()
-                .memtable_capacity(5)
-                .compaction_policy(CompactionPolicy::EveryNFlushes { flushes: 3 })
-                .wal(false),
-        )
-        .unwrap();
-        for i in 0..70u64 {
-            db.put(i, b"x".to_vec()).unwrap();
-        }
-        db.flush().unwrap();
-        assert!(db.stats().flushes >= 14);
-        assert!(
-            db.stats().auto_compactions >= 4,
-            "one compaction per 3 flushes, got {}",
-            db.stats().auto_compactions
-        );
-    }
-
-    #[test]
-    fn auto_compact_honors_disabled_and_manual_policies() {
-        let disabled = Lsm::open_in_memory(
-            LsmOptions::default()
-                .memtable_capacity(5)
-                .compaction_policy(CompactionPolicy::Disabled)
-                .wal(false),
-        )
-        .unwrap();
-        for i in 0..30u64 {
-            disabled.put(i, b"x".to_vec()).unwrap();
-        }
-        disabled.flush().unwrap();
-        let tables = disabled.live_tables().len();
-        assert!(tables >= 4, "no automatic compaction under Disabled");
-        assert!(disabled.auto_compact().unwrap().is_none());
-        assert_eq!(disabled.live_tables().len(), tables);
-
-        // Manual: nothing fires automatically, but auto_compact works on
-        // demand with zero manual CompactionStep construction.
+    fn auto_compact_runs_on_demand_under_the_manual_policy() {
+        // Nothing fires automatically, but auto_compact works on demand
+        // with zero manual CompactionStep construction.
         let manual =
             Lsm::open_in_memory(LsmOptions::default().memtable_capacity(5).wal(false)).unwrap();
         for i in 0..30u64 {

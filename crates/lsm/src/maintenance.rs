@@ -242,7 +242,6 @@ impl LsmInner {
             w.manifest.apply(ManifestEdit::AddTable(meta))?;
             w.manifest.persist(self.storage.as_ref())?;
             self.publish_snapshot(&w.manifest);
-            w.flushes_since_compaction += 1;
             gen.table
                 .set(table_id)
                 .expect("flush_mx admits one flush per generation");
@@ -532,9 +531,6 @@ impl LsmInner {
     // ---- the compaction driver ----
 
     pub(super) fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        if self.options.policy() == CompactionPolicy::Disabled {
-            return Ok(None);
-        }
         let run = self.planned_compaction(false)?;
         if let Some(run) = &run {
             self.metrics.stall.record_duration(run.stall);
@@ -565,9 +561,8 @@ impl LsmInner {
 
     fn policy_fires(&self, w: &WriteState) -> bool {
         match self.options.policy() {
-            CompactionPolicy::Disabled | CompactionPolicy::Manual => false,
+            CompactionPolicy::Manual => false,
             CompactionPolicy::Threshold { live_tables } => w.manifest.table_count() >= live_tables,
-            CompactionPolicy::EveryNFlushes { flushes } => w.flushes_since_compaction >= flushes,
         }
     }
 
@@ -600,9 +595,6 @@ impl LsmInner {
             Schedule::Planned { .. } => {
                 let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &self.options)?
                 else {
-                    // Nothing to merge: restart the flush cadence so an
-                    // `EveryNFlushes` scheduler does not spin on it.
-                    self.write.lock().flushes_since_compaction = 0;
                     return Ok(None);
                 };
                 let steps: Vec<CompactionStep> = plan
@@ -665,7 +657,6 @@ impl LsmInner {
                     self.storage.as_ref(),
                     |manifest| self.on_manifest_flip(&initial, manifest),
                 )?;
-                w.flushes_since_compaction = 0;
                 self.emit(
                     EventKind::CompactionManifestFlip,
                     vec![

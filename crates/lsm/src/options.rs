@@ -5,16 +5,20 @@ use obs::EventRing;
 
 use crate::compress::CompressionType;
 
-/// An injected maintenance-event sink, compared by ring identity so
+/// An injected maintenance-event sink and the shard id stamped on what
+/// the store records into it, compared by ring identity so
 /// `LsmOptions` keeps its derived `PartialEq`/`Eq` (two option sets are
 /// equal when they share the same ring, not when two distinct rings
 /// happen to hold equal contents).
 #[derive(Debug, Clone)]
-struct EventSinkOpt(EventRing);
+struct EventSinkOpt {
+    ring: EventRing,
+    shard: u32,
+}
 
 impl PartialEq for EventSinkOpt {
     fn eq(&self, other: &Self) -> bool {
-        self.0.same_ring(&other.0)
+        self.ring.same_ring(&other.ring) && self.shard == other.shard
     }
 }
 
@@ -29,11 +33,6 @@ impl Eq for EventSinkOpt {}
 /// configured [`Strategy`] decides *what to merge in which order*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
-    /// Never compact, not even via
-    /// [`Lsm::auto_compact`](crate::Lsm::auto_compact) (manually
-    /// constructed [`Lsm::major_compact`](crate::Lsm::major_compact)
-    /// schedules still execute).
-    Disabled,
     /// No automatic triggering; planner-driven compaction runs only when
     /// the caller invokes [`Lsm::auto_compact`](crate::Lsm::auto_compact).
     /// The default, matching the seed engine's behavior.
@@ -46,18 +45,13 @@ pub enum CompactionPolicy {
         /// Live-table count that triggers a compaction (≥ 2).
         live_tables: usize,
     },
-    /// Compact automatically after every `flushes` memtable flushes.
-    EveryNFlushes {
-        /// Flush count between automatic compactions (≥ 1).
-        flushes: u64,
-    },
 }
 
 impl CompactionPolicy {
     /// `true` if this policy ever fires automatically after a flush.
     #[must_use]
     pub fn is_automatic(&self) -> bool {
-        matches!(self, Self::Threshold { .. } | Self::EveryNFlushes { .. })
+        matches!(self, Self::Threshold { .. })
     }
 }
 
@@ -104,7 +98,6 @@ pub struct LsmOptions {
     slowdown_trigger: usize,
     stop_trigger: usize,
     event_sink: Option<EventSinkOpt>,
-    shard_tag: u32,
     strict_recovery: bool,
     tombstone_gc: bool,
     gc_min_tombstones: u64,
@@ -129,7 +122,6 @@ impl Default for LsmOptions {
             slowdown_trigger: 2,
             stop_trigger: 4,
             event_sink: None,
-            shard_tag: 0,
             strict_recovery: false,
             tombstone_gc: false,
             gc_min_tombstones: 1,
@@ -190,10 +182,7 @@ impl LsmOptions {
             CompactionPolicy::Threshold { live_tables } => CompactionPolicy::Threshold {
                 live_tables: live_tables.max(2),
             },
-            CompactionPolicy::EveryNFlushes { flushes } => CompactionPolicy::EveryNFlushes {
-                flushes: flushes.max(1),
-            },
-            other => other,
+            CompactionPolicy::Manual => CompactionPolicy::Manual,
         };
         self
     }
@@ -302,23 +291,13 @@ impl LsmOptions {
 
     /// Injects a shared maintenance-event ring: the store records its
     /// lifecycle events (freezes, flushes, compactions, stall-tier
-    /// transitions) into `ring` instead of a private one. A sharded
-    /// deployment passes one ring to every shard so events interleave
-    /// under a single drain cursor; pair with
-    /// [`LsmOptions::shard_tag`] so each event says which shard emitted
-    /// it.
+    /// transitions) into `ring` instead of a private one, each tagged
+    /// with `shard`. A sharded deployment passes one ring to every shard,
+    /// each with its own index, so events interleave under a single
+    /// drain cursor and each says which shard emitted it.
     #[must_use]
-    pub fn event_sink(mut self, ring: EventRing) -> Self {
-        self.event_sink = Some(EventSinkOpt(ring));
-        self
-    }
-
-    /// Tags every event and metric this store emits with a shard id
-    /// (default 0). Only meaningful alongside a shared
-    /// [`LsmOptions::event_sink`].
-    #[must_use]
-    pub fn shard_tag(mut self, shard: u32) -> Self {
-        self.shard_tag = shard;
+    pub fn event_sink(mut self, ring: EventRing, shard: u32) -> Self {
+        self.event_sink = Some(EventSinkOpt { ring, shard });
         self
     }
 
@@ -457,13 +436,13 @@ impl LsmOptions {
     /// The injected shared event ring, if any (a cheap handle clone).
     #[must_use]
     pub fn event_sink_ring(&self) -> Option<EventRing> {
-        self.event_sink.as_ref().map(|sink| sink.0.clone())
+        self.event_sink.as_ref().map(|sink| sink.ring.clone())
     }
 
-    /// The shard id stamped on this store's events.
+    /// The shard id stamped on this store's events (0 without a sink).
     #[must_use]
-    pub fn shard_tag_id(&self) -> u32 {
-        self.shard_tag
+    pub fn event_sink_shard(&self) -> u32 {
+        self.event_sink.as_ref().map_or(0, |sink| sink.shard)
     }
 
     /// Whether recovery refuses to open on acked-history loss.
@@ -568,16 +547,16 @@ mod tests {
     #[test]
     fn event_sink_compares_by_ring_identity() {
         let ring = EventRing::new(8);
-        let a = LsmOptions::default().event_sink(ring.clone()).shard_tag(3);
-        let b = LsmOptions::default().event_sink(ring.clone()).shard_tag(3);
+        let a = LsmOptions::default().event_sink(ring.clone(), 3);
+        let b = LsmOptions::default().event_sink(ring.clone(), 3);
         assert_eq!(a, b, "clones of one ring compare equal");
-        let c = LsmOptions::default()
-            .event_sink(EventRing::new(8))
-            .shard_tag(3);
+        let c = LsmOptions::default().event_sink(EventRing::new(8), 3);
         assert_ne!(a, c, "a distinct ring is a different configuration");
+        assert_ne!(a, LsmOptions::default().event_sink(ring.clone(), 4));
         assert!(a.event_sink_ring().unwrap().same_ring(&ring));
-        assert_eq!(a.shard_tag_id(), 3);
+        assert_eq!(a.event_sink_shard(), 3);
         assert!(LsmOptions::default().event_sink_ring().is_none());
+        assert_eq!(LsmOptions::default().event_sink_shard(), 0);
     }
 
     #[test]
@@ -589,16 +568,6 @@ mod tests {
             CompactionPolicy::Threshold { live_tables: 2 }
         );
         assert!(opts.policy().is_automatic());
-
-        let opts =
-            LsmOptions::default().compaction_policy(CompactionPolicy::EveryNFlushes { flushes: 0 });
-        assert_eq!(
-            opts.policy(),
-            CompactionPolicy::EveryNFlushes { flushes: 1 }
-        );
-        assert!(opts.policy().is_automatic());
-
         assert!(!CompactionPolicy::Manual.is_automatic());
-        assert!(!CompactionPolicy::Disabled.is_automatic());
     }
 }

@@ -323,7 +323,7 @@ fn auto_compaction_scan_is_identical_to_uncompacted_store() {
     let compacting = Lsm::open_in_memory(
         LsmOptions::default()
             .memtable_capacity(40)
-            .compaction_policy(CompactionPolicy::EveryNFlushes { flushes: 5 })
+            .compaction_policy(CompactionPolicy::Threshold { live_tables: 5 })
             .compaction_strategy(Strategy::BalanceTreeInput)
             .compaction_threads(3)
             .wal(false),

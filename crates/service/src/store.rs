@@ -22,20 +22,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use lsm_engine::{
-    EventRing, HistogramSnapshot, IntoKey, Key, Lsm, LsmOptions, LsmPressure, LsmStats,
-    MetricsSnapshot, RangeIter, Storage, Value, WriteBatch,
+    EventRing, FileStorage, HistogramSnapshot, IntoKey, Key, Lsm, LsmOptions, LsmPressure,
+    LsmStats, MemoryStorage, MetricsSnapshot, RangeIter, Storage, Value, WriteBatch,
 };
 
 use crate::{Error, ShardRouter};
 
-/// Blob-free marker file recording the shard count of a disk-backed
-/// store (written into the store's root directory).
-const SHARD_COUNT_FILE: &str = "SHARDS";
-
-/// Marker blob recording the shard count of a store opened over
-/// caller-provided storages (stored on shard 0's backend, where the
-/// engine's orphan sweep — which only touches `sst-*`/`obs-*` blobs —
-/// leaves it alone).
+/// Marker blob recording the shard count, stored on shard 0's backend
+/// (where the engine's orphan sweep — which only touches `sst-*`/`obs-*`
+/// blobs — leaves it alone).
 const SHARD_COUNT_BLOB: &str = "SHARDS";
 
 /// Capacity of the store-wide maintenance event ring. All shards trace
@@ -75,12 +70,9 @@ pub struct ShardedKv {
 }
 
 /// Builds shard `index`'s engine options: the caller's options with the
-/// shared event ring injected and the shard tag stamped on.
+/// shared event ring injected under the shard's index.
 fn shard_options(options: &LsmOptions, events: &EventRing, index: usize) -> LsmOptions {
-    options
-        .clone()
-        .event_sink(events.clone())
-        .shard_tag(index as u32)
+    options.clone().event_sink(events.clone(), index as u32)
 }
 
 /// The store's event ring: the caller's injected sink if the options
@@ -98,27 +90,39 @@ impl ShardedKv {
     ///
     /// Propagates engine open failures.
     pub fn open_in_memory(shards: usize, options: LsmOptions) -> Result<Self, Error> {
-        let router = ShardRouter::new(shards);
-        let events = event_ring_for(&options);
-        let shards = (0..router.shards())
-            .map(|i| Ok(Lsm::open_in_memory(shard_options(&options, &events, i))?))
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok(Self {
-            router,
-            shards,
-            events,
-        })
+        let storages = (0..ShardRouter::new(shards).shards())
+            .map(|_| Arc::new(MemoryStorage::new()) as Arc<dyn Storage>)
+            .collect();
+        Self::open_with_storages(storages, options)
+    }
+
+    /// Opens (or reopens) a disk-backed store rooted at `root`, shard
+    /// `i` living under `root/shard-<i>`, with the shard-count check of
+    /// [`ShardedKv::open_with_storages`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on shard-count mismatch and propagates engine/file errors.
+    pub fn open_on_disk(
+        root: impl Into<PathBuf>,
+        shards: usize,
+        options: LsmOptions,
+    ) -> Result<Self, Error> {
+        let root = root.into();
+        let storages = (0..ShardRouter::new(shards).shards())
+            .map(|i| Ok(Arc::new(FileStorage::open(root.join(format!("shard-{i}")))?) as _))
+            .collect::<Result<Vec<Arc<dyn Storage>>, Error>>()?;
+        Self::open_with_storages(storages, options)
     }
 
     /// Opens a store over caller-provided storage backends, one per
     /// shard. This is how tests inject instrumented storage (gated or
     /// fault-injecting backends) underneath a live server.
     ///
-    /// The shard count is recorded as a marker blob on shard 0's
-    /// backend, exactly like [`ShardedKv::open_on_disk`]'s `SHARDS`
-    /// file: reopening persistent backends with a different count fails
-    /// with [`Error::ShardMismatch`] instead of silently misrouting
-    /// keys.
+    /// The shard count is recorded as a `SHARDS` marker blob on shard
+    /// 0's backend: reopening persistent backends with a different count
+    /// fails with [`Error::ShardMismatch`] instead of silently
+    /// misrouting keys.
     ///
     /// # Errors
     ///
@@ -158,56 +162,6 @@ impl ShardedKv {
             .into_iter()
             .enumerate()
             .map(|(i, storage)| Ok(Lsm::open(storage, shard_options(&options, &events, i))?))
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok(Self {
-            router,
-            shards,
-            events,
-        })
-    }
-
-    /// Opens (or reopens) a disk-backed store rooted at `root`, shard
-    /// `i` living under `root/shard-<i>`. The shard count is persisted
-    /// on first open; reopening with a different count fails with
-    /// [`Error::ShardMismatch`] instead of silently misrouting keys.
-    ///
-    /// # Errors
-    ///
-    /// Fails on shard-count mismatch and propagates engine/file errors.
-    pub fn open_on_disk(
-        root: impl Into<PathBuf>,
-        shards: usize,
-        options: LsmOptions,
-    ) -> Result<Self, Error> {
-        let root = root.into();
-        std::fs::create_dir_all(&root).map_err(Error::Io)?;
-        let router = ShardRouter::new(shards);
-        let marker = root.join(SHARD_COUNT_FILE);
-        match std::fs::read_to_string(&marker) {
-            Ok(contents) => {
-                let expected: usize = contents.trim().parse().map_err(|_| {
-                    Error::Engine(lsm_engine::Error::corruption(
-                        "unreadable shard-count marker (SHARDS file)",
-                    ))
-                })?;
-                if expected != router.shards() {
-                    return Err(Error::ShardMismatch {
-                        expected,
-                        requested: router.shards(),
-                    });
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::write(&marker, format!("{}\n", router.shards())).map_err(Error::Io)?;
-            }
-            Err(e) => return Err(Error::Io(e)),
-        }
-        let events = event_ring_for(&options);
-        let shards = (0..router.shards())
-            .map(|i| {
-                let dir = root.join(format!("shard-{i}"));
-                Ok(Lsm::open_on_disk(dir, shard_options(&options, &events, i))?)
-            })
             .collect::<Result<Vec<_>, Error>>()?;
         Ok(Self {
             router,

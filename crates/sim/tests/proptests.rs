@@ -78,7 +78,7 @@ proptest! {
         for strategy in [
             Strategy::SmallestInput,
             Strategy::BalanceTreeInput,
-            Strategy::SmallestOutputCached { precision: 12 },
+            Strategy::SmallestOutputHll { precision: 12 },
         ] {
             let result = run_strategy(strategy, &sstables, 2).unwrap();
             prop_assert_eq!(result.n_sstables, sstables.len());

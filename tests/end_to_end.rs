@@ -253,7 +253,7 @@ fn crash_recovery_across_policy_driven_compaction() {
     let options = || {
         LsmOptions::default()
             .memtable_capacity(50)
-            .compaction_policy(CompactionPolicy::EveryNFlushes { flushes: 3 })
+            .compaction_policy(CompactionPolicy::Threshold { live_tables: 3 })
             .compaction_strategy(Strategy::BalanceTreeInput)
     };
     let spec = WorkloadSpec::builder()

@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected), the checksum on every
 //! stored byte: block envelopes, sstable footer and sections, WAL
-//! frames, manifest checkpoints, `CURRENT` and key sidecars.
+//! frames, manifest checkpoints and `CURRENT`.
 
 /// Slicing-by-8 tables, built at compile time: `TABLES[0][b]` is the CRC
 /// of byte `b`, `TABLES[k][b]` that CRC pushed through `k` zero bytes.

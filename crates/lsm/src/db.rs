@@ -74,7 +74,6 @@ use crate::compaction::{CompactionOutcome, CompactionStep};
 use crate::manifest::{Manifest, TableMeta};
 use crate::memtable::Memtable;
 use crate::metrics::EngineMetrics;
-use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::scan::RangeIter;
@@ -991,16 +990,14 @@ impl Drop for Lsm {
 impl LsmInner {
     fn open(storage: Arc<dyn Storage>, options: LsmOptions) -> Result<Self, Error> {
         let mut manifest = Manifest::load(storage.as_ref())?;
-        // Sweep orphan sstable blobs and their key-observation sidecars:
-        // a crash between writing compaction outputs and persisting the
-        // manifest (or between persisting and deleting consumed inputs)
-        // leaves blobs the manifest does not reference. They are
-        // invisible to reads and safe to delete. WAL segments do not
-        // parse as sstable/observation ids, so they survive the sweep.
+        // Sweep orphan sstable blobs: a crash between writing compaction
+        // outputs and persisting the manifest (or between persisting and
+        // deleting consumed inputs) leaves blobs the manifest does not
+        // reference. They are invisible to reads and safe to delete. WAL
+        // segments do not parse as sstable ids, so they survive the
+        // sweep.
         for blob in storage.list_blobs() {
-            let orphan_id = SstableReader::id_from_blob_name(&blob)
-                .or_else(|| TableKeyObservation::id_from_blob_name(&blob));
-            if let Some(orphan_id) = orphan_id {
+            if let Some(orphan_id) = SstableReader::id_from_blob_name(&blob) {
                 if manifest.table(orphan_id).is_none() {
                     storage.delete_blob(&blob)?;
                 }
@@ -1616,9 +1613,9 @@ fn timed<T>(timer: &obs::LatencyHistogram, op: impl FnOnce() -> T) -> T {
     out
 }
 
-/// `true` for the error a reader sees when a table it probes was
+/// `true` for the error a get or scan sees when a table it probes was
 /// retired by compaction and its blob already deleted.
-fn is_retired_table(e: &Error) -> bool {
+pub(crate) fn is_retired_table(e: &Error) -> bool {
     matches!(e, Error::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
 }
 
@@ -2114,80 +2111,75 @@ mod tests {
         assert_eq!(a.snapshots_created, 1_001 * want.len() as u64);
     }
 
-    #[test]
-    fn flush_persists_key_observation_sidecars() {
-        let storage: Arc<dyn Storage> = Arc::new(MemoryStorage::new());
-        let db = Lsm::open(
-            Arc::clone(&storage),
-            LsmOptions::default().memtable_capacity(10).wal(false),
-        )
-        .unwrap();
-        for i in 0..5u64 {
-            db.put(i, b"x".to_vec()).unwrap();
-        }
-        let table_id = db.flush().unwrap().expect("flush produced a table");
-        let obs = TableKeyObservation::load(storage.as_ref(), table_id)
-            .unwrap()
-            .expect("sidecar written at flush");
-        assert_eq!(obs.keys, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn orphan_observation_sidecars_are_swept_on_open() {
-        let storage: Arc<dyn Storage> = Arc::new(MemoryStorage::new());
-        {
-            let db = Lsm::open(
-                Arc::clone(&storage),
-                LsmOptions::default().memtable_capacity(5),
-            )
-            .unwrap();
-            for i in 0..5u64 {
-                db.put(i, b"x".to_vec()).unwrap();
-            }
-            db.flush().unwrap();
-        }
-        TableKeyObservation::new(8_888, vec![1, 2])
-            .persist(storage.as_ref())
-            .unwrap();
-        let _db = Lsm::open(
-            Arc::clone(&storage),
-            LsmOptions::default().memtable_capacity(5),
-        )
-        .unwrap();
-        assert!(
-            !storage.contains_blob(&TableKeyObservation::blob_name(8_888)),
-            "orphan sidecar swept on open"
-        );
-    }
-
-    #[test]
-    fn compaction_retires_input_observation_sidecars() {
-        let db = Lsm::open_in_memory(
+    /// One blob per table: after puts and deletes, a `Threshold`
+    /// compaction, tombstone GC and a reopen, every blob is a live
+    /// table's, a WAL segment, a `MANIFEST-*` checkpoint or `CURRENT`,
+    /// and a fresh flush's table observes exactly its keys.
+    fn assert_blob_inventory(storage: Arc<dyn Storage>) {
+        let options = || {
             LsmOptions::default()
                 .memtable_capacity(5)
                 .compaction_policy(CompactionPolicy::Threshold { live_tables: 4 })
-                .wal(false),
-        )
-        .unwrap();
-        for i in 0..60u64 {
-            db.put(i % 20, vec![i as u8]).unwrap();
-        }
-        db.flush().unwrap();
-        assert!(db.stats().auto_compactions >= 1);
-        let storage = db.storage();
-        let live: Vec<u64> = db.live_tables().iter().map(|t| t.table_id).collect();
-        for blob in storage.list_blobs() {
-            if let Some(id) = TableKeyObservation::id_from_blob_name(&blob) {
-                assert!(live.contains(&id), "sidecar {blob} outlived its table");
+        };
+        let assert_inventory = |db: &Lsm| {
+            let live: Vec<String> = db
+                .live_tables()
+                .iter()
+                .map(|t| SstableReader::blob_name(t.table_id))
+                .collect();
+            let blobs = storage.list_blobs();
+            for blob in &blobs {
+                assert!(
+                    live.contains(blob)
+                        || Wal::parse_generation(blob).is_some()
+                        || blob.starts_with("MANIFEST-")
+                        || blob == crate::manifest::CURRENT_BLOB,
+                    "stray blob {blob} in {blobs:?}"
+                );
             }
+            assert!(live.iter().all(|t| blobs.contains(t)), "{blobs:?}");
+        };
+        {
+            let db = Lsm::open(Arc::clone(&storage), options()).unwrap();
+            for i in 0..50u64 {
+                db.put(i % 20, vec![i as u8]).unwrap();
+            }
+            db.flush().unwrap();
+            assert!(db.stats().auto_compactions >= 1);
+            // Tombstones for keys no other table holds: GC drops them.
+            for i in 1_000..1_003u64 {
+                db.delete(i).unwrap();
+            }
+            db.flush().unwrap();
+            assert_eq!(db.gc_tombstones().unwrap(), 3);
+            assert_inventory(&db);
         }
-        // Every live table still has its sidecar.
-        for id in live {
-            assert!(
-                storage.contains_blob(&TableKeyObservation::blob_name(id)),
-                "live table {id} lost its sidecar"
-            );
+        let db = Lsm::open(Arc::clone(&storage), options()).unwrap();
+        assert_inventory(&db);
+        for i in 500..504u64 {
+            db.put(i, b"x".to_vec()).unwrap();
         }
+        let table_id = db.flush().unwrap().expect("flush produced a table");
+        let fresh: Vec<TableMeta> = db
+            .live_tables()
+            .into_iter()
+            .filter(|t| t.table_id == table_id)
+            .collect();
+        let observed = crate::planner::observe_tables(storage.as_ref(), &fresh).unwrap();
+        assert_eq!(
+            observed[0].keys,
+            compaction_core::KeySet::from_range(500..504)
+        );
+        assert_inventory(&db);
+    }
+
+    #[test]
+    fn every_blob_is_a_live_table_a_wal_segment_or_the_manifest() {
+        assert_blob_inventory(Arc::new(MemoryStorage::new()));
+        let dir = std::env::temp_dir().join(format!("lsm-db-inventory-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_blob_inventory(Arc::new(FileStorage::open(&dir).unwrap()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -109,7 +109,6 @@ mod iter;
 mod manifest;
 mod memtable;
 pub mod metrics;
-mod observation;
 mod options;
 mod parallel;
 mod planner;
@@ -134,13 +133,12 @@ pub use iter::MergingIter;
 pub use manifest::{Manifest, ManifestEdit, TableMeta};
 pub use memtable::Memtable;
 pub use metrics::EngineMetrics;
-pub use observation::TableKeyObservation;
 pub use options::{CompactionPolicy, LsmOptions};
 pub use parallel::ParallelExecutor;
 pub use planner::{observe_tables, observed_key, plan_compaction};
 pub use reader::{ReadContext, ReadPathCounters, SstableReader, SstableReaderIter};
 pub use scan::RangeIter;
-pub use sstable::{SstableBuilder, SstableMeta};
+pub use sstable::SstableBuilder;
 pub use storage::{FileStorage, MemoryStorage, Storage};
 pub use types::{
     key_from_u64, key_to_u64, Entry, InternalKey, IntoKey, Key, RangeTombstone, SeqNo, Value,

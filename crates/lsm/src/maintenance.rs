@@ -59,7 +59,6 @@ use crate::compaction::{CompactionOutcome, CompactionStep};
 use crate::iter::Retained;
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::memtable::Memtable;
-use crate::observation::TableKeyObservation;
 use crate::options::CompactionPolicy;
 use crate::parallel::ParallelExecutor;
 use crate::planner::plan_compaction;
@@ -589,8 +588,9 @@ impl LsmInner {
             w.manifest.tables().to_vec()
         };
         let initial: Vec<u64> = tables.iter().map(|t| t.table_id).collect();
-        // Planning reads observation sidecars (I/O), which is why it
-        // works from the snapshot rather than under the write mutex.
+        // Planning reads each table's observation section (I/O), which
+        // is why it works from the snapshot rather than under the write
+        // mutex.
         let (plan, steps, waves) = match schedule {
             Schedule::Planned { .. } => {
                 let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &self.options)?
@@ -817,7 +817,6 @@ impl LsmInner {
             self.on_manifest_flip(&[candidate.table_id], &w.manifest);
         }
         storage.delete_blob(&SstableReader::blob_name(candidate.table_id))?;
-        TableKeyObservation::delete(storage, candidate.table_id)?;
         self.emit(
             EventKind::CompactionGc,
             vec![

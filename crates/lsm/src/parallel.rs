@@ -28,7 +28,6 @@ use obs::LatencyHistogram;
 use crate::compaction::{CompactionOutcome, CompactionStep};
 use crate::iter::{MergingIter, Retained};
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
-use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::sstable::write_table;
@@ -275,9 +274,8 @@ impl ParallelExecutor {
     }
 
     /// Phase 2 — the heavy I/O: run every merge step, wave-parallel, with
-    /// **no lock required**. On success every output run (and its
-    /// key-observation sidecar) is durable in storage; the manifest is
-    /// untouched either way.
+    /// **no lock required**. On success every output run is durable in
+    /// storage; the manifest is untouched either way.
     ///
     /// # Errors
     ///
@@ -324,21 +322,16 @@ impl ParallelExecutor {
                 for (step_idx, result) in chunk_results {
                     match result {
                         Ok(step_result) => {
-                            let output_id = step_result.output.table_id;
-                            written_blobs.push(SstableReader::blob_name(output_id));
-                            written_blobs.push(TableKeyObservation::blob_name(output_id));
+                            written_blobs
+                                .push(SstableReader::blob_name(step_result.output.table_id));
                             results[step_idx] = Some(step_result);
                         }
                         Err(e) => {
                             // Best-effort: a step can fail after its
-                            // output blob (and sidecar) hit storage.
+                            // output blob hit storage.
                             let _ = self.storage.delete_blob(&SstableReader::blob_name(
                                 prepared.output_ids[step_idx],
                             ));
-                            let _ = TableKeyObservation::delete(
-                                self.storage.as_ref(),
-                                prepared.output_ids[step_idx],
-                            );
                             first_error = first_error.or(Some(e));
                         }
                     }
@@ -404,9 +397,8 @@ impl ParallelExecutor {
     }
 
     /// Phase 4 — delete the consumed input blobs and non-surviving
-    /// intermediates (tables and key-observation sidecars alike). Only
-    /// safe after [`ParallelExecutor::commit`]: readers migrated to the
-    /// new table set at the flip. Needs no lock.
+    /// intermediates. Only safe after [`ParallelExecutor::commit`]:
+    /// readers migrated to the new table set at the flip. Needs no lock.
     ///
     /// # Errors
     ///
@@ -415,14 +407,11 @@ impl ParallelExecutor {
         for &table_id in &merged.consumed_initial {
             self.storage
                 .delete_blob(&SstableReader::blob_name(table_id))?;
-            TableKeyObservation::delete(self.storage.as_ref(), table_id)?;
         }
         for (step_idx, result) in merged.results.iter().enumerate() {
             if !merged.surviving_outputs.contains(&step_idx) {
-                let output_id = result.output.table_id;
                 self.storage
-                    .delete_blob(&SstableReader::blob_name(output_id))?;
-                TableKeyObservation::delete(self.storage.as_ref(), output_id)?;
+                    .delete_blob(&SstableReader::blob_name(result.output.table_id))?;
             }
         }
         Ok(())

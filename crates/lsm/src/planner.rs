@@ -12,9 +12,9 @@
 use compaction_core::{KeySet, MergePlan, Planner, StrategyPlanner, TableObservation};
 
 use crate::manifest::TableMeta;
-use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
+use crate::sstable::read_observation;
 use crate::storage::Storage;
 use crate::types::key_to_u64;
 use crate::Error;
@@ -22,12 +22,9 @@ use crate::Error;
 /// Builds one observation per listed table, in the given (manifest)
 /// order — observation index `i` becomes plan slot `i`.
 ///
-/// Observations are loaded from the key-observation sidecars the engine
-/// persists whenever it creates a table
-/// ([`TableKeyObservation`](crate::TableKeyObservation)), so planning
-/// does not read the full tables that the executor is about to read for
-/// the merge. A table whose sidecar is missing (its best-effort write
-/// failed) or corrupt is read through [`SstableReader`] instead.
+/// Each table's key set is its blob's observation section (a footer
+/// probe plus one ranged read), so planning does not read the full
+/// tables that the executor is about to read for the merge.
 ///
 /// Tombstones count as keys: they occupy space and must be read and
 /// rewritten by merges, exactly as the paper's model assumes.
@@ -41,27 +38,21 @@ pub fn observe_tables(
 ) -> Result<Vec<TableObservation>, Error> {
     let mut observations = Vec::with_capacity(tables.len());
     for meta in tables {
-        // A corrupt sidecar is treated like a missing one: it is purely
-        // derivable cache data, and wedging every future compaction on
-        // it would turn a flipped bit into a read-only store.
-        let sidecar = match TableKeyObservation::load(storage, meta.table_id) {
-            Ok(obs) => obs,
-            Err(Error::Corruption { .. }) => None,
-            Err(e) => return Err(e),
+        // The section is derivable from the table's entries: a rotten
+        // one falls back to reading them, since wedging every future
+        // compaction on it would turn a flipped bit into a read-only
+        // store.
+        let keys = match read_observation(storage, meta.table_id, meta.encoded_len) {
+            Err(Error::Corruption { .. }) => {
+                let reader = SstableReader::open(storage, meta.table_id, Some(meta.encoded_len))?;
+                let counters = ReadPathCounters::default();
+                reader
+                    .iter(ReadContext::whole_table(storage, &counters))
+                    .map(|entry| entry.map(|e| observed_key(&e.key)))
+                    .collect::<Result<Vec<u64>, Error>>()?
+            }
+            keys => keys?,
         };
-        if let Some(obs) = sidecar {
-            observations.push(TableObservation::new(
-                meta.table_id,
-                KeySet::from_vec(obs.keys),
-            ));
-            continue;
-        }
-        let reader = SstableReader::open(storage, meta.table_id, Some(meta.encoded_len))?;
-        let counters = ReadPathCounters::default();
-        let keys = reader
-            .iter(ReadContext::whole_table(storage, &counters))
-            .map(|entry| entry.map(|e| observed_key(&e.key)))
-            .collect::<Result<Vec<u64>, Error>>()?;
         observations.push(TableObservation::new(meta.table_id, KeySet::from_vec(keys)));
     }
     Ok(observations)
@@ -107,8 +98,9 @@ pub fn plan_compaction(
 mod tests {
     use super::*;
     use crate::manifest::{Manifest, ManifestEdit};
-    use crate::sstable::SstableBuilder;
+    use crate::sstable::{Footer, SstableBuilder};
     use crate::storage::MemoryStorage;
+    use crate::test_support::corrupt_blob_byte;
     use crate::types::{key_from_u64, Entry};
     use bytes::Bytes;
     use compaction_core::Strategy;
@@ -127,18 +119,10 @@ mod tests {
         for &k in &sorted {
             builder.add(&Entry::put(key_from_u64(k), Bytes::from_static(b"v"), seq));
         }
-        let (data, built) = builder.finish();
+        let (data, meta) = builder.finish();
         storage
             .write_blob(&SstableReader::blob_name(id), &data)
             .unwrap();
-        let meta = TableMeta {
-            table_id: id,
-            entry_count: built.entry_count,
-            encoded_len: built.encoded_len,
-            tombstone_count: built.tombstone_count,
-            range_tombstone_count: built.range_tombstone_count,
-            max_seqno: built.max_seqno,
-        };
         manifest
             .apply(ManifestEdit::AddTable(meta.clone()))
             .unwrap();
@@ -159,58 +143,50 @@ mod tests {
         assert_eq!(obs[1].keys.intersection_size(&obs[0].keys), 2);
     }
 
+    /// Planning reads each table's footer and observation section and
+    /// nothing else — no tail, no data block.
     #[test]
-    fn sidecar_observations_preempt_table_reads() {
+    fn planning_reads_only_footers_and_observation_sections() {
         let storage = MemoryStorage::new();
         let mut manifest = Manifest::new();
-        let t0 = make_table(&storage, &mut manifest, &[1, 2, 3], 1);
-        // A sidecar that deliberately disagrees with the table contents:
-        // if the planner still read the table, the observation would be
-        // {1,2,3}, not this.
-        TableKeyObservation::new(t0.table_id, vec![7, 8])
-            .persist(&storage)
-            .unwrap();
+        let keys: Vec<u64> = (0..500).collect();
+        make_table(&storage, &mut manifest, &keys, 1);
+        make_table(&storage, &mut manifest, &keys[100..300], 2);
+        let budget: u64 = manifest
+            .tables()
+            .iter()
+            .map(|t| {
+                let name = SstableReader::blob_name(t.table_id);
+                let footer = Footer::read(&storage, &name, t.encoded_len).unwrap();
+                (Footer::LEN + footer.observation_len) as u64
+            })
+            .sum();
         let read_before = storage.bytes_read();
         let obs = observe_tables(&storage, manifest.tables()).unwrap();
-        assert_eq!(obs[0].keys, KeySet::from_iter([7u64, 8]));
-        let sidecar_len = storage
-            .read_blob(&TableKeyObservation::blob_name(t0.table_id))
-            .unwrap()
-            .len() as u64;
+        assert_eq!(obs[1].keys, KeySet::from_range(100..300));
         assert!(
-            storage.bytes_read() - read_before <= 2 * sidecar_len,
-            "planning read more than the sidecar"
+            storage.bytes_read() - read_before <= budget,
+            "planning read {} bytes, more than footers + sections ({budget})",
+            storage.bytes_read() - read_before
         );
     }
 
     #[test]
-    fn corrupt_sidecars_fall_back_instead_of_wedging_planning() {
+    fn corrupt_observation_sections_fall_back_instead_of_wedging_planning() {
         let storage = MemoryStorage::new();
         let mut manifest = Manifest::new();
         let t0 = make_table(&storage, &mut manifest, &[1, 2, 3], 1);
-        // A sidecar that fails its checksum must be ignored, not fatal.
-        storage
-            .write_blob(
-                &TableKeyObservation::blob_name(t0.table_id),
-                b"not a valid observation",
-            )
-            .unwrap();
+        // A byte inside the first key fails the section CRC, which must
+        // send planning to the table's entries, not fail it.
+        let name = SstableReader::blob_name(t0.table_id);
+        assert!(corrupt_blob_byte(&storage, &name, 4));
+        assert!(read_observation(&storage, t0.table_id, t0.encoded_len).is_err());
         let obs = observe_tables(&storage, manifest.tables()).unwrap();
         assert_eq!(
             obs[0].keys,
             KeySet::from_iter([1u64, 2, 3]),
             "fell back to reading the table"
         );
-    }
-
-    #[test]
-    fn tables_without_sidecars_fall_back_to_a_full_read() {
-        let storage = MemoryStorage::new();
-        let mut manifest = Manifest::new();
-        let t0 = make_table(&storage, &mut manifest, &[4, 5, 6], 1);
-        assert!(!storage.contains_blob(&TableKeyObservation::blob_name(t0.table_id)));
-        let obs = observe_tables(&storage, manifest.tables()).unwrap();
-        assert_eq!(obs[0].keys, KeySet::from_iter([4u64, 5, 6]));
     }
 
     #[test]

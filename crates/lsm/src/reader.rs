@@ -16,14 +16,15 @@
 //!   consecutive blocks (readahead), looking blocks up in the cache but
 //!   not filling it;
 //! * **maintenance** — a compaction input, a tombstone-GC rewrite, the
-//!   planner's no-sidecar fallback — iterates the whole table with
-//!   [`ReadContext::whole_table`]: no cache, one read covering the whole
-//!   data section (footer probe + tail + data = exactly the blob's
-//!   bytes) and counters of its own, so the serving path's
+//!   planner's fallback past a rotten observation section — iterates the
+//!   whole table with [`ReadContext::whole_table`]: no cache, one read
+//!   covering the whole data section (footer probe + tail + data = the
+//!   blob's bytes less its observation section, which no reader
+//!   fetches) and counters of its own, so the serving path's
 //!   [`ReadPathCounters`] keep meaning "gets and scans".
 //!
 //! A fetched block is checked once — its envelope CRC, the only checksum
-//! an `LSMTABL5` data block has — and decoded into one buffer plus an
+//! an `LSMTABL6` data block has — and decoded into one buffer plus an
 //! entry-offset array ([`Block`]) that lookups binary-search in place;
 //! every entry handed out is a slice of it, so a cache hit copies none.
 //!
@@ -200,9 +201,7 @@ impl SstableReader {
             Some(len) => len,
             None => storage.blob_len(&blob_name)?,
         };
-        let probe_len = (total_len as usize).min(Footer::LEN);
-        let probe = storage.read_blob_range(&blob_name, total_len - probe_len as u64, probe_len)?;
-        let footer = Footer::parse(&probe, total_len as usize)?;
+        let footer = Footer::read(storage, &blob_name, total_len)?;
 
         // One ranged read covers bloom + meta + range tombstones +
         // index: they are written contiguously right before the footer.
@@ -218,7 +217,7 @@ impl SstableReader {
         let (min_key, max_key) =
             decode_meta(&tail[rel(footer.meta_offset)..rel(footer.range_del_offset)])?;
 
-        let open_bytes = (probe_len + tail_len) as u64;
+        let open_bytes = (Footer::LEN + tail_len) as u64;
         Ok(Self {
             table_id,
             blob_name,
@@ -787,18 +786,24 @@ mod tests {
     }
 
     /// The maintenance context: no cache, and footer probe + tail + one
-    /// data read add up to exactly the blob's bytes.
+    /// data read add up to exactly the blob's bytes less the observation
+    /// section, which only the planner reads.
     #[test]
     fn whole_table_context_reads_the_blob_exactly_once() {
         let storage = Arc::new(MemoryStorage::new());
         let encoded_len = store_table(storage.as_ref(), 4, 2_000, 256);
+        let name = SstableReader::blob_name(4);
+        let section = Footer::read(storage.as_ref(), &name, encoded_len)
+            .unwrap()
+            .observation_len as u64;
+        assert_eq!(section, 4 + 2_000 * 8 + 4, "count + keys + CRC");
         let before = storage.bytes_read();
         let reader = SstableReader::open(storage.as_ref(), 4, None).unwrap();
         let counters = ReadPathCounters::default();
         let ctx = ReadContext::whole_table(storage.as_ref(), &counters);
         assert_eq!(reader.iter(ctx).count(), 2_000);
         assert_eq!(counters.block_reads(), 1, "one read spans the data section");
-        assert_eq!(storage.bytes_read() - before, encoded_len);
+        assert_eq!(storage.bytes_read() - before, encoded_len - section);
     }
 
     /// Regression: the cache stores *decoded* blocks, so it must charge

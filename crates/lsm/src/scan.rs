@@ -36,7 +36,7 @@
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
-use crate::db::{LsmInner, ReadView};
+use crate::db::{is_retired_table, LsmInner, ReadView};
 use crate::iter::{MergingIter, Visible};
 use crate::reader::{BlockCursor, ReadContext, SstableReader};
 use crate::types::{Entry, Key, SeqNo, Value};
@@ -188,12 +188,6 @@ impl RangeIter<'_> {
             }
         }
     }
-}
-
-/// `true` for the error a scan sees when a pinned table was retired by
-/// compaction and its blob already deleted.
-fn is_retired_table(e: &Error) -> bool {
-    matches!(e, Error::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
 }
 
 /// One merge source: a memtable slice or an sstable cursor.

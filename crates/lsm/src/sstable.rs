@@ -1,10 +1,11 @@
 //! The immutable sorted-run (sstable) format.
 //!
-//! Layout of an encoded sstable blob (`LSMTABL5`, the only format this
+//! Layout of an encoded sstable blob (`LSMTABL6`, the only format this
 //! build reads or writes):
 //!
 //! ```text
 //! +-------------------+
+//! | observation       |   sorted distinct observed keys + section CRC
 //! | data block 0      |   compression envelope: tag + payload + CRC,
 //! | data block 1      |   the block's one checksum
 //! | ...               |
@@ -12,7 +13,7 @@
 //! | meta block        |   min/max user key of the table
 //! | range tombstones  |   resident interval deletes + section CRC
 //! | index block       |   (last_key, offset, stored_len) per data block
-//! | footer            |   offsets + counts + magic + CRC
+//! | footer            |   section length + offsets + counts + magic + CRC
 //! +-------------------+
 //! ```
 //!
@@ -31,12 +32,20 @@
 //! footer magic of an earlier format revision is recognised and refused,
 //! never parsed.
 //!
+//! The observation section at the head of the blob is the paper's model
+//! of the table: its key set `A_i`, as the sorted distinct
+//! [`observed_key`]s of its entries. Only the planner reads it
+//! ([`read_observation`]: the footer probe, then one ranged read of the
+//! section). It sits before the data, not in the tail, so opening a
+//! reader never fetches it and the data section still ends where the
+//! tail begins; compaction inputs, GC rewrites and scans never touch it.
+//!
 //! Sstables are immutable once built: compaction never edits a table, it
 //! streams whole tables through the k-way merge and writes a new one,
 //! which is exactly the I/O the paper's cost function charges for. Every
 //! table the engine creates — at flush, as a merge output, as a
 //! tombstone-GC rewrite — goes through [`write_table`]: builder → blob →
-//! key-observation sidecar → manifest metadata.
+//! manifest metadata.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -45,7 +54,6 @@ use crate::bloom::BloomFilter;
 use crate::compress::{encode_block_envelope, CompressionType};
 use crate::crc::{crc32, verified};
 use crate::manifest::TableMeta;
-use crate::observation::TableKeyObservation;
 use crate::options::LsmOptions;
 use crate::planner::observed_key;
 use crate::reader::SstableReader;
@@ -54,20 +62,24 @@ use crate::types::{Entry, Key, RangeTombstone};
 use crate::Error;
 
 /// Footer magic of the one format this build reads and writes.
-const FOOTER_MAGIC: u64 = 0x4C53_4D54_4142_4C35; // "LSMTABL5"
+const FOOTER_MAGIC: u64 = 0x4C53_4D54_4142_4C36; // "LSMTABL6"
 
-/// Footer magics of the four retired format revisions, kept only so a
+/// Footer magics of the five retired format revisions, kept only so a
 /// blob in one of them is refused by version rather than as garbage.
-const RETIRED_MAGICS: [(u64, u8); 4] = [
+const RETIRED_MAGICS: [(u64, u8); 5] = [
     (0x4C53_4D54_4142_4C45, 1), // "LSMTABLE"
     (0x4C53_4D54_4142_4C32, 2), // "LSMTABL2"
     (0x4C53_4D54_4142_4C33, 3), // "LSMTABL3"
     (0x4C53_4D54_4142_4C34, 4), // "LSMTABL4"
+    (0x4C53_4D54_4142_4C35, 5), // "LSMTABL5"
 ];
 
 /// Parsed sstable footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Footer {
+    /// Length of the observation section, which starts at offset 0; the
+    /// data blocks follow it.
+    pub observation_len: usize,
     /// Absolute offset of the bloom filter.
     pub bloom_offset: usize,
     /// Encoded bloom length in bytes.
@@ -83,9 +95,17 @@ pub(crate) struct Footer {
 }
 
 impl Footer {
-    /// Encoded footer length: 7 u64 fields + CRC32 — the size of the
+    /// Encoded footer length: 8 u64 fields + CRC32 — the size of the
     /// tail probe a reader must fetch.
-    pub(crate) const LEN: usize = 7 * 8 + 4;
+    pub(crate) const LEN: usize = 8 * 8 + 4;
+
+    /// Fetches and parses the footer of blob `name`, `total_len` bytes
+    /// long: the one probe every read of a table starts with.
+    pub(crate) fn read(storage: &dyn Storage, name: &str, total_len: u64) -> Result<Self, Error> {
+        let probe_len = (total_len as usize).min(Self::LEN);
+        let probe = storage.read_blob_range(name, total_len - probe_len as u64, probe_len)?;
+        Self::parse(&probe, total_len as usize)
+    }
 
     /// Parses the footer from `tail`, the last `tail.len()` bytes of a
     /// blob of `total_len` bytes. `tail` must contain at least the whole
@@ -98,7 +118,7 @@ impl Footer {
         let magic = u64::from_le_bytes(magic_probe.try_into().expect("8 bytes"));
         if let Some((_, version)) = RETIRED_MAGICS.iter().find(|(m, _)| *m == magic) {
             return Err(Error::corruption(format!(
-                "unsupported sstable format v{version}; this build reads v5 only"
+                "unsupported sstable format v{version}; this build reads v6 only"
             )));
         }
         if magic != FOOTER_MAGIC {
@@ -109,6 +129,7 @@ impl Footer {
         }
         let mut cursor = verified(&tail[tail.len() - Self::LEN..])
             .ok_or_else(|| Error::corruption("sstable footer checksum mismatch"))?;
+        let observation_len = cursor.get_u64_le() as usize;
         let bloom_offset = cursor.get_u64_le() as usize;
         let bloom_len = cursor.get_u64_le() as usize;
         let meta_offset = cursor.get_u64_le() as usize;
@@ -119,7 +140,8 @@ impl Footer {
         let bloom_end = bloom_offset
             .checked_add(bloom_len)
             .ok_or_else(|| Error::corruption("sstable bloom range overflows"))?;
-        if bloom_end > meta_offset
+        if observation_len > bloom_offset
+            || bloom_end > meta_offset
             || meta_offset > range_del_offset
             || range_del_offset > index_offset
             || index_offset > body_end
@@ -127,6 +149,7 @@ impl Footer {
             return Err(Error::corruption("sstable footer offsets out of range"));
         }
         Ok(Self {
+            observation_len,
             bloom_offset,
             bloom_len,
             meta_offset,
@@ -172,6 +195,51 @@ pub(crate) fn decode_range_dels(section: &[u8]) -> Result<Vec<RangeTombstone>, E
         range_dels.push(RangeTombstone::new(start, end, cursor.get_u64_le()));
     }
     Ok(range_dels)
+}
+
+/// Encodes the observation section: count, the observed keys as u64,
+/// and a section CRC.
+fn encode_observation(buf: &mut BytesMut, keys: &[u64]) {
+    let start = buf.len();
+    buf.put_u32_le(keys.len() as u32);
+    for &key in keys {
+        buf.put_u64_le(key);
+    }
+    let crc = crc32(&buf[start..]);
+    buf.put_u32_le(crc);
+}
+
+/// Decodes an observation section produced by [`encode_observation`].
+/// `section` must span exactly the section bytes.
+fn decode_observation(section: &[u8]) -> Result<Vec<u64>, Error> {
+    let mut cursor = verified(section)
+        .filter(|payload| payload.len() >= 4)
+        .ok_or_else(|| Error::corruption("observation section truncated or rotten"))?;
+    // The count sizes the allocation below only once it matches the
+    // bytes present.
+    let count = cursor.get_u32_le() as usize;
+    if count.checked_mul(8) != Some(cursor.remaining()) {
+        return Err(Error::corruption("observation section length mismatch"));
+    }
+    Ok((0..count).map(|_| cursor.get_u64_le()).collect())
+}
+
+/// The observed key set of table `table_id` (a `total_len`-byte blob):
+/// the footer probe plus one ranged read of its observation section —
+/// no tail, no data block.
+///
+/// # Errors
+///
+/// Propagates storage failures; a rotten footer or section is
+/// [`Error::Corruption`].
+pub(crate) fn read_observation(
+    storage: &dyn Storage,
+    table_id: u64,
+    total_len: u64,
+) -> Result<Vec<u64>, Error> {
+    let name = SstableReader::blob_name(table_id);
+    let footer = Footer::read(storage, &name, total_len)?;
+    decode_observation(&storage.read_blob_range(&name, 0, footer.observation_len)?)
 }
 
 /// Builds an sstable from entries supplied in internal-key order.
@@ -267,9 +335,10 @@ impl SstableBuilder {
         self.key_bounds.len() as u64 - 1
     }
 
-    /// Serializes the table and returns (encoded bytes, metadata).
+    /// Serializes the table and returns (encoded bytes, the metadata the
+    /// manifest records for it).
     #[must_use]
-    pub fn finish(mut self) -> (Bytes, SstableMeta) {
+    pub fn finish(mut self) -> (Bytes, TableMeta) {
         self.rotate_block();
 
         let keys = self
@@ -277,6 +346,9 @@ impl SstableBuilder {
             .windows(2)
             .map(|w| &self.key_bytes[w[0]..w[1]]);
         let bloom = BloomFilter::build(keys.clone(), self.bloom_bits_per_key);
+        let mut observed: Vec<u64> = keys.clone().map(observed_key).collect();
+        observed.sort_unstable();
+        observed.dedup();
 
         // The table's key range must cover its range tombstones too, so
         // range pruning never skips a table whose only relevant content
@@ -293,6 +365,9 @@ impl SstableBuilder {
         }
 
         let mut buf = BytesMut::new();
+        encode_observation(&mut buf, &observed);
+        let observation_len = buf.len() as u64;
+
         let mut index: Vec<(Key, u64, u64)> = Vec::with_capacity(self.finished_blocks.len());
         for (last_key, encoded) in &self.finished_blocks {
             let offset = buf.len() as u64;
@@ -324,9 +399,10 @@ impl SstableBuilder {
             buf.put_u64_le(*len);
         }
 
-        // Footer: bloom_offset, bloom_len, meta_offset,
+        // Footer: observation_len, bloom_offset, bloom_len, meta_offset,
         // range_del_offset, index_offset, entry_count, magic, crc
         let footer_start = buf.len();
+        buf.put_u64_le(observation_len);
         buf.put_u64_le(bloom_offset);
         buf.put_u64_le(bloom_bytes.len() as u64);
         buf.put_u64_le(meta_offset);
@@ -337,47 +413,16 @@ impl SstableBuilder {
         let crc = crc32(&buf[footer_start..]);
         buf.put_u32_le(crc);
 
-        let meta = SstableMeta {
+        let meta = TableMeta {
             table_id: self.table_id,
             entry_count: self.entry_count(),
+            encoded_len: buf.len() as u64,
             tombstone_count: self.tombstone_count,
             range_tombstone_count: self.range_dels.len() as u64,
             max_seqno: self.max_seqno,
-            encoded_len: buf.len() as u64,
-            min_key,
-            max_key,
         };
         (buf.freeze(), meta)
     }
-}
-
-/// Summary metadata returned by [`SstableBuilder::finish`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SstableMeta {
-    /// The table's id.
-    pub table_id: u64,
-    /// Number of entries (one per retained *version* — several per user
-    /// key while a pinned snapshot keeps history alive).
-    pub entry_count: u64,
-    /// How many of the entries are tombstones (tombstone GC's input
-    /// signal, carried into the manifest's [`TableMeta`](crate::TableMeta)).
-    pub tombstone_count: u64,
-    /// How many range tombstones the table carries in its resident
-    /// section. The read path consults only tables where this is
-    /// non-zero when resolving interval-delete visibility.
-    pub range_tombstone_count: u64,
-    /// Largest sequence number in the table, over point entries and
-    /// range tombstones alike. Live tables hold pairwise-disjoint seqno
-    /// ranges (flush generations; merges union whole tables), so this
-    /// single number totally orders tables newest-first for the read
-    /// path regardless of manifest position.
-    pub max_seqno: u64,
-    /// Size of the encoded table in bytes.
-    pub encoded_len: u64,
-    /// Smallest user key in the table (range-del bounds included).
-    pub min_key: Option<Key>,
-    /// Largest user key in the table (range-del bounds included).
-    pub max_key: Option<Key>,
 }
 
 /// Encodes the min/max-key meta block: a presence flag followed by the
@@ -443,16 +488,11 @@ pub(crate) fn decode_index(mut cursor: &[u8]) -> Result<Vec<(Key, u64, u64)>, Er
 }
 
 /// Builds table `table_id` from `entries` (internal-key order) and
-/// `range_dels`, writes its blob and its key-observation sidecar, and
-/// returns the metadata the manifest records — the one way the engine
-/// creates a table. Nothing is written if `entries` yields an error.
-///
-/// The sidecar is derivable cache data, so its write is best-effort: a
-/// failure never fails the flush or merge that produced the table, and
-/// [`observe_tables`](crate::observe_tables) falls back to reading a
-/// table whose sidecar is missing or corrupt. It is written before the
-/// caller's manifest edit, so a crash in between leaves only orphans
-/// (swept on open).
+/// `range_dels`, writes its blob, and returns the metadata the manifest
+/// records — the one way the engine creates a table. Nothing is written
+/// if `entries` yields an error. The blob is written before the caller's
+/// manifest edit, so a crash in between leaves only an orphan (swept on
+/// open).
 ///
 /// # Errors
 ///
@@ -468,26 +508,15 @@ pub(crate) fn write_table(
     let mut builder =
         SstableBuilder::new(table_id, options.block_size_bytes(), options.bloom_bits())
             .compression(options.compression_type());
-    let mut observed = Vec::with_capacity(entries.size_hint().0);
     for entry in entries {
-        let entry = entry?;
-        observed.push(observed_key(&entry.key));
-        builder.add(&entry);
+        builder.add(&entry?);
     }
     for rd in range_dels {
         builder.add_range_del(rd);
     }
     let (data, meta) = builder.finish();
     storage.write_blob(&SstableReader::blob_name(table_id), &data)?;
-    let _ = TableKeyObservation::new(table_id, observed).persist(storage);
-    Ok(TableMeta {
-        table_id,
-        entry_count: meta.entry_count,
-        encoded_len: meta.encoded_len,
-        tombstone_count: meta.tombstone_count,
-        range_tombstone_count: meta.range_tombstone_count,
-        max_seqno: meta.max_seqno,
-    })
+    Ok(meta)
 }
 #[cfg(test)]
 mod tests {
@@ -495,8 +524,10 @@ mod tests {
     use crate::reader::{ReadContext, ReadPathCounters};
     use crate::storage::MemoryStorage;
     use crate::types::key_from_u64;
+    use crate::wal::Wal;
+    use proptest::prelude::*;
 
-    fn build_table(n: u64, block_size: usize) -> (Bytes, SstableMeta) {
+    fn build_table(n: u64, block_size: usize) -> (Bytes, TableMeta) {
         let mut builder = SstableBuilder::new(7, block_size, 10);
         for i in 0..n {
             let entry = if i % 11 == 0 {
@@ -553,8 +584,6 @@ mod tests {
     fn build_open_and_point_lookup() {
         let (data, meta) = build_table(1_000, 256);
         assert_eq!(meta.entry_count, 1_000);
-        assert_eq!(meta.min_key, Some(key_from_u64(0)));
-        assert_eq!(meta.max_key, Some(key_from_u64(999)));
 
         let table = Stored::open(7, &data).unwrap();
         assert_eq!(table.reader.table_id(), 7);
@@ -604,7 +633,7 @@ mod tests {
     #[test]
     fn retired_format_magics_are_refused_by_version() {
         let (current, _) = build_table(20, 4096);
-        assert_eq!(&current[current.len() - 12..current.len() - 4], b"5LBATMSL");
+        assert_eq!(&current[current.len() - 12..current.len() - 4], b"6LBATMSL");
         assert!(Stored::open(1, &current).is_ok());
 
         for (magic, expect) in [
@@ -612,6 +641,7 @@ mod tests {
             (*b"LSMTABL2", "unsupported sstable format v2"),
             (*b"LSMTABL3", "unsupported sstable format v3"),
             (*b"LSMTABL4", "unsupported sstable format v4"),
+            (*b"LSMTABL5", "unsupported sstable format v5"),
             (*b"LSMTABL9", "bad sstable magic"),
         ] {
             // A tail shaped like the old footers: offset fields, the
@@ -651,7 +681,7 @@ mod tests {
             Some(42)
         );
         assert_eq!(
-            SstableReader::id_from_blob_name("obs-000000000042.keys"),
+            SstableReader::id_from_blob_name(&Wal::generation_blob_name(42)),
             None
         );
     }
@@ -666,18 +696,18 @@ mod tests {
         builder.add_range_del(RangeTombstone::new(key_from_u64(12), key_from_u64(40), 31));
         let (data, meta) = builder.finish();
         assert_eq!(meta.range_tombstone_count, 2);
+
+        let table = Stored::open(3, &data).unwrap();
         assert_eq!(
-            meta.min_key,
-            Some(key_from_u64(0)),
+            table.reader.min_key(),
+            Some(&key_from_u64(0)),
             "min widened to the range-del start"
         );
         assert_eq!(
-            meta.max_key,
-            Some(key_from_u64(40)),
+            table.reader.max_key(),
+            Some(&key_from_u64(40)),
             "max widened to the range-del end"
         );
-
-        let table = Stored::open(3, &data).unwrap();
         let range_dels = table.reader.range_dels();
         assert_eq!(range_dels.len(), 2);
         assert_eq!(range_dels[0].seqno, 30);
@@ -693,8 +723,8 @@ mod tests {
         let (data, meta) = builder.finish();
         assert_eq!(meta.entry_count, 0);
         assert_eq!(meta.range_tombstone_count, 1);
-        assert_eq!(meta.min_key, Some(key_from_u64(5)));
         let table = Stored::open(4, &data).unwrap();
+        assert_eq!(table.reader.min_key(), Some(&key_from_u64(5)));
         assert_eq!(table.reader.entry_count(), 0);
         assert_eq!(table.reader.range_dels().len(), 1);
         assert!(table.reader.range_dels()[0].shadows(&key_from_u64(6), 70));
@@ -752,9 +782,9 @@ mod tests {
     /// Each decoder's stored count is refused before it sizes an
     /// allocation when the bytes behind it could not hold that many
     /// records — a data block's behind a valid envelope CRC, the
-    /// range-tombstone section's behind its section CRC, the index's
-    /// (which has no CRC) as is. `u32::MAX` of any of them would ask for
-    /// tens of GiB.
+    /// range-tombstone and observation sections' behind their section
+    /// CRCs, the index's (which has no CRC) as is. `u32::MAX` of any of
+    /// them would ask for tens of GiB.
     #[test]
     fn forged_counts_are_refused_before_allocating() {
         let with_count = |mut bytes: Vec<u8>, at: usize, count: u32| {
@@ -768,6 +798,8 @@ mod tests {
         let block = block.finish().to_vec();
         let mut range_dels = BytesMut::new();
         encode_range_dels(&mut range_dels, &[]);
+        let mut observation = BytesMut::new();
+        encode_observation(&mut observation, &[]);
         let mut index = BytesMut::new();
         index.put_u32_le(0);
         for count in [2, 1 << 20, u32::MAX] {
@@ -776,20 +808,67 @@ mod tests {
             let logical = crate::compress::decode_block_envelope(&stored.into()).unwrap();
             assert!(corrupt(crate::block::Block::decode(logical).map(|_| ())));
 
-            let mut section = with_count(range_dels.to_vec(), 0, count);
-            let crc = crc32(&section[..4]);
-            section[4..].copy_from_slice(&crc.to_le_bytes());
-            assert!(corrupt(decode_range_dels(&section).map(|_| ())));
+            // An empty section with its count forged and its CRC redone.
+            let forge = |empty: &[u8]| {
+                let mut section = with_count(empty.to_vec(), 0, count);
+                let crc = crc32(&section[..4]);
+                section[4..].copy_from_slice(&crc.to_le_bytes());
+                section
+            };
+            assert!(corrupt(decode_range_dels(&forge(&range_dels)).map(|_| ())));
+            assert!(corrupt(
+                decode_observation(&forge(&observation)).map(|_| ())
+            ));
 
             let forged = with_count(index.to_vec(), 0, count);
             assert!(corrupt(decode_index(&forged).map(|_| ())));
         }
     }
 
-    /// The one writer: blob, sidecar and manifest metadata agree, and an
-    /// input error writes nothing.
+    /// `Ok` or `Corruption` from the observation decoder, never another
+    /// error; a panic fails the caller's test by itself.
+    fn observation_decode_is_total(section: &[u8]) -> Result<(), String> {
+        match decode_observation(section) {
+            Ok(_) | Err(Error::Corruption { .. }) => Ok(()),
+            Err(other) => Err(format!("non-corruption error {other:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, and every truncation and byte flip of a real
+        /// section, decode to `Ok` or `Corruption`; a flip always fails
+        /// the section CRC.
+        #[test]
+        fn observation_section_decode_is_total(
+            keys in proptest::collection::vec(any::<u64>(), 0..32),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            mask in 1u8..=255,
+        ) {
+            observation_decode_is_total(&noise)?;
+            let mut good = BytesMut::new();
+            encode_observation(&mut good, &keys);
+            prop_assert_eq!(decode_observation(&good).map_err(|e| e.to_string())?, keys);
+            for cut in 0..good.len() {
+                observation_decode_is_total(&good[..cut])?;
+            }
+            for byte in 0..good.len() {
+                let mut bad = good.to_vec();
+                bad[byte] ^= mask;
+                prop_assert!(
+                    matches!(decode_observation(&bad), Err(Error::Corruption { .. })),
+                    "flip at {byte} decoded"
+                );
+            }
+        }
+    }
+
+    /// The one writer: one blob, whose observation section and manifest
+    /// metadata agree with its contents, and an input error writes
+    /// nothing.
     #[test]
-    fn write_table_persists_blob_and_sidecar_or_nothing() {
+    fn write_table_persists_one_blob_or_nothing() {
         let storage = MemoryStorage::new();
         let options = LsmOptions::default().block_size(256);
         let entries = (0..100u64).map(|i| Ok(Entry::put(key_from_u64(i), Bytes::new(), i + 1)));
@@ -800,10 +879,13 @@ mod tests {
             (9, 100, 1)
         );
         assert_eq!(meta.max_seqno, 500);
+        assert_eq!(storage.list_blobs(), vec![SstableReader::blob_name(9)]);
         let reader = SstableReader::open(&storage, 9, Some(meta.encoded_len)).unwrap();
         assert_eq!(reader.entry_count(), 100);
-        let sidecar = TableKeyObservation::load(&storage, 9).unwrap().unwrap();
-        assert_eq!(sidecar.keys, (0..100).collect::<Vec<u64>>());
+        assert_eq!(
+            read_observation(&storage, 9, meta.encoded_len).unwrap(),
+            (0..100).collect::<Vec<u64>>()
+        );
 
         let failing = [
             Ok(Entry::put(key_from_u64(1), Bytes::new(), 1)),

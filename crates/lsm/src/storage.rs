@@ -131,7 +131,7 @@ fn range_of(blob_len: usize, name: &str, offset: u64, len: usize) -> Result<Rang
 }
 
 /// One stored blob of a [`MemoryStorage`]. `write_blob` stores a shared
-/// immutable buffer, so reading a table or sidecar back — whole or a
+/// immutable buffer, so reading a table or checkpoint back — whole or a
 /// range of it — is a slice sharing that buffer; `append_blob` grows a
 /// plain vector in place (amortised O(`data.len()`)), which only WAL
 /// replay ever reads back.
@@ -475,9 +475,8 @@ mod tests {
     fn memory_storage_contract() {
         let storage = MemoryStorage::new();
         exercise(&storage);
-        // Reading a `write_blob`-written blob (every table and sidecar),
-        // whole or a range of it, shares the stored buffer instead of
-        // copying it.
+        // Reading a `write_blob`-written blob (every table), whole or a
+        // range of it, shares the stored buffer instead of copying it.
         storage.write_blob("t", b"table").unwrap();
         let (a, b) = (
             storage.read_blob("t").unwrap(),

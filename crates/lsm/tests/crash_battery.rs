@@ -197,16 +197,20 @@ proptest! {
         tables.sort();
         prop_assume!(!tables.is_empty());
         let name = &tables[table_pick % tables.len()];
-        // Data blocks are the blob's prefix; everything from the bloom
-        // filter on trails them. The bloom carries no checksum (a flipped
-        // bloom bit can only cause a false negative), so this property is
-        // about the *block payload* region, whose exact end is the bloom
-        // offset — the first u64 of the v4 footer (7 u64s + CRC32).
+        // Data blocks follow the observation section (which only the
+        // planner reads); everything from the bloom filter on trails
+        // them. The bloom carries no checksum (a flipped bloom bit can
+        // only cause a false negative), so this property is about the
+        // *block payload* region: from the observation section's length
+        // to the bloom offset, the first two u64s of the v6 footer
+        // (8 u64s + CRC32).
         let blob = survivors.read_blob(name).unwrap();
-        let footer = &blob[blob.len() - 60..];
-        let data_region = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
-        prop_assume!(data_region > 0);
-        prop_assert!(corrupt_blob_byte(&survivors, name, offset_pick % data_region));
+        let footer = &blob[blob.len() - 68..];
+        let field = |i: usize| u64::from_le_bytes(footer[8 * i..8 * i + 8].try_into().unwrap()) as usize;
+        let (data_start, data_end) = (field(0), field(1));
+        prop_assume!(data_end > data_start);
+        let offset = data_start + offset_pick % (data_end - data_start);
+        prop_assert!(corrupt_blob_byte(&survivors, name, offset));
 
         let db = Lsm::open(Arc::new(survivors), small_opts().wal(false))
             .expect("table blocks are decoded lazily; open reads only tails");

@@ -403,7 +403,7 @@ fn compaction_over_a_rotten_input_block_leaves_the_store_serving() {
         .major_compact(&[CompactionStep::new(vec![0, 1])])
         .unwrap_err();
     assert!(matches!(err, lsm_engine::Error::Corruption { .. }), "{err}");
-    assert_eq!(sorted_blobs(), blobs_before, "no output or sidecar remains");
+    assert_eq!(sorted_blobs(), blobs_before, "no output blob remains");
     assert_eq!(db.live_tables(), tables, "manifest untouched");
     assert_eq!(
         get_vec(&db, 0),

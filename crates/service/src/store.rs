@@ -29,8 +29,8 @@ use lsm_engine::{
 use crate::{Error, ShardRouter};
 
 /// Marker blob recording the shard count, stored on shard 0's backend
-/// (where the engine's orphan sweep — which only touches `sst-*`/`obs-*`
-/// blobs — leaves it alone).
+/// (where the engine's orphan sweep — which only touches `sst-*` blobs —
+/// leaves it alone).
 const SHARD_COUNT_BLOB: &str = "SHARDS";
 
 /// Capacity of the store-wide maintenance event ring. All shards trace

@@ -235,7 +235,7 @@ pub struct ChurnRow {
     /// Cumulative operations issued up to this sample.
     pub ops: u64,
     /// Total bytes across every live blob (sstables, WAL segments,
-    /// manifest checkpoints, sidecars) at the sample point.
+    /// manifest checkpoints) at the sample point.
     pub live_blob_bytes: u64,
     /// Bytes of logically-live data (working-set keys + values).
     pub logical_bytes: u64,

@@ -1,9 +1,11 @@
 //! Benchmarks of the substrates the evaluation depends on: HyperLogLog
-//! estimation, YCSB workload generation, and the LSM engine's write /
-//! flush / physical-compaction path, merge path, WAL append path and
-//! cold read path.
+//! estimation, compaction planning, YCSB workload generation, and the
+//! LSM engine's write / flush / physical-compaction path, merge path,
+//! WAL append path and cold read path.
 
-use compaction_core::Strategy;
+use compaction_core::{
+    KeySet, Planner, SizeEstimator, Strategy, StrategyPlanner, TableObservation,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hll::HyperLogLog;
 use lsm_engine::{
@@ -35,6 +37,38 @@ fn bench_hll(c: &mut Criterion) {
     group.bench_function("union_estimate", |b| {
         b.iter(|| black_box(&a).union_estimate(black_box(&bb)).unwrap())
     });
+    group.finish();
+}
+
+/// Planning alone, over `compact-soe`'s shape: 32 tables of 1 000 keys,
+/// each sharing 600 with the one before. SO over HyperLogLog(14) sketches
+/// (`compact-soe`) and BT(I) (`compact-bt`): the owner of the benchmark's
+/// `planner.plan_ms`.
+fn bench_planner(c: &mut Criterion) {
+    let tables: Vec<TableObservation> = (0..32u64)
+        .map(|i| TableObservation::new(i, KeySet::from_range(i * 400..i * 400 + 1_000)))
+        .collect();
+    let mut group = c.benchmark_group("planner");
+    for (name, planner) in [
+        (
+            "so_hll14_32x1k",
+            StrategyPlanner::new(Strategy::SmallestOutput)
+                .with_estimator(SizeEstimator::Hll { precision: 14 }),
+        ),
+        (
+            "bt_i_32x1k",
+            StrategyPlanner::new(Strategy::BalanceTreeInput),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                planner
+                    .plan(black_box(&tables), 2)
+                    .unwrap()
+                    .predicted_cost_actual()
+            })
+        });
+    }
     group.finish();
 }
 
@@ -316,6 +350,7 @@ fn bench_read_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_hll,
+    bench_planner,
     bench_ycsb,
     bench_lsm,
     bench_schedule_to_physical,

@@ -3,9 +3,7 @@
 //! Choosing the pair of sstables with the smallest union requires knowing
 //! `|A ∪ B|` for every candidate pair *without* merging them. The paper's
 //! simulator estimates these cardinalities with HyperLogLog (Section 5.1,
-//! strategy 2); the exact two-pointer count is also provided so the cost
-//! of estimation error can be measured (the `so_exact_vs_hll` ablation
-//! bench).
+//! strategy 2); the exact two-pointer count is the idealized baseline.
 
 use hll::HyperLogLog;
 
@@ -34,10 +32,9 @@ impl CardinalityEstimator for ExactEstimator {
 
 /// HyperLogLog-based union estimation, as used by the paper's simulator.
 ///
-/// Each call builds sketches for the operand sets and merges them; the
-/// compaction simulator additionally caches per-sstable sketches so the
-/// per-iteration overhead matches the paper's description (recompute only
-/// combinations involving the newly created sstable).
+/// Each call hashes every key of the operand sets into one sketch; the
+/// [`CachedSmallestOutputPolicy`](crate::heuristics::CachedSmallestOutputPolicy)
+/// caches sketches and pair estimates instead, with identical results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HllEstimator {
     precision: u8,
@@ -61,17 +58,6 @@ impl HllEstimator {
     pub fn precision(&self) -> u8 {
         self.precision
     }
-
-    /// Builds the sketch of a single key set (used by callers that cache
-    /// per-sstable sketches).
-    #[must_use]
-    pub fn sketch(&self, set: &KeySet) -> HyperLogLog {
-        let mut sketch = HyperLogLog::new(self.precision).expect("precision validated in new()");
-        for key in set.iter() {
-            sketch.add_u64(key);
-        }
-        sketch
-    }
 }
 
 impl Default for HllEstimator {
@@ -85,11 +71,7 @@ impl Default for HllEstimator {
 impl CardinalityEstimator for HllEstimator {
     fn union_estimate(&self, sets: &[&KeySet]) -> u64 {
         let mut merged = HyperLogLog::new(self.precision).expect("precision validated in new()");
-        for set in sets {
-            for key in set.iter() {
-                merged.add_u64(key);
-            }
-        }
+        merged.extend(sets.iter().flat_map(|set| set.iter()));
         merged.count()
     }
 }
@@ -134,9 +116,14 @@ mod tests {
         let est = HllEstimator::new(12).unwrap();
         let a = KeySet::from_range(0..5_000);
         let b = KeySet::from_range(2_500..7_500);
-        let mut sa = est.sketch(&a);
-        let sb = est.sketch(&b);
-        sa.merge(&sb).unwrap();
-        assert_eq!(sa.count(), est.union_estimate(&[&a, &b]));
+        let sketch = |set: &KeySet| {
+            let mut sketch = HyperLogLog::new(12).unwrap();
+            sketch.extend(set.iter());
+            sketch
+        };
+        assert_eq!(
+            sketch(&a).union_estimate(&sketch(&b)).unwrap(),
+            est.union_estimate(&[&a, &b])
+        );
     }
 }

@@ -1,35 +1,37 @@
-//! SMALLESTOUTPUT with cached HyperLogLog sketches.
+//! SMALLESTOUTPUT with cached HyperLogLog sketches and pair estimates.
 //!
 //! The paper's simulator (Section 5.1, strategy 2) notes that recomputing
 //! union estimates for all `C(n, k)` combinations every iteration is
 //! unnecessarily expensive: estimates not involving the sets removed in
 //! the previous iteration can be reused, and only combinations involving
 //! the newly created sstable need fresh estimates (`C(n−k, k−1)` of
-//! them). This policy implements that optimization by caching one
-//! HyperLogLog sketch per *slot*: a pair's union estimate is then a
-//! register-wise merge of two cached sketches (`O(2^p)` work) instead of
-//! re-hashing every key of both sets.
-//!
-//! Because a HyperLogLog register array of a union equals the
-//! register-wise maximum of the operands' arrays, the cached policy makes
-//! *exactly* the same choices as the uncached
+//! them). This policy caches one HyperLogLog sketch per live *slot* and
+//! every live pair's estimate, so the first iteration estimates all
+//! `C(n, 2)` pairs and each later one only the `n − k` pairs with the new
+//! slot (`C(n−2, 1)` at `k = 2`). A merged slot's sketch is the
+//! register-wise maximum of its inputs' — exactly the sketch of their
+//! union — so the policy makes the same choices as the uncached
 //! [`SmallestOutputPolicy`](crate::heuristics::SmallestOutputPolicy) with
-//! an [`HllEstimator`](crate::HllEstimator) of the same precision — only
-//! the per-iteration strategy overhead changes.
+//! an [`HllEstimator`](crate::HllEstimator) of the same precision.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use hll::HyperLogLog;
 
 use crate::heuristics::{ChoosePolicy, CollectionItem};
-use crate::KeySet;
 
-/// SMALLESTOUTPUT with per-sstable sketch caching (the paper's
-/// implementation of the SO strategy).
+/// SMALLESTOUTPUT with per-sstable sketch and pair-estimate caching (the
+/// paper's implementation of the SO strategy).
 #[derive(Debug, Clone)]
 pub struct CachedSmallestOutputPolicy {
     precision: u8,
+    /// One sketch per live slot.
     sketches: HashMap<usize, HyperLogLog>,
+    /// `(estimated |A ∪ B|, slot_lo, slot_hi)` for every live pair. Items
+    /// are in slot order (survivors keep theirs, an output gets the
+    /// largest slot), so the first entry is the uncached policy's
+    /// `(estimate, index_a, index_b)` minimum.
+    pairs: BTreeSet<(u64, usize, usize)>,
 }
 
 impl CachedSmallestOutputPolicy {
@@ -39,103 +41,96 @@ impl CachedSmallestOutputPolicy {
         Self {
             precision,
             sketches: HashMap::new(),
+            pairs: BTreeSet::new(),
         }
     }
 
-    /// The configured precision.
-    #[must_use]
-    pub fn precision(&self) -> u8 {
-        self.precision
+    fn empty_sketch(&self) -> HyperLogLog {
+        HyperLogLog::new(self.precision).unwrap_or_else(|_| HyperLogLog::with_default_precision())
     }
 
-    /// Number of sketches currently cached (for tests and introspection).
-    #[must_use]
-    pub fn cached_sketch_count(&self) -> usize {
-        self.sketches.len()
-    }
-
-    fn sketch_for(&mut self, slot: usize, set: &KeySet) -> &HyperLogLog {
-        let precision = self.precision;
-        self.sketches.entry(slot).or_insert_with(|| {
-            let mut sketch = HyperLogLog::new(precision)
-                .unwrap_or_else(|_| HyperLogLog::with_default_precision());
-            for key in set.iter() {
-                sketch.add_u64(key);
+    /// Brings the cache in line with `items`: slots that left lose their
+    /// sketch and pairs, new ones are sketched from their keys (under
+    /// `GreedyMerger`, only on the first call: `merged` sketches outputs).
+    fn sync(&mut self, items: &[CollectionItem]) {
+        let live: HashSet<usize> = items.iter().map(|item| item.slot).collect();
+        self.sketches.retain(|slot, _| live.contains(slot));
+        self.pairs
+            .retain(|(_, a, b)| live.contains(a) && live.contains(b));
+        for item in items {
+            if !self.sketches.contains_key(&item.slot) {
+                let mut sketch = self.empty_sketch();
+                sketch.extend(item.set.iter());
+                self.insert(item.slot, sketch);
             }
-            sketch
-        })
+        }
     }
 
-    fn union_estimate(&mut self, a: &CollectionItem, b: &CollectionItem) -> u64 {
-        // Materialize both cache entries first, then merge registers.
-        self.sketch_for(a.slot, &a.set);
-        self.sketch_for(b.slot, &b.set);
-        let sa = &self.sketches[&a.slot];
-        let sb = &self.sketches[&b.slot];
-        sa.union_estimate(sb)
-            .expect("equal precision by construction")
+    /// Caches `sketch` for `slot` and estimates its pair with every other
+    /// cached slot.
+    fn insert(&mut self, slot: usize, sketch: HyperLogLog) {
+        for (&other, cached) in &self.sketches {
+            let estimate = sketch.union_estimate(cached).expect("same precision");
+            self.pairs
+                .insert((estimate, other.min(slot), other.max(slot)));
+        }
+        #[cfg(test)]
+        tests::PAIR_ESTIMATES.with(|count| count.set(count.get() + self.sketches.len()));
+        self.sketches.insert(slot, sketch);
     }
 }
 
 impl ChoosePolicy for CachedSmallestOutputPolicy {
     fn choose(&mut self, items: &mut [CollectionItem], k: usize) -> Vec<usize> {
-        // Drop cache entries for slots that are no longer live so the
-        // cache stays proportional to the working collection.
-        let live: std::collections::HashSet<usize> = items.iter().map(|it| it.slot).collect();
-        self.sketches.retain(|slot, _| live.contains(slot));
+        self.sync(items);
+        let &(_, lo, hi) = self.pairs.first().expect("at least two items");
+        let index = |slot| items.iter().position(|it| it.slot == slot).expect("live");
+        let mut chosen = vec![index(lo), index(hi)];
 
-        // Best pair by estimated union size (ties by slot for determinism).
-        let mut best: Option<(u64, usize, usize)> = None;
-        for a in 0..items.len() {
-            for b in (a + 1)..items.len() {
-                let (ia, ib) = (items[a].clone(), items[b].clone());
-                let est = self.union_estimate(&ia, &ib);
-                let candidate = (est, a, b);
-                if best.is_none_or(|cur| candidate < cur) {
-                    best = Some(candidate);
-                }
-            }
-        }
-        let (_, a, b) = best.expect("at least two items");
-        let mut chosen = vec![a, b];
-
-        // Greedy k-way extension: merge the chosen sketches once, then add
-        // the set minimizing the estimated union with the running sketch.
+        // Greedy k-way extension: add the set minimizing the estimated
+        // union with the running sketch of the chosen ones.
+        let sketch = |i: usize| &self.sketches[&items[i].slot];
+        let mut running = sketch(chosen[0]).clone();
+        running.merge(sketch(chosen[1])).expect("same precision");
         while chosen.len() < k.min(items.len()) {
-            let mut running = self.sketches[&items[chosen[0]].slot].clone();
-            for &idx in &chosen[1..] {
-                running
-                    .merge(&self.sketches[&items[idx].slot])
-                    .expect("equal precision");
-            }
-            let mut best_ext: Option<(u64, usize)> = None;
-            for (i, item) in items.iter().enumerate() {
-                if chosen.contains(&i) {
-                    continue;
-                }
-                let item_clone = item.clone();
-                self.sketch_for(item_clone.slot, &item_clone.set);
-                let est = running
-                    .union_estimate(&self.sketches[&item.slot])
-                    .expect("equal precision");
-                if best_ext.is_none_or(|cur| (est, i) < cur) {
-                    best_ext = Some((est, i));
-                }
-            }
-            match best_ext {
-                Some((_, i)) => chosen.push(i),
-                None => break,
-            }
+            let estimate = |i| running.union_estimate(sketch(i)).expect("same precision");
+            let next = (0..items.len())
+                .filter(|i| !chosen.contains(i))
+                .min_by_key(|&i| (estimate(i), i))
+                .expect("fewer chosen than items");
+            running.merge(sketch(next)).expect("same precision");
+            chosen.push(next);
         }
         chosen
+    }
+
+    /// The output's sketch is the register-wise maximum of its inputs'.
+    /// Their pairs go at the next `sync`, and so does the output if an
+    /// input was never sketched.
+    fn merged(&mut self, inputs: &[usize], output: usize) {
+        let mut union = self.empty_sketch();
+        for slot in inputs {
+            let Some(sketch) = self.sketches.remove(slot) else {
+                return;
+            };
+            union.merge(&sketch).expect("same precision");
+        }
+        self.insert(output, union);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::heuristics::{GreedyMerger, SmallestOutputPolicy};
     use crate::{HllEstimator, KeySet};
+
+    thread_local! {
+        /// Pair estimates made on this thread.
+        pub(super) static PAIR_ESTIMATES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn instance() -> Vec<KeySet> {
         (0..12u64)
@@ -157,36 +152,50 @@ mod tests {
         assert_eq!(cached, uncached);
     }
 
+    /// The first iteration estimates every pair, each later one only the
+    /// pairs with the newly merged slot: `C(32, 2) + C(31, 2) = 961`
+    /// estimates for 32 sets at `k = 2`, where re-estimating every pair
+    /// every iteration takes `Σ C(i, 2) = C(33, 3) = 5 456`.
     #[test]
-    fn cache_is_pruned_to_live_slots() {
-        let sets = instance();
-        let mut policy = CachedSmallestOutputPolicy::new(10);
-        let merger = GreedyMerger::new(&sets, 2).unwrap();
-        // Run manually through the merger so we can inspect the policy
-        // afterwards: clone it into the run and check the clone's growth
-        // indirectly by running a single choose() on a small collection.
-        let schedule = merger.run(policy.clone()).unwrap();
-        assert_eq!(schedule.len(), sets.len() - 1);
-
-        let mut items: Vec<crate::heuristics::CollectionItem> = sets
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(slot, set)| crate::heuristics::CollectionItem {
-                slot,
-                set,
-                level: 1,
-            })
+    fn only_pairs_with_the_new_slot_are_estimated() {
+        let sets: Vec<KeySet> = (0..32u64)
+            .map(|i| KeySet::from_range(i * 300..i * 300 + 1_000))
             .collect();
-        let _ = policy.choose(&mut items, 2);
-        assert_eq!(policy.cached_sketch_count(), sets.len());
-        assert_eq!(policy.precision(), 10);
+        let before = PAIR_ESTIMATES.with(Cell::get);
+        let schedule = GreedyMerger::new(&sets, 2)
+            .unwrap()
+            .run(CachedSmallestOutputPolicy::new(14))
+            .unwrap();
+        assert_eq!(schedule.len(), 31);
+        assert_eq!(PAIR_ESTIMATES.with(Cell::get) - before, 496 + 465);
+    }
 
-        // Shrink the collection: stale slots must be evicted on the next
-        // choose call.
-        items.truncate(3);
-        let _ = policy.choose(&mut items, 2);
-        assert_eq!(policy.cached_sketch_count(), 3);
+    /// A caller driving `choose` without `merged` still gets choices over
+    /// the collection it passes: stale slots are dropped, new ones
+    /// sketched.
+    #[test]
+    fn choose_follows_a_collection_changed_behind_its_back() {
+        let items = |sets: &[KeySet], first_slot: usize| -> Vec<CollectionItem> {
+            sets.iter()
+                .enumerate()
+                .map(|(i, set)| CollectionItem {
+                    slot: first_slot + i,
+                    set: set.clone(),
+                    level: 1,
+                })
+                .collect()
+        };
+        let sets = instance();
+        let mut cached = CachedSmallestOutputPolicy::new(10);
+        let mut uncached = SmallestOutputPolicy::new(HllEstimator::new(10).unwrap());
+        let mut all = items(&sets, 0);
+        assert_eq!(cached.choose(&mut all, 2), uncached.choose(&mut all, 2));
+
+        let mut shrunk = items(&sets[5..9], 5);
+        shrunk.extend(items(&sets[..2], 40));
+        let chosen = cached.choose(&mut shrunk, 3);
+        assert_eq!(chosen, uncached.choose(&mut shrunk, 3));
+        assert!(chosen.iter().all(|&i| i < shrunk.len()));
     }
 
     #[test]

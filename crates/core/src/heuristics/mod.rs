@@ -44,6 +44,10 @@ pub trait ChoosePolicy: std::fmt::Debug {
     /// iteration. `items` always holds at least two entries. Policies may
     /// mutate level annotations (BALANCETREE does).
     fn choose(&mut self, items: &mut [CollectionItem], k: usize) -> Vec<usize>;
+
+    /// Told after every merge that slots `inputs` left the collection and
+    /// their union entered as slot `output`, for policies caching per slot.
+    fn merged(&mut self, _inputs: &[usize], _output: usize) {}
 }
 
 /// The generic greedy merger: repeatedly ask the policy for sets to
@@ -120,6 +124,7 @@ impl GreedyMerger {
             let merged_level = chosen.iter().map(|&i| items[i].level).max().unwrap_or(1) + 1;
             let input_slots: Vec<usize> = chosen.iter().map(|&i| items[i].slot).collect();
             let output_slot = n + ops.len();
+            policy.merged(&input_slots, output_slot);
             ops.push(MergeOp::new(input_slots));
             // Remove chosen items (descending index order keeps indices valid).
             for &i in chosen.iter().rev() {
@@ -152,10 +157,10 @@ pub enum Strategy {
     /// SMALLESTOUTPUT (`SO`) with exact union cardinalities.
     SmallestOutput,
     /// SMALLESTOUTPUT with HyperLogLog-estimated union cardinalities, as
-    /// implemented in the paper's simulator: one sketch cached per
-    /// sstable, so an iteration needs only the `C(n−k, k−1)` fresh
-    /// estimates that involve the newly merged table (Section 5.1).
-    /// `precision` is the HLL precision `p` (14 in the evaluation).
+    /// implemented in the paper's simulator: sketches and pair estimates
+    /// cached, so an iteration makes only the fresh pair estimates that
+    /// involve the newly merged table (`C(n−k, k−1)` at `k = 2`, Section
+    /// 5.1). `precision` is the HLL precision `p` (14 in the evaluation).
     SmallestOutputHll {
         /// HyperLogLog precision (number of registers = `2^precision`).
         precision: u8,

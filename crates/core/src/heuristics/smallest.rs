@@ -37,12 +37,6 @@ impl<E: CardinalityEstimator> SmallestOutputPolicy<E> {
     pub fn new(estimator: E) -> Self {
         Self { estimator }
     }
-
-    /// The underlying estimator.
-    #[must_use]
-    pub fn estimator(&self) -> &E {
-        &self.estimator
-    }
 }
 
 impl<E: CardinalityEstimator> ChoosePolicy for SmallestOutputPolicy<E> {

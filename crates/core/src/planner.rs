@@ -34,7 +34,6 @@
 //! # Ok::<(), compaction_core::Error>(())
 //! ```
 
-use crate::estimator::HllEstimator;
 use crate::{schedule_with, Error, KeySet, MergeSchedule, Strategy};
 
 /// One live table as the planner sees it: an opaque identifier plus the
@@ -95,16 +94,6 @@ impl SizeEstimator {
             precision: hll::DEFAULT_PRECISION,
         }
     }
-
-    /// A validated [`HllEstimator`] for callers that cache sketches, or
-    /// `None` for [`SizeEstimator::Exact`].
-    #[must_use]
-    pub fn hll_estimator(self) -> Option<HllEstimator> {
-        match self {
-            Self::Exact => None,
-            Self::Hll { precision } => Some(HllEstimator::new(precision).unwrap_or_default()),
-        }
-    }
 }
 
 /// An executable compaction plan.
@@ -134,8 +123,15 @@ impl MergePlan {
     ) -> Self {
         let steps = schedule.slot_steps();
         let waves = schedule.dependency_waves();
-        let predicted_cost = schedule.cost(observed_sets);
-        let predicted_cost_actual = schedule.cost_actual(observed_sets);
+        // Both predictions from one replay: eq. 2.1 counts the leaves and
+        // every output, `cost_actual` every input read and output written.
+        let mut predicted_cost: u64 = observed_sets.iter().map(|s| s.len() as u64).sum();
+        let mut predicted_cost_actual = 0;
+        schedule.replay(observed_sets, |inputs, output| {
+            let read: usize = inputs.iter().map(|s| s.len()).sum();
+            predicted_cost += output.len() as u64;
+            predicted_cost_actual += (read + output.len()) as u64;
+        });
         Self {
             strategy,
             schedule,
@@ -303,13 +299,9 @@ mod tests {
             hll.apply(Strategy::SmallestOutputHll { precision: 14 }),
             Strategy::SmallestOutputHll { precision: 12 }
         );
-        assert!(SizeEstimator::Exact.hll_estimator().is_none());
         assert_eq!(
-            SizeEstimator::paper_hll()
-                .hll_estimator()
-                .unwrap()
-                .precision(),
-            14
+            SizeEstimator::paper_hll(),
+            SizeEstimator::Hll { precision: 14 }
         );
     }
 

@@ -156,14 +156,22 @@ impl MergeSchedule {
     /// `outputs()[i]` is the label of slot `n_initial + i`.
     #[must_use]
     pub fn outputs(&self, sets: &[KeySet]) -> Vec<KeySet> {
-        let mut slots: Vec<KeySet> = sets.to_vec();
         let mut outputs = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            let merged = KeySet::union_many(op.inputs.iter().map(|&s| &slots[s]));
-            slots.push(merged.clone());
-            outputs.push(merged);
-        }
+        self.replay(sets, |_, output| outputs.push(output.clone()));
         outputs
+    }
+
+    /// Executes the schedule over `sets` once, calling `visit(inputs,
+    /// output)` per operation in order; no input set is copied.
+    pub(crate) fn replay(&self, sets: &[KeySet], mut visit: impl FnMut(&[&KeySet], &KeySet)) {
+        let mut made: Vec<KeySet> = Vec::with_capacity(self.ops.len());
+        for op in &self.ops {
+            let slot = |s: usize| sets.get(s).unwrap_or_else(|| &made[s - sets.len()]);
+            let inputs: Vec<&KeySet> = op.inputs.iter().map(|&s| slot(s)).collect();
+            let merged = KeySet::union_many(inputs.iter().copied());
+            visit(&inputs, &merged);
+            made.push(merged);
+        }
     }
 
     /// The single set left after executing the whole schedule. For an
@@ -181,9 +189,9 @@ impl MergeSchedule {
     /// merge output once.
     #[must_use]
     pub fn cost_with<M: CostModel>(&self, sets: &[KeySet], model: &M) -> u64 {
-        let leaves: u64 = sets.iter().map(|s| model.cost(s)).sum();
-        let internals: u64 = self.outputs(sets).iter().map(|s| model.cost(s)).sum();
-        leaves + internals
+        let mut total: u64 = sets.iter().map(|s| model.cost(s)).sum();
+        self.replay(sets, |_, output| total += model.cost(output));
+        total
     }
 
     /// [`MergeSchedule::cost_with`] under the default cardinality model.
@@ -198,14 +206,10 @@ impl MergeSchedule {
     /// read), matching Section 2.
     #[must_use]
     pub fn cost_actual_with<M: CostModel>(&self, sets: &[KeySet], model: &M) -> u64 {
-        let mut slots: Vec<KeySet> = sets.to_vec();
         let mut total = 0u64;
-        for op in &self.ops {
-            let input_cost: u64 = op.inputs.iter().map(|&s| model.cost(&slots[s])).sum();
-            let merged = KeySet::union_many(op.inputs.iter().map(|&s| &slots[s]));
-            total += input_cost + model.cost(&merged);
-            slots.push(merged);
-        }
+        self.replay(sets, |inputs, output| {
+            total += inputs.iter().map(|s| model.cost(s)).sum::<u64>() + model.cost(output);
+        });
         total
     }
 

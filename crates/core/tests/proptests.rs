@@ -1,10 +1,12 @@
 //! Property-based tests for the scheduling library's core invariants.
 
 use compaction_core::bounds::{lopt_lower_bound, ratio_to_lopt};
-use compaction_core::heuristics::max_key_frequency;
+use compaction_core::heuristics::{
+    max_key_frequency, CachedSmallestOutputPolicy, GreedyMerger, SmallestOutputPolicy,
+};
 use compaction_core::optimal::optimal_schedule;
 use compaction_core::{
-    schedule_with, Cardinality, ConstantOverhead, KeySet, Strategy, WeightedKeys,
+    schedule_with, Cardinality, ConstantOverhead, HllEstimator, KeySet, Strategy, WeightedKeys,
 };
 use proptest::prelude::*;
 // The explicit `Strategy` enum import above shadows proptest's `Strategy`
@@ -156,6 +158,26 @@ proptest! {
         let nonempty_nodes =
             sets.iter().filter(|s| !s.is_empty()).count() as u64 + schedule.len() as u64;
         prop_assert_eq!(with_overhead, base + 10 * nonempty_nodes);
+    }
+
+    /// Caching sketches and pair estimates changes the work, not the
+    /// schedule: the cached SO(HLL) policy builds exactly the schedule of
+    /// the uncached one at every fan-in, ties included — the small
+    /// universe makes partly tied estimates common, where a tie-break on
+    /// anything but `(estimate, lower slot, higher slot)` shows.
+    #[test]
+    fn cached_hll_policy_builds_the_uncached_schedule(
+        wide in arb_instance(10, 120),
+        tied in arb_instance(10, 24),
+    ) {
+        for (sets, k) in [&wide, &tied].into_iter().flat_map(|s| [(s, 2), (s, 3), (s, 4)]) {
+            let merger = GreedyMerger::new(sets, k).unwrap();
+            let cached = merger.run(CachedSmallestOutputPolicy::new(12)).unwrap();
+            let uncached = merger
+                .run(SmallestOutputPolicy::new(HllEstimator::new(12).unwrap()))
+                .unwrap();
+            prop_assert_eq!(cached, uncached, "k = {}", k);
+        }
     }
 
     /// The ratio to LOPT never exceeds the worst of the analytic bounds

@@ -92,12 +92,7 @@ impl Registers {
     /// Returns [`Error::PrecisionMismatch`] if the two register arrays have
     /// different precisions.
     pub fn merge_from(&mut self, other: &Self) -> Result<(), Error> {
-        if self.precision != other.precision {
-            return Err(Error::PrecisionMismatch {
-                left: self.precision,
-                right: other.precision,
-            });
-        }
+        self.same_precision(other)?;
         for (dst, &src) in self.slots.iter_mut().zip(&other.slots) {
             if src > *dst {
                 *dst = src;
@@ -106,18 +101,32 @@ impl Registers {
         Ok(())
     }
 
-    /// Number of registers that are still zero (used by the small-range
-    /// linear-counting correction).
-    #[must_use]
-    pub fn zero_count(&self) -> usize {
-        self.slots.iter().filter(|&&r| r == 0).count()
+    /// How many registers of the register-wise maximum of `self` and
+    /// `other` hold each rank, counted in one pass without building that
+    /// maximum (`x.max_rank_histogram(x)` describes `x`). Four interleaved
+    /// tables keep consecutive increments off one counter.
+    pub(crate) fn max_rank_histogram(&self, other: &Self) -> Result<[u32; 256], Error> {
+        self.same_precision(other)?;
+        let mut lanes = [[0u32; 256]; 4];
+        // `2^p` with `p ≥ MIN_PRECISION` is a multiple of 4: no remainder.
+        for (a, b) in self.slots.chunks_exact(4).zip(other.slots.chunks_exact(4)) {
+            for (lane, (&x, &y)) in lanes.iter_mut().zip(a.iter().zip(b)) {
+                lane[usize::from(x.max(y))] += 1;
+            }
+        }
+        Ok(std::array::from_fn(|rank| {
+            lanes.iter().map(|lane| lane[rank]).sum()
+        }))
     }
 
-    /// Sum of `2^{-register}` over all registers (the harmonic-mean term of
-    /// the raw HyperLogLog estimate).
-    #[must_use]
-    pub fn harmonic_sum(&self) -> f64 {
-        self.slots.iter().map(|&r| 2f64.powi(-i32::from(r))).sum()
+    fn same_precision(&self, other: &Self) -> Result<(), Error> {
+        if self.precision == other.precision {
+            return Ok(());
+        }
+        Err(Error::PrecisionMismatch {
+            left: self.precision,
+            right: other.precision,
+        })
     }
 
     /// Iterates over the raw register values.
@@ -182,22 +191,39 @@ mod tests {
     }
 
     #[test]
-    fn zero_count_and_clear() {
+    fn histogram_counts_ranks_and_clear_empties() {
         let mut r = Registers::new(4).unwrap();
-        assert_eq!(r.zero_count(), 16);
+        assert_eq!(r.max_rank_histogram(&r).unwrap()[0], 16);
         r.observe(2, 1);
         r.observe(7, 3);
-        assert_eq!(r.zero_count(), 14);
+        r.observe(15, 255);
+        let histogram = r.max_rank_histogram(&r).unwrap();
+        assert_eq!(
+            (histogram[0], histogram[1], histogram[3], histogram[255]),
+            (13, 1, 1, 1)
+        );
         assert!(!r.is_empty());
         r.clear();
         assert!(r.is_empty());
-        assert_eq!(r.zero_count(), 16);
+        assert_eq!(r.max_rank_histogram(&r).unwrap()[0], 16);
     }
 
     #[test]
-    fn harmonic_sum_of_empty_registers_is_m() {
-        let r = Registers::new(6).unwrap();
-        let m = r.len() as f64;
-        assert!((r.harmonic_sum() - m).abs() < 1e-9);
+    fn histogram_of_two_arrays_counts_their_maximum() {
+        let mut a = Registers::new(4).unwrap();
+        let mut b = Registers::new(4).unwrap();
+        a.observe(0, 7);
+        b.observe(0, 3);
+        b.observe(1, 4);
+        let histogram = a.max_rank_histogram(&b).unwrap();
+        assert_eq!((histogram[0], histogram[4], histogram[7]), (14, 1, 1));
+        assert_eq!(
+            histogram[3], 0,
+            "the smaller rank of a register is not counted"
+        );
+        assert!(matches!(
+            a.max_rank_histogram(&Registers::new(5).unwrap()),
+            Err(Error::PrecisionMismatch { left: 4, right: 5 })
+        ));
     }
 }

@@ -66,12 +66,6 @@ impl HyperLogLog {
         self.registers.precision()
     }
 
-    /// Number of registers `m = 2^p`.
-    #[must_use]
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Returns `true` if no item has been added yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -125,23 +119,8 @@ impl HyperLogLog {
     /// The estimate as a floating-point value (before rounding).
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let raw = alpha(self.registers.len()) * m * m / self.registers.harmonic_sum();
-
-        if raw <= 2.5 * m {
-            let zeros = self.registers.zero_count();
-            if zeros > 0 {
-                // Linear counting.
-                return m * (m / zeros as f64).ln();
-            }
-            return raw;
-        }
-        let two64 = 2f64.powi(64);
-        if raw > two64 / 30.0 {
-            // Large-range correction.
-            return -two64 * (1.0 - raw / two64).ln();
-        }
-        raw
+        let histogram = self.registers.max_rank_histogram(&self.registers);
+        estimate_from(&histogram.expect("a sketch has its own precision"))
     }
 
     /// Merges `other` into `self` (register-wise maximum). After merging,
@@ -171,16 +150,17 @@ impl HyperLogLog {
         self.registers.merge_from(&other.registers)
     }
 
-    /// Estimates `|A ∪ B|` without modifying either sketch.
+    /// Estimates `|A ∪ B|` without modifying either sketch and without
+    /// allocating: one pass over both register arrays. Bit for bit the
+    /// `count()` of the merged sketch.
     ///
     /// # Errors
     ///
     /// Returns [`Error::PrecisionMismatch`] if the sketches have different
     /// precisions.
     pub fn union_estimate(&self, other: &Self) -> Result<u64, Error> {
-        let mut merged = self.clone();
-        merged.merge(other)?;
-        Ok(merged.count())
+        let histogram = self.registers.max_rank_histogram(&other.registers)?;
+        Ok(estimate_from(&histogram).round().max(0.0) as u64)
     }
 
     /// Removes all items from the sketch, keeping the allocation.
@@ -209,6 +189,37 @@ impl FromIterator<u64> for HyperLogLog {
         sketch.extend(iter);
         sketch
     }
+}
+
+/// The one estimator, over a register array's rank histogram. Every
+/// partial sum of `2^-r` terms is a multiple of `2^-r_max` at most `2^p`,
+/// so while ranks stay at most `53 − p` (a hash reaches rank `r` with
+/// probability `2^-r`) the sum is exact and equals the register-order
+/// sum bit for bit.
+fn estimate_from(histogram: &[u32; 256]) -> f64 {
+    let registers: u32 = histogram.iter().sum();
+    let m = f64::from(registers);
+    let harmonic_sum: f64 = (0u64..)
+        .zip(histogram)
+        // `2^-rank`, built exactly from its exponent bits.
+        .map(|(rank, &count)| f64::from(count) * f64::from_bits((1023 - rank) << 52))
+        .sum();
+    let raw = alpha(registers as usize) * m * m / harmonic_sum;
+
+    if raw <= 2.5 * m {
+        let zeros = histogram[0];
+        if zeros > 0 {
+            // Linear counting.
+            return m * (m / f64::from(zeros)).ln();
+        }
+        return raw;
+    }
+    let two64 = 2f64.powi(64);
+    if raw > two64 / 30.0 {
+        // Large-range correction.
+        return -two64 * (1.0 - raw / two64).ln();
+    }
+    raw
 }
 
 /// Bias-correction constant `alpha_m` from the HyperLogLog paper.

@@ -827,8 +827,7 @@ impl Lsm {
     /// Runs one tombstone-GC rewrite right now, regardless of the
     /// [`LsmOptions::tombstone_gc`] toggle (which only governs the
     /// maintenance pipeline's own compaction steps): pick the live
-    /// table carrying the most tombstones past
-    /// [`LsmOptions::gc_min_tombstones`], drop every
+    /// table carrying the most tombstones, drop every
     /// tombstone that provably shadows nothing — no *other* live
     /// table's bloom/min-max admits its key — and swap in the slimmer
     /// rewrite via the usual atomic manifest flip. Returns the number

@@ -730,14 +730,12 @@ impl LsmInner {
     }
 
     /// The table GC would rewrite next: the one of `tables` carrying
-    /// the most tombstones, at least
-    /// [`LsmOptions::gc_min_tombstones`], that has not proven barren.
+    /// the most tombstones (at least one) that has not proven barren.
     fn gc_candidate(&self, tables: &[TableMeta]) -> Option<TableMeta> {
-        let threshold = self.options.gc_min_tombstones_per_table();
         let barren = self.gc_barren.lock();
         tables
             .iter()
-            .filter(|t| t.tombstone_count >= threshold && !barren.contains(&t.table_id))
+            .filter(|t| t.tombstone_count > 0 && !barren.contains(&t.table_id))
             .max_by_key(|t| t.tombstone_count)
             .cloned()
     }

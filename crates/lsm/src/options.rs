@@ -100,7 +100,6 @@ pub struct LsmOptions {
     event_sink: Option<EventSinkOpt>,
     strict_recovery: bool,
     tombstone_gc: bool,
-    gc_min_tombstones: u64,
 }
 
 impl Default for LsmOptions {
@@ -124,7 +123,6 @@ impl Default for LsmOptions {
             event_sink: None,
             strict_recovery: false,
             tombstone_gc: false,
-            gc_min_tombstones: 1,
         }
     }
 }
@@ -319,24 +317,16 @@ impl LsmOptions {
     }
 
     /// Enables tombstone garbage collection (default `false`): a
-    /// compaction step may rewrite a single sstable to drop
-    /// tombstones that provably shadow nothing — no *other* live
-    /// table's bloom/min-max admits the key — reclaiming space without
-    /// waiting for a full major compaction. GC competes with merge
-    /// compaction through the planner's predicted-cost accounting and
-    /// only runs when the configured policy has no merge to schedule.
+    /// compaction step may rewrite the live sstable carrying the most
+    /// tombstones, dropping those that provably shadow nothing — no
+    /// *other* live table's bloom/min-max admits the key — reclaiming
+    /// space without waiting for a full major compaction. GC competes
+    /// with merge compaction through the planner's predicted-cost
+    /// accounting and only runs when the configured policy has no merge
+    /// to schedule.
     #[must_use]
     pub fn tombstone_gc(mut self, enabled: bool) -> Self {
         self.tombstone_gc = enabled;
-        self
-    }
-
-    /// Sets how many tombstones a table must carry before tombstone GC
-    /// considers rewriting it (default 1, clamped ≥ 1). Higher values
-    /// trade space reclamation latency for fewer rewrites.
-    #[must_use]
-    pub fn gc_min_tombstones(mut self, tombstones: u64) -> Self {
-        self.gc_min_tombstones = tombstones.max(1);
         self
     }
 
@@ -456,12 +446,6 @@ impl LsmOptions {
     pub fn tombstone_gc_enabled(&self) -> bool {
         self.tombstone_gc
     }
-
-    /// Minimum tombstones in a table before GC considers it.
-    #[must_use]
-    pub fn gc_min_tombstones_per_table(&self) -> u64 {
-        self.gc_min_tombstones
-    }
 }
 
 #[cfg(test)]
@@ -484,7 +468,6 @@ mod tests {
             .stop_trigger(0)
             .strict_recovery(true)
             .tombstone_gc(true)
-            .gc_min_tombstones(0)
             .wal(false);
         assert_eq!(opts.memtable_capacity_keys(), 1, "capacity clamps to 1");
         assert_eq!(opts.block_size_bytes(), 64, "block size clamps to 64");
@@ -500,11 +483,6 @@ mod tests {
         assert_eq!(opts.stop_trigger_debt(), 2, "stop clamps to 2");
         assert!(opts.strict_recovery_enabled());
         assert!(opts.tombstone_gc_enabled());
-        assert_eq!(
-            opts.gc_min_tombstones_per_table(),
-            1,
-            "gc threshold clamps to 1"
-        );
     }
 
     #[test]
@@ -541,7 +519,6 @@ mod tests {
             "lenient recovery by default: salvage and report"
         );
         assert!(!opts.tombstone_gc_enabled());
-        assert_eq!(opts.gc_min_tombstones_per_table(), 1);
     }
 
     #[test]

@@ -101,13 +101,7 @@ fn inverted_or_empty_delete_range_consumes_no_seqno() {
 /// the barren memo) lets the same GC pass drop it.
 #[test]
 fn pins_block_tombstone_gc_until_released() {
-    let db = Lsm::open_in_memory(
-        LsmOptions::default()
-            .memtable_capacity(64)
-            .gc_min_tombstones(1)
-            .wal(false),
-    )
-    .unwrap();
+    let db = Lsm::open_in_memory(LsmOptions::default().memtable_capacity(64).wal(false)).unwrap();
     let pin = db.snapshot();
     // Tombstones for keys never written anywhere else: with no pin they
     // provably shadow nothing and GC drops them all.
@@ -159,8 +153,7 @@ fn one_range_delete_expires_a_prefix_like_a_tombstone_storm_in_one_record() {
             LsmOptions::default()
                 .memtable_capacity(100)
                 .compaction_policy(CompactionPolicy::Threshold { live_tables: 4 })
-                .tombstone_gc(true)
-                .gc_min_tombstones(4),
+                .tombstone_gc(true),
         )
         .unwrap();
         for key in 0..KEYS {

@@ -46,10 +46,9 @@
 //!   session cap refuses surplus connections the same way, and the
 //!   shed/admit counters ride the `METRICS` frame. Reads are never shed.
 //!
-//! Closed-loop serving is measured by the detached `benchmark/`
-//! package (`wire-hot`); the open-loop offered-load harness lives in
-//! `compaction-sim` (`open_loop`) with a CLI in `compaction-bench`
-//! (`--bin open_loop`).
+//! Serving is measured by the detached `benchmark/` package
+//! (`wire-hot`); shedding under overload is asserted, with exact counter
+//! reconciliation, in `tests/overload.rs`.
 //!
 //! # Examples
 //!

@@ -30,13 +30,6 @@
 //! `tests/paper_claims.rs` asserts the paper's claims on the `quick()`
 //! configurations.
 //!
-//! Two service harnesses remain beside the simulator, ungated and with
-//! one small binary each, because the committed `benchmark/` package
-//! does not ask their question yet: [`open_loop`] (offered load past
-//! saturation, admission shedding) and [`churn`] (space amplification
-//! and recovery work under sustained overwrite/delete traffic). Every
-//! closed-loop question lives in `benchmark/`.
-//!
 //! # Examples
 //!
 //! ```
@@ -62,19 +55,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod churn;
 pub mod experiment;
 pub mod live_engine;
-pub mod open_loop;
 pub mod phase1;
 pub mod report;
 pub mod runner;
 pub mod stats;
 
-pub use churn::{ChurnConfig, ChurnRow};
 pub use experiment::{Fig7Config, Fig7Row, Fig8Config, Fig8Row, Fig9Config, Fig9Row, Fig9Sweep};
 pub use live_engine::{LiveEngineConfig, LiveEngineRow};
-pub use open_loop::{OpenLoopConfig, OpenLoopRow};
 pub use phase1::SstableGenerator;
 pub use runner::{run_strategy, run_strategy_parallel, RunResult};
 pub use stats::Summary;

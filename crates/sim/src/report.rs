@@ -2,180 +2,10 @@
 //!
 //! The `tables` binary in the `compaction-bench` crate prints the same
 //! rows the paper's figures plot (and the live-engine rows) through the
-//! `*_table` renderers; the `open_loop` and `churn` binaries print theirs
-//! the same way, or as CSV with `--csv`.
+//! `*_table` renderers.
 
-use crate::churn::ChurnRow;
 use crate::experiment::{Fig7Row, Fig8Row, Fig9Row, Fig9Sweep};
 use crate::live_engine::LiveEngineRow;
-use crate::open_loop::OpenLoopRow;
-
-/// Renders the churn-soak sample series as a fixed-width text table.
-#[must_use]
-pub fn churn_table(rows: &[ChurnRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>10}  {:>9}  {:>12}  {:>9}  {:>6}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}  {:>10}  {:>8}\n",
-        "sample",
-        "ops",
-        "blob_bytes",
-        "space_amp",
-        "tables",
-        "wal_segs",
-        "ckpt_seq",
-        "rec_segs",
-        "rec_recs",
-        "reopen_ms",
-        "gc_dropped",
-        "gc_rw"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:>10}  {:>9}  {:>12}  {:>9.2}  {:>6}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9.3}  {:>10}  {:>8}\n",
-            row.label,
-            row.ops,
-            row.live_blob_bytes,
-            row.space_amp,
-            row.live_tables,
-            row.wal_segments_live,
-            row.manifest_checkpoint_seq,
-            row.recovery_segments_scanned,
-            row.recovery_records_replayed,
-            row.reopen_ms,
-            row.tombstones_dropped,
-            row.gc_rewrites,
-        ));
-    }
-    out
-}
-
-/// Renders the churn-soak sample series as CSV.
-#[must_use]
-pub fn churn_csv(rows: &[ChurnRow]) -> String {
-    let mut out = String::from(
-        "label,cycle,ops,live_blob_bytes,logical_bytes,space_amp,live_tables,\
-         wal_segments_live,manifest_checkpoint_seq,recovery_segments_scanned,\
-         recovery_records_replayed,reopen_ms,tombstones_dropped,gc_rewrites\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.4},{},{},{},{},{},{:.3},{},{}\n",
-            row.label,
-            row.cycle,
-            row.ops,
-            row.live_blob_bytes,
-            row.logical_bytes,
-            row.space_amp,
-            row.live_tables,
-            row.wal_segments_live,
-            row.manifest_checkpoint_seq,
-            row.recovery_segments_scanned,
-            row.recovery_records_replayed,
-            row.reopen_ms,
-            row.tombstones_dropped,
-            row.gc_rewrites,
-        ));
-    }
-    out
-}
-
-/// Renders the open-loop serving cells (closed baseline, pipelined
-/// capacity, offered-rate sweep) as a fixed-width text table.
-#[must_use]
-pub fn open_loop_table(rows: &[OpenLoopRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>10}  {:>10}  {:>6}  {:>5}  {:>6}  {:>10}  {:>10}  {:>9}  {:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>8}  {:>11}  {:>8}  {:>6}  {:>10}\n",
-        "cell",
-        "mode",
-        "shards",
-        "conns",
-        "window",
-        "offered/s",
-        "achieved/s",
-        "completed",
-        "busy",
-        "cli_shed",
-        "srv_shed",
-        "admitted",
-        "p50_us",
-        "p99_us",
-        "srv_p99_us",
-        "p999_us",
-        "autoc",
-        "stall_ms"
-    ));
-    for row in rows {
-        let offered = if row.offered_ops_per_sec > 0.0 {
-            format!("{:.0}", row.offered_ops_per_sec)
-        } else {
-            "max".to_owned()
-        };
-        out.push_str(&format!(
-            "{:>10}  {:>10}  {:>6}  {:>5}  {:>6}  {:>10}  {:>10.0}  {:>9}  {:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>8}  {:>11}  {:>8}  {:>6}  {:>10.2}\n",
-            row.label,
-            row.mode,
-            row.shards,
-            row.connections,
-            row.window,
-            offered,
-            row.achieved_ops_per_sec,
-            row.completed,
-            row.busy,
-            row.client_shed,
-            row.server_shed_writes,
-            row.server_admitted_writes,
-            row.p50_micros,
-            row.p99_micros,
-            row.server_p99_micros,
-            row.p999_micros,
-            row.auto_compactions,
-            row.compaction_stall.as_secs_f64() * 1e3,
-        ));
-    }
-    out
-}
-
-/// Renders the open-loop serving cells as CSV.
-#[must_use]
-pub fn open_loop_csv(rows: &[OpenLoopRow]) -> String {
-    let mut out = String::from(
-        "label,mode,shards,strategy,connections,window,offered_ops_per_sec,achieved_ops_per_sec,\
-         completed,busy,client_shed,server_admitted_writes,server_shed_writes,\
-         server_shed_connections,server_slowdown_stalls,server_stop_stalls,server_bg_flushes,\
-         p50_us,p99_us,server_p99_us,p999_us,elapsed_ms,auto_compactions,stall_ms\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.1},{:.1},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{},{:.4}\n",
-            row.label,
-            row.mode,
-            row.shards,
-            row.strategy.name(),
-            row.connections,
-            row.window,
-            row.offered_ops_per_sec,
-            row.achieved_ops_per_sec,
-            row.completed,
-            row.busy,
-            row.client_shed,
-            row.server_admitted_writes,
-            row.server_shed_writes,
-            row.server_shed_connections,
-            row.server_slowdown_stalls,
-            row.server_stop_stalls,
-            row.server_bg_flushes,
-            row.p50_micros,
-            row.p99_micros,
-            row.server_p99_micros,
-            row.p999_micros,
-            row.elapsed.as_secs_f64() * 1e3,
-            row.auto_compactions,
-            row.compaction_stall.as_secs_f64() * 1e3,
-        ));
-    }
-    out
-}
 
 /// Renders the live-engine rows (measured vs predicted vs simulated
 /// compaction cost per strategy) as a fixed-width text table.

@@ -82,11 +82,10 @@ impl WorkloadGenerator {
             .collect()
     }
 
-    /// **Closed-loop driver mode**: deals the run phase round-robin
-    /// across `clients` independent client streams, preserving relative
-    /// order inside each stream. This is how the service throughput
-    /// harness drives one logical workload from K concurrent client
-    /// threads: the union of the partitions is exactly
+    /// Deals the run phase round-robin across `clients` independent
+    /// client streams, preserving relative order inside each stream.
+    /// This is how a closed-loop service client runs one logical
+    /// workload from K concurrent threads: the union of the partitions is exactly
     /// [`WorkloadGenerator::run_phase`], so aggregate mix and skew match
     /// the single-client workload while each client runs its slice as a
     /// closed loop (next operation issued when the previous response
@@ -105,31 +104,6 @@ impl WorkloadGenerator {
             partitions[i % clients].push(op);
         }
         partitions
-    }
-
-    /// **Open-loop driver mode**: [`WorkloadGenerator::client_partitions`],
-    /// with each partition extended to exactly `ops_per_client`
-    /// operations by cycling its own stream. A fixed-rate load
-    /// generator offers one operation per tick and must never run dry
-    /// mid-run, whatever its rate × duration works out to — the
-    /// workload's mix and skew are preserved because each cycle replays
-    /// the same distribution-drawn slice. Partitions that would be
-    /// empty (more clients than operations) stay empty.
-    #[must_use]
-    pub fn client_partitions_cycled(
-        &self,
-        clients: usize,
-        ops_per_client: usize,
-    ) -> Vec<Vec<Operation>> {
-        self.client_partitions(clients)
-            .into_iter()
-            .map(|ops| {
-                if ops.is_empty() {
-                    return ops;
-                }
-                ops.iter().copied().cycle().take(ops_per_client).collect()
-            })
-            .collect()
     }
 }
 
@@ -425,38 +399,6 @@ mod tests {
         // Degenerate client counts.
         assert_eq!(gen.client_partitions(0).len(), 1);
         assert_eq!(gen.client_partitions(1)[0], direct);
-    }
-
-    #[test]
-    fn cycled_partitions_extend_each_stream_to_the_requested_length() {
-        let s = spec(50, Distribution::zipfian_default());
-        let gen = s.generator();
-        let base = gen.client_partitions(4);
-        let cycled = gen.client_partitions_cycled(4, 37);
-        assert_eq!(cycled.len(), 4);
-        for (b, c) in base.iter().zip(&cycled) {
-            assert_eq!(c.len(), 37);
-            // The cycle replays the base slice verbatim.
-            for (i, op) in c.iter().enumerate() {
-                assert_eq!(*op, b[i % b.len()]);
-            }
-        }
-        // Shrinking also works (a prefix of the base slice).
-        let short = gen.client_partitions_cycled(4, 3);
-        for (b, c) in base.iter().zip(&short) {
-            assert_eq!(c.as_slice(), &b[..3]);
-        }
-        // More clients than operations: empty partitions stay empty.
-        let tiny = WorkloadSpec::builder()
-            .record_count(10)
-            .operation_count(2)
-            .update_percent(100)
-            .seed(1)
-            .build()
-            .unwrap();
-        let sparse = tiny.generator().client_partitions_cycled(4, 10);
-        assert_eq!(sparse.iter().filter(|p| p.is_empty()).count(), 2);
-        assert!(sparse.iter().all(|p| p.is_empty() || p.len() == 10));
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! * [`sim`] (`compaction-sim`) — the two-phase simulator, the
 //!   experiment configs behind Figures 7, 8 and 9 and the live-engine
 //!   validation (printed by the `tables` binary, asserted by
-//!   `tests/paper_claims.rs`), and the two ungated service harnesses
-//!   (open-loop offered load, churn soak). Closed-loop serving is
-//!   measured by the detached `benchmark/` package instead.
+//!   `tests/paper_claims.rs`). Serving is measured by the detached
+//!   `benchmark/` package instead.
 //! * [`service`] (`kv-service`) — the sharded concurrent KV service:
 //!   shard router, batched per-shard writes, TCP front-end
 //!   (`GET`/`PUT`/`DEL`/`BATCH`/`SCAN`/`METRICS`/…) and a worker-pool

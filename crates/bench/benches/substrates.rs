@@ -230,10 +230,13 @@ fn bench_merge_path(c: &mut Criterion) {
     let steps = [CompactionStep::new((0..8).collect())];
     let merge = |(storage, mut manifest): (Arc<MemoryStorage>, Manifest)| {
         let ids: Vec<u64> = manifest.tables().iter().map(|t| t.table_id).collect();
-        ParallelExecutor::new(storage, options.clone())
-            .execute(&mut manifest, &ids, &steps)
-            .unwrap()
-            .entry_cost()
+        let exec = ParallelExecutor::new(storage.clone(), options.clone());
+        let prepared = exec.prepare(&mut manifest, &ids, &steps).unwrap();
+        let merged = exec.merge_prepared(&prepared).unwrap();
+        let outcome =
+            ParallelExecutor::commit(&mut manifest, &merged, storage.as_ref(), |_| {}).unwrap();
+        exec.retire_consumed(&merged).unwrap();
+        outcome.entry_cost()
     };
     let mut group = c.benchmark_group("merge_path");
     group.sample_size(10);

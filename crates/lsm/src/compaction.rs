@@ -71,6 +71,7 @@ mod tests {
     use super::*;
     use crate::manifest::{Manifest, ManifestEdit};
     use crate::options::LsmOptions;
+    use crate::parallel::tests::execute;
     use crate::parallel::ParallelExecutor;
     use crate::reader::SstableReader;
     use crate::sstable::write_table;
@@ -141,7 +142,7 @@ mod tests {
             CompactionStep::new(vec![0, 1]),
             CompactionStep::new(vec![3, 2]),
         ];
-        let outcome = exec.execute(&mut manifest, &[t0, t1, t2], &steps).unwrap();
+        let outcome = execute(&exec, &mut manifest, &[t0, t1, t2], &steps).unwrap();
 
         assert_eq!(outcome.merge_ops, 2);
         assert_eq!(manifest.table_count(), 1);
@@ -180,7 +181,7 @@ mod tests {
         manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
 
         let steps = vec![CompactionStep::new(vec![0, 1])];
-        let outcome = exec.execute(&mut manifest, &[t0, id], &steps).unwrap();
+        let outcome = execute(&exec, &mut manifest, &[t0, id], &steps).unwrap();
         let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
         assert_eq!(entries.len(), 1, "key 1 deleted, key 2 survives");
         assert_eq!(entries[0].key, key_from_u64(2));
@@ -193,25 +194,33 @@ mod tests {
         let t1 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[2], 2);
 
         // Single-input step.
-        let err = exec
-            .execute(&mut manifest, &[t0, t1], &[CompactionStep::new(vec![0])])
-            .unwrap_err();
+        let err = execute(
+            &exec,
+            &mut manifest,
+            &[t0, t1],
+            &[CompactionStep::new(vec![0])],
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::InvalidCompaction { .. }));
 
         // Unknown slot.
-        let err = exec
-            .execute(&mut manifest, &[t0, t1], &[CompactionStep::new(vec![0, 7])])
-            .unwrap_err();
+        let err = execute(
+            &exec,
+            &mut manifest,
+            &[t0, t1],
+            &[CompactionStep::new(vec![0, 7])],
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::InvalidCompaction { .. }));
 
         // Fan-in larger than k = 2.
-        let err = exec
-            .execute(
-                &mut manifest,
-                &[t0, t1],
-                &[CompactionStep::new(vec![0, 1, 1])],
-            )
-            .unwrap_err();
+        let err = execute(
+            &exec,
+            &mut manifest,
+            &[t0, t1],
+            &[CompactionStep::new(vec![0, 1, 1])],
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::InvalidCompaction { .. }));
     }
 
@@ -231,7 +240,7 @@ mod tests {
             })
             .collect();
         let steps = vec![CompactionStep::new(vec![0, 1, 2, 3])];
-        let outcome = exec.execute(&mut manifest, &ids, &steps).unwrap();
+        let outcome = execute(&exec, &mut manifest, &ids, &steps).unwrap();
         assert_eq!(outcome.merge_ops, 1);
         assert_eq!(manifest.table_count(), 1);
         let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
@@ -242,7 +251,7 @@ mod tests {
     fn empty_schedule_is_a_noop() {
         let (storage, mut manifest, exec) = setup();
         let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1], 1);
-        let outcome = exec.execute(&mut manifest, &[t0], &[]).unwrap();
+        let outcome = execute(&exec, &mut manifest, &[t0], &[]).unwrap();
         assert_eq!(outcome.merge_ops, 0);
         assert_eq!(outcome.final_table_id, None);
         assert_eq!(manifest.table_count(), 1);

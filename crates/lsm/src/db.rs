@@ -74,7 +74,7 @@ use crate::compaction::{CompactionOutcome, CompactionStep};
 use crate::manifest::{Manifest, TableMeta};
 use crate::memtable::Memtable;
 use crate::metrics::EngineMetrics;
-use crate::options::LsmOptions;
+use crate::options::{CompactionPolicy, LsmOptions};
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::scan::RangeIter;
 use crate::storage::{FileStorage, MemoryStorage, Storage};
@@ -82,7 +82,7 @@ use crate::types::{Entry, IntoKey, Key, RangeTombstone, SeqNo, Value, ValueKind}
 use crate::wal::{RecoveryReport, Wal, WalRecord};
 use crate::Error;
 #[cfg(doc)]
-use crate::{CompactionPolicy, ParallelExecutor};
+use crate::ParallelExecutor;
 
 /// Consecutive data blocks one ranged read fetches when a range scan
 /// walks an sstable. Spans never extend past the block covering the
@@ -326,7 +326,7 @@ lsm_stats! {
     block_cache_misses,
     /// Blocks dropped by LRU pressure or compaction retirement.
     block_cache_evictions,
-    /// Number of major compaction runs executed (manual and automatic).
+    /// Number of compaction runs executed (manual and automatic).
     compactions,
     /// Number of compactions fired by the configured
     /// [`CompactionPolicy`] (a subset of [`LsmStats::compactions`]).
@@ -425,6 +425,7 @@ impl LsmStats {
 /// The write-stall tier currently in force, from the tiered triggers
 /// that pace writers when worker threads drive maintenance (modelled on
 /// RocksDB's `l0_slowdown_writes_trigger` / `l0_stop_writes_trigger`).
+/// `stall_tier_change` events carry a tier as its discriminant: 0, 1, 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StallTier {
     /// Maintenance is keeping up; writes run at full speed.
@@ -517,7 +518,7 @@ impl Lsm {
                     .spawn(move || flusher.flush_worker())
                     .map_err(Error::Io)?,
             );
-            if inner.options.policy().is_automatic() {
+            if inner.options.policy() != CompactionPolicy::Manual {
                 let scheduler = Arc::clone(&inner);
                 workers.push(
                     std::thread::Builder::new()
@@ -772,7 +773,8 @@ impl Lsm {
     /// Gives the maintenance pipeline its turn. When the caller drives
     /// maintenance this runs every step that is due on this thread —
     /// consults the configured [`CompactionPolicy`] and, if it fires,
-    /// plans and executes a full compaction of the live tables — and
+    /// plans and executes a compaction of the newest run of live tables
+    /// (see [`CompactionPolicy::Threshold`]) — and
     /// returns that compaction. With worker threads it only wakes them
     /// and returns `Ok(None)` immediately. Happens by itself after every
     /// memtable rotation; callable directly to re-check the policy at
@@ -788,11 +790,12 @@ impl Lsm {
         self.inner.drive()
     }
 
-    /// Plans a compaction of the live tables with the configured
-    /// strategy and estimator and executes it (parallel across
-    /// independent steps when [`LsmOptions::threads`] > 1), regardless
-    /// of whether the policy would fire. Returns `Ok(None)` when there
-    /// are fewer than two live tables.
+    /// Plans a compaction of every live table down to one with the
+    /// configured strategy and estimator and executes it (parallel
+    /// across independent steps when [`LsmOptions::threads`] > 1),
+    /// regardless of whether the policy would fire — the paper's major
+    /// compaction. Returns `Ok(None)` when there are fewer than two live
+    /// tables.
     ///
     /// This is the "compact now, your way" entry point: no manual
     /// [`CompactionStep`] construction involved.
@@ -801,11 +804,11 @@ impl Lsm {
     ///
     /// Propagates planning and storage failures.
     pub fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        self.inner.auto_compact()
+        self.inner.planned_compaction(false)
     }
 
-    /// Executes a full major-compaction merge schedule over the live
-    /// sstables.
+    /// Executes a merge schedule over the live sstables: a complete one
+    /// is a major compaction, merging every live table down to one.
     ///
     /// `steps` reference tables by *slot*: slots `0..n` are the current
     /// live tables in manifest (oldest-first) order, and each step's
@@ -814,12 +817,15 @@ impl Lsm {
     /// [`MergeSchedule::slot_steps`](compaction_core::MergeSchedule::slot_steps)).
     /// Independent steps execute concurrently when
     /// [`LsmOptions::threads`] > 1, and manifest edits are applied
-    /// atomically after every step succeeds.
+    /// atomically after every step succeeds. The last step drops
+    /// tombstones only if no live table older than its inputs is left
+    /// out of it.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidCompaction`] for malformed schedules and
-    /// propagates storage errors.
+    /// Returns [`Error::InvalidCompaction`] for malformed schedules —
+    /// among them one that leaves an output spanning, by age, a live
+    /// table it does not merge — and propagates storage errors.
     pub fn major_compact(&self, steps: &[CompactionStep]) -> Result<CompactionOutcome, Error> {
         self.inner.major_compact(steps)
     }
@@ -1533,24 +1539,14 @@ impl LsmInner {
     /// of a scan's range-delete filter (table-resident tombstones are
     /// collected from the scan's pinned readers).
     pub(crate) fn memtable_range_dels(&self, upto: SeqNo) -> Vec<RangeTombstone> {
-        let mut rds: Vec<RangeTombstone> = self
-            .memtable
-            .read()
-            .range_dels()
-            .iter()
+        let active = self.memtable.read();
+        let frozen = self.frozen_queue();
+        std::iter::once(&*active)
+            .chain(frozen.iter().map(|gen| &gen.memtable))
+            .flat_map(Memtable::range_dels)
             .filter(|rd| rd.seqno <= upto)
             .cloned()
-            .collect();
-        for gen in self.frozen_queue().iter() {
-            rds.extend(
-                gen.memtable
-                    .range_dels()
-                    .iter()
-                    .filter(|rd| rd.seqno <= upto)
-                    .cloned(),
-            );
-        }
-        rds
+            .collect()
     }
 
     /// Counts tables a range scan skipped by their min/max key range.

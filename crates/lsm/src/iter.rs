@@ -139,8 +139,8 @@ impl<S: Iterator<Item = Result<Entry, Error>>> Iterator for MergingIter<S> {
 /// * a point tombstone at or below the floor for which `droppable`
 ///   holds deletes the key outright. The caller vouches that nothing
 ///   outside the stream can resurrect the key: `|_| true` for the final
-///   step of a major compaction (every older version is among the
-///   inputs), a bloom/min-max check of the other live tables for
+///   step of a merge that leaves no older live table out (every older
+///   version is among the inputs), a bloom/min-max check of the other live tables for
 ///   tombstone GC, `|_| false` otherwise.
 ///
 /// A version supplied twice (by two sources of a merge) is kept once.

@@ -50,8 +50,9 @@
 //! paper's heuristics:
 //!
 //! * [`CompactionPolicy`] decides *when* — after every flush,
-//!   [`Lsm::maybe_compact`] checks the policy (live-table threshold or
-//!   flush cadence) and fires planner-driven compaction;
+//!   [`Lsm::maybe_compact`] checks the live-table threshold and, when it
+//!   fires, compacts the newest run of live tables (the whole store
+//!   only when no older table is much bigger than the run);
 //! * the configured [`Strategy`] and [`SizeEstimator`] decide *what
 //!   merges in which order* — [`plan_compaction`] observes the live
 //!   tables and asks `compaction-core`'s planner for an executable

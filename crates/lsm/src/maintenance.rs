@@ -15,8 +15,9 @@
 //!   time.
 //! * **compaction step** ([`LsmInner::compact_step`]): if the policy
 //!   fires, one run of the compaction driver
-//!   ([`LsmInner::run_compaction`]); else, if one is due, one
-//!   tombstone-GC rewrite.
+//!   ([`LsmInner::run_compaction`]) over the newest run of live tables
+//!   ([`newest_run`]), not the whole store as [`Lsm::auto_compact`]
+//!   does; else, if one is due, one tombstone-GC rewrite.
 //!
 //! A step knows nothing about who called it.
 //!
@@ -61,7 +62,7 @@ use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::memtable::Memtable;
 use crate::options::CompactionPolicy;
 use crate::parallel::ParallelExecutor;
-use crate::planner::plan_compaction;
+use crate::planner::{newest_run, plan_compaction};
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::sstable::write_table;
 use crate::types::{Entry, RangeTombstone, SeqNo};
@@ -294,7 +295,8 @@ impl LsmInner {
     fn compact_step(&self) -> Result<CompactStep, Error> {
         // Checked here as well as inside the run: a step that is not
         // due must not queue on `compaction_mx` behind another merge.
-        if self.policy_fires(&self.write.lock()) {
+        let live_tables = self.write.lock().manifest.table_count();
+        if self.compaction_backlog(live_tables) > 0 {
             let run = self.planned_compaction(true)?;
             return Ok(run.map_or(CompactStep::Idle, CompactStep::Merged));
         }
@@ -446,7 +448,8 @@ impl LsmInner {
     // ---- stall tiers ----
 
     /// How many of `live_tables` sit at or beyond the
-    /// [`CompactionPolicy::Threshold`] trigger (0 for other policies).
+    /// [`CompactionPolicy::Threshold`] trigger (0 for other policies):
+    /// the policy fires when it is positive.
     pub(super) fn compaction_backlog(&self, live_tables: usize) -> usize {
         match self.options.policy() {
             CompactionPolicy::Threshold {
@@ -517,7 +520,7 @@ impl LsmInner {
     /// Traces stall-tier *edges*: emits [`EventKind::StallTierChange`]
     /// only when `tier` differs from what the previous writer saw.
     fn note_stall_tier(&self, tier: StallTier) {
-        let code = tier_code(tier);
+        let code = tier as u64;
         let previous = self.stall_tier_seen.swap(code, Ordering::Relaxed);
         if previous != code {
             self.emit(
@@ -529,27 +532,19 @@ impl LsmInner {
 
     // ---- the compaction driver ----
 
-    pub(super) fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        let run = self.planned_compaction(false)?;
-        if let Some(run) = &run {
-            self.metrics.stall.record_duration(run.stall);
-        }
-        Ok(run)
-    }
-
     pub(super) fn major_compact(
         &self,
         steps: &[CompactionStep],
     ) -> Result<CompactionOutcome, Error> {
-        let (_, outcome, elapsed) = self
+        let (_, outcome, _) = self
             .run_compaction(Schedule::Manual(steps))?
             .expect("a manual schedule always runs");
-        self.metrics.stall.record_duration(elapsed);
         Ok(outcome)
     }
 
-    /// One planner-scheduled compaction run, on whichever thread asks.
-    fn planned_compaction(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
+    /// One planner-scheduled compaction run, on whichever thread asks:
+    /// of the newest run if `if_due`, else of the whole store.
+    pub(super) fn planned_compaction(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
         let run = self.run_compaction(Schedule::Planned { if_due })?;
         Ok(run.map(|(plan, outcome, stall)| AutoCompaction {
             plan: plan.expect("a planned schedule carries its plan"),
@@ -558,40 +553,43 @@ impl LsmInner {
         }))
     }
 
-    fn policy_fires(&self, w: &WriteState) -> bool {
-        match self.options.policy() {
-            CompactionPolicy::Manual => false,
-            CompactionPolicy::Threshold { live_tables } => w.manifest.table_count() >= live_tables,
-        }
-    }
-
     /// The one compaction driver, run on whichever thread asks: snapshot
-    /// the table list, plan, `prepare` under a brief write lock, merge
-    /// unlocked, commit and flip the manifest under a brief write lock,
-    /// delete the consumed blobs unlocked. `compaction_mx` serializes whole runs, so
-    /// every planned input still exists at prepare time: flushes can
-    /// only *add* tables meanwhile. `Ok(None)` means there was nothing
-    /// to do: fewer than two tables, or an `if_due` request whose policy
-    /// does not fire. Otherwise: the executed plan (`None` for a manual
-    /// schedule), what it moved, and the run's planning + merging
-    /// wall-clock from when it held `compaction_mx`.
+    /// the table list (for an `if_due` request, only its newest run),
+    /// plan, `prepare` under a brief write lock, merge unlocked, commit
+    /// and flip the manifest under a brief write lock, delete the
+    /// consumed blobs unlocked. `compaction_mx` serializes whole runs,
+    /// so every planned input still exists at prepare time: flushes can
+    /// only *add* tables meanwhile, and those are newer than any run.
+    /// `Ok(None)` means there was nothing to do: fewer than two tables,
+    /// or an `if_due` request whose policy does not fire. Otherwise: the
+    /// executed plan (`None` for a manual schedule), what it moved, and
+    /// the run's planning + merging wall-clock from when it held
+    /// `compaction_mx`.
     fn run_compaction(&self, schedule: Schedule<'_>) -> Result<Option<CompactionRun>, Error> {
         let _serial = self.compaction_mx.lock();
         let _mark = self.mark_compacting();
         let start = Instant::now();
         let if_due = matches!(schedule, Schedule::Planned { if_due: true });
-        let tables: Vec<TableMeta> = {
+        let (live_tables, tables) = {
             let w = self.write.lock();
-            if if_due && !self.policy_fires(&w) {
+            let live = w.manifest.tables();
+            let backlog = self.compaction_backlog(live.len());
+            if if_due && backlog == 0 {
                 return Ok(None);
             }
-            w.manifest.tables().to_vec()
+            // Merging `backlog + 1` tables into one clears the backlog.
+            let tables = if if_due {
+                newest_run(live, backlog + 1)
+            } else {
+                live.to_vec()
+            };
+            (live.len() as u64, tables)
         };
         let initial: Vec<u64> = tables.iter().map(|t| t.table_id).collect();
         // Planning reads each table's observation section (I/O), which
         // is why it works from the snapshot rather than under the write
         // mutex.
-        let (plan, steps, waves) = match schedule {
+        let (plan, steps) = match schedule {
             Schedule::Planned { .. } => {
                 let Some(plan) = plan_compaction(self.storage.as_ref(), &tables, &self.options)?
                 else {
@@ -602,27 +600,14 @@ impl LsmInner {
                     .iter()
                     .map(|inputs| CompactionStep::new(inputs.clone()))
                     .collect();
-                let waves = plan.waves().to_vec();
-                (Some(plan), steps, waves)
+                (Some(plan), steps)
             }
-            Schedule::Manual(steps) => {
-                let waves = ParallelExecutor::waves_for_steps(initial.len(), steps);
-                (None, steps.to_vec(), waves)
-            }
+            Schedule::Manual(steps) => (None, steps.to_vec()),
         };
         let predicted = plan.as_ref().map_or(0, MergePlan::predicted_cost_actual);
         let outcome = if steps.is_empty() {
             CompactionOutcome::default()
         } else {
-            self.emit(
-                EventKind::CompactionPlanned,
-                vec![
-                    ("tables", initial.len() as u64),
-                    ("steps", steps.len() as u64),
-                    ("waves", waves.len() as u64),
-                    ("predicted_cost", predicted),
-                ],
-            );
             // Wired to the compaction-step histogram and wave-start
             // trace events; `predicted_cost` is stamped on each wave so
             // a trace consumer can follow one compaction end to end.
@@ -642,12 +627,18 @@ impl LsmInner {
                         ],
                     );
                 });
-            let prepared = executor.prepare(
-                &mut self.write.lock().manifest,
-                &initial,
-                &steps,
-                Some(&waves),
-            )?;
+            let prepared = executor.prepare(&mut self.write.lock().manifest, &initial, &steps)?;
+            // `tables < live_tables` marks a partial run.
+            self.emit(
+                EventKind::CompactionPlanned,
+                vec![
+                    ("tables", initial.len() as u64),
+                    ("live_tables", live_tables),
+                    ("steps", steps.len() as u64),
+                    ("waves", prepared.wave_count() as u64),
+                    ("predicted_cost", predicted),
+                ],
+            );
             let merged = executor.merge_prepared(&prepared)?;
             let outcome = {
                 let mut w = self.write.lock();
@@ -687,7 +678,12 @@ impl LsmInner {
             }
         }
         self.maint.progress_signal.notify();
-        Ok(Some((plan, outcome, start.elapsed())))
+        let elapsed = start.elapsed();
+        // A caller that asked waited on it; `drive` samples policy runs.
+        if !if_due {
+            self.metrics.stall.record_duration(elapsed);
+        }
+        Ok(Some((plan, outcome, elapsed)))
     }
 
     /// Stamps the in-progress-compaction marker for [`Lsm::pressure`];
@@ -869,14 +865,5 @@ struct CompactionMark<'a>(&'a LsmInner);
 impl Drop for CompactionMark<'_> {
     fn drop(&mut self) {
         self.0.compaction_started.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The wire encoding of a [`StallTier`] in `stall_tier_change` events.
-fn tier_code(tier: StallTier) -> u64 {
-    match tier {
-        StallTier::None => 0,
-        StallTier::Slowdown => 1,
-        StallTier::Stop => 2,
     }
 }

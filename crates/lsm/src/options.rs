@@ -40,19 +40,14 @@ pub enum CompactionPolicy {
     Manual,
     /// Compact automatically whenever a flush leaves at least
     /// `live_tables` sstables live (the analogue of RocksDB's
-    /// `level0_file_num_compaction_trigger`).
+    /// `level0_file_num_compaction_trigger`). It merges the newest run of
+    /// tables, not the whole store: enough to get back under
+    /// `live_tables`, then each next-older table holding at most twice
+    /// the entries gathered so far.
     Threshold {
         /// Live-table count that triggers a compaction (≥ 2).
         live_tables: usize,
     },
-}
-
-impl CompactionPolicy {
-    /// `true` if this policy ever fires automatically after a flush.
-    #[must_use]
-    pub fn is_automatic(&self) -> bool {
-        matches!(self, Self::Threshold { .. })
-    }
 }
 
 /// Configuration for an [`Lsm`](crate::Lsm) instance.
@@ -60,8 +55,8 @@ impl CompactionPolicy {
 /// The defaults mirror the paper's simulator settings: memtables are
 /// bounded by a *key-count* capacity (the paper's "memtable size" is the
 /// number of keys before a flush) and compaction fan-in `k = 2`; the
-/// final merge of a major compaction drops the tombstones no pinned
-/// snapshot can still observe. Compaction planning
+/// final merge of a compaction that leaves no older table out drops the
+/// tombstones no pinned snapshot can still observe. Compaction planning
 /// defaults to the paper's recommended `BT(I)` strategy with exact size
 /// observations, triggered manually.
 ///
@@ -78,7 +73,7 @@ impl CompactionPolicy {
 ///     .compaction_strategy(Strategy::SmallestOutput)
 ///     .bloom_bits_per_key(10);
 /// assert_eq!(opts.memtable_capacity_keys(), 1_000);
-/// assert!(opts.policy().is_automatic());
+/// assert_ne!(opts.policy(), CompactionPolicy::Manual);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LsmOptions {
@@ -175,13 +170,11 @@ impl LsmOptions {
     /// Sets when the engine compacts on its own (default
     /// [`CompactionPolicy::Manual`]).
     #[must_use]
-    pub fn compaction_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction_policy = match policy {
-            CompactionPolicy::Threshold { live_tables } => CompactionPolicy::Threshold {
-                live_tables: live_tables.max(2),
-            },
-            CompactionPolicy::Manual => CompactionPolicy::Manual,
-        };
+    pub fn compaction_policy(mut self, mut policy: CompactionPolicy) -> Self {
+        if let CompactionPolicy::Threshold { live_tables } = &mut policy {
+            *live_tables = (*live_tables).max(2);
+        }
+        self.compaction_policy = policy;
         self
     }
 
@@ -320,10 +313,10 @@ impl LsmOptions {
     /// compaction step may rewrite the live sstable carrying the most
     /// tombstones, dropping those that provably shadow nothing — no
     /// *other* live table's bloom/min-max admits the key — reclaiming
-    /// space without waiting for a full major compaction. GC competes
-    /// with merge compaction through the planner's predicted-cost
-    /// accounting and only runs when the configured policy has no merge
-    /// to schedule.
+    /// space without waiting for a merge that reaches the oldest table.
+    /// GC competes with merge compaction through the planner's
+    /// predicted-cost accounting and only runs when the configured
+    /// policy has no merge to schedule.
     #[must_use]
     pub fn tombstone_gc(mut self, enabled: bool) -> Self {
         self.tombstone_gc = enabled;
@@ -537,14 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_clamps_and_classifies() {
+    fn policy_clamps_the_trigger() {
         let opts =
             LsmOptions::default().compaction_policy(CompactionPolicy::Threshold { live_tables: 0 });
         assert_eq!(
             opts.policy(),
             CompactionPolicy::Threshold { live_tables: 2 }
         );
-        assert!(opts.policy().is_automatic());
-        assert!(!CompactionPolicy::Manual.is_automatic());
     }
 }

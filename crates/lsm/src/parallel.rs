@@ -51,12 +51,22 @@ struct StepResult {
 /// [`ParallelExecutor::merge_prepared`].
 #[derive(Debug)]
 pub struct PreparedMerge {
-    steps: Vec<CompactionStep>,
     step_inputs: Vec<Vec<u64>>,
     output_ids: Vec<u64>,
     surviving_outputs: Vec<usize>,
     consumed_initial: Vec<u64>,
     waves: Vec<Vec<usize>>,
+    /// Whether the final step may drop tombstones (see
+    /// [`ParallelExecutor::prepare`]).
+    drop_tombstones: bool,
+}
+
+impl PreparedMerge {
+    /// How many dependency waves the merge runs in.
+    #[must_use]
+    pub fn wave_count(&self) -> usize {
+        self.waves.len()
+    }
 }
 
 /// The physical results of an executed [`PreparedMerge`]: every output
@@ -151,75 +161,34 @@ impl ParallelExecutor {
         self
     }
 
-    /// Groups `steps` into dependency waves over `n_initial` input
-    /// slots ([`compaction_core::dependency_waves`] over the steps'
-    /// input slots): steps within a wave are independent and may run
-    /// concurrently.
-    #[must_use]
-    pub fn waves_for_steps(n_initial: usize, steps: &[CompactionStep]) -> Vec<Vec<usize>> {
-        compaction_core::dependency_waves(
-            n_initial,
-            steps.iter().map(|step| step.inputs.as_slice()),
-        )
-    }
-
-    /// Executes `steps` over the tables listed in `initial_table_ids`
-    /// (slot `i` = `initial_table_ids[i]`): the four phases below back
-    /// to back, for callers that own the manifest outright (the engine
-    /// drives them itself to drop its write lock around the merge).
+    /// Phase 1 — validate the schedule, group its steps into dependency
+    /// waves ([`compaction_core::dependency_waves`]) and pre-allocate one
+    /// output table id per step. Cheap and I/O-free: this is the only
+    /// phase that needs `&mut Manifest`, so a background scheduler holds
+    /// the write lock just long enough to call it.
     ///
-    /// On success the manifest reflects the post-compaction table set
-    /// and has been persisted. On error the manifest is untouched and
-    /// any partially written output blobs have been removed. Tombstones
-    /// at or below the retention floor are dropped by the final step
-    /// only: every older version of their keys is among its inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidCompaction`] for malformed schedules
-    /// (validated up front, before any I/O) and propagates
-    /// storage/corruption errors.
-    pub fn execute(
-        &self,
-        manifest: &mut Manifest,
-        initial_table_ids: &[u64],
-        steps: &[CompactionStep],
-    ) -> Result<CompactionOutcome, Error> {
-        if steps.is_empty() {
-            return Ok(CompactionOutcome::default());
-        }
-        let prepared = self.prepare(manifest, initial_table_ids, steps, None)?;
-        let merged = self.merge_prepared(&prepared)?;
-        let outcome = Self::commit(manifest, &merged, self.storage.as_ref(), |_| {})?;
-        self.retire_consumed(&merged)?;
-        Ok(outcome)
-    }
-
-    /// Phase 1 — validate the schedule and pre-allocate one output table
-    /// id per step. Cheap and I/O-free: this is the only phase that
-    /// needs `&mut Manifest`, so a background scheduler holds the write
-    /// lock just long enough to call it.
+    /// Slot `i` is `initial_table_ids[i]`; step `j` writes slot `n + j`.
+    /// An output left standing must not span, by `max_seqno`, a live
+    /// table it does not merge (reads stop at the first table holding a
+    /// key), and the last step drops tombstones only if no older live
+    /// table is left out of it.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidCompaction`] for malformed schedules;
-    /// nothing is read or written in that case.
+    /// nothing is read, written or allocated in that case.
     pub fn prepare(
         &self,
         manifest: &mut Manifest,
         initial_table_ids: &[u64],
         steps: &[CompactionStep],
-        precomputed_waves: Option<&[Vec<usize>]>,
     ) -> Result<PreparedMerge, Error> {
         let n = initial_table_ids.len();
-        // Pre-allocate one output id per step so workers can build tables
-        // without touching the manifest.
-        let output_ids: Vec<u64> = steps.iter().map(|_| manifest.allocate_table_id()).collect();
-
-        // Validate every step and resolve its input table ids up front:
-        // nothing is read or written for a malformed schedule.
-        let mut slots: Vec<Option<u64>> = initial_table_ids.iter().copied().map(Some).collect();
-        let mut step_inputs: Vec<Vec<u64>> = Vec::with_capacity(steps.len());
+        // The live input tables under each slot, taken once consumed:
+        // that catches duplicate inputs within one step as well as
+        // reuse across steps.
+        let mut under: Vec<Option<Vec<u64>>> =
+            initial_table_ids.iter().map(|&id| Some(vec![id])).collect();
         for (step_idx, step) in steps.iter().enumerate() {
             if step.inputs.len() < 2 {
                 return Err(Error::invalid_compaction(format!(
@@ -234,42 +203,63 @@ impl ParallelExecutor {
                     self.options.fanin()
                 )));
             }
-            let mut ids = Vec::with_capacity(step.inputs.len());
+            let mut merged = Vec::new();
             for &slot in &step.inputs {
-                let id = slots.get(slot).copied().flatten().ok_or_else(|| {
+                merged.extend(under.get_mut(slot).and_then(Option::take).ok_or_else(|| {
                     Error::invalid_compaction(format!(
                         "step {step_idx} references slot {slot} which is unknown or consumed"
                     ))
-                })?;
-                // Mark consumed immediately: catches duplicate inputs
-                // within one step as well as reuse across steps.
-                slots[slot] = None;
-                ids.push(id);
+                })?);
             }
-            step_inputs.push(ids);
-            slots.push(Some(output_ids[step_idx]));
+            under.push(Some(merged));
         }
-        // Which output slots survive the whole schedule (for a complete
-        // schedule: exactly the final output).
-        let surviving_outputs: Vec<usize> = (0..steps.len())
-            .filter(|&i| slots[n + i].is_some())
-            .collect();
-        let consumed_initial: Vec<u64> = (0..n)
-            .filter(|&s| slots[s].is_none())
-            .map(|s| initial_table_ids[s])
-            .collect();
+        // The last step's output always stands: its verdict is kept.
+        let mut drop_tombstones = false;
+        for (step_idx, tables) in under[n..].iter().enumerate() {
+            let Some(tables) = tables else { continue };
+            let (inside, left_out): (Vec<&TableMeta>, Vec<&TableMeta>) = manifest
+                .tables()
+                .iter()
+                .partition(|t| tables.contains(&t.table_id));
+            let oldest = inside.iter().map(|t| t.max_seqno).min().unwrap_or(0);
+            let newest = inside.iter().map(|t| t.max_seqno).max().unwrap_or(0);
+            if let Some(t) = left_out
+                .iter()
+                .find(|t| oldest < t.max_seqno && t.max_seqno < newest)
+            {
+                return Err(Error::invalid_compaction(format!(
+                    "step {step_idx}'s output would span live table {} without merging it",
+                    t.table_id
+                )));
+            }
+            drop_tombstones = left_out.iter().all(|t| t.max_seqno > newest);
+        }
 
-        let waves = match precomputed_waves {
-            Some(waves) => waves.to_vec(),
-            None => Self::waves_for_steps(n, steps),
+        let output_ids: Vec<u64> = steps.iter().map(|_| manifest.allocate_table_id()).collect();
+        let slot_id = |slot: usize| {
+            initial_table_ids
+                .get(slot)
+                .copied()
+                .unwrap_or_else(|| output_ids[slot - n])
         };
         Ok(PreparedMerge {
-            steps: steps.to_vec(),
-            step_inputs,
+            step_inputs: steps
+                .iter()
+                .map(|step| step.inputs.iter().map(|&slot| slot_id(slot)).collect())
+                .collect(),
+            surviving_outputs: (0..steps.len())
+                .filter(|&i| under[n + i].is_some())
+                .collect(),
+            consumed_initial: (0..n)
+                .filter(|&s| under[s].is_none())
+                .map(slot_id)
+                .collect(),
+            waves: compaction_core::dependency_waves(
+                n,
+                steps.iter().map(|step| step.inputs.as_slice()),
+            ),
+            drop_tombstones,
             output_ids,
-            surviving_outputs,
-            consumed_initial,
-            waves,
         })
     }
 
@@ -282,8 +272,8 @@ impl ParallelExecutor {
     /// Propagates storage/corruption errors; every blob written so far
     /// is removed first (best-effort).
     pub fn merge_prepared(&self, prepared: &PreparedMerge) -> Result<MergedOutputs, Error> {
-        let steps = &prepared.steps;
-        let mut results: Vec<Option<StepResult>> = (0..steps.len()).map(|_| None).collect();
+        let steps = prepared.step_inputs.len();
+        let mut results: Vec<Option<StepResult>> = (0..steps).map(|_| None).collect();
         let mut written_blobs: Vec<String> = Vec::new();
 
         for (wave_idx, wave) in prepared.waves.iter().enumerate() {
@@ -298,7 +288,8 @@ impl ParallelExecutor {
                             .map(|&step_idx| {
                                 let input_ids = &prepared.step_inputs[step_idx];
                                 let output_id = prepared.output_ids[step_idx];
-                                let drop_tombstones = step_idx + 1 == steps.len();
+                                let drop_tombstones =
+                                    prepared.drop_tombstones && step_idx + 1 == steps;
                                 scope.spawn(move || {
                                     let started = Instant::now();
                                     let result =
@@ -474,12 +465,30 @@ impl ParallelExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::storage::MemoryStorage;
     use crate::test_support::{corrupt_blob_byte, read_table};
     use crate::types::{key_from_u64, Entry};
     use bytes::Bytes;
+
+    /// Runs the four phases back to back over a manifest the test owns
+    /// outright. On error the manifest's table set is untouched.
+    pub(crate) fn execute(
+        exec: &ParallelExecutor,
+        manifest: &mut Manifest,
+        initial_table_ids: &[u64],
+        steps: &[CompactionStep],
+    ) -> Result<CompactionOutcome, Error> {
+        if steps.is_empty() {
+            return Ok(CompactionOutcome::default());
+        }
+        let prepared = exec.prepare(manifest, initial_table_ids, steps)?;
+        let merged = exec.merge_prepared(&prepared)?;
+        let outcome = ParallelExecutor::commit(manifest, &merged, exec.storage.as_ref(), |_| {})?;
+        exec.retire_consumed(&merged)?;
+        Ok(outcome)
+    }
 
     fn make_table(storage: &dyn Storage, manifest: &mut Manifest, keys: &[u64], seq: u64) -> u64 {
         let id = manifest.allocate_table_id();
@@ -509,13 +518,20 @@ mod tests {
 
     #[test]
     fn waves_group_independent_steps() {
+        let (storage, mut manifest, exec) = setup(2);
+        let ids: Vec<u64> = (1..=4)
+            .map(|seq| make_table(storage.as_ref(), &mut manifest, &[seq], seq))
+            .collect();
+        let waves = |ids: &[u64], steps: &[CompactionStep], manifest: &mut Manifest| {
+            exec.prepare(manifest, ids, steps).unwrap().waves
+        };
         let balanced = vec![
             CompactionStep::new(vec![0, 1]),
             CompactionStep::new(vec![2, 3]),
             CompactionStep::new(vec![4, 5]),
         ];
         assert_eq!(
-            ParallelExecutor::waves_for_steps(4, &balanced),
+            waves(&ids, &balanced, &mut manifest),
             vec![vec![0, 1], vec![2]]
         );
         let caterpillar = vec![
@@ -523,10 +539,10 @@ mod tests {
             CompactionStep::new(vec![3, 2]),
         ];
         assert_eq!(
-            ParallelExecutor::waves_for_steps(3, &caterpillar),
+            waves(&ids[1..], &caterpillar, &mut manifest),
             vec![vec![0], vec![1]]
         );
-        assert!(ParallelExecutor::waves_for_steps(3, &[]).is_empty());
+        assert!(waves(&ids, &[], &mut manifest).is_empty());
     }
 
     #[test]
@@ -545,7 +561,7 @@ mod tests {
                 CompactionStep::new(vec![2, 3]),
                 CompactionStep::new(vec![4, 5]),
             ];
-            let outcome = exec.execute(&mut manifest, &ids, &steps).unwrap();
+            let outcome = execute(&exec, &mut manifest, &ids, &steps).unwrap();
             assert_eq!(outcome.merge_ops, 3, "threads={threads}");
             assert_eq!(manifest.table_count(), 1);
             let final_id = outcome.final_table_id.unwrap();
@@ -584,7 +600,7 @@ mod tests {
                 CompactionStep::new(vec![0, 2]),
             ],
         ] {
-            let err = exec.execute(&mut manifest, &ids, &steps).unwrap_err();
+            let err = execute(&exec, &mut manifest, &ids, &steps).unwrap_err();
             assert!(matches!(err, Error::InvalidCompaction { .. }));
         }
         assert_eq!(manifest.table_count(), 2, "manifest untouched on error");
@@ -616,7 +632,7 @@ mod tests {
             CompactionStep::new(vec![2, 3]),
             CompactionStep::new(vec![4, 5]),
         ];
-        let prepared = exec.prepare(&mut manifest, &ids, &steps, None).unwrap();
+        let prepared = exec.prepare(&mut manifest, &ids, &steps).unwrap();
         let err = exec.merge_prepared(&prepared).unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "{err}");
 
@@ -633,7 +649,7 @@ mod tests {
         let (storage, mut manifest, exec) = setup(2);
         make_table(storage.as_ref(), &mut manifest, &[1], 1);
         let ids: Vec<u64> = manifest.tables().iter().map(|t| t.table_id).collect();
-        let outcome = exec.execute(&mut manifest, &ids, &[]).unwrap();
+        let outcome = execute(&exec, &mut manifest, &ids, &[]).unwrap();
         assert_eq!(outcome, CompactionOutcome::default());
         assert_eq!(manifest.table_count(), 1);
     }
@@ -662,7 +678,7 @@ mod tests {
             ParallelExecutor::new(storage.clone(), LsmOptions::default().compaction_threads(2))
                 .with_step_timer(timer.clone())
                 .with_wave_hook(move |wave, n| seen.lock().unwrap().push((wave, n)));
-        exec.execute(&mut manifest, &ids, &steps).unwrap();
+        execute(&exec, &mut manifest, &ids, &steps).unwrap();
         assert_eq!(timer.count(), 3, "one duration sample per merge step");
         assert_eq!(*waves.lock().unwrap(), vec![(0, 2), (1, 1)]);
     }
@@ -675,7 +691,7 @@ mod tests {
             make_table(storage.as_ref(), &mut manifest, &[2, 3], 2),
         ];
         let steps = vec![CompactionStep::new(vec![0, 1])];
-        exec.execute(&mut manifest, &ids, &steps).unwrap();
+        execute(&exec, &mut manifest, &ids, &steps).unwrap();
         // The persisted manifest equals the in-memory one.
         let reloaded = Manifest::load(storage.as_ref()).unwrap();
         assert_eq!(reloaded, manifest);

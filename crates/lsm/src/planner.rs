@@ -94,6 +94,36 @@ pub fn plan_compaction(
     Ok(Some(plan))
 }
 
+/// A next-older table joins a run while it holds at most this many
+/// times the entries the run has gathered.
+const RUN_GROWTH_RATIO: u64 = 2;
+
+/// The tables a policy-triggered compaction merges, in `tables` order:
+/// the `at_least` newest by `max_seqno`, then each next-older table
+/// holding at most [`RUN_GROWTH_RATIO`] times the entries gathered so
+/// far. The run is newest and contiguous in age because reads stop at
+/// the first table holding a key: an output spanning a table left out
+/// would shadow that table's newer versions.
+pub(crate) fn newest_run(tables: &[TableMeta], at_least: usize) -> Vec<TableMeta> {
+    let mut by_age: Vec<&TableMeta> = tables.iter().collect();
+    by_age.sort_by_key(|t| std::cmp::Reverse(t.max_seqno));
+    let mut len = at_least.min(tables.len());
+    let mut gathered: u64 = by_age[..len].iter().map(|t| t.entry_count).sum();
+    while let Some(next) = by_age.get(len) {
+        if next.entry_count > RUN_GROWTH_RATIO * gathered {
+            break;
+        }
+        gathered += next.entry_count;
+        len += 1;
+    }
+    let run = &by_age[..len];
+    tables
+        .iter()
+        .filter(|t| run.iter().any(|r| r.table_id == t.table_id))
+        .cloned()
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +248,70 @@ mod tests {
         assert!(plan.steps().iter().all(|inputs| inputs.len() == 2));
         assert_eq!(plan.waves().iter().map(Vec::len).sum::<usize>(), 2);
         assert!(plan.predicted_cost_actual() > 0);
+    }
+
+    /// A live table of `entries` entries whose newest record is `max_seqno`.
+    fn aged(table_id: u64, entries: u64, max_seqno: u64) -> TableMeta {
+        TableMeta {
+            table_id,
+            entry_count: entries,
+            encoded_len: entries * 16,
+            tombstone_count: 0,
+            range_tombstone_count: 0,
+            max_seqno,
+        }
+    }
+
+    /// The run a policy with `trigger` merges: one that takes at least
+    /// `n + 2 - trigger` tables brings the live count back under it.
+    fn run_ids(tables: &[TableMeta], trigger: usize) -> Vec<u64> {
+        newest_run(tables, tables.len() + 2 - trigger)
+            .iter()
+            .map(|t| t.table_id)
+            .collect()
+    }
+
+    #[test]
+    fn newest_run_leaves_a_dominant_oldest_table_out() {
+        let tables = [
+            aged(0, 200_000, 100),
+            aged(1, 1_000, 200),
+            aged(2, 1_000, 300),
+            aged(3, 1_000, 400),
+        ];
+        assert_eq!(run_ids(&tables, 4), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn newest_run_of_comparable_tables_is_the_whole_store() {
+        let tables: Vec<TableMeta> = (0..6).map(|i| aged(i, 1_000 + i * 300, i)).collect();
+        assert_eq!(run_ids(&tables, 6), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// Seven live tables under a trigger of 4: a merge of the two
+    /// newest would leave six, so the run takes five even though the
+    /// third-newest is fifty times bigger than the two before it.
+    #[test]
+    fn newest_run_is_long_enough_to_get_back_under_the_trigger() {
+        let sizes = [100_000, 50_000, 1_000, 1_000, 1_000, 10, 10];
+        let tables: Vec<TableMeta> = (0..7).map(|i| aged(i, sizes[i as usize], i)).collect();
+        let run = run_ids(&tables, 4);
+        assert_eq!(run, vec![2, 3, 4, 5, 6]);
+        assert!(tables.len() - run.len() + 1 < 4);
+    }
+
+    /// A GC rewrite (or a compaction output) re-appends old data at the
+    /// manifest tail: age comes from `max_seqno`, not position, and the
+    /// run keeps manifest order.
+    #[test]
+    fn newest_run_orders_by_seqno_not_manifest_position() {
+        let tables = [
+            aged(7, 1_000, 500),
+            aged(8, 1_000, 600),
+            aged(9, 1_000, 700),
+            aged(10, 90_000, 50),
+        ];
+        assert_eq!(run_ids(&tables, 4), vec![7, 8, 9]);
     }
 
     #[test]

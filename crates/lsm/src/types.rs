@@ -35,8 +35,9 @@ pub fn key_to_u64(key: &[u8]) -> Option<u64> {
 /// Whether an entry stores a live value or a deletion tombstone.
 ///
 /// Deletes in LSM stores are writes: a tombstone is appended and the key
-/// is physically removed only when a major compaction observes the
-/// tombstone as the newest version (Section 5.1 of the paper).
+/// is physically removed only when a merge that leaves no older table
+/// out (a major compaction, Section 5.1 of the paper), or tombstone GC,
+/// observes the tombstone as the newest version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ValueKind {
     /// A live key/value pair.

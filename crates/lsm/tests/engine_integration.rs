@@ -412,3 +412,163 @@ fn compaction_over_a_rotten_input_block_leaves_the_store_serving() {
     );
     assert_eq!(get_vec(&db, 999), Some(b"v999".to_vec()), "the other input");
 }
+
+/// Three tables, oldest first: `1 = old`, `2 = two`, then a delete of
+/// key 1 (a point tombstone, or a range tombstone over it). A schedule
+/// merging only the two newest leaves the oldest out, so the merge must
+/// keep the delete: the table left out still holds the key.
+#[test]
+fn a_partial_schedule_keeps_the_deletes_an_older_table_needs() {
+    for range in [false, true] {
+        let db = Lsm::open_in_memory(LsmOptions::default().wal(false)).unwrap();
+        db.put(1u64, b"old".to_vec()).unwrap();
+        db.flush().unwrap();
+        db.put(2u64, b"two".to_vec()).unwrap();
+        db.flush().unwrap();
+        if range {
+            db.delete_range(0u64, 2u64).unwrap();
+        } else {
+            db.delete(1u64).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.live_tables().len(), 3);
+
+        db.major_compact(&[CompactionStep::new(vec![1, 2])])
+            .unwrap();
+        assert_eq!(db.live_tables().len(), 2);
+        assert_eq!(get_vec(&db, 1), None, "range delete: {range}");
+        assert_eq!(get_vec(&db, 2), Some(b"two".to_vec()));
+
+        // Once the oldest table is in the merge the delete has done its
+        // work and goes, with the key it deleted.
+        db.major_compact(&[CompactionStep::new(vec![0, 1])])
+            .unwrap();
+        assert_eq!(get_vec(&db, 1), None, "range delete: {range}");
+        let last = db.live_tables();
+        assert_eq!(last.len(), 1);
+        assert_eq!((last[0].entry_count, last[0].range_tombstone_count), (1, 0));
+    }
+}
+
+/// Three tables, oldest first: `1 = v1`, `1 = v2`, `3`. An output of
+/// the oldest and the newest would span the middle table, and reads,
+/// which stop at the newest table holding a key, would find `v1`. Such
+/// a schedule is refused before any I/O; a complete schedule may still
+/// merge non-adjacent tables on the way.
+#[test]
+fn a_schedule_whose_output_spans_a_table_it_leaves_out_is_refused() {
+    let storage = Arc::new(MemoryStorage::new());
+    let db = Lsm::open(
+        Arc::clone(&storage) as Arc<dyn Storage>,
+        LsmOptions::default().wal(false),
+    )
+    .unwrap();
+    for (key, value) in [(1u64, "v1"), (1, "v2"), (3, "three")] {
+        db.put(key, value.as_bytes().to_vec()).unwrap();
+        db.flush().unwrap();
+    }
+    let tables = db.live_tables();
+    let (blobs, written) = (storage.list_blobs().len(), storage.bytes_written());
+
+    let err = db
+        .major_compact(&[CompactionStep::new(vec![0, 2])])
+        .unwrap_err();
+    assert!(
+        matches!(err, lsm_engine::Error::InvalidCompaction { .. }),
+        "{err}"
+    );
+    assert_eq!(db.live_tables(), tables, "manifest untouched");
+    assert_eq!(storage.list_blobs().len(), blobs, "no blob written");
+    assert_eq!(storage.bytes_written(), written, "no I/O");
+    assert_eq!(get_vec(&db, 1), Some(b"v2".to_vec()));
+
+    db.major_compact(&[
+        CompactionStep::new(vec![0, 2]),
+        CompactionStep::new(vec![3, 1]),
+    ])
+    .unwrap();
+    assert_eq!(db.live_tables().len(), 1);
+    assert_eq!(get_vec(&db, 1), Some(b"v2".to_vec()));
+    assert_eq!(get_vec(&db, 3), Some(b"three".to_vec()));
+}
+
+/// A policy-triggered compaction merges the newest run of tables, not
+/// the whole store: a preloaded table far bigger than the flushes
+/// outlives compactions while overwrites and deletes of its keys pile
+/// up above it. The store must read like a `BTreeMap` fed the same
+/// writes after every compaction and after a reopen, with and without
+/// tombstone GC.
+#[test]
+fn policy_compactions_merge_the_newest_run_and_match_an_oracle() {
+    use std::collections::BTreeMap;
+
+    const PRELOAD: u64 = 5_000;
+    for gc in [false, true] {
+        let storage: Arc<dyn Storage> = Arc::new(MemoryStorage::new());
+        let preload = Lsm::open(
+            Arc::clone(&storage),
+            LsmOptions::default()
+                .memtable_capacity(PRELOAD as usize)
+                .wal(false),
+        )
+        .unwrap();
+        let mut oracle = BTreeMap::new();
+        for key in 0..PRELOAD {
+            preload.put(key, b"preload".to_vec()).unwrap();
+            oracle.insert(key, b"preload".to_vec());
+        }
+        preload.flush().unwrap();
+        let preloaded = preload.live_tables();
+        assert_eq!(preloaded.len(), 1);
+        let preload_id = preloaded[0].table_id;
+        drop(preload);
+
+        let options = LsmOptions::default()
+            .memtable_capacity(100)
+            .compaction_policy(CompactionPolicy::Threshold { live_tables: 4 })
+            .tombstone_gc(gc);
+        let db = Lsm::open(Arc::clone(&storage), options.clone()).unwrap();
+        let matches_oracle = |db: &Lsm, oracle: &BTreeMap<u64, Vec<u8>>| {
+            let scanned: Vec<(u64, Vec<u8>)> = db
+                .scan_all()
+                .unwrap()
+                .into_iter()
+                .map(|(k, v)| (lsm_engine::key_to_u64(&k).unwrap(), v.to_vec()))
+                .collect();
+            scanned.len() == oracle.len()
+                && scanned
+                    .iter()
+                    .zip(oracle)
+                    .all(|(a, b)| (a.0, &a.1) == (*b.0, b.1))
+        };
+        let (mut seed, mut compactions, mut partial_runs) = (7u64, 0, 0);
+        for round in 0..80 {
+            for op in 0..50 {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let key = (seed >> 33) % PRELOAD;
+                if op % 5 == 0 {
+                    db.delete(key).unwrap();
+                    oracle.remove(&key);
+                } else {
+                    let value = format!("r{round}-{op}").into_bytes();
+                    db.put(key, value.clone()).unwrap();
+                    oracle.insert(key, value);
+                }
+            }
+            db.maybe_compact().unwrap();
+            let live = db.live_tables();
+            assert!(live.len() < 4, "{} live tables", live.len());
+            assert!(matches_oracle(&db, &oracle), "gc {gc}, round {round}");
+            let ran = db.stats().auto_compactions;
+            if ran > compactions && live.iter().any(|t| t.table_id == preload_id) {
+                partial_runs += 1;
+            }
+            compactions = ran;
+        }
+        assert!(compactions >= 10, "{compactions} compactions");
+        assert!(partial_runs > 0, "the preload table never outlived a run");
+        drop(db);
+        let reopened = Lsm::open(storage, options).unwrap();
+        assert!(matches_oracle(&reopened, &oracle), "gc {gc}, after reopen");
+    }
+}

@@ -189,6 +189,8 @@ fn inline_compaction_traces_planned_waves_flip_and_retire_with_costs() {
     let waves = planned.field("waves").unwrap() as usize;
     let steps = planned.field("steps").unwrap() as usize;
     assert!(waves >= 1 && steps >= 1);
+    // `auto_compact` merges the whole store.
+    assert_eq!(planned.field("tables"), planned.field("live_tables"));
     let kinds: Vec<EventKind> = compaction.iter().map(|e| e.kind).collect();
     let mut expected = vec![EventKind::CompactionPlanned];
     expected.extend(std::iter::repeat_n(EventKind::CompactionWaveStart, waves));
@@ -223,4 +225,32 @@ fn inline_compaction_traces_planned_waves_flip_and_retire_with_costs() {
     // Inline compaction is write-path stall: the unified stall source
     // saw it.
     assert!(db.stats().compaction_stall > Duration::ZERO);
+}
+
+/// A policy-triggered compaction merges only the newest run of tables:
+/// once one output dwarfs the flushes above it, the plan event reports
+/// `tables < live_tables`.
+#[test]
+fn a_partial_run_traces_fewer_tables_than_are_live() {
+    use lsm_engine::CompactionPolicy;
+
+    let db = Lsm::open_in_memory(
+        LsmOptions::default()
+            .memtable_capacity(10)
+            .wal(false)
+            .compaction_policy(CompactionPolicy::Threshold { live_tables: 4 }),
+    )
+    .unwrap();
+    for key in 0..100u64 {
+        db.put(key, b"v".to_vec()).unwrap();
+    }
+    let planned: Vec<(u64, u64)> = drain(&db)
+        .iter()
+        .filter(|e| e.kind == EventKind::CompactionPlanned)
+        .map(|e| (e.field("tables").unwrap(), e.field("live_tables").unwrap()))
+        .collect();
+    // Flushes of 10 keys: 4 tables merge into 40, then 40 + 3 × 10 into
+    // 70, then 70 stays out of the next run: it is more than twice the
+    // 30 entries above it.
+    assert_eq!(planned, [(4, 4), (4, 4), (3, 4)]);
 }

@@ -9,7 +9,8 @@
 //!
 //! * the **measured** compaction cost — entries physically read and
 //!   written by every policy-triggered compaction
-//!   ([`lsm_engine::LsmStats::compaction_entry_cost`]),
+//!   ([`lsm_engine::LsmStats::compaction_entry_cost`]) — each merges
+//!   the newest run of live tables ([`CompactionPolicy::Threshold`]),
 //! * the **planner's prediction** — the schedule's `cost_actual` over
 //!   the observed key sets, summed over the same compactions, and
 //! * the **one-shot simulator** reference — phase 1 + one terminal

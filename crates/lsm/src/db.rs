@@ -649,7 +649,8 @@ impl Lsm {
     /// maintenance (the write itself is then already logged and
     /// applied).
     pub fn put(&self, key: impl IntoKey, value: impl Into<Value>) -> Result<(), Error> {
-        self.inner.put(key.into_key(), value.into())
+        self.inner
+            .write_one(key.into_key(), value.into(), ValueKind::Put)
     }
 
     /// Deletes `key` by writing a tombstone.
@@ -658,7 +659,8 @@ impl Lsm {
     ///
     /// Propagates WAL/storage failures.
     pub fn delete(&self, key: impl IntoKey) -> Result<(), Error> {
-        self.inner.delete(key.into_key())
+        self.inner
+            .write_one(key.into_key(), Bytes::new(), ValueKind::Tombstone)
     }
 
     /// Deletes every key in `[start, end)` by writing a **single**
@@ -746,7 +748,7 @@ impl Lsm {
     ///
     /// Propagates storage and corruption errors.
     pub fn get(&self, key: impl IntoKey) -> Result<Option<Value>, Error> {
-        self.inner.get(&key.into_key())
+        self.inner.get_at(&key.into_key(), SeqNo::MAX)
     }
 
     /// Flushes the memtable to a new sstable even if it is not full:
@@ -1225,10 +1227,6 @@ impl LsmInner {
         );
     }
 
-    fn put(&self, key: Key, value: Value) -> Result<(), Error> {
-        self.write_one(key, value, ValueKind::Put)
-    }
-
     /// A single-record write. Deletes and range deletes share the put
     /// histogram rather than splitting the sample population.
     fn write_one(&self, key: Key, value: Value, kind: ValueKind) -> Result<(), Error> {
@@ -1290,10 +1288,6 @@ impl LsmInner {
             self.drive()?;
         }
         Ok(())
-    }
-
-    fn delete(&self, key: Key) -> Result<(), Error> {
-        self.write_one(key, Bytes::new(), ValueKind::Tombstone)
     }
 
     fn delete_range(&self, start: Key, end: Key) -> Result<(), Error> {
@@ -1373,10 +1367,6 @@ impl LsmInner {
                 Ok(())
             })
         })
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Value>, Error> {
-        self.get_at(key, SeqNo::MAX)
     }
 
     /// Point read pinned at `upto`: the newest version with

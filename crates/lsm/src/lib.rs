@@ -59,9 +59,9 @@
 //!   schedule (no manual [`CompactionStep`] construction);
 //! * [`ParallelExecutor`] decides *how* — independent steps of a
 //!   dependency wave (e.g. one BALANCETREE level) run on scoped threads,
-//!   each streaming its inputs through the merge into one table writer,
-//!   and manifest edits are applied atomically after the whole plan
-//!   succeeds.
+//!   each streaming its inputs through the merge into one table writer
+//!   (which LZ-encodes a large output on a helper thread), and manifest
+//!   edits are applied atomically after the whole plan succeeds.
 //!
 //! The engine is deliberately synchronous and single-node: the paper's
 //! problem is per-server merge scheduling, so distribution, replication

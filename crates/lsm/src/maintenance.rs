@@ -47,11 +47,12 @@
 //! edit, publish the read view), never a table build or a merge.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::{Duration, Instant};
 
 use compaction_core::MergePlan;
 use obs::EventKind;
+use parking_lot::Mutex;
 
 #[cfg(doc)]
 use super::Lsm;
@@ -65,7 +66,7 @@ use crate::parallel::ParallelExecutor;
 use crate::planner::{newest_run, plan_compaction};
 use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::sstable::write_table;
-use crate::types::{Entry, RangeTombstone, SeqNo};
+use crate::types::{Entry, SeqNo};
 use crate::wal::Wal;
 use crate::Error;
 #[cfg(doc)]
@@ -118,27 +119,23 @@ pub(super) struct Maintenance {
     flush_failure_streak: AtomicU64,
     /// Display form of the most recent background-flush error, so the
     /// error a blocked `flush()` caller surfaces names the real cause.
-    last_flush_error: StdMutex<Option<String>>,
+    last_flush_error: Mutex<Option<String>>,
 }
 
 #[derive(Debug, Default)]
 struct Signal {
-    mx: StdMutex<()>,
+    mx: Mutex<()>,
     cv: Condvar,
 }
 
 impl Signal {
     fn notify(&self) {
-        let _guard = self.mx.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = self.mx.lock();
         self.cv.notify_all();
     }
 
     fn wait_timeout(&self, timeout: Duration) {
-        let guard = self.mx.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = self
-            .cv
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(|e| e.into_inner());
+        let _ = self.cv.wait_timeout(self.mx.lock(), timeout);
     }
 }
 
@@ -221,7 +218,8 @@ impl LsmInner {
             ],
         );
         let table_id = self.write.lock().manifest.allocate_table_id();
-        let meta = self.write_table(table_id, entries, range_dels)?;
+        let (storage, entries) = (self.storage.as_ref(), entries.into_iter().map(Ok));
+        let meta = write_table(storage, &self.options, table_id, entries, range_dels)?;
         self.retire_frozen(&gen, meta)?;
         self.metrics.flush.record_duration(started.elapsed());
         self.stats.lock().flushes += 1;
@@ -269,23 +267,6 @@ impl LsmInner {
             );
         }
         Ok(())
-    }
-
-    /// [`write_table`] over this store's storage and options. No engine
-    /// lock is required — callers decide what to hold.
-    fn write_table(
-        &self,
-        table_id: u64,
-        entries: Vec<Entry>,
-        range_dels: Vec<RangeTombstone>,
-    ) -> Result<TableMeta, Error> {
-        write_table(
-            self.storage.as_ref(),
-            &self.options,
-            table_id,
-            entries.into_iter().map(Ok),
-            range_dels,
-        )
     }
 
     /// One compaction step: run the planned compaction if the policy
@@ -367,13 +348,8 @@ impl LsmInner {
                 return Ok(());
             }
             if self.maint.flush_failure_streak.load(Ordering::SeqCst) >= FLUSH_FAILURE_GIVE_UP {
-                let detail = self
-                    .maint
-                    .last_flush_error
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .clone()
-                    .unwrap_or_else(|| "unknown error".to_string());
+                let detail = self.maint.last_flush_error.lock().clone();
+                let detail = detail.unwrap_or_else(|| "unknown error".into());
                 return Err(Error::Io(std::io::Error::other(format!(
                     "background flush cannot make progress: {detail}"
                 ))));
@@ -403,11 +379,7 @@ impl LsmInner {
                 Err(e) => {
                     // Retry after a pause; at shutdown, give up — the
                     // WAL still has the generation.
-                    *self
-                        .maint
-                        .last_flush_error
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
+                    *self.maint.last_flush_error.lock() = Some(e.to_string());
                     self.maint
                         .flush_failure_streak
                         .fetch_add(1, Ordering::SeqCst);
@@ -796,7 +768,8 @@ impl LsmInner {
             None
         } else {
             let table_id = self.write.lock().manifest.allocate_table_id();
-            Some(self.write_table(table_id, kept, own_rds.to_vec())?)
+            let (kept, rds) = (kept.into_iter().map(Ok), own_rds.to_vec());
+            Some(write_table(storage, &self.options, table_id, kept, rds)?)
         };
         let output_id = new_meta.as_ref().map_or(0, |m| m.table_id);
         {

@@ -198,7 +198,8 @@ impl LsmOptions {
     /// Sets the maximum number of merge steps executed concurrently
     /// within one dependency wave of a compaction (default 1 =
     /// sequential; BALANCETREE schedules benefit most, as in the paper's
-    /// parallel evaluation).
+    /// parallel evaluation). A large table build, a step's or a flush's,
+    /// may add one compression helper thread of its own.
     #[must_use]
     pub fn compaction_threads(mut self, threads: usize) -> Self {
         self.compaction_threads = threads.max(1);

@@ -47,6 +47,8 @@
 //! tombstone-GC rewrite — goes through [`write_table`]: builder → blob →
 //! manifest metadata.
 
+use std::sync::mpsc::sync_channel;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::BlockBuilder;
@@ -250,7 +252,11 @@ pub struct SstableBuilder {
     bloom_bits_per_key: usize,
     compression: CompressionType,
     current: BlockBuilder,
-    finished_blocks: Vec<(Key, Bytes)>,
+    /// Last key of every rotated block (the index keys); the envelopes
+    /// of the first blocks, then the logical blocks not yet encoded.
+    block_keys: Vec<Key>,
+    stored: Vec<Vec<u8>>,
+    pending: Vec<Bytes>,
     /// Every key added, back to back, and the bounds between them: the
     /// bloom filter's input and the table's point-key span. Copied, not
     /// held, since a merge input's key is a slice of a whole block.
@@ -271,7 +277,9 @@ impl SstableBuilder {
             bloom_bits_per_key,
             compression: CompressionType::default(),
             current: BlockBuilder::new(),
-            finished_blocks: Vec::new(),
+            block_keys: Vec::new(),
+            stored: Vec::new(),
+            pending: Vec::new(),
             key_bytes: Vec::new(),
             key_bounds: vec![0],
             range_dels: Vec::new(),
@@ -315,14 +323,15 @@ impl SstableBuilder {
         if self.current.is_empty() {
             return;
         }
-        let last_key = Bytes::copy_from_slice(self.current.last_key().expect("non-empty block"));
-        let encoded = self.current.finish();
-        self.finished_blocks.push((last_key, encoded));
+        let last_key = self.current.last_key().expect("non-empty block");
+        self.block_keys.push(Bytes::copy_from_slice(last_key));
+        self.pending.push(self.current.finish());
     }
 
-    /// Sets the per-block compression applied at [`SstableBuilder::finish`]
-    /// time. Defaults to [`CompressionType::Lz`]; every block still
-    /// falls back to raw storage when compression would not shrink it.
+    /// Sets the per-block compression (default [`CompressionType::Lz`];
+    /// a block LZ cannot shrink is stored raw). Blocks are encoded at
+    /// [`SstableBuilder::finish`], or as they fill in a large build's
+    /// compression lane (`write_table`).
     #[must_use]
     pub fn compression(mut self, compression: CompressionType) -> Self {
         self.compression = compression;
@@ -340,6 +349,8 @@ impl SstableBuilder {
     #[must_use]
     pub fn finish(mut self) -> (Bytes, TableMeta) {
         self.rotate_block();
+        let pending = std::mem::take(&mut self.pending);
+        self.stored.extend(encode_blocks(self.compression, pending));
 
         let keys = self
             .key_bounds
@@ -364,20 +375,22 @@ impl SstableBuilder {
             }
         }
 
-        let mut buf = BytesMut::new();
+        // Sized up front, and each envelope freed as it is copied: the
+        // build holds its data section about once, never doubled.
+        let bloom_bytes = bloom.encode();
+        let tail_len = bloom_bytes.len() + 8 * observed.len() + 64 * self.block_keys.len();
+        let data_len: usize = self.stored.iter().map(Vec::len).sum();
+        let mut buf = BytesMut::with_capacity(data_len + tail_len + 1024);
         encode_observation(&mut buf, &observed);
         let observation_len = buf.len() as u64;
 
-        let mut index: Vec<(Key, u64, u64)> = Vec::with_capacity(self.finished_blocks.len());
-        for (last_key, encoded) in &self.finished_blocks {
-            let offset = buf.len() as u64;
-            let stored = encode_block_envelope(self.compression, encoded);
+        let mut index: Vec<(&Key, u64, u64)> = Vec::with_capacity(self.block_keys.len());
+        for (last_key, stored) in self.block_keys.iter().zip(std::mem::take(&mut self.stored)) {
+            index.push((last_key, buf.len() as u64, stored.len() as u64));
             buf.put_slice(&stored);
-            index.push((last_key.clone(), offset, stored.len() as u64));
         }
 
         let bloom_offset = buf.len() as u64;
-        let bloom_bytes = bloom.encode();
         buf.put_slice(&bloom_bytes);
 
         // Meta block: the table's min/max user keys, so key-range checks
@@ -487,12 +500,32 @@ pub(crate) fn decode_index(mut cursor: &[u8]) -> Result<Vec<(Key, u64, u64)>, Er
     Ok(index)
 }
 
+/// Logical blocks a build holds before [`write_table`] starts its
+/// compression lane: about 256 KiB of default 4 KiB blocks.
+pub(crate) const LANE_START_BLOCKS: usize = 64;
+/// Blocks per hand-off once the lane runs.
+const LANE_BATCH_BLOCKS: usize = 8;
+
+/// Wraps each logical block in its stored envelope: the one place a
+/// table build encodes blocks, at `finish` or in the compression lane.
+fn encode_blocks(compression: CompressionType, blocks: Vec<Bytes>) -> Vec<Vec<u8>> {
+    let encode = |block: Bytes| encode_block_envelope(compression, &block);
+    blocks.into_iter().map(encode).collect()
+}
+
 /// Builds table `table_id` from `entries` (internal-key order) and
 /// `range_dels`, writes its blob, and returns the metadata the manifest
 /// records — the one way the engine creates a table. Nothing is written
 /// if `entries` yields an error. The blob is written before the caller's
 /// manifest edit, so a crash in between leaves only an orphan (swept on
 /// open).
+///
+/// Past [`LANE_START_BLOCKS`] pending blocks the build starts a
+/// compression lane: a scoped thread, fed [`LANE_BATCH_BLOCKS`] at a time
+/// through a bounded channel, LZ-encodes and CRCs them while this thread
+/// merges, and hands back the envelopes in order — `finish`'s bytes. A
+/// smaller build encodes at `finish`: a lane per 30-block, 1 000-key
+/// flush cost 6–17 % more `setup_s` on `compact-bt` / `compact-soe`.
 ///
 /// # Errors
 ///
@@ -508,9 +541,32 @@ pub(crate) fn write_table(
     let mut builder =
         SstableBuilder::new(table_id, options.block_size_bytes(), options.bloom_bits())
             .compression(options.compression_type());
-    for entry in entries {
-        builder.add(&entry?);
-    }
+    let compression = builder.compression;
+    // On an input error the lane's sender drops, and the scope joins it.
+    std::thread::scope(|scope| {
+        let (mut lane, mut batch) = (None, LANE_START_BLOCKS);
+        for entry in entries {
+            builder.add(&entry?);
+            if builder.pending.len() >= batch {
+                batch = LANE_BATCH_BLOCKS;
+                let (hand_off, _) = lane.get_or_insert_with(|| {
+                    let (hand_off, batches) = sync_channel(LANE_START_BLOCKS / LANE_BATCH_BLOCKS);
+                    let lane = scope.spawn(move || {
+                        let encode = |batch| encode_blocks(compression, batch);
+                        batches.into_iter().flat_map(encode).collect::<Vec<_>>()
+                    });
+                    (hand_off, lane)
+                });
+                let blocks = std::mem::take(&mut builder.pending);
+                hand_off.send(blocks).expect("compression lane alive");
+            }
+        }
+        if let Some((hand_off, lane)) = lane {
+            drop(hand_off);
+            builder.stored = lane.join().expect("compression lane panicked");
+        }
+        Ok::<_, Error>(())
+    })?;
     for rd in range_dels {
         builder.add_range_del(rd);
     }
@@ -518,6 +574,7 @@ pub(crate) fn write_table(
     storage.write_blob(&SstableReader::blob_name(table_id), &data)?;
     Ok(meta)
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,6 +917,37 @@ mod tests {
                     matches!(decode_observation(&bad), Err(Error::Corruption { .. })),
                     "flip at {byte} decoded"
                 );
+            }
+        }
+    }
+
+    /// The lane changes which thread encodes a block, never the bytes:
+    /// below and above its start, under either compression,
+    /// `write_table`'s blob is `finish`'s.
+    #[test]
+    fn write_table_bytes_equal_finish_with_and_without_the_lane() {
+        for compression in [CompressionType::Lz, CompressionType::None] {
+            let options = LsmOptions::default()
+                .block_size(256)
+                .compression(compression);
+            for (n, lane) in [(200u64, false), (6_000, true)] {
+                let entries = || {
+                    (0..n).map(|i| {
+                        let value = Bytes::from(format!("value-{}", i % 97));
+                        Entry::put(key_from_u64(i), value, i + 1)
+                    })
+                };
+                let mut builder =
+                    SstableBuilder::new(3, 256, options.bloom_bits()).compression(compression);
+                entries().for_each(|entry| builder.add(&entry));
+                assert_eq!(builder.block_keys.len() >= 3 * LANE_START_BLOCKS, lane);
+                assert_eq!(builder.block_keys.len() < LANE_START_BLOCKS, !lane);
+                let (expected, _) = builder.finish();
+
+                let storage = MemoryStorage::new();
+                write_table(&storage, &options, 3, entries().map(Ok), []).unwrap();
+                let written = storage.read_blob(&SstableReader::blob_name(3)).unwrap();
+                assert!(written == expected, "{compression:?}, {n} entries");
             }
         }
     }

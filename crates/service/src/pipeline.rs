@@ -28,9 +28,11 @@
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use crate::protocol::{read_frame, write_frame, FrameRead, Request, Response, UNSOLICITED_SEQ};
 use crate::Error;
@@ -152,11 +154,7 @@ impl PipelinedClient {
     /// Requests occupying a window slot right now.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        *self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        *self.shared.inflight.lock()
     }
 
     /// Submitted requests whose reply has not yet been handed to the
@@ -210,11 +208,7 @@ impl PipelinedClient {
 
     /// Claims a window slot; with `block`, waits for one.
     fn claim_slot(&mut self, block: bool) -> Result<bool, Error> {
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut inflight = self.shared.inflight.lock();
         loop {
             if self.shared.failed.load(Ordering::SeqCst) {
                 if self.shared.refused.load(Ordering::SeqCst) {
@@ -252,11 +246,7 @@ impl PipelinedClient {
     }
 
     fn release_slot(&self) {
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut inflight = self.shared.inflight.lock();
         *inflight = inflight.saturating_sub(1);
         drop(inflight);
         self.shared.slot_free.notify_one();
@@ -379,7 +369,7 @@ fn read_loop(mut stream: TcpStream, shared: &Shared, completions: &Sender<(u64, 
         };
         if ends_reply(&completion.1) {
             {
-                let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
+                let mut inflight = shared.inflight.lock();
                 *inflight = inflight.saturating_sub(1);
             }
             shared.slot_free.notify_one();

@@ -232,7 +232,10 @@ fn bench_merge_path(c: &mut Criterion) {
         let ids: Vec<u64> = manifest.tables().iter().map(|t| t.table_id).collect();
         let exec = ParallelExecutor::new(storage.clone(), options.clone());
         let prepared = exec.prepare(&mut manifest, &ids, &steps).unwrap();
-        let merged = exec.merge_prepared(&prepared).unwrap();
+        let merged = exec
+            .merge_prepared(&prepared)
+            .unwrap()
+            .expect("an 8-way merge");
         let outcome =
             ParallelExecutor::commit(&mut manifest, &merged, storage.as_ref(), |_| {}).unwrap();
         exec.retire_consumed(&merged).unwrap();

@@ -44,7 +44,10 @@ pub struct CompactionOutcome {
     pub bytes_read: u64,
     /// Total bytes written to storage for output tables.
     pub bytes_written: u64,
-    /// Table id of the final output table, if at least one merge ran.
+    /// Point tombstones the merges dropped.
+    pub tombstones_dropped: u64,
+    /// Table id of the final output table, if at least one merge ran
+    /// and something survived into it.
     pub final_table_id: Option<u64>,
 }
 
@@ -163,28 +166,132 @@ mod tests {
         assert!(outcome.byte_cost() > 0);
     }
 
+    /// Registers a table holding `entries` (internal-key order).
+    fn table_of(storage: &dyn Storage, manifest: &mut Manifest, entries: Vec<Entry>) -> u64 {
+        let id = manifest.allocate_table_id();
+        let entries = entries.into_iter().map(Ok);
+        let meta = write_table(storage, &LsmOptions::default(), id, entries, []).unwrap();
+        manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
+        id
+    }
+
+    fn sst_blobs(storage: &MemoryStorage) -> Vec<String> {
+        let mut blobs: Vec<String> = storage
+            .list_blobs()
+            .into_iter()
+            .filter(|b| b.starts_with("sst-"))
+            .collect();
+        blobs.sort();
+        blobs
+    }
+
     #[test]
-    fn tombstones_dropped_only_in_final_merge() {
+    fn a_merge_with_no_older_table_left_out_drops_its_tombstones() {
         let (storage, mut manifest, exec) = setup();
         let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1, 2], 1);
         // Table with a tombstone for key 1 (newer).
-        let id = manifest.allocate_table_id();
-        let tombstone = Entry::tombstone(key_from_u64(1), 5);
-        let meta = write_table(
+        let id = table_of(
             storage.as_ref(),
-            &LsmOptions::default(),
-            id,
-            std::iter::once(Ok(tombstone)),
-            [],
-        )
-        .unwrap();
-        manifest.apply(ManifestEdit::AddTable(meta)).unwrap();
+            &mut manifest,
+            vec![Entry::tombstone(key_from_u64(1), 5)],
+        );
 
         let steps = vec![CompactionStep::new(vec![0, 1])];
         let outcome = execute(&exec, &mut manifest, &[t0, id], &steps).unwrap();
         let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
         assert_eq!(entries.len(), 1, "key 1 deleted, key 2 survives");
         assert_eq!(entries[0].key, key_from_u64(2));
+        assert_eq!(outcome.tombstones_dropped, 1);
+    }
+
+    /// A partial run judges each tombstone on its own: the older table
+    /// it leaves out holds key 1, so key 1's tombstone must stay to
+    /// shadow it; nothing older holds key 2, so key 2's goes.
+    #[test]
+    fn a_partial_run_keeps_only_the_tombstones_an_older_table_needs() {
+        let (storage, mut manifest, exec) = setup();
+        let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1], 1);
+        let t1 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[2], 2);
+        let t2 = table_of(
+            storage.as_ref(),
+            &mut manifest,
+            vec![
+                Entry::tombstone(key_from_u64(1), 3),
+                Entry::tombstone(key_from_u64(2), 3),
+            ],
+        );
+
+        let steps = vec![CompactionStep::new(vec![0, 1])];
+        let outcome = execute(&exec, &mut manifest, &[t1, t2], &steps).unwrap();
+        let entries = read_table(storage.as_ref(), outcome.final_table_id.unwrap()).unwrap();
+        assert_eq!(entries, vec![Entry::tombstone(key_from_u64(1), 3)]);
+        assert_eq!(outcome.tombstones_dropped, 1);
+        assert_eq!(manifest.table_count(), 2);
+        assert!(manifest.table(t0).is_some(), "the older table is left out");
+    }
+
+    /// A one-input step is a rewrite: it drops the shadowed version and
+    /// the tombstone nothing older needs, and keeps the rest. Rewriting
+    /// the result again drops nothing, so it flips nothing and leaves no
+    /// copy behind.
+    #[test]
+    fn a_one_input_step_rewrites_a_table_dropping_only_garbage() {
+        let (storage, mut manifest, exec) = setup();
+        let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[3, 4], 1);
+        let t1 = table_of(
+            storage.as_ref(),
+            &mut manifest,
+            vec![
+                Entry::put(key_from_u64(1), Bytes::from_static(b"new"), 5),
+                Entry::put(key_from_u64(1), Bytes::from_static(b"old"), 4),
+                Entry::tombstone(key_from_u64(2), 4),
+                Entry::tombstone(key_from_u64(3), 5),
+            ],
+        );
+
+        let rewrite = [CompactionStep::new(vec![0])];
+        let outcome = execute(&exec, &mut manifest, &[t1], &rewrite).unwrap();
+        let output = outcome.final_table_id.unwrap();
+        assert_eq!(
+            read_table(storage.as_ref(), output).unwrap(),
+            vec![
+                Entry::put(key_from_u64(1), Bytes::from_static(b"new"), 5),
+                Entry::tombstone(key_from_u64(3), 5),
+            ]
+        );
+        assert_eq!((outcome.entries_read, outcome.entries_written), (4, 2));
+        assert_eq!(outcome.tombstones_dropped, 1);
+        assert!(manifest.table(t1).is_none() && manifest.table(t0).is_some());
+        assert!(!storage.contains_blob(&SstableReader::blob_name(t1)));
+
+        let (manifest_before, blobs_before) = (manifest.clone(), sst_blobs(&storage));
+        let outcome = execute(&exec, &mut manifest, &[output], &rewrite).unwrap();
+        assert_eq!(outcome, CompactionOutcome::default());
+        assert_eq!(manifest.tables(), manifest_before.tables());
+        assert_eq!(
+            sst_blobs(&storage),
+            blobs_before,
+            "the barren copy is deleted"
+        );
+    }
+
+    #[test]
+    fn a_run_whose_output_is_empty_adds_no_table_and_leaves_no_blob() {
+        let (storage, mut manifest, exec) = setup();
+        let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1], 1);
+        let t1 = table_of(
+            storage.as_ref(),
+            &mut manifest,
+            vec![Entry::tombstone(key_from_u64(1), 2)],
+        );
+
+        let steps = vec![CompactionStep::new(vec![0, 1])];
+        let outcome = execute(&exec, &mut manifest, &[t0, t1], &steps).unwrap();
+        assert_eq!(outcome.entries_written, 0);
+        assert_eq!(outcome.final_table_id, None);
+        assert_eq!(manifest.table_count(), 0);
+        assert!(sst_blobs(&storage).is_empty(), "{:?}", sst_blobs(&storage));
+        assert_eq!(Manifest::load(storage.as_ref()).unwrap(), manifest);
     }
 
     #[test]
@@ -193,12 +300,12 @@ mod tests {
         let t0 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[1], 1);
         let t1 = make_table(storage.as_ref() as &dyn Storage, &mut manifest, &[2], 2);
 
-        // Single-input step.
+        // Zero-input step.
         let err = execute(
             &exec,
             &mut manifest,
             &[t0, t1],
-            &[CompactionStep::new(vec![0])],
+            &[CompactionStep::new(vec![])],
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidCompaction { .. }));

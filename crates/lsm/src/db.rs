@@ -40,7 +40,7 @@
 //! publishes it, and only then retires the generation and its segment;
 //! a **compaction step** runs the planner's schedule if the
 //! [`CompactionPolicy`] fires (holding the write mutex only to prepare
-//! and to commit), else one tombstone-GC rewrite if one is due. Reads
+//! and to commit), else, with GC on, one one-table GC run. Reads
 //! and range scans consult active memtable → frozen queue (newest first)
 //! → tables.
 //!
@@ -95,7 +95,7 @@ const SCAN_READAHEAD_BLOCKS: usize = 8;
 /// private engine state.
 #[path = "maintenance.rs"]
 mod maintenance;
-use maintenance::{FrozenGen, Maintenance};
+use maintenance::{FrozenGen, Maintenance, Schedule};
 
 /// A single-node LSM key-value store.
 ///
@@ -199,14 +199,14 @@ pub(crate) struct LsmInner {
     /// oldest first, whichever thread drives. Lock order: `flush_mx`
     /// before `write`; never held together with `compaction_mx`.
     flush_mx: Mutex<()>,
-    /// Serializes whole compaction runs and tombstone-GC rewrites
-    /// without holding the write mutex across the merge. Lock order:
+    /// Serializes whole compaction runs, tombstone GC included, without
+    /// holding the write mutex across the merge. Lock order:
     /// `compaction_mx` before `write`.
     compaction_mx: Mutex<()>,
-    /// Table ids tombstone GC examined and found nothing droppable in;
-    /// skipped until the next manifest flip changes what other tables
-    /// may shadow. Lock order: `write` before `gc_barren`.
-    gc_barren: Mutex<Vec<u64>>,
+    /// Tables tombstone GC rewrote for nothing, with that pass's pin
+    /// floor; skipped until a manifest flip or a higher floor. Lock
+    /// order: `write` before `gc_barren`.
+    gc_barren: Mutex<BTreeMap<u64, SeqNo>>,
     /// Pinned snapshot LSNs → pin count. The smallest key is the
     /// retention floor every reclamation path (memtable overwrite,
     /// compaction, tombstone GC) must respect. Lock order: `write`
@@ -326,7 +326,7 @@ lsm_stats! {
     block_cache_misses,
     /// Blocks dropped by LRU pressure or compaction retirement.
     block_cache_evictions,
-    /// Number of compaction runs executed (manual and automatic).
+    /// Number of compaction runs executed (manual, automatic and GC).
     compactions,
     /// Number of compactions fired by the configured
     /// [`CompactionPolicy`] (a subset of [`LsmStats::compactions`]).
@@ -340,7 +340,8 @@ lsm_stats! {
     /// Bytes written to storage by compaction merges.
     compaction_bytes_written,
     /// Sum of the planner's predicted `cost_actual` (in keys) over all
-    /// policy-driven compactions, for planned-vs-measured comparison.
+    /// policy-driven compactions, for planned-vs-measured comparison;
+    /// a tombstone-GC rewrite adds its measured cost.
     compaction_predicted_cost,
     /// Flush steps the flush thread ran (a subset of
     /// [`LsmStats::flushes`]; 0 when the caller drives maintenance).
@@ -370,9 +371,9 @@ lsm_stats! {
     /// WAL segments preserved under a `quarantined-` name because they
     /// contained rotten frames.
     recovery_segments_quarantined,
-    /// Tombstones physically dropped by tombstone-GC rewrites.
+    /// Point tombstones physically dropped by compaction runs.
     tombstones_dropped,
-    /// Single-table tombstone-GC rewrites executed.
+    /// One-table tombstone-GC runs executed.
     gc_rewrites,
     /// Sequence number of the current manifest checkpoint (a gauge;
     /// summed across shards by [`LsmStats::absorb`]).
@@ -419,6 +420,7 @@ impl LsmStats {
         self.compaction_entries_written += outcome.entries_written;
         self.compaction_bytes_read += outcome.bytes_read;
         self.compaction_bytes_written += outcome.bytes_written;
+        self.tombstones_dropped += outcome.tombstones_dropped;
     }
 }
 
@@ -806,7 +808,14 @@ impl Lsm {
     ///
     /// Propagates planning and storage failures.
     pub fn auto_compact(&self) -> Result<Option<AutoCompaction>, Error> {
-        self.inner.planned_compaction(false)
+        let run = self
+            .inner
+            .run_compaction(Schedule::Planned { if_due: false })?;
+        Ok(run.map(|(plan, outcome, stall)| AutoCompaction {
+            plan: plan.expect("a planned schedule carries its plan"),
+            outcome,
+            stall,
+        }))
     }
 
     /// Executes a merge schedule over the live sstables: a complete one
@@ -819,9 +828,9 @@ impl Lsm {
     /// [`MergeSchedule::slot_steps`](compaction_core::MergeSchedule::slot_steps)).
     /// Independent steps execute concurrently when
     /// [`LsmOptions::threads`] > 1, and manifest edits are applied
-    /// atomically after every step succeeds. The last step drops
-    /// tombstones only if no live table older than its inputs is left
-    /// out of it.
+    /// atomically after every step succeeds. A step may read one table
+    /// (a rewrite). Each step drops a tombstone only when no live table
+    /// older than its inputs that it leaves out may hold the key.
     ///
     /// # Errors
     ///
@@ -829,28 +838,27 @@ impl Lsm {
     /// among them one that leaves an output spanning, by age, a live
     /// table it does not merge — and propagates storage errors.
     pub fn major_compact(&self, steps: &[CompactionStep]) -> Result<CompactionOutcome, Error> {
-        self.inner.major_compact(steps)
+        let run = self.inner.run_compaction(Schedule::Manual(steps))?;
+        Ok(run.map(|(_, outcome, _)| outcome).unwrap_or_default())
     }
 
     /// Runs one tombstone-GC rewrite right now, regardless of the
     /// [`LsmOptions::tombstone_gc`] toggle (which only governs the
-    /// maintenance pipeline's own compaction steps): pick the live
-    /// table carrying the most tombstones, drop every
-    /// tombstone that provably shadows nothing — no *other* live
-    /// table's bloom/min-max admits its key — and swap in the slimmer
-    /// rewrite via the usual atomic manifest flip. Returns the number
-    /// of tombstones dropped (0 when no table qualifies or nothing was
-    /// droppable).
+    /// maintenance pipeline's own compaction steps): a one-table
+    /// compaction run of the live table carrying the most tombstones,
+    /// dropping every tombstone no *older* live table's bloom/min-max
+    /// admits. Returns the number of tombstones dropped (0 when no table
+    /// qualifies or nothing was droppable: then nothing flips).
     ///
-    /// Entries buffered in the memtable are always strictly newer than
-    /// any sstable entry, so dropping an sstable tombstone can never
-    /// resurrect them.
+    /// Newer tables and the memtable are probed before the rewrite, so
+    /// dropping a tombstone can never resurrect a version they hold.
     ///
     /// # Errors
     ///
     /// Propagates storage and corruption errors.
     pub fn gc_tombstones(&self) -> Result<u64, Error> {
-        self.inner.run_tombstone_gc()
+        let run = self.inner.run_compaction(Schedule::TombstoneGc)?;
+        Ok(run.map_or(0, |(_, outcome, _)| outcome.tombstones_dropped))
     }
 
     /// Returns every live key/value pair, merged across the memtable and
@@ -1149,7 +1157,7 @@ impl LsmInner {
             bg_flushes: AtomicU64::new(0),
             flush_mx: Mutex::new(()),
             compaction_mx: Mutex::new(()),
-            gc_barren: Mutex::new(Vec::new()),
+            gc_barren: Mutex::new(BTreeMap::new()),
             pins: Mutex::new(BTreeMap::new()),
             maint: Maintenance::default(),
         })

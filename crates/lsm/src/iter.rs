@@ -6,9 +6,10 @@
 //! It drops nothing. What a consumer may *see* of that stream is decided
 //! by one of two thin filters:
 //!
-//! * [`Retained`] — the compaction retention rule, used by merge steps
-//!   and tombstone GC: keep, per user key, every version a pinned
-//!   snapshot can still observe, and nothing older;
+//! * [`Retained`] — the compaction retention rule, used by every merge
+//!   step (tombstone GC's one-table step too): keep, per user key,
+//!   every version a pinned snapshot can still observe, and nothing
+//!   older;
 //! * [`Visible`] — the scan read-visibility rule: per user key, the
 //!   newest version at or below a sequence ceiling, unless a range
 //!   tombstone shadows it.
@@ -138,10 +139,9 @@ impl<S: Iterator<Item = Result<Entry, Error>>> Iterator for MergingIter<S> {
 ///   drops it and, having a larger sequence number, every older one;
 /// * a point tombstone at or below the floor for which `droppable`
 ///   holds deletes the key outright. The caller vouches that nothing
-///   outside the stream can resurrect the key: `|_| true` for the final
-///   step of a merge that leaves no older live table out (every older
-///   version is among the inputs), a bloom/min-max check of the other live tables for
-///   tombstone GC, `|_| false` otherwise.
+///   outside the stream can resurrect the key: a merge step checks the
+///   bloom and min/max of every live table older than its inputs that
+///   it leaves out.
 ///
 /// A version supplied twice (by two sources of a merge) is kept once.
 #[derive(Debug)]
@@ -156,7 +156,6 @@ pub(crate) struct Retained<'a, I, F> {
     key_done: bool,
     /// Seqno of the last version kept for `current_key`.
     last_kept_seqno: Option<SeqNo>,
-    dropped: u64,
     tombstones_dropped: u64,
 }
 
@@ -179,14 +178,8 @@ where
             current_key: None,
             key_done: false,
             last_kept_seqno: None,
-            dropped: 0,
             tombstones_dropped: 0,
         }
-    }
-
-    /// Entries swallowed so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// How many of the swallowed entries were point tombstones.
@@ -237,7 +230,6 @@ where
             if self.keep(&entry) {
                 return Some(Ok(entry));
             }
-            self.dropped += 1;
             self.tombstones_dropped += u64::from(entry.is_tombstone());
         }
     }
@@ -406,7 +398,6 @@ mod tests {
         let keys: Vec<u64> = kept.iter().map(|e| key_to_u64(&e.key).unwrap()).collect();
         assert_eq!(keys, vec![2, 3]);
         assert!(kept[0].is_tombstone());
-        assert_eq!(retained.dropped(), 2, "the tombstone and the put under it");
         assert_eq!(retained.tombstones_dropped(), 1);
     }
 

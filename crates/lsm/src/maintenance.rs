@@ -17,7 +17,9 @@
 //!   fires, one run of the compaction driver
 //!   ([`LsmInner::run_compaction`]) over the newest run of live tables
 //!   ([`newest_run`]), not the whole store as [`Lsm::auto_compact`]
-//!   does; else, if one is due, one tombstone-GC rewrite.
+//!   does; else, with [`LsmOptions::tombstone_gc`] on, one tombstone-GC
+//!   run: a one-table run through the same driver and executor. All GC
+//!   keeps to itself is its choice of table.
 //!
 //! A step knows nothing about who called it.
 //!
@@ -39,7 +41,7 @@
 //! # Lock order
 //!
 //! `flush_mx` (one flush step at a time) or `compaction_mx` (one
-//! compaction run or GC rewrite at a time) is taken **before** the write
+//! compaction run, GC included, at a time) is taken **before** the write
 //! mutex, and never both at once. So no step may start from under the
 //! write guard: a writer that fills the memtable freezes it under the
 //! guard, drops the guard, and only then drives. The write mutex covers
@@ -58,15 +60,13 @@ use parking_lot::Mutex;
 use super::Lsm;
 use super::{AutoCompaction, LsmInner, StallTier, WriteState};
 use crate::compaction::{CompactionOutcome, CompactionStep};
-use crate::iter::Retained;
 use crate::manifest::{Manifest, ManifestEdit, TableMeta};
 use crate::memtable::Memtable;
 use crate::options::CompactionPolicy;
 use crate::parallel::ParallelExecutor;
 use crate::planner::{newest_run, plan_compaction};
-use crate::reader::{ReadContext, ReadPathCounters, SstableReader};
 use crate::sstable::write_table;
-use crate::types::{Entry, SeqNo};
+use crate::types::SeqNo;
 use crate::wal::Wal;
 use crate::Error;
 #[cfg(doc)]
@@ -207,19 +207,24 @@ impl LsmInner {
         };
         // A generation holding only range tombstones still flushes — the
         // records must out-live the WAL segment retired below.
-        let entries: Vec<Entry> = gen.memtable.iter().collect();
-        let range_dels = gen.memtable.range_dels().to_vec();
         let started = Instant::now();
         self.emit(
             EventKind::FlushStart,
             vec![
                 ("generation", gen.generation),
-                ("entries", entries.len() as u64),
+                ("entries", gen.memtable.len() as u64),
             ],
         );
         let table_id = self.write.lock().manifest.allocate_table_id();
-        let (storage, entries) = (self.storage.as_ref(), entries.into_iter().map(Ok));
-        let meta = write_table(storage, &self.options, table_id, entries, range_dels)?;
+        let entries = gen.memtable.iter().map(Ok);
+        let range_dels = gen.memtable.range_dels().iter().cloned();
+        let meta = write_table(
+            self.storage.as_ref(),
+            &self.options,
+            table_id,
+            entries,
+            range_dels,
+        )?;
         self.retire_frozen(&gen, meta)?;
         self.metrics.flush.record_duration(started.elapsed());
         self.stats.lock().flushes += 1;
@@ -270,21 +275,20 @@ impl LsmInner {
     }
 
     /// One compaction step: run the planned compaction if the policy
-    /// fires, else one tombstone-GC rewrite if one is due. Merge work
-    /// always outranks space reclamation, so GC competes for the driver
-    /// without delaying the compactions the stall tiers depend on.
-    fn compact_step(&self) -> Result<CompactStep, Error> {
+    /// fires, else, with GC on, one tombstone-GC run. Merge work always
+    /// outranks space reclamation, so GC competes for the driver without
+    /// delaying the compactions the stall tiers depend on.
+    fn compact_step(&self) -> Result<Option<CompactionRun>, Error> {
         // Checked here as well as inside the run: a step that is not
         // due must not queue on `compaction_mx` behind another merge.
         let live_tables = self.write.lock().manifest.table_count();
         if self.compaction_backlog(live_tables) > 0 {
-            let run = self.planned_compaction(true)?;
-            return Ok(run.map_or(CompactStep::Idle, CompactStep::Merged));
+            return self.run_compaction(Schedule::Planned { if_due: true });
         }
-        if self.gc_due() && self.run_tombstone_gc()? > 0 {
-            return Ok(CompactStep::Reclaimed);
+        if self.options.tombstone_gc_enabled() {
+            return self.run_compaction(Schedule::TombstoneGc);
         }
-        Ok(CompactStep::Idle)
+        Ok(None)
     }
 
     // ---- drivers ----
@@ -302,16 +306,17 @@ impl LsmInner {
         }
         while self.flush_step()? {}
         let mut last = None;
-        loop {
-            match self.compact_step()? {
-                CompactStep::Idle => return Ok(last),
-                CompactStep::Merged(run) => {
-                    self.metrics.stall.record_duration(run.stall);
-                    last = Some(run);
-                }
-                CompactStep::Reclaimed => {}
+        while let Some((plan, outcome, stall)) = self.compact_step()? {
+            if let Some(plan) = plan {
+                self.metrics.stall.record_duration(stall);
+                last = Some(AutoCompaction {
+                    plan,
+                    outcome,
+                    stall,
+                });
             }
         }
+        Ok(last)
     }
 
     pub(super) fn flush(&self) -> Result<Option<u64>, Error> {
@@ -402,8 +407,8 @@ impl LsmInner {
     pub(super) fn compaction_worker(&self) {
         while !self.maint.shutdown.load(Ordering::SeqCst) {
             match self.compact_step() {
-                Ok(CompactStep::Idle) => self.maint.compact_signal.wait_timeout(STALL_WAIT_SLICE),
-                Ok(_) => {}
+                Ok(None) => self.maint.compact_signal.wait_timeout(STALL_WAIT_SLICE),
+                Ok(Some(_)) => {}
                 Err(_) => std::thread::sleep(WORKER_RETRY_DELAY),
             }
         }
@@ -504,44 +509,30 @@ impl LsmInner {
 
     // ---- the compaction driver ----
 
-    pub(super) fn major_compact(
-        &self,
-        steps: &[CompactionStep],
-    ) -> Result<CompactionOutcome, Error> {
-        let (_, outcome, _) = self
-            .run_compaction(Schedule::Manual(steps))?
-            .expect("a manual schedule always runs");
-        Ok(outcome)
-    }
-
-    /// One planner-scheduled compaction run, on whichever thread asks:
-    /// of the newest run if `if_due`, else of the whole store.
-    pub(super) fn planned_compaction(&self, if_due: bool) -> Result<Option<AutoCompaction>, Error> {
-        let run = self.run_compaction(Schedule::Planned { if_due })?;
-        Ok(run.map(|(plan, outcome, stall)| AutoCompaction {
-            plan: plan.expect("a planned schedule carries its plan"),
-            outcome,
-            stall,
-        }))
-    }
-
     /// The one compaction driver, run on whichever thread asks: snapshot
-    /// the table list (for an `if_due` request, only its newest run),
-    /// plan, `prepare` under a brief write lock, merge unlocked, commit
-    /// and flip the manifest under a brief write lock, delete the
-    /// consumed blobs unlocked. `compaction_mx` serializes whole runs,
-    /// so every planned input still exists at prepare time: flushes can
-    /// only *add* tables meanwhile, and those are newer than any run.
-    /// `Ok(None)` means there was nothing to do: fewer than two tables,
-    /// or an `if_due` request whose policy does not fire. Otherwise: the
-    /// executed plan (`None` for a manual schedule), what it moved, and
-    /// the run's planning + merging wall-clock from when it held
-    /// `compaction_mx`.
-    fn run_compaction(&self, schedule: Schedule<'_>) -> Result<Option<CompactionRun>, Error> {
+    /// the table list (for an `if_due` request, only its newest run; for
+    /// tombstone GC, only its candidate), plan, `prepare` under a brief
+    /// write lock, merge unlocked, commit and flip the manifest under a
+    /// brief write lock, delete the consumed blobs unlocked.
+    /// `compaction_mx` serializes whole runs, so every planned input
+    /// still exists at prepare time: flushes can only *add* tables
+    /// meanwhile, and those are newer than any run. `Ok(None)` means
+    /// nothing flipped: nothing to plan, a policy that does not fire, no
+    /// GC candidate, an empty schedule or a rewrite that dropped nothing.
+    /// Otherwise: the executed plan (`None` for a manual or GC
+    /// schedule), what it moved, and the run's planning + merging
+    /// wall-clock from when it held `compaction_mx`.
+    pub(super) fn run_compaction(
+        &self,
+        schedule: Schedule<'_>,
+    ) -> Result<Option<CompactionRun>, Error> {
         let _serial = self.compaction_mx.lock();
         let _mark = self.mark_compacting();
         let start = Instant::now();
         let if_due = matches!(schedule, Schedule::Planned { if_due: true });
+        let gc = matches!(schedule, Schedule::TombstoneGc);
+        // Sampled before the table set, as `with_retain_floor` asks.
+        let floor = self.pin_floor();
         let (live_tables, tables) = {
             let w = self.write.lock();
             let live = w.manifest.tables();
@@ -550,10 +541,13 @@ impl LsmInner {
                 return Ok(None);
             }
             // Merging `backlog + 1` tables into one clears the backlog.
-            let tables = if if_due {
-                newest_run(live, backlog + 1)
-            } else {
-                live.to_vec()
+            let tables = match schedule {
+                Schedule::Planned { if_due: true } => newest_run(live, backlog + 1),
+                Schedule::TombstoneGc => match self.gc_candidate(live, floor) {
+                    Some(candidate) => vec![candidate],
+                    None => return Ok(None),
+                },
+                _ => live.to_vec(),
             };
             (live.len() as u64, tables)
         };
@@ -575,84 +569,102 @@ impl LsmInner {
                 (Some(plan), steps)
             }
             Schedule::Manual(steps) => (None, steps.to_vec()),
+            Schedule::TombstoneGc => (None, vec![CompactionStep::new(vec![0])]),
         };
         let predicted = plan.as_ref().map_or(0, MergePlan::predicted_cost_actual);
-        let outcome = if steps.is_empty() {
-            CompactionOutcome::default()
-        } else {
-            // Wired to the compaction-step histogram and wave-start
-            // trace events; `predicted_cost` is stamped on each wave so
-            // a trace consumer can follow one compaction end to end.
-            let (events, shard, epoch) = (self.events.clone(), self.shard, self.epoch);
-            let executor = ParallelExecutor::new(Arc::clone(&self.storage), self.options.clone())
-                .with_retain_floor(self.pin_floor())
-                .with_step_timer(self.metrics.compaction_step.clone())
-                .with_wave_hook(move |wave, steps| {
-                    events.record(
-                        shard,
-                        EventKind::CompactionWaveStart,
-                        epoch.elapsed().as_micros() as u64,
-                        vec![
-                            ("wave", wave as u64),
-                            ("steps", steps as u64),
-                            ("predicted_cost", predicted),
-                        ],
-                    );
-                });
-            let prepared = executor.prepare(&mut self.write.lock().manifest, &initial, &steps)?;
-            // `tables < live_tables` marks a partial run.
-            self.emit(
-                EventKind::CompactionPlanned,
-                vec![
-                    ("tables", initial.len() as u64),
-                    ("live_tables", live_tables),
-                    ("steps", steps.len() as u64),
-                    ("waves", prepared.wave_count() as u64),
-                    ("predicted_cost", predicted),
-                ],
-            );
-            let merged = executor.merge_prepared(&prepared)?;
-            let outcome = {
-                let mut w = self.write.lock();
-                let outcome = ParallelExecutor::commit(
-                    &mut w.manifest,
-                    &merged,
-                    self.storage.as_ref(),
-                    |manifest| self.on_manifest_flip(&initial, manifest),
-                )?;
-                self.emit(
-                    EventKind::CompactionManifestFlip,
+        // Wired to the compaction-step histogram and wave-start trace
+        // events; `predicted_cost` is stamped on each wave so a trace
+        // consumer can follow one compaction end to end.
+        let (events, shard, epoch) = (self.events.clone(), self.shard, self.epoch);
+        let executor = ParallelExecutor::new(Arc::clone(&self.storage), self.options.clone())
+            .with_retain_floor(floor)
+            .with_step_timer(self.metrics.compaction_step.clone())
+            .with_wave_hook(move |wave, steps| {
+                events.record(
+                    shard,
+                    EventKind::CompactionWaveStart,
+                    epoch.elapsed().as_micros() as u64,
                     vec![
-                        ("tables_after", w.manifest.table_count() as u64),
+                        ("wave", wave as u64),
+                        ("steps", steps as u64),
                         ("predicted_cost", predicted),
-                        ("measured_cost", outcome.entry_cost()),
                     ],
                 );
-                outcome
-            };
-            executor.retire_consumed(&merged)?;
+            });
+        let prepared = executor.prepare(&mut self.write.lock().manifest, &initial, &steps)?;
+        // `tables < live_tables` marks a partial run.
+        self.emit(
+            EventKind::CompactionPlanned,
+            vec![
+                ("tables", initial.len() as u64),
+                ("live_tables", live_tables),
+                ("steps", steps.len() as u64),
+                ("waves", prepared.wave_count() as u64),
+                ("predicted_cost", predicted),
+            ],
+        );
+        let Some(merged) = executor.merge_prepared(&prepared)? else {
+            // Barren at this floor: retried after a flip or a rise.
+            if gc {
+                self.gc_barren.lock().insert(initial[0], floor);
+            }
+            return Ok(None);
+        };
+        let outcome = {
+            let mut w = self.write.lock();
+            let outcome = ParallelExecutor::commit(
+                &mut w.manifest,
+                &merged,
+                self.storage.as_ref(),
+                |manifest| self.on_manifest_flip(&initial, manifest),
+            )?;
             self.emit(
-                EventKind::CompactionInputsRetired,
+                EventKind::CompactionManifestFlip,
                 vec![
-                    ("inputs", merged.consumed_count() as u64),
+                    ("tables_after", w.manifest.table_count() as u64),
                     ("predicted_cost", predicted),
                     ("measured_cost", outcome.entry_cost()),
                 ],
             );
             outcome
         };
+        executor.retire_consumed(&merged)?;
+        self.emit(
+            EventKind::CompactionInputsRetired,
+            vec![
+                ("inputs", merged.consumed_count() as u64),
+                ("predicted_cost", predicted),
+                ("measured_cost", outcome.entry_cost()),
+            ],
+        );
+        if gc {
+            // GC has no planner: its prediction is what it measured.
+            self.emit(
+                EventKind::CompactionGc,
+                vec![
+                    ("input_table", initial[0]),
+                    ("output_table", outcome.final_table_id.unwrap_or(0)),
+                    ("tombstones_dropped", outcome.tombstones_dropped),
+                    ("predicted_cost", outcome.entry_cost()),
+                ],
+            );
+        }
         {
             let mut stats = self.stats.lock();
             stats.record_compaction(&outcome);
             if plan.is_some() {
                 stats.auto_compactions += 1;
                 stats.compaction_predicted_cost += predicted;
+            } else if gc {
+                stats.gc_rewrites += 1;
+                stats.compaction_predicted_cost += outcome.entry_cost();
             }
         }
         self.maint.progress_signal.notify();
         let elapsed = start.elapsed();
-        // A caller that asked waited on it; `drive` samples policy runs.
-        if !if_due {
+        // A caller that asked for a merge waited on it; `drive` samples
+        // policy runs, and GC is never a stall.
+        if !if_due && !gc {
             self.metrics.stall.record_duration(elapsed);
         }
         Ok(Some((plan, outcome, elapsed)))
@@ -686,128 +698,23 @@ impl LsmInner {
         self.gc_barren.lock().clear();
     }
 
-    // ---- tombstone GC ----
-
-    /// `true` when a compaction step should attempt a GC rewrite: the
-    /// option is on and [`LsmInner::gc_candidate`] finds a table.
-    fn gc_due(&self) -> bool {
-        self.options.tombstone_gc_enabled()
-            && self
-                .gc_candidate(self.write.lock().manifest.tables())
-                .is_some()
-    }
-
-    /// The table GC would rewrite next: the one of `tables` carrying
-    /// the most tombstones (at least one) that has not proven barren.
-    fn gc_candidate(&self, tables: &[TableMeta]) -> Option<TableMeta> {
+    /// The table tombstone GC rewrites next: the one of `tables`
+    /// carrying the most tombstones (at least one) that has not proven
+    /// barren at `floor` or a higher one.
+    fn gc_candidate(&self, tables: &[TableMeta], floor: SeqNo) -> Option<TableMeta> {
         let barren = self.gc_barren.lock();
         tables
             .iter()
-            .filter(|t| t.tombstone_count > 0 && !barren.contains(&t.table_id))
+            .filter(|t| {
+                t.tombstone_count > 0 && barren.get(&t.table_id).is_none_or(|&at| at < floor)
+            })
             .max_by_key(|t| t.tombstone_count)
             .cloned()
-    }
-
-    /// One tombstone-GC rewrite (see [`Lsm::gc_tombstones`]). Holds
-    /// `compaction_mx` for the whole run so no merge can consume the
-    /// candidate or its shadow-check peers mid-rewrite; concurrent
-    /// flushes only *add* tables, whose entries are strictly newer than
-    /// the candidate's tombstones and therefore never depend on them.
-    pub(super) fn run_tombstone_gc(&self) -> Result<u64, Error> {
-        let _serial = self.compaction_mx.lock();
-        let tables: Vec<TableMeta> = self.write.lock().manifest.tables().to_vec();
-        let Some(candidate) = self.gc_candidate(&tables) else {
-            return Ok(0);
-        };
-        let storage = self.storage.as_ref();
-        // The safety oracle: a tombstone is droppable iff no *other*
-        // live table may contain its key (min/max + bloom, zero block
-        // I/O — false positives keep a droppable tombstone, false
-        // negatives cannot happen).
-        let others = tables
-            .iter()
-            .filter(|t| t.table_id != candidate.table_id)
-            .map(|t| SstableReader::open(storage, t.table_id, Some(t.encoded_len)))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Every drop must also be invisible to pinned snapshots: nothing
-        // sequenced above the floor is reclaimed, and shadowed history
-        // is only cut below the newest version at or under it.
-        let floor = self.pin_floor();
-        let table = SstableReader::open(storage, candidate.table_id, Some(candidate.encoded_len))?;
-        // The table's own range tombstones shadow its own points; they
-        // are carried into the rewrite untouched (they may still shadow
-        // other live tables).
-        let own_rds = table.range_dels();
-        let counters = ReadPathCounters::default();
-        let mut retained = Retained::new(
-            table.iter(ReadContext::whole_table(storage, &counters)),
-            floor,
-            own_rds,
-            |tombstone| !others.iter().any(|r| r.may_contain(&tombstone.key)),
-        );
-        let kept = retained.by_ref().collect::<Result<Vec<Entry>, _>>()?;
-        let (versions_dropped, tombstones_dropped) =
-            (retained.dropped(), retained.tombstones_dropped());
-        if versions_dropped == 0 {
-            // Barrenness is only provable when no pin held the floor
-            // down: a pinned pass may have kept tombstones solely for
-            // the snapshot's sake, and those become droppable the
-            // moment the pin is released — memoizing here would skip
-            // the table forever (flushes never reset the memo).
-            if floor == SeqNo::MAX {
-                self.gc_barren.lock().push(candidate.table_id);
-            }
-            return Ok(0);
-        }
-        // The planner's cost currency (entries read + written) for this
-        // rewrite, so GC spend is comparable with merge spend in the
-        // predicted-cost accounting.
-        let kept_count = kept.len() as u64;
-        let predicted = candidate.entry_count + kept_count;
-        let new_meta = if kept.is_empty() && own_rds.is_empty() {
-            None
-        } else {
-            let table_id = self.write.lock().manifest.allocate_table_id();
-            let (kept, rds) = (kept.into_iter().map(Ok), own_rds.to_vec());
-            Some(write_table(storage, &self.options, table_id, kept, rds)?)
-        };
-        let output_id = new_meta.as_ref().map_or(0, |m| m.table_id);
-        {
-            let mut w = self.write.lock();
-            w.manifest.apply(ManifestEdit::RemoveTable {
-                table_id: candidate.table_id,
-            })?;
-            if let Some(meta) = new_meta {
-                w.manifest.apply(ManifestEdit::AddTable(meta))?;
-            }
-            w.manifest.persist(storage)?;
-            self.on_manifest_flip(&[candidate.table_id], &w.manifest);
-        }
-        storage.delete_blob(&SstableReader::blob_name(candidate.table_id))?;
-        self.emit(
-            EventKind::CompactionGc,
-            vec![
-                ("input_table", candidate.table_id),
-                ("output_table", output_id),
-                ("tombstones_dropped", tombstones_dropped),
-                ("predicted_cost", predicted),
-            ],
-        );
-        {
-            let mut stats = self.stats.lock();
-            stats.tombstones_dropped += tombstones_dropped;
-            stats.gc_rewrites += 1;
-            stats.compaction_predicted_cost += predicted;
-            stats.compaction_entries_read += candidate.entry_count;
-            stats.compaction_entries_written += kept_count;
-        }
-        self.maint.progress_signal.notify();
-        Ok(tombstones_dropped)
     }
 }
 
 /// Where one compaction run's merge schedule comes from.
-enum Schedule<'a> {
+pub(super) enum Schedule<'a> {
     /// The planner, configured by the store's options. With `if_due` the
     /// run is abandoned unless the policy fires once it holds
     /// `compaction_mx`: a trigger that queued behind another run must
@@ -816,20 +723,13 @@ enum Schedule<'a> {
     /// A caller-supplied slot schedule ([`Lsm::major_compact`]); with no
     /// planner prediction its cost fields trace `predicted_cost = 0`.
     Manual(&'a [CompactionStep]),
+    /// Tombstone GC: one one-table step over [`LsmInner::gc_candidate`],
+    /// traced like `Manual` plus a `compaction_gc` event.
+    TombstoneGc,
 }
 
 /// What one [`LsmInner::run_compaction`] did: plan, outcome, elapsed.
-type CompactionRun = (Option<MergePlan>, CompactionOutcome, Duration);
-
-/// What one [`LsmInner::compact_step`] found to do.
-enum CompactStep {
-    /// Neither the policy nor tombstone GC had work.
-    Idle,
-    /// The policy fired and this compaction ran.
-    Merged(AutoCompaction),
-    /// Tombstone GC rewrote one table.
-    Reclaimed,
-}
+pub(super) type CompactionRun = (Option<MergePlan>, CompactionOutcome, Duration);
 
 /// Clears the in-progress-compaction stamp when the compacting scope
 /// exits, success or error.

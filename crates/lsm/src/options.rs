@@ -311,13 +311,13 @@ impl LsmOptions {
     }
 
     /// Enables tombstone garbage collection (default `false`): a
-    /// compaction step may rewrite the live sstable carrying the most
-    /// tombstones, dropping those that provably shadow nothing — no
-    /// *other* live table's bloom/min-max admits the key — reclaiming
-    /// space without waiting for a merge that reaches the oldest table.
-    /// GC competes with merge compaction through the planner's
-    /// predicted-cost accounting and only runs when the configured
-    /// policy has no merge to schedule.
+    /// compaction step may run a one-table compaction of the live
+    /// sstable carrying the most tombstones, dropping those that
+    /// provably shadow nothing — no *older* live table's bloom/min-max
+    /// admits the key — reclaiming space without waiting for a merge
+    /// that reaches the oldest table. GC only runs when the configured
+    /// policy has no merge to schedule; merges drop tombstones by the
+    /// same rule whether or not GC is on.
     #[must_use]
     pub fn tombstone_gc(mut self, enabled: bool) -> Self {
         self.tombstone_gc = enabled;

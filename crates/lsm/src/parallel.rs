@@ -20,7 +20,11 @@
 //!   mid-compaction therefore leaves either the old state plus orphan
 //!   blobs (cleaned on reopen) or the new state plus stale inputs
 //!   (likewise cleaned) — never a manifest referencing missing tables.
+//!
+//! A one-table step is a rewrite (how tombstone GC runs); a run of one
+//! that dropped no entry does not flip, and an empty output is not added.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,6 +47,8 @@ struct StepResult {
     output: TableMeta,
     entries_read: u64,
     bytes_read: u64,
+    /// Point tombstones the retention rule dropped.
+    tombstones_dropped: u64,
 }
 
 /// A validated merge schedule with its output table ids pre-allocated
@@ -57,9 +63,9 @@ pub struct PreparedMerge {
     surviving_outputs: Vec<usize>,
     consumed_initial: Vec<u64>,
     waves: Vec<Vec<usize>>,
-    /// Whether the final step may drop tombstones (see
-    /// [`ParallelExecutor::prepare`]).
-    drop_tombstones: bool,
+    /// Per step, the tables its tombstones are judged against
+    /// ([`tombstone_peers`]).
+    step_peers: Vec<Vec<u64>>,
 }
 
 impl PreparedMerge {
@@ -163,16 +169,16 @@ impl ParallelExecutor {
     }
 
     /// Phase 1 — validate the schedule, group its steps into dependency
-    /// waves ([`compaction_core::dependency_waves`]) and pre-allocate one
+    /// waves ([`compaction_core::dependency_waves`]), settle each step's
+    /// tombstone verdict (`tombstone_peers`) and pre-allocate one
     /// output table id per step. Cheap and I/O-free: this is the only
     /// phase that needs `&mut Manifest`, so a background scheduler holds
     /// the write lock just long enough to call it.
     ///
-    /// Slot `i` is `initial_table_ids[i]`; step `j` writes slot `n + j`.
-    /// An output left standing must not span, by `max_seqno`, a live
-    /// table it does not merge (reads stop at the first table holding a
-    /// key), and the last step drops tombstones only if no older live
-    /// table is left out of it.
+    /// Slot `i` is `initial_table_ids[i]`; step `j` reads 1 to k slots
+    /// and writes slot `n + j`. An output left standing must not span,
+    /// by `max_seqno`, a live table it does not merge (reads stop at the
+    /// first table holding a key).
     ///
     /// # Errors
     ///
@@ -190,16 +196,11 @@ impl ParallelExecutor {
         // reuse across steps.
         let mut under: Vec<Option<Vec<u64>>> =
             initial_table_ids.iter().map(|&id| Some(vec![id])).collect();
+        let mut step_peers = Vec::with_capacity(steps.len());
         for (step_idx, step) in steps.iter().enumerate() {
-            if step.inputs.len() < 2 {
+            if step.inputs.is_empty() || step.inputs.len() > self.options.fanin() {
                 return Err(Error::invalid_compaction(format!(
-                    "step {step_idx} has {} inputs, need at least 2",
-                    step.inputs.len()
-                )));
-            }
-            if step.inputs.len() > self.options.fanin() {
-                return Err(Error::invalid_compaction(format!(
-                    "step {step_idx} reads {} tables but fan-in k = {}",
+                    "step {step_idx} reads {} tables, need 1 to k = {}",
                     step.inputs.len(),
                     self.options.fanin()
                 )));
@@ -212,10 +213,9 @@ impl ParallelExecutor {
                     ))
                 })?);
             }
+            step_peers.push(tombstone_peers(manifest.tables(), &merged));
             under.push(Some(merged));
         }
-        // The last step's output always stands: its verdict is kept.
-        let mut drop_tombstones = false;
         for (step_idx, tables) in under[n..].iter().enumerate() {
             let Some(tables) = tables else { continue };
             let (inside, left_out): (Vec<&TableMeta>, Vec<&TableMeta>) = manifest
@@ -233,7 +233,6 @@ impl ParallelExecutor {
                     t.table_id
                 )));
             }
-            drop_tombstones = left_out.iter().all(|t| t.max_seqno > newest);
         }
 
         let output_ids: Vec<u64> = steps.iter().map(|_| manifest.allocate_table_id()).collect();
@@ -259,29 +258,38 @@ impl ParallelExecutor {
                 n,
                 steps.iter().map(|step| step.inputs.as_slice()),
             ),
-            drop_tombstones,
+            step_peers,
             output_ids,
         })
     }
 
-    /// Phase 2 — the heavy I/O: run every merge step, wave-parallel, with
-    /// **no lock required**. On success every output run is durable in
-    /// storage; the manifest is untouched either way.
+    /// Phase 2 — the heavy I/O: open the steps' peers once, then run
+    /// every merge step, wave-parallel, with **no lock required**. On
+    /// success every output run is durable in storage; the manifest is
+    /// untouched either way. `None`: nothing to commit — no steps, or
+    /// one one-table step that dropped no entry (its copy is deleted).
     ///
     /// # Errors
     ///
     /// Propagates storage/corruption errors; every output blob is
     /// removed first (best-effort).
-    pub fn merge_prepared(&self, prepared: &PreparedMerge) -> Result<MergedOutputs, Error> {
+    pub fn merge_prepared(&self, prepared: &PreparedMerge) -> Result<Option<MergedOutputs>, Error> {
+        let peer_ids: BTreeSet<u64> = prepared.step_peers.iter().flatten().copied().collect();
+        let open = |id| SstableReader::open(self.storage.as_ref(), id, None).map(|r| (id, r));
+        let peers: BTreeMap<u64, SstableReader> =
+            peer_ids.into_iter().map(open).collect::<Result<_, _>>()?;
         let steps = prepared.step_inputs.len();
         let mut results: Vec<Option<StepResult>> = (0..steps).map(|_| None).collect();
         let run_step = |step_idx: usize| {
             let started = Instant::now();
-            let drop_tombstones = prepared.drop_tombstones && step_idx + 1 == steps;
+            let step_peers: Vec<_> = prepared.step_peers[step_idx]
+                .iter()
+                .map(|id| &peers[id])
+                .collect();
             let result = self.merge_step(
                 &prepared.step_inputs[step_idx],
                 prepared.output_ids[step_idx],
-                drop_tombstones,
+                &step_peers,
             );
             if let Some(timer) = &self.step_timer {
                 timer.record_duration(started.elapsed());
@@ -322,23 +330,36 @@ impl ParallelExecutor {
                 }
             }
         }
-
-        Ok(MergedOutputs {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("step executed"))
-                .collect(),
-            surviving_outputs: prepared.surviving_outputs.clone(),
+        let results: Vec<StepResult> = results.into_iter().map(|r| r.expect("step ran")).collect();
+        match (prepared.step_inputs.as_slice(), results.as_slice()) {
+            ([], _) => return Ok(None),
+            ([inputs], [result])
+                if inputs.len() == 1 && result.entries_read == result.output.entry_count =>
+            {
+                let copy = SstableReader::blob_name(result.output.table_id);
+                self.storage.delete_blob(&copy)?;
+                return Ok(None);
+            }
+            _ => {}
+        }
+        // An output nothing survived into is not worth a table.
+        let mut surviving_outputs = prepared.surviving_outputs.clone();
+        surviving_outputs.retain(|&i| {
+            results[i].output.entry_count + results[i].output.range_tombstone_count > 0
+        });
+        Ok(Some(MergedOutputs {
+            results,
+            surviving_outputs,
             consumed_initial: prepared.consumed_initial.clone(),
-        })
+        }))
     }
 
     /// Phase 3 — flip the manifest in one atomic update: remove the
-    /// consumed inputs, add the surviving outputs, persist, and invoke
-    /// `on_flip` (where the engine publishes its read snapshot). Brief —
-    /// one small blob write — so a background scheduler re-takes the
-    /// write lock only for this call. The consumed input blobs still
-    /// exist afterwards; delete them with
+    /// consumed inputs, add the surviving non-empty outputs, persist,
+    /// and invoke `on_flip` (where the engine publishes its read
+    /// snapshot). Brief — one small blob write — so a background
+    /// scheduler re-takes the write lock only for this call. The
+    /// consumed input blobs still exist afterwards; delete them with
     /// [`ParallelExecutor::retire_consumed`].
     ///
     /// # Errors
@@ -357,8 +378,13 @@ impl ParallelExecutor {
             outcome.bytes_read += result.bytes_read;
             outcome.entries_written += result.output.entry_count;
             outcome.bytes_written += result.output.encoded_len;
+            outcome.tombstones_dropped += result.tombstones_dropped;
         }
-        outcome.final_table_id = merged.results.last().map(|r| r.output.table_id);
+        let last = merged
+            .surviving_outputs
+            .last()
+            .filter(|&&i| i + 1 == merged.results.len());
+        outcome.final_table_id = last.map(|&i| merged.results[i].output.table_id);
 
         for &table_id in &merged.consumed_initial {
             manifest.apply(ManifestEdit::RemoveTable { table_id })?;
@@ -372,8 +398,8 @@ impl ParallelExecutor {
         Ok(outcome)
     }
 
-    /// Phase 4 — delete the consumed input blobs and non-surviving
-    /// intermediates. Only safe after [`ParallelExecutor::commit`]:
+    /// Phase 4 — delete the consumed input blobs, the intermediates and
+    /// the empty outputs. Only safe after [`ParallelExecutor::commit`]:
     /// readers migrated to the new table set at the flip. Needs no lock.
     ///
     /// # Errors
@@ -394,19 +420,20 @@ impl ParallelExecutor {
     }
 
     /// One merge step: stream the input runs through the k-way merge
-    /// under the retention rule into [`write_table`] under `output_id`.
-    /// Each input is open as its resident tail, the raw bytes of its data
-    /// section (one read) and one decoded block; a corrupt block
-    /// therefore surfaces mid-merge, before anything is written. This
-    /// thread decodes and merges; past `LANE_START_BLOCKS` (64) output
-    /// blocks the writer's compression lane LZ-encodes and CRCs them on
-    /// a second one — not sooner, as a lane per 30-block flush cost
-    /// 6–17 % more `setup_s` on `compact-bt` / `compact-soe`.
+    /// under the retention rule into [`write_table`] under `output_id`,
+    /// judging tombstones against `peers`. Each input is open as its
+    /// resident tail, the raw bytes of its data section (one read) and
+    /// one decoded block; a corrupt block therefore surfaces mid-merge,
+    /// before anything is written. This thread decodes and merges; past
+    /// `LANE_START_BLOCKS` (64) output blocks the writer's compression
+    /// lane LZ-encodes and CRCs them on a second one — not sooner, as a
+    /// lane per 30-block flush cost 6–17 % more `setup_s` on
+    /// `compact-bt` / `compact-soe`.
     fn merge_step(
         &self,
         input_ids: &[u64],
         output_id: u64,
-        drop_tombstones: bool,
+        peers: &[&SstableReader],
     ) -> Result<StepResult, Error> {
         let storage = self.storage.as_ref();
         let readers = input_ids
@@ -428,28 +455,48 @@ impl ParallelExecutor {
         let floor = self.retain_floor;
         let counters = ReadPathCounters::default();
         let ctx = ReadContext::whole_table(storage, &counters);
-        let merged = Retained::new(
+        let mut merged = Retained::new(
             MergingIter::new(readers.iter().map(|r| r.iter(ctx)).collect()),
             floor,
             &range_dels,
-            |_| drop_tombstones,
+            |tombstone| !peers.iter().any(|p| p.may_contain(&tombstone.key)),
         );
         // Range tombstones ride along into the output so they keep
-        // shadowing older tables outside this merge; a final-step merge
-        // may retire those at or below the floor — everything they could
-        // ever delete was merged here, and no pinned snapshot can still
-        // observe a version they shadow.
+        // shadowing older tables outside this merge; with no peers the
+        // step retires those at or below the floor — everything they
+        // could ever delete was merged here, and no pinned snapshot can
+        // still observe a version they shadow.
         let carried = range_dels
             .iter()
-            .filter(|rd| !(drop_tombstones && rd.seqno <= floor))
+            .filter(|rd| !(peers.is_empty() && rd.seqno <= floor))
             .cloned();
-        let output = write_table(storage, &self.options, output_id, merged, carried)?;
+        let output = write_table(storage, &self.options, output_id, merged.by_ref(), carried)?;
         Ok(StepResult {
             output,
             entries_read: readers.iter().map(SstableReader::entry_count).sum(),
             bytes_read: readers.iter().map(SstableReader::encoded_len).sum(),
+            tombstones_dropped: merged.tombstones_dropped(),
         })
     }
+}
+
+/// The one tombstone rule, pure and I/O-free. A step's *peers* are the
+/// live tables outside its `leaves` (the live tables under its inputs)
+/// whose `max_seqno` is not above its newest leaf. A point tombstone at
+/// or below the pin floor is dropped when no peer's min/max and bloom
+/// admit its key; range tombstones at or below it are retired only when
+/// there are no peers. Newer tables need no check: reads probe them
+/// first. Leaves carrying no tombstone need no peers.
+fn tombstone_peers(live: &[TableMeta], leaves: &[u64]) -> Vec<u64> {
+    let inside = || live.iter().filter(|t| leaves.contains(&t.table_id));
+    if inside().all(|t| t.tombstone_count + t.range_tombstone_count == 0) {
+        return Vec::new();
+    }
+    let newest = inside().map(|t| t.max_seqno).max().unwrap_or(0);
+    live.iter()
+        .filter(|t| !leaves.contains(&t.table_id) && t.max_seqno <= newest)
+        .map(|t| t.table_id)
+        .collect()
 }
 
 #[cfg(test)]
@@ -468,11 +515,10 @@ pub(crate) mod tests {
         initial_table_ids: &[u64],
         steps: &[CompactionStep],
     ) -> Result<CompactionOutcome, Error> {
-        if steps.is_empty() {
-            return Ok(CompactionOutcome::default());
-        }
         let prepared = exec.prepare(manifest, initial_table_ids, steps)?;
-        let merged = exec.merge_prepared(&prepared)?;
+        let Some(merged) = exec.merge_prepared(&prepared)? else {
+            return Ok(CompactionOutcome::default());
+        };
         let outcome = ParallelExecutor::commit(manifest, &merged, exec.storage.as_ref(), |_| {})?;
         exec.retire_consumed(&merged)?;
         Ok(outcome)
@@ -590,7 +636,7 @@ pub(crate) mod tests {
         ];
         let bytes_before = storage.bytes_written();
         for steps in [
-            vec![CompactionStep::new(vec![0])],
+            vec![CompactionStep::new(vec![])],
             vec![CompactionStep::new(vec![0, 9])],
             vec![CompactionStep::new(vec![0, 0])],
             vec![

@@ -495,14 +495,17 @@ fn a_schedule_whose_output_spans_a_table_it_leaves_out_is_refused() {
 /// A policy-triggered compaction merges the newest run of tables, not
 /// the whole store: a preloaded table far bigger than the flushes
 /// outlives compactions while overwrites and deletes of its keys pile
-/// up above it. The store must read like a `BTreeMap` fed the same
-/// writes after every compaction and after a reopen, with and without
-/// tombstone GC.
+/// up above it. Fresh keys above the preload are put and deleted a
+/// round later: no older table holds them, so merges drop those
+/// tombstones even with GC off. The store must read like a `BTreeMap`
+/// fed the same writes after every compaction and after a reopen, with
+/// and without tombstone GC.
 #[test]
 fn policy_compactions_merge_the_newest_run_and_match_an_oracle() {
     use std::collections::BTreeMap;
 
     const PRELOAD: u64 = 5_000;
+    const FRESH_PER_ROUND: u64 = 10;
     for gc in [false, true] {
         let storage: Arc<dyn Storage> = Arc::new(MemoryStorage::new());
         let preload = Lsm::open(
@@ -541,8 +544,11 @@ fn policy_compactions_merge_the_newest_run_and_match_an_oracle() {
                     .zip(oracle)
                     .all(|(a, b)| (a.0, &a.1) == (*b.0, b.1))
         };
+        // Round r puts these keys; round r + 1 deletes them.
+        let fresh =
+            |round: u64| PRELOAD + round * FRESH_PER_ROUND..PRELOAD + (round + 1) * FRESH_PER_ROUND;
         let (mut seed, mut compactions, mut partial_runs) = (7u64, 0, 0);
-        for round in 0..80 {
+        for round in 0..80u64 {
             for op in 0..50 {
                 seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 let key = (seed >> 33) % PRELOAD;
@@ -555,10 +561,27 @@ fn policy_compactions_merge_the_newest_run_and_match_an_oracle() {
                     oracle.insert(key, value);
                 }
             }
+            for key in fresh(round) {
+                db.put(key, b"fresh".to_vec()).unwrap();
+                oracle.insert(key, b"fresh".to_vec());
+            }
+            if round > 0 {
+                for key in fresh(round - 1) {
+                    db.delete(key).unwrap();
+                    oracle.remove(&key);
+                }
+            }
             db.maybe_compact().unwrap();
             let live = db.live_tables();
             assert!(live.len() < 4, "{} live tables", live.len());
             assert!(matches_oracle(&db, &oracle), "gc {gc}, round {round}");
+            for key in fresh(round.saturating_sub(2)).start..fresh(round).end {
+                assert_eq!(
+                    get_vec(&db, key),
+                    oracle.get(&key).cloned(),
+                    "gc {gc}, round {round}, key {key}"
+                );
+            }
             let ran = db.stats().auto_compactions;
             if ran > compactions && live.iter().any(|t| t.table_id == preload_id) {
                 partial_runs += 1;
@@ -567,6 +590,10 @@ fn policy_compactions_merge_the_newest_run_and_match_an_oracle() {
         }
         assert!(compactions >= 10, "{compactions} compactions");
         assert!(partial_runs > 0, "the preload table never outlived a run");
+        assert!(
+            db.stats().tombstones_dropped > 0,
+            "gc {gc}: no merge dropped a tombstone"
+        );
         drop(db);
         let reopened = Lsm::open(storage, options).unwrap();
         assert!(matches_oracle(&reopened, &oracle), "gc {gc}, after reopen");

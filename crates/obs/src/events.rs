@@ -30,9 +30,9 @@ pub enum EventKind {
     CompactionInputsRetired,
     /// The write-stall tier changed (0 = none, 1 = slowdown, 2 = stop).
     StallTierChange,
-    /// A tombstone-GC rewrite replaced one table with a slimmer copy
-    /// (fields: input/output table ids, tombstones dropped, predicted
-    /// cost).
+    /// A tombstone-GC run replaced one table with a slimmer copy, or
+    /// with nothing (output 0) (fields: input/output table ids,
+    /// tombstones dropped, predicted cost = measured entry cost).
     CompactionGc,
     /// Open-time WAL recovery finished (fields: segments scanned,
     /// records replayed, bytes truncated, frames quarantined).

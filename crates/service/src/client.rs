@@ -343,8 +343,8 @@ const DROP_DRAIN_FRAME_BUDGET: u64 = 1024;
 impl Drop for ScanStream<'_> {
     /// Drains the rest of the stream so an early-dropped scan leaves no
     /// stale frames to desynchronize the next request on this
-    /// connection; a stream with more than [`DROP_DRAIN_FRAME_BUDGET`]
-    /// residual frames closes the connection instead.
+    /// connection; a stream with more than 1 024 residual frames closes
+    /// the connection instead.
     fn drop(&mut self) {
         let mut drained = 0u64;
         while !self.finished {

@@ -284,8 +284,8 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Fails if the connection dies, or goes silent for
-    /// [`DRAIN_STEP_TIMEOUT`] with requests still outstanding.
+    /// Fails if the connection dies, or goes silent for 10 s with
+    /// requests still outstanding.
     pub fn drain(&mut self) -> Result<Vec<(u64, Response)>, Error> {
         let mut out = Vec::with_capacity(self.outstanding as usize);
         while self.outstanding > 0 {
